@@ -92,8 +92,5 @@ pub use scan::{
     ChunkResult, CompiledPredicate, Predicate, ScanPlan, ScanPrep, ScanStats, StagedPage,
     CHUNKS_PER_THREAD, MIN_PAGES_PER_THREAD,
 };
-pub use sharded::{
-    AdaptationBatch, AdaptationStats, BufferSummary, ShardWriteGuard, ShardedSpace, SnapshotCache,
-    SpaceSnapshot, DEFAULT_ADAPTATION_QUEUE_DEPTH,
-};
+pub use sharded::{BufferSummary, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceSnapshot};
 pub use space::{BenefitPolicy, BufferPending, Displacement, IndexBufferSpace, Selection};

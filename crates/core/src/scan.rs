@@ -273,11 +273,6 @@ pub struct ScanStats {
     pub sweep_batches: u32,
     /// Buffer entries added by this scan.
     pub entries_added: u64,
-    /// Pages staged onto the adaptation queue for off-path apply (queued
-    /// mode only; such pages count neither in `pages_indexed` nor
-    /// `entries_added` for this query — the apply happens asynchronously
-    /// and is attributed to no query).
-    pub pages_staged: u32,
     /// Partitions displaced to make room.
     pub partitions_dropped: usize,
     /// Entries freed by displacement.

@@ -33,26 +33,19 @@
 //! also why [`ShardedSpace::shard_write`] drains before handing out the
 //! guard: no benefit is ever read with deferred events outstanding.
 //!
-//! ### Snapshot-planned scans and the adaptation queue
+//! ### Snapshot-planned scans
 //!
 //! The snapshot also carries what `prepare_scan` needs — the skip bitset,
 //! candidate pages in ascending-counter order, partition shape — so *any*
 //! buffered read (not just a 100%-skippable one) can plan against it with
 //! no shard lock held, provided [`ShardedSpace::plan_selection`] can prove
 //! the locked selection would behave identically (no displacement, no RNG
-//! draw). Pages such a scan stages for insertion travel as an epoch-stamped
-//! [`AdaptationBatch`] on a per-shard MPSC adaptation queue, drained
-//! off-path: opportunistically by the next [`shard_write`] entry (after the
-//! Table II drain, so applies see settled histories) and by a background
-//! applier thread the engine registers via [`register_applier`]. An apply
-//! validates the batch's epoch against the shard epoch at drain start and
-//! re-checks `C[p] != 0` per page ([`apply_staged_checked`]); a stale batch
-//! is dropped, not applied — pages still uncovered keep `C[p] > 0` and are
-//! simply re-staged by a later scan, which is what makes the queue
-//! *convergent under quiescence* rather than lossy (DESIGN §6).
+//! draw). Pages such a scan stages for insertion are applied by the reader
+//! itself under a short [`shard_write`] section, re-checking `C[p] != 0`
+//! per page ([`apply_staged_checked`]) so a page a sibling scan already
+//! indexed is skipped, not double-inserted.
 //!
 //! [`shard_write`]: ShardedSpace::shard_write
-//! [`register_applier`]: ShardedSpace::register_applier
 //! [`apply_staged_checked`]: crate::scan::apply_staged_checked
 //!
 //! ### Lock hierarchy
@@ -60,34 +53,23 @@
 //! `catalog → shard(0) → shard(1) → … → pool`: shard locks nest inside the
 //! catalog lock and outside the buffer-pool internals, and multi-shard
 //! acquisitions always proceed in ascending shard index (enforced by
-//! `aib-lint`'s lock-order rule). The adaptation-queue mutex and the
-//! applier-registry mutex are leaves *below* the shard locks: they are
-//! taken with a shard write lock held (the drain) but never the other way
-//! around, and never across a shard acquisition.
+//! `aib-lint`'s lock-order rule).
 
 // aib-lint: allow-file(no-index) — the shard and published vectors are
 // sized once at construction and only indexed by `shard_of()` results or
 // enumerate() positions; the cache's local cells are resized ahead of every
 // indexed access.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::sync::{
-    AtomicU64, AtomicUsize, Mutex, Ordering, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use crate::sync::{AtomicU64, AtomicUsize, Ordering, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use aib_storage::{BudgetComponent, MemoryBudget, MemoryUsage};
 
 use crate::config::{BufferConfig, SpaceConfig};
 use crate::counters::SkipBitset;
 use crate::index_buffer::BufferId;
-use crate::scan::{apply_staged_checked, ScanStats, StagedPage};
 use crate::space::{grow_selection, BufferPending, IndexBufferSpace};
-
-/// Default cap on queued [`AdaptationBatch`]es per shard; a full queue
-/// rejects the push and the reader fails closed to an inline locked apply.
-pub const DEFAULT_ADAPTATION_QUEUE_DEPTH: usize = 64;
 
 /// The sharded Index Buffer Space facade. With `shards = 1` this is a
 /// single [`IndexBufferSpace`] behind one lock — bit-for-bit the sequential
@@ -105,17 +87,6 @@ pub struct ShardedSpace {
     snapshot: RwLock<Arc<SpaceSnapshot>>,
     /// Globally allocated buffer ids (`id % shards` routes to a shard).
     next_buffer: AtomicUsize,
-    /// Per-shard MPSC queues of epoch-stamped staged-insertion batches.
-    queues: Box<[AdaptationQueue]>,
-    /// Cap on queued batches per shard; pushes beyond it are rejected.
-    queue_limit: AtomicUsize,
-    /// Background applier registration: the thread to unpark when a batch
-    /// is queued. Leaf lock (never held across any other acquisition).
-    applier: Mutex<Option<std::thread::Thread>>,
-    /// "Queues have work" latch for the applier (swap-to-consume).
-    apply_due: AtomicU64,
-    /// Applier shutdown latch.
-    applier_exit: AtomicU64,
     config: SpaceConfig,
     budget: Arc<MemoryBudget>,
 }
@@ -138,7 +109,6 @@ impl ShardedSpace {
             })
             .collect();
         let published = (0..config.shards).map(|_| AtomicU64::new(0)).collect();
-        let queues = (0..config.shards).map(|_| AdaptationQueue::new()).collect();
         ShardedSpace {
             shards,
             published,
@@ -148,11 +118,6 @@ impl ShardedSpace {
                 sections: Vec::new(),
             })),
             next_buffer: AtomicUsize::new(0),
-            queues,
-            queue_limit: AtomicUsize::new(DEFAULT_ADAPTATION_QUEUE_DEPTH),
-            applier: Mutex::new(None),
-            apply_due: AtomicU64::new(0),
-            applier_exit: AtomicU64::new(0),
             config,
             budget,
         }
@@ -212,14 +177,9 @@ impl ShardedSpace {
     }
 
     /// Write-locks one shard. Acquisition parks the epoch sentinel (failing
-    /// fast-path validation for the whole critical section), drains the
-    /// shard's deferred Table II events, then drains the shard's adaptation
-    /// queue — so the guard always exposes histories with nothing
-    /// outstanding and buffer state with no applicable batch parked. The
-    /// queue drain coming *second* means queued applies see settled
-    /// histories, and its coming before the guard is handed out means every
-    /// write-side observer (DML, displacement, DDL) sees pre-change batches
-    /// applied or dropped, never surviving across the change.
+    /// fast-path validation for the whole critical section) and drains the
+    /// shard's deferred Table II events — so the guard always exposes
+    /// histories with nothing outstanding.
     pub fn shard_write(&self, shard: usize) -> ShardWriteGuard<'_> {
         let mut inner = self.shards[shard].write();
         // Park the sentinel: `epoch + 1` can never equal an epoch a section
@@ -229,7 +189,6 @@ impl ShardedSpace {
         self.published[shard].store(inner.epoch().wrapping_add(1), Ordering::Release);
         #[cfg(not(model_seeded_bug = "missing_drain"))]
         inner.drain_deferred();
-        self.queues[shard].drain_into(&mut inner);
         ShardWriteGuard {
             inner,
             published: &self.published[shard],
@@ -392,92 +351,6 @@ impl ShardedSpace {
         Some(Vec::new())
     }
 
-    /// Queues an epoch-stamped staged-insertion batch for off-path apply,
-    /// routed to the shard of `batch.buffer`. When the shard's queue is at
-    /// its depth cap the push is rejected and the batch handed back — the
-    /// caller fails closed to an inline apply under the shard write lock.
-    /// On success, wakes the registered applier thread, if any.
-    ///
-    /// Takes only the queue mutex (a leaf): never a shard lock.
-    pub fn push_adaptation(&self, batch: AdaptationBatch) -> Result<(), AdaptationBatch> {
-        let queue = &self.queues[self.shard_of(batch.buffer)];
-        let limit = self.queue_limit.load(Ordering::Relaxed);
-        {
-            let mut q = queue.batches.lock();
-            if q.len() >= limit {
-                drop(q);
-                queue.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(batch);
-            }
-            q.push_back(batch);
-            queue.depth.store(q.len(), Ordering::Release);
-        }
-        queue.enqueued.fetch_add(1, Ordering::Relaxed);
-        // Release pairs with the applier's swap: the latch is set only
-        // after the batch is visible in the queue (mutex-ordered anyway; the
-        // latch is the cross-thread "work exists" edge the model audits).
-        self.apply_due.store(1, Ordering::Release);
-        if let Some(thread) = &*self.applier.lock() {
-            thread.unpark();
-        }
-        Ok(())
-    }
-
-    /// Sets the per-shard cap on queued adaptation batches.
-    pub fn set_adaptation_queue_limit(&self, limit: usize) {
-        self.queue_limit.store(limit.max(1), Ordering::Relaxed);
-    }
-
-    /// Drains every shard whose adaptation queue is non-empty by taking a
-    /// write-side entry (which applies or drops each parked batch). The
-    /// empty-queue fast check means quiescent shards stay untouched.
-    pub fn drain_adaptation_queues(&self) {
-        for shard in 0..self.shards.len() {
-            if self.queues[shard].depth.load(Ordering::Acquire) > 0 {
-                drop(self.shard_write(shard));
-            }
-        }
-    }
-
-    /// Registers the background applier thread for queue-depth wakeups.
-    pub fn register_applier(&self, thread: std::thread::Thread) {
-        *self.applier.lock() = Some(thread);
-    }
-
-    /// Signals the applier loop to exit and wakes it.
-    pub fn shutdown_applier(&self) {
-        self.applier_exit.store(1, Ordering::Release);
-        if let Some(thread) = &*self.applier.lock() {
-            thread.unpark();
-        }
-    }
-
-    /// True once [`shutdown_applier`](Self::shutdown_applier) was called.
-    pub fn applier_should_exit(&self) -> bool {
-        self.applier_exit.load(Ordering::Acquire) != 0
-    }
-
-    /// Consumes the "queued work exists" latch (applier loop): true at most
-    /// once per set. A missed set (push racing the swap) only delays the
-    /// drain to the applier's next timeout tick or the next write-side
-    /// shard entry — never loses a batch.
-    pub fn take_apply_due(&self) -> bool {
-        self.apply_due.swap(0, Ordering::AcqRel) != 0
-    }
-
-    /// Aggregate adaptation-queue counters across all shards.
-    pub fn adaptation_stats(&self) -> AdaptationStats {
-        let mut stats = AdaptationStats::default();
-        for queue in &self.queues {
-            stats.depth += queue.depth.load(Ordering::Acquire);
-            stats.enqueued += queue.enqueued.load(Ordering::Relaxed);
-            stats.applied += queue.applied.load(Ordering::Relaxed);
-            stats.dropped += queue.dropped.load(Ordering::Relaxed);
-            stats.rejected += queue.rejected.load(Ordering::Relaxed);
-        }
-        stats
-    }
-
     /// Consistency check across every shard (tests): per-shard invariants
     /// plus the cross-shard budget reconciliation.
     pub fn check_invariants(&self) {
@@ -521,122 +394,6 @@ impl std::ops::Deref for ShardWriteGuard<'_> {
 impl std::ops::DerefMut for ShardWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut IndexBufferSpace {
         &mut self.inner
-    }
-}
-
-/// Staged buffer insertions from one snapshot-planned scan, stamped with
-/// the shard epoch the plan was validated at. Applied off-path only while
-/// the shard epoch still proves nothing displaced, cleared, reset, or
-/// redefined the buffer since the plan (`C[p]` re-checks then catch
-/// page-granular races with sibling scans).
-#[derive(Debug)]
-pub struct AdaptationBatch {
-    /// The buffer the entries belong to.
-    pub buffer: BufferId,
-    /// Shard epoch of the snapshot the producing scan planned against.
-    pub epoch: u64,
-    /// The staged pages (tuples gathered during the sweep).
-    pub staged: Vec<StagedPage>,
-}
-
-/// Aggregate adaptation-queue counters (see
-/// [`ShardedSpace::adaptation_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptationStats {
-    /// Batches currently parked across all shards.
-    pub depth: usize,
-    /// Batches ever queued.
-    pub enqueued: u64,
-    /// Batches applied by a drain (epoch matched).
-    pub applied: u64,
-    /// Batches dropped by a drain (stale epoch).
-    pub dropped: u64,
-    /// Pushes rejected because the queue was at its depth cap.
-    pub rejected: u64,
-}
-
-/// One shard's MPSC adaptation queue: producers are snapshot-planned scans
-/// (any thread), the consumer is whoever enters the shard write-side next —
-/// the background applier or an unrelated writer. The mutex is a leaf in
-/// the lock hierarchy; `depth` is the lock-free emptiness fast check.
-struct AdaptationQueue {
-    batches: Mutex<VecDeque<AdaptationBatch>>,
-    depth: AtomicUsize,
-    enqueued: AtomicU64,
-    applied: AtomicU64,
-    dropped: AtomicU64,
-    rejected: AtomicU64,
-}
-
-impl AdaptationQueue {
-    fn new() -> Self {
-        AdaptationQueue {
-            batches: Mutex::new(VecDeque::new()),
-            depth: AtomicUsize::new(0),
-            enqueued: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    /// Applies or drops every parked batch against the write-locked shard.
-    ///
-    /// Freshness is judged against the shard epoch *at drain start*: each
-    /// apply bumps the epoch, so same-generation batches from sibling scans
-    /// all pass the epoch gate and rely on the per-page `C[p] != 0` check
-    /// to drop exactly the pages another batch already indexed. A batch
-    /// whose epoch predates drain start saw buffer state some write since
-    /// invalidated (displacement, clear, reset, DDL) and is dropped whole —
-    /// its pages' counters still route them into a later scan's selection,
-    /// so nothing is lost, only deferred. Model test:
-    /// `adaptation_queue_vs_ddl`; seeded bug `queued_apply_skips_epoch_check`
-    /// applies stale batches and resurrects cleared entries.
-    fn drain_into(&self, inner: &mut IndexBufferSpace) {
-        // Acquire pairs with the push's Release depth store: observing the
-        // count implies observing the batch behind the mutex. A missed
-        // concurrent push is drained by the *next* entry — the push cannot
-        // have planned against this writer's mutations (its epoch stamp
-        // predates them), so skipping it here is always sound.
-        if self.depth.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let batches: Vec<AdaptationBatch> = {
-            let mut q = self.batches.lock();
-            self.depth.store(0, Ordering::Release);
-            q.drain(..).collect()
-        };
-        let epoch_start = inner.epoch();
-        let mut applied_any = false;
-        for batch in batches {
-            let AdaptationBatch {
-                buffer,
-                epoch,
-                staged,
-            } = batch;
-            #[cfg(not(model_seeded_bug = "queued_apply_skips_epoch_check"))]
-            let fresh = epoch == epoch_start;
-            // Seeded bug: skip the epoch gate — a batch staged before a
-            // clear_buffer/reset_counters re-applies dead entries.
-            #[cfg(model_seeded_bug = "queued_apply_skips_epoch_check")]
-            let fresh = {
-                let _ = epoch;
-                true
-            };
-            if !fresh {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let mut stats = ScanStats::default();
-            inner.with_buffer_mut(buffer, |buffer, counters| {
-                apply_staged_checked(buffer, counters, staged, &mut stats);
-            });
-            self.applied.fetch_add(1, Ordering::Relaxed);
-            applied_any = true;
-        }
-        if applied_any {
-            inner.sync_budget();
-        }
     }
 }
 
@@ -692,9 +449,8 @@ impl BufferSummary {
         self.footprint
     }
 
-    /// The shard epoch this summary was built at. A planned scan stamps its
-    /// [`AdaptationBatch`] with this, and an epoch-guarded probe of the
-    /// live buffer compares against it.
+    /// The shard epoch this summary was built at; an epoch-guarded probe of
+    /// the live buffer compares against it.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -1070,87 +826,6 @@ mod tests {
             None,
             "sibling partition makes the victim pick reachable"
         );
-    }
-
-    #[test]
-    fn queued_batches_apply_on_next_write_entry() {
-        use aib_storage::{Rid, Value};
-        let space = ShardedSpace::new(cfg(1));
-        let a = space.register("a", BufferConfig::default(), vec![2, 3]);
-        let snap = space.space_snapshot();
-        let epoch = snap.buffer(a).expect("registered").epoch();
-        assert!(space
-            .push_adaptation(AdaptationBatch {
-                buffer: a,
-                epoch,
-                staged: vec![crate::scan::StagedPage {
-                    ordinal: 0,
-                    entries: vec![
-                        (Value::Int(7), Rid::new(0, 0)),
-                        (Value::Int(9), Rid::new(0, 1))
-                    ],
-                }],
-            })
-            .is_ok());
-        assert_eq!(space.adaptation_stats().depth, 1);
-        // The next write-side entry drains and applies.
-        drop(space.shard_write(0));
-        let stats = space.adaptation_stats();
-        assert_eq!((stats.depth, stats.applied, stats.dropped), (0, 1, 0));
-        let s = space.shard_read(0);
-        assert_eq!(s.buffer(a).num_entries(), 2);
-        assert_eq!(s.counters(a).get(0), 0, "applied page goes skippable");
-        drop(s);
-        space.check_invariants();
-    }
-
-    #[test]
-    fn stale_batches_are_dropped_not_applied() {
-        use aib_storage::{Rid, Value};
-        let space = ShardedSpace::new(cfg(1));
-        let a = space.register("a", BufferConfig::default(), vec![2]);
-        let snap = space.space_snapshot();
-        let epoch = snap.buffer(a).expect("registered").epoch();
-        // A post-snapshot mutation (the reset) stales the stamp.
-        space.shard_write(0).reset_counters(a, vec![4]);
-        assert!(space
-            .push_adaptation(AdaptationBatch {
-                buffer: a,
-                epoch,
-                staged: vec![crate::scan::StagedPage {
-                    ordinal: 0,
-                    entries: vec![(Value::Int(7), Rid::new(0, 0))],
-                }],
-            })
-            .is_ok());
-        space.drain_adaptation_queues();
-        let stats = space.adaptation_stats();
-        assert_eq!((stats.depth, stats.applied, stats.dropped), (0, 0, 1));
-        let s = space.shard_read(0);
-        assert_eq!(s.buffer(a).num_entries(), 0, "stale batch must not apply");
-        assert_eq!(s.counters(a).get(0), 4, "counter untouched");
-    }
-
-    #[test]
-    fn full_queue_rejects_push() {
-        let space = ShardedSpace::new(cfg(1));
-        let a = space.register("a", BufferConfig::default(), vec![1]);
-        space.set_adaptation_queue_limit(1);
-        let epoch = space
-            .space_snapshot()
-            .buffer(a)
-            .expect("registered")
-            .epoch();
-        let batch = |epoch| AdaptationBatch {
-            buffer: a,
-            epoch,
-            staged: Vec::new(),
-        };
-        assert!(space.push_adaptation(batch(epoch)).is_ok());
-        let rejected = space.push_adaptation(batch(epoch));
-        assert!(rejected.is_err(), "at cap: rejected, batch handed back");
-        let stats = space.adaptation_stats();
-        assert_eq!((stats.enqueued, stats.rejected), (1, 1));
     }
 
     #[test]

@@ -124,18 +124,4 @@ impl ClientHandle {
     pub fn fetch(&self, table: &str, rid: Rid) -> EngineResult<Tuple> {
         self.db.fetch(table, rid)
     }
-
-    /// Adaptation-queue counters (queued apply mode). See
-    /// [`Database::adaptation_stats`].
-    pub fn adaptation_stats(&self) -> aib_core::AdaptationStats {
-        self.db.adaptation_stats()
-    }
-
-    /// Flushes this client's deferred Table II events, then applies every
-    /// parked adaptation batch — the client-side quiescence point. See
-    /// [`Database::drain_adaptations`].
-    pub fn drain_adaptations(&self) {
-        self.cache.lock().flush();
-        self.db.drain_adaptations();
-    }
 }

@@ -33,50 +33,22 @@
 //!   DML maintenance — and a query only locks the shard of the buffer it
 //!   scans, so clients on disjoint buffers never contend.
 //!
-//! Queries whose every page is skippable take a **lock-free fast path**:
-//! they validate an epoch-stamped [`SpaceSnapshot`] (plain atomic loads),
-//! answer from its skip bitsets, and defer their Table II history events
-//! into per-buffer atomic cells ([`aib_core::BufferPending`], batched
-//! client-side by [`SnapshotCache`]) that the next shard-write entry drains
-//! in deferral order — no shared write at all on the hot path.
-//!
-//! Buffered *misses* extend the same mechanism to a **snapshot-planned
-//! scan** (unless [`EngineConfig::adaptation_apply_mode`] is
-//! [`AdaptationApplyMode::Locked`]): the snapshot now carries everything
-//! Algorithm 1's prepare needs — skip bitset, ascending-`C[p]` candidate
-//! list, partition geometry, shard epoch — so page selection runs with no
-//! lock at all and the buffer probe needs at most a shard *read* latch
-//! (none when the buffer is empty), epoch-validated against the snapshot.
-//! Plans that cannot be proven equivalent to the locked prepare
-//! (displacement reachable, limited budget admitting pages, epoch moved)
-//! **fail closed** to the shard-write path. Pages the sweep stages for
-//! insertion are applied inline under a short shard write section
-//! ([`AdaptationApplyMode::Inline`], the default — single-thread behavior
-//! is identical to the locked executor) or pushed as an epoch-stamped
-//! [`aib_core::AdaptationBatch`] onto a bounded per-shard MPSC queue
-//! ([`AdaptationApplyMode::Queued`]) drained off-path by the `aib-apply`
-//! background thread and, opportunistically, by the next shard-write
-//! entry. Queued applies revalidate at apply time — `apply_staged_checked`
-//! skips any page whose `C[p]` went to zero, and whole batches are dropped
-//! when the shard epoch moved past the batch's stamp (the staging query
-//! would have re-observed those pages anyway). Queued mode is therefore
-//! *convergent under quiescence* rather than read-your-writes: once
-//! queries quiesce and queues drain ([`Database::drain_adaptations`]),
-//! buffer contents and counters match what a locked executor would have
-//! produced. See DESIGN.md §6.
+//! Every read runs the one **plan → sweep → adapt** pipeline of
+//! [`crate::read`] (see there and DESIGN.md §6): it plans lock-free from
+//! an epoch-validated [`SpaceSnapshot`], fails closed to planning under
+//! the shard write lock when the snapshot cannot prove the selection, and
+//! applies the insertions its sweep staged before the query returns.
 //!
 //! Lock order is **catalog → shard(0) → shard(1) → … → pool**: shard locks
 //! nest inside the catalog lock, multi-shard acquisitions proceed in
 //! ascending shard index (DML and the exclusive tuned path take
 //! `write_all`), and pool locks are storage-internal leaves (see
-//! `aib-storage::buffer_pool`). The indexing scan's three-phase shape
-//! (prepare under the shard write lock, sweep with no engine lock,
-//! validated apply under the shard write lock) is what lets concurrent read
-//! queries overlap their page I/O: the paper's Algorithm 1 mutates index
-//! structure as a side effect of reads, and the staged-apply split confines
-//! that mutation to the short write sections. With `shards = 1` the whole
-//! arrangement degenerates to the previous single-lock executor bit for
-//! bit.
+//! `aib-storage::buffer_pool`). Sweeping with no engine lock held is what
+//! lets concurrent read queries overlap their page I/O: the paper's
+//! Algorithm 1 mutates index structure as a side effect of reads, and the
+//! staged-apply split confines that mutation to the short write sections.
+//! With `shards = 1` the whole arrangement degenerates to the previous
+//! single-lock executor bit for bit.
 
 // aib-lint: allow-file(no-index) — `tables` and `indexed` are only ever
 // indexed by positions this module itself computed (`table_index`,
@@ -91,10 +63,8 @@ use std::time::Instant;
 use aib_core::sync::{AtomicUsize, Ordering, RwLock, RwLockReadGuard};
 
 use aib_core::{
-    apply_staged_checked, cover_tuple, indexing_scan, indexing_scan_parallel, maintain,
-    planned_scan_threads, prepare_scan, sweep_plan, uncover_tuple, BufferConfig, BufferId,
-    IndexBufferSpace, Predicate, ScanPrep, ScanStats, ShardWriteGuard, ShardedSpace, SnapshotCache,
-    SpaceConfig, SpaceSnapshot, TupleRef,
+    cover_tuple, maintain, uncover_tuple, BufferConfig, BufferId, IndexBufferSpace, Predicate,
+    ScanStats, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot, TupleRef,
 };
 use aib_index::{AdaptationCost, Coverage, IndexBackend, PagedIndex, PartialIndex};
 use aib_storage::replacement::{ClockPolicy, LruKPolicy, LruPolicy};
@@ -109,7 +79,8 @@ use crate::commit::{checkpointer_loop, CommitPipeline, Ticket};
 use crate::durability::{DdlOp, IndexDef, SnapshotImage, TableImage};
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::QueryMetrics;
-use crate::query::{AccessPath, ExecOutcome, Query, QueryResult};
+use crate::query::{ExecOutcome, Query, QueryResult};
+use crate::read::{PlanSource, SpaceAccess};
 use crate::tuner::{OnlineTuner, TunerConfig};
 
 /// Folded WAL replay work for one page: final slot states in slot order
@@ -192,37 +163,6 @@ pub struct EngineConfig {
     /// than this many bytes (plus one frame). Bounds both ack latency
     /// under a nonzero window and batch memory.
     pub group_commit_max_bytes: usize,
-    /// How a snapshot-planned scan's staged buffer insertions reach the
-    /// Index Buffer: see [`AdaptationApplyMode`]. Default
-    /// [`AdaptationApplyMode::Inline`].
-    pub adaptation_apply_mode: AdaptationApplyMode,
-    /// Per-shard cap on parked [`aib_core::AdaptationBatch`]es in
-    /// [`AdaptationApplyMode::Queued`] mode; a push against a full queue
-    /// fails closed to an inline locked apply.
-    pub adaptation_queue_depth: usize,
-}
-
-/// How the insertions a snapshot-planned scan stages reach the buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdaptationApplyMode {
-    /// Disable snapshot planning entirely: every partially-skippable
-    /// buffered miss takes the shard-write prepare/apply path (the PR 6
-    /// executor, and the baseline the concurrency benches compare
-    /// against). The 100%-skippable fast path stays on.
-    Locked,
-    /// Plan and probe read-only (no shard lock); apply any staged
-    /// insertions synchronously under the shard write lock before the
-    /// query returns. Per-query behavior matches the locked path
-    /// bit-for-bit when uncontended; queries that stage nothing — the
-    /// steady state — touch no lock at all.
-    #[default]
-    Inline,
-    /// Plan and probe read-only; push staged insertions onto the per-shard
-    /// adaptation queue for the background applier (or the next write-side
-    /// shard entry) to apply. Queries never take the shard write lock;
-    /// buffer state is *convergent under quiescence* rather than
-    /// per-query sequential-equivalent (DESIGN §6).
-    Queued,
 }
 
 impl Default for EngineConfig {
@@ -240,21 +180,19 @@ impl Default for EngineConfig {
             wal_checkpoint_interval: 4096,
             group_commit_wait_us: 0,
             group_commit_max_bytes: 1 << 20,
-            adaptation_apply_mode: AdaptationApplyMode::default(),
-            adaptation_queue_depth: aib_core::DEFAULT_ADAPTATION_QUEUE_DEPTH,
         }
     }
 }
 
 /// One partially indexed column of a table.
-struct IndexedColumn {
+pub(crate) struct IndexedColumn {
     column: usize,
-    partial: PartialIndex,
-    buffer: Option<BufferId>,
+    pub(crate) partial: PartialIndex,
+    pub(crate) buffer: Option<BufferId>,
     tuner: Option<OnlineTuner>,
     /// Disk-resident backend: probe/maintenance I/O is real page traffic,
     /// so no synthetic probe cost is charged.
-    paged: bool,
+    pub(crate) paged: bool,
     /// The DDL-time definition as the WAL sees it: coverage set by
     /// create/redefine (never by tuner adaptation), backend, buffer config.
     /// Checkpoints snapshot this, so recovery reverts adaptation.
@@ -265,7 +203,7 @@ struct IndexedColumn {
 pub struct Table {
     name: String,
     schema: Schema,
-    heap: HeapFile,
+    pub(crate) heap: HeapFile,
     indexed: Vec<IndexedColumn>,
 }
 
@@ -295,52 +233,30 @@ impl Table {
     /// ([`HeapFile::sweep_read_runs`]) — one pool pass and one batched disk
     /// request per page batch, not a pin round-trip per page.
     pub fn scan_all(&self) -> EngineResult<Vec<(Rid, Tuple)>> {
-        let mut out = Vec::new();
-        let mut err: Option<StorageError> = None;
-        self.heap
-            .sweep_read_runs([(0..self.heap.num_pages(), false)], |_ord, pid, view| {
-                if err.is_some() {
-                    return;
-                }
-                for (slot, bytes) in view.iter() {
-                    match Tuple::from_bytes(bytes) {
-                        Ok(t) => out.push((Rid { page: pid, slot }, t)),
-                        Err(e) => {
-                            err = Some(e);
-                            return;
-                        }
-                    }
-                }
-            })?;
-        match err {
-            Some(e) => Err(e.into()),
-            None => Ok(out),
-        }
+        self.tuples_in(0..self.heap.num_pages())
     }
 
     /// Live tuples of one page by table-local ordinal (test/inspection aid).
     /// Single-page run through the same batched sweep path as
     /// [`Table::scan_all`].
     pub fn page_tuples(&self, ordinal: u32) -> EngineResult<Vec<(Rid, Tuple)>> {
+        self.tuples_in(ordinal..ordinal.saturating_add(1))
+    }
+
+    fn tuples_in(&self, pages: std::ops::Range<u32>) -> EngineResult<Vec<(Rid, Tuple)>> {
         let mut out = Vec::new();
         let mut err: Option<StorageError> = None;
-        self.heap.sweep_read_runs(
-            [(ordinal..ordinal.saturating_add(1), false)],
-            |_, pid, view| {
-                if err.is_some() {
-                    return;
-                }
+        self.heap
+            .sweep_read_runs([(pages, false)], |_ord, pid, view| {
                 for (slot, bytes) in view.iter() {
                     match Tuple::from_bytes(bytes) {
                         Ok(t) => out.push((Rid { page: pid, slot }, t)),
                         Err(e) => {
-                            err = Some(e);
-                            return;
+                            err.get_or_insert(e);
                         }
                     }
                 }
-            },
-        )?;
+            })?;
         match err {
             Some(e) => Err(e.into()),
             None => Ok(out),
@@ -354,6 +270,19 @@ impl Table {
 
     fn indexed_column(&self, column: usize) -> Option<usize> {
         self.indexed.iter().position(|ic| ic.column == column)
+    }
+
+    /// The partial index (with its buffer and tuner) on `column`, if any.
+    pub(crate) fn index_on(&self, column: usize) -> Option<&IndexedColumn> {
+        self.indexed.iter().find(|ic| ic.column == column)
+    }
+
+    /// True for a point query on a tuned column: the tuner observes it and
+    /// may rewrite the partial index — a catalog write — so the query runs
+    /// exclusive.
+    pub(crate) fn tuned_point(&self, column: usize, predicate: &Predicate) -> bool {
+        matches!(predicate, Predicate::Equals(_))
+            && self.index_on(column).is_some_and(|ic| ic.tuner.is_some())
     }
 
     fn ordinal(&self, rid: Rid) -> Result<u32, StorageError> {
@@ -450,15 +379,13 @@ impl std::ops::Deref for ShardRef<'_> {
 /// ```
 pub struct Database {
     pool: Arc<BufferPool>,
-    stats: Arc<IoStats>,
+    pub(crate) stats: Arc<IoStats>,
     budget: Arc<MemoryBudget>,
     /// Shared with the background checkpointer thread, which takes the
     /// write lock for the checkpoint cut exactly like a DML caller.
     catalog: Arc<RwLock<Catalog>>,
-    /// Shared with the background adaptation applier thread, which drains
-    /// the per-shard queues through ordinary write-side shard entries.
-    space: Arc<ShardedSpace>,
-    config: EngineConfig,
+    pub(crate) space: ShardedSpace,
+    pub(crate) config: EngineConfig,
     queries_executed: AtomicUsize,
     /// `Some` for file-backed databases ([`Database::open`]): the
     /// group-commit pipeline owning the WAL (see `crate::commit`). Its
@@ -469,11 +396,6 @@ pub struct Database {
     /// joins it); rotation runs here so the periodic checkpoint never
     /// stalls the commit that crossed the interval.
     checkpointer: Option<std::thread::JoinHandle<()>>,
-    /// Background adaptation applier ("aib-apply", spawned only in
-    /// [`AdaptationApplyMode::Queued`]; drop signals and joins it). Woken
-    /// by queue pushes, it drains parked batches through write-side shard
-    /// entries so adaptation never rides a reader's latency path.
-    applier: Option<std::thread::JoinHandle<()>>,
 }
 
 /// `Database` must stay shareable across client threads.
@@ -510,6 +432,13 @@ pub enum BatchOp {
         /// Its new contents.
         tuple: Tuple,
     },
+}
+
+/// A query's start stamp; see [`Database::start_query`].
+struct QueryClock {
+    seq: usize,
+    before: IoSnapshot,
+    start: Instant,
 }
 
 impl Database {
@@ -602,22 +531,7 @@ impl Database {
             .with_budget(Arc::clone(&budget))
             .with_io_wait(config.io_wait),
         );
-        let space = Arc::new(ShardedSpace::with_budget(config.space, Arc::clone(&budget)));
-        space.set_adaptation_queue_limit(config.adaptation_queue_depth);
-        // The applier exists only in queued mode: inline/locked modes never
-        // park a batch, so there is nothing to drain off-path. A failed
-        // spawn degrades gracefully — parked batches are still drained by
-        // the next write-side shard entry.
-        let applier = if config.adaptation_apply_mode == AdaptationApplyMode::Queued {
-            let thread_space = Arc::clone(&space);
-            std::thread::Builder::new()
-                .name("aib-apply".into())
-                .spawn(move || applier_loop(&thread_space))
-                .ok()
-                .inspect(|handle| space.register_applier(handle.thread().clone()))
-        } else {
-            None
-        };
+        let space = ShardedSpace::with_budget(config.space, Arc::clone(&budget));
         Database {
             pool,
             stats,
@@ -631,7 +545,6 @@ impl Database {
             queries_executed: AtomicUsize::new(0),
             durability: None,
             checkpointer: None,
-            applier,
         }
     }
 
@@ -692,23 +605,6 @@ impl Database {
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Point-in-time adaptation-queue counters summed across shards:
-    /// current depth, batches enqueued / applied / dropped (stale epoch)
-    /// / rejected (queue full, applied inline instead). All zero unless
-    /// [`EngineConfig::adaptation_apply_mode`] is
-    /// [`AdaptationApplyMode::Queued`].
-    pub fn adaptation_stats(&self) -> aib_core::AdaptationStats {
-        self.space.adaptation_stats()
-    }
-
-    /// Blocks until every parked adaptation batch has been applied or
-    /// dropped. Makes "convergent under quiescence" testable: after all
-    /// in-flight queries finish, `drain_adaptations` brings the buffers to
-    /// the state a locked executor would have produced.
-    pub fn drain_adaptations(&self) {
-        self.space.drain_adaptation_queues();
     }
 
     // ------------------------------------------------------- durability
@@ -927,11 +823,11 @@ impl Database {
         Ok(())
     }
 
-    /// Recovery phase 3 for one index definition: the same
-    /// populate-and-count scan [`Database::create_partial_index`] runs,
-    /// against the recovered heap and the *logged* (DDL-time) coverage.
-    /// The returned column registers an **empty** buffer whose `C[p]`
-    /// counters come from this scan — the "for free" rebuild.
+    /// Builds one index definition from the heap: the populate-and-count
+    /// scan behind [`Database::create_partial_index`] and behind recovery
+    /// phase 3 (there against the recovered heap and the *logged*, DDL-time
+    /// coverage). The returned column registers an **empty** buffer whose
+    /// `C[p]` counters come from this scan — the "for free" rebuild.
     fn build_index_from_heap(&self, t: &Table, def: IndexDef) -> EngineResult<IndexedColumn> {
         let ci = def.column as usize;
         let column_name = t
@@ -955,29 +851,7 @@ impl Database {
                 ),
             )
         };
-        let heap = &t.heap;
-        let mut counts: Vec<u32> = vec![0; heap.num_pages() as usize];
-        let mut scan_err: Option<EngineError> = None;
-        heap.scan_pages(
-            |_| false,
-            |rid, bytes| {
-                let (value, ord) = match decode_site(heap, rid, bytes, ci) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        scan_err.get_or_insert(e);
-                        return;
-                    }
-                };
-                if partial.covers(&value) {
-                    partial.add(value, rid);
-                } else if let Some(slot) = counts.get_mut(ord as usize) {
-                    *slot += 1;
-                }
-            },
-        )?;
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
+        let counts = populate_from_heap(&t.heap, ci, &mut partial)?;
         let buffer = def.buffer.map(|cfg| self.space.register(name, cfg, counts));
         Ok(IndexedColumn {
             column: ci,
@@ -1031,16 +905,27 @@ impl Database {
     /// staged on the group-commit pipeline and acked only after its
     /// covering fsync; see `crate::commit`.
     pub fn insert(&self, table: &str, tuple: &Tuple) -> EngineResult<Rid> {
-        let (rid, ticket) = {
+        self.dml(|catalog, shards| self.insert_locked(catalog, shards, table, tuple))
+    }
+
+    /// One DML statement end to end: `op` mutates under the catalog and
+    /// every shard write lock and names its log record, which is staged
+    /// before the locks drop; the commit is acked only after its covering
+    /// fsync, awaited with no engine lock held.
+    fn dml<R>(
+        &self,
+        op: impl FnOnce(&mut Catalog, &mut [ShardWriteGuard<'_>]) -> EngineResult<(R, WalRecord)>,
+    ) -> EngineResult<R> {
+        let (out, ticket) = {
             let mut catalog = self.catalog.write();
             let mut shards = self.space.write_all();
-            let (rid, record) = self.insert_locked(&mut catalog, &mut shards, table, tuple)?;
+            let (out, record) = op(&mut catalog, &mut shards)?;
             let ticket = self.stage(&[record]);
             self.verify_checkpoint(&catalog, &shards)?;
-            (rid, ticket)
+            (out, ticket)
         };
         self.wait_durable(ticket)?;
-        Ok(rid)
+        Ok(out)
     }
 
     /// Insert body under the caller's catalog + shard write locks,
@@ -1080,15 +965,7 @@ impl Database {
 
     /// Deletes the tuple at `rid` (Table I, delete row).
     pub fn delete(&self, table: &str, rid: Rid) -> EngineResult<()> {
-        let ticket = {
-            let mut catalog = self.catalog.write();
-            let mut shards = self.space.write_all();
-            let record = self.delete_locked(&mut catalog, &mut shards, table, rid)?;
-            let ticket = self.stage(&[record]);
-            self.verify_checkpoint(&catalog, &shards)?;
-            ticket
-        };
-        self.wait_durable(ticket)
+        self.dml(|catalog, shards| Ok(((), self.delete_locked(catalog, shards, table, rid)?)))
     }
 
     /// Delete body under the caller's catalog + shard write locks.
@@ -1124,17 +1001,7 @@ impl Database {
     /// Updates the tuple at `rid`, returning its possibly new record id
     /// (Table I, full matrix — the tuple may change pages).
     pub fn update(&self, table: &str, rid: Rid, tuple: &Tuple) -> EngineResult<Rid> {
-        let (new_rid, ticket) = {
-            let mut catalog = self.catalog.write();
-            let mut shards = self.space.write_all();
-            let (new_rid, record) =
-                self.update_locked(&mut catalog, &mut shards, table, rid, tuple)?;
-            let ticket = self.stage(&[record]);
-            self.verify_checkpoint(&catalog, &shards)?;
-            (new_rid, ticket)
-        };
-        self.wait_durable(ticket)?;
-        Ok(new_rid)
+        self.dml(|catalog, shards| self.update_locked(catalog, shards, table, rid, tuple))
     }
 
     /// Update body under the caller's catalog + shard write locks.
@@ -1251,14 +1118,7 @@ impl Database {
         backend: IndexBackend,
         buffer: Option<BufferConfig>,
     ) -> EngineResult<()> {
-        let partial = PartialIndex::new(format!("{table}.{column}"), coverage, backend).with_cost(
-            AdaptationCost::charged(
-                Arc::clone(&self.stats),
-                self.config.cost_model,
-                self.config.index_entries_per_page,
-            ),
-        );
-        self.install_partial_index(table, column, partial, backend, buffer, false)
+        self.install_partial_index(table, column, coverage, backend, buffer, false)
     }
 
     /// Like [`Database::create_partial_index`], but the index is
@@ -1273,26 +1133,25 @@ impl Database {
         coverage: Coverage,
         buffer: Option<BufferConfig>,
     ) -> EngineResult<()> {
-        let index = PagedIndex::create(Arc::clone(&self.pool))?;
-        let partial =
-            PartialIndex::with_index(format!("{table}.{column}"), coverage, Box::new(index));
         // The backend tag is meaningless for paged indexes (recovery
         // recreates a PagedIndex); log the default.
         self.install_partial_index(
             table,
             column,
-            partial,
+            coverage,
             IndexBackend::default(),
             buffer,
             true,
         )
     }
 
+    /// Builds the index from the heap — the same populate-and-count scan
+    /// recovery runs — and logs its definition.
     fn install_partial_index(
         &self,
         table: &str,
         column: &str,
-        mut partial: PartialIndex,
+        coverage: Coverage,
         backend: IndexBackend,
         buffer: Option<BufferConfig>,
         paged: bool,
@@ -1303,48 +1162,15 @@ impl Database {
         if catalog.tables[ti].indexed_column(ci).is_some() {
             return Err(EngineError::IndexExists(format!("{table}.{column}")));
         }
-        let heap = &catalog.tables[ti].heap;
-        let mut counts: Vec<u32> = vec![0; heap.num_pages() as usize];
-        let mut scan_err: Option<EngineError> = None;
-        heap.scan_pages(
-            |_| false,
-            |rid, bytes| {
-                let (value, ord) = match decode_site(heap, rid, bytes, ci) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        scan_err.get_or_insert(e);
-                        return;
-                    }
-                };
-                if partial.covers(&value) {
-                    partial.add(value, rid);
-                } else if let Some(slot) = counts.get_mut(ord as usize) {
-                    *slot += 1;
-                }
-            },
-        )?;
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
         let def = IndexDef {
             column: ci as u32,
-            coverage: partial.coverage().clone(),
+            coverage,
             backend,
             buffer,
             paged,
         };
-        let buffer_id = buffer.map(|cfg| {
-            self.space
-                .register(format!("{table}.{column}"), cfg, counts)
-        });
-        catalog.tables[ti].indexed.push(IndexedColumn {
-            column: ci,
-            partial,
-            buffer: buffer_id,
-            tuner: None,
-            paged,
-            logged: def.clone(),
-        });
+        let ic = self.build_index_from_heap(&catalog.tables[ti], def.clone())?;
+        catalog.tables[ti].indexed.push(ic);
         self.space.sync_all();
         let ticket = self.stage(&[WalRecord::Ddl(
             DdlOp::CreateIndex {
@@ -1445,32 +1271,7 @@ impl Database {
                 .shard_write(self.space.shard_of(bid))
                 .clear_buffer(bid);
         }
-        let mut counts: Vec<u32> = vec![0; t.heap.num_pages() as usize];
-        let heap = &t.heap;
-        let partial = &mut ic.partial;
-        let mut scan_err: Option<EngineError> = None;
-        heap.scan_pages(
-            |_| false,
-            |rid, bytes| {
-                let (value, ord) = match decode_site(heap, rid, bytes, ci) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        scan_err.get_or_insert(e);
-                        return;
-                    }
-                };
-                if partial.covers(&value) {
-                    if !partial.contains(&value, rid) {
-                        partial.add(value, rid);
-                    }
-                } else if let Some(slot) = counts.get_mut(ord as usize) {
-                    *slot += 1;
-                }
-            },
-        )?;
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
+        let counts = populate_from_heap(&t.heap, ci, &mut ic.partial)?;
         if let Some(bid) = ic.buffer {
             self.space
                 .shard_write(self.space.shard_of(bid))
@@ -1552,12 +1353,12 @@ impl Database {
     /// metrics as one [`ExecOutcome`].
     ///
     /// Safe to call from many client threads at once: read queries hold the
-    /// catalog read lock end to end and serialize only on the queried
-    /// buffer's shard for the short write sections (Algorithm 2 selection
-    /// before the sweep, staged apply after it). Fully-skippable queries
-    /// answer lock-free from the published [`SpaceSnapshot`]. Tuned point
-    /// queries adapt the partial index and therefore take the exclusive
-    /// (write-locked) path.
+    /// catalog read lock end to end and run the plan → sweep → adapt
+    /// pipeline of [`crate::read`], which plans lock-free from the
+    /// published [`SpaceSnapshot`] and serializes on the queried buffer's
+    /// shard only for the short write sections (a selection the snapshot
+    /// cannot prove, the staged apply). Tuned point queries adapt the
+    /// partial index and therefore run exclusive.
     ///
     /// This entry point keeps a query-local [`SnapshotCache`]; clients
     /// issuing many queries should go through [`crate::ClientHandle`],
@@ -1582,380 +1383,69 @@ impl Database {
         query: &Query,
         cache: &mut SnapshotCache,
     ) -> EngineResult<ExecOutcome> {
-        // Relaxed: the sequence number only needs uniqueness, not ordering
-        // against other memory operations.
-        let seq = self.queries_executed.fetch_add(1, Ordering::Relaxed);
-        let before = self.stats.snapshot();
-        let start = Instant::now();
-
+        let clock = self.start_query();
         let catalog = self.catalog.read();
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
-        let slot = catalog.tables[ti].indexed_column(ci);
-
-        // Tuner adaptation rewrites the partial index — a catalog write.
-        let tuned_point = matches!(&query.predicate, Predicate::Equals(_))
-            && slot.is_some_and(|s| catalog.tables[ti].indexed[s].tuner.is_some());
-        if tuned_point {
+        let t = &catalog.tables[ti];
+        if t.tuned_point(ci, &query.predicate) {
             drop(catalog);
-            // The exclusive path drains pending events on shard entry; the
+            // The exclusive run drains pending events on shard entry; the
             // cache's deferrals must be published first to stay in order.
             cache.flush();
-            return self.execute_exclusive(query, seq, before, start);
+            return self.execute_holding_all(query, clock);
         }
-
-        let t = &catalog.tables[ti];
-        let (result, scan_stats, scan_threads) = match slot {
-            None => (self.plain_scan(t, ci, &query.predicate)?, None, 1),
-            Some(slot) => {
-                let ic = &t.indexed[slot];
-                let hit = match &query.predicate {
-                    Predicate::Equals(v) => ic.partial.covers(v),
-                    // A range is a hit only if coverage is complete AND
-                    // the backend can range-scan (hash indexes cannot).
-                    Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi).is_some(),
-                };
-                match ic.buffer {
-                    Some(bid) if !hit => {
-                        let heap_pages = t.heap.num_pages();
-                        let fast = cache
-                            .ensure(&self.space)
-                            .buffer(bid)
-                            .is_some_and(|b| b.fully_skippable(heap_pages));
-                        if fast {
-                            // Lock-free fast path: the validated snapshot
-                            // proves every page is skippable and the buffer
-                            // is empty; Table II is deferred locally.
-                            cache.record(Some(bid), false);
-                            let (r, s, threads) =
-                                self.fast_path_scan(t, slot, &query.predicate, heap_pages)?;
-                            (r, Some(s), threads)
-                        } else {
-                            // Partially-skippable miss: try the
-                            // snapshot-planned read-only path first (unless
-                            // disabled); it declines — and the locked
-                            // prepare/apply path takes over — whenever the
-                            // plan cannot be proven equivalent.
-                            let planned = if self.config.adaptation_apply_mode
-                                != AdaptationApplyMode::Locked
-                            {
-                                self.buffered_scan_planned(t, slot, ci, &query.predicate, cache)?
-                            } else {
-                                None
-                            };
-                            match planned {
-                                Some((r, s, threads)) => (r, Some(s), threads),
-                                None => {
-                                    // Table II flushes into the scan's
-                                    // prepare write section, which drains
-                                    // it in order.
-                                    let (r, s, threads) = self.buffered_scan_shared(
-                                        t,
-                                        slot,
-                                        ci,
-                                        &query.predicate,
-                                        cache,
-                                    )?;
-                                    (r, Some(s), threads)
-                                }
-                            }
-                        }
-                    }
-                    buffer => {
-                        // Table II: every query adjusts every buffer's
-                        // history — deferred locally, drained by the next
-                        // write-side entry into each shard.
-                        cache.ensure(&self.space);
-                        cache.record(buffer, hit);
-                        if hit {
-                            (self.index_hit(t, slot, &query.predicate)?, None, 1)
-                        } else {
-                            (self.plain_scan(t, ci, &query.predicate)?, None, 1)
-                        }
-                    }
-                }
-            }
-        };
-
+        let snapshot = cache.ensure(&self.space);
+        let plan = self.plan_read(t, ci, &query.predicate, Some(snapshot));
+        let (source, threads) = (plan.source, plan.threads);
+        let (result, scan) =
+            self.run_read(t, ci, &query.predicate, plan, SpaceAccess::Shared(cache))?;
         let buffer_entries = cache.ensure(&self.space).buffer_entries();
-        let metrics = self.finish_metrics(
-            seq,
-            &result,
-            scan_stats,
-            scan_threads,
-            &before,
-            start,
-            buffer_entries,
-        );
+        let metrics = self.finish_metrics(clock, &result, scan, source, threads, buffer_entries);
         self.verify_checkpoint_now(&catalog)?;
         Ok(ExecOutcome { result, metrics })
     }
 
-    /// The lock-free answer to a fully-skippable buffered miss: no page is
-    /// read, no buffer entry can match (the snapshot proved the buffer
-    /// empty), and the only result rows a straddling range can have live in
-    /// the partial index. Produces the same [`ScanStats`] the staged scan
-    /// reports for this state — zero reads, one skip run covering the whole
-    /// heap — so metrics cannot tell the paths apart.
-    fn fast_path_scan(
-        &self,
-        t: &Table,
-        slot: usize,
-        predicate: &Predicate,
-        heap_pages: u32,
-    ) -> EngineResult<(QueryResult, ScanStats, usize)> {
-        let ic = &t.indexed[slot];
-        let threads = planned_scan_threads(heap_pages, self.config.scan_threads);
-        let stats = ScanStats {
-            pages_skipped: heap_pages,
-            skip_runs: u32::from(heap_pages > 0),
-            ..ScanStats::default()
-        };
-        let mut rids = Vec::new();
-        if let Predicate::Between(lo, hi) = predicate {
-            // The covered fraction of a straddling range, exactly as the
-            // staged scan charges and answers it.
-            if !ic.paged {
-                self.stats.record_reads(
-                    self.config.index_probe_pages,
-                    self.config.cost_model.read_us,
-                );
-            }
-            rids.extend(ic.partial.entries_in(lo, hi));
-            rids.sort_unstable();
-            rids.dedup();
-        }
-        Ok((
-            QueryResult {
-                rids,
-                path: AccessPath::BufferedScan,
-            },
-            stats,
-            threads,
-        ))
+    /// The sequential reference executor: the same pipeline run with the
+    /// catalog write lock and every shard guard held, so no other client
+    /// can interleave — the path every tuned point query already takes.
+    /// `proptest_convergence` holds [`Database::execute`] to its answers
+    /// and end state.
+    #[doc(hidden)]
+    pub fn execute_sequential(&self, query: &Query) -> EngineResult<ExecOutcome> {
+        self.execute_holding_all(query, self.start_query())
     }
 
-    /// The snapshot-planned miss path: Algorithm 1's prepare — page
-    /// selection *and* the buffer probe — runs read-only against the
-    /// validated [`SpaceSnapshot`], with **no shard write lock held**;
-    /// staged insertions are then applied inline (short write section) or
-    /// parked on the adaptation queue, per
-    /// [`EngineConfig::adaptation_apply_mode`].
-    ///
-    /// Returns `None` — the caller falls back to the locked
-    /// [`Database::buffered_scan_shared`] — whenever the plan cannot be
-    /// proven equivalent to the locked prepare:
-    /// * the snapshot lacks the buffer or [`ShardedSpace::plan_selection`]
-    ///   declines (displacement reachable, or a limited budget would admit
-    ///   pages — committing those outside the lock could race the governor);
-    /// * the buffer is non-empty and the epoch guard catches a shard
-    ///   mutation between the snapshot and the probe.
-    ///
-    /// An empty buffer needs no probe at all, so the steady state — every
-    /// selectable page already indexed, nothing staged — runs entirely
-    /// lock-free. A non-empty buffer is probed under the shard *read*
-    /// latch (concurrent readers share it; writers exclude it), with the
-    /// shard epoch re-checked under the latch: a match proves the live
-    /// buffer is exactly the snapshot's, so the probe returns the same rid
-    /// set the locked prepare would. Table II events stay deferred in the
-    /// client's [`SnapshotCache`] (the fast-path mechanism); the planned
-    /// prepare never reads histories — selections that would (displacement
-    /// benefit comparisons) are not plannable by construction.
-    fn buffered_scan_planned(
-        &self,
-        t: &Table,
-        slot: usize,
-        ci: usize,
-        predicate: &Predicate,
-        cache: &mut SnapshotCache,
-    ) -> EngineResult<Option<(QueryResult, ScanStats, usize)>> {
-        let ic = &t.indexed[slot];
-        let bid = ic.buffer.ok_or_else(|| {
-            EngineError::Internal("buffered_scan dispatched without a buffer".into())
-        })?;
-        // Clone the Arc so the summary borrow is independent of `cache`
-        // (which `record` below borrows mutably).
-        let snapshot = Arc::clone(cache.ensure(&self.space));
-        let Some(summary) = snapshot.buffer(bid) else {
-            return Ok(None);
-        };
-        let Some(selection) = self.space.plan_selection(&snapshot, bid) else {
-            return Ok(None);
-        };
-        // Algorithm 1 lines 8–10: the buffer's own matches.
-        let buffer_rids = if summary.entries() == 0 {
-            Vec::new()
-        } else {
-            let shard = self.space.shard_read(self.space.shard_of(bid));
-            if shard.epoch() != summary.epoch() {
-                // Something mutated the shard since the snapshot; the
-                // bitset/selection may be stale. Fail closed.
-                return Ok(None);
-            }
-            aib_core::buffer_scan_rids(shard.buffer(bid), predicate)
-        };
-
-        let partial = &ic.partial;
-        let coverage = partial.coverage();
-        let covered = |v: &Value| coverage.covers(v);
-        let threads = planned_scan_threads(t.heap.num_pages(), self.config.scan_threads);
-        let mut rids = Vec::new();
-        let ScanPrep { mut stats, plan } = aib_core::prepare_scan_from_snapshot(
-            &t.heap,
-            summary.skip(),
-            &selection,
-            buffer_rids,
-            predicate,
-            &mut rids,
-        );
-        let partition_pages = summary.partition_pages();
-        let epoch = summary.epoch();
-        // Table II: deferred locally, like the fast path. The queried
-        // buffer's next write-side entry (possibly this query's own inline
-        // apply below, after the flush) drains it in deferral order.
-        cache.record(Some(bid), false);
-
-        let chunk = sweep_plan(
-            &t.heap,
-            &plan,
-            partition_pages,
-            ci,
-            &covered,
-            predicate,
-            threads,
-        )?;
-        stats.pages_read = chunk.pages_read;
-        stats.pages_skipped = chunk.pages_skipped;
-        rids.extend(chunk.matches);
-
-        if !chunk.staged.is_empty() {
-            let staged_pages = chunk.staged.len() as u32;
-            // Queued mode parks the batch for the background applier; a
-            // full queue (or inline mode) applies right here, exactly like
-            // the locked path's apply section.
-            let inline_staged = if self.config.adaptation_apply_mode == AdaptationApplyMode::Queued
-            {
-                match self.space.push_adaptation(aib_core::AdaptationBatch {
-                    buffer: bid,
-                    epoch,
-                    staged: chunk.staged,
-                }) {
-                    Ok(()) => {
-                        stats.pages_staged = staged_pages;
-                        None
-                    }
-                    Err(rejected) => Some(rejected.staged),
-                }
-            } else {
-                Some(chunk.staged)
-            };
-            if let Some(staged) = inline_staged {
-                // Flush first so the shard-write drain applies this query's
-                // Table II events before any history is read again.
-                cache.flush();
-                let mut space = self.space.shard_write(self.space.shard_of(bid));
-                space.with_buffer_mut(bid, |buffer, counters| {
-                    apply_staged_checked(buffer, counters, staged, &mut stats);
-                });
-                space.sync_budget();
-            }
-        }
-        stats.matches = rids.len();
-
-        if let Predicate::Between(lo, hi) = predicate {
-            // Straddling range: the covered fraction answers from the
-            // partial index, deduplicated against scanned pages — same as
-            // the locked and fast paths.
-            if !ic.paged {
-                self.stats.record_reads(
-                    self.config.index_probe_pages,
-                    self.config.cost_model.read_us,
-                );
-            }
-            rids.extend(partial.entries_in(lo, hi));
-            rids.sort_unstable();
-            rids.dedup();
-        }
-        Ok(Some((
-            QueryResult {
-                rids,
-                path: AccessPath::BufferedScan,
-            },
-            stats,
-            threads,
-        )))
-    }
-
-    /// The write-locked execution path: tuned point queries (the tuner
-    /// mutates the partial index), run with the catalog and every shard
-    /// held — equivalent to the single-threaded executor.
-    fn execute_exclusive(
-        &self,
-        query: &Query,
-        seq: usize,
-        before: IoSnapshot,
-        start: Instant,
-    ) -> EngineResult<ExecOutcome> {
+    /// Runs the read pipeline exclusively, then lets the column's tuner (if
+    /// any) observe a point query and adapt the partial index.
+    fn execute_holding_all(&self, query: &Query, clock: QueryClock) -> EngineResult<ExecOutcome> {
         let mut catalog = self.catalog.write();
         let mut shards = self.space.write_all();
         let catalog = &mut *catalog;
-        // Re-resolve under the write lock (the catalog may have changed
-        // between the read and write acquisitions).
+        // Resolved under the write lock: the catalog may have changed since
+        // a caller looked under its read lock.
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
-        let slot = catalog.tables[ti].indexed_column(ci);
-
-        let (result, scan_stats, scan_threads) = match slot {
-            None => (
-                self.plain_scan(&catalog.tables[ti], ci, &query.predicate)?,
-                None,
-                1,
-            ),
-            Some(slot) => {
-                let t = &catalog.tables[ti];
-                let ic = &t.indexed[slot];
-                let hit = match &query.predicate {
-                    Predicate::Equals(v) => ic.partial.covers(v),
-                    Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi).is_some(),
-                };
-                let buffer = ic.buffer;
-                // Table II: every query adjusts every buffer's history; the
-                // queried buffer lives in exactly one shard, every other
-                // shard only ticks.
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    let queried = buffer.filter(|&b| self.space.shard_of(b) == i);
-                    shard.on_query(queried, hit);
-                }
-                if hit {
-                    (self.index_hit(t, slot, &query.predicate)?, None, 1)
-                } else if let Some(bid) = buffer {
-                    let shard = self.space.shard_of(bid);
-                    let (r, s, threads) = self.buffered_scan_exclusive(
-                        &mut shards[shard],
-                        t,
-                        slot,
-                        ci,
-                        &query.predicate,
-                    )?;
-                    (r, Some(s), threads)
-                } else {
-                    (self.plain_scan(t, ci, &query.predicate)?, None, 1)
-                }
-            }
-        };
+        let plan = self.plan_read(&catalog.tables[ti], ci, &query.predicate, None);
+        let (source, threads) = (plan.source, plan.threads);
+        let (result, scan) = self.run_read(
+            &catalog.tables[ti],
+            ci,
+            &query.predicate,
+            plan,
+            SpaceAccess::Held(&mut shards),
+        )?;
 
         // Online tuning: observe the queried value, adapt the partial index.
-        if let (Some(slot), Predicate::Equals(v)) = (slot, &query.predicate) {
-            if catalog.tables[ti].indexed[slot].tuner.is_some() {
-                apply_tuning(
-                    &mut catalog.tables[ti],
-                    &self.space,
-                    &mut shards,
-                    slot,
-                    v,
-                    &result.rids,
-                )?;
-            }
+        if let Predicate::Equals(v) = &query.predicate {
+            apply_tuning(
+                &mut catalog.tables[ti],
+                ci,
+                &self.space,
+                &mut shards,
+                v,
+                &result.rids,
+            )?;
         }
 
         for shard in &shards {
@@ -1964,384 +1454,91 @@ impl Database {
         let buffer_entries = (0..self.space.num_buffers())
             .map(|b| shards[self.space.shard_of(b)].buffer(b).num_entries())
             .collect();
-        let metrics = self.finish_metrics(
-            seq,
-            &result,
-            scan_stats,
-            scan_threads,
-            &before,
-            start,
-            buffer_entries,
-        );
+        let metrics = self.finish_metrics(clock, &result, scan, source, threads, buffer_entries);
         self.verify_checkpoint(catalog, &shards)?;
         Ok(ExecOutcome { result, metrics })
     }
 
+    /// Stamps a query's start: its sequence number, the I/O counters and
+    /// the wall clock, all taken before any engine lock.
+    fn start_query(&self) -> QueryClock {
+        QueryClock {
+            // Relaxed: the sequence number only needs uniqueness, not
+            // ordering against other memory operations.
+            seq: self.queries_executed.fetch_add(1, Ordering::Relaxed),
+            before: self.stats.snapshot(),
+            start: Instant::now(),
+        }
+    }
+
     /// Assembles a query's [`QueryMetrics`]; `buffer_entries` comes from
-    /// either the validated snapshot (shared path) or the held shard guards
-    /// (exclusive path), so no lock is taken here.
-    #[allow(clippy::too_many_arguments)]
+    /// either the validated snapshot (shared run) or the held shard guards
+    /// (exclusive run), so no lock is taken here.
     fn finish_metrics(
         &self,
-        seq: usize,
+        clock: QueryClock,
         result: &QueryResult,
         scan: Option<ScanStats>,
+        plan: PlanSource,
         scan_threads: usize,
-        before: &IoSnapshot,
-        start: Instant,
         buffer_entries: Vec<usize>,
     ) -> QueryMetrics {
-        let wall = start.elapsed();
-        let io = self.stats.snapshot().since(before);
         QueryMetrics {
-            seq,
+            seq: clock.seq,
             path: result.path,
+            plan,
             result_count: result.count(),
-            io,
-            wall,
+            io: self.stats.snapshot().since(&clock.before),
+            wall: clock.start.elapsed(),
             scan,
             scan_threads,
             buffer_entries,
             memory: self.budget.snapshot(),
-            adaptation: self.space.adaptation_stats(),
         }
     }
 
-    /// Index-hit path: probe the partial index, fetch matching tuples.
-    fn index_hit(
-        &self,
-        t: &Table,
-        slot: usize,
-        predicate: &Predicate,
-    ) -> EngineResult<QueryResult> {
-        let ic = &t.indexed[slot];
-        if !ic.paged {
-            // Charge the simulated tree descent (in-memory partial indexes
-            // stand in for disk-resident ones; see DESIGN.md §4). Paged
-            // indexes pay real page I/O instead.
-            self.stats.record_reads(
-                self.config.index_probe_pages,
-                self.config.cost_model.read_us,
-            );
-        }
-        let rids = match predicate {
-            Predicate::Equals(v) => ic.partial.lookup(v),
-            Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi).ok_or_else(|| {
-                EngineError::Internal("index_hit on a range the backend cannot scan".into())
-            })?,
-        };
-        // Materialise results: the paper's "index scan" baseline includes
-        // fetching the qualifying tuples from their pages.
-        for &rid in &rids {
-            t.heap.get(rid)?;
-        }
-        Ok(QueryResult {
-            rids,
-            path: AccessPath::PartialIndex,
-        })
-    }
-
-    /// Miss path with an Index Buffer, multi-client flavour: paper
-    /// Algorithm 1 split at the staged-apply boundary so the sweep runs with
-    /// **no engine lock held**.
-    ///
-    /// 1. *Prepare* (shard write lock): the cache's deferred Table II
-    ///    events — including this query's — flush and drain in order on
-    ///    entry, then Algorithm 2 selection — the scan's single RNG draw —
-    ///    the buffer scan, and the counter/selection snapshots.
-    /// 2. *Sweep* (no lock): [`sweep_plan`] reads table pages through the
-    ///    concurrent pool, staging would-be buffer insertions.
-    /// 3. *Apply* (shard write lock): [`apply_staged_checked`] inserts
-    ///    staged pages whose `C[p]` is still non-zero — a page already
-    ///    indexed by an overlapping scan is skipped, not double-inserted —
-    ///    then reconciles the governor.
-    ///
-    /// The caller holds the catalog read lock throughout, so the heap and
-    /// the coverage predicate cannot change mid-query; uncontended, the
-    /// counters, partitions and [`ScanStats`] are bit-for-bit what the
-    /// sequential executor produces.
-    fn buffered_scan_shared(
-        &self,
-        t: &Table,
-        slot: usize,
-        ci: usize,
-        predicate: &Predicate,
-        cache: &mut SnapshotCache,
-    ) -> EngineResult<(QueryResult, ScanStats, usize)> {
-        let ic = &t.indexed[slot];
-        let bid = ic.buffer.ok_or_else(|| {
-            EngineError::Internal("buffered_scan dispatched without a buffer".into())
-        })?;
-        let partial = &ic.partial;
-        // The coverage test is the only piece of the partial index the scan
-        // workers need, and unlike the index itself it is `Sync`.
-        let coverage = partial.coverage();
-        let covered = |v: &Value| coverage.covers(v);
-        let threads = planned_scan_threads(t.heap.num_pages(), self.config.scan_threads);
-        let mut rids = Vec::new();
-
-        // Table II first (deferred then flushed): the shard-write entry
-        // below drains the pending cells in deferral order, so the history
-        // Algorithm 2 reads already includes this query's events — the
-        // order the sequential executor produces.
-        cache.ensure(&self.space);
-        cache.record(Some(bid), false);
-        cache.flush();
-
-        let shard = self.space.shard_of(bid);
-        let (prep, partition_pages) = {
-            let mut space = self.space.shard_write(shard);
-            let prep = prepare_scan(&t.heap, &mut space, bid, predicate, &mut rids);
-            let partition_pages = space.buffer(bid).config().partition_pages;
-            (prep, partition_pages)
-        };
-        let ScanPrep { mut stats, plan } = prep;
-
-        let chunk = sweep_plan(
-            &t.heap,
-            &plan,
-            partition_pages,
-            ci,
-            &covered,
-            predicate,
-            threads,
-        )?;
-        stats.pages_read = chunk.pages_read;
-        stats.pages_skipped = chunk.pages_skipped;
-        rids.extend(chunk.matches);
-
-        {
-            let mut space = self.space.shard_write(shard);
-            space.with_buffer_mut(bid, |buffer, counters| {
-                apply_staged_checked(buffer, counters, chunk.staged, &mut stats);
-            });
-            space.sync_budget();
-        }
-        stats.matches = rids.len();
-
-        if let Predicate::Between(lo, hi) = predicate {
-            // A straddling range also matches *covered* tuples, which live
-            // in pages the scan may have skipped — answer that fraction from
-            // the partial index and deduplicate against scanned pages.
-            if !ic.paged {
-                self.stats.record_reads(
-                    self.config.index_probe_pages,
-                    self.config.cost_model.read_us,
-                );
-            }
-            rids.extend(partial.entries_in(lo, hi));
-            rids.sort_unstable();
-            rids.dedup();
-        }
-        Ok((
-            QueryResult {
-                rids,
-                path: AccessPath::BufferedScan,
-            },
-            stats,
-            threads,
-        ))
-    }
-
-    /// Miss path with an Index Buffer, write-locked flavour (tuned queries):
-    /// the classic interleaved Algorithm 1 against the exclusively held
-    /// space.
-    fn buffered_scan_exclusive(
-        &self,
-        space: &mut IndexBufferSpace,
-        t: &Table,
-        slot: usize,
-        ci: usize,
-        predicate: &Predicate,
-    ) -> EngineResult<(QueryResult, ScanStats, usize)> {
-        let ic = &t.indexed[slot];
-        let bid = ic.buffer.ok_or_else(|| {
-            EngineError::Internal("buffered_scan dispatched without a buffer".into())
-        })?;
-        let partial = &ic.partial;
-        let coverage = partial.coverage();
-        let covered = |v: &Value| coverage.covers(v);
-        let threads = planned_scan_threads(t.heap.num_pages(), self.config.scan_threads);
-        let mut rids = Vec::new();
-        let stats = if threads > 1 {
-            indexing_scan_parallel(
-                &t.heap, space, bid, ci, &covered, predicate, &mut rids, threads,
-            )?
-        } else {
-            indexing_scan(&t.heap, space, bid, ci, &covered, predicate, &mut rids)?
-        };
-        if let Predicate::Between(lo, hi) = predicate {
-            if !ic.paged {
-                self.stats.record_reads(
-                    self.config.index_probe_pages,
-                    self.config.cost_model.read_us,
-                );
-            }
-            rids.extend(partial.entries_in(lo, hi));
-            rids.sort_unstable();
-            rids.dedup();
-        }
-        Ok((
-            QueryResult {
-                rids,
-                path: AccessPath::BufferedScan,
-            },
-            stats,
-            threads,
-        ))
-    }
-
-    /// Baseline: full table scan, no skipping.
-    fn plain_scan(
-        &self,
-        t: &Table,
-        ci: usize,
-        predicate: &Predicate,
-    ) -> Result<QueryResult, StorageError> {
-        let mut rids = Vec::new();
-        let mut decode_err = None;
-        t.heap.scan_pages(
-            |_| false,
-            |rid, bytes| match Tuple::read_column(bytes, ci) {
-                Ok(v) => {
-                    if predicate.matches(&v) {
-                        rids.push(rid);
-                    }
-                }
-                Err(e) => decode_err = Some(e),
-            },
-        )?;
-        if let Some(e) = decode_err {
-            return Err(e);
-        }
-        Ok(QueryResult {
-            rids,
-            path: AccessPath::PlainScan,
-        })
-    }
-
-    /// Explains how a query would execute, without executing it: the access
-    /// path, how many pages a scan would read vs. skip, and the exact
+    /// Explains how a query would execute, without executing it: the plan
+    /// the executor would run — access path, where the page selection comes
+    /// from, how many pages the sweep would read vs. skip — and the exact
     /// cardinality when the partial index can answer it (§VI contrast: the
     /// Index Buffer's own bookkeeping makes this free, unlike what-if
-    /// optimizer calls).
+    /// optimizer calls). Built from the very [`crate::read`] plan value
+    /// `execute` consumes; the snapshot answers everything it needs without
+    /// locking any shard.
     pub fn explain(&self, query: &Query) -> EngineResult<crate::explain::Explanation> {
         let catalog = self.catalog.read();
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
-        let table_pages = catalog.tables[ti].heap.num_pages();
-        let Some(slot) = catalog.tables[ti].indexed_column(ci) else {
-            return Ok(crate::explain::explanation(
-                AccessPath::PlainScan,
-                false,
-                false,
-                table_pages,
-                table_pages,
-                0,
-                None,
-                0,
-                0,
-                1,
-                0,
-            ));
-        };
-        let ic = &catalog.tables[ti].indexed[slot];
-        let hit = match &query.predicate {
-            Predicate::Equals(v) => ic.partial.covers(v),
-            Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi).is_some(),
-        };
-        // The snapshot answers everything explain needs — entry counts,
-        // footprints, skip bitsets — without locking any shard.
         let snapshot = self.space.space_snapshot();
-        if hit {
-            let cardinality = match (
-                &query.predicate,
-                crate::explain::is_predicate_point(&query.predicate),
-            ) {
-                (Predicate::Equals(v), true) => Some(ic.partial.lookup(v).len()),
-                _ => None,
-            };
-            let summary = ic.buffer.and_then(|b| snapshot.buffer(b));
-            return Ok(crate::explain::explanation(
-                AccessPath::PartialIndex,
-                true,
-                ic.buffer.is_some(),
-                table_pages,
-                0,
-                0,
-                cardinality,
-                summary.map_or(0, |s| s.entries()),
-                summary.map_or(0, |s| s.footprint()),
-                1,
-                0,
-            ));
-        }
-        match ic.buffer {
-            Some(bid) => {
-                let summary = snapshot.buffer(bid).ok_or_else(|| {
-                    EngineError::Internal(format!("buffer {bid} missing from space snapshot"))
-                })?;
-                // Pages with C[p] > 0; pages beyond the tracked range are
-                // fully covered and skippable. The snapshot's skip bitset
-                // answers both counts without walking C[p].
-                let skip = summary.skip();
-                let to_read = skip.len() - skip.count();
-                let skip_runs = skip.skippable_runs().count() as u32;
-                Ok(crate::explain::explanation(
-                    AccessPath::BufferedScan,
-                    true,
-                    true,
-                    table_pages,
-                    to_read,
-                    skip_runs,
-                    None,
-                    summary.entries(),
-                    summary.footprint(),
-                    planned_scan_threads(table_pages, self.config.scan_threads),
-                    self.space.adaptation_stats().depth,
-                ))
-            }
-            None => Ok(crate::explain::explanation(
-                AccessPath::PlainScan,
-                true,
-                false,
-                table_pages,
-                table_pages,
-                0,
-                None,
-                0,
-                0,
-                1,
-                0,
-            )),
-        }
+        let plan = self.plan_read(&catalog.tables[ti], ci, &query.predicate, Some(&snapshot));
+        Ok(plan.explain(&snapshot))
     }
 
     /// Coverage of an indexed column (inspection).
     pub fn coverage(&self, table: &str, column: &str) -> Option<Coverage> {
-        let catalog = self.catalog.read();
-        let ti = catalog.table_index(table).ok()?;
-        let ci = catalog.column_index(ti, column).ok()?;
-        let slot = catalog.tables[ti].indexed_column(ci)?;
-        Some(catalog.tables[ti].indexed[slot].partial.coverage().clone())
+        self.inspect_index(table, column, |ic| ic.partial.coverage().clone())
     }
 
     /// Entries in the partial index of a column (inspection).
     pub fn partial_index_len(&self, table: &str, column: &str) -> Option<usize> {
-        let catalog = self.catalog.read();
-        let ti = catalog.table_index(table).ok()?;
-        let ci = catalog.column_index(ti, column).ok()?;
-        let slot = catalog.tables[ti].indexed_column(ci)?;
-        Some(catalog.tables[ti].indexed[slot].partial.len())
+        self.inspect_index(table, column, |ic| ic.partial.len())
     }
 
     /// The buffer id serving a column, if any (inspection).
     pub fn buffer_id(&self, table: &str, column: &str) -> Option<BufferId> {
+        self.inspect_index(table, column, |ic| ic.buffer).flatten()
+    }
+
+    fn inspect_index<R>(
+        &self,
+        table: &str,
+        column: &str,
+        f: impl FnOnce(&IndexedColumn) -> R,
+    ) -> Option<R> {
         let catalog = self.catalog.read();
         let ti = catalog.table_index(table).ok()?;
         let ci = catalog.column_index(ti, column).ok()?;
-        let slot = catalog.tables[ti].indexed_column(ci)?;
-        catalog.tables[ti].indexed[slot].buffer
+        catalog.tables[ti].index_on(ci).map(f)
     }
 
     // ------------------------------------------- invariant shadow model
@@ -2392,40 +1589,28 @@ impl Database {
     }
 
     /// Shadow-model checkpoint: diffs bookkeeping against ground truth
-    /// after every mutation when `invariant-checks` is on; free otherwise.
-    /// Takes the caller's held shard guards — never acquires.
-    #[cfg(feature = "invariant-checks")]
+    /// after every mutation when `invariant-checks` is on; compiles to
+    /// nothing otherwise. Takes the caller's held shard guards — never
+    /// acquires.
     #[inline]
     fn verify_checkpoint<S>(&self, catalog: &Catalog, shards: &[S]) -> EngineResult<()>
     where
         S: std::ops::Deref<Target = IndexBufferSpace>,
     {
-        self.verify_with(catalog, shards)
-    }
-
-    /// Shadow-model checkpoint (disabled build): compiles to nothing.
-    #[cfg(not(feature = "invariant-checks"))]
-    #[inline]
-    fn verify_checkpoint<S>(&self, _catalog: &Catalog, _shards: &[S]) -> EngineResult<()>
-    where
-        S: std::ops::Deref<Target = IndexBufferSpace>,
-    {
+        #[cfg(feature = "invariant-checks")]
+        self.verify_with(catalog, shards)?;
+        let _ = (catalog, shards);
         Ok(())
     }
 
     /// Shadow-model checkpoint for paths that hold no shard lock: acquires
-    /// every shard (read) only when `invariant-checks` is on — the fast
-    /// path stays lock-free in normal builds.
-    #[cfg(feature = "invariant-checks")]
+    /// every shard (read) only when `invariant-checks` is on — reads stay
+    /// lock-free in normal builds.
     #[inline]
     fn verify_checkpoint_now(&self, catalog: &Catalog) -> EngineResult<()> {
-        self.verify_with(catalog, &self.space.read_all())
-    }
-
-    /// Shadow-model checkpoint (disabled build): compiles to nothing.
-    #[cfg(not(feature = "invariant-checks"))]
-    #[inline]
-    fn verify_checkpoint_now(&self, _catalog: &Catalog) -> EngineResult<()> {
+        #[cfg(feature = "invariant-checks")]
+        self.verify_with(catalog, &self.space.read_all())?;
+        let _ = catalog;
         Ok(())
     }
 }
@@ -2453,33 +1638,6 @@ impl Drop for Database {
         if let Some(handle) = self.checkpointer.take() {
             let _ = handle.join();
         }
-        // The adaptation applier only moves already-committed in-memory
-        // state, so stopping it without a final drain is always safe: a
-        // parked batch dies with the space (buffer contents are never
-        // durable — recovery rebuilds them from the heap).
-        if let Some(handle) = self.applier.take() {
-            self.space.shutdown_applier();
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Body of the background adaptation applier ("aib-apply"), modeled on the
-/// commit pipeline's checkpointer loop: a latch set by every queue push
-/// (plus an unpark) triggers a drain; the park timeout is only a backstop
-/// against a lost wakeup racing the swap. Each drain takes ordinary
-/// write-side shard entries, so it obeys the shard lock hierarchy and the
-/// epoch/`C[p]` apply-time validation like any other writer.
-fn applier_loop(space: &ShardedSpace) {
-    loop {
-        if space.applier_should_exit() {
-            return;
-        }
-        if space.take_apply_due() {
-            space.drain_adaptation_queues();
-            continue;
-        }
-        std::thread::park_timeout(std::time::Duration::from_millis(25));
     }
 }
 
@@ -2505,17 +1663,21 @@ fn checkpoint_core(
     Ok(pipeline.rotate(&WalRecord::Snapshot(image.encode()))?)
 }
 
-/// Applies the online tuner's decision for an observed point query. Runs
-/// with the catalog and every shard write guard held (only the exclusive
-/// execution path tunes); mutates only the tuned buffer's shard.
+/// Applies the online tuner's decision for an observed point query on
+/// `column` (a no-op for untuned columns). Runs with the catalog and every
+/// shard write guard held (only the exclusive run tunes); mutates only the
+/// tuned buffer's shard.
 fn apply_tuning(
     t: &mut Table,
+    column: usize,
     space: &ShardedSpace,
     shards: &mut [ShardWriteGuard<'_>],
-    slot: usize,
     value: &Value,
     matched: &[Rid],
 ) -> EngineResult<()> {
+    let Some(slot) = t.indexed_column(column) else {
+        return Ok(());
+    };
     let Some(tuner) = t.indexed[slot].tuner.as_mut() else {
         return Ok(());
     };
@@ -2647,17 +1809,47 @@ fn column_value(tuple: &Tuple, column: usize) -> EngineResult<Value> {
         .ok_or_else(|| EngineError::Internal(format!("stored tuple missing column {column}")))
 }
 
-/// Decodes the scanned column value and page ordinal of one heap tuple for
-/// the index-build scans (`install_partial_index`, `redefine_coverage`).
-fn decode_site(
+/// The one heap rescan behind index creation, coverage redefinition and
+/// recovery: adds every covered tuple of `column` the partial index does not
+/// hold yet and returns the per-page counts of the uncovered ones — the
+/// column's `C[p]`.
+fn populate_from_heap(
     heap: &HeapFile,
-    rid: Rid,
-    bytes: &[u8],
     column: usize,
-) -> EngineResult<(Value, u32)> {
-    let value = Tuple::read_column(bytes, column)?;
-    let ord = heap
-        .ordinal_of(rid.page)
-        .ok_or_else(|| EngineError::Internal(format!("scanned page {} unowned", rid.page)))?;
-    Ok((value, ord))
+    partial: &mut PartialIndex,
+) -> EngineResult<Vec<u32>> {
+    // Only a redefined index can already hold some of the covered tuples.
+    let may_hold = !partial.is_empty();
+    let mut counts: Vec<u32> = vec![0; heap.num_pages() as usize];
+    let mut scan_err: Option<EngineError> = None;
+    heap.scan_pages(
+        |_| false,
+        |rid, bytes| {
+            let value = match Tuple::read_column(bytes, column) {
+                Ok(value) => value,
+                Err(e) => {
+                    scan_err.get_or_insert(e.into());
+                    return;
+                }
+            };
+            if partial.covers(&value) {
+                if !(may_hold && partial.contains(&value, rid)) {
+                    partial.add(value, rid);
+                }
+            } else if let Some(ord) = heap.ordinal_of(rid.page) {
+                if let Some(slot) = counts.get_mut(ord as usize) {
+                    *slot += 1;
+                }
+            } else {
+                scan_err.get_or_insert(EngineError::Internal(format!(
+                    "scanned page {} unowned",
+                    rid.page
+                )));
+            }
+        },
+    )?;
+    match scan_err {
+        Some(e) => Err(e),
+        None => Ok(counts),
+    }
 }

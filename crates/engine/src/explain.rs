@@ -7,24 +7,35 @@
 //! makes the interesting questions answerable for free: the counters `C[p]`
 //! say exactly how many pages a scan must read, and the partial index knows
 //! its own cardinalities.
-
-use aib_core::Predicate;
+//!
+//! An [`Explanation`] is built from the plan value the executor itself
+//! runs (`crate::read`), so what it prints is what `execute` does next on
+//! unchanged state. The one thing only execution can tell: a
+//! shard-locked or exclusive plan runs Algorithm 2 under the lock, which
+//! may displace *other* buffers' partitions — the queried buffer's own
+//! page counts below are unaffected by that.
 
 use crate::query::AccessPath;
+use crate::read::PlanSource;
 
 /// A pre-execution cost sketch of one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Explanation {
     /// The access path the executor would take.
     pub path: AccessPath,
+    /// Where the scan's page selection would come from: planned lock-free
+    /// from the snapshot, under the shard write lock (the planner
+    /// declined), or in an exclusive run (tuned point queries).
+    pub plan: PlanSource,
     /// Whether the queried column has a partial index.
     pub has_partial_index: bool,
     /// Whether the queried column has an Index Buffer.
     pub has_buffer: bool,
     /// Total pages of the table.
     pub table_pages: u32,
-    /// Pages a scan would actually fetch (`C[p] > 0` pages); equals
-    /// `table_pages` for plain scans and 0 for index hits.
+    /// Pages a scan would actually fetch — `C[p] > 0` pages plus pages the
+    /// table grew by since the counters were sized; equals `table_pages`
+    /// for plain scans and 0 for index hits.
     pub pages_to_read: u32,
     /// Pages skippable thanks to full indexing (partial index + buffer).
     pub pages_skippable: u32,
@@ -32,8 +43,8 @@ pub struct Explanation {
     /// off the maintained skip bitset, so it costs a word scan, not a page
     /// scan. 0 for index hits and plain scans.
     pub skip_runs: u32,
-    /// Exact result cardinality for point lookups answerable from the
-    /// partial index; `None` when only execution can tell.
+    /// Exact result cardinality for queries the partial index answers;
+    /// `None` when only execution can tell.
     pub known_cardinality: Option<usize>,
     /// Buffer entries currently held for this column.
     pub buffer_entries: usize,
@@ -43,11 +54,6 @@ pub struct Explanation {
     /// Worker threads the executor would run the indexing scan with (1 for
     /// index hits and plain scans).
     pub scan_threads: usize,
-    /// Adaptation batches currently parked on the shard queues (summed);
-    /// buffer entries those batches would add are not yet visible to
-    /// queries. Always 0 outside
-    /// [`crate::AdaptationApplyMode::Queued`].
-    pub adaptation_queue_depth: usize,
 }
 
 impl Explanation {
@@ -69,7 +75,8 @@ impl Explanation {
             ),
             AccessPath::BufferedScan => {
                 let mut s = format!(
-                    "indexing scan: {} of {} pages to read ({:.0}% skippable), buffer holds {} entries ({} bytes)",
+                    "indexing scan ({} plan): {} of {} pages to read ({:.0}% skippable), buffer holds {} entries ({} bytes)",
+                    self.plan.as_str(),
                     self.pages_to_read,
                     self.table_pages,
                     100.0 * self.skip_ratio(),
@@ -86,17 +93,6 @@ impl Explanation {
                 if self.scan_threads > 1 {
                     s.push_str(&format!(", {} scan threads", self.scan_threads));
                 }
-                if self.adaptation_queue_depth > 0 {
-                    s.push_str(&format!(
-                        ", {} adaptation batch{} queued",
-                        self.adaptation_queue_depth,
-                        if self.adaptation_queue_depth == 1 {
-                            ""
-                        } else {
-                            "es"
-                        }
-                    ));
-                }
                 s
             }
             AccessPath::PlainScan => {
@@ -106,149 +102,71 @@ impl Explanation {
     }
 }
 
-/// Used by [`crate::db::Database::explain`]; kept separate so the type can
-/// be constructed in tests.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explanation(
-    path: AccessPath,
-    has_partial_index: bool,
-    has_buffer: bool,
-    table_pages: u32,
-    pages_to_read: u32,
-    skip_runs: u32,
-    known_cardinality: Option<usize>,
-    buffer_entries: usize,
-    buffer_bytes: usize,
-    scan_threads: usize,
-    adaptation_queue_depth: usize,
-) -> Explanation {
-    Explanation {
-        path,
-        has_partial_index,
-        has_buffer,
-        table_pages,
-        pages_to_read,
-        pages_skippable: table_pages - pages_to_read,
-        skip_runs,
-        known_cardinality,
-        buffer_entries,
-        buffer_bytes,
-        scan_threads,
-        adaptation_queue_depth,
-    }
-}
-
-/// Free function used by `Database::explain` to classify the predicate the
-/// same way the executor does (point coverage vs. complete range coverage).
-pub(crate) fn is_predicate_point(predicate: &Predicate) -> bool {
-    matches!(predicate, Predicate::Equals(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn scan(pages_to_read: u32, skip_runs: u32, scan_threads: usize) -> Explanation {
+        Explanation {
+            path: AccessPath::BufferedScan,
+            plan: PlanSource::Snapshot,
+            has_partial_index: true,
+            has_buffer: true,
+            table_pages: 100,
+            pages_to_read,
+            pages_skippable: 100 - pages_to_read,
+            skip_runs,
+            known_cardinality: None,
+            buffer_entries: 900,
+            buffer_bytes: 28_800,
+            scan_threads,
+        }
+    }
+
     #[test]
     fn summaries_are_informative() {
-        let hit = explanation(
-            AccessPath::PartialIndex,
-            true,
-            true,
-            100,
-            0,
-            0,
-            Some(7),
-            0,
-            0,
-            1,
-            0,
-        );
+        let hit = Explanation {
+            path: AccessPath::PartialIndex,
+            plan: PlanSource::None,
+            known_cardinality: Some(7),
+            ..scan(0, 0, 1)
+        };
         assert_eq!(hit.summary(), "partial index hit (7 rows)");
         assert_eq!(hit.skip_ratio(), 1.0);
 
-        let scan = explanation(
-            AccessPath::BufferedScan,
-            true,
-            true,
-            100,
-            25,
-            3,
-            None,
-            900,
-            28_800,
-            1,
-            0,
-        );
-        assert_eq!(scan.pages_skippable, 75);
-        assert!(scan.summary().contains("25 of 100 pages"));
-        assert!(scan.summary().contains("75% skippable"));
-        assert!(scan.summary().contains("900 entries (28800 bytes)"));
-        assert!(scan.summary().contains("3 skip runs"));
-        assert!(!scan.summary().contains("scan threads"));
+        let s = scan(25, 3, 1).summary();
+        assert!(s.starts_with("indexing scan (snapshot plan): 25 of 100 pages"));
+        assert!(s.contains("75% skippable"));
+        assert!(s.contains("900 entries (28800 bytes)"));
+        assert!(s.contains("3 skip runs"));
+        assert!(!s.contains("scan threads"));
+        assert!(scan(25, 1, 1).summary().ends_with("1 skip run"));
+        assert!(scan(25, 3, 4).summary().contains("4 scan threads"));
 
-        let one_run = explanation(
-            AccessPath::BufferedScan,
-            true,
-            true,
-            100,
-            25,
-            1,
-            None,
-            900,
-            28_800,
-            1,
-            0,
-        );
-        assert!(one_run.summary().ends_with("1 skip run"));
+        let locked = Explanation {
+            plan: PlanSource::ShardLocked,
+            ..scan(25, 3, 1)
+        };
+        assert!(locked.summary().contains("(shard-locked plan)"));
 
-        let par = explanation(
-            AccessPath::BufferedScan,
-            true,
-            true,
-            100,
-            25,
-            3,
-            None,
-            900,
-            28_800,
-            4,
-            2,
-        );
-        assert!(par.summary().contains("4 scan threads"));
-        assert!(par.summary().contains("2 adaptation batches queued"));
-
-        let plain = explanation(
-            AccessPath::PlainScan,
-            false,
-            false,
-            40,
-            40,
-            0,
-            None,
-            0,
-            0,
-            1,
-            0,
-        );
+        let plain = Explanation {
+            path: AccessPath::PlainScan,
+            plan: PlanSource::None,
+            table_pages: 40,
+            pages_skippable: 0,
+            ..scan(40, 0, 1)
+        };
         assert_eq!(plain.summary(), "full table scan: 40 pages");
         assert_eq!(plain.skip_ratio(), 0.0);
     }
 
     #[test]
     fn empty_table_skip_ratio_is_zero() {
-        let e = explanation(
-            AccessPath::PlainScan,
-            false,
-            false,
-            0,
-            0,
-            0,
-            None,
-            0,
-            0,
-            1,
-            0,
-        );
+        let e = Explanation {
+            table_pages: 0,
+            pages_skippable: 0,
+            ..scan(0, 0, 1)
+        };
         assert_eq!(e.skip_ratio(), 0.0);
     }
 }

@@ -2,8 +2,9 @@
 //! query/DML path — the role H2 1.3 played for the paper's prototype.
 //!
 //! * [`db::Database`] — tables, partial indexes, the Index Buffer Space,
-//!   the executor (index hit / indexing scan / plain scan), and DML with
-//!   full Table I maintenance.
+//!   and DML with full Table I maintenance.
+//! * [`read`] — the executor: one plan → sweep → adapt pipeline answering
+//!   every query (index hit / indexing scan / plain scan).
 //! * [`tuner::OnlineTuner`] — the sliding-window, threshold-triggered,
 //!   LRU-evicting partial-index tuner of Fig. 1: the slow control loop the
 //!   Index Buffer backs up.
@@ -21,16 +22,16 @@ pub mod error;
 pub mod explain;
 pub mod metrics;
 pub mod query;
+pub mod read;
 pub mod tuner;
 
 pub use client::ClientHandle;
-pub use db::{
-    AdaptationApplyMode, BatchOp, Database, EngineConfig, PoolPolicy, ShardRef, Table, TableRef,
-};
+pub use db::{BatchOp, Database, EngineConfig, PoolPolicy, ShardRef, Table, TableRef};
 pub use error::{EngineError, EngineResult};
 pub use explain::Explanation;
 pub use metrics::{QueryMetrics, WorkloadRecorder};
 pub use query::{AccessPath, ExecOutcome, Query, QueryBuilder, QueryResult};
+pub use read::PlanSource;
 pub use tuner::{OnlineTuner, TunerConfig, TunerDecision};
 
 #[cfg(test)]
@@ -692,111 +693,40 @@ mod tests {
     }
 
     #[test]
-    fn all_apply_modes_agree_with_the_locked_executor() {
-        // The same uncovered workload under every adaptation_apply_mode
-        // must produce identical results; after the quiescence point
-        // (drain_adaptations) the buffers must converge too.
-        let run = |mode: AdaptationApplyMode| {
-            let db = Database::new(EngineConfig {
-                adaptation_apply_mode: mode,
-                ..config()
-            });
-            db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
-                .unwrap();
-            for i in 0..400 {
-                db.insert(
-                    "t",
-                    &Tuple::new(vec![Value::Int(i), Value::from("p".repeat(100))]),
-                )
-                .unwrap();
-            }
-            db.create_partial_index(
-                "t",
-                "k",
-                Coverage::IntRange { lo: 0, hi: 99 },
-                IndexBackend::BTree,
-                Some(BufferConfig::default()),
-            )
-            .unwrap();
-            let mut counts = Vec::new();
+    fn planned_reads_agree_with_the_sequential_executor() {
+        // The same uncovered workload through `execute` (snapshot-planned,
+        // staged apply) and through `execute_sequential` (every lock held)
+        // must produce identical results and leave identical buffers.
+        let run = |sequential: bool| {
+            let db = setup(400, 100);
+            let mut seen = Vec::new();
             for i in 0..6 {
-                let (r, _) = db
-                    .execute(&Query::point("t", "k", 200 + i))
-                    .unwrap()
-                    .into_parts();
-                counts.push(r.count());
+                let q = Query::point("t", "k", 200 + i);
+                let out = if sequential {
+                    db.execute_sequential(&q)
+                } else {
+                    db.execute(&q)
+                }
+                .unwrap();
+                seen.push((out.result.count(), out.metrics.plan, out.metrics.scan));
             }
-            db.drain_adaptations();
             let entries = db.space_shard(0).buffer(0).num_entries();
             db.check_space_invariants();
-            (counts, entries, db.adaptation_stats())
+            (seen, entries)
         };
 
-        let (locked_counts, locked_entries, locked_stats) = run(AdaptationApplyMode::Locked);
-        let (inline_counts, inline_entries, inline_stats) = run(AdaptationApplyMode::Inline);
-        let (queued_counts, queued_entries, queued_stats) = run(AdaptationApplyMode::Queued);
-        assert_eq!(locked_counts, inline_counts);
-        assert_eq!(locked_counts, queued_counts);
-        assert_eq!(locked_entries, inline_entries, "inline is read-your-writes");
-        assert_eq!(
-            locked_entries, queued_entries,
-            "queued converges under quiescence"
-        );
-        assert_eq!(locked_stats, aib_core::AdaptationStats::default());
-        assert_eq!(inline_stats, aib_core::AdaptationStats::default());
-        assert!(queued_stats.enqueued > 0, "queued mode parked batches");
-        assert_eq!(
-            queued_stats.applied + queued_stats.dropped,
-            queued_stats.enqueued,
-            "every batch was resolved"
-        );
-        assert_eq!(queued_stats.depth, 0, "drained");
-    }
-
-    #[test]
-    fn queued_mode_stays_correct_under_ddl_races() {
-        // Redefining coverage while batches are parked must drop the stale
-        // batches (epoch moved), not resurrect pre-DDL entries.
-        let db = Database::new(EngineConfig {
-            adaptation_apply_mode: AdaptationApplyMode::Queued,
-            ..config()
-        });
-        db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
-            .unwrap();
-        for i in 0..300 {
-            db.insert(
-                "t",
-                &Tuple::new(vec![Value::Int(i), Value::from("p".repeat(100))]),
-            )
-            .unwrap();
+        let (planned, planned_entries) = run(false);
+        let (sequential, sequential_entries) = run(true);
+        assert_eq!(planned_entries, sequential_entries, "read-your-writes");
+        for ((pc, pp, ps), (sc, sp, ss)) in planned.iter().zip(&sequential) {
+            assert_eq!((pc, ps), (sc, ss), "same answer, same scan stats");
+            assert_eq!(
+                *pp,
+                PlanSource::Snapshot,
+                "unlimited budget plans lock-free"
+            );
+            assert_eq!(*sp, PlanSource::Exclusive);
         }
-        db.create_partial_index(
-            "t",
-            "k",
-            Coverage::IntRange { lo: 0, hi: 99 },
-            IndexBackend::BTree,
-            Some(BufferConfig::default()),
-        )
-        .unwrap();
-        // Stage batches, then immediately flip coverage before draining.
-        db.execute(&Query::point("t", "k", 200i64)).unwrap();
-        db.redefine_coverage("t", "k", Coverage::IntRange { lo: 200, hi: 299 })
-            .unwrap();
-        db.drain_adaptations();
-        db.check_space_invariants();
-        // Post-DDL queries answer correctly on both paths.
-        let (r, m) = db
-            .execute(&Query::point("t", "k", 250i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(m.path, AccessPath::PartialIndex);
-        assert_eq!(r.count(), 1);
-        let (r, _) = db
-            .execute(&Query::point("t", "k", 50i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.count(), 1);
-        db.check_space_invariants();
     }
 
     #[test]

@@ -3,11 +3,12 @@
 
 use std::time::Duration;
 
-use aib_core::{AdaptationStats, ScanStats};
+use aib_core::ScanStats;
 use aib_storage::stats::IoSnapshot;
 use aib_storage::BudgetSnapshot;
 
 use crate::query::AccessPath;
+use crate::read::PlanSource;
 
 /// Everything measured about one executed query.
 #[derive(Debug, Clone)]
@@ -16,6 +17,10 @@ pub struct QueryMetrics {
     pub seq: usize,
     /// Access path taken.
     pub path: AccessPath,
+    /// Where the scan's page selection came from: the lock-free snapshot,
+    /// the shard-locked fallback, an exclusive run — or nothing to select
+    /// (hits and plain scans).
+    pub plan: PlanSource,
     /// Matching tuples.
     pub result_count: usize,
     /// Physical I/O deltas attributable to this query.
@@ -34,11 +39,6 @@ pub struct QueryMetrics {
     /// component, combined high-water mark, denied reservations and
     /// displacements performed so far.
     pub memory: BudgetSnapshot,
-    /// Adaptation-queue counters after the query (summed across shards):
-    /// current depth plus cumulative enqueued / applied / dropped /
-    /// rejected batches. All zero outside
-    /// [`crate::AdaptationApplyMode::Queued`].
-    pub adaptation: AdaptationStats,
 }
 
 impl QueryMetrics {
@@ -61,12 +61,6 @@ impl QueryMetrics {
     /// index hits).
     pub fn sweep_batches(&self) -> u32 {
         self.scan.as_ref().map_or(0, |s| s.sweep_batches)
-    }
-
-    /// Pages this query parked on the adaptation queue instead of applying
-    /// inline (0 outside queued mode and for non-scan paths).
-    pub fn pages_staged(&self) -> u32 {
-        self.scan.as_ref().map_or(0, |s| s.pages_staged)
     }
 }
 
@@ -127,7 +121,9 @@ impl WorkloadRecorder {
     }
 
     /// Renders the series as CSV with one row per query. Columns:
-    /// `seq,path,results,pages_read,pages_skipped,skip_runs,sweep_batches,pages_staged,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,queue_depth,adapt_applied,adapt_dropped,entries_b0,entries_b1,...`
+    /// `seq,path,plan,results,pages_read,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,entries_b0,entries_b1,...`
+    /// (`plan` is the [`PlanSource`] tag: `snapshot`, `shard-locked`,
+    /// `exclusive`, or `none` for hits and plain scans).
     pub fn to_csv(&self) -> String {
         let buffers = self
             .records
@@ -136,9 +132,8 @@ impl WorkloadRecorder {
             .max()
             .unwrap_or(0);
         let mut out = String::from(
-            "seq,path,results,pages_read,pages_skipped,skip_runs,sweep_batches,pages_staged,\
-             sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,\
-             queue_depth,adapt_applied,adapt_dropped",
+            "seq,path,plan,results,pages_read,pages_skipped,skip_runs,sweep_batches,\
+             sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements",
         );
         for b in 0..buffers {
             out.push_str(&format!(",entries_b{b}"));
@@ -151,15 +146,15 @@ impl WorkloadRecorder {
                 AccessPath::PlainScan => "scan",
             };
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.seq,
                 path,
+                r.plan.as_str(),
                 r.result_count,
                 r.io.page_reads,
                 r.pages_skipped(),
                 r.skip_runs(),
                 r.sweep_batches(),
-                r.pages_staged(),
                 r.simulated_us(),
                 r.wall.as_micros(),
                 r.memory.buffer_pool_bytes,
@@ -167,9 +162,6 @@ impl WorkloadRecorder {
                 r.memory.high_water,
                 r.memory.denials,
                 r.memory.displacements,
-                r.adaptation.depth,
-                r.adaptation.applied,
-                r.adaptation.dropped,
             ));
             for b in 0..buffers {
                 out.push_str(&format!(
@@ -191,6 +183,7 @@ mod tests {
         QueryMetrics {
             seq,
             path,
+            plan: PlanSource::None,
             result_count: 1,
             io: IoSnapshot {
                 page_reads: 2,
@@ -209,7 +202,6 @@ mod tests {
                 denials: 1,
                 displacements: 2,
             },
-            adaptation: AdaptationStats::default(),
         }
     }
 
@@ -235,33 +227,26 @@ mod tests {
             pages_skipped: 4,
             skip_runs: 2,
             sweep_batches: 3,
-            pages_staged: 1,
             ..Default::default()
         });
-        scanned.adaptation = AdaptationStats {
-            depth: 1,
-            enqueued: 5,
-            applied: 3,
-            dropped: 1,
-            rejected: 0,
-        };
+        scanned.plan = PlanSource::ShardLocked;
         rec.push(scanned);
         let csv = rec.to_csv();
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
-            "seq,path,results,pages_read,pages_skipped,skip_runs,sweep_batches,pages_staged,\
+            "seq,path,plan,results,pages_read,pages_skipped,skip_runs,sweep_batches,\
              sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,\
-             queue_depth,adapt_applied,adapt_dropped,entries_b0,entries_b1"
+             entries_b0,entries_b1"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "0,index,1,2,0,0,0,0,200,5,16384,960,17344,1,2,0,0,0,10,20"
+            "0,index,none,1,2,0,0,0,200,5,16384,960,17344,1,2,10,20"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "1,buffered,1,2,4,2,3,1,200,5,16384,960,17344,1,2,1,3,1,10,20",
-            "scan rows carry the sweep-shape and adaptation-queue columns"
+            "1,buffered,shard-locked,1,2,4,2,3,200,5,16384,960,17344,1,2,10,20",
+            "scan rows carry the plan-source tag and the sweep-shape columns"
         );
     }
 

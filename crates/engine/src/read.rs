@@ -1,0 +1,492 @@
+//! The one read pipeline: **plan → sweep → adapt** (paper Algorithm 1).
+//!
+//! Every read query — through [`Database::execute`], a
+//! [`crate::ClientHandle`], or the sequential reference
+//! [`Database::execute_sequential`] — is answered by the same three stages,
+//! and [`Database::explain`] prints the value the first stage returns:
+//!
+//! 1. **Plan** (`Database::plan_read`, read-only). Classifies the query
+//!    once — partial-index hit, buffered sweep, or plain sweep; straddling
+//!    range or not — and returns a `ReadPlan`. What used to be separate
+//!    scan functions are *fields* of that value: where the page selection
+//!    comes from ([`PlanSource`]), the sweep (`None` when no page needs
+//!    visiting), the worker count, and whether a range epilogue runs.
+//! 2. **Sweep** (no engine lock). Visits the pages the plan does not skip,
+//!    collecting matches and *staging* the tuples Algorithm 1 line 16 would
+//!    insert into the Index Buffer.
+//! 3. **Adapt** (`adapt`). Staged pages reach the buffer before the query
+//!    returns, under the buffer's shard write lock, each page re-checked
+//!    against the live `C[p]` so a page an overlapping scan already indexed
+//!    is skipped. This module is the only place that knows that rule.
+//!
+//! The plan stage never mutates: a selection that *cannot* be made
+//! read-only — Algorithm 2 might displace a partition or draw randomness,
+//! or the caller already holds the shard guards — is left out of the plan
+//! (`Sweep::Buffered` with `planned: None`) and runs under the shard
+//! write lock as the sweep stage's first step.
+
+use aib_core::{
+    apply_staged_checked, buffer_scan_rids, planned_scan_threads, prepare_scan,
+    prepare_scan_from_snapshot, sweep_plan, BufferId, BufferSummary, IndexBufferSpace, Predicate,
+    ScanPrep, ScanStats, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceSnapshot, StagedPage,
+};
+use aib_storage::{Rid, StorageError, Tuple, Value};
+
+use crate::db::{Database, Table};
+use crate::error::EngineResult;
+use crate::explain::Explanation;
+use crate::query::{AccessPath, QueryResult};
+
+/// Where a read plan's page selection (Algorithm 2) comes from. Chosen by
+/// the planner from what it observes, never by configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PlanSource {
+    /// Nothing to select: partial-index hits and plain scans.
+    None,
+    /// Planned read-only against the validated [`SpaceSnapshot`], no shard
+    /// lock held — including the fully-skippable case that visits no page.
+    Snapshot,
+    /// [`ShardedSpace::plan_selection`] declined (displacement reachable,
+    /// or a limited budget would admit pages) or the epoch guard tripped:
+    /// Algorithm 2 runs under the buffer's shard write lock.
+    ShardLocked,
+    /// The caller holds the catalog write lock and every shard guard —
+    /// tuned point queries (the tuner rewrites the partial index) and
+    /// [`Database::execute_sequential`].
+    Exclusive,
+}
+
+impl PlanSource {
+    /// The tag metrics, the per-query CSV and `explain` print.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PlanSource::None => "none",
+            PlanSource::Snapshot => "snapshot",
+            PlanSource::ShardLocked => "shard-locked",
+            PlanSource::Exclusive => "exclusive",
+        }
+    }
+}
+
+/// The page-visiting part of a [`ReadPlan`].
+// One plan is built per query and moved straight into the sweep stage;
+// boxing the planned variant measured ~4 % slower on the planned path (an
+// allocation per query) and no faster on hits.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub(crate) enum Sweep {
+    /// No page is visited: a partial-index hit, or a buffered miss whose
+    /// every page the snapshot proves skippable with the buffer empty.
+    None,
+    /// Every page, no skipping: the column has no Index Buffer.
+    Plain,
+    /// Algorithm 1 over `buffer`. `planned` is `None` when the selection
+    /// must run under the shard write lock.
+    Buffered {
+        /// The queried column's Index Buffer.
+        buffer: BufferId,
+        /// Everything the sweep needs, fixed at plan time.
+        planned: Option<PlannedSweep>,
+    },
+}
+
+/// A buffered sweep planned read-only from the snapshot.
+#[derive(Debug)]
+pub(crate) struct PlannedSweep {
+    /// Skip/selection snapshots, compiled predicate, analytic stats.
+    prep: ScanPrep,
+    /// The Index Buffer's own matches (Algorithm 1 lines 8–10).
+    buffer_rids: Vec<Rid>,
+    /// The buffer's partition extent (sweep chunks align to it).
+    partition_pages: u32,
+}
+
+/// How one read query will execute: the value [`Database::plan_read`]
+/// returns, the sweep and adapt stages consume, and `explain` prints.
+#[derive(Debug)]
+pub(crate) struct ReadPlan {
+    /// The access path.
+    pub path: AccessPath,
+    /// Where the page selection comes from.
+    pub source: PlanSource,
+    /// Sweep workers (1 for hits and plain scans).
+    pub threads: usize,
+    /// A straddling range: after the sweep, the covered fraction is
+    /// answered from the partial index and deduplicated against it.
+    pub range_epilogue: bool,
+    /// Heap pages at plan time.
+    pub table_pages: u32,
+    /// Whether the queried column has a partial index.
+    indexed: bool,
+    /// The column's Index Buffer, if any.
+    buffer: Option<BufferId>,
+    /// The partial-index probe's rids when the query is a hit.
+    hit: Option<Vec<Rid>>,
+    /// Which pages get visited, and how.
+    sweep: Sweep,
+}
+
+impl ReadPlan {
+    /// Pages the sweep fetches and the skippable runs it jumps, read off
+    /// the buffer's snapshot `summary`. Pages past the tracked counter
+    /// range read as unskippable, exactly as the sweep treats them.
+    fn sweep_shape(&self, summary: Option<&BufferSummary>) -> (u32, u32) {
+        match (&self.sweep, summary) {
+            (Sweep::Plain, _) => (self.table_pages, 0),
+            (_, Some(summary)) if self.hit.is_none() => {
+                let (mut to_read, mut skip_runs) = (0, 0);
+                for (extent, skippable) in summary.skip().runs(0..self.table_pages) {
+                    if skippable {
+                        skip_runs += 1;
+                    } else {
+                        to_read += extent.end - extent.start;
+                    }
+                }
+                (to_read, skip_runs)
+            }
+            _ => (0, 0),
+        }
+    }
+
+    /// The pre-execution sketch of this plan, with the page counts and
+    /// buffer sizes of the `snapshot` it was planned from.
+    pub(crate) fn explain(&self, snapshot: &SpaceSnapshot) -> Explanation {
+        let summary = self.buffer.and_then(|b| snapshot.buffer(b));
+        let (pages_to_read, skip_runs) = self.sweep_shape(summary);
+        Explanation {
+            path: self.path,
+            plan: self.source,
+            has_partial_index: self.indexed,
+            has_buffer: self.buffer.is_some(),
+            table_pages: self.table_pages,
+            pages_to_read,
+            pages_skippable: self.table_pages - pages_to_read,
+            skip_runs,
+            known_cardinality: self.hit.as_ref().map(Vec::len),
+            buffer_entries: summary.map_or(0, BufferSummary::entries),
+            buffer_bytes: summary.map_or(0, BufferSummary::footprint),
+            scan_threads: self.threads,
+        }
+    }
+}
+
+/// How the sweep and adapt stages reach the Index Buffer Space.
+pub(crate) enum SpaceAccess<'a, 'g> {
+    /// A client sharing the space: Table II is deferred through the
+    /// client's [`SnapshotCache`], shard locks are taken per stage.
+    Shared(&'a mut SnapshotCache),
+    /// The caller holds every shard write guard, in ascending order.
+    Held(&'a mut [ShardWriteGuard<'g>]),
+}
+
+impl SpaceAccess<'_, '_> {
+    /// Table II: every query adjusts every buffer's history. Shared
+    /// clients defer the events locally (drained, in deferral order, by
+    /// the next write-side entry into each shard); a guard holder applies
+    /// them directly — the queried buffer lives in exactly one shard,
+    /// every other shard only ticks.
+    fn on_query(&mut self, space: &ShardedSpace, queried: Option<BufferId>, hit: bool) {
+        match self {
+            SpaceAccess::Shared(cache) => cache.record(queried, hit),
+            SpaceAccess::Held(guards) => {
+                for (i, shard) in guards.iter_mut().enumerate() {
+                    shard.on_query(queried.filter(|&b| space.shard_of(b) == i), hit);
+                }
+            }
+        }
+    }
+
+    /// Runs `f` on `shard` write-locked. A shared client first flushes its
+    /// deferred Table II events, so the lock's entry drain applies them
+    /// before any history is read.
+    fn with_shard<R>(
+        &mut self,
+        space: &ShardedSpace,
+        shard: usize,
+        f: impl FnOnce(&mut IndexBufferSpace) -> R,
+    ) -> R {
+        match self {
+            SpaceAccess::Shared(cache) => {
+                cache.flush();
+                f(&mut space.shard_write(shard))
+            }
+            // aib-lint: allow(no-index) — `write_all` returns one guard per shard.
+            SpaceAccess::Held(guards) => f(&mut guards[shard]),
+        }
+    }
+}
+
+/// The adapt stage — the one rule for when staged insertions reach the
+/// buffer: **before the query returns**, under the buffer's shard write
+/// lock, each page validated against the live `C[p]`
+/// ([`apply_staged_checked`]), then the governor reconciled. A sweep that
+/// staged nothing takes no lock and leaves published snapshots valid.
+fn adapt(
+    access: &mut SpaceAccess<'_, '_>,
+    space: &ShardedSpace,
+    buffer: BufferId,
+    staged: Vec<StagedPage>,
+    stats: &mut ScanStats,
+) {
+    if staged.is_empty() {
+        return;
+    }
+    access.with_shard(space, space.shard_of(buffer), |shard| {
+        shard.with_buffer_mut(buffer, |buffer, counters| {
+            apply_staged_checked(buffer, counters, staged, stats);
+        });
+        shard.sync_budget();
+    });
+}
+
+impl Database {
+    /// The plan stage: classifies `predicate` against column `ci` of `t`
+    /// once and says how the query will run. Read-only — `explain` calls
+    /// it without executing anything.
+    ///
+    /// `snapshot` is the validated space snapshot, or `None` when the
+    /// caller holds every shard guard (an [`PlanSource::Exclusive`] run —
+    /// the snapshot cannot be consulted from inside the write section, and
+    /// the locked selection does not need it).
+    ///
+    /// A buffered miss is planned from the snapshot whenever that is
+    /// provably equivalent to planning under the lock:
+    /// * every page skippable and the buffer empty → no sweep at all; this
+    ///   case allocates nothing here (no bitset resize, no predicate
+    ///   compile);
+    /// * [`ShardedSpace::plan_selection`] accepts → selection, buffer probe
+    ///   and sweep plan are fixed here. An empty buffer needs no probe; a
+    ///   non-empty one is probed under the shard *read* latch with the
+    ///   shard epoch re-checked — a match proves the live buffer is exactly
+    ///   the snapshot's. The planned prepare never reads histories, so the
+    ///   query's own Table II events may stay deferred.
+    ///
+    /// Otherwise the plan fails closed: the selection is left to the
+    /// shard-locked first step of the sweep stage.
+    pub(crate) fn plan_read(
+        &self,
+        t: &Table,
+        ci: usize,
+        predicate: &Predicate,
+        snapshot: Option<&SpaceSnapshot>,
+    ) -> ReadPlan {
+        let table_pages = t.heap.num_pages();
+        let mut plan = ReadPlan {
+            path: AccessPath::PlainScan,
+            source: PlanSource::None,
+            threads: 1,
+            range_epilogue: false,
+            table_pages,
+            indexed: false,
+            buffer: None,
+            hit: None,
+            sweep: Sweep::Plain,
+        };
+        let Some(ic) = t.index_on(ci) else {
+            return plan;
+        };
+        plan.indexed = true;
+        plan.buffer = ic.buffer;
+        // The one hit-vs-miss decision. A range is a hit only if coverage
+        // is complete AND the backend can range-scan (hash indexes cannot).
+        plan.hit = match predicate {
+            Predicate::Equals(v) => ic.partial.covers(v).then(|| ic.partial.lookup(v)),
+            Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi),
+        };
+        if plan.hit.is_some() {
+            plan.path = AccessPath::PartialIndex;
+            plan.sweep = Sweep::None;
+            return plan;
+        }
+        let Some(bid) = ic.buffer else {
+            return plan;
+        };
+        plan.path = AccessPath::BufferedScan;
+        plan.threads = planned_scan_threads(table_pages, self.config.scan_threads);
+        plan.range_epilogue = matches!(predicate, Predicate::Between(..));
+        let buffered = |planned| Sweep::Buffered {
+            buffer: bid,
+            planned,
+        };
+        let Some(snapshot) = snapshot.filter(|_| !t.tuned_point(ci, predicate)) else {
+            (plan.source, plan.sweep) = (PlanSource::Exclusive, buffered(None));
+            return plan;
+        };
+        let summary = snapshot.buffer(bid);
+        (plan.source, plan.sweep) = if summary.is_some_and(|b| b.fully_skippable(table_pages)) {
+            (PlanSource::Snapshot, Sweep::None)
+        } else {
+            match summary.and_then(|b| self.plan_sweep(t, bid, predicate, snapshot, b)) {
+                Some(planned) => (PlanSource::Snapshot, buffered(Some(planned))),
+                None => (PlanSource::ShardLocked, buffered(None)),
+            }
+        };
+        plan
+    }
+
+    /// Plans a partially-skippable buffered sweep read-only, or declines.
+    fn plan_sweep(
+        &self,
+        t: &Table,
+        bid: BufferId,
+        predicate: &Predicate,
+        snapshot: &SpaceSnapshot,
+        summary: &BufferSummary,
+    ) -> Option<PlannedSweep> {
+        let selection = self.space.plan_selection(snapshot, bid)?;
+        let mut buffer_rids = Vec::new();
+        let probe = if summary.entries() == 0 {
+            Vec::new()
+        } else {
+            let shard = self.space.shard_read(self.space.shard_of(bid));
+            if shard.epoch() != summary.epoch() {
+                // Something mutated the shard since the snapshot; the
+                // bitset/selection may be stale. Fail closed.
+                return None;
+            }
+            buffer_scan_rids(shard.buffer(bid), predicate)
+        };
+        let prep = prepare_scan_from_snapshot(
+            &t.heap,
+            summary.skip(),
+            &selection,
+            probe,
+            predicate,
+            &mut buffer_rids,
+        );
+        Some(PlannedSweep {
+            prep,
+            buffer_rids,
+            partition_pages: summary.partition_pages(),
+        })
+    }
+
+    /// The sweep and adapt stages: executes `plan` and returns the result
+    /// with the scan's instrumentation (`None` for hits and plain scans).
+    ///
+    /// The caller holds the catalog lock throughout, so the heap and the
+    /// coverage predicate cannot change mid-query; the sweep itself runs
+    /// with no Index Buffer Space lock held by this function.
+    pub(crate) fn run_read(
+        &self,
+        t: &Table,
+        ci: usize,
+        predicate: &Predicate,
+        plan: ReadPlan,
+        mut access: SpaceAccess<'_, '_>,
+    ) -> EngineResult<(QueryResult, Option<ScanStats>)> {
+        let path = plan.path;
+        let done = |rids| QueryResult { rids, path };
+        let Some(ic) = t.index_on(ci) else {
+            return Ok((done(plain_sweep(t, ci, predicate)?), None));
+        };
+        access.on_query(&self.space, plan.buffer, plan.hit.is_some());
+        if let Some(rids) = plan.hit {
+            self.charge_index_probe(ic.paged);
+            // Materialise results: the paper's "index scan" baseline
+            // includes fetching the qualifying tuples from their pages.
+            for &rid in &rids {
+                t.heap.get(rid)?;
+            }
+            return Ok((done(rids), None));
+        }
+
+        let (mut stats, mut rids) = match plan.sweep {
+            Sweep::Plain => return Ok((done(plain_sweep(t, ci, predicate)?), None)),
+            // No page to visit and no buffer entry to match: the same
+            // stats a sweep of this state reports — zero reads, one skip
+            // run covering the whole heap.
+            Sweep::None => (
+                ScanStats {
+                    pages_skipped: plan.table_pages,
+                    skip_runs: u32::from(plan.table_pages > 0),
+                    ..ScanStats::default()
+                },
+                Vec::new(),
+            ),
+            Sweep::Buffered { buffer, planned } => {
+                let planned = planned.unwrap_or_else(|| {
+                    // Algorithm 2 — the scan's single RNG draw — then the
+                    // buffer probe and the counter/selection snapshots,
+                    // all under the shard write lock.
+                    let mut buffer_rids = Vec::new();
+                    access.with_shard(&self.space, self.space.shard_of(buffer), |shard| {
+                        PlannedSweep {
+                            prep: prepare_scan(&t.heap, shard, buffer, predicate, &mut buffer_rids),
+                            partition_pages: shard.buffer(buffer).config().partition_pages,
+                            buffer_rids,
+                        }
+                    })
+                });
+                let ScanPrep {
+                    mut stats,
+                    plan: pages,
+                } = planned.prep;
+                let mut rids = planned.buffer_rids;
+                // The coverage test is the only piece of the partial index
+                // the sweep workers need, and unlike the index it is `Sync`.
+                let coverage = ic.partial.coverage();
+                let covered = |v: &Value| coverage.covers(v);
+                let chunk = sweep_plan(
+                    &t.heap,
+                    &pages,
+                    planned.partition_pages,
+                    ci,
+                    &covered,
+                    predicate,
+                    plan.threads,
+                )?;
+                stats.pages_read = chunk.pages_read;
+                stats.pages_skipped = chunk.pages_skipped;
+                rids.extend(chunk.matches);
+                adapt(&mut access, &self.space, buffer, chunk.staged, &mut stats);
+                (stats, rids)
+            }
+        };
+        stats.matches = rids.len();
+
+        if let (true, Predicate::Between(lo, hi)) = (plan.range_epilogue, predicate) {
+            // A straddling range also matches *covered* tuples, which live
+            // in pages the sweep may have skipped — answer that fraction
+            // from the partial index and deduplicate against scanned pages.
+            self.charge_index_probe(ic.paged);
+            rids.extend(ic.partial.entries_in(lo, hi));
+            rids.sort_unstable();
+            rids.dedup();
+        }
+        Ok((done(rids), Some(stats)))
+    }
+
+    /// Charges the simulated tree descent of one partial-index probe
+    /// (in-memory partial indexes stand in for disk-resident ones; see
+    /// DESIGN.md §4). Paged indexes pay real page I/O instead.
+    fn charge_index_probe(&self, paged: bool) {
+        if !paged {
+            self.stats.record_reads(
+                self.config.index_probe_pages,
+                self.config.cost_model.read_us,
+            );
+        }
+    }
+}
+
+/// Baseline: full table scan, no skipping.
+fn plain_sweep(t: &Table, ci: usize, predicate: &Predicate) -> Result<Vec<Rid>, StorageError> {
+    let mut rids = Vec::new();
+    let mut decode_err = None;
+    t.heap.scan_pages(
+        |_| false,
+        |rid, bytes| match Tuple::read_column(bytes, ci) {
+            Ok(v) => {
+                if predicate.matches(&v) {
+                    rids.push(rid);
+                }
+            }
+            Err(e) => decode_err = Some(e),
+        },
+    )?;
+    match decode_err {
+        Some(e) => Err(e),
+        None => Ok(rids),
+    }
+}

@@ -1,9 +1,8 @@
 //! Contended smoke: eight client threads hammer the snapshot-planned read
 //! path CPU-bound (`io_wait = false`, zero-cost disk, resident pool — no
-//! stalls to hide serialization behind) on a partially skippable fixture,
-//! in both `Inline` and `Queued` apply modes. Every thread checks each
-//! result against the arithmetic ground truth while racing the others'
-//! adaptation; afterwards a quiescent drain must leave the space
+//! stalls to hide serialization behind) on a partially skippable fixture.
+//! Every thread checks each result against the arithmetic ground truth
+//! while racing the others' adaptation; afterwards the space must be
 //! structurally sound (and, under `--features invariant-checks`, exact
 //! against the heap-recomputed shadow model).
 //!
@@ -16,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aib_core::{BufferConfig, SpaceConfig};
-use aib_engine::{AdaptationApplyMode, ClientHandle, Database, EngineConfig, Query};
+use aib_engine::{ClientHandle, Database, EngineConfig, Query};
 use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, CostModel, Schema, Tuple, Value};
 
@@ -24,12 +23,11 @@ const ROWS: i64 = 5_000;
 const COVERED_HI: i64 = ROWS / 10; // 90% of the domain is uncovered.
 const THREADS: usize = 8;
 
-fn build(mode: AdaptationApplyMode) -> Arc<Database> {
+fn build() -> Arc<Database> {
     let db = Database::new(EngineConfig {
         pool_frames: 1024,
         cost_model: CostModel::free(),
         io_wait: false,
-        adaptation_apply_mode: mode,
         space: SpaceConfig {
             max_bytes: None,
             i_max: 1_000_000,
@@ -103,33 +101,11 @@ fn hammer(db: &Arc<Database>, dur: Duration) {
     });
 }
 
-fn run_mode(mode: AdaptationApplyMode) {
-    let db = build(mode);
+#[test]
+fn eight_threads_stay_exact() {
+    let db = build();
     hammer(&db, Duration::from_millis(200));
-    db.drain_adaptations();
-    let stats = db.adaptation_stats();
-    assert_eq!(stats.depth, 0, "drain left batches parked");
-    assert_eq!(
-        stats.applied + stats.dropped + stats.rejected,
-        stats.enqueued,
-        "unaccounted batches"
-    );
     db.check_space_invariants();
     #[cfg(feature = "invariant-checks")]
     db.verify_invariants().unwrap();
-}
-
-#[test]
-fn eight_threads_inline_mode_stays_exact() {
-    run_mode(AdaptationApplyMode::Inline);
-}
-
-#[test]
-fn eight_threads_queued_mode_converges() {
-    run_mode(AdaptationApplyMode::Queued);
-}
-
-#[test]
-fn eight_threads_locked_baseline_stays_exact() {
-    run_mode(AdaptationApplyMode::Locked);
 }

@@ -1,29 +1,22 @@
-//! Property test of the "convergent under quiescence" contract
+//! Property test of the per-query sequential-equivalence contract
 //! (DESIGN §6): whatever the workload, coverage fraction, shard count and
-//! space budget, the snapshot-planned read path — in every
-//! `adaptation_apply_mode` — must
+//! space budget, the shared read path — `execute`: plans from the
+//! snapshot where it can, falls back to the shard-locked planner where it
+//! cannot, applies its staged insertions before returning — must
 //!
-//! 1. return exactly the result set the locked sequential executor
-//!    returns, query by query, regardless of when queued batches are
-//!    applied; and
-//! 2. after a quiescent drain (`drain_adaptations` with no query in
-//!    flight), leave the Index Buffer contents, every per-page `C[p]`,
-//!    and the governor's `IndexSpace` charge identical to the sequential
-//!    executor's — when drains happen at the same points the sequential
-//!    executor applies (after every query).
-//!
-//! A lazily drained queued run (batches parked across several queries) is
-//! additionally held to the shadow-model invariants: after the final
-//! drain, `C[p]` must match the heap ground truth and the governor charge
-//! the resident footprint — the state may legitimately lag the sequential
-//! executor's *before* quiescence, but it must never be *wrong*.
+//! 1. return exactly the result set the sequential executor
+//!    (`execute_sequential`: the same pipeline with every lock held)
+//!    returns, query by query, with the same scan statistics; and
+//! 2. leave the Index Buffer contents, every per-page `C[p]`, and the
+//!    governor's `IndexSpace` charge identical to the sequential
+//!    executor's.
 //!
 //! Extends the `proptest_space.rs` pattern (random setup → invariant
 //! assertions vs first-principles recomputation) one layer up, to the
 //! engine's executor.
 
-use aib_core::{BufferConfig, SpaceConfig};
-use aib_engine::{AdaptationApplyMode, Database, EngineConfig, Query};
+use aib_core::{BufferConfig, ScanStats, SpaceConfig};
+use aib_engine::{Database, EngineConfig, PlanSource, Query};
 use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, CostModel, Schema, Tuple, Value, DEFAULT_ENTRY_FOOTPRINT};
 use proptest::prelude::*;
@@ -41,8 +34,6 @@ struct Workload {
     /// fallback and displacement decisions).
     budget_entries: Option<usize>,
     probes: Vec<Probe>,
-    /// The lazy queued run drains only every `drain_every` queries.
-    drain_every: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -66,22 +57,23 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
             (20usize..200).prop_map(Some),
         ],
         prop::collection::vec(probe, 4..12),
-        1usize..4,
     )
         .prop_map(
-            |(rows, covered_pct, shards, budget_entries, probes, drain_every)| Workload {
+            |(rows, covered_pct, shards, budget_entries, probes)| Workload {
                 rows,
                 covered_pct,
                 shards,
                 budget_entries,
                 probes,
-                drain_every,
             },
         )
 }
 
-/// Observable end state after a quiescent drain: per-buffer entry counts,
-/// every per-page `C[p]`, and the governor's index-space byte charge.
+/// What one query reports: its result count and its scan statistics.
+type Answer = (usize, Option<ScanStats>);
+
+/// Observable end state: the buffer's entry count, every per-page `C[p]`,
+/// and the governor's index-space byte charge.
 #[derive(Debug, PartialEq, Eq)]
 struct EndState {
     entries: usize,
@@ -89,19 +81,14 @@ struct EndState {
     index_bytes: usize,
 }
 
-/// Runs the workload in one mode, draining every `drain_every` queries
-/// and once more at the end, and returns (per-query result counts, end
-/// state, adaptation stats).
-fn run(
-    w: &Workload,
-    mode: AdaptationApplyMode,
-    drain_every: usize,
-) -> (Vec<usize>, EndState, aib_core::AdaptationStats) {
+/// Runs the workload through `execute` or its sequential twin and returns
+/// (per-query result counts and scan statistics, per-query plan sources,
+/// end state).
+fn run(w: &Workload, sequential: bool) -> (Vec<Answer>, Vec<PlanSource>, EndState) {
     let db = Database::new(EngineConfig {
         pool_frames: 256,
         cost_model: CostModel::free(),
         scan_threads: 1,
-        adaptation_apply_mode: mode,
         space: SpaceConfig {
             max_bytes: w.budget_entries.map(|n| n * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 1_000,
@@ -131,7 +118,8 @@ fn run(
 
     let domain = |v: i64| 1 + (v - 1) % w.rows;
     let mut counts = Vec::with_capacity(w.probes.len());
-    for (i, probe) in w.probes.iter().enumerate() {
+    let mut plans = Vec::with_capacity(w.probes.len());
+    for probe in &w.probes {
         let q = match *probe {
             Probe::Point(v) => Query::point("t", "k", domain(v)),
             Probe::Between(lo, hi) => {
@@ -139,12 +127,15 @@ fn run(
                 Query::range("t", "k", a.min(b), a.max(b))
             }
         };
-        counts.push(db.execute(&q).unwrap().into_parts().0.count());
-        if (i + 1) % drain_every == 0 {
-            db.drain_adaptations();
+        let out = if sequential {
+            db.execute_sequential(&q)
+        } else {
+            db.execute(&q)
         }
+        .unwrap();
+        counts.push((out.result.count(), out.metrics.scan));
+        plans.push(out.metrics.plan);
     }
-    db.drain_adaptations();
 
     db.check_space_invariants();
     #[cfg(feature = "invariant-checks")]
@@ -159,52 +150,58 @@ fn run(
         index_bytes: db.budget().snapshot().index_bytes,
     };
     drop(shard);
-    (counts, end, db.adaptation_stats())
+    (counts, plans, end)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn planned_paths_converge_to_the_sequential_executor(w in workload_strategy()) {
-        // The sequential executor: every scan plans and applies under the
-        // shard write lock; its state after each query IS the contract.
-        let (seq_counts, seq_end, seq_stats) = run(&w, AdaptationApplyMode::Locked, 1);
-        prop_assert_eq!(seq_stats, aib_core::AdaptationStats::default());
+    fn planned_paths_agree_with_the_sequential_executor(w in workload_strategy()) {
+        // The sequential executor: every lock held for the whole query;
+        // its answers and its state after each query ARE the contract.
+        let (seq_counts, seq_plans, seq_end) = run(&w, true);
+        prop_assert!(seq_plans
+            .iter()
+            .all(|p| matches!(p, PlanSource::None | PlanSource::Exclusive)));
 
-        // Inline: read-only snapshot planning, synchronous locked apply —
-        // read-your-writes, so it must match without any drain help.
-        let (inline_counts, inline_end, inline_stats) =
-            run(&w, AdaptationApplyMode::Inline, 1);
-        prop_assert_eq!(&inline_counts, &seq_counts, "inline results diverged");
-        prop_assert_eq!(&inline_end, &seq_end, "inline end state diverged");
-        prop_assert_eq!(inline_stats, aib_core::AdaptationStats::default());
+        let (counts, plans, end) = run(&w, false);
+        prop_assert_eq!(&counts, &seq_counts, "results diverged");
+        prop_assert_eq!(&end, &seq_end, "end state diverged");
+        prop_assert!(!plans.contains(&PlanSource::Exclusive), "no tuner attached");
+        if w.budget_entries.is_none() {
+            // An unlimited budget is always plannable from the snapshot.
+            prop_assert!(!plans.contains(&PlanSource::ShardLocked));
+        }
+    }
+}
 
-        // Queued, drained at the sequential executor's apply points:
-        // quiescent convergence must reproduce its state exactly.
-        let (q_counts, q_end, q_stats) = run(&w, AdaptationApplyMode::Queued, 1);
-        prop_assert_eq!(&q_counts, &seq_counts, "queued results diverged");
-        prop_assert_eq!(&q_end, &seq_end, "queued end state diverged after drain");
-        prop_assert_eq!(q_stats.depth, 0, "drain left batches parked");
-        prop_assert_eq!(
-            q_stats.applied + q_stats.dropped + q_stats.rejected,
-            q_stats.enqueued,
-            "unaccounted batches"
-        );
-
-        // Queued with lazy drains: query results must STILL be exact (the
-        // scan answers staged pages by reading them), and the post-drain
-        // state must satisfy the shadow model (checked inside `run`), even
-        // though it may legitimately differ from the sequential end state
-        // when a batch was parked across a later query's planning.
-        let (lazy_counts, _lazy_end, lazy_stats) =
-            run(&w, AdaptationApplyMode::Queued, w.drain_every);
-        prop_assert_eq!(&lazy_counts, &seq_counts, "lazily drained results diverged");
-        prop_assert_eq!(lazy_stats.depth, 0, "final drain left batches parked");
-        prop_assert_eq!(
-            lazy_stats.applied + lazy_stats.dropped + lazy_stats.rejected,
-            lazy_stats.enqueued,
-            "unaccounted batches"
-        );
+/// Both planners are exercised, as the plan-source tag shows: an unlimited
+/// budget plans every miss from the snapshot, a limited budget with
+/// headroom forces the shard-locked fallback — and both still match the
+/// sequential executor.
+#[test]
+fn both_plan_sources_are_taken_and_agree() {
+    let workload = |budget_entries| Workload {
+        rows: 300,
+        covered_pct: 20,
+        shards: 2,
+        budget_entries,
+        probes: vec![
+            Probe::Point(250),
+            Probe::Between(40, 90),
+            Probe::Point(120),
+            Probe::Point(299),
+        ],
+    };
+    for (budget, expected) in [
+        (None, PlanSource::Snapshot),
+        (Some(100), PlanSource::ShardLocked),
+    ] {
+        let w = workload(budget);
+        let (counts, plans, end) = run(&w, false);
+        assert!(plans.contains(&expected), "{budget:?}: {plans:?}");
+        let (seq_counts, _, seq_end) = run(&w, true);
+        assert_eq!((counts, end), (seq_counts, seq_end), "{budget:?}");
     }
 }

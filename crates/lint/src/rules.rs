@@ -86,18 +86,6 @@ const RELAXED_ALLOWLIST: &[(&str, &str)] = &[
     // client threads; every read is for reporting, and nothing is published
     // or consumed through it.
     ("crates/engine/src/db.rs", "queries_executed"),
-    // Adaptation-queue telemetry: enqueued/applied/dropped/rejected are
-    // monotonic tallies mutated under the queue mutex or the shard write
-    // lock and read only for reporting; the synchronizing edge of the
-    // queue is the `depth` Release/Acquire pair, audited in DESIGN §6.
-    ("crates/core/src/sharded.rs", "enqueued"),
-    ("crates/core/src/sharded.rs", "applied"),
-    ("crates/core/src/sharded.rs", "dropped"),
-    ("crates/core/src/sharded.rs", "rejected"),
-    // Queue-depth cap: a config knob read at push time. No ordering guards
-    // it — a racing resize only changes whether that push parks or falls
-    // back to the inline apply, and both outcomes are correct.
-    ("crates/core/src/sharded.rs", "queue_limit"),
 ];
 
 /// Lints one stripped file. `rel` is the root-relative path.
@@ -469,9 +457,9 @@ const SYNC_RAW_PATHS: &[&str] = &[
     "std::sync::RwLock",
     "std::sync::Condvar",
     "std::sync::Barrier",
-    // A raw channel is a lock + condvar the model checker cannot see; the
-    // adaptation queue must stay a shimmed `Mutex<VecDeque>` so its
-    // push/drain edges are part of the explored schedule.
+    // A raw channel is a lock + condvar the model checker cannot see; a
+    // queue must be a shimmed `Mutex<VecDeque>` so its push/drain edges are
+    // part of the explored schedule.
     "std::sync::mpsc",
 ];
 
@@ -522,11 +510,9 @@ enum LockKind {
     /// catalog/pool checks, but cannot participate in the ascending test.
     Shard(Option<u64>),
     Pool,
-    /// A queue-class leaf mutex: the per-shard adaptation queue
-    /// (`batches`), the applier registry (`applier`), or the group-commit
-    /// queue (`queue`). These sit *below* every tier — they are taken with
-    /// shard or catalog locks already held and must never be held across
-    /// another acquisition.
+    /// A queue-class leaf mutex: the group-commit queue (`queue`). It sits
+    /// *below* every tier — it is taken with the catalog lock already held
+    /// and must never be held across another acquisition.
     Queue,
 }
 
@@ -540,8 +526,8 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
         for (line_idx, kind) in lock_acquisitions(&stripped.text, body.clone()) {
             // Queue-class mutexes are leaves of the whole hierarchy:
             // acquiring *any* tiered lock after one in the same body risks
-            // a deadlock against the drain path, which enters the queue
-            // with the shard write lock already held.
+            // a deadlock against the staging path, which enters the queue
+            // with the catalog write lock already held.
             if let Some(queue_line) = queue_seen {
                 if !matches!(kind, LockKind::Queue) {
                     push(
@@ -552,7 +538,7 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
                         "lock-order",
                         format!(
                             "tiered lock acquired after a queue-class leaf mutex (queue \
-                             lock at line {}); adaptation/commit queue mutexes are \
+                             lock at line {}); commit queue mutexes are \
                              leaves below catalog → shard(i) → pool and must be \
                              released before any other acquisition",
                             queue_line + 1
@@ -739,12 +725,7 @@ fn lock_acquisitions(text: &str, range: std::ops::Range<usize>) -> Vec<(usize, L
                 .rev()
                 .collect();
             let lower = recv.to_lowercase();
-            // Queue names first: `queues[shard]` contains "shard" but is the
-            // adaptation queue of that shard, not the shard lock itself.
-            let kind = if lower.contains("queue")
-                || lower.contains("batches")
-                || lower.contains("applier")
-            {
+            let kind = if lower.contains("queue") {
                 Some(LockKind::Queue)
             } else if lower.contains("catalog") {
                 Some(LockKind::Catalog)

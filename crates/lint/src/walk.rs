@@ -57,10 +57,13 @@ fn collect_into(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> Result<
 }
 
 /// True when the root-relative path is test-adjacent code (integration tests,
-/// benches, examples, fixtures) that the library-code rules skip.
+/// benches, examples, fixtures) that the library-code rules skip. The
+/// stand-alone `e2e/` benchmark package is a bench harness end to end.
 pub fn is_test_code(rel: &str) -> bool {
-    rel.split('/')
-        .any(|part| matches!(part, "tests" | "benches" | "examples" | "fixtures"))
+    rel.starts_with("e2e/")
+        || rel
+            .split('/')
+            .any(|part| matches!(part, "tests" | "benches" | "examples" | "fixtures"))
 }
 
 /// True when the root-relative path is a crate root (`src/lib.rs` of the

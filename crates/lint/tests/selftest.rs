@@ -89,8 +89,8 @@ fn sync_shim_fires_on_raw_paths_outside_shim() {
         "use parking_lot::RwLock;\n",
         "use std::sync::Mutex;\n",
         "fn f() { std::sync::atomic::fence(Ordering::SeqCst); }\n",
-        // A raw channel hides the adaptation queue's push/drain edges from
-        // the model runtime; the queue must be a shimmed Mutex<VecDeque>.
+        // A raw channel hides a queue's push/drain edges from the model
+        // runtime; queues must be a shimmed Mutex<VecDeque>.
         "use std::sync::mpsc::channel;\n",
         "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u32>(); let _ = (tx, rx); }\n",
     ] {
@@ -212,26 +212,22 @@ fn lock_order_fires_on_descending_shard_indices() {
 
 #[test]
 fn lock_order_fires_on_tiered_lock_after_queue_leaf() {
-    // Queue-class mutexes (adaptation `batches`, the `applier` registry,
-    // the group-commit `queue`) are leaves of the whole hierarchy: the
-    // drain path enters them with the shard write lock already held, so
-    // holding one while acquiring any tiered lock is an inversion.
+    // The group-commit `queue` mutex is a leaf of the whole hierarchy:
+    // stagers enter it with the catalog write lock already held, so holding
+    // it while acquiring any tiered lock is an inversion.
     for bad in [
         "fn f(&self) { let q = self.queue.lock(); let g = self.space.shard_write(0); }\n",
-        "fn f(&self) { let b = self.batches.lock(); let c = self.catalog.read(); }\n",
-        "fn f(&self) { let a = self.applier.lock(); let p = self.pool.lock(); }\n",
-        "fn f(&self) { let q = self.queues[0].batches.lock(); let s = self.shards[0].write(); }\n",
+        "fn f(&self) { let q = self.queue.lock(); let c = self.catalog.read(); }\n",
+        "fn f(&self) { let q = self.queue.lock(); let p = self.pool.lock(); }\n",
     ] {
         let v = lint_lib(bad);
         assert!(rules_of(&v).contains("lock-order"), "{bad}: {v:?}");
     }
     for good in [
-        // The drain shape: queue taken with the shard lock already held.
-        "fn f(&self) { let g = self.space.shard_write(0); let q = self.queues[0].batches.lock(); }\n",
+        // The staging shape: queue taken with the catalog lock already held.
+        "fn f(&self) { let c = self.catalog.write(); let q = self.queue.lock(); }\n",
         // The group-commit leader: wal (untiered) then the commit queue.
         "fn f(&self) { let w = self.wal.lock(); let q = self.queue.lock(); }\n",
-        // Queue-class locks among themselves are unordered leaves.
-        "fn f(&self) { let q = self.batches.lock(); let a = self.applier.lock(); }\n",
         // Per-function scoping holds here too.
         "fn a(&self) { let q = self.queue.lock(); }\nfn b(&self) { let s = self.space.read(); }\n",
     ] {

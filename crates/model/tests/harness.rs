@@ -32,7 +32,6 @@ const SEEDED_BUGS: &[&str] = &[
     "wal_unlocked_log",
     "abba_shard_locks",
     "commit_ack_before_fsync",
-    "queued_apply_skips_epoch_check",
 ];
 
 fn workspace_root() -> PathBuf {

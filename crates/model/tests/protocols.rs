@@ -17,11 +17,11 @@
 
 use std::sync::Arc;
 
-use aib_core::{AdaptationBatch, BufferConfig, ShardedSpace, SpaceConfig, StagedPage};
+use aib_core::{BufferConfig, ShardedSpace, SpaceConfig};
 use aib_model::protocols::{CommitQueueModel, ShardPair, WalModel};
 use aib_model::sync::{AtomicU64, Ordering};
 use aib_model::{thread, Model};
-use aib_storage::{BudgetComponent, MemoryBudget, Rid, Value};
+use aib_storage::{BudgetComponent, MemoryBudget};
 
 fn one_shard() -> SpaceConfig {
     SpaceConfig {
@@ -305,65 +305,5 @@ fn commit_ack_happens_after_covering_fsync() {
         let b = writer(&queue);
         a.join();
         b.join();
-    });
-}
-
-/// Protocol 8 — queued adaptation apply vs a DDL-class writer (PR 10). A
-/// planned scan parks an epoch-stamped batch; a concurrent writer clears
-/// the buffer and resets the counters (the `redefine_coverage` shape,
-/// which bumps the shard epoch). However push and drain interleave with
-/// the write window, the batch must never resurrect pre-DDL entries:
-/// either it applied *before* the clear (and was wiped with everything
-/// else) or its epoch stamp is stale at drain time and it is dropped.
-///
-/// Catches: `queued_apply_skips_epoch_check` (the drain applies every
-/// batch regardless of its stamp, so a parked batch re-inserts entries the
-/// DDL just invalidated).
-#[test]
-fn adaptation_queue_vs_ddl() {
-    Model::new("adaptation_queue_vs_ddl").check(|| {
-        let space = Arc::new(ShardedSpace::new(one_shard()));
-        let b0 = space.register("b", BufferConfig::default(), vec![1]);
-        // The epoch a planned scan would have stamped: read pre-spawn, like
-        // a snapshot taken before either thread runs.
-        let epoch = space.shard_read(0).epoch();
-
-        let scanner = {
-            let space = Arc::clone(&space);
-            thread::spawn(move || {
-                let _ = space.push_adaptation(AdaptationBatch {
-                    buffer: b0,
-                    epoch,
-                    staged: vec![StagedPage {
-                        ordinal: 0,
-                        entries: vec![(Value::Int(7), Rid::new(0, 0))],
-                    }],
-                });
-            })
-        };
-        let ddl = {
-            let space = Arc::clone(&space);
-            thread::spawn(move || {
-                let mut guard = space.shard_write(0);
-                guard.clear_buffer(b0);
-                guard.reset_counters(b0, vec![2]);
-            })
-        };
-        scanner.join();
-        ddl.join();
-
-        // Quiescence: drain whatever is still parked, then audit.
-        drop(space.shard_write(0));
-        let guard = space.shard_read(0);
-        assert_eq!(
-            guard.buffer(b0).num_entries(),
-            0,
-            "a stale adaptation batch resurrected entries the DDL cleared"
-        );
-        assert_eq!(
-            guard.counters(b0).get(0),
-            2,
-            "a stale adaptation batch decremented post-DDL counters"
-        );
     });
 }

@@ -21,11 +21,14 @@
 //! pool method ever calls back out into engine state, so no pool lock is ever
 //! held around a catalog or space acquisition. Internally the order is
 //!
-//! 1. `state` (page table, free list, policy) — never held across I/O;
+//! 1. `state` (page table, free list, policy) — never held across a page
+//!    *read*; the one I/O under it is a dirty eviction victim's write-back
+//!    (see `remap_frame`), which must land before the victim's mapping
+//!    leaves the page table;
 //! 2. per-frame `RwLock`s — acquired after `state` only for frames proven
 //!    unpinned (no holders, cannot block), otherwise after releasing `state`;
-//! 3. `disk` — taken last, for the duration of one read/write/batch, never
-//!    while `state` is held.
+//! 3. `disk` — taken last, for the duration of one read/write/batch; a leaf:
+//!    nothing is acquired while it is held.
 //!
 //! Wall-clock I/O stalls ([`BufferPoolConfig::io_wait`]) honour the same
 //! rule: the thread sleeps holding only the frame lock of the page being
@@ -222,10 +225,6 @@ impl BufferPool {
     pub fn new_page(self: &Arc<Self>) -> Result<(PageId, PageWriteGuard), StorageError> {
         let pid = self.disk.lock().allocate()?;
         let (frame, mut guard) = self.prepare_frame(pid)?;
-        // The claimed frame may hold an evicted dirty page; persist it first.
-        if let (Some(old), true) = (guard.page, guard.dirty) {
-            self.disk.lock().write(old, &guard.data)?;
-        }
         guard.page = Some(pid);
         guard.dirty = true;
         guard.data.fill(0);
@@ -339,8 +338,7 @@ impl BufferPool {
     }
 
     /// Miss path: claims a frame for `pid` (possibly evicting), performs the
-    /// write-back and the disk read, and returns the frame write-locked and
-    /// pinned.
+    /// disk read, and returns the frame write-locked and pinned.
     fn load_into_frame(
         self: &Arc<Self>,
         pid: PageId,
@@ -351,16 +349,10 @@ impl BufferPool {
         if guard.page == Some(pid) {
             return Ok((frame, guard));
         }
-        // Write back the evicted page, then read ours — both without the
-        // state lock, so other frames stay usable during I/O. Concurrent
-        // fetchers of `pid` block on this frame's lock until we are done.
-        let fill = (|| {
-            if let (Some(old), true) = (guard.page, guard.dirty) {
-                self.disk.lock().write(old, &guard.data)?;
-            }
-            self.disk.lock().read(pid, &mut guard.data)
-        })();
-        match fill {
+        // Read our page without the state lock, so other frames stay usable
+        // during I/O. Concurrent fetchers of `pid` block on this frame's
+        // lock until we are done.
+        match self.disk.lock().read(pid, &mut guard.data) {
             Ok(()) => {
                 // Stall outside the disk mutex: concurrent misses on *other*
                 // pages overlap their waits; fetchers of this same page block
@@ -412,14 +404,45 @@ impl BufferPool {
         let frame = self.claim_frame(&mut state)?;
         // Unpinned frames have no guard holders, so this cannot block while
         // we hold the state lock.
-        let guard = RwLock::write_arc(&self.frames[frame]);
-        if let Some(old_pid) = guard.page {
+        let mut guard = RwLock::write_arc(&self.frames[frame]);
+        self.remap_frame(&mut state, frame, &mut guard, pid)?;
+        Ok((frame, guard))
+    }
+
+    /// Hands the just-claimed, write-locked `frame` over to `pid`, pinned,
+    /// under the state lock.
+    ///
+    /// A dirty victim is written back *before* its mapping leaves the page
+    /// table. Unmapping first and writing after the state lock is released
+    /// loses writes: a concurrent fetch of the victim misses in the window,
+    /// reads the stale image from the backend, and every later reader sees
+    /// that instead of the update that sat in this frame. The write is the
+    /// only I/O ever done under the state lock; it is an 8 KiB copy (the
+    /// simulated disk's page map, the file backend's no-steal overlay).
+    ///
+    /// On a write error the victim stays mapped and goes back to the policy
+    /// as evictable — the pool is as if the frame was never claimed.
+    fn remap_frame(
+        &self,
+        state: &mut PoolState,
+        frame: FrameId,
+        cell: &mut FrameCell,
+        pid: PageId,
+    ) -> Result<(), StorageError> {
+        if let Some(old_pid) = cell.page {
+            if cell.dirty {
+                if let Err(e) = self.disk.lock().write(old_pid, &cell.data) {
+                    state.policy.record_access(frame);
+                    return Err(e);
+                }
+                cell.dirty = false;
+            }
             state.page_table.remove(&old_pid);
         }
         state.page_table.insert(pid, frame);
         self.pins[frame].fetch_add(1, Ordering::Relaxed);
         state.policy.record_access(frame);
-        Ok((frame, guard))
+        Ok(())
     }
 
     /// Claims one frame for a not-yet-resident page, under the state lock.
@@ -493,16 +516,14 @@ impl BufferPool {
                     frames.push(frame);
                     continue;
                 }
-                match self.claim_frame(&mut state) {
-                    Ok(frame) => {
-                        // Unpinned frames have no guard holders: non-blocking.
-                        let guard = RwLock::write_arc(&self.frames[frame]);
-                        if let Some(old_pid) = guard.page {
-                            state.page_table.remove(&old_pid);
-                        }
-                        state.page_table.insert(pid, frame);
-                        self.pins[frame].fetch_add(1, Ordering::Relaxed);
-                        state.policy.record_access(frame);
+                let claimed = self.claim_frame(&mut state).and_then(|frame| {
+                    // Unpinned frames have no guard holders: non-blocking.
+                    let mut guard = RwLock::write_arc(&self.frames[frame]);
+                    self.remap_frame(&mut state, frame, &mut guard, pid)?;
+                    Ok((frame, guard))
+                });
+                match claimed {
+                    Ok((frame, guard)) => {
                         frames.push(frame);
                         misses.push(Miss {
                             at: i,
@@ -514,10 +535,10 @@ impl BufferPool {
                         // Unwind so the pool is as if the call never
                         // happened. No frame data was touched yet, so a
                         // claimed frame that evicted a victim simply gets
-                        // its victim's mapping restored (no write-back, no
-                        // data loss — this path is reachable under ordinary
-                        // pin pressure); fresh frames go back to the free
-                        // list and return their reservation.
+                        // its victim's mapping restored (its image is intact
+                        // and already written back — this path is reachable
+                        // under ordinary pin pressure); fresh frames go back
+                        // to the free list and return their reservation.
                         for &frame in &frames {
                             self.pins[frame].fetch_sub(1, Ordering::Release);
                         }
@@ -543,22 +564,12 @@ impl BufferPool {
         self.stats.record_hits(hits);
         self.stats.record_misses(misses.len() as u64);
         if !misses.is_empty() {
-            // One disk-lock acquisition for the whole run: write back every
-            // evicted dirty page, then fill all miss frames in one batched
-            // read request.
-            let fill = (|| {
-                let mut disk = self.disk.lock();
-                for m in &misses {
-                    if let (Some(old), true) = (m.guard.page, m.guard.dirty) {
-                        disk.write(old, &m.guard.data)?;
-                    }
-                }
-                let mut reqs: Vec<(PageId, &mut [u8; PAGE_SIZE])> = misses
-                    .iter_mut()
-                    .map(|m| (pids[m.at], &mut *m.guard.data))
-                    .collect();
-                disk.read_batch(&mut reqs)
-            })();
+            // Fill all miss frames in one batched read request.
+            let mut reqs: Vec<(PageId, &mut [u8; PAGE_SIZE])> = misses
+                .iter_mut()
+                .map(|m| (pids[m.at], &mut *m.guard.data))
+                .collect();
+            let fill = self.disk.lock().read_batch(&mut reqs);
             match fill {
                 Ok(()) => {
                     // One stall for the whole batched request, after the disk
@@ -1089,20 +1100,23 @@ mod tests {
         w0[0] = 0xEE;
         drop(w0);
         let (_p1, g1) = pool.new_page().unwrap();
-        // The batch displaces p0 for its first claim, then fails the second:
-        // the unwind must restore p0's mapping without any disk I/O.
+        // The batch displaces p0 for its first claim (writing the dirty
+        // victim back before unmapping it), then fails the second: the
+        // unwind must restore p0's mapping without reading anything.
         let before = pool.stats().snapshot();
         let err = pool.pin_batch(&[p2, p3]).unwrap_err();
         assert_eq!(err, StorageError::PoolExhausted);
         let d = pool.stats().snapshot().since(&before);
         assert_eq!(
             (d.page_reads, d.page_writes),
-            (0, 0),
-            "no I/O on the claim-error unwind"
+            (0, 1),
+            "only the victim's write-back on the claim-error unwind"
         );
         drop(g1);
-        // The dirty page survived with its data (disk never saw 0xEE).
+        // The page survived with its data, still resident.
+        let before = pool.stats().snapshot();
         assert_eq!(pool.fetch_read(p0).unwrap()[0], 0xEE);
+        assert_eq!(pool.stats().snapshot().since(&before).page_reads, 0);
         // And the pool still serves the batch once pins are released.
         let pins = pool.pin_batch(&[p2, p3]).unwrap();
         let vals: Vec<u8> = pins.into_iter().map(|p| p.read()[0]).collect();
