@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the buffer pool: hit/miss fetch cost and
-//! the replacement policies under a scan-like access pattern.
+//! the LRU bookkeeping under a scan-like access pattern.
 
-use aib_storage::replacement::{ClockPolicy, DisplacementPolicy, LruKPolicy, LruPolicy};
+use aib_storage::replacement::LruPolicy;
 use aib_storage::{BufferPool, BufferPoolConfig, CostModel, DiskManager, PageId};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn bench_fetch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_policies(c: &mut Criterion) {
+fn bench_lru_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("replacement_policy_ops");
     let frames = 1024usize;
     let accesses: Vec<usize> = {
@@ -60,27 +60,21 @@ fn bench_policies(c: &mut Criterion) {
             })
             .collect()
     };
-    let run = |policy: &mut dyn DisplacementPolicy| {
-        for (i, &f) in accesses.iter().enumerate() {
-            policy.record_access(f);
-            if i % 16 == 0 {
-                if let Some(victim) = policy.displace(&|_| false) {
-                    black_box(victim);
+    group.bench_function(BenchmarkId::new("lru", frames), |b| {
+        b.iter(|| {
+            let mut policy = LruPolicy::new();
+            for (i, &f) in accesses.iter().enumerate() {
+                policy.record_access(f);
+                if i % 16 == 0 {
+                    if let Some(victim) = policy.displace(&|_| false) {
+                        black_box(victim);
+                    }
                 }
             }
-        }
-    };
-    group.bench_function(BenchmarkId::new("lru", frames), |b| {
-        b.iter(|| run(&mut LruPolicy::new()))
-    });
-    group.bench_function(BenchmarkId::new("clock", frames), |b| {
-        b.iter(|| run(&mut ClockPolicy::new(frames)))
-    });
-    group.bench_function(BenchmarkId::new("lru_k2", frames), |b| {
-        b.iter(|| run(&mut LruKPolicy::new(2)))
+        })
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_fetch, bench_policies);
+criterion_group!(benches, bench_fetch, bench_lru_ops);
 criterion_main!(benches);

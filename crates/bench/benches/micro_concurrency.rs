@@ -66,10 +66,8 @@ fn build_fraction(
         pool_frames,
         cost_model: cost,
         io_wait,
-        // Client threads are the parallelism under test. One sweep worker
-        // per query (what the committed 1-core recordings ran with) also
-        // keeps 8 clients x one 4-frame sweep batch within the 32-frame
-        // scaling pool; intra-query workers on top exhaust it.
+        // Client threads are the parallelism under test: one sweep worker
+        // per query, what the committed recordings ran with.
         scan_threads: 1,
         space: SpaceConfig {
             max_bytes: Some(0),

@@ -126,6 +126,10 @@ fn build_cold() -> Database {
 // pinned to zero entries, the skippable fraction stays exactly at the
 // configured percentage across queries. Each query probes the first
 // uncovered key, forcing the indexing-scan path over the remaining pages.
+// A `plain` point — the same table with no index, so the same 516 pages
+// through the same sweep with nothing skippable — sits beside the 0 % row:
+// the two must cost the same, or the "buffer vs. table scan" comparisons
+// built on them are not fair.
 // ---------------------------------------------------------------------------
 
 const SWEEP_ROWS: i64 = 50_000;
@@ -140,7 +144,9 @@ struct SweepPoint {
     rows_per_sec: f64,
 }
 
-fn build_fraction(pct: u32) -> (Database, i64) {
+/// The sweep fixture with `pct` percent of the pages skippable, or with no
+/// index at all (`None`: every query is a plain scan).
+fn build_fraction(pct: Option<u32>) -> (Database, i64) {
     let db = Database::new(aib_engine::EngineConfig {
         pool_frames: 1024, // whole table resident: measures scan CPU cost
         cost_model: CostModel::free(),
@@ -161,6 +167,9 @@ fn build_fraction(pct: u32) -> (Database, i64) {
         )
         .unwrap();
     }
+    let Some(pct) = pct else {
+        return (db, 1);
+    };
     let hi = pct as i64 * SWEEP_ROWS / 100;
     db.create_partial_index(
         "t",
@@ -173,6 +182,7 @@ fn build_fraction(pct: u32) -> (Database, i64) {
     (db, hi + 1)
 }
 
+/// One point per fraction of [`FRACTIONS`], then the `plain` point.
 fn covered_fraction_sweep(quick: bool) -> Vec<SweepPoint> {
     let iters = if quick { 3 } else { 25 };
     let mut points = Vec::new();
@@ -181,8 +191,9 @@ fn covered_fraction_sweep(quick: bool) -> Vec<SweepPoint> {
         "{:>13} {:>12} {:>11} {:>13} {:>14}",
         "skippable", "wall/query", "pages_read", "pages_skipped", "rows/sec"
     );
-    for pct in FRACTIONS {
-        let (db, probe) = build_fraction(pct);
+    for fraction in FRACTIONS.into_iter().map(Some).chain([None]) {
+        let (db, probe) = build_fraction(fraction);
+        let pct = fraction.unwrap_or(0);
         for _ in 0..2 {
             let (r, _) = db
                 .execute(&Query::point("t", "k", probe))
@@ -191,7 +202,8 @@ fn covered_fraction_sweep(quick: bool) -> Vec<SweepPoint> {
             black_box(r.count());
         }
         let mut samples = Vec::with_capacity(iters);
-        let mut pages_read = 0;
+        // A plain scan reports no `ScanStats`; it reads the whole table.
+        let mut pages_read = db.table("t").unwrap().num_pages();
         let mut pages_skipped = 0;
         for _ in 0..iters {
             let t0 = Instant::now();
@@ -214,7 +226,8 @@ fn covered_fraction_sweep(quick: bool) -> Vec<SweepPoint> {
         } else {
             0.0
         };
-        println!("{pct:>12}% {wall_us:>10.1}us {pages_read:>11} {pages_skipped:>13} {rows_per_sec:>14.0}");
+        let label = fraction.map_or("plain".to_string(), |pct| format!("{pct}%"));
+        println!("{label:>13} {wall_us:>10.1}us {pages_read:>11} {pages_skipped:>13} {rows_per_sec:>14.0}");
         points.push(SweepPoint {
             skippable_pct: pct,
             wall_us,
@@ -266,9 +279,15 @@ fn emit_bench_json(points: &[SweepPoint], quick: bool) {
         println!("(set AIB_SCAN_JSON=<path> to record the sweep in BENCH_scan.json)");
         return;
     };
+    let (plain, fractions) = points
+        .split_last()
+        .expect("the sweep ends with the plain point");
     let current = format!(
-        "{{\n    \"label\": \"covered-fraction sweep\",\n    \"quick\": {quick},\n    \"points\": {}\n  }}",
-        points_json(points, "    ")
+        "{{\n    \"label\": \"covered-fraction sweep\",\n    \"quick\": {quick},\n    \"points\": {},\n    \"plain\": {{ \"wall_us\": {:.1}, \"pages_read\": {}, \"rows_per_sec\": {:.0} }}\n  }}",
+        points_json(fractions, "    "),
+        plain.wall_us,
+        plain.pages_read,
+        plain.rows_per_sec
     );
     // Preserve the recorded pre-PR baseline across regenerations; a fresh
     // file records the present numbers as its own first trajectory point.

@@ -11,10 +11,11 @@
 //! * [`counters::PageCounters`] — the `C[p]` array of unindexed tuples per
 //!   page (§III).
 //! * [`scan::indexing_scan`] — Algorithm 1: scan the buffer, skip
-//!   `C[p] == 0` pages, index selected pages as you pass them.
-//! * [`scan::indexing_scan_parallel`] — the same algorithm split into
-//!   parallel read-only discovery over partition-aligned page chunks plus a
-//!   sequential, ordered apply; bit-for-bit sequential-equivalent.
+//!   `C[p] == 0` pages, index selected pages as you pass them. It is the
+//!   one-worker composition of [`scan::prepare_scan`], [`scan::sweep_plan`]
+//!   (read-only discovery over partition-aligned page chunks, on any number
+//!   of workers) and [`scan::apply_staged`] (the sequential, ordered
+//!   mutation); the result is bit-for-bit the same at any worker count.
 //! * [`index_buffer::IndexBuffer`] / [`partition::Partition`] — the
 //!   partitioned scratch-pad itself (§IV, Fig. 5); displacement drops whole
 //!   partitions and restores counters exactly.
@@ -24,8 +25,7 @@
 //!   paper's entry bound `L` compiles down to bytes, shared with the buffer
 //!   pool via [`aib_storage::MemoryBudget`]), the benefit model
 //!   `b_p = X_p / T_B`, and Algorithm 2's page selection with two-stage
-//!   probabilistic victim selection expressed as a
-//!   [`aib_storage::DisplacementPolicy`].
+//!   probabilistic victim selection ([`space::BenefitPolicy`]).
 //! * [`maintenance::maintain`] — the 16 DML maintenance cases of Table I.
 //!
 //! ```
@@ -87,10 +87,9 @@ pub use invariants::{verify_buffer, verify_shards, verify_space, GroundTruth, In
 pub use maintenance::{cover_tuple, maintain, uncover_tuple, MaintAction, TupleRef};
 pub use partition::{page_range_chunks, Partition, PartitionId};
 pub use scan::{
-    apply_staged, apply_staged_checked, buffer_scan_rids, indexing_scan, indexing_scan_parallel,
-    planned_scan_threads, prepare_scan, prepare_scan_from_snapshot, scan_chunk, sweep_plan,
-    ChunkResult, CompiledPredicate, Predicate, ScanPlan, ScanPrep, ScanStats, StagedPage,
-    CHUNKS_PER_THREAD, MIN_PAGES_PER_THREAD,
+    apply_staged, buffer_scan_rids, indexing_scan, planned_scan_threads, prepare_scan,
+    prepare_scan_from_snapshot, scan_chunk, sweep_plan, ChunkResult, CompiledPredicate, Predicate,
+    ScanPlan, ScanPrep, ScanStats, StagedPage, CHUNKS_PER_THREAD, MIN_PAGES_PER_THREAD,
 };
 pub use sharded::{BufferSummary, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceSnapshot};
 pub use space::{BenefitPolicy, BufferPending, Displacement, IndexBufferSpace, Selection};

@@ -39,26 +39,30 @@
 //! pool-bookkeeping pass and one batched disk request per batch rather than
 //! one of each per page.
 //!
-//! # Parallel execution
+//! # One sweep, split at the mutation boundary
 //!
-//! [`indexing_scan_parallel`] splits the same algorithm into three phases so
-//! that the table sweep can fan out across threads while the result stays
-//! *sequential-equivalent* — bit-for-bit the same `Q`, buffer contents,
-//! partition composition and `C[p]` counters as [`indexing_scan`]:
+//! Algorithm 1's page loop exists once, in [`scan_chunk`], and it only
+//! *reads*: it evaluates the predicate and stages the entries line 16 would
+//! insert. Every scan is the same three steps around it:
 //!
-//! 1. **Select + buffer scan (sequential).** `SelectPagesForBuffer` draws
-//!    from the space's RNG exactly once, and the buffer scan appends its
-//!    matches to `out` first — identical to the sequential path. Both scans
-//!    share this preamble (and the [`ScanPlan`] it produces) via one
-//!    `prepare_scan` helper, so the two paths cannot drift.
-//! 2. **Discover (parallel, read-only).** The page range is cut into
-//!    partition-aligned chunks ([`page_range_chunks`]); workers claim chunks
-//!    in order and run [`scan_chunk`], which only *reads* pages and stages
-//!    would-be buffer entries per page.
+//! 1. **Prepare (sequential).** [`prepare_scan`] runs `SelectPagesForBuffer`
+//!    (the space's single RNG draw per scan), appends the buffer's own
+//!    matches to `out`, and fixes the [`ScanPlan`] snapshots.
+//!    [`prepare_scan_from_snapshot`] builds the same value from a published
+//!    snapshot with no lock held; both end in one shared tail.
+//! 2. **Sweep (read-only, any number of workers).** [`sweep_plan`] cuts the
+//!    page range into partition-aligned chunks ([`page_range_chunks`]);
+//!    workers claim chunks in order and run [`scan_chunk`]. One worker is
+//!    the sequential scan.
 //! 3. **Apply (sequential, ordered).** Chunk results merge in ascending page
 //!    order: matches append to `out` in page order, and staged pages feed
 //!    [`apply_staged`], which inserts into the buffer and zeroes `C[p]` in
-//!    the exact order the sequential scan would.
+//!    page order.
+//!
+//! [`indexing_scan`] is that composition with one worker. Because the plan
+//! is fixed before any page is read and the apply is ordered, the result —
+//! `Q`, buffer contents, partition composition, `C[p]`, [`ScanStats`] — is
+//! bit-for-bit the same at any worker count; only wall-clock differs.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
@@ -169,7 +173,7 @@ impl CompiledPredicate {
     }
 
     /// Pushes the rid of every matching live tuple on one page — the
-    /// page-level fast path behind both scan drivers. The predicate shape is
+    /// page-level fast path of the sweep. The predicate shape is
     /// dispatched once per page, not once per row; the `Equals` row loop is
     /// a slot-directory decode, a bounds-checked window read, and an inlined
     /// short byte compare, nothing else. Failure modes: the `Between` arm
@@ -261,15 +265,15 @@ pub struct ScanStats {
     pub pages_indexed: u32,
     /// Contiguous fully-indexed runs the sweep jumped whole.
     ///
-    /// Computed analytically from the skip snapshot so sequential and
-    /// parallel scans report the identical figure regardless of chunking.
+    /// Computed analytically from the skip snapshot, so the figure is the
+    /// same at any worker count regardless of chunking.
     pub skip_runs: u32,
     /// Batched page-sweep requests a *sequential* sweep issues for the
     /// unskipped runs (runs are read [`HeapFile::sweep_batch_pages`] pages
     /// per batch; batches never span a skip gap).
     ///
-    /// Computed analytically from the skip snapshot so sequential and
-    /// parallel scans report the identical figure regardless of chunking.
+    /// Computed analytically from the skip snapshot, so the figure is the
+    /// same at any worker count regardless of chunking.
     pub sweep_batches: u32,
     /// Buffer entries added by this scan.
     pub entries_added: u64,
@@ -295,14 +299,13 @@ pub struct ScanPlan {
     pub num_pages: u32,
 }
 
-/// The shared pre-sweep portion of Algorithm 1 — everything both scan
-/// flavours do identically before touching table pages.
+/// The pre-sweep portion of Algorithm 1 — everything a scan does before
+/// touching table pages.
 ///
 /// Public because the staged-apply boundary is also the engine's
 /// *concurrency* boundary: a multi-client executor runs [`prepare_scan`]
 /// under its space write lock, the sweep ([`sweep_plan`]) with no space lock
-/// at all, and the apply ([`apply_staged_checked`]) under the write lock
-/// again.
+/// at all, and the apply ([`apply_staged`]) under the write lock again.
 #[derive(Debug)]
 pub struct ScanPrep {
     /// Stats with selection, buffer-scan and analytic sweep fields filled.
@@ -314,8 +317,7 @@ pub struct ScanPrep {
 /// Runs lines 1–10 of Algorithm 1 plus sweep planning: page selection (with
 /// displacement), the Index Buffer scan (matches appended to `out`), the
 /// skip/to-index snapshots, predicate compilation, and the analytic
-/// run/batch statistics. Both [`indexing_scan`] and
-/// [`indexing_scan_parallel`] start here, so the two paths cannot drift.
+/// run/batch statistics.
 pub fn prepare_scan(
     heap: &HeapFile,
     space: &mut IndexBufferSpace,
@@ -323,47 +325,22 @@ pub fn prepare_scan(
     predicate: &Predicate,
     out: &mut Vec<Rid>,
 ) -> ScanPrep {
-    let mut stats = ScanStats::default();
-
     // Line 7: I ← SelectPagesForBuffer() — with displacement as needed.
     let selection = space.select_pages_for_buffer(buffer_id);
-    stats.partitions_dropped = selection.displaced.len();
-    stats.entries_displaced = selection.displaced.iter().map(|d| d.entries_freed).sum();
-    let num_pages = heap.num_pages();
-    let mut to_index = SkipBitset::with_len(num_pages);
-    for &p in &selection.pages {
-        to_index.insert(p);
-    }
 
     // Lines 8–10: Index Buffer scan. Read-only from here on: a prepare
     // that selects nothing (and displaces nothing) leaves the space's
     // mutation epoch untouched, so published snapshots stay valid across
     // fully-skippable queries.
     let buffer_rids = buffer_scan_rids(space.buffer(buffer_id), predicate);
-    stats.buffer_matches = buffer_rids.len();
-    out.extend_from_slice(&buffer_rids);
 
     // Snapshot of the skip bitset; the sweep (and every chunk worker) never
     // sees mid-scan zeroing.
-    let skip = space.counters(buffer_id).skip_snapshot(num_pages);
-
-    // Analytic sweep shape: how many fully-indexed runs a sequential sweep
-    // jumps whole and how many batched reads it issues for the rest.
-    // Derived from the plan, not from execution, so parallel chunking
-    // cannot change the reported figures.
-    let (skip_runs, sweep_batches) = skip.sweep_shape(num_pages, heap.sweep_batch_pages() as u32);
-    stats.skip_runs = skip_runs;
-    stats.sweep_batches = sweep_batches;
-
-    ScanPrep {
-        stats,
-        plan: ScanPlan {
-            skip,
-            to_index,
-            compiled: CompiledPredicate::compile(predicate),
-            num_pages,
-        },
-    }
+    let skip = space.counters(buffer_id).skip_snapshot(heap.num_pages());
+    let mut prep = finish_prepare(heap, skip, &selection.pages, buffer_rids, predicate, out);
+    prep.stats.partitions_dropped = selection.displaced.len();
+    prep.stats.entries_displaced = selection.displaced.iter().map(|d| d.entries_freed).sum();
+    prep
 }
 
 /// The snapshot-planned twin of [`prepare_scan`]: builds the same
@@ -377,7 +354,8 @@ pub fn prepare_scan(
 /// `buffer_rids` from either an empty buffer (no probe at all) or an
 /// epoch-guarded probe of the live buffer under the shard *read* latch.
 /// Displacement fields are structurally zero — a plan with displacement is
-/// not plannable and never reaches here.
+/// not plannable and never reaches here. An empty `skip` and an empty
+/// `selection` plan the plain table scan: every page read, none indexed.
 pub fn prepare_scan_from_snapshot(
     heap: &HeapFile,
     skip: &SkipBitset,
@@ -386,22 +364,39 @@ pub fn prepare_scan_from_snapshot(
     predicate: &Predicate,
     out: &mut Vec<Rid>,
 ) -> ScanPrep {
-    let mut stats = ScanStats::default();
-    let num_pages = heap.num_pages();
+    // The summary's bitset is sized to the tracked counter range; re-size
+    // to the heap exactly like the locked path's `skip_snapshot(num_pages)`:
+    // grown pages read unskippable either way.
+    let skip = skip.resized(heap.num_pages());
+    finish_prepare(heap, skip, selection, buffer_rids, predicate, out)
+}
+
+/// The tail both prepares share, so the two cannot drift: `skip` is already
+/// sized to the heap; the selection becomes the to-index bitset, the
+/// buffer's matches open `out`, and the sweep shape is derived from the
+/// plan, not from execution, so chunking cannot change the reported
+/// figures.
+fn finish_prepare(
+    heap: &HeapFile,
+    skip: SkipBitset,
+    selection: &[u32],
+    buffer_rids: Vec<Rid>,
+    predicate: &Predicate,
+    out: &mut Vec<Rid>,
+) -> ScanPrep {
+    let num_pages = skip.len();
     let mut to_index = SkipBitset::with_len(num_pages);
     for &p in selection {
         to_index.insert(p);
     }
-    stats.buffer_matches = buffer_rids.len();
-    out.extend(buffer_rids);
-    // The summary's bitset is sized to the tracked counter range; re-size
-    // to the heap exactly like the locked path's `skip_snapshot(num_pages)`
-    // (resizing an already-resized clone is idempotent: grown pages read
-    // unskippable either way).
-    let skip = skip.resized(num_pages);
     let (skip_runs, sweep_batches) = skip.sweep_shape(num_pages, heap.sweep_batch_pages() as u32);
-    stats.skip_runs = skip_runs;
-    stats.sweep_batches = sweep_batches;
+    let stats = ScanStats {
+        buffer_matches: buffer_rids.len(),
+        skip_runs,
+        sweep_batches,
+        ..ScanStats::default()
+    };
+    out.extend(buffer_rids);
     ScanPrep {
         stats,
         plan: ScanPlan {
@@ -422,7 +417,9 @@ pub fn prepare_scan_from_snapshot(
 ///
 /// The caller is responsible for having applied Table II
 /// ([`IndexBufferSpace::on_query`]) first; this function only performs the
-/// scan itself.
+/// scan itself: [`prepare_scan`], [`sweep_plan`] with one worker, then
+/// [`apply_staged`]. On error (I/O or tuple decode) **no** staged entry is
+/// applied: the buffer and counters are left untouched.
 pub fn indexing_scan(
     heap: &HeapFile,
     space: &mut IndexBufferSpace,
@@ -433,51 +430,25 @@ pub fn indexing_scan(
     out: &mut Vec<Rid>,
 ) -> Result<ScanStats, StorageError> {
     let ScanPrep { mut stats, plan } = prepare_scan(heap, space, buffer_id, predicate, out);
+    let partition_pages = space.buffer(buffer_id).config().partition_pages;
 
-    // Lines 11–17: table sweep with run skipping and on-the-fly indexing.
-    // Pages being indexed take the decoding path (the buffer insert needs
-    // owned values anyway); every other page takes the zero-copy path.
-    let mut pending: Vec<(Value, Rid)> = Vec::new();
-    let mut decode_error: Option<StorageError> = None;
-    let (read, skipped) = space.with_buffer_mut(buffer_id, |buffer, counters| {
-        heap.sweep_read_runs(plan.skip.runs(0..plan.num_pages), |ord, pid, view| {
-            if decode_error.is_some() {
-                return;
-            }
-            if plan.to_index.contains(ord) {
-                pending.clear();
-                for (slot, bytes) in view.iter() {
-                    let value = match Tuple::read_column(bytes, column) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            decode_error = Some(e);
-                            return;
-                        }
-                    };
-                    let rid = Rid { page: pid, slot };
-                    if predicate.matches(&value) {
-                        out.push(rid);
-                    }
-                    if !covered(&value) {
-                        pending.push((value, rid));
-                    }
-                }
-                stats.entries_added += buffer.index_page(ord, pending.drain(..)) as u64;
-                counters.set_zero(ord);
-                stats.pages_indexed += 1;
-            } else if let Err(e) = plan.compiled.matches_page(&view, pid, column, out) {
-                decode_error = Some(e);
-            }
-        })
-    })?;
-    if let Some(e) = decode_error {
-        return Err(e);
+    // Lines 11–17, discover half: one worker over the whole table.
+    let chunk = sweep_plan(heap, &plan, partition_pages, column, covered, predicate, 1)?;
+    stats.pages_read = chunk.pages_read;
+    stats.pages_skipped = chunk.pages_skipped;
+    out.extend(chunk.matches);
+
+    // Lines 16–17, mutate half. Nothing staged means nothing to mutate —
+    // skip the epoch-stamping borrow entirely so fully-skippable scans
+    // leave published snapshots valid.
+    if !chunk.staged.is_empty() {
+        space.with_buffer_mut(buffer_id, |buffer, counters| {
+            apply_staged(buffer, counters, chunk.staged, &mut stats);
+        });
+        // The apply mutated the buffer through a direct borrow; reconcile
+        // the governor's IndexSpace charge with the new resident footprint.
+        space.sync_budget();
     }
-    // The scan mutated the buffer through a direct borrow; reconcile the
-    // governor's IndexSpace charge with the new resident footprint.
-    space.sync_budget();
-    stats.pages_read = read;
-    stats.pages_skipped = skipped;
     stats.matches = out.len();
     Ok(stats)
 }
@@ -511,7 +482,7 @@ pub fn buffer_scan_rids(buffer: &IndexBuffer, predicate: &Predicate) -> Vec<Rid>
 }
 
 /// Chunks handed to each scan worker per thread — the load-balancing
-/// granularity of [`indexing_scan_parallel`].
+/// granularity of [`sweep_plan`].
 pub const CHUNKS_PER_THREAD: usize = 4;
 
 /// Minimum table pages needed to justify each additional scan worker; below
@@ -557,14 +528,16 @@ pub struct ChunkResult {
     pub pages_skipped: u32,
 }
 
-/// Scans one chunk of table pages without touching the buffer or counters.
+/// Scans one chunk of table pages without touching the buffer or counters —
+/// the one page-visiting loop of Algorithm 1.
 ///
-/// This is the "discover" half of the split Algorithm 1: it evaluates the
+/// This is the "discover" half of the split algorithm: it evaluates the
 /// predicate (lines 13–14) and *stages* the tuples line 16 would insert,
 /// leaving all mutation to [`apply_staged`]. The [`ScanPlan`] snapshots are
-/// taken before any worker starts, so every chunk sees the same counter
-/// state the sequential scan would, and the chunk sweep uses the same
-/// run-skipping batched reads as the sequential path.
+/// taken before any worker starts, so every chunk sees the counter state
+/// the scan started from. Pages being indexed take the decoding path (the
+/// buffer insert needs owned values anyway, and a corrupt tuple surfaces
+/// as an error); every other page takes the zero-copy kernel.
 pub fn scan_chunk(
     heap: &HeapFile,
     range: Range<u32>,
@@ -620,39 +593,23 @@ pub fn scan_chunk(
 }
 
 /// Applies staged pages to the buffer in ascending page order — the "mutate"
-/// half of the split Algorithm 1 (lines 16–17).
+/// half of the split Algorithm 1 (lines 16–17). Returns the number of staged
+/// pages skipped.
 ///
-/// Ascending order reproduces the sequential scan's insertion sequence, so
-/// partition composition (which pages share a partition) and the displacement
-/// victim order downstream are identical to a sequential run.
+/// Ascending order reproduces one insertion sequence at any worker count,
+/// so partition composition (which pages share a partition) and the
+/// displacement victim order downstream do not depend on chunking.
+///
+/// Every staged page is validated against the *current* counters first: a
+/// page whose `C[p]` has dropped to zero since the plan snapshot was indexed
+/// by a concurrent scan in the meantime — with exactly the entries staged
+/// here, because the heap and the coverage predicate are frozen for the
+/// duration of a read query — so it is skipped instead of double-inserted
+/// (the buffer treats a second `index_page` of a buffered page as a caller
+/// bug). An uncontended scan skips nothing; only overlapping scans of the
+/// same buffer ever diverge, and then only by not repeating work another
+/// scan already completed.
 pub fn apply_staged(
-    buffer: &mut IndexBuffer,
-    counters: &mut PageCounters,
-    mut staged: Vec<StagedPage>,
-    stats: &mut ScanStats,
-) {
-    staged.sort_by_key(|s| s.ordinal);
-    for page in staged {
-        stats.entries_added += u64::from(buffer.index_page(page.ordinal, page.entries));
-        counters.set_zero(page.ordinal);
-        stats.pages_indexed += 1;
-    }
-}
-
-/// Like [`apply_staged`], but validates every staged page against the
-/// *current* counters first: a page whose `C[p]` has dropped to zero since
-/// the plan snapshot was indexed by a concurrent scan in the meantime — with
-/// exactly the entries staged here, because the heap and the coverage
-/// predicate are frozen for the duration of a read query — so it is skipped
-/// instead of double-inserted (the buffer treats a second `index_page` of a
-/// buffered page as a caller bug). Returns the number of staged pages
-/// skipped.
-///
-/// An uncontended scan skips nothing and mutates the buffer, counters and
-/// stats bit-for-bit identically to [`apply_staged`]; only overlapping scans
-/// of the same buffer ever diverge, and then only by not repeating work
-/// another scan already completed.
-pub fn apply_staged_checked(
     buffer: &mut IndexBuffer,
     counters: &mut PageCounters,
     mut staged: Vec<StagedPage>,
@@ -679,10 +636,10 @@ pub fn apply_staged_checked(
 ///
 /// Touches only the heap and the immutable [`ScanPlan`]; never the space.
 /// That is the point: a concurrent executor calls this *without* holding any
-/// engine lock, between a [`prepare_scan`] and an
-/// [`apply_staged_checked`] that do. `partition_pages` is the queried
-/// buffer's partition extent (chunk boundaries align to it so staged pages
-/// group exactly as a sequential scan would group them).
+/// engine lock, between a [`prepare_scan`] and an [`apply_staged`] that do.
+/// `partition_pages` is the queried buffer's partition extent (chunk
+/// boundaries align to it so staged pages group exactly as one worker
+/// would group them).
 pub fn sweep_plan(
     heap: &HeapFile,
     plan: &ScanPlan,
@@ -740,63 +697,6 @@ pub fn sweep_plan(
         merged.staged.extend(chunk.staged);
     }
     Ok(merged)
-}
-
-/// Runs Algorithm 1 with the table sweep fanned out over `threads` workers.
-///
-/// Sequential-equivalent to [`indexing_scan`]: same result rids in the same
-/// order, same buffer contents and partition composition, same final `C[p]`
-/// counters, same [`ScanStats`] — only wall-clock differs. With `threads <=
-/// 1` (or a single chunk) this *is* the sequential scan.
-///
-/// On error (I/O or tuple decode in any chunk) the first failing chunk's
-/// error, in page order, is returned and **no** staged entries are applied:
-/// unlike the sequential path, the buffer and counters are left untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn indexing_scan_parallel(
-    heap: &HeapFile,
-    space: &mut IndexBufferSpace,
-    buffer_id: BufferId,
-    column: usize,
-    covered: &(dyn Fn(&Value) -> bool + Sync),
-    predicate: &Predicate,
-    out: &mut Vec<Rid>,
-    threads: usize,
-) -> Result<ScanStats, StorageError> {
-    if threads <= 1 {
-        return indexing_scan(heap, space, buffer_id, column, covered, predicate, out);
-    }
-
-    // Phase 1 (sequential): the shared preamble — the space's single RNG
-    // draw per scan, the buffer scan, and the sweep-plan snapshots.
-    let ScanPrep { mut stats, plan } = prepare_scan(heap, space, buffer_id, predicate, out);
-    let partition_pages = space.buffer(buffer_id).config().partition_pages;
-
-    // Phase 2 (parallel, read-only) + phase 3 merge.
-    let chunk = sweep_plan(
-        heap,
-        &plan,
-        partition_pages,
-        column,
-        covered,
-        predicate,
-        threads,
-    )?;
-    stats.pages_read = chunk.pages_read;
-    stats.pages_skipped = chunk.pages_skipped;
-    out.extend(chunk.matches);
-
-    // Phase 4 (sequential): apply in ascending page order. Nothing staged
-    // means nothing to mutate — skip the epoch-stamping borrow entirely so
-    // fully-skippable scans leave published snapshots valid.
-    if !chunk.staged.is_empty() {
-        space.with_buffer_mut(buffer_id, |buffer, counters| {
-            apply_staged(buffer, counters, chunk.staged, &mut stats);
-        });
-        space.sync_budget();
-    }
-    stats.matches = out.len();
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -927,17 +827,16 @@ mod tests {
         let (heap, mut space, id) = setup(400, 50);
         let covered = covered_fn(50);
         let predicate = Predicate::Between(Value::Int(200), Value::Int(210));
-        // Ground truth via plain scan.
+        // Ground truth via a full sweep decoding every tuple.
         let mut expected = Vec::new();
-        heap.scan_pages(
-            |_| false,
-            |rid, bytes| {
+        heap.sweep_read_runs([(0..heap.num_pages(), false)], |_, page, view| {
+            for (slot, bytes) in view.iter() {
                 let v = Tuple::read_column(bytes, 0).unwrap();
                 if predicate.matches(&v) {
-                    expected.push(rid);
+                    expected.push(Rid { page, slot });
                 }
-            },
-        )
+            }
+        })
         .unwrap();
         expected.sort_unstable();
 
@@ -1029,84 +928,97 @@ mod tests {
         assert_eq!(out, out2);
     }
 
+    /// Algorithm 1 with the sweep fanned out over `threads` workers: the
+    /// composition `indexing_scan` is, at another worker count.
+    fn scan_with_workers(
+        heap: &HeapFile,
+        space: &mut IndexBufferSpace,
+        id: BufferId,
+        covered: &(dyn Fn(&Value) -> bool + Sync),
+        predicate: &Predicate,
+        out: &mut Vec<Rid>,
+        threads: usize,
+    ) -> ScanStats {
+        let ScanPrep { mut stats, plan } = prepare_scan(heap, space, id, predicate, out);
+        let partition_pages = space.buffer(id).config().partition_pages;
+        let chunk =
+            sweep_plan(heap, &plan, partition_pages, 0, covered, predicate, threads).unwrap();
+        stats.pages_read = chunk.pages_read;
+        stats.pages_skipped = chunk.pages_skipped;
+        out.extend(chunk.matches);
+        if !chunk.staged.is_empty() {
+            let skipped = space.with_buffer_mut(id, |buffer, counters| {
+                apply_staged(buffer, counters, chunk.staged, &mut stats)
+            });
+            assert_eq!(skipped, 0, "an uncontended apply skips nothing");
+            space.sync_budget();
+        }
+        stats.matches = out.len();
+        stats
+    }
+
     #[test]
     fn parallel_scan_is_sequential_equivalent() {
-        // Two identical worlds: one scanned sequentially, one in parallel.
-        let (heap_s, mut space_s, id_s) = setup(600, 150);
-        let (heap_p, mut space_p, id_p) = setup(600, 150);
         let covered = covered_fn(150);
         let predicates = [
             Predicate::Equals(Value::Int(400)),
             Predicate::Between(Value::Int(180), Value::Int(320)),
             Predicate::Equals(Value::Int(599)),
         ];
-        for (round, predicate) in predicates.iter().enumerate() {
-            space_s.on_query(Some(id_s), false);
-            space_p.on_query(Some(id_p), false);
-            let mut out_s = Vec::new();
-            let mut out_p = Vec::new();
-            let stats_s = indexing_scan(
-                &heap_s,
-                &mut space_s,
-                id_s,
-                0,
-                &covered,
-                predicate,
-                &mut out_s,
-            )
-            .unwrap();
-            let stats_p = indexing_scan_parallel(
-                &heap_p,
-                &mut space_p,
-                id_p,
-                0,
-                &covered,
-                predicate,
-                &mut out_p,
-                4,
-            )
-            .unwrap();
-            assert_eq!(out_p, out_s, "round {round}: rids in identical order");
-            assert_eq!(stats_p, stats_s, "round {round}: identical ScanStats");
+        for threads in [1, 2, 4] {
+            // Two identical worlds: one through `indexing_scan`, one through
+            // `sweep_plan` at this worker count.
+            let (heap_s, mut space_s, id_s) = setup(600, 150);
+            let (heap_p, mut space_p, id_p) = setup(600, 150);
+            assert!(
+                page_range_chunks(heap_p.num_pages(), 10_000, 2 * CHUNKS_PER_THREAD).len() > 1,
+                "the table must be big enough to actually fan out"
+            );
+            for (round, predicate) in predicates.iter().enumerate() {
+                space_s.on_query(Some(id_s), false);
+                space_p.on_query(Some(id_p), false);
+                let mut out_s = Vec::new();
+                let mut out_p = Vec::new();
+                let stats_s = indexing_scan(
+                    &heap_s,
+                    &mut space_s,
+                    id_s,
+                    0,
+                    &covered,
+                    predicate,
+                    &mut out_s,
+                )
+                .unwrap();
+                let stats_p = scan_with_workers(
+                    &heap_p,
+                    &mut space_p,
+                    id_p,
+                    &covered,
+                    predicate,
+                    &mut out_p,
+                    threads,
+                );
+                assert_eq!(out_p, out_s, "{threads} workers, round {round}: rid order");
+                assert_eq!(stats_p, stats_s, "{threads} workers, round {round}: stats");
+            }
+            assert_eq!(
+                space_p.buffer(id_p).num_entries(),
+                space_s.buffer(id_s).num_entries()
+            );
+            assert_eq!(
+                space_p.buffer(id_p).num_partitions(),
+                space_s.buffer(id_s).num_partitions(),
+                "partition composition must not depend on the worker count"
+            );
+            let counters_s: Vec<u32> = (0..heap_s.num_pages())
+                .map(|p| space_s.counters(id_s).get(p))
+                .collect();
+            let counters_p: Vec<u32> = (0..heap_p.num_pages())
+                .map(|p| space_p.counters(id_p).get(p))
+                .collect();
+            assert_eq!(counters_p, counters_s, "identical final C[p] vectors");
+            space_p.check_invariants();
         }
-        assert_eq!(
-            space_p.buffer(id_p).num_entries(),
-            space_s.buffer(id_s).num_entries()
-        );
-        assert_eq!(
-            space_p.buffer(id_p).num_partitions(),
-            space_s.buffer(id_s).num_partitions(),
-            "partition composition must match a sequential run"
-        );
-        let counters_s: Vec<u32> = (0..heap_s.num_pages())
-            .map(|p| space_s.counters(id_s).get(p))
-            .collect();
-        let counters_p: Vec<u32> = (0..heap_p.num_pages())
-            .map(|p| space_p.counters(id_p).get(p))
-            .collect();
-        assert_eq!(counters_p, counters_s, "identical final C[p] vectors");
-        space_p.check_invariants();
-    }
-
-    #[test]
-    fn parallel_scan_with_one_thread_is_the_sequential_scan() {
-        let (heap, mut space, id) = setup(100, 0);
-        let covered = covered_fn(0);
-        space.on_query(Some(id), false);
-        let mut out = Vec::new();
-        let s = indexing_scan_parallel(
-            &heap,
-            &mut space,
-            id,
-            0,
-            &covered,
-            &Predicate::Equals(Value::Int(7)),
-            &mut out,
-            1,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(s.pages_read, heap.num_pages());
     }
 
     #[test]

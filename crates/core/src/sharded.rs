@@ -42,11 +42,11 @@
 //! the locked selection would behave identically (no displacement, no RNG
 //! draw). Pages such a scan stages for insertion are applied by the reader
 //! itself under a short [`shard_write`] section, re-checking `C[p] != 0`
-//! per page ([`apply_staged_checked`]) so a page a sibling scan already
-//! indexed is skipped, not double-inserted.
+//! per page ([`apply_staged`]) so a page a sibling scan already indexed is
+//! skipped, not double-inserted.
 //!
 //! [`shard_write`]: ShardedSpace::shard_write
-//! [`apply_staged_checked`]: crate::scan::apply_staged_checked
+//! [`apply_staged`]: crate::scan::apply_staged
 //!
 //! ### Lock hierarchy
 //!

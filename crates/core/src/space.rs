@@ -14,11 +14,9 @@
 //!   headroom (the paper's entry bound `L` compiles down to bytes via
 //!   [`SpaceConfig::budget_bytes`]).
 //!
-//! Victim selection is expressed as an
-//! [`aib_storage::DisplacementPolicy`]: the
-//! [`BenefitPolicy`] here plays the same role for partitions that LRU/Clock/
-//! LRU-K play for buffer-pool frames, so both displacement pipelines share
-//! one trait and one governor.
+//! Victim selection lives in [`BenefitPolicy`], which plays the same role
+//! for partitions that LRU plays for buffer-pool frames; both displacement
+//! pipelines draw on one governor.
 //!
 //! ### Deviation from the paper's pseudocode
 //!
@@ -47,21 +45,18 @@ use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use aib_storage::{
-    BudgetComponent, DisplacementPolicy, FrameId, MemoryBudget, MemoryUsage,
-    DEFAULT_ENTRY_FOOTPRINT,
-};
+use aib_storage::{BudgetComponent, FrameId, MemoryBudget, MemoryUsage, DEFAULT_ENTRY_FOOTPRINT};
 
 use crate::config::{BufferConfig, SpaceConfig};
 use crate::counters::PageCounters;
 use crate::index_buffer::{BufferId, IndexBuffer};
 use crate::partition::PartitionId;
 
-/// Stage 1 of §IV's victim selection as a [`DisplacementPolicy`].
+/// Stage 1 of §IV's victim selection.
 ///
 /// The space feeds every eligible Index Buffer's benefit `b_B` via
-/// [`record_weight`](DisplacementPolicy::record_weight) (in ascending id
-/// order) and then asks [`displace`](DisplacementPolicy::displace) for a
+/// [`record_weight`](BenefitPolicy::record_weight) (in ascending id
+/// order) and then asks [`displace`](BenefitPolicy::displace) for a
 /// victim: never-used buffers (`b_B = 0`) are picked first, uniformly among
 /// themselves; otherwise a buffer is picked with probability proportional
 /// to `1 / b_B`. The RNG is seeded so experiments stay reproducible.
@@ -86,19 +81,16 @@ impl BenefitPolicy {
     pub fn clear_weights(&mut self) {
         self.weights.clear();
     }
-}
 
-impl DisplacementPolicy for BenefitPolicy {
-    fn record_access(&mut self, _id: FrameId) {
-        // Recency is already folded into the weights (benefit embeds the
-        // LRU-K use frequency), so accesses carry no extra signal here.
-    }
-
-    fn record_weight(&mut self, id: FrameId, weight: f64) {
+    /// Notes the current benefit weight of `id` — larger weights displace
+    /// later.
+    pub fn record_weight(&mut self, id: FrameId, weight: f64) {
         self.weights.insert(id, weight);
     }
 
-    fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
+    /// Picks an unblocked victim id and forgets its weight, or returns
+    /// `None` if every candidate is blocked.
+    pub fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
         let eligible: Vec<(FrameId, f64)> = self
             .weights
             .iter()
@@ -133,14 +125,6 @@ impl DisplacementPolicy for BenefitPolicy {
         let chosen = chosen?;
         self.weights.remove(&chosen);
         Some(chosen)
-    }
-
-    fn remove(&mut self, id: FrameId) {
-        self.weights.remove(&id);
-    }
-
-    fn name(&self) -> &'static str {
-        "benefit"
     }
 }
 
@@ -1075,8 +1059,7 @@ mod tests {
         let next = p.displace(&|id| id == 2).expect("0 is unblocked");
         assert_eq!(next, 0, "blocked ids are skipped");
         assert_eq!(p.displace(&|id| id == 2), None, "only blocked ids remain");
-        p.remove(2);
-        assert_eq!(p.displace(&|_| false), None, "removed ids are forgotten");
-        assert_eq!(p.name(), "benefit");
+        p.clear_weights();
+        assert_eq!(p.displace(&|_| false), None, "cleared ids are forgotten");
     }
 }

@@ -41,7 +41,7 @@
 //! A nonzero window makes the leader sleep that many microseconds before
 //! draining, trading its own latency for a larger batch; the wait is
 //! skipped (and the drain is capped) once the staged payload bytes reach
-//! [`crate::EngineConfig::group_commit_max_bytes`].
+//! `GROUP_COMMIT_MAX_BYTES`.
 //!
 //! ### Failure semantics
 //!
@@ -109,6 +109,12 @@ struct WalState {
     failed: Option<(u64, StorageError)>,
 }
 
+/// Group-commit byte cap: once the staged payload bytes reach this, the
+/// leader skips the window wait, and no single batch drains more than this
+/// many bytes (plus one frame). Bounds both ack latency under a nonzero
+/// window and batch memory.
+const GROUP_COMMIT_MAX_BYTES: usize = 1 << 20;
+
 /// The group-commit pipeline of one durable [`crate::Database`]. See the
 /// module docs for the protocol.
 pub(crate) struct CommitPipeline {
@@ -122,8 +128,6 @@ pub(crate) struct CommitPipeline {
     clean_durable: AtomicU64,
     /// Leader linger before draining, in microseconds (0 = never).
     wait_us: u64,
-    /// Staged-payload byte cap: skips the linger and bounds one batch.
-    max_bytes: usize,
     /// Records between automatic checkpoints.
     checkpoint_interval: u64,
     /// 1 when a periodic checkpoint is due (leaders set, checkpointer
@@ -146,13 +150,7 @@ pub(crate) struct CommitPipeline {
 impl CommitPipeline {
     /// A pipeline over an open WAL that already holds `since_checkpoint`
     /// records (replayed at open).
-    pub fn new(
-        wal: Wal,
-        since_checkpoint: u64,
-        wait_us: u64,
-        max_bytes: usize,
-        checkpoint_interval: u64,
-    ) -> Self {
+    pub fn new(wal: Wal, since_checkpoint: u64, wait_us: u64, checkpoint_interval: u64) -> Self {
         CommitPipeline {
             queue: Mutex::new(CommitQueue {
                 next_seq: 1,
@@ -167,7 +165,6 @@ impl CommitPipeline {
             }),
             clean_durable: AtomicU64::new(0),
             wait_us,
-            max_bytes: max_bytes.max(1),
             checkpoint_interval,
             checkpoint_due: AtomicU64::new(0),
             shutdown: AtomicU64::new(0),
@@ -279,7 +276,7 @@ impl CommitPipeline {
             // very stagers the leader is collecting.
             let deadline = Instant::now() + Duration::from_micros(self.wait_us);
             while Instant::now() < deadline {
-                if self.queue.lock().bytes >= self.max_bytes {
+                if self.queue.lock().bytes >= GROUP_COMMIT_MAX_BYTES {
                     break;
                 }
                 std::thread::yield_now();
@@ -290,7 +287,7 @@ impl CommitPipeline {
             let mut cut = 0;
             let mut bytes = 0;
             for frame in &q.staged {
-                if cut > 0 && bytes + frame.payload.len() > self.max_bytes {
+                if cut > 0 && bytes + frame.payload.len() > GROUP_COMMIT_MAX_BYTES {
                     break;
                 }
                 bytes += frame.payload.len();

@@ -67,12 +67,11 @@ use aib_core::{
     ScanStats, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot, TupleRef,
 };
 use aib_index::{AdaptationCost, Coverage, IndexBackend, PagedIndex, PartialIndex};
-use aib_storage::replacement::{ClockPolicy, LruKPolicy, LruPolicy};
 use aib_storage::stats::IoSnapshot;
 use aib_storage::{
     BudgetComponent, BudgetSnapshot, BufferPool, BufferPoolConfig, CostModel, DiskBackend,
-    DiskManager, DisplacementPolicy, FileBackend, HeapFile, IoStats, MemoryBudget, PageId, Rid,
-    Schema, SlotId, StorageError, Tuple, Value, Wal, WalRecord,
+    DiskManager, FileBackend, HeapFile, IoStats, MemoryBudget, PageId, Rid, Schema, SlotId,
+    StorageError, Tuple, Value, Wal, WalRecord,
 };
 
 use crate::commit::{checkpointer_loop, CommitPipeline, Ticket};
@@ -87,35 +86,14 @@ use crate::tuner::{OnlineTuner, TunerConfig};
 /// (`None` = ends empty, `Some` = ends holding these bytes).
 type PageOps = Vec<(SlotId, Option<Vec<u8>>)>;
 
-/// Buffer-pool page-replacement policy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolPolicy {
-    /// Least recently used (default).
-    #[default]
-    Lru,
-    /// Clock / second chance.
-    Clock,
-    /// LRU-K with the given K (the paper cites O'Neil et al. for the idea).
-    LruK(usize),
-}
-
-impl PoolPolicy {
-    fn build(self, frames: usize) -> Box<dyn DisplacementPolicy> {
-        match self {
-            PoolPolicy::Lru => Box::new(LruPolicy::new()),
-            PoolPolicy::Clock => Box::new(ClockPolicy::new(frames)),
-            PoolPolicy::LruK(k) => Box::new(LruKPolicy::new(k)),
-        }
-    }
-}
+/// Partial-index entries per leaf page, for adaptation cost accounting.
+const INDEX_ENTRIES_PER_PAGE: u64 = 400;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Buffer-pool frames (8 KiB each).
     pub pool_frames: usize,
-    /// Buffer-pool replacement policy.
-    pub pool_policy: PoolPolicy,
     /// Simulated I/O cost model.
     pub cost_model: CostModel,
     /// Index Buffer Space parameters (`L`, `I^MAX`, seed).
@@ -127,10 +105,6 @@ pub struct EngineConfig {
     /// leaves the components independently governed — the pool by its frame
     /// count, the space by [`SpaceConfig`]'s byte budget.
     pub total_memory_bytes: Option<usize>,
-    /// Simulated page reads charged per partial-index probe (tree descent).
-    pub index_probe_pages: u64,
-    /// Partial-index entries per leaf page, for adaptation cost accounting.
-    pub index_entries_per_page: u64,
     /// Worker threads for the indexing scan (1 = always sequential). The
     /// executor may use fewer for small tables; results are bit-for-bit
     /// identical at any setting (sequential-equivalence). Defaults to the
@@ -158,28 +132,19 @@ pub struct EngineConfig {
     /// while a leader is inside its fsync are drained together by the next
     /// leader. See `crate::commit` for the pipeline.
     pub group_commit_wait_us: u64,
-    /// Group-commit byte cap: once the staged payload bytes reach this,
-    /// the leader skips the window wait, and no single batch drains more
-    /// than this many bytes (plus one frame). Bounds both ack latency
-    /// under a nonzero window and batch memory.
-    pub group_commit_max_bytes: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             pool_frames: 1024,
-            pool_policy: PoolPolicy::default(),
             cost_model: CostModel::default(),
             space: SpaceConfig::default(),
             total_memory_bytes: None,
-            index_probe_pages: 3,
-            index_entries_per_page: 400,
             scan_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             io_wait: false,
             wal_checkpoint_interval: 4096,
             group_commit_wait_us: 0,
-            group_commit_max_bytes: 1 << 20,
         }
     }
 }
@@ -483,7 +448,6 @@ impl Database {
             Wal::open(&wal_path)?,
             records.len() as u64,
             db.config.group_commit_wait_us,
-            db.config.group_commit_max_bytes,
             db.config.wal_checkpoint_interval,
         ));
         db.durability = Some(Arc::clone(&pipeline));
@@ -524,12 +488,9 @@ impl Database {
         let budget = Arc::new(budget);
         let pool = BufferPool::with_backend(
             disk,
-            BufferPoolConfig::with_policy(
-                config.pool_frames,
-                config.pool_policy.build(config.pool_frames),
-            )
-            .with_budget(Arc::clone(&budget))
-            .with_io_wait(config.io_wait),
+            BufferPoolConfig::lru(config.pool_frames)
+                .with_budget(Arc::clone(&budget))
+                .with_io_wait(config.io_wait),
         );
         let space = ShardedSpace::with_budget(config.space, Arc::clone(&budget));
         Database {
@@ -847,7 +808,7 @@ impl Database {
                 AdaptationCost::charged(
                     Arc::clone(&self.stats),
                     self.config.cost_model,
-                    self.config.index_entries_per_page,
+                    INDEX_ENTRIES_PER_PAGE,
                 ),
             )
         };
@@ -1812,7 +1773,9 @@ fn column_value(tuple: &Tuple, column: usize) -> EngineResult<Value> {
 /// The one heap rescan behind index creation, coverage redefinition and
 /// recovery: adds every covered tuple of `column` the partial index does not
 /// hold yet and returns the per-page counts of the uncovered ones — the
-/// column's `C[p]`.
+/// column's `C[p]`. Rides the same sweep as every query, but decodes each
+/// tuple — it needs the owned value, and a corrupt tuple must fail the DDL
+/// rather than vanish from the index.
 fn populate_from_heap(
     heap: &HeapFile,
     column: usize,
@@ -1820,36 +1783,30 @@ fn populate_from_heap(
 ) -> EngineResult<Vec<u32>> {
     // Only a redefined index can already hold some of the covered tuples.
     let may_hold = !partial.is_empty();
-    let mut counts: Vec<u32> = vec![0; heap.num_pages() as usize];
-    let mut scan_err: Option<EngineError> = None;
-    heap.scan_pages(
-        |_| false,
-        |rid, bytes| {
+    let num_pages = heap.num_pages();
+    let mut counts: Vec<u32> = vec![0; num_pages as usize];
+    let mut scan_err: Option<StorageError> = None;
+    heap.sweep_read_runs([(0..num_pages, false)], |ord, page, view| {
+        for (slot, bytes) in view.iter() {
             let value = match Tuple::read_column(bytes, column) {
                 Ok(value) => value,
                 Err(e) => {
-                    scan_err.get_or_insert(e.into());
+                    scan_err.get_or_insert(e);
                     return;
                 }
             };
+            let rid = Rid { page, slot };
             if partial.covers(&value) {
                 if !(may_hold && partial.contains(&value, rid)) {
                     partial.add(value, rid);
                 }
-            } else if let Some(ord) = heap.ordinal_of(rid.page) {
-                if let Some(slot) = counts.get_mut(ord as usize) {
-                    *slot += 1;
-                }
-            } else {
-                scan_err.get_or_insert(EngineError::Internal(format!(
-                    "scanned page {} unowned",
-                    rid.page
-                )));
+            } else if let Some(count) = counts.get_mut(ord as usize) {
+                *count += 1;
             }
-        },
-    )?;
+        }
+    })?;
     match scan_err {
-        Some(e) => Err(e),
+        Some(e) => Err(e.into()),
         None => Ok(counts),
     }
 }

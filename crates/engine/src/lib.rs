@@ -26,7 +26,7 @@ pub mod read;
 pub mod tuner;
 
 pub use client::ClientHandle;
-pub use db::{BatchOp, Database, EngineConfig, PoolPolicy, ShardRef, Table, TableRef};
+pub use db::{BatchOp, Database, EngineConfig, ShardRef, Table, TableRef};
 pub use error::{EngineError, EngineResult};
 pub use explain::Explanation;
 pub use metrics::{QueryMetrics, WorkloadRecorder};
@@ -406,45 +406,6 @@ mod tests {
             .into_parts();
         assert_eq!(m.path, AccessPath::PartialIndex);
         assert_eq!(r.count(), 1);
-    }
-
-    #[test]
-    fn engine_works_with_all_pool_policies() {
-        for policy in [PoolPolicy::Lru, PoolPolicy::Clock, PoolPolicy::LruK(2)] {
-            let db = Database::new(EngineConfig {
-                pool_frames: 8,
-                pool_policy: policy,
-                cost_model: CostModel::free(),
-                ..Default::default()
-            });
-            db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
-                .unwrap();
-            for i in 0..500 {
-                db.insert(
-                    "t",
-                    &Tuple::new(vec![Value::Int(i), Value::from("p".repeat(100))]),
-                )
-                .unwrap();
-            }
-            db.create_partial_index(
-                "t",
-                "k",
-                Coverage::IntRange { lo: 0, hi: 99 },
-                IndexBackend::BTree,
-                Some(BufferConfig::default()),
-            )
-            .unwrap();
-            let (r, _) = db
-                .execute(&Query::point("t", "k", 400i64))
-                .unwrap()
-                .into_parts();
-            assert_eq!(r.count(), 1, "{policy:?}");
-            let (r, _) = db
-                .execute(&Query::point("t", "k", 42i64))
-                .unwrap()
-                .into_parts();
-            assert_eq!(r.count(), 1, "{policy:?}");
-        }
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!    visiting), the worker count, and whether a range epilogue runs.
 //! 2. **Sweep** (no engine lock). Visits the pages the plan does not skip,
 //!    collecting matches and *staging* the tuples Algorithm 1 line 16 would
-//!    insert into the Index Buffer.
+//!    insert into the Index Buffer. There is one sweep: the plain table
+//!    scan is the same call planned from an empty skip set and an empty
+//!    selection, so a buffered scan and the baseline it is measured
+//!    against differ only by the pages `C[p] = 0` skips and the entries
+//!    line 16 inserts.
 //! 3. **Adapt** (`adapt`). Staged pages reach the buffer before the query
 //!    returns, under the buffer's shard write lock, each page re-checked
 //!    against the live `C[p]` so a page an overlapping scan already indexed
@@ -26,11 +30,11 @@
 //! write lock as the sweep stage's first step.
 
 use aib_core::{
-    apply_staged_checked, buffer_scan_rids, planned_scan_threads, prepare_scan,
-    prepare_scan_from_snapshot, sweep_plan, BufferId, BufferSummary, IndexBufferSpace, Predicate,
-    ScanPrep, ScanStats, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceSnapshot, StagedPage,
+    apply_staged, buffer_scan_rids, planned_scan_threads, prepare_scan, prepare_scan_from_snapshot,
+    sweep_plan, BufferId, BufferSummary, IndexBufferSpace, Predicate, ScanPrep, ScanStats,
+    ShardWriteGuard, ShardedSpace, SkipBitset, SnapshotCache, SpaceSnapshot, StagedPage,
 };
-use aib_storage::{Rid, StorageError, Tuple, Value};
+use aib_storage::{Rid, Value};
 
 use crate::db::{Database, Table};
 use crate::error::EngineResult;
@@ -78,8 +82,10 @@ pub(crate) enum Sweep {
     /// No page is visited: a partial-index hit, or a buffered miss whose
     /// every page the snapshot proves skippable with the buffer empty.
     None,
-    /// Every page, no skipping: the column has no Index Buffer.
-    Plain,
+    /// Every page, no skipping, nothing staged: the column has no Index
+    /// Buffer. The same sweep as `Buffered`, planned from an empty skip set
+    /// and an empty selection.
+    Plain(PlannedSweep),
     /// Algorithm 1 over `buffer`. `planned` is `None` when the selection
     /// must run under the shard write lock.
     Buffered {
@@ -90,7 +96,7 @@ pub(crate) enum Sweep {
     },
 }
 
-/// A buffered sweep planned read-only from the snapshot.
+/// A sweep whose pages are fixed before it starts.
 #[derive(Debug)]
 pub(crate) struct PlannedSweep {
     /// Skip/selection snapshots, compiled predicate, analytic stats.
@@ -99,6 +105,35 @@ pub(crate) struct PlannedSweep {
     buffer_rids: Vec<Rid>,
     /// The buffer's partition extent (sweep chunks align to it).
     partition_pages: u32,
+}
+
+impl PlannedSweep {
+    /// Plans a sweep of `t` read-only, with no space lock held: `skip` and
+    /// `selection` are what the snapshot proves (both empty for a plain
+    /// scan), `probe` the buffer's own matches.
+    fn read_only(
+        t: &Table,
+        skip: &SkipBitset,
+        selection: &[u32],
+        probe: Vec<Rid>,
+        predicate: &Predicate,
+        partition_pages: u32,
+    ) -> Self {
+        let mut buffer_rids = Vec::new();
+        let prep = prepare_scan_from_snapshot(
+            &t.heap,
+            skip,
+            selection,
+            probe,
+            predicate,
+            &mut buffer_rids,
+        );
+        PlannedSweep {
+            prep,
+            buffer_rids,
+            partition_pages,
+        }
+    }
 }
 
 /// How one read query will execute: the value [`Database::plan_read`]
@@ -132,7 +167,7 @@ impl ReadPlan {
     /// range read as unskippable, exactly as the sweep treats them.
     fn sweep_shape(&self, summary: Option<&BufferSummary>) -> (u32, u32) {
         match (&self.sweep, summary) {
-            (Sweep::Plain, _) => (self.table_pages, 0),
+            (Sweep::Plain(_), _) => (self.table_pages, 0),
             (_, Some(summary)) if self.hit.is_none() => {
                 let (mut to_read, mut skip_runs) = (0, 0);
                 for (extent, skippable) in summary.skip().runs(0..self.table_pages) {
@@ -169,6 +204,10 @@ impl ReadPlan {
         }
     }
 }
+
+/// Simulated page reads charged per in-memory partial-index probe: the
+/// descent of a three-level tree.
+const INDEX_PROBE_PAGES: u64 = 3;
 
 /// How the sweep and adapt stages reach the Index Buffer Space.
 pub(crate) enum SpaceAccess<'a, 'g> {
@@ -218,8 +257,8 @@ impl SpaceAccess<'_, '_> {
 
 /// The adapt stage — the one rule for when staged insertions reach the
 /// buffer: **before the query returns**, under the buffer's shard write
-/// lock, each page validated against the live `C[p]`
-/// ([`apply_staged_checked`]), then the governor reconciled. A sweep that
+/// lock, each page validated against the live `C[p]` ([`apply_staged`]),
+/// then the governor reconciled. A sweep that
 /// staged nothing takes no lock and leaves published snapshots valid.
 fn adapt(
     access: &mut SpaceAccess<'_, '_>,
@@ -233,7 +272,7 @@ fn adapt(
     }
     access.with_shard(space, space.shard_of(buffer), |shard| {
         shard.with_buffer_mut(buffer, |buffer, counters| {
-            apply_staged_checked(buffer, counters, staged, stats);
+            apply_staged(buffer, counters, staged, stats);
         });
         shard.sync_budget();
     });
@@ -280,25 +319,33 @@ impl Database {
             indexed: false,
             buffer: None,
             hit: None,
-            sweep: Sweep::Plain,
+            sweep: Sweep::None,
         };
-        let Some(ic) = t.index_on(ci) else {
-            return plan;
-        };
-        plan.indexed = true;
-        plan.buffer = ic.buffer;
-        // The one hit-vs-miss decision. A range is a hit only if coverage
-        // is complete AND the backend can range-scan (hash indexes cannot).
-        plan.hit = match predicate {
-            Predicate::Equals(v) => ic.partial.covers(v).then(|| ic.partial.lookup(v)),
-            Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi),
-        };
-        if plan.hit.is_some() {
-            plan.path = AccessPath::PartialIndex;
-            plan.sweep = Sweep::None;
-            return plan;
+        if let Some(ic) = t.index_on(ci) {
+            plan.indexed = true;
+            plan.buffer = ic.buffer;
+            // The one hit-vs-miss decision. A range is a hit only if
+            // coverage is complete AND the backend can range-scan (hash
+            // indexes cannot).
+            plan.hit = match predicate {
+                Predicate::Equals(v) => ic.partial.covers(v).then(|| ic.partial.lookup(v)),
+                Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi),
+            };
+            if plan.hit.is_some() {
+                plan.path = AccessPath::PartialIndex;
+                return plan;
+            }
         }
-        let Some(bid) = ic.buffer else {
+        let Some(bid) = plan.buffer else {
+            // No buffer, so no partition for sweep chunks to align to.
+            plan.sweep = Sweep::Plain(PlannedSweep::read_only(
+                t,
+                &SkipBitset::default(),
+                &[],
+                Vec::new(),
+                predicate,
+                table_pages.max(1),
+            ));
             return plan;
         };
         plan.path = AccessPath::BufferedScan;
@@ -334,7 +381,6 @@ impl Database {
         summary: &BufferSummary,
     ) -> Option<PlannedSweep> {
         let selection = self.space.plan_selection(snapshot, bid)?;
-        let mut buffer_rids = Vec::new();
         let probe = if summary.entries() == 0 {
             Vec::new()
         } else {
@@ -346,19 +392,14 @@ impl Database {
             }
             buffer_scan_rids(shard.buffer(bid), predicate)
         };
-        let prep = prepare_scan_from_snapshot(
-            &t.heap,
+        Some(PlannedSweep::read_only(
+            t,
             summary.skip(),
             &selection,
             probe,
             predicate,
-            &mut buffer_rids,
-        );
-        Some(PlannedSweep {
-            prep,
-            buffer_rids,
-            partition_pages: summary.partition_pages(),
-        })
+            summary.partition_pages(),
+        ))
     }
 
     /// The sweep and adapt stages: executes `plan` and returns the result
@@ -375,13 +416,14 @@ impl Database {
         plan: ReadPlan,
         mut access: SpaceAccess<'_, '_>,
     ) -> EngineResult<(QueryResult, Option<ScanStats>)> {
-        let path = plan.path;
+        let (path, threads) = (plan.path, plan.threads);
         let done = |rids| QueryResult { rids, path };
-        let Some(ic) = t.index_on(ci) else {
-            return Ok((done(plain_sweep(t, ci, predicate)?), None));
-        };
-        access.on_query(&self.space, plan.buffer, plan.hit.is_some());
-        if let Some(rids) = plan.hit {
+        let ic = t.index_on(ci);
+        if ic.is_some() {
+            // Only a column with a partial index is a query Table II sees.
+            access.on_query(&self.space, plan.buffer, plan.hit.is_some());
+        }
+        if let (Some(ic), Some(rids)) = (ic, plan.hit) {
             self.charge_index_probe(ic.paged);
             // Materialise results: the paper's "index scan" baseline
             // includes fetching the qualifying tuples from their pages.
@@ -391,8 +433,36 @@ impl Database {
             return Ok((done(rids), None));
         }
 
+        // The coverage test is the only piece of the partial index the
+        // sweep workers need, and unlike the index it is `Sync`. A plain
+        // sweep indexes no page and never asks.
+        let coverage = ic.map(|ic| ic.partial.coverage());
+        let covered = |v: &Value| coverage.is_some_and(|c| c.covers(v));
+        // The one sweep: the buffer's own matches, then every page the
+        // plan does not skip; staged pages are returned for `adapt`.
+        let sweep = |planned: PlannedSweep| {
+            let ScanPrep {
+                mut stats,
+                plan: pages,
+            } = planned.prep;
+            let mut rids = planned.buffer_rids;
+            let chunk = sweep_plan(
+                &t.heap,
+                &pages,
+                planned.partition_pages,
+                ci,
+                &covered,
+                predicate,
+                threads,
+            )?;
+            stats.pages_read = chunk.pages_read;
+            stats.pages_skipped = chunk.pages_skipped;
+            rids.extend(chunk.matches);
+            EngineResult::Ok((stats, rids, chunk.staged))
+        };
+
         let (mut stats, mut rids) = match plan.sweep {
-            Sweep::Plain => return Ok((done(plain_sweep(t, ci, predicate)?), None)),
+            Sweep::Plain(planned) => return Ok((done(sweep(planned)?.1), None)),
             // No page to visit and no buffer entry to match: the same
             // stats a sweep of this state reports — zero reads, one skip
             // run covering the whole heap.
@@ -418,34 +488,14 @@ impl Database {
                         }
                     })
                 });
-                let ScanPrep {
-                    mut stats,
-                    plan: pages,
-                } = planned.prep;
-                let mut rids = planned.buffer_rids;
-                // The coverage test is the only piece of the partial index
-                // the sweep workers need, and unlike the index it is `Sync`.
-                let coverage = ic.partial.coverage();
-                let covered = |v: &Value| coverage.covers(v);
-                let chunk = sweep_plan(
-                    &t.heap,
-                    &pages,
-                    planned.partition_pages,
-                    ci,
-                    &covered,
-                    predicate,
-                    plan.threads,
-                )?;
-                stats.pages_read = chunk.pages_read;
-                stats.pages_skipped = chunk.pages_skipped;
-                rids.extend(chunk.matches);
-                adapt(&mut access, &self.space, buffer, chunk.staged, &mut stats);
+                let (mut stats, rids, staged) = sweep(planned)?;
+                adapt(&mut access, &self.space, buffer, staged, &mut stats);
                 (stats, rids)
             }
         };
         stats.matches = rids.len();
 
-        if let (true, Predicate::Between(lo, hi)) = (plan.range_epilogue, predicate) {
+        if let (true, Some(ic), Predicate::Between(lo, hi)) = (plan.range_epilogue, ic, predicate) {
             // A straddling range also matches *covered* tuples, which live
             // in pages the sweep may have skipped — answer that fraction
             // from the partial index and deduplicate against scanned pages.
@@ -462,31 +512,8 @@ impl Database {
     /// DESIGN.md §4). Paged indexes pay real page I/O instead.
     fn charge_index_probe(&self, paged: bool) {
         if !paged {
-            self.stats.record_reads(
-                self.config.index_probe_pages,
-                self.config.cost_model.read_us,
-            );
+            self.stats
+                .record_reads(INDEX_PROBE_PAGES, self.config.cost_model.read_us);
         }
-    }
-}
-
-/// Baseline: full table scan, no skipping.
-fn plain_sweep(t: &Table, ci: usize, predicate: &Predicate) -> Result<Vec<Rid>, StorageError> {
-    let mut rids = Vec::new();
-    let mut decode_err = None;
-    t.heap.scan_pages(
-        |_| false,
-        |rid, bytes| match Tuple::read_column(bytes, ci) {
-            Ok(v) => {
-                if predicate.matches(&v) {
-                    rids.push(rid);
-                }
-            }
-            Err(e) => decode_err = Some(e),
-        },
-    )?;
-    match decode_err {
-        Some(e) => Err(e),
-        None => Ok(rids),
     }
 }

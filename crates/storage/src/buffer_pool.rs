@@ -1,5 +1,5 @@
 //! The database buffer: a fixed set of in-memory frames caching disk pages,
-//! with pinning and pluggable displacement.
+//! with pinning and LRU displacement.
 //!
 //! The Adaptive Index Buffer "resides within the database buffer" (paper
 //! §III); heap pages flow through this pool, so table-scan I/O behaves like
@@ -53,7 +53,7 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwL
 use crate::budget::{BudgetComponent, MemoryBudget, MemoryUsage};
 use crate::disk::{DiskBackend, DiskManager, PAGE_SIZE};
 use crate::error::StorageError;
-use crate::replacement::{DisplacementPolicy, FrameId, LruPolicy};
+use crate::replacement::{FrameId, LruPolicy};
 use crate::rid::PageId;
 use crate::stats::IoStats;
 
@@ -61,8 +61,6 @@ use crate::stats::IoStats;
 pub struct BufferPoolConfig {
     /// Number of page frames.
     pub frames: usize,
-    /// Displacement policy; defaults to LRU.
-    pub policy: Box<dyn DisplacementPolicy>,
     /// Shared memory governor; defaults to an unlimited budget.
     pub budget: Arc<MemoryBudget>,
     /// When `true`, a page-read miss *stalls the calling thread* for the cost
@@ -81,17 +79,6 @@ impl BufferPoolConfig {
     pub fn lru(frames: usize) -> Self {
         BufferPoolConfig {
             frames,
-            policy: Box::new(LruPolicy::new()),
-            budget: Arc::new(MemoryBudget::unlimited()),
-            io_wait: false,
-        }
-    }
-
-    /// A pool with `frames` frames and the given policy.
-    pub fn with_policy(frames: usize, policy: Box<dyn DisplacementPolicy>) -> Self {
-        BufferPoolConfig {
-            frames,
-            policy,
             budget: Arc::new(MemoryBudget::unlimited()),
             io_wait: false,
         }
@@ -136,7 +123,7 @@ impl MemoryUsage for FrameCell {
 struct PoolState {
     page_table: HashMap<PageId, FrameId>,
     free: Vec<FrameId>,
-    policy: Box<dyn DisplacementPolicy>,
+    policy: LruPolicy,
 }
 
 /// The buffer pool. Cheaply shareable via [`Arc`]; page guards keep their
@@ -196,7 +183,7 @@ impl BufferPool {
             state: Mutex::new(PoolState {
                 page_table: HashMap::new(),
                 free: (0..config.frames).rev().collect(),
-                policy: config.policy,
+                policy: LruPolicy::new(),
             }),
             disk: Mutex::new(disk),
             stats,
@@ -299,42 +286,6 @@ impl BufferPool {
         state.policy.record_access(frame);
         self.stats.record_hit();
         Some(frame)
-    }
-
-    /// Pins every already-resident page of `pids` in one pass under the
-    /// state lock, returning one entry per input page (`None` = not
-    /// resident, fetch it through the ordinary miss path). Scans use this to
-    /// amortise pool bookkeeping over a whole page batch: pinning is one
-    /// lock acquisition per batch instead of two per page, which is what
-    /// lets parallel scan workers share the pool without serialising on it.
-    ///
-    /// A pinned frame cannot be evicted or remapped, so callers may hold
-    /// the returned pins across the batch and lock each frame only while
-    /// actually reading it — the same page-level isolation as repeated
-    /// [`BufferPool::fetch_read`] calls.
-    pub fn pin_resident(self: &Arc<Self>, pids: &[PageId]) -> Vec<Option<PinnedPage>> {
-        let mut pinned = Vec::with_capacity(pids.len());
-        let mut hits = 0u64;
-        {
-            let mut state = self.state.lock();
-            for &pid in pids {
-                match state.page_table.get(&pid) {
-                    Some(&frame) => {
-                        self.pins[frame].fetch_add(1, Ordering::Relaxed);
-                        state.policy.record_access(frame);
-                        hits += 1;
-                        pinned.push(Some(PinnedPage {
-                            pool: Arc::clone(self),
-                            frame,
-                            pid,
-                        }));
-                    }
-                    None => pinned.push(None),
-                }
-            }
-        }
-        self.stats.record_hits(hits);
-        pinned
     }
 
     /// Miss path: claims a frame for `pid` (possibly evicting), performs the
@@ -492,9 +443,11 @@ impl BufferPool {
     /// costs two atomic pin updates and a hash probe, not a lock round-trip
     /// and an individual disk call.
     ///
-    /// Like [`BufferPool::pin_resident`], the returned pins (input order)
-    /// block eviction without holding frame locks, so callers lock one frame
-    /// at a time while visiting — the pool's locking discipline is unchanged.
+    /// The returned pins (input order) block eviction and remapping without
+    /// holding frame locks, so callers lock one frame at a time while
+    /// visiting — the same page-level isolation as repeated
+    /// [`BufferPool::fetch_read`] calls, and the pool's locking discipline
+    /// is unchanged.
     /// `pids` must not contain duplicates (heap sweeps never do). On error
     /// the pool is left consistent and nothing stays pinned.
     pub fn pin_batch(self: &Arc<Self>, pids: &[PageId]) -> Result<Vec<PinnedPage>, StorageError> {
@@ -720,7 +673,7 @@ impl std::fmt::Debug for BufferPool {
     }
 }
 
-/// A page pinned by [`BufferPool::pin_resident`] but not yet locked. The
+/// A page pinned by [`BufferPool::pin_batch`] but not yet locked. The
 /// pin blocks eviction and remapping; [`PinnedPage::read`] takes the
 /// frame's read lock when the caller is ready to look at the bytes.
 pub struct PinnedPage {
@@ -842,7 +795,6 @@ impl std::fmt::Debug for PageWriteGuard {
 mod tests {
     use super::*;
     use crate::disk::CostModel;
-    use crate::replacement::LruKPolicy;
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         BufferPool::new(
@@ -957,24 +909,6 @@ mod tests {
         }
         let r = pool.fetch_read(pid).unwrap();
         assert_eq!(r[100], 7);
-    }
-
-    #[test]
-    fn works_with_lruk_policy() {
-        let disk = DiskManager::new(CostModel::free());
-        let pool = BufferPool::new(
-            disk,
-            BufferPoolConfig::with_policy(2, Box::new(LruKPolicy::new(2))),
-        );
-        let mut pids = Vec::new();
-        for i in 0..4u8 {
-            let (pid, mut w) = pool.new_page().unwrap();
-            w[0] = i;
-            pids.push(pid);
-        }
-        for (i, pid) in pids.iter().enumerate() {
-            assert_eq!(pool.fetch_read(*pid).unwrap()[0], i as u8);
-        }
     }
 
     #[test]

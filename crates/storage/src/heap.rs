@@ -2,9 +2,11 @@
 //! the **page-granular scan interface** the Index Buffer needs.
 //!
 //! Paper Algorithm 1 iterates `for p ∈ R with C[p] > 0` — i.e. the scan must
-//! be able to *skip whole pages*. [`HeapFile::scan_pages`] exposes exactly
-//! that: a skip predicate is consulted per page ordinal before the page is
-//! fetched (and thus before any I/O for it happens).
+//! be able to *skip whole pages*. [`HeapFile::sweep_read_runs`] exposes
+//! exactly that, and is the one way any layer walks a table: the caller
+//! hands it `(ordinal_range, skippable)` runs, a skippable run is jumped
+//! before any I/O for it happens, and every other run is pinned and read in
+//! batches through [`BufferPool::pin_batch`].
 //!
 //! Pages are addressed two ways: globally by [`PageId`] (shared buffer pool /
 //! disk) and table-locally by *ordinal* `0..num_pages()`. Counters `C[p]` and
@@ -287,89 +289,6 @@ impl HeapFile {
         Ok(PageView::new(&guard[..]).live_count())
     }
 
-    /// Scans the heap page by page.
-    ///
-    /// For each page ordinal, `skip` is consulted **before** the page is
-    /// fetched; if it returns true the page costs no I/O — this is the
-    /// page-skipping primitive of paper Algorithm 1 (line 11). For fetched
-    /// pages, `visit` receives every live tuple. Returns
-    /// `(pages_read, pages_skipped)`.
-    pub fn scan_pages(
-        &self,
-        skip: impl FnMut(u32) -> bool,
-        mut visit: impl FnMut(Rid, &[u8]),
-    ) -> Result<(u32, u32), StorageError> {
-        self.scan_page_views(skip, |_, pid, view| {
-            for (slot, bytes) in view.iter() {
-                visit(Rid { page: pid, slot }, bytes);
-            }
-        })
-    }
-
-    /// Page-granular variant of [`HeapFile::scan_pages`]: `visit` receives
-    /// each unskipped page as `(ordinal, page_id, view)` so callers can do
-    /// per-page work (the Index Buffer indexes *whole pages*, Algorithm 1
-    /// lines 15–17). Returns `(pages_read, pages_skipped)`.
-    pub fn scan_page_views(
-        &self,
-        skip: impl FnMut(u32) -> bool,
-        visit: impl FnMut(u32, PageId, PageView<'_>),
-    ) -> Result<(u32, u32), StorageError> {
-        self.scan_page_range_views(0..self.num_pages(), skip, visit)
-    }
-
-    /// [`HeapFile::scan_page_views`] restricted to a contiguous ordinal
-    /// range — the chunk primitive of the parallel indexing scan. Ordinals
-    /// past the current end of the heap are ignored. Returns
-    /// `(pages_read, pages_skipped)` for this range only.
-    pub fn scan_page_range_views(
-        &self,
-        range: std::ops::Range<u32>,
-        mut skip: impl FnMut(u32) -> bool,
-        mut visit: impl FnMut(u32, PageId, PageView<'_>),
-    ) -> Result<(u32, u32), StorageError> {
-        // Snapshot the covered page-id slice in one heap-lock acquisition:
-        // the page list is append-only and ordinals are stable, so the copy
-        // stays valid for the whole scan and concurrent scanners never
-        // contend on the heap lock per page.
-        let (start, page_ids) = {
-            let inner = self.inner.read();
-            let end = range.end.min(inner.pages.len() as u32);
-            let start = range.start.min(end);
-            (
-                start,
-                inner
-                    .pages
-                    .get(start as usize..end as usize)
-                    .map(<[_]>::to_vec)
-                    .unwrap_or_default(),
-            )
-        };
-        let mut read = 0;
-        let mut skipped = 0;
-        // Batch size: amortise pool bookkeeping without monopolising frames.
-        // A batch pins at most `capacity / 8` pages, so several concurrent
-        // scanners plus the miss path always have frames left to claim.
-        let batch = (self.pool.capacity() / 8).clamp(1, 64);
-        let mut wanted: Vec<(u32, PageId)> = Vec::with_capacity(batch);
-        for (i, &pid) in page_ids.iter().enumerate() {
-            let ord = start + i as u32;
-            if skip(ord) {
-                skipped += 1;
-                continue;
-            }
-            wanted.push((ord, pid));
-            if wanted.len() == batch {
-                read += self.visit_batch(&wanted, &mut visit)?;
-                wanted.clear();
-            }
-        }
-        if !wanted.is_empty() {
-            read += self.visit_batch(&wanted, &mut visit)?;
-        }
-        Ok((read, skipped))
-    }
-
     /// Pages per sweep-read batch: a batch pins at most `capacity / 8`
     /// frames so several concurrent scanners plus the miss path always have
     /// frames left to claim. Scan planners use this to predict how many
@@ -378,15 +297,25 @@ impl HeapFile {
         (self.pool.capacity() / 8).clamp(1, 64)
     }
 
-    /// The sweep read: drives `visit` over a pre-planned sequence of page
-    /// runs instead of asking `skip` per page. `runs` yields ascending,
-    /// non-overlapping `(ordinal_range, skippable)` extents — exactly what
-    /// a skip-bitset's run iterator produces. Skippable runs cost nothing;
-    /// each unskipped run is pinned through [`BufferPool::pin_batch`] in
-    /// batches of [`HeapFile::sweep_batch_pages`], so a run costs one
-    /// pool-bookkeeping pass and one batched disk request per batch, not
-    /// one of each per page. Ordinals past the current end of the heap are
-    /// ignored. Returns `(pages_read, pages_skipped)`.
+    /// The sweep read — the one primitive every table walk goes through:
+    /// drives `visit` over a pre-planned sequence of page runs. `runs`
+    /// yields ascending, non-overlapping `(ordinal_range, skippable)`
+    /// extents — exactly what a skip-bitset's run iterator produces; a full
+    /// scan is the single run `(0..num_pages, false)`. Skippable runs cost
+    /// nothing; each unskipped run is pinned through
+    /// [`BufferPool::pin_batch`] in batches of
+    /// [`HeapFile::sweep_batch_pages`], so a run costs one pool-bookkeeping
+    /// pass and one batched disk request per batch, not one of each per
+    /// page, and each frame is read-locked only while its page is being
+    /// visited. Batches never span a skip gap, so every disk request covers
+    /// one contiguous extent of the heap. Ordinals past the current end of
+    /// the heap are ignored. Returns `(pages_read, pages_skipped)`.
+    ///
+    /// A batch the pool denies because every frame is pinned — eight
+    /// sweepers at distinct positions pin a whole pool between them — is
+    /// retried at half its size, down to one page, before the error
+    /// surfaces: the sweeper holds no pin while it asks, so a smaller
+    /// request only needs the frames the others are not using right now.
     pub fn sweep_read_runs(
         &self,
         runs: impl IntoIterator<Item = (std::ops::Range<u32>, bool)>,
@@ -412,73 +341,38 @@ impl HeapFile {
             )
         };
         let limit = start + page_ids.len() as u32;
-        let batch = self.sweep_batch_pages();
+        let batch = self.sweep_batch_pages() as u32;
         let mut read = 0;
         let mut skipped = 0;
-        let mut wanted: Vec<(u32, PageId)> = Vec::with_capacity(batch);
         for (run, skippable) in runs {
             let run_end = run.end.min(limit);
-            let run_start = run.start.min(run_end).max(start);
+            let mut at = run.start.min(run_end).max(start);
             if skippable {
-                skipped += run_end - run_start;
+                skipped += run_end - at;
                 continue;
             }
-            for ord in run_start..run_end {
-                if let Some(&pid) = page_ids.get((ord - start) as usize) {
-                    wanted.push((ord, pid));
+            let mut size = batch;
+            while at < run_end {
+                let end = run_end.min(at + size);
+                let pids = page_ids
+                    .get((at - start) as usize..(end - start) as usize)
+                    .unwrap_or_default();
+                match self.pool.pin_batch(pids) {
+                    Ok(pins) => {
+                        for ((ord, &pid), pin) in (at..end).zip(pids).zip(pins) {
+                            let guard = pin.read();
+                            visit(ord, pid, PageView::new(&guard[..]));
+                        }
+                        read += end - at;
+                        at = end;
+                        size = batch;
+                    }
+                    Err(StorageError::PoolExhausted) if size > 1 => size /= 2,
+                    Err(e) => return Err(e),
                 }
-                if wanted.len() == batch {
-                    read += self.visit_sweep_batch(&wanted, &mut visit)?;
-                    wanted.clear();
-                }
-            }
-            // Flush at the run boundary: batches never span a skip gap, so
-            // every disk request covers one contiguous extent of the heap.
-            if !wanted.is_empty() {
-                read += self.visit_sweep_batch(&wanted, &mut visit)?;
-                wanted.clear();
             }
         }
         Ok((read, skipped))
-    }
-
-    /// Visits one sweep batch: every page — resident or not — is pinned by
-    /// a single [`BufferPool::pin_batch`] call, then each frame is
-    /// read-locked only while its page is being visited.
-    fn visit_sweep_batch(
-        &self,
-        wanted: &[(u32, PageId)],
-        visit: &mut impl FnMut(u32, PageId, PageView<'_>),
-    ) -> Result<u32, StorageError> {
-        let pids: Vec<PageId> = wanted.iter().map(|&(_, pid)| pid).collect();
-        let pins = self.pool.pin_batch(&pids)?;
-        for (&(ord, pid), pin) in wanted.iter().zip(pins) {
-            let guard = pin.read();
-            visit(ord, pid, PageView::new(&guard[..]));
-        }
-        Ok(wanted.len() as u32)
-    }
-
-    /// Visits one batch of pages: resident pages are pinned in a single
-    /// bookkeeping pass, misses go through the ordinary fetch path. Each
-    /// frame is read-locked only while its page is being visited.
-    fn visit_batch(
-        &self,
-        wanted: &[(u32, PageId)],
-        visit: &mut impl FnMut(u32, PageId, PageView<'_>),
-    ) -> Result<u32, StorageError> {
-        let pids: Vec<PageId> = wanted.iter().map(|&(_, pid)| pid).collect();
-        let pinned = self.pool.pin_resident(&pids);
-        let mut read = 0;
-        for (&(ord, pid), pin) in wanted.iter().zip(pinned) {
-            let guard = match pin {
-                Some(pin) => pin.read(),
-                None => self.pool.fetch_read(pid)?,
-            };
-            read += 1;
-            visit(ord, pid, PageView::new(&guard[..]));
-        }
-        Ok(read)
     }
 
     fn check_owned(&self, page: PageId) -> Result<u32, StorageError> {
@@ -675,6 +569,18 @@ mod tests {
         assert_eq!(h.get(rid), Err(StorageError::UnknownRid(rid)));
     }
 
+    /// Live-tuple counts per visited page, in visit order.
+    fn sweep_counts(
+        h: &HeapFile,
+        runs: impl IntoIterator<Item = (std::ops::Range<u32>, bool)>,
+    ) -> ((u32, u32), Vec<(u32, usize)>) {
+        let mut seen = Vec::new();
+        let shape = h
+            .sweep_read_runs(runs, |ord, _, view| seen.push((ord, view.live_count())))
+            .unwrap();
+        (shape, seen)
+    }
+
     #[test]
     fn scan_visits_all_live_tuples() {
         let h = heap(4);
@@ -687,7 +593,12 @@ mod tests {
         h.delete(expect[50].0).unwrap();
         let mut seen = Vec::new();
         let (read, skipped) = h
-            .scan_pages(|_| false, |rid, bytes| seen.push((rid, bytes[0])))
+            .sweep_read_runs([(0..h.num_pages(), false)], |_, page, view| {
+                seen.extend(
+                    view.iter()
+                        .map(|(slot, bytes)| (Rid { page, slot }, bytes[0])),
+                );
+            })
             .unwrap();
         assert_eq!(read, h.num_pages());
         assert_eq!(skipped, 0);
@@ -696,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_skip_predicate_avoids_io() {
+    fn skippable_runs_avoid_io() {
         let h = heap(2); // tiny pool: every fetched page is a miss
         for i in 0..100u8 {
             h.insert(&[i; 500]).unwrap();
@@ -707,60 +618,45 @@ mod tests {
 
         // Skip every page: zero reads.
         let before = h.pool().stats().snapshot();
-        let (read, skipped) = h.scan_pages(|_| true, |_, _| {}).unwrap();
-        assert_eq!((read, skipped), (0, n));
+        let (shape, seen) = sweep_counts(&h, [(0..n, true)]);
+        assert_eq!((shape, seen.len()), ((0, n), 0));
         let delta = h.pool().stats().snapshot().since(&before);
         assert_eq!(delta.page_reads, 0, "skipped pages cost no disk I/O");
 
         // Skip the first half.
-        let (read, skipped) = h.scan_pages(|ord| ord < n / 2, |_, _| {}).unwrap();
-        assert_eq!(read, n - n / 2);
-        assert_eq!(skipped, n / 2);
+        let (shape, seen) = sweep_counts(&h, [(0..n / 2, true), (n / 2..n, false)]);
+        assert_eq!(shape, (n - n / 2, n / 2));
+        assert_eq!(seen.first().map(|&(ord, _)| ord), Some(n / 2));
     }
 
     #[test]
-    fn range_scans_tile_into_the_full_scan() {
+    fn range_sweeps_tile_into_the_full_sweep() {
         let h = heap(8);
         for i in 0..120u8 {
             h.insert(&[i; 300]).unwrap();
         }
         let n = h.num_pages();
         assert!(n >= 4);
-        let mut full = Vec::new();
-        h.scan_page_views(
-            |_| false,
-            |ord, _, view| full.push((ord, view.live_count())),
-        )
-        .unwrap();
-        // Any tiling of 0..n by ranges reproduces the full scan in order.
+        let (_, full) = sweep_counts(&h, [(0..n, false)]);
+        // Any tiling of 0..n by ranges reproduces the full sweep in order.
         let mid = n / 2;
         let mut tiled = Vec::new();
         for range in [0..mid, mid..n] {
-            let (read, skipped) = h
-                .scan_page_range_views(
-                    range.clone(),
-                    |_| false,
-                    |ord, _, view| tiled.push((ord, view.live_count())),
-                )
-                .unwrap();
-            assert_eq!(read, range.end - range.start);
-            assert_eq!(skipped, 0);
+            let (shape, seen) = sweep_counts(&h, [(range.clone(), false)]);
+            assert_eq!(shape, (range.end - range.start, 0));
+            tiled.extend(seen);
         }
         assert_eq!(tiled, full);
-        // Out-of-bounds ordinals are ignored, and skips count per range.
-        let (read, skipped) = h
-            .scan_page_range_views(n..n + 10, |_| false, |_, _, _| panic!("no pages here"))
-            .unwrap();
-        assert_eq!((read, skipped), (0, 0));
-        let (read, skipped) = h
-            .scan_page_range_views(0..n, |ord| ord % 2 == 0, |_, _, _| {})
-            .unwrap();
-        assert_eq!(read + skipped, n);
-        assert_eq!(skipped, n.div_ceil(2));
+        // Out-of-bounds ordinals are ignored, and skips count per run.
+        let (shape, seen) = sweep_counts(&h, [(n..n + 4, false), (n + 4..n + 8, true)]);
+        assert_eq!((shape, seen.len()), ((0, 0), 0));
+        let (shape, seen) = sweep_counts(&h, (0..n).map(|ord| (ord..ord + 1, ord % 2 == 0)));
+        assert_eq!(shape, (n / 2, n.div_ceil(2)));
+        assert!(seen.iter().all(|&(ord, _)| ord % 2 == 1));
     }
 
     #[test]
-    fn sweep_read_runs_matches_per_page_scan() {
+    fn sweep_read_runs_matches_page_reads() {
         // 16 frames -> sweep batches of 2 pages; ~39 pages of tuples, so
         // the sweep mixes resident hits with batched misses.
         let h = heap(16);
@@ -771,37 +667,71 @@ mod tests {
         assert!(n >= 12);
         h.pool().flush_all().unwrap();
 
-        // Alternating skip pattern as a per-page predicate...
+        // An alternating skip pattern in runs of three pages, against the
+        // single-page reads of the same unskipped ordinals.
         let skip = |ord: u32| (ord / 3).is_multiple_of(2);
-        let mut per_page = Vec::new();
-        let (read_a, skipped_a) = h
-            .scan_page_views(skip, |ord, _, view| per_page.push((ord, view.live_count())))
-            .unwrap();
-        // ...and the same pattern expressed as runs for the sweep read.
-        let mut runs = Vec::new();
-        let mut at = 0;
-        while at < n {
-            let end = (at + 3).min(n);
-            runs.push((at..end, skip(at)));
-            at = end;
-        }
+        let runs: Vec<_> = (0..n)
+            .step_by(3)
+            .map(|at| (at..(at + 3).min(n), skip(at)))
+            .collect();
+        let per_page: Vec<(u32, usize)> = (0..n)
+            .filter(|&ord| !skip(ord))
+            .map(|ord| (ord, h.read_page(ord).unwrap().len()))
+            .collect();
         let before = h.pool().stats().snapshot();
-        let mut swept = Vec::new();
-        let (read_b, skipped_b) = h
-            .sweep_read_runs(runs, |ord, _, view| swept.push((ord, view.live_count())))
-            .unwrap();
-        assert_eq!((read_a, skipped_a), (read_b, skipped_b));
-        assert_eq!(per_page, swept);
+        let ((read, skipped), swept) = sweep_counts(&h, runs);
+        assert_eq!(swept, per_page);
+        assert_eq!((read, skipped), (per_page.len() as u32, n - read));
         let d = h.pool().stats().snapshot().since(&before);
-        assert_eq!(d.page_reads + d.buffer_hits, u64::from(read_b));
+        assert_eq!(d.page_reads + d.buffer_hits, u64::from(read));
+    }
 
-        // Runs past the end of the heap are ignored entirely.
-        let (read, skipped) = h
-            .sweep_read_runs(vec![(n..n + 4, false), (n + 4..n + 8, true)], |_, _, _| {
-                panic!("no pages here")
+    #[test]
+    fn a_denied_sweep_batch_shrinks_instead_of_failing() {
+        // 16 frames -> batches of 2. Eight sweepers at distinct positions
+        // park inside their visit callback with their batch still pinned —
+        // seven on two-page extents, one on a single page: 15 frames between
+        // them (sweepers at the same position would share pins and hide
+        // this). A ninth sweep then finds one claimable frame: every
+        // two-page batch it asks for is denied, and has to shrink to one
+        // page rather than fail the sweep.
+        use std::sync::Barrier;
+        let h = Arc::new(heap(16));
+        while h.num_pages() < 200 {
+            h.insert(&[7u8; 2000]).unwrap();
+        }
+        let n = h.num_pages();
+        let expected: usize = (100..n).map(|o| h.tuples_on_page(o).unwrap()).sum();
+        let pinned = Arc::new(Barrier::new(9));
+        let release = Arc::new(Barrier::new(9));
+        let holders: Vec<_> = (0..8u32)
+            .map(|t| {
+                let (h, pinned, release) =
+                    (Arc::clone(&h), Arc::clone(&pinned), Arc::clone(&release));
+                std::thread::spawn(move || {
+                    let mut parked = false;
+                    h.sweep_read_runs([(2 * t..(2 * t + 2).min(15), false)], |_, _, _| {
+                        if !parked {
+                            parked = true;
+                            pinned.wait();
+                            release.wait();
+                        }
+                    })
+                })
             })
-            .unwrap();
-        assert_eq!((read, skipped), (0, 0));
+            .collect();
+        pinned.wait();
+        let mut seen = 0;
+        let swept = h.sweep_read_runs([(100..n, false)], |_, _, view| {
+            seen += view.live_count();
+        });
+        release.wait();
+        for (t, holder) in holders.into_iter().enumerate() {
+            let pages = if t == 7 { 1 } else { 2 };
+            assert_eq!(holder.join().unwrap(), Ok((pages, 0)));
+        }
+        assert_eq!(swept, Ok((n - 100, 0)));
+        assert_eq!(seen, expected);
     }
 
     #[test]

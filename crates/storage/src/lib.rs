@@ -2,10 +2,9 @@
 //!
 //! This crate implements everything the paper's prototype got for free from
 //! the H2 Database Engine: a value/tuple model, slotted pages, a simulated
-//! disk manager with I/O accounting, a buffer pool with pluggable page
-//! replacement (LRU, Clock, LRU-K), and heap files that support
-//! page-granular scans — the substrate on which the Index Buffer's
-//! page-skipping logic operates.
+//! disk manager with I/O accounting, an LRU buffer pool, and heap files
+//! swept run by run at page granularity — the substrate on which the Index
+//! Buffer's page-skipping logic operates.
 //!
 //! The disk sits behind the [`disk::DiskBackend`] trait with two
 //! implementations: the in-memory simulation ([`disk::DiskManager`], the
@@ -49,7 +48,7 @@ pub use file_backend::FileBackend;
 pub use heap::HeapFile;
 pub use lruk::AccessHistory;
 pub use page::{PageView, SlottedPage};
-pub use replacement::{DisplacementPolicy, FrameId};
+pub use replacement::FrameId;
 pub use rid::{PageId, Rid, SlotId};
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{IoSnapshot, IoStats};

@@ -1,54 +1,23 @@
-//! Pluggable displacement policies.
+//! Buffer-pool frame displacement: least recently used.
 //!
-//! One trait serves both places the system throws memory overboard: the
-//! buffer pool displacing page frames, and the Index Buffer Space displacing
-//! partitions (Algorithm 2's benefit-weighted victim selection lives in
-//! `aib-core::space` but implements the same [`DisplacementPolicy`] trait).
-//! Three classic frame policies are provided here: LRU, Clock (second
-//! chance), and LRU-K — the paper cites O'Neil et al.'s LRU-K (its ref. 5)
-//! and reuses its access-interval idea for Index Buffer benefit accounting,
-//! so [`LruKPolicy`] shares the [`crate::lruk::AccessHistory`]
-//! implementation with `aib-core::history`.
-
-// aib-lint: allow-file(no-index) — policy state vectors are sized to the
-// pool's frame count at construction and indexed only by FrameIds the pool
-// handed out, which are `< frames` by construction.
+//! The paper's "database buffer" needs one replacement rule, so the pool
+//! holds an [`LruPolicy`] directly, with no trait in between. (The Index
+//! Buffer Space's benefit-weighted victim selection — Algorithm 2 — is a
+//! different rule over different state and lives in `aib-core::space`; the
+//! LRU-K access history the paper cites for benefit accounting is
+//! [`crate::lruk::AccessHistory`].)
 
 use std::collections::{BTreeMap, HashMap};
-
-use crate::lruk::AccessHistory;
 
 /// Frame index within the buffer pool.
 pub type FrameId = usize;
 
-/// A displacement policy over abstract resource ids (buffer-pool frames or
-/// index-buffer slots).
+/// Least-recently-used displacement over buffer-pool frame ids.
 ///
-/// The owner calls [`record_access`](DisplacementPolicy::record_access) on
-/// every use and [`displace`](DisplacementPolicy::displace) when it needs
-/// room; `displace` must skip ids for which `blocked` returns true and must
-/// forget the id it returns (the owner re-registers it on the next access).
-/// Benefit-aware policies additionally receive
-/// [`record_weight`](DisplacementPolicy::record_weight) updates; recency
-/// policies ignore them.
-pub trait DisplacementPolicy: Send {
-    /// Notes that `id` was just accessed.
-    fn record_access(&mut self, id: FrameId);
-    /// Notes the current benefit weight of `id` — larger weights displace
-    /// later. Pure-recency policies ignore this (default no-op).
-    fn record_weight(&mut self, id: FrameId, weight: f64) {
-        let _ = (id, weight);
-    }
-    /// Picks an unblocked victim id and removes it from the policy's
-    /// bookkeeping, or returns `None` if every tracked id is blocked.
-    fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId>;
-    /// Forgets `id` entirely (resource freed outside displacement).
-    fn remove(&mut self, id: FrameId);
-    /// Human-readable policy name.
-    fn name(&self) -> &'static str;
-}
-
-/// Least-recently-used displacement.
+/// The pool calls [`record_access`](LruPolicy::record_access) on every use
+/// and [`displace`](LruPolicy::displace) when it needs room; `displace`
+/// skips ids for which `blocked` returns true and forgets the id it returns
+/// (the pool re-registers it on the next access).
 #[derive(Debug, Default)]
 pub struct LruPolicy {
     clock: u64,
@@ -61,10 +30,9 @@ impl LruPolicy {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl DisplacementPolicy for LruPolicy {
-    fn record_access(&mut self, id: FrameId) {
+    /// Notes that `id` was just accessed.
+    pub fn record_access(&mut self, id: FrameId) {
         if let Some(old) = self.stamp_of.remove(&id) {
             self.by_stamp.remove(&old);
         }
@@ -73,7 +41,9 @@ impl DisplacementPolicy for LruPolicy {
         self.by_stamp.insert(self.clock, id);
     }
 
-    fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
+    /// Picks the least recently used unblocked id and removes it from the
+    /// bookkeeping, or returns `None` if every tracked id is blocked.
+    pub fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
         let victim = self
             .by_stamp
             .iter()
@@ -85,144 +55,11 @@ impl DisplacementPolicy for LruPolicy {
         Some(id)
     }
 
-    fn remove(&mut self, id: FrameId) {
+    /// Forgets `id` entirely (frame freed outside displacement).
+    pub fn remove(&mut self, id: FrameId) {
         if let Some(stamp) = self.stamp_of.remove(&id) {
             self.by_stamp.remove(&stamp);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-}
-
-/// Clock (second chance) displacement over a fixed id count.
-#[derive(Debug)]
-pub struct ClockPolicy {
-    referenced: Vec<bool>,
-    present: Vec<bool>,
-    hand: usize,
-}
-
-impl ClockPolicy {
-    /// Creates a clock over `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        ClockPolicy {
-            referenced: vec![false; capacity],
-            present: vec![false; capacity],
-            hand: 0,
-        }
-    }
-}
-
-impl DisplacementPolicy for ClockPolicy {
-    fn record_access(&mut self, id: FrameId) {
-        self.referenced[id] = true;
-        self.present[id] = true;
-    }
-
-    fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
-        let n = self.referenced.len();
-        if n == 0 {
-            return None;
-        }
-        // Two sweeps suffice: the first clears reference bits, the second
-        // must find an unreferenced, unblocked, present id if one exists.
-        for _ in 0..2 * n {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !self.present[f] || blocked(f) {
-                continue;
-            }
-            if self.referenced[f] {
-                self.referenced[f] = false;
-            } else {
-                self.present[f] = false;
-                return Some(f);
-            }
-        }
-        None
-    }
-
-    fn remove(&mut self, id: FrameId) {
-        self.present[id] = false;
-        self.referenced[id] = false;
-    }
-
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-}
-
-/// LRU-K displacement (O'Neil, O'Neil, Weikum; SIGMOD'93): displaces the id
-/// whose K-th most recent access lies furthest in the past. Ids with fewer
-/// than K recorded accesses have infinite backward K-distance and are
-/// displaced first, oldest first.
-#[derive(Debug)]
-pub struct LruKPolicy {
-    k: usize,
-    clock: u64,
-    history: HashMap<FrameId, AccessHistory>,
-}
-
-impl LruKPolicy {
-    /// Creates an LRU-K policy.
-    ///
-    /// # Panics
-    /// If `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "LRU-K requires k >= 1");
-        LruKPolicy {
-            k,
-            clock: 0,
-            history: HashMap::new(),
-        }
-    }
-}
-
-impl DisplacementPolicy for LruKPolicy {
-    fn record_access(&mut self, id: FrameId) {
-        self.clock += 1;
-        let k = self.k;
-        self.history
-            .entry(id)
-            .or_insert_with(|| AccessHistory::new(k))
-            .record(self.clock);
-    }
-
-    fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
-        // Candidate key: (has fewer than K accesses, backward K-distance) —
-        // max wins. Access stamps are unique, so distances break every tie
-        // among full histories; among short histories the distance to the
-        // oldest retained stamp prefers the longest-idle id, matching LRU-K's
-        // "infinite distance, oldest first" rule.
-        let mut best: Option<(bool, u64, FrameId)> = None;
-        for (&id, h) in &self.history {
-            if blocked(id) {
-                continue;
-            }
-            let (infinite, dist) = match h.backward_k_distance(self.clock) {
-                Some(d) => (false, d),
-                // Tracked ids record an access on admission; an empty history
-                // (unreachable) reads as maximally evictable rather than
-                // pinning the frame forever.
-                None => (true, h.oldest().map_or(u64::MAX, |o| self.clock - o)),
-            };
-            if best.is_none_or(|b| (infinite, dist) > (b.0, b.1)) {
-                best = Some((infinite, dist, id));
-            }
-        }
-        let (_, _, id) = best?;
-        self.history.remove(&id);
-        Some(id)
-    }
-
-    fn remove(&mut self, id: FrameId) {
-        self.history.remove(&id);
-    }
-
-    fn name(&self) -> &'static str {
-        "lru-k"
     }
 }
 
@@ -264,99 +101,5 @@ mod tests {
         p.remove(0);
         assert_eq!(p.displace(&none_blocked), Some(1));
         assert_eq!(p.displace(&none_blocked), None);
-    }
-
-    #[test]
-    fn weights_are_ignored_by_recency_policies() {
-        let mut p = LruPolicy::new();
-        p.record_access(0);
-        p.record_access(1);
-        p.record_weight(0, 1e9); // LRU doesn't care how beneficial 0 is
-        assert_eq!(p.displace(&none_blocked), Some(0));
-    }
-
-    #[test]
-    fn clock_gives_second_chance() {
-        let mut p = ClockPolicy::new(3);
-        p.record_access(0);
-        p.record_access(1);
-        p.record_access(2);
-        // All referenced; first sweep clears bits, second displaces frame 0.
-        assert_eq!(p.displace(&none_blocked), Some(0));
-        // Re-referencing 1 saves it over 2.
-        p.record_access(1);
-        assert_eq!(p.displace(&none_blocked), Some(2));
-    }
-
-    #[test]
-    fn clock_all_blocked_returns_none() {
-        let mut p = ClockPolicy::new(2);
-        p.record_access(0);
-        p.record_access(1);
-        assert_eq!(p.displace(&|_| true), None);
-    }
-
-    #[test]
-    fn clock_empty_returns_none() {
-        let mut p = ClockPolicy::new(0);
-        assert_eq!(p.displace(&none_blocked), None);
-    }
-
-    #[test]
-    fn lruk_prefers_ids_without_k_accesses() {
-        let mut p = LruKPolicy::new(2);
-        p.record_access(0);
-        p.record_access(0); // 0 has K=2 accesses
-        p.record_access(1); // 1 has 1 access -> infinite distance
-        p.record_access(2);
-        p.record_access(2);
-        assert_eq!(p.displace(&none_blocked), Some(1));
-    }
-
-    #[test]
-    fn lruk_displaces_largest_backward_k_distance() {
-        let mut p = LruKPolicy::new(2);
-        for _ in 0..2 {
-            p.record_access(0);
-        }
-        for _ in 0..2 {
-            p.record_access(1);
-        }
-        // 0's 2nd-last access is older than 1's.
-        assert_eq!(p.displace(&none_blocked), Some(0));
-        assert_eq!(p.displace(&none_blocked), Some(1));
-        assert_eq!(p.displace(&none_blocked), None);
-    }
-
-    #[test]
-    fn lruk_correlated_burst_does_not_save_frame() {
-        // Classic LRU-K property: a burst of correlated accesses to frame 0
-        // does not make it younger than steadily re-referenced frame 1 under
-        // K=2, because only the K-th most recent access counts.
-        let mut p = LruKPolicy::new(2);
-        p.record_access(1);
-        p.record_access(1);
-        for _ in 0..10 {
-            p.record_access(0);
-        }
-        p.record_access(1);
-        p.record_access(1);
-        // 0's K-th most recent (2nd-last) access is very recent; 1's is
-        // also recent. 0 survived the burst; 1's kth = access 13. 0's kth =
-        // access 11. So 0 is displaced despite being touched 10 times.
-        assert_eq!(p.displace(&none_blocked), Some(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 1")]
-    fn lruk_rejects_zero_k() {
-        LruKPolicy::new(0);
-    }
-
-    #[test]
-    fn policy_names() {
-        assert_eq!(LruPolicy::new().name(), "lru");
-        assert_eq!(ClockPolicy::new(1).name(), "clock");
-        assert_eq!(LruKPolicy::new(2).name(), "lru-k");
     }
 }

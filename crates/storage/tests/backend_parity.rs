@@ -7,7 +7,10 @@
 //! [`IoSnapshot`]s, and checkpoint flush I/O (`sync`) must be charged in
 //! neither.
 
-use aib_storage::{CostModel, DiskBackend, DiskManager, FileBackend, IoSnapshot, PAGE_SIZE};
+use aib_storage::{
+    BufferPool, BufferPoolConfig, CostModel, DiskBackend, DiskManager, FileBackend, HeapFile,
+    IoSnapshot, PAGE_SIZE,
+};
 use std::path::PathBuf;
 
 struct TempDir(PathBuf);
@@ -107,6 +110,62 @@ fn zero_cost_model_still_counts_operations() {
     assert_eq!(sim, durable);
     assert_eq!(sim.simulated_us, 0);
     assert_eq!(sim.total_io(), 19);
+}
+
+/// The table sweep — the plain scan and the buffered sweep that skips
+/// nothing are this one call — over a heap on `disk` through a pool of
+/// `frames` frames. Returns what the sweep visited and was charged.
+fn sweep(disk: Box<dyn DiskBackend>, frames: usize) -> (Vec<(u32, usize)>, IoSnapshot) {
+    let pool = BufferPool::with_backend(disk, BufferPoolConfig::lru(frames));
+    let heap = HeapFile::new(std::sync::Arc::clone(&pool));
+    for i in 0..400u16 {
+        heap.insert(&[(i % 251) as u8; 1000]).unwrap();
+    }
+    let pages = heap.num_pages();
+    assert!(pages >= 48);
+    pool.flush_all().unwrap();
+    let before = pool.stats().snapshot();
+    let mut seen = Vec::new();
+    let shape = heap
+        .sweep_read_runs([(0..pages, false)], |ord, _, view| {
+            seen.push((ord, view.live_count()));
+        })
+        .unwrap();
+    assert_eq!(shape, (pages, 0));
+    (seen, pool.stats().snapshot().since(&before))
+}
+
+#[test]
+fn table_sweep_charges_identical_stats_on_both_backends() {
+    let cost = CostModel {
+        read_us: 100,
+        write_us: 120,
+    };
+    let dir = TempDir::new("sweep");
+    // A pool the table fits in (every page a hit), and one an eighth of
+    // it, which the sweep floods (every page a miss).
+    for (frames, resident) in [(128usize, true), (7, false)] {
+        let (sim_seen, sim) = sweep(Box::new(DiskManager::new(cost)), frames);
+        let path = dir.0.join(format!("heap-{frames}.db"));
+        let file = FileBackend::open(&path, cost).unwrap();
+        let (file_seen, durable) = sweep(Box::new(file), frames);
+        assert_eq!(
+            sim_seen, file_seen,
+            "{frames} frames: same pages, same tuples"
+        );
+        assert_eq!(sim, durable, "{frames} frames: same I/O charge");
+        let pages = sim_seen.len() as u64;
+        let expected = if resident {
+            (pages, 0, 0)
+        } else {
+            (0, pages, pages * 100)
+        };
+        assert_eq!(
+            (sim.buffer_hits, sim.page_reads, sim.simulated_us),
+            expected,
+            "{frames} frames"
+        );
+    }
 }
 
 #[test]

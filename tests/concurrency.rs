@@ -58,7 +58,10 @@ fn parallel_heap_readers_during_inserts() {
                     assert_eq!(t.get(0).unwrap().as_int(), Some(*k));
                 }
                 let mut seen = 0u64;
-                heap.scan_pages(|_| false, |_, _| seen += 1).unwrap();
+                heap.sweep_read_runs([(0..heap.num_pages(), false)], |_, _, view| {
+                    seen += view.live_count() as u64;
+                })
+                .unwrap();
                 assert!(seen >= 500);
             }
         }));

@@ -171,3 +171,81 @@ fn thread_counts_beyond_the_table_still_agree() {
     }
     assert_eq!(counter_vector(&seq), counter_vector(&par));
 }
+
+/// The baseline the paper's Figs. 6–7 plot: a plain table scan must be the
+/// buffered sweep that skips nothing — same rids in the same order, same
+/// `IoSnapshot` delta — so the two differ only by what `C[p] = 0` skips and
+/// what line 16 inserts. Columns `k` and `j` hold the same values; `k` has
+/// a partial index covering nothing and a buffer in a zero-byte space (no
+/// page is ever indexed, so no page ever becomes skippable), `j` has no
+/// index at all.
+#[test]
+fn plain_scan_is_the_buffered_sweep_that_skips_nothing() {
+    let build = |pool_frames: usize| {
+        let db = Database::new(EngineConfig {
+            pool_frames,
+            cost_model: CostModel::default(),
+            space: SpaceConfig {
+                max_bytes: Some(0),
+                ..Default::default()
+            },
+            scan_threads: 1,
+            ..Default::default()
+        });
+        db.create_table(
+            "t",
+            Schema::new(vec![Column::int("k"), Column::int("j"), Column::str("pad")]),
+        )
+        .unwrap();
+        for i in 0..ROWS {
+            let v = Value::Int((i * 17) % DOMAIN);
+            let pad = Value::from("x".repeat(100 + (i as usize * 7) % 60));
+            db.insert("t", &Tuple::new(vec![v.clone(), v, pad]))
+                .unwrap();
+        }
+        db.create_partial_index(
+            "t",
+            "k",
+            Coverage::empty_set(),
+            IndexBackend::BTree,
+            Some(BufferConfig::default()),
+        )
+        .unwrap();
+        db
+    };
+    let pages = build(2048).table("t").unwrap().num_pages();
+    assert!(pages >= 64);
+
+    // A pool the table fits in, and one an eighth of it that every sweep
+    // floods.
+    for pool_frames in [2048, pages as usize / 8] {
+        let db = build(pool_frames);
+        // Settle the pool: write back the load's dirty pages, leave the
+        // frames as a full sweep leaves them.
+        db.execute(&Query::on("t", "j").eq(0i64)).unwrap();
+        for value in [3i64, 77, DOMAIN - 1, DOMAIN + 5] {
+            let plain = db.execute(&Query::on("t", "j").eq(value)).unwrap();
+            let buffered = db.execute(&Query::on("t", "k").eq(value)).unwrap();
+            assert_eq!(plain.result.path, AccessPath::PlainScan);
+            assert_eq!(buffered.result.path, AccessPath::BufferedScan);
+            let scan = buffered.metrics.scan.as_ref().unwrap();
+            assert_eq!(
+                (scan.pages_read, scan.pages_skipped, scan.pages_indexed),
+                (pages, 0, 0),
+                "{pool_frames} frames: the buffered sweep skips and indexes nothing"
+            );
+            assert_eq!(
+                plain.result.rids, buffered.result.rids,
+                "{pool_frames} frames, value {value}: same rids, same order"
+            );
+            assert_eq!(
+                plain.metrics.io, buffered.metrics.io,
+                "{pool_frames} frames, value {value}: same I/O charge"
+            );
+            let io = plain.metrics.io;
+            assert_eq!(io.buffer_hits + io.buffer_misses, u64::from(pages));
+            assert_eq!(io.page_reads, io.buffer_misses);
+            assert_eq!(io.buffer_misses == 0, pool_frames >= pages as usize);
+        }
+    }
+}

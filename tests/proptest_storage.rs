@@ -184,10 +184,13 @@ proptest! {
             }
             prop_assert_eq!(heap.live_tuples() as usize, model.len());
         }
-        // Full scan yields exactly the model.
+        // Full scan — one unskipped run over the heap — yields exactly the
+        // model.
         let mut scanned: HashMap<Rid, Vec<u8>> = HashMap::new();
-        heap.scan_pages(|_| false, |rid, bytes| {
-            scanned.insert(rid, bytes.to_vec());
+        heap.sweep_read_runs([(0..heap.num_pages(), false)], |_, page, view| {
+            for (slot, bytes) in view.iter() {
+                scanned.insert(Rid { page, slot }, bytes.to_vec());
+            }
         }).unwrap();
         prop_assert_eq!(scanned, model);
     }

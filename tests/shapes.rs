@@ -157,8 +157,18 @@ fn fig7_shape_imax_and_space_bound() {
 
 /// Fig. 8 shape: bounded space flips from A to C after the mix switch.
 /// Run at 100 k rows — the racy equilibrium between the two busiest buffers
-/// is noisy below that (see EXPERIMENTS.md, Fig. 8 deviation note); the
-/// robust published claims are asserted here.
+/// is noisy below that (see EXPERIMENTS.md, Fig. 8 deviation note).
+///
+/// What is asserted is the published claim, not one random stream: in
+/// period 1 A and B share the space and C is sporadic; after the switch C
+/// overtakes A, A collapses, and B + C fill the space. How the two busy
+/// columns of a period split the space between them is *not* asserted — a
+/// column's buffer stops growing once every uncovered tuple is in it (90 %
+/// of the rows, 56 % of `L`), so whichever of the two completes first caps
+/// the other at the remaining 44 %, and which one that is depends on the
+/// query stream. A displacement rule that never evicts, or evicts without
+/// regard to benefit, leaves C large in period 1 or A large in period 2 and
+/// fails here.
 #[test]
 fn fig8_shape_allocation_flips_with_the_mix() {
     let rows: u64 = 100_000;
@@ -167,54 +177,63 @@ fn fig8_shape_allocation_flips_with_the_mix() {
     let l = (800_000 * rows / 500_000) as usize;
     let i_max = (5_000 * rows / 500_000) as u32;
     let p = (10_000 * rows / 500_000) as u32;
-    let space = SpaceConfig {
-        max_bytes: Some(l * DEFAULT_ENTRY_FOOTPRINT),
-        i_max,
-        seed: 8,
-        ..Default::default()
-    };
     let buffer = BufferConfig {
         partition_pages: p,
         ..Default::default()
     };
-    let mut db = Database::new(EngineConfig {
-        pool_frames: 200,
-        cost_model: CostModel::default(),
-        space,
-        ..Default::default()
-    });
-    db.create_table("eval", spec.schema()).unwrap();
-    for t in spec.tuples() {
-        db.insert("eval", &t).unwrap();
-    }
-    let (lo, hi) = spec.covered_range();
-    for col in ["A", "B", "C"] {
-        db.create_partial_index(
-            "eval",
-            col,
-            Coverage::IntRange { lo, hi },
-            IndexBackend::BTree,
-            Some(buffer),
-        )
-        .unwrap();
-    }
-    let rec = run(&mut db, &queries);
+    for seed in [8, 1, 2] {
+        let space = SpaceConfig {
+            max_bytes: Some(l * DEFAULT_ENTRY_FOOTPRINT),
+            i_max,
+            seed,
+            ..Default::default()
+        };
+        let mut db = Database::new(EngineConfig {
+            pool_frames: 200,
+            cost_model: CostModel::default(),
+            space,
+            ..Default::default()
+        });
+        db.create_table("eval", spec.schema()).unwrap();
+        for t in spec.tuples() {
+            db.insert("eval", &t).unwrap();
+        }
+        let (lo, hi) = spec.covered_range();
+        for col in ["A", "B", "C"] {
+            db.create_partial_index(
+                "eval",
+                col,
+                Coverage::IntRange { lo, hi },
+                IndexBackend::BTree,
+                Some(buffer),
+            )
+            .unwrap();
+        }
+        let rec = run(&mut db, &queries);
 
-    let p1 = &rec.records()[SWITCH_AT - 1].buffer_entries;
-    assert!(
-        p1[0] * 2 > l,
-        "period 1: A holds more than half the space: {p1:?} of {l}"
-    );
-    assert!(
-        p1[0] > 10 * p1[2].max(1),
-        "period 1: C is sporadic next to A: {p1:?}"
-    );
-    let p2 = &rec.records().last().unwrap().buffer_entries;
-    assert!(p2[2] > p2[0], "period 2: C overtakes A: {p2:?}");
-    assert!(
-        p2[2] * 2 > l,
-        "period 2: C holds roughly half the space or more: {p2:?} of {l}"
-    );
+        let p1 = &rec.records()[SWITCH_AT - 1].buffer_entries;
+        assert!(
+            p1[0] * 5 > l * 2 && (p1[0] + p1[1]) * 20 > l * 19,
+            "seed {seed}, period 1: A holds two fifths or more, A + B fill the space: {p1:?} of {l}"
+        );
+        assert!(
+            p1[0] > 10 * p1[2].max(1),
+            "seed {seed}, period 1: C is sporadic next to A: {p1:?}"
+        );
+        let p2 = &rec.records().last().unwrap().buffer_entries;
+        assert!(
+            p2[2] > p2[0] && p2[2] * 5 > l * 2,
+            "seed {seed}, period 2: C overtakes A and holds two fifths or more: {p2:?} of {l}"
+        );
+        assert!(
+            p2[0] * 10 < p1[0],
+            "seed {seed}, period 2: A collapses: {p1:?} -> {p2:?}"
+        );
+        assert!(
+            (p2[1] + p2[2]) * 20 > l * 19,
+            "seed {seed}, period 2: B + C fill the space: {p2:?} of {l}"
+        );
+    }
 }
 
 /// Fig. 1 shape (simulation): hit rate collapses during the shift and the
