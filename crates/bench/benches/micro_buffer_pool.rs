@@ -1,8 +1,11 @@
-//! Criterion microbenchmarks of the buffer pool: hit/miss fetch cost and
-//! the LRU bookkeeping under a scan-like access pattern.
+//! Criterion microbenchmarks of the buffer pool: hit/miss fetch cost, the
+//! LRU bookkeeping under a scan-like access pattern, and the cyclic sweep of
+//! a file-backed table eight times the pool.
 
 use aib_storage::replacement::LruPolicy;
-use aib_storage::{BufferPool, BufferPoolConfig, CostModel, DiskManager, PageId};
+use aib_storage::{
+    BufferPool, BufferPoolConfig, CostModel, DiskManager, FileBackend, HeapFile, PageId,
+};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
@@ -62,11 +65,11 @@ fn bench_lru_ops(c: &mut Criterion) {
     };
     group.bench_function(BenchmarkId::new("lru", frames), |b| {
         b.iter(|| {
-            let mut policy = LruPolicy::new();
+            let mut policy = LruPolicy::new(frames);
             for (i, &f) in accesses.iter().enumerate() {
                 policy.record_access(f);
                 if i % 16 == 0 {
-                    if let Some(victim) = policy.displace(&|_| false) {
+                    if let Some(victim) = policy.displace(|_| false) {
                         black_box(victim);
                     }
                 }
@@ -76,5 +79,32 @@ fn bench_lru_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fetch, bench_lru_ops);
+/// The sweep `aib-e2e`'s `shift` workload spends its time in: every page of
+/// a checkpointed `FileBackend` table through a pool an eighth its size,
+/// over and over — batched pins, vectored run reads, cold-end admission.
+fn bench_cyclic_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sweep_read_runs");
+    let (pages, frames) = (1024u32, 128usize);
+    let path = std::env::temp_dir().join(format!("aib-micro-pool-{}.heap", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let disk = FileBackend::open(&path, CostModel::free()).unwrap();
+    let pool = BufferPool::with_backend(Box::new(disk), BufferPoolConfig::lru(frames));
+    let heap = HeapFile::new(Arc::clone(&pool));
+    while heap.num_pages() < pages {
+        heap.insert(&[7u8; 2000]).unwrap();
+    }
+    pool.sync().unwrap();
+    group.bench_function(BenchmarkId::new("file_cyclic_pool_eighth", pages), |b| {
+        b.iter(|| {
+            let mut live = 0;
+            heap.sweep_read_runs([(0..pages, false)], |_, _, view| live += view.live_count())
+                .unwrap();
+            black_box(live)
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
+}
+
+criterion_group!(benches, bench_fetch, bench_lru_ops, bench_cyclic_sweep);
 criterion_main!(benches);

@@ -110,7 +110,14 @@ pub fn maintain(
     }
 
     // --- Buffer / counter matrix -------------------------------------------
-    // Only uncovered sides participate.
+    // The page of any new tuple is tracked from here on, covered or not: a
+    // page the table grew by whose tuples are all covered has `C[p] = 0`
+    // and must become skippable — outside the tracked range every sweep
+    // would read it for ever.
+    if let Some(n) = &new {
+        counters.ensure_page(n.page);
+    }
+    // Only uncovered sides participate in the matrix itself.
     let old_u = match (old, old_in_ix) {
         (Some(t), Some(false)) => Some(t),
         _ => None,
@@ -119,9 +126,6 @@ pub fn maintain(
         (Some(t), Some(false)) => Some(t),
         _ => None,
     };
-    if let Some(n) = &new_u {
-        counters.ensure_page(n.page);
-    }
     match (old_u, new_u) {
         (None, None) => {}
         (None, Some(n)) => {
@@ -258,6 +262,31 @@ mod tests {
 
     fn apply(f: &mut Fix, old: Option<TupleRef>, new: Option<TupleRef>) -> Vec<MaintAction> {
         maintain(&mut f.partial, &mut f.buffer, &mut f.counters, old, new).unwrap()
+    }
+
+    #[test]
+    fn a_covered_tuple_on_a_fresh_page_makes_the_page_tracked() {
+        // Page 5 is past the tracked range (pages 0..=3). A covered insert
+        // there touches no counter, but the page must enter the range —
+        // with `C[p] = 0` it is skippable, untracked it never would be.
+        let mut f = fix();
+        assert!(!f.counters.is_fully_indexed(5));
+        let a = apply(
+            &mut f,
+            None,
+            Some(TupleRef::new(covered(7), Rid::new(5, 0), 5)),
+        );
+        assert_eq!(a, vec![IxAdd]);
+        assert_eq!(f.counters.num_pages(), 6);
+        assert!(f.counters.is_fully_indexed(5));
+        // An uncovered tuple on the same page takes it out again.
+        apply(
+            &mut f,
+            None,
+            Some(TupleRef::new(uncovered(300), Rid::new(5, 1), 5)),
+        );
+        assert_eq!(f.counters.get(5), 1);
+        assert!(!f.counters.is_fully_indexed(5));
     }
 
     // --- Table I, row by row (update cases) --------------------------------

@@ -1471,8 +1471,9 @@ impl Database {
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
         let snapshot = self.space.space_snapshot();
-        let plan = self.plan_read(&catalog.tables[ti], ci, &query.predicate, Some(&snapshot));
-        Ok(plan.explain(&snapshot))
+        let table = &catalog.tables[ti];
+        let plan = self.plan_read(table, ci, &query.predicate, Some(&snapshot));
+        Ok(plan.explain(&snapshot, table.heap.sweep_batch_pages() as u32))
     }
 
     /// Coverage of an indexed column (inspection).

@@ -43,6 +43,14 @@ pub struct Explanation {
     /// off the maintained skip bitset, so it costs a word scan, not a page
     /// scan. 0 for index hits and plain scans.
     pub skip_runs: u32,
+    /// Disk read requests the sweep costs when none of its pages is
+    /// resident in the buffer pool: one per batch of at most
+    /// [`aib_storage::HeapFile::sweep_batch_pages`] consecutive pages (a
+    /// batch never spans a skip run). The executed query reports what it
+    /// really issued in [`crate::QueryMetrics`]`::io.read_requests` — fewer
+    /// when whole batches are resident, more when resident pages split a
+    /// batch. 0 for index hits.
+    pub cold_read_requests: u32,
     /// Exact result cardinality for queries the partial index answers;
     /// `None` when only execution can tell.
     pub known_cardinality: Option<usize>,
@@ -90,13 +98,22 @@ impl Explanation {
                         if self.skip_runs == 1 { "" } else { "s" }
                     ));
                 }
+                if self.pages_to_read > 0 {
+                    s.push_str(&format!(
+                        ", {} disk requests when cold",
+                        self.cold_read_requests
+                    ));
+                }
                 if self.scan_threads > 1 {
                     s.push_str(&format!(", {} scan threads", self.scan_threads));
                 }
                 s
             }
             AccessPath::PlainScan => {
-                format!("full table scan: {} pages", self.table_pages)
+                format!(
+                    "full table scan: {} pages, {} disk requests when cold",
+                    self.table_pages, self.cold_read_requests
+                )
             }
         }
     }
@@ -116,6 +133,7 @@ mod tests {
             pages_to_read,
             pages_skippable: 100 - pages_to_read,
             skip_runs,
+            cold_read_requests: pages_to_read.div_ceil(32),
             known_cardinality: None,
             buffer_entries: 900,
             buffer_bytes: 28_800,
@@ -140,7 +158,9 @@ mod tests {
         assert!(s.contains("900 entries (28800 bytes)"));
         assert!(s.contains("3 skip runs"));
         assert!(!s.contains("scan threads"));
-        assert!(scan(25, 1, 1).summary().ends_with("1 skip run"));
+        assert!(scan(25, 1, 1)
+            .summary()
+            .ends_with("1 skip run, 1 disk requests when cold"));
         assert!(scan(25, 3, 4).summary().contains("4 scan threads"));
 
         let locked = Explanation {
@@ -156,7 +176,10 @@ mod tests {
             pages_skippable: 0,
             ..scan(40, 0, 1)
         };
-        assert_eq!(plain.summary(), "full table scan: 40 pages");
+        assert_eq!(
+            plain.summary(),
+            "full table scan: 40 pages, 2 disk requests when cold"
+        );
         assert_eq!(plain.skip_ratio(), 0.0);
     }
 

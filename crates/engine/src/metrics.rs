@@ -121,9 +121,11 @@ impl WorkloadRecorder {
     }
 
     /// Renders the series as CSV with one row per query. Columns:
-    /// `seq,path,plan,results,pages_read,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,entries_b0,entries_b1,...`
+    /// `seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,entries_b0,entries_b1,...`
     /// (`plan` is the [`PlanSource`] tag: `snapshot`, `shard-locked`,
-    /// `exclusive`, or `none` for hits and plain scans).
+    /// `exclusive`, or `none` for hits and plain scans; `read_requests` is
+    /// the disk requests `pages_read` arrived in — one per page fetched on
+    /// its own, one per contiguous run of a sweep batch).
     pub fn to_csv(&self) -> String {
         let buffers = self
             .records
@@ -132,8 +134,9 @@ impl WorkloadRecorder {
             .max()
             .unwrap_or(0);
         let mut out = String::from(
-            "seq,path,plan,results,pages_read,pages_skipped,skip_runs,sweep_batches,\
-             sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements",
+            "seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,\
+             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,\
+             mem_displacements",
         );
         for b in 0..buffers {
             out.push_str(&format!(",entries_b{b}"));
@@ -146,12 +149,13 @@ impl WorkloadRecorder {
                 AccessPath::PlainScan => "scan",
             };
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.seq,
                 path,
                 r.plan.as_str(),
                 r.result_count,
                 r.io.page_reads,
+                r.io.read_requests,
                 r.pages_skipped(),
                 r.skip_runs(),
                 r.sweep_batches(),
@@ -187,6 +191,7 @@ mod tests {
             result_count: 1,
             io: IoSnapshot {
                 page_reads: 2,
+                read_requests: 1,
                 simulated_us: 200,
                 ..Default::default()
             },
@@ -235,17 +240,17 @@ mod tests {
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
-            "seq,path,plan,results,pages_read,pages_skipped,skip_runs,sweep_batches,\
-             sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,\
-             entries_b0,entries_b1"
+            "seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,\
+             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,\
+             mem_displacements,entries_b0,entries_b1"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "0,index,none,1,2,0,0,0,200,5,16384,960,17344,1,2,10,20"
+            "0,index,none,1,2,1,0,0,0,200,5,16384,960,17344,1,2,10,20"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "1,buffered,shard-locked,1,2,4,2,3,200,5,16384,960,17344,1,2,10,20",
+            "1,buffered,shard-locked,1,2,1,4,2,3,200,5,16384,960,17344,1,2,10,20",
             "scan rows carry the plan-source tag and the sweep-shape columns"
         );
     }

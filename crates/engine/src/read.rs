@@ -162,32 +162,38 @@ pub(crate) struct ReadPlan {
 }
 
 impl ReadPlan {
-    /// Pages the sweep fetches and the skippable runs it jumps, read off
-    /// the buffer's snapshot `summary`. Pages past the tracked counter
-    /// range read as unskippable, exactly as the sweep treats them.
-    fn sweep_shape(&self, summary: Option<&BufferSummary>) -> (u32, u32) {
+    /// Pages the sweep fetches, the skippable runs it jumps and the batches
+    /// of `batch_pages` it reads in, read off the buffer's snapshot
+    /// `summary`. Pages past the tracked counter range read as unskippable,
+    /// exactly as the sweep treats them.
+    fn sweep_shape(&self, summary: Option<&BufferSummary>, batch_pages: u32) -> (u32, u32, u32) {
         match (&self.sweep, summary) {
-            (Sweep::Plain(_), _) => (self.table_pages, 0),
+            (Sweep::Plain(_), _) => (
+                self.table_pages,
+                0,
+                self.table_pages.div_ceil(batch_pages.max(1)),
+            ),
             (_, Some(summary)) if self.hit.is_none() => {
-                let (mut to_read, mut skip_runs) = (0, 0);
-                for (extent, skippable) in summary.skip().runs(0..self.table_pages) {
-                    if skippable {
-                        skip_runs += 1;
-                    } else {
-                        to_read += extent.end - extent.start;
-                    }
-                }
-                (to_read, skip_runs)
+                let to_read = summary
+                    .skip()
+                    .runs(0..self.table_pages)
+                    .filter(|(_, skippable)| !skippable)
+                    .map(|(extent, _)| extent.end - extent.start)
+                    .sum();
+                let (skip_runs, batches) =
+                    summary.skip().sweep_shape(self.table_pages, batch_pages);
+                (to_read, skip_runs, batches)
             }
-            _ => (0, 0),
+            _ => (0, 0, 0),
         }
     }
 
     /// The pre-execution sketch of this plan, with the page counts and
-    /// buffer sizes of the `snapshot` it was planned from.
-    pub(crate) fn explain(&self, snapshot: &SpaceSnapshot) -> Explanation {
+    /// buffer sizes of the `snapshot` it was planned from; `batch_pages` is
+    /// the table's sweep batch ([`aib_storage::HeapFile::sweep_batch_pages`]).
+    pub(crate) fn explain(&self, snapshot: &SpaceSnapshot, batch_pages: u32) -> Explanation {
         let summary = self.buffer.and_then(|b| snapshot.buffer(b));
-        let (pages_to_read, skip_runs) = self.sweep_shape(summary);
+        let (pages_to_read, skip_runs, cold_read_requests) = self.sweep_shape(summary, batch_pages);
         Explanation {
             path: self.path,
             plan: self.source,
@@ -197,6 +203,7 @@ impl ReadPlan {
             pages_to_read,
             pages_skippable: self.table_pages - pages_to_read,
             skip_runs,
+            cold_read_requests,
             known_cardinality: self.hit.as_ref().map(Vec::len),
             buffer_entries: summary.map_or(0, BufferSummary::entries),
             buffer_bytes: summary.map_or(0, BufferSummary::footprint),

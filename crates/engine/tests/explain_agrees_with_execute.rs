@@ -2,8 +2,9 @@
 //! `explain(q)` followed by `execute(q)` must agree on the access path, the
 //! plan source, the pages the sweep reads, the skippable runs it jumps and
 //! the worker count — for every kind of plan the read pipeline produces,
-//! and for a table that grew after its index was created (pages past the
-//! tracked counter range are read, not skipped).
+//! and for a table that grew after its index was created (a page it grew by
+//! is tracked from its first tuple on, so one holding only covered tuples
+//! is skipped).
 
 use aib_core::{BufferConfig, SpaceConfig};
 use aib_engine::{AccessPath, Database, EngineConfig, PlanSource, Query, TunerConfig};
@@ -68,6 +69,7 @@ fn agree(db: &Database, q: &Query, path: AccessPath, source: PlanSource) -> u32 
             assert_eq!(e.pages_to_read, scan.pages_read, "{}", e.summary());
             assert_eq!(e.pages_skippable, scan.pages_skipped);
             assert_eq!(e.skip_runs, scan.skip_runs);
+            assert_eq!(e.cold_read_requests, scan.sweep_batches);
         }
         None => assert_eq!(e.skip_runs, 0),
     }
@@ -176,11 +178,12 @@ fn tuned_point_queries_run_exclusive() {
 }
 
 #[test]
-fn pages_a_table_grew_by_are_read_not_skipped() {
+fn pages_a_table_grew_by_with_covered_rows_are_skipped() {
     let db = database(ROWS, Some(0));
     let before = db.table("t").unwrap().num_pages();
-    // Covered inserts touch no counter, so the heap outgrows the tracked
-    // `C[p]` range by several pages.
+    // Covered inserts change no counter, but Table I maintenance tracks the
+    // page of every new tuple: the pages the heap grows by hold only
+    // covered tuples, so they are tracked with `C[p] = 0`.
     for k in 0..400 {
         db.insert("t", &row(k)).unwrap();
     }
@@ -188,5 +191,10 @@ fn pages_a_table_grew_by_are_read_not_skipped() {
     assert!(grown >= 3, "grew by {grown} pages");
     let q = Query::point("t", "k", ROWS + 7);
     let read = agree(&db, &q, AccessPath::BufferedScan, PlanSource::Snapshot);
-    assert_eq!(read, grown, "exactly the untracked pages are swept");
+    assert_eq!(read, 0, "a page of covered tuples only is skippable");
+    assert_eq!(db.explain(&q).unwrap().pages_skippable, before + grown);
+    // An uncovered row on a grown page makes exactly that page unskippable.
+    let rid = db.insert("t", &row(ROWS + 7)).unwrap();
+    let out = db.execute(&q).unwrap();
+    assert_eq!(out.result.rids, vec![rid]);
 }

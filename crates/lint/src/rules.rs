@@ -315,6 +315,7 @@ const FSYNC_SITES: &[&str] = &["wal.rs", "file_backend.rs"];
 const DURABLE_IO_CALLS: &[&str] = &[
     ".write_all(",
     ".read_exact(",
+    ".read_vectored(",
     ".read_to_end(",
     ".sync_data()",
     ".sync_all()",

@@ -21,10 +21,13 @@
 //! pool method ever calls back out into engine state, so no pool lock is ever
 //! held around a catalog or space acquisition. Internally the order is
 //!
-//! 1. `state` (page table, free list, policy) — never held across a page
-//!    *read*; the one I/O under it is a dirty eviction victim's write-back
-//!    (see `remap_frame`), which must land before the victim's mapping
-//!    leaves the page table;
+//! 1. `state` (page table, free list, recency list) — never held across a
+//!    page *read*; the one I/O under it is a dirty eviction victim's
+//!    write-back (see `remap_frame`), which must land before the victim's
+//!    mapping leaves the page table. Everything else under it is array
+//!    writes: the page table is a dense `Vec` indexed by page id and the
+//!    recency list is intrusive ([`LruPolicy`]), so a whole sweep batch
+//!    holds the mutex for a few hundred nanoseconds;
 //! 2. per-frame `RwLock`s — acquired after `state` only for frames proven
 //!    unpinned (no holders, cannot block), otherwise after releasing `state`;
 //! 3. `disk` — taken last, for the duration of one read/write/batch; a leaf:
@@ -37,18 +40,20 @@
 
 // aib-lint: allow-file(no-index) — `frames` and `pins` are fixed-size
 // arrays allocated at construction and only ever indexed by FrameIds the
-// pool itself handed out (from the page table or the policy), which are
-// `< frames.len()` by construction.
+// pool itself handed out (from the page table or the recency list), which are
+// `< frames.len()` by construction; `page_table` is indexed only after
+// `frame_of` found the id in range or `cover` grew the table over it.
 // aib-lint: allow-file(sync-shim) — the pool's frame latches are
 // `Arc`-based `parking_lot` guards (`ArcRwLockReadGuard`/`Write`) that the
 // shim cannot express, and `AtomicU32` pin counts have no shim type; the
 // pool is driven by the model through the budget and heap layers instead.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwLock};
+use parking_lot::{
+    ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwLock, RwLockWriteGuard,
+};
 
 use crate::budget::{BudgetComponent, MemoryBudget, MemoryUsage};
 use crate::disk::{DiskBackend, DiskManager, PAGE_SIZE};
@@ -121,9 +126,33 @@ impl MemoryUsage for FrameCell {
 /// Pool bookkeeping guarded by a single mutex (the frame *contents* are
 /// guarded per-frame, so I/O and page reads proceed without this lock).
 struct PoolState {
-    page_table: HashMap<PageId, FrameId>,
+    /// `page_table[pid]`: the frame holding page `pid`, or [`NO_FRAME`].
+    /// Page ids are the backend's dense allocation sequence, so the table is
+    /// a plain array grown to the backend's page count on demand (see
+    /// [`BufferPool::cover`]); like the hash map it replaces it is pool
+    /// bookkeeping, not page residency, and sits outside the
+    /// [`MemoryBudget`].
+    page_table: Vec<u32>,
     free: Vec<FrameId>,
-    policy: LruPolicy,
+    lru: LruPolicy,
+}
+
+/// Page-table entry of a page that is not resident.
+const NO_FRAME: u32 = u32::MAX;
+
+impl PoolState {
+    fn frame_of(&self, pid: PageId) -> Option<FrameId> {
+        match self.page_table.get(pid.index()) {
+            Some(&frame) if frame != NO_FRAME => Some(frame as FrameId),
+            _ => None,
+        }
+    }
+
+    /// Points `pid` at `frame` (`None`: not resident). The table must
+    /// already cover `pid`.
+    fn map(&mut self, pid: PageId, frame: Option<FrameId>) {
+        self.page_table[pid.index()] = frame.map_or(NO_FRAME, |f| f as u32);
+    }
 }
 
 /// The buffer pool. Cheaply shareable via [`Arc`]; page guards keep their
@@ -181,9 +210,9 @@ impl BufferPool {
             frames,
             pins: (0..config.frames).map(|_| AtomicU32::new(0)).collect(),
             state: Mutex::new(PoolState {
-                page_table: HashMap::new(),
+                page_table: Vec::new(),
                 free: (0..config.frames).rev().collect(),
-                policy: LruPolicy::new(),
+                lru: LruPolicy::new(config.frames),
             }),
             disk: Mutex::new(disk),
             stats,
@@ -280,11 +309,17 @@ impl BufferPool {
     /// locks the frame; pinning guarantees the mapping cannot change
     /// underneath it.
     fn try_pin_resident(&self, pid: PageId) -> Option<FrameId> {
-        let mut state = self.state.lock();
-        let frame = *state.page_table.get(&pid)?;
-        self.pins[frame].fetch_add(1, Ordering::Relaxed);
-        state.policy.record_access(frame);
+        let frame = self.pin_if_resident(&mut self.state.lock(), pid)?;
         self.stats.record_hit();
+        Some(frame)
+    }
+
+    /// The hit path under the state lock: if `pid` is resident, pins its
+    /// frame and moves it to the hot end of the recency list.
+    fn pin_if_resident(&self, state: &mut PoolState, pid: PageId) -> Option<FrameId> {
+        let frame = state.frame_of(pid)?;
+        self.pins[frame].fetch_add(1, Ordering::Relaxed);
+        state.lru.record_access(frame);
         Some(frame)
     }
 
@@ -319,13 +354,8 @@ impl BufferPool {
                 // it to the free list ends its residency, so its page image
                 // comes off the governor's books.
                 let mut state = self.state.lock();
-                state.page_table.remove(&pid);
                 self.pins[frame].fetch_sub(1, Ordering::Release);
-                state.policy.remove(frame);
-                state.free.push(frame);
-                guard.page = None;
-                guard.dirty = false;
-                self.budget.release(BudgetComponent::BufferPool, PAGE_SIZE);
+                self.abandon_frame(&mut state, pid, frame, &mut guard);
                 Err(e)
             }
         }
@@ -343,25 +373,61 @@ impl BufferPool {
         pid: PageId,
     ) -> Result<(FrameId, ArcRwLockWriteGuard<RawRwLock, FrameCell>), StorageError> {
         let mut state = self.state.lock();
-        if let Some(&frame) = state.page_table.get(&pid) {
-            self.pins[frame].fetch_add(1, Ordering::Relaxed);
-            state.policy.record_access(frame);
+        if let Some(frame) = self.pin_if_resident(&mut state, pid) {
             self.stats.record_hit();
             drop(state);
             let guard = RwLock::write_arc(&self.frames[frame]);
             return Ok((frame, guard));
         }
+        self.cover(&mut state, pid)?;
         self.stats.record_miss();
         let frame = self.claim_frame(&mut state)?;
         // Unpinned frames have no guard holders, so this cannot block while
         // we hold the state lock.
         let mut guard = RwLock::write_arc(&self.frames[frame]);
         self.remap_frame(&mut state, frame, &mut guard, pid)?;
+        state.lru.record_access(frame);
         Ok((frame, guard))
     }
 
+    /// Makes sure the page table has a slot for `pid`, growing it to the
+    /// backend's current page count. An id the backend never allocated is
+    /// refused here — the same error its read would give — so a wild id
+    /// cannot size the table.
+    fn cover(&self, state: &mut PoolState, pid: PageId) -> Result<(), StorageError> {
+        if pid.index() >= state.page_table.len() {
+            let pages = self.disk.lock().num_pages();
+            if pid.index() >= pages {
+                return Err(StorageError::UnknownPage(pid));
+            }
+            state.page_table.resize(pages, NO_FRAME);
+        }
+        Ok(())
+    }
+
+    /// Ends the residency of `frame`, claimed for `pid` but never filled
+    /// (its read failed): unmapped, off the recency list, back on the free
+    /// list, its page image off the governor's books. The caller releases
+    /// the pin.
+    fn abandon_frame(
+        &self,
+        state: &mut PoolState,
+        pid: PageId,
+        frame: FrameId,
+        cell: &mut FrameCell,
+    ) {
+        state.map(pid, None);
+        state.lru.remove(frame);
+        state.free.push(frame);
+        cell.page = None;
+        cell.dirty = false;
+        self.budget.release(BudgetComponent::BufferPool, PAGE_SIZE);
+    }
+
     /// Hands the just-claimed, write-locked `frame` over to `pid`, pinned,
-    /// under the state lock.
+    /// under the state lock. The frame is off the recency list (a displaced
+    /// victim left it, a free frame never was on it); the caller links it
+    /// where its admission rule says.
     ///
     /// A dirty victim is written back *before* its mapping leaves the page
     /// table. Unmapping first and writing after the state lock is released
@@ -371,8 +437,8 @@ impl BufferPool {
     /// only I/O ever done under the state lock; it is an 8 KiB copy (the
     /// simulated disk's page map, the file backend's no-steal overlay).
     ///
-    /// On a write error the victim stays mapped and goes back to the policy
-    /// as evictable — the pool is as if the frame was never claimed.
+    /// On a write error the victim stays mapped and goes back on the list as
+    /// evictable — the pool is as if the frame was never claimed.
     fn remap_frame(
         &self,
         state: &mut PoolState,
@@ -383,16 +449,15 @@ impl BufferPool {
         if let Some(old_pid) = cell.page {
             if cell.dirty {
                 if let Err(e) = self.disk.lock().write(old_pid, &cell.data) {
-                    state.policy.record_access(frame);
+                    state.lru.record_access(frame);
                     return Err(e);
                 }
                 cell.dirty = false;
             }
-            state.page_table.remove(&old_pid);
+            state.map(old_pid, None);
         }
-        state.page_table.insert(pid, frame);
+        state.map(pid, Some(frame));
         self.pins[frame].fetch_add(1, Ordering::Relaxed);
-        state.policy.record_access(frame);
         Ok(())
     }
 
@@ -403,7 +468,7 @@ impl BufferPool {
     /// another (byte-neutral), so it needs no reservation. A denied
     /// reservation therefore degrades into displacement: the pool keeps
     /// working, just with a smaller working set. Shared by
-    /// [`BufferPool::prepare_frame`] and [`BufferPool::pin_batch`].
+    /// [`BufferPool::prepare_frame`] and [`PinnedBatch::pin`].
     fn claim_frame(&self, state: &mut PoolState) -> Result<FrameId, StorageError> {
         match state.free.pop() {
             Some(f)
@@ -436,138 +501,28 @@ impl BufferPool {
         }
     }
 
-    /// Pins *every* page of `pids` — residents and misses alike — doing all
-    /// pool bookkeeping in one state-lock acquisition and all miss I/O in one
-    /// disk request ([`DiskManager::read_batch`]). This is the sweep read the
-    /// scan fast path feeds whole runs of unskipped pages into: per page it
-    /// costs two atomic pin updates and a hash probe, not a lock round-trip
-    /// and an individual disk call.
+    /// Starts the pinning of one sweep that plans to read `planned_pages`
+    /// pages through this pool; the sweep then feeds its runs, a batch at a
+    /// time, into [`PinnedBatch::pin`].
     ///
-    /// The returned pins (input order) block eviction and remapping without
-    /// holding frame locks, so callers lock one frame at a time while
-    /// visiting — the same page-level isolation as repeated
-    /// [`BufferPool::fetch_read`] calls, and the pool's locking discipline
-    /// is unchanged.
-    /// `pids` must not contain duplicates (heap sweeps never do). On error
-    /// the pool is left consistent and nothing stays pinned.
-    pub fn pin_batch(self: &Arc<Self>, pids: &[PageId]) -> Result<Vec<PinnedPage>, StorageError> {
-        struct Miss {
-            /// Index into `pids` of the page this frame will hold.
-            at: usize,
-            frame: FrameId,
-            guard: ArcRwLockWriteGuard<RawRwLock, FrameCell>,
+    /// The admission rule is decided here, once, from the plan: a sweep
+    /// that fits the pool admits its misses like any other fetch (hot end of
+    /// the recency list). A sweep **larger than the pool** cannot leave its
+    /// pages resident for its own next visit whatever it does, so its misses
+    /// enter the list at the *cold* end: the next batch displaces the
+    /// previous one's frames (a ring the size of a batch, PostgreSQL's
+    /// bulk-read strategy) and whatever else was resident — index-hit
+    /// pages, DML pages, the prefix of the table a previous sweep loaded —
+    /// stays. Hits always move to the hot end: a page somebody still finds
+    /// resident is in use beyond this sweep.
+    pub fn sweep_batch(&self, planned_pages: usize) -> PinnedBatch<'_> {
+        PinnedBatch {
+            pool: self,
+            recycle: planned_pages > self.capacity(),
+            frames: Vec::new(),
+            visited: 0,
+            misses: Vec::new(),
         }
-        let mut misses: Vec<Miss> = Vec::new();
-        let mut frames: Vec<FrameId> = Vec::with_capacity(pids.len());
-        {
-            let mut state = self.state.lock();
-            for (i, &pid) in pids.iter().enumerate() {
-                debug_assert!(!pids[..i].contains(&pid), "pin_batch pids must be distinct");
-                if let Some(&frame) = state.page_table.get(&pid) {
-                    self.pins[frame].fetch_add(1, Ordering::Relaxed);
-                    state.policy.record_access(frame);
-                    frames.push(frame);
-                    continue;
-                }
-                let claimed = self.claim_frame(&mut state).and_then(|frame| {
-                    // Unpinned frames have no guard holders: non-blocking.
-                    let mut guard = RwLock::write_arc(&self.frames[frame]);
-                    self.remap_frame(&mut state, frame, &mut guard, pid)?;
-                    Ok((frame, guard))
-                });
-                match claimed {
-                    Ok((frame, guard)) => {
-                        frames.push(frame);
-                        misses.push(Miss {
-                            at: i,
-                            frame,
-                            guard,
-                        });
-                    }
-                    Err(e) => {
-                        // Unwind so the pool is as if the call never
-                        // happened. No frame data was touched yet, so a
-                        // claimed frame that evicted a victim simply gets
-                        // its victim's mapping restored (its image is intact
-                        // and already written back — this path is reachable
-                        // under ordinary pin pressure); fresh frames go back
-                        // to the free list and return their reservation.
-                        for &frame in &frames {
-                            self.pins[frame].fetch_sub(1, Ordering::Release);
-                        }
-                        for m in &mut misses {
-                            state.page_table.remove(&pids[m.at]);
-                            match m.guard.page {
-                                Some(old_pid) => {
-                                    state.page_table.insert(old_pid, m.frame);
-                                }
-                                None => {
-                                    state.policy.remove(m.frame);
-                                    state.free.push(m.frame);
-                                    self.budget.release(BudgetComponent::BufferPool, PAGE_SIZE);
-                                }
-                            }
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let hits = (pids.len() - misses.len()) as u64;
-        self.stats.record_hits(hits);
-        self.stats.record_misses(misses.len() as u64);
-        if !misses.is_empty() {
-            // Fill all miss frames in one batched read request.
-            let mut reqs: Vec<(PageId, &mut [u8; PAGE_SIZE])> = misses
-                .iter_mut()
-                .map(|m| (pids[m.at], &mut *m.guard.data))
-                .collect();
-            let fill = self.disk.lock().read_batch(&mut reqs);
-            match fill {
-                Ok(()) => {
-                    // One stall for the whole batched request, after the disk
-                    // mutex is released (see `load_into_frame`): the batch is
-                    // one disk operation, so it costs one sequential wait of
-                    // `read_us` per page, overlappable across client threads.
-                    self.io_stall(misses.len() as u64);
-                    for m in &mut misses {
-                        m.guard.page = Some(pids[m.at]);
-                        m.guard.dirty = false;
-                    }
-                }
-                Err(e) => {
-                    // Same undo as `load_into_frame`'s I/O error path: the
-                    // miss frames hold garbage, so end their residency; the
-                    // hit pins are released too.
-                    let miss_frames: std::collections::HashSet<FrameId> =
-                        misses.iter().map(|m| m.frame).collect();
-                    let mut state = self.state.lock();
-                    for m in &mut misses {
-                        state.page_table.remove(&pids[m.at]);
-                        self.pins[m.frame].fetch_sub(1, Ordering::Release);
-                        state.policy.remove(m.frame);
-                        state.free.push(m.frame);
-                        m.guard.page = None;
-                        m.guard.dirty = false;
-                        self.budget.release(BudgetComponent::BufferPool, PAGE_SIZE);
-                    }
-                    for &frame in frames.iter().filter(|f| !miss_frames.contains(f)) {
-                        self.pins[frame].fetch_sub(1, Ordering::Release);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        drop(misses);
-        Ok(frames
-            .into_iter()
-            .zip(pids)
-            .map(|(frame, &pid)| PinnedPage {
-                pool: Arc::clone(self),
-                frame,
-                pid,
-            })
-            .collect())
     }
 
     /// Blocks the calling thread for the simulated latency of `pages` page
@@ -582,8 +537,8 @@ impl BufferPool {
     /// Picks a displacement victim, counting it against the governor.
     fn displace_from(&self, state: &mut PoolState) -> Result<FrameId, StorageError> {
         let frame = state
-            .policy
-            .displace(&|f| self.pins[f].load(Ordering::Acquire) > 0)
+            .lru
+            .displace(|f| self.pins[f].load(Ordering::Acquire) > 0)
             .ok_or(StorageError::PoolExhausted)?;
         self.budget.record_displacements(1);
         Ok(frame)
@@ -673,47 +628,193 @@ impl std::fmt::Debug for BufferPool {
     }
 }
 
-/// A page pinned by [`BufferPool::pin_batch`] but not yet locked. The
-/// pin blocks eviction and remapping; [`PinnedPage::read`] takes the
-/// frame's read lock when the caller is ready to look at the bytes.
-pub struct PinnedPage {
-    pool: Arc<BufferPool>,
+/// A page of a batch that was not resident: the frame claimed for it, held
+/// write-locked until the batched read has filled it.
+struct Miss<'a> {
+    /// Index into the batch's `pids`.
+    at: usize,
     frame: FrameId,
-    pid: PageId,
+    guard: RwLockWriteGuard<'a, FrameCell>,
 }
 
-impl PinnedPage {
-    /// The pinned page id.
-    pub fn pid(&self) -> PageId {
-        self.pid
-    }
+/// The pins of one sweep (see [`BufferPool::sweep_batch`]): pinned with
+/// [`PinnedBatch::pin`], read and released page by page with
+/// [`PinnedBatch::visit`]. One value serves every batch of the sweep, so a
+/// batch allocates nothing and touches no reference count; whatever is
+/// still pinned when the value drops is unpinned then.
+pub struct PinnedBatch<'a> {
+    pool: &'a BufferPool,
+    /// Misses enter the recency list at its cold end.
+    recycle: bool,
+    /// Frames of the current batch in page order; `frames[visited..]` are
+    /// still pinned.
+    frames: Vec<FrameId>,
+    visited: usize,
+    misses: Vec<Miss<'a>>,
+}
 
-    /// Locks the frame for reading, converting the pin into a full guard.
-    pub fn read(self) -> PageReadGuard {
-        let guard = RwLock::read_arc(&self.pool.frames[self.frame]);
-        debug_assert_eq!(guard.page, Some(self.pid), "pin kept the mapping");
-        let pool = Arc::clone(&self.pool);
-        let frame = self.frame;
-        std::mem::forget(self); // the guard inherits this pin
-        PageReadGuard {
-            pool,
-            frame,
-            guard: Some(guard),
+impl PinnedBatch<'_> {
+    /// Pins *every* page of `pids` — residents and misses alike — doing all
+    /// pool bookkeeping in one state-lock acquisition and all miss I/O in one
+    /// disk request ([`DiskBackend::read_batch`]): per page it costs two
+    /// atomic pin updates and a few array writes, not a lock round-trip and
+    /// an individual disk call. Pins left over from the previous batch are
+    /// released first.
+    ///
+    /// The pins block eviction and remapping without holding frame locks;
+    /// [`PinnedBatch::visit`] locks one frame at a time — the same
+    /// page-level isolation as repeated [`BufferPool::fetch_read`] calls.
+    /// `pids` must not contain duplicates (heap sweeps never do). On error
+    /// the pool is left consistent and nothing stays pinned.
+    pub fn pin(&mut self, pids: &[PageId]) -> Result<(), StorageError> {
+        self.release();
+        let pool = self.pool;
+        let mut state = pool.state.lock();
+        for (i, &pid) in pids.iter().enumerate() {
+            debug_assert!(!pids[..i].contains(&pid), "batch pids must be distinct");
+            if let Some(frame) = pool.pin_if_resident(&mut state, pid) {
+                self.frames.push(frame);
+                continue;
+            }
+            let claimed = pool
+                .cover(&mut state, pid)
+                .and_then(|()| pool.claim_frame(&mut state))
+                .and_then(|frame| {
+                    // Unpinned frames have no guard holders: non-blocking.
+                    let mut guard = pool.frames[frame].write();
+                    pool.remap_frame(&mut state, frame, &mut guard, pid)?;
+                    Ok((frame, guard))
+                });
+            match claimed {
+                Ok((frame, guard)) => {
+                    self.frames.push(frame);
+                    self.misses.push(Miss {
+                        at: i,
+                        frame,
+                        guard,
+                    });
+                }
+                Err(e) => {
+                    // Unwind so the pool is as if the call never happened.
+                    // No frame data was touched yet, so a claimed frame
+                    // that evicted a victim simply gets its victim's
+                    // mapping restored (its image is intact and already
+                    // written back — this path is reachable under ordinary
+                    // pin pressure) and goes back to the cold end it was
+                    // taken from, last-claimed first so the victims keep
+                    // their order; fresh frames go back to the free list
+                    // and return their reservation.
+                    for frame in self.frames.drain(..) {
+                        pool.pins[frame].fetch_sub(1, Ordering::Release);
+                    }
+                    for m in self.misses.drain(..).rev() {
+                        state.map(pids[m.at], None);
+                        match m.guard.page {
+                            Some(old_pid) => {
+                                state.map(old_pid, Some(m.frame));
+                                state.lru.admit_cold(m.frame);
+                            }
+                            None => {
+                                state.free.push(m.frame);
+                                pool.budget.release(BudgetComponent::BufferPool, PAGE_SIZE);
+                            }
+                        }
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        // The claimed frames join the list only now: while the loop ran
+        // they were on no list, so no later claim of this batch had to step
+        // over them.
+        for m in &self.misses {
+            if self.recycle {
+                state.lru.admit_cold(m.frame);
+            } else {
+                state.lru.record_access(m.frame);
+            }
+        }
+        drop(state);
+        pool.stats
+            .record_hits((pids.len() - self.misses.len()) as u64);
+        pool.stats.record_misses(self.misses.len() as u64);
+        if self.misses.is_empty() {
+            return Ok(());
+        }
+        // Fill all miss frames in one batched read request.
+        let mut reqs: Vec<(PageId, &mut [u8; PAGE_SIZE])> = self
+            .misses
+            .iter_mut()
+            .map(|m| (pids[m.at], &mut *m.guard.data))
+            .collect();
+        let fill = pool.disk.lock().read_batch(&mut reqs);
+        drop(reqs);
+        match fill {
+            Ok(()) => {
+                // One stall for the whole batched request, after the disk
+                // mutex is released (see `load_into_frame`): the batch is
+                // one disk operation, so it costs one sequential wait of
+                // `read_us` per page, overlappable across client threads.
+                pool.io_stall(self.misses.len() as u64);
+                for mut m in self.misses.drain(..) {
+                    m.guard.page = Some(pids[m.at]);
+                    m.guard.dirty = false;
+                }
+                Ok(())
+            }
+            Err(e) => {
+                // Same undo as `load_into_frame`'s I/O error path: the miss
+                // frames hold garbage, so end their residency; every pin of
+                // the batch is released.
+                let mut state = pool.state.lock();
+                for frame in self.frames.drain(..) {
+                    pool.pins[frame].fetch_sub(1, Ordering::Release);
+                }
+                for mut m in self.misses.drain(..) {
+                    pool.abandon_frame(&mut state, pids[m.at], m.frame, &mut m.guard);
+                }
+                Err(e)
+            }
         }
     }
-}
 
-impl Drop for PinnedPage {
-    fn drop(&mut self) {
-        self.pool.unpin(self.frame);
+    /// Hands every pinned page to `visit` in page order as `(index into the
+    /// pinned pids, page image)`, read-locking one frame at a time and
+    /// unpinning it as soon as its visit returns.
+    pub fn visit(&mut self, mut visit: impl FnMut(usize, &[u8; PAGE_SIZE])) {
+        while let Some(&frame) = self.frames.get(self.visited) {
+            {
+                let cell = self.pool.frames[frame].read();
+                visit(self.visited, &cell.data);
+            }
+            // Counted as visited only once unpinned: if `visit` panics the
+            // drop below still owns this pin.
+            self.pool.unpin(frame);
+            self.visited += 1;
+        }
+    }
+
+    /// Unpins whatever the last batch still holds.
+    fn release(&mut self) {
+        for &frame in self.frames.get(self.visited..).unwrap_or_default() {
+            self.pool.unpin(frame);
+        }
+        self.frames.clear();
+        self.visited = 0;
     }
 }
 
-impl std::fmt::Debug for PinnedPage {
+impl Drop for PinnedBatch<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+impl std::fmt::Debug for PinnedBatch<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PinnedPage")
-            .field("frame", &self.frame)
-            .field("pid", &self.pid)
+        f.debug_struct("PinnedBatch")
+            .field("recycle", &self.recycle)
+            .field("pinned", &(self.frames.len() - self.visited))
             .finish()
     }
 }
@@ -982,8 +1083,25 @@ mod tests {
         assert_eq!(pool.footprint(), PAGE_SIZE);
     }
 
+    /// Pins `pids` as one batch of a sweep planning `planned` pages and
+    /// returns the first byte of every page.
+    fn first_bytes(
+        pool: &BufferPool,
+        planned: usize,
+        pids: &[PageId],
+    ) -> Result<Vec<u8>, StorageError> {
+        let mut batch = pool.sweep_batch(planned);
+        batch.pin(pids)?;
+        let mut bytes = Vec::new();
+        batch.visit(|i, page| {
+            assert_eq!(i, bytes.len());
+            bytes.push(page[0]);
+        });
+        Ok(bytes)
+    }
+
     #[test]
-    fn pin_batch_mixes_hits_and_misses_with_batched_io() {
+    fn batch_mixes_hits_and_misses_with_batched_io() {
         // All-resident case: every page is a hit, no I/O.
         let big = pool(4);
         let mut pids = Vec::new();
@@ -993,11 +1111,7 @@ mod tests {
             pids.push(pid);
         }
         let before = big.stats().snapshot();
-        let pins = big.pin_batch(&pids).unwrap();
-        for (i, pin) in pins.into_iter().enumerate() {
-            assert_eq!(pin.pid(), pids[i]);
-            assert_eq!(pin.read()[0], i as u8);
-        }
+        assert_eq!(first_bytes(&big, pids.len(), &pids), Ok(vec![0, 1, 2]));
         let d = big.stats().snapshot().since(&before);
         assert_eq!((d.buffer_hits, d.buffer_misses, d.page_reads), (3, 0, 0));
 
@@ -1010,17 +1124,38 @@ mod tests {
             pids.push(pid);
         }
         let before = small.stats().snapshot();
-        let pins = small.pin_batch(&pids[..2]).unwrap();
-        for (i, pin) in pins.into_iter().enumerate() {
-            assert_eq!(pin.read()[0], i as u8);
-        }
+        assert_eq!(first_bytes(&small, 2, &pids[..2]), Ok(vec![0, 1]));
         let d = small.stats().snapshot().since(&before);
         assert_eq!((d.buffer_hits, d.buffer_misses), (0, 2));
         assert_eq!(d.page_reads, 2, "one batched request, per-page accounting");
     }
 
     #[test]
-    fn pin_batch_exhaustion_leaves_pool_intact() {
+    fn a_contiguous_miss_batch_is_one_disk_request() {
+        let cold_pool = || {
+            let mut disk = DiskManager::new(CostModel::free());
+            let pids: Vec<PageId> = (0..64).map(|_| disk.allocate()).collect();
+            (BufferPool::new(disk, BufferPoolConfig::lru(128)), pids)
+        };
+        let (pool, pids) = cold_pool();
+        first_bytes(&pool, 64, &pids).unwrap();
+        let d = pool.stats().snapshot();
+        assert_eq!(
+            (d.buffer_misses, d.page_reads, d.read_requests),
+            (64, 64, 1)
+        );
+        // Two resident pages split the batch's misses into three runs.
+        let (pool, pids) = cold_pool();
+        drop(pool.fetch_read(pids[10]).unwrap());
+        drop(pool.fetch_read(pids[40]).unwrap());
+        let before = pool.stats().snapshot();
+        first_bytes(&pool, 64, &pids).unwrap();
+        let d = pool.stats().snapshot().since(&before);
+        assert_eq!((d.buffer_hits, d.page_reads, d.read_requests), (2, 62, 3));
+    }
+
+    #[test]
+    fn batch_exhaustion_leaves_pool_intact() {
         let pool = pool(2);
         // p2 and p3 end up on disk only.
         let (p2, mut g2) = pool.new_page().unwrap();
@@ -1038,8 +1173,8 @@ mod tests {
         // victim back before unmapping it), then fails the second: the
         // unwind must restore p0's mapping without reading anything.
         let before = pool.stats().snapshot();
-        let err = pool.pin_batch(&[p2, p3]).unwrap_err();
-        assert_eq!(err, StorageError::PoolExhausted);
+        let err = first_bytes(&pool, 2, &[p2, p3]);
+        assert_eq!(err, Err(StorageError::PoolExhausted));
         let d = pool.stats().snapshot().since(&before);
         assert_eq!(
             (d.page_reads, d.page_writes),
@@ -1052,9 +1187,7 @@ mod tests {
         assert_eq!(pool.fetch_read(p0).unwrap()[0], 0xEE);
         assert_eq!(pool.stats().snapshot().since(&before).page_reads, 0);
         // And the pool still serves the batch once pins are released.
-        let pins = pool.pin_batch(&[p2, p3]).unwrap();
-        let vals: Vec<u8> = pins.into_iter().map(|p| p.read()[0]).collect();
-        assert_eq!(vals, vec![2, 3]);
+        assert_eq!(first_bytes(&pool, 2, &[p2, p3]), Ok(vec![2, 3]));
     }
 
     #[test]

@@ -47,8 +47,14 @@ pub trait DiskBackend: Send {
     /// Fills every `(id, buf)` request in one disk operation — the sweep
     /// read's "one request per run" path. Each page is charged the same
     /// per-page cost as [`DiskBackend::read`], but the statistics sink is
-    /// touched once for the whole batch. Pages copied before a failure are
-    /// still charged.
+    /// touched once for the whole batch.
+    ///
+    /// The batch is served as its **runs** of consecutive page ids, one
+    /// request ([`IoStats::read_requests`]) each — a sweep batch that never
+    /// spans a skip gap is one run. The first id the backend does not know
+    /// ends the batch with [`StorageError::UnknownPage`]; the runs before it
+    /// (including the known pages directly in front of it) are filled and
+    /// charged, nothing after. A run whose read fails is not charged.
     fn read_batch(
         &mut self,
         reqs: &mut [(PageId, &mut [u8; PAGE_SIZE])],
@@ -77,6 +83,51 @@ pub trait DiskBackend: Send {
     /// reached the medium, emulating a crash mid-checkpoint. The default
     /// (and the simulation's) implementation ignores it.
     fn fail_next_sync(&mut self) {}
+}
+
+/// One `(page id, destination)` request of a [`DiskBackend::read_batch`].
+pub(crate) type ReadReq<'a> = (PageId, &'a mut [u8; PAGE_SIZE]);
+
+/// Serves `reqs` run by run, the way [`DiskBackend::read_batch`] specifies
+/// it, for both backends: `fill` reads one run of consecutive ids, all below
+/// `num_pages`; every completed run is charged to `stats` as one request of
+/// `cost.read_us` per page, in one update at the end.
+pub(crate) fn read_runs(
+    reqs: &mut [ReadReq<'_>],
+    num_pages: usize,
+    cost: CostModel,
+    stats: &IoStats,
+    mut fill: impl FnMut(&mut [ReadReq<'_>]) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let mut pages = 0usize;
+    let mut requests = 0u64;
+    let mut rest = reqs;
+    let outcome = loop {
+        let Some(first) = rest.first().map(|(id, _)| *id) else {
+            break Ok(());
+        };
+        // The leading run: ids counting up from `first`, while known.
+        let run = rest
+            .iter()
+            .zip(first.index()..num_pages)
+            .take_while(|((id, _), expected)| id.index() == *expected)
+            .count();
+        if run == 0 {
+            break Err(StorageError::UnknownPage(first));
+        }
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(run);
+        if let Err(e) = fill(head) {
+            break Err(e);
+        }
+        pages += run;
+        requests += 1;
+        rest = tail;
+    };
+    if requests > 0 {
+        stats.record_reads(pages as u64, cost.read_us);
+        stats.record_read_requests(requests);
+    }
+    outcome
 }
 
 /// Simulated cost of physical page accesses, in microseconds.
@@ -164,46 +215,27 @@ impl DiskManager {
 
     /// Reads page `id` into `buf`, charging one page read.
     pub fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
-        let page = self
-            .pages
-            .get(id.index())
-            .ok_or(StorageError::UnknownPage(id))?;
-        buf.copy_from_slice(&page[..]);
-        self.stats.record_reads(1, self.cost.read_us);
-        Ok(())
+        self.read_batch(&mut [(id, buf)])
     }
 
-    /// Fills every `(id, buf)` request in one disk operation — the sweep
-    /// read's "one request per run" path. Each page is charged the same
-    /// per-page cost as [`DiskManager::read`] (so simulated time is identical
-    /// to page-at-a-time reads), but the statistics sink is touched once for
-    /// the whole batch. Pages copied before an unknown-id failure are still
-    /// charged.
+    /// Fills every `(id, buf)` request in one disk operation; see
+    /// [`DiskBackend::read_batch`] for the run-by-run contract. Each page is
+    /// charged the same per-page cost as [`DiskManager::read`], so simulated
+    /// time is identical to page-at-a-time reads.
     pub fn read_batch(
         &mut self,
         reqs: &mut [(PageId, &mut [u8; PAGE_SIZE])],
     ) -> Result<(), StorageError> {
-        let mut copied = 0u64;
-        let mut failure = None;
-        for (id, buf) in reqs.iter_mut() {
-            match self.pages.get(id.index()) {
-                Some(page) => {
-                    buf.copy_from_slice(&page[..]);
-                    copied += 1;
-                }
-                None => {
-                    failure = Some(StorageError::UnknownPage(*id));
-                    break;
-                }
+        let pages = &self.pages;
+        read_runs(reqs, pages.len(), self.cost, &self.stats, |run| {
+            for (id, buf) in run {
+                let page = pages
+                    .get(id.index())
+                    .ok_or(StorageError::UnknownPage(*id))?;
+                buf.copy_from_slice(&page[..]);
             }
-        }
-        if copied > 0 {
-            self.stats.record_reads(copied, self.cost.read_us);
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            Ok(())
+        })
     }
 
     /// Writes `buf` to page `id`, charging one page write.

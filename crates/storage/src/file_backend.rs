@@ -30,14 +30,23 @@
 //! experiments report the same simulated-time axis regardless of backend;
 //! `crates/storage/tests/backend_parity.rs` pins this down. `sync`'s flush
 //! I/O is charged in neither backend.
+//!
+//! ### Vectored run reads
+//!
+//! [`DiskBackend::read_batch`] serves a batch as runs of consecutive page
+//! ids. Inside a run, every stretch of pages that live *in the file* (below
+//! the durable count, not in the overlay) is one `seek` plus one vectored
+//! read straight into the callers' buffers — after a checkpoint a whole
+//! 64-page sweep batch is two system calls instead of 128. Overlay pages
+//! and the never-written tail are memory copies in between.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::disk::{CostModel, DiskBackend, PAGE_SIZE};
+use crate::disk::{read_runs, CostModel, DiskBackend, ReadReq, PAGE_SIZE};
 use crate::error::StorageError;
 use crate::rid::PageId;
 use crate::stats::IoStats;
@@ -118,30 +127,6 @@ impl FileBackend {
         })
     }
 
-    /// Reads the raw bytes of page `id` without charging stats — the
-    /// uncharged counterpart of [`DiskBackend::read`] used internally.
-    fn fetch(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
-        if id.0 >= self.num_pages {
-            return Err(StorageError::UnknownPage(id));
-        }
-        if let Some(page) = self.overlay.get(&id.0) {
-            buf.copy_from_slice(&page[..]);
-            return Ok(());
-        }
-        if id.0 >= self.durable_pages {
-            // Allocated since the last sync but never written: still zeroed.
-            buf.fill(0);
-            return Ok(());
-        }
-        self.file
-            .seek(SeekFrom::Start(page_offset(id.0)))
-            .map_err(|e| StorageError::io("seek page", e))?;
-        self.file
-            .read_exact(buf)
-            .map_err(|e| StorageError::io("read page", e))?;
-        Ok(())
-    }
-
     /// Flushes the overlay and header to the file and fsyncs. Factored out of
     /// the trait method so the crash-injection hook can abort halfway.
     fn flush_overlay(&mut self) -> Result<(), StorageError> {
@@ -215,35 +200,18 @@ impl DiskBackend for FileBackend {
     }
 
     fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
-        self.fetch(id, buf)?;
-        self.stats.record_reads(1, self.cost.read_us);
-        Ok(())
+        self.read_batch(&mut [(id, buf)])
     }
 
     fn read_batch(
         &mut self,
         reqs: &mut [(PageId, &mut [u8; PAGE_SIZE])],
     ) -> Result<(), StorageError> {
-        // Same charging discipline as the simulation: pages copied before a
-        // failure are still charged, the stats sink is touched once.
-        let mut copied = 0u64;
-        let mut failure = None;
-        for (id, buf) in reqs.iter_mut() {
-            match self.fetch(*id, buf) {
-                Ok(()) => copied += 1,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if copied > 0 {
-            self.stats.record_reads(copied, self.cost.read_us);
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let (pages, cost, durable_pages) = (self.num_pages as usize, self.cost, self.durable_pages);
+        let (file, overlay) = (&mut self.file, &self.overlay);
+        read_runs(reqs, pages, cost, &self.stats, |run| {
+            fetch_run(file, overlay, durable_pages, run)
+        })
     }
 
     fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
@@ -274,6 +242,76 @@ impl DiskBackend for FileBackend {
     fn fail_next_sync(&mut self) {
         self.fail_next_sync = true;
     }
+}
+
+/// Fills one run of consecutive allocated page ids: every stretch of pages
+/// whose current image is in the file (below `durable_pages`, not in the
+/// overlay) with one [`read_stretch`], the pages in between from memory.
+fn fetch_run(
+    file: &mut File,
+    overlay: &HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    durable_pages: u32,
+    run: &mut [ReadReq<'_>],
+) -> Result<(), StorageError> {
+    let in_file = |id: u32| id < durable_pages && !overlay.contains_key(&id);
+    let mut rest = run;
+    while let Some(first) = rest.first().map(|(id, _)| id.0) {
+        let stretch = rest.iter().take_while(|(id, _)| in_file(id.0)).count();
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(stretch.max(1));
+        rest = tail;
+        if stretch > 0 {
+            read_stretch(file, first, head)?;
+            continue;
+        }
+        for (id, buf) in head {
+            match overlay.get(&id.0) {
+                Some(page) => buf.copy_from_slice(&page[..]),
+                // Allocated since the last sync but never written: still
+                // zeroed.
+                None => buf.fill(0),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Reads the consecutive file pages starting at `first` into the buffers of
+/// `stretch` with one seek and, short reads aside, one vectored read.
+fn read_stretch(
+    file: &mut File,
+    first: u32,
+    stretch: &mut [ReadReq<'_>],
+) -> Result<(), StorageError> {
+    file.seek(SeekFrom::Start(page_offset(first)))
+        .map_err(|e| StorageError::io("seek page", e))?;
+    let mut rest = stretch;
+    while !rest.is_empty() {
+        let mut slices: Vec<IoSliceMut<'_>> = rest
+            .iter_mut()
+            .map(|(_, buf)| IoSliceMut::new(&mut buf[..]))
+            .collect();
+        let got = match file.read_vectored(&mut slices) {
+            Ok(0) => Err(std::io::Error::from(ErrorKind::UnexpectedEof)),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            got => got,
+        }
+        .map_err(|e| StorageError::io("read page", e))?;
+        drop(slices);
+        // A short read stops inside some page: finish that page, then go
+        // round again for the ones behind it.
+        let mut filled = got / PAGE_SIZE;
+        if got % PAGE_SIZE > 0 {
+            if let Some((_, buf)) = rest.get_mut(filled) {
+                file.read_exact(buf.get_mut(got % PAGE_SIZE..).unwrap_or_default())
+                    .map_err(|e| StorageError::io("read page", e))?;
+            }
+            filled += 1;
+        }
+        rest = std::mem::take(&mut rest)
+            .get_mut(filled..)
+            .unwrap_or_default();
+    }
+    Ok(())
 }
 
 /// Byte offset of data page `pid` (the header occupies page slot 0).
@@ -438,6 +476,119 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A backend with every kind of page: ids `0..8` synced to the file,
+    /// `1` and `5` rewritten since (overlay), `8..12` allocated after the
+    /// sync with `9` written (overlay) and the rest never written (zeroed
+    /// tail). Page `p` holds `tag(p)` in every byte.
+    fn mixed_backend(path: &Path) -> FileBackend {
+        let mut disk = FileBackend::open(path, CostModel::free()).unwrap();
+        for _ in 0..8 {
+            let p = disk.allocate().unwrap();
+            disk.write(p, &[0x10 + p.0 as u8; PAGE_SIZE]).unwrap();
+        }
+        disk.sync().unwrap();
+        for _ in 8..12 {
+            disk.allocate().unwrap();
+        }
+        for p in [1u32, 5, 9] {
+            disk.write(PageId(p), &[tag(p); PAGE_SIZE]).unwrap();
+        }
+        disk
+    }
+
+    fn tag(p: u32) -> u8 {
+        match p {
+            1 | 5 | 9 => 0x80 + p as u8,
+            0..=7 => 0x10 + p as u8,
+            _ => 0,
+        }
+    }
+
+    /// Reads `ids` page by page, stopping at the first error like a batch
+    /// does. Returns the pages read and the outcome.
+    fn read_one_by_one(
+        disk: &mut FileBackend,
+        ids: &[u32],
+    ) -> (Vec<[u8; PAGE_SIZE]>, Result<(), StorageError>) {
+        let mut pages = Vec::new();
+        for &id in ids {
+            let mut buf = [0xFFu8; PAGE_SIZE];
+            if let Err(e) = disk.read(PageId(id), &mut buf) {
+                return (pages, Err(e));
+            }
+            pages.push(buf);
+        }
+        (pages, Ok(()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `read_batch` is `read` page by page — same bytes, same pages
+        /// charged, same error at the same place — for any id order over
+        /// file, overlay and tail pages, with unknown ids (12..14) mixed
+        /// in; and it is charged one request per run of consecutive ids.
+        #[test]
+        fn read_batch_equals_per_page_reads(
+            ids in proptest::collection::vec(0u32..14, 0..24),
+        ) {
+            let path = temp_path("batch");
+            let mut disk = mixed_backend(&path);
+            let before = disk.stats().snapshot();
+            let (expected, outcome) = read_one_by_one(&mut disk, &ids);
+            let single = disk.stats().snapshot().since(&before);
+
+            let mut bufs = vec![[0xFFu8; PAGE_SIZE]; ids.len()];
+            let mut reqs: Vec<ReadReq<'_>> =
+                ids.iter().map(|&id| PageId(id)).zip(bufs.iter_mut()).collect();
+            let before = disk.stats().snapshot();
+            let batched = disk.read_batch(&mut reqs);
+            let batch = disk.stats().snapshot().since(&before);
+            let _ = std::fs::remove_file(&path);
+
+            proptest::prop_assert_eq!(&batched, &outcome);
+            let good = expected.len();
+            proptest::prop_assert!(bufs[..good] == expected[..], "pages before the failure are filled");
+            proptest::prop_assert!(
+                bufs[good..].iter().all(|b| b.iter().all(|&x| x == 0xFF)),
+                "nothing after it is touched"
+            );
+            for (id, page) in ids.iter().zip(&expected) {
+                proptest::prop_assert!(page.iter().all(|&x| x == tag(*id)), "page {}", id);
+            }
+            proptest::prop_assert_eq!(batch.page_reads, single.page_reads);
+            proptest::prop_assert_eq!(single.read_requests, good as u64);
+            let runs = ids[..good]
+                .iter()
+                .zip(std::iter::once(&u32::MAX).chain(&ids[..good]))
+                .filter(|(&id, &prev)| prev == u32::MAX || id != prev.wrapping_add(1))
+                .count();
+            proptest::prop_assert_eq!(batch.read_requests, runs as u64);
+        }
+    }
+
+    #[test]
+    fn a_truncated_file_fails_the_run_without_charging_it() {
+        let path = temp_path("truncated");
+        let mut disk = mixed_backend(&path);
+        // Cut the file inside page 6: pages 6 and 7 are gone.
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(page_offset(6) + 100).unwrap();
+        let mut bufs = vec![[0u8; PAGE_SIZE]; 6];
+        let ids = [0u32, 9, 2, 3, 6, 7];
+        let mut reqs: Vec<ReadReq<'_>> = ids.into_iter().map(PageId).zip(bufs.iter_mut()).collect();
+        let before = disk.stats().snapshot();
+        assert!(matches!(
+            disk.read_batch(&mut reqs),
+            Err(StorageError::Io(_))
+        ));
+        let d = disk.stats().snapshot().since(&before);
+        // Runs [0], [9] and [2, 3] completed; [6, 7] hit the end of the file.
+        assert_eq!((d.page_reads, d.read_requests), (4, 3));
+        assert!(bufs[..4].iter().zip(ids).all(|(b, id)| b[0] == tag(id)));
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn charges_match_simulation() {
         let cost = CostModel {
@@ -460,6 +611,7 @@ mod tests {
         let s = disk.stats().snapshot();
         assert_eq!(s, before_sync, "sync flush I/O is never charged");
         assert_eq!(s.page_reads, 3);
+        assert_eq!(s.read_requests, 2, "the two-page batch is one request");
         assert_eq!(s.page_writes, 2);
         assert_eq!(s.simulated_us, 3 * 5 + 2 * 7);
         let _ = std::fs::remove_file(&path);

@@ -6,7 +6,7 @@
 //! exactly that, and is the one way any layer walks a table: the caller
 //! hands it `(ordinal_range, skippable)` runs, a skippable run is jumped
 //! before any I/O for it happens, and every other run is pinned and read in
-//! batches through [`BufferPool::pin_batch`].
+//! batches through [`crate::PinnedBatch::pin`].
 //!
 //! Pages are addressed two ways: globally by [`PageId`] (shared buffer pool /
 //! disk) and table-locally by *ordinal* `0..num_pages()`. Counters `C[p]` and
@@ -303,7 +303,7 @@ impl HeapFile {
     /// extents — exactly what a skip-bitset's run iterator produces; a full
     /// scan is the single run `(0..num_pages, false)`. Skippable runs cost
     /// nothing; each unskipped run is pinned through
-    /// [`BufferPool::pin_batch`] in batches of
+    /// [`crate::PinnedBatch::pin`] in batches of
     /// [`HeapFile::sweep_batch_pages`], so a run costs one pool-bookkeeping
     /// pass and one batched disk request per batch, not one of each per
     /// page, and each frame is read-locked only while its page is being
@@ -341,14 +341,30 @@ impl HeapFile {
             )
         };
         let limit = start + page_ids.len() as u32;
+        // The part of a run that lies inside the heap.
+        let clamp = |run: &std::ops::Range<u32>| {
+            let end = run.end.min(limit);
+            (run.start.min(end).max(start), end)
+        };
+        // The runs are the whole plan, so how much this sweep will read is
+        // known before its first page: the pool picks the admission rule
+        // from it (see `BufferPool::sweep_batch`).
+        let planned: u32 = runs
+            .iter()
+            .filter(|(_, skippable)| !skippable)
+            .map(|(run, _)| {
+                let (at, end) = clamp(run);
+                end.saturating_sub(at)
+            })
+            .sum();
+        let mut pins = self.pool.sweep_batch(planned as usize);
         let batch = self.sweep_batch_pages() as u32;
         let mut read = 0;
         let mut skipped = 0;
         for (run, skippable) in runs {
-            let run_end = run.end.min(limit);
-            let mut at = run.start.min(run_end).max(start);
+            let (mut at, run_end) = clamp(&run);
             if skippable {
-                skipped += run_end - at;
+                skipped += run_end.saturating_sub(at);
                 continue;
             }
             let mut size = batch;
@@ -357,12 +373,13 @@ impl HeapFile {
                 let pids = page_ids
                     .get((at - start) as usize..(end - start) as usize)
                     .unwrap_or_default();
-                match self.pool.pin_batch(pids) {
-                    Ok(pins) => {
-                        for ((ord, &pid), pin) in (at..end).zip(pids).zip(pins) {
-                            let guard = pin.read();
-                            visit(ord, pid, PageView::new(&guard[..]));
-                        }
+                match pins.pin(pids) {
+                    Ok(()) => {
+                        pins.visit(|i, page| {
+                            if let Some(&pid) = pids.get(i) {
+                                visit(at + i as u32, pid, PageView::new(page));
+                            }
+                        });
                         read += end - at;
                         at = end;
                         size = batch;
@@ -684,6 +701,74 @@ mod tests {
         assert_eq!((read, skipped), (per_page.len() as u32, n - read));
         let d = h.pool().stats().snapshot().since(&before);
         assert_eq!(d.page_reads + d.buffer_hits, u64::from(read));
+    }
+
+    /// Page reads charged while `f` runs.
+    fn reads_during(h: &HeapFile, f: impl FnOnce()) -> u64 {
+        let before = h.pool().stats().snapshot();
+        f();
+        h.pool().stats().snapshot().since(&before).page_reads
+    }
+
+    #[test]
+    fn a_hot_set_survives_sweeps_larger_than_the_pool() {
+        // 32 frames, a table of four times that.
+        let h = heap(32);
+        while h.num_pages() < 128 {
+            h.insert(&[7u8; 2000]).unwrap();
+        }
+        let n = h.num_pages();
+        let hot = [5u32, 21, 37, 53, 69, 85, 101, 117];
+        let touch_hot = |h: &HeapFile| {
+            for ord in hot {
+                h.tuples_on_page(ord).unwrap();
+            }
+        };
+        touch_hot(&h);
+        // Two full sweeps cannot fit: their misses recycle one batch's worth
+        // of frames at the cold end instead of flooding the list, so the hot
+        // pages — point fetches, plain LRU — are all still resident...
+        for _ in 0..2 {
+            let reads = reads_during(&h, || {
+                assert_eq!(sweep_counts(&h, [(0..n, false)]).0, (n, 0));
+            });
+            assert!(reads < u64::from(n), "resident pages are hits: {reads}");
+        }
+        assert_eq!(reads_during(&h, || touch_hot(&h)), 0, "hot set evicted");
+        // ...and the second sweep read exactly what the first did: the
+        // resident set is stable instead of chasing the sweep.
+        let again = reads_during(&h, || {
+            sweep_counts(&h, [(0..n, false)]);
+        });
+        assert_eq!(again, u64::from(n) - 28, "32 frames less one 4-page ring");
+    }
+
+    #[test]
+    fn a_sweep_that_fits_admits_by_plain_lru() {
+        let h = heap(32);
+        while h.num_pages() < 128 {
+            h.insert(&[7u8; 2000]).unwrap();
+        }
+        // 16 cold pages fit a 32-frame pool: admitted at the hot end, they
+        // displace the least recently used pages and are all resident for
+        // the next sweep. (Admitted cold they would chase each other through
+        // one batch's frames and miss again.)
+        assert_eq!(
+            reads_during(&h, || drop(sweep_counts(&h, [(0..16, false)]))),
+            16
+        );
+        assert_eq!(
+            reads_during(&h, || drop(sweep_counts(&h, [(0..16, false)]))),
+            0
+        );
+        // The same pages as part of a sweep that does not fit are hits, and
+        // hits promote: they survive it.
+        let n = h.num_pages();
+        sweep_counts(&h, [(0..n, false)]);
+        assert_eq!(
+            reads_during(&h, || drop(sweep_counts(&h, [(0..16, false)]))),
+            0
+        );
     }
 
     #[test]

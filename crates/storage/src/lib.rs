@@ -41,7 +41,7 @@ pub use budget::{
     entry_footprint, BudgetComponent, BudgetSnapshot, MemoryBudget, MemoryUsage,
     DEFAULT_ENTRY_FOOTPRINT, ENTRY_BASE_BYTES,
 };
-pub use buffer_pool::{BufferPool, BufferPoolConfig, PageReadGuard, PageWriteGuard, PinnedPage};
+pub use buffer_pool::{BufferPool, BufferPoolConfig, PageReadGuard, PageWriteGuard, PinnedBatch};
 pub use disk::{CostModel, DiskBackend, DiskManager, PAGE_SIZE};
 pub use error::StorageError;
 pub use file_backend::FileBackend;

@@ -13,6 +13,14 @@ use crate::sync::{AtomicU64, Ordering};
 pub struct IoStats {
     /// Pages read from the simulated disk.
     pub page_reads: AtomicU64,
+    /// Read requests the backend served: one per [`DiskBackend::read`], one
+    /// per run of consecutive page ids inside a
+    /// [`DiskBackend::read_batch`]. `page_reads / read_requests` is the
+    /// pages a disk request carries.
+    ///
+    /// [`DiskBackend::read`]: crate::DiskBackend::read
+    /// [`DiskBackend::read_batch`]: crate::DiskBackend::read_batch
+    pub read_requests: AtomicU64,
     /// Pages written to the simulated disk.
     pub page_writes: AtomicU64,
     /// Buffer-pool fetches served without disk I/O.
@@ -34,6 +42,14 @@ impl IoStats {
     pub fn record_reads(&self, n: u64, us: u64) {
         self.page_reads.fetch_add(n, Ordering::Relaxed);
         self.simulated_us.fetch_add(n * us, Ordering::Relaxed);
+    }
+
+    /// Records `n` read requests to the backend (see
+    /// [`IoStats::read_requests`]); their pages are charged with
+    /// [`IoStats::record_reads`].
+    #[inline]
+    pub fn record_read_requests(&self, n: u64) {
+        self.read_requests.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records `n` page writes costing `us` simulated microseconds each.
@@ -78,6 +94,7 @@ impl IoStats {
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             page_reads: self.page_reads.load(Ordering::Relaxed),
+            read_requests: self.read_requests.load(Ordering::Relaxed),
             page_writes: self.page_writes.load(Ordering::Relaxed),
             buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
             buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
@@ -91,6 +108,8 @@ impl IoStats {
 pub struct IoSnapshot {
     /// Pages read from the simulated disk.
     pub page_reads: u64,
+    /// Read requests those pages arrived in (see [`IoStats::read_requests`]).
+    pub read_requests: u64,
     /// Pages written to the simulated disk.
     pub page_writes: u64,
     /// Buffer-pool hits.
@@ -107,6 +126,7 @@ impl IoSnapshot {
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
         IoSnapshot {
             page_reads: self.page_reads.saturating_sub(earlier.page_reads),
+            read_requests: self.read_requests.saturating_sub(earlier.read_requests),
             page_writes: self.page_writes.saturating_sub(earlier.page_writes),
             buffer_hits: self.buffer_hits.saturating_sub(earlier.buffer_hits),
             buffer_misses: self.buffer_misses.saturating_sub(earlier.buffer_misses),
@@ -130,12 +150,14 @@ mod tests {
         stats.record_reads(3, 10);
         let a = stats.snapshot();
         stats.record_reads(2, 10);
+        stats.record_read_requests(1);
         stats.record_writes(1, 20);
         stats.record_hit();
         stats.record_miss();
         let b = stats.snapshot();
         let d = b.since(&a);
         assert_eq!(d.page_reads, 2);
+        assert_eq!(d.read_requests, 1);
         assert_eq!(d.page_writes, 1);
         assert_eq!(d.buffer_hits, 1);
         assert_eq!(d.buffer_misses, 1);

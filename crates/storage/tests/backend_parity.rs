@@ -92,9 +92,12 @@ fn identical_op_sequence_charges_identical_stats() {
         "file backend must charge exactly what the simulation charges"
     );
     // Sanity-pin the shared expectation rather than only comparing the two:
-    // 8 writes + 1 post-sync write, 4 reads + 5 batched + 1 post-sync read.
+    // 8 writes + 1 post-sync write, 4 reads + 5 batched + 1 post-sync read;
+    // the batch is five consecutive pages, so one request beside the five
+    // single ones.
     assert_eq!(sim.page_writes, 9);
     assert_eq!(sim.page_reads, 10);
+    assert_eq!(sim.read_requests, 6);
     assert_eq!(sim.simulated_us, 10 * 100 + 9 * 120);
 }
 
@@ -143,7 +146,10 @@ fn table_sweep_charges_identical_stats_on_both_backends() {
     };
     let dir = TempDir::new("sweep");
     // A pool the table fits in (every page a hit), and one an eighth of
-    // it, which the sweep floods (every page a miss).
+    // it. The sweep cannot fit those 7 frames, so its misses recycle one
+    // frame (7 frames make one-page batches) at the cold end of the list;
+    // the other six keep what the load left in them — the table's last
+    // pages — and the sweep hits those when it gets there.
     for (frames, resident) in [(128usize, true), (7, false)] {
         let (sim_seen, sim) = sweep(Box::new(DiskManager::new(cost)), frames);
         let path = dir.0.join(format!("heap-{frames}.db"));
@@ -155,15 +161,15 @@ fn table_sweep_charges_identical_stats_on_both_backends() {
         );
         assert_eq!(sim, durable, "{frames} frames: same I/O charge");
         let pages = sim_seen.len() as u64;
-        let expected = if resident {
-            (pages, 0, 0)
-        } else {
-            (0, pages, pages * 100)
-        };
+        let hits = if resident { pages } else { 6 };
         assert_eq!(
             (sim.buffer_hits, sim.page_reads, sim.simulated_us),
-            expected,
+            (hits, pages - hits, (pages - hits) * 100),
             "{frames} frames"
+        );
+        assert_eq!(
+            sim.read_requests, sim.page_reads,
+            "one-page batches: a request per page"
         );
     }
 }
