@@ -29,7 +29,6 @@ fn main() {
         max_bytes: None,
         i_max,
         seed: 6,
-        ..Default::default()
     };
 
     header(

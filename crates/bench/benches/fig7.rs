@@ -41,7 +41,6 @@ fn main() {
             max_bytes: None,
             i_max,
             seed: 7,
-            ..Default::default()
         };
         let mut db = timed(&format!("populate (I_MAX={i_max})"), || {
             build_eval_db(
@@ -87,7 +86,6 @@ fn main() {
             max_bytes: l_entries.map(|l| l * DEFAULT_ENTRY_FOOTPRINT),
             i_max,
             seed: 7,
-            ..Default::default()
         };
         let mut db = timed(&format!("populate (L={label})"), || {
             build_eval_db(

@@ -39,7 +39,6 @@ fn main() {
         max_bytes: Some(l * DEFAULT_ENTRY_FOOTPRINT),
         i_max,
         seed: 8,
-        ..Default::default()
     };
     let buffer = BufferConfig {
         partition_pages: p,

@@ -38,7 +38,6 @@ fn main() {
         max_bytes: Some(l * DEFAULT_ENTRY_FOOTPRINT),
         i_max,
         seed: 9,
-        ..Default::default()
     };
     let buffer = BufferConfig {
         partition_pages: p,

@@ -17,7 +17,6 @@ fn run_config(spec: &TableSpec, buffer: BufferConfig, label: &str) {
         max_bytes: Some((spec.rows as f64 * 1.6) as usize * DEFAULT_ENTRY_FOOTPRINT),
         i_max: (spec.rows / 100).max(1) as u32,
         seed: 11,
-        ..Default::default()
     };
     let queries = experiment3_queries(spec, PAPER_QUERIES, 12);
     let mut db = timed(&format!("populate [{label}]"), || {

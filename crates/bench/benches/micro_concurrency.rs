@@ -17,7 +17,7 @@
 //!    below the unskippable page count so every query pays its misses.
 //!    1/2/4/8 client threads then measure queries/sec. I/O-bound fractions
 //!    scale near-linearly because clients overlap their stalls; the 100%
-//!    fraction takes the lock-free snapshot fast path (no shard lock, no
+//!    fraction takes the lock-free snapshot fast path (no space lock, no
 //!    catalog contention) and is pure CPU, so its scaling ceiling is the
 //!    host's core count — on a single-core host it reports ~1.0x however
 //!    cheap the path is, which is why the JSON records `host_cpus`.
@@ -27,14 +27,12 @@
 //!    50% and 90% skippable fractions at 1–8 threads. With no stalls to
 //!    overlap, throughput is bounded by whatever serializes the read path,
 //!    so a flat or rising q/s column over threads (up to `host_cpus`) is
-//!    the evidence that steady-state reads take no shard lock. (The
-//!    shard-locked planner this path was once measured against lost all
+//!    the evidence that steady-state reads take no space lock. (The
+//!    always-locked planner this path was once measured against lost all
 //!    eight rows, 1.06–1.21×, and is no longer selectable; that table is
 //!    kept, stamped with its revision, in EXPERIMENTS.md.)
 //!
-//! The space runs with `shards = 4`, the PR's sharded configuration, so the
-//! sweep exercises shard routing and the epoch-validated snapshot rather
-//! than the degenerate single-shard layout.
+//! Every section runs one table with one Index Buffer.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,7 +48,6 @@ const SWEEP_ROWS: i64 = 50_000;
 const FRACTIONS: [u32; 4] = [0, 50, 90, 100];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SCALING_POOL_FRAMES: usize = 32;
-const SHARDS: usize = 4;
 
 /// The `micro_scan` covered-fraction fixture: sequential keys so the
 /// `IntRange` partial index covers a contiguous page prefix, the Index
@@ -73,7 +70,6 @@ fn build_fraction(
             max_bytes: Some(0),
             i_max: 1_000_000,
             seed: 3,
-            shards: SHARDS,
         },
         ..Default::default()
     });
@@ -239,7 +235,7 @@ struct ContendedPoint {
 
 /// CPU-bound sweep (`io_wait = false`, zero-cost disk, resident pool): with
 /// no stalls to overlap, throughput is bounded by whatever serializes the
-/// read path. Steady-state reads plan from the snapshot and take no shard
+/// read path. Steady-state reads plan from the snapshot and take no space
 /// lock at all, so q/s must not fall as threads are added.
 fn contended_sweep(quick: bool) -> Vec<ContendedPoint> {
     let dur = Duration::from_millis(if quick { 250 } else { 1000 });
@@ -322,7 +318,7 @@ fn emit_bench_json(
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let provenance = aib_bench::provenance_json();
     let out = format!(
-        "{{\n  \"bench\": \"micro_concurrency\",\n  \"provenance\": {provenance},\n  \"rows\": {SWEEP_ROWS},\n  \"shards\": {SHARDS},\n  \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"single_client\": {{\n    \"note\": \"micro_scan fixture through ClientHandle; comparable to BENCH_scan.json\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"scaling\": {{\n    \"note\": \"io_wait rows overlap their stalls and scale on any host; the 100% row is the lock-free fast path, pure CPU, so its ceiling is host_cpus (~1.0x on a single-core host)\",\n    \"read_us\": 100,\n    \"pool_frames\": {SCALING_POOL_FRAMES},\n    \"io_wait\": true,\n    \"points\": [\n{}\n    ]\n  }},\n  \"contended\": {{\n    \"note\": \"CPU-bound: the epoch-validated snapshot-planned read path, no shard lock on steady-state reads; q/s over threads is meaningful up to host_cpus.\",\n    \"io_wait\": false,\n    \"pool_frames\": 1024,\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"micro_concurrency\",\n  \"provenance\": {provenance},\n  \"rows\": {SWEEP_ROWS},\n  \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"single_client\": {{\n    \"note\": \"micro_scan fixture through ClientHandle; comparable to BENCH_scan.json\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"scaling\": {{\n    \"note\": \"io_wait rows overlap their stalls and scale on any host; the 100% row is the lock-free fast path, pure CPU, so its ceiling is host_cpus (~1.0x on a single-core host)\",\n    \"read_us\": 100,\n    \"pool_frames\": {SCALING_POOL_FRAMES},\n    \"io_wait\": true,\n    \"points\": [\n{}\n    ]\n  }},\n  \"contended\": {{\n    \"note\": \"CPU-bound: the epoch-validated snapshot-planned read path, no space lock on steady-state reads; q/s over threads is meaningful up to host_cpus.\",\n    \"io_wait\": false,\n    \"pool_frames\": 1024,\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
         single_rows.join(",\n"),
         scaling_rows.join(",\n"),
         contended_rows.join(",\n")

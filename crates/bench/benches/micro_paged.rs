@@ -24,7 +24,6 @@ fn build(paged: bool) -> (Database, TableSpec) {
             max_bytes: None,
             i_max: 1_000,
             seed: 3,
-            ..Default::default()
         },
         ..Default::default()
     });

@@ -39,7 +39,6 @@ fn build(scan_threads: usize) -> Database {
             max_bytes: Some(0), // nothing is ever buffered: scans stay full-size
             i_max: 1,
             seed: 3,
-            ..Default::default()
         },
         scan_threads,
         ..Default::default()
@@ -107,7 +106,6 @@ fn build_fraction(scan_threads: usize, pages: u32, frac: u32) -> (Database, i64)
             max_bytes: Some(0),
             i_max: 1,
             seed: 3,
-            ..Default::default()
         },
         scan_threads,
         ..Default::default()

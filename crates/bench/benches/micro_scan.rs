@@ -22,7 +22,6 @@ fn build(buffered: bool) -> Database {
             max_bytes: None,
             i_max: 1_000_000,
             seed: 3,
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -154,7 +153,6 @@ fn build_fraction(pct: Option<u32>) -> (Database, i64) {
             max_bytes: Some(0), // buffer pinned empty: stable skip fraction
             i_max: 1_000_000,
             seed: 3,
-            ..Default::default()
         },
         ..Default::default()
     });

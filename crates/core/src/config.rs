@@ -59,14 +59,8 @@ pub struct SpaceConfig {
     /// (paper Algorithm 2; the experiments use 5,000 / 10,000).
     pub i_max: u32,
     /// Seed for the probabilistic stage-1 victim selection, making
-    /// experiments reproducible. Sharded spaces derive per-shard seeds as
-    /// `seed + shard_index`, so shard 0 of any sharding replays the
-    /// unsharded RNG stream.
+    /// experiments reproducible.
     pub seed: u64,
-    /// Number of independently locked shards the space is split into.
-    /// Buffers map to shards by `id % shards`; `1` (the default) keeps the
-    /// single-lock layout whose results every sequential test pins down.
-    pub shards: usize,
 }
 
 impl Default for SpaceConfig {
@@ -75,7 +69,6 @@ impl Default for SpaceConfig {
             max_bytes: None,
             i_max: 5_000,
             seed: 0x5EED_1DE4,
-            shards: 1,
         }
     }
 }
@@ -90,10 +83,9 @@ impl SpaceConfig {
     /// Validates the configuration.
     ///
     /// # Panics
-    /// If `i_max == 0` or `shards == 0`.
+    /// If `i_max == 0`.
     pub fn validate(&self) {
         assert!(self.i_max > 0, "I^MAX (i_max) must be positive");
-        assert!(self.shards > 0, "shards must be positive");
     }
 }
 
@@ -109,7 +101,6 @@ mod tests {
         assert_eq!(s.i_max, 5_000, "paper experiments 1-3: I^MAX = 5,000");
         assert_eq!(s.max_bytes, None, "experiment 1: unlimited space");
         assert_eq!(s.budget_bytes(), None, "no cap -> no byte budget");
-        assert_eq!(s.shards, 1, "single-lock layout by default");
         b.validate();
         s.validate();
     }
@@ -149,16 +140,6 @@ mod tests {
     fn zero_imax_rejected() {
         SpaceConfig {
             i_max: 0,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shards")]
-    fn zero_shards_rejected() {
-        SpaceConfig {
-            shards: 0,
             ..Default::default()
         }
         .validate();

@@ -17,20 +17,21 @@
 //! The mean access interval `T_B = K⁻¹ · Σ H_B[i]` feeds the benefit model:
 //! a frequently used buffer has a small `T_B` and thus valuable partitions.
 //!
-//! Interval bookkeeping is a reformulation of LRU-K's use-timestamp
-//! history: with a per-buffer query clock, `H_B[0]++` is one clock tick and
+//! Interval bookkeeping is kept as LRU-K's use-timestamp history: with a
+//! per-buffer query clock, `H_B[0]++` is one clock tick and
 //! `shift(H_B, +1); H_B[0] = 0` records a use at the current tick — the
-//! intervals are the gaps between retained timestamps. The timestamp form
-//! lives in [`aib_storage::AccessHistory`], shared with the buffer pool's
-//! LRU-K page displacement, so both layers run the *same* LRU-K code.
+//! intervals are the gaps between the `K` retained timestamps.
 
-use aib_storage::AccessHistory;
+use std::collections::VecDeque;
 
-/// The LRU-K history `H_B` of one Index Buffer: a shared [`AccessHistory`]
-/// driven by a per-buffer query clock (Table II semantics).
+/// The LRU-K history `H_B` of one Index Buffer: the `K` most recent use
+/// timestamps on a per-buffer query clock (Table II semantics).
 #[derive(Debug, Clone)]
 pub struct LruKHistory {
-    history: AccessHistory,
+    k: usize,
+    /// Retained use timestamps, most recent first.
+    stamps: VecDeque<u64>,
+    uses: u64,
     /// Queries elapsed, in this buffer's frame of reference.
     clock: u64,
 }
@@ -41,48 +42,55 @@ impl LruKHistory {
     /// # Panics
     /// If `k == 0`.
     pub fn new(k: usize) -> Self {
+        assert!(k > 0, "LRU-K requires k >= 1");
         LruKHistory {
-            history: AccessHistory::new(k),
+            k,
+            stamps: VecDeque::with_capacity(k),
+            uses: 0,
             clock: 0,
         }
     }
 
     /// History depth `K`.
     pub fn k(&self) -> usize {
-        self.history.k()
+        self.k
     }
 
     /// How many times this buffer has been used (partial-index misses on its
-    /// column).
+    /// column); not capped at `K`.
     pub fn uses(&self) -> u64 {
-        self.history.uses()
+        self.uses
     }
 
     /// `H_B[0]++` — a query ran that did not use this buffer (Table II, all
     /// cases except "no hit on the queried column").
     pub fn tick(&mut self) {
-        // Before the first use there is no open interval; advancing the
-        // clock is still harmless because intervals are timestamp gaps and
-        // the first use anchors at whatever the clock then reads.
-        self.clock += 1;
+        self.tick_n(1);
     }
 
     /// `shift(H_B, +1); H_B[0] = 0` — the buffer was used by this query
     /// (Table II, no-hit case for the queried column).
     pub fn record_use(&mut self) {
-        self.history.record(self.clock);
+        self.record_use_n(1);
     }
 
     /// `n` consecutive [`tick`](Self::tick)s at once, in O(1). Used when
     /// draining deferred fast-path query events.
     pub fn tick_n(&mut self, n: u64) {
+        // Before the first use there is no open interval; advancing the
+        // clock is still harmless because intervals are timestamp gaps and
+        // the first use anchors at whatever the clock then reads.
         self.clock += n;
     }
 
     /// `n` consecutive [`record_use`](Self::record_use)s at once, in
     /// O(min(n, K)). Used when draining deferred fast-path query events.
     pub fn record_use_n(&mut self, n: u64) {
-        self.history.record_repeated(self.clock, n);
+        self.uses += n;
+        for _ in 0..n.min(self.k as u64) {
+            self.stamps.push_front(self.clock);
+        }
+        self.stamps.truncate(self.k);
     }
 
     /// The buffer's logical query clock (diagnostics / drain bookkeeping).
@@ -94,11 +102,14 @@ impl LruKHistory {
     /// (infinite interval — such a buffer has zero benefit).
     ///
     /// The average divides by the number of *recorded* intervals (≤ K), so a
-    /// buffer warms up fairly before its history fills. Means are floored at
-    /// 1.0: a buffer used on every query has `T_B = 1`, giving the maximum
-    /// finite benefit rather than a division by zero.
+    /// buffer warms up fairly before its history fills; the interval sum
+    /// telescopes to `clock - oldest`. Means are floored at 1.0: a buffer
+    /// used on every query has `T_B = 1`, giving the maximum finite benefit
+    /// rather than a division by zero.
     pub fn mean_interval(&self) -> Option<f64> {
-        self.history.mean_interval(self.clock)
+        let oldest = *self.stamps.back()?;
+        let mean = self.clock.saturating_sub(oldest) as f64 / self.stamps.len() as f64;
+        Some(mean.max(1.0))
     }
 
     /// `T_B⁻¹` as a benefit factor: 0 for never-used buffers.
@@ -106,9 +117,13 @@ impl LruKHistory {
         self.mean_interval().map_or(0.0, |t| 1.0 / t)
     }
 
-    /// Raw intervals, most recent first (diagnostics / Table II harness).
+    /// Raw intervals, most recent first (diagnostics / Table II harness):
+    /// `clock - t_0, t_0 - t_1, …` for timestamps `t_0 ≥ t_1 ≥ …`.
     pub fn intervals(&self) -> impl Iterator<Item = u64> + '_ {
-        self.history.intervals(self.clock)
+        std::iter::once(self.clock)
+            .chain(self.stamps.iter().copied())
+            .zip(self.stamps.iter().copied())
+            .map(|(later, earlier)| later.saturating_sub(earlier))
     }
 }
 

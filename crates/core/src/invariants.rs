@@ -234,26 +234,12 @@ fn verify_structure(buffer: &IndexBuffer) -> InvariantReport {
 /// overwrite the very charge under test. A mismatch here means some
 /// mutation path forgot its reconciliation barrier.
 pub fn verify_space(space: &IndexBufferSpace) -> InvariantReport {
-    verify_shards(&[space])
-}
-
-/// [`verify_space`] across the shards of one sharded space, against the
-/// caller's already-held locks: per-buffer partition structure in every
-/// shard, plus agreement between the governor's single `IndexSpace` charge
-/// and the *fleet's* summed resident footprint (no per-shard charge exists
-/// — the shards share one budget component).
-pub fn verify_shards(shards: &[&IndexBufferSpace]) -> InvariantReport {
     let mut report = InvariantReport::default();
-    let mut footprint = 0usize;
-    for space in shards {
-        for id in space.buffer_ids() {
-            report.merge(verify_structure(space.buffer(id)));
-        }
-        footprint += space.footprint();
+    for id in space.buffer_ids() {
+        report.merge(verify_structure(space.buffer(id)));
     }
-    let charged = shards
-        .first()
-        .map_or(0, |s| s.budget().used(BudgetComponent::IndexSpace));
+    let charged = space.budget().used(BudgetComponent::IndexSpace);
+    let footprint = space.footprint();
     if charged != footprint {
         report.push(format!(
             "governor charges {charged} bytes to IndexSpace, resident \

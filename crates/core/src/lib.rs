@@ -74,7 +74,7 @@ pub mod invariants;
 pub mod maintenance;
 pub mod partition;
 pub mod scan;
-pub mod sharded;
+pub mod shared;
 pub mod space;
 pub mod sync;
 
@@ -83,7 +83,7 @@ pub use counters::{CounterError, PageCounters, SkipBitset, SkipRuns};
 pub use history::LruKHistory;
 pub use index_buffer::{BufferId, DroppedPartition, IndexBuffer};
 #[cfg(feature = "invariant-checks")]
-pub use invariants::{verify_buffer, verify_shards, verify_space, GroundTruth, InvariantReport};
+pub use invariants::{verify_buffer, verify_space, GroundTruth, InvariantReport};
 pub use maintenance::{cover_tuple, maintain, uncover_tuple, MaintAction, TupleRef};
 pub use partition::{page_range_chunks, Partition, PartitionId};
 pub use scan::{
@@ -91,5 +91,5 @@ pub use scan::{
     prepare_scan_from_snapshot, scan_chunk, sweep_plan, ChunkResult, CompiledPredicate, Predicate,
     ScanPlan, ScanPrep, ScanStats, StagedPage, CHUNKS_PER_THREAD, MIN_PAGES_PER_THREAD,
 };
-pub use sharded::{BufferSummary, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceSnapshot};
+pub use shared::{BufferSummary, SharedSpace, SnapshotCache, SpaceSnapshot, SpaceWriteGuard};
 pub use space::{BenefitPolicy, BufferPending, Displacement, IndexBufferSpace, Selection};

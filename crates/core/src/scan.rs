@@ -347,12 +347,12 @@ pub fn prepare_scan(
 /// [`ScanPrep`] from read-only inputs, with **no space lock held**.
 ///
 /// The caller supplies what the locked prepare would have computed under
-/// the shard write lock: `selection` from `ShardedSpace::plan_selection`
+/// the space write lock: `selection` from `SharedSpace::plan_selection`
 /// (which proves the locked selection would displace nothing and draw no
 /// randomness), `skip` from the validated snapshot's
-/// [`BufferSummary`](crate::sharded::BufferSummary), and
+/// [`BufferSummary`](crate::shared::BufferSummary), and
 /// `buffer_rids` from either an empty buffer (no probe at all) or an
-/// epoch-guarded probe of the live buffer under the shard *read* latch.
+/// epoch-guarded probe of the live buffer under the space *read* latch.
 /// Displacement fields are structurally zero — a plan with displacement is
 /// not plannable and never reaches here. An empty `skip` and an empty
 /// `selection` plan the plain table scan: every page read, none indexed.
@@ -456,7 +456,7 @@ pub fn indexing_scan(
 /// Lines 8–10 of Algorithm 1: scan the Index Buffer itself for matches.
 ///
 /// Public because the snapshot-planned path probes the live buffer under
-/// the shard *read* latch (epoch-guarded) and must produce exactly the rid
+/// the space *read* latch (epoch-guarded) and must produce exactly the rid
 /// set the locked prepare would: all three routes below return the full
 /// sorted matching rid set, so the output is backend-independent.
 pub fn buffer_scan_rids(buffer: &IndexBuffer, predicate: &Predicate) -> Vec<Rid> {

@@ -1,68 +1,50 @@
-//! The sharded Index Buffer Space: [`SpaceConfig::shards`] independently
-//! locked [`IndexBufferSpace`] shards behind one facade, plus the
-//! epoch-stamped read-only [`SpaceSnapshot`] that gives fully-skippable
-//! queries a lock-free fast path.
+//! The shared Index Buffer Space: the one [`IndexBufferSpace`] behind one
+//! lock, plus the epoch-stamped read-only [`SpaceSnapshot`] that lets
+//! buffered reads plan without taking it.
 //!
-//! ### Why shard
+//! ### Planning without the lock
 //!
-//! With one `RwLock<IndexBufferSpace>`, every query — even one that touches
-//! no page — serialises on the space write lock for its Table II history
-//! operations, so the CPU-bound fully-skippable workload cannot scale past
-//! one core. Sharding assigns each buffer to shard `id % shards`; clients
-//! touching disjoint buffers take disjoint locks, and the shared
-//! [`MemoryBudget`] still sees the fleet's total footprint (each shard
-//! publishes its resident bytes into a shared slot vector and charges the
-//! governor with the sum, so displacement pressure crosses shards).
-//!
-//! ### The lock-free fast path
-//!
-//! Each shard carries a mutation **epoch**, bumped by every operation that
-//! changes buffer or counter state and *published* (via an atomic per shard)
-//! only while no writer is inside. A [`SpaceSnapshot`] records, per shard,
-//! the epoch its bitsets were cloned at; a snapshot validates by comparing
-//! every published epoch against its sections with plain `Acquire` loads —
-//! no lock, no shared write. While a writer holds a shard, a sentinel
-//! (`epoch + 1`) is parked in the published slot so validation fails for the
-//! whole critical section; the guard's drop republishes the true epoch.
+//! The space carries a mutation **epoch**, bumped by every operation that
+//! changes buffer or counter state and *published* (via one atomic) only
+//! while no writer is inside. A [`SpaceSnapshot`] records the epoch its
+//! bitsets were cloned at and the buffer-roster generation; it validates by
+//! comparing both against the live atomics with plain `Acquire` loads — no
+//! lock, no shared write. While a writer is inside, a sentinel (`epoch + 1`)
+//! is parked in the published slot so validation fails for the whole
+//! critical section; the guard's drop republishes the true epoch.
 //!
 //! A validated snapshot proves the skip bitsets are current, so a query
-//! whose every page is skippable can answer without any space lock. Its
+//! whose every page is skippable can answer without the space lock. Its
 //! Table II history operations are deferred into per-buffer
 //! [`BufferPending`] atomics (shared by `Arc` between slots and snapshots)
 //! and drained — in deferral order — by the next write-side entry, which is
-//! also why [`ShardedSpace::shard_write`] drains before handing out the
-//! guard: no benefit is ever read with deferred events outstanding.
+//! also why [`SharedSpace::write`] drains before handing out the guard: no
+//! benefit is ever read with deferred events outstanding.
 //!
 //! ### Snapshot-planned scans
 //!
 //! The snapshot also carries what `prepare_scan` needs — the skip bitset,
 //! candidate pages in ascending-counter order, partition shape — so *any*
 //! buffered read (not just a 100%-skippable one) can plan against it with
-//! no shard lock held, provided [`ShardedSpace::plan_selection`] can prove
+//! the lock not held, provided [`SharedSpace::plan_selection`] can prove
 //! the locked selection would behave identically (no displacement, no RNG
 //! draw). Pages such a scan stages for insertion are applied by the reader
-//! itself under a short [`shard_write`] section, re-checking `C[p] != 0`
-//! per page ([`apply_staged`]) so a page a sibling scan already indexed is
-//! skipped, not double-inserted.
+//! itself under a short [`write`] section, re-checking `C[p] != 0` per page
+//! ([`apply_staged`]) so a page a sibling scan already indexed is skipped,
+//! not double-inserted.
 //!
-//! [`shard_write`]: ShardedSpace::shard_write
+//! [`write`]: SharedSpace::write
 //! [`apply_staged`]: crate::scan::apply_staged
 //!
 //! ### Lock hierarchy
 //!
-//! `catalog → shard(0) → shard(1) → … → pool`: shard locks nest inside the
-//! catalog lock and outside the buffer-pool internals, and multi-shard
-//! acquisitions always proceed in ascending shard index (enforced by
-//! `aib-lint`'s lock-order rule).
-
-// aib-lint: allow-file(no-index) — the shard and published vectors are
-// sized once at construction and only indexed by `shard_of()` results or
-// enumerate() positions; the cache's local cells are resized ahead of every
-// indexed access.
+//! `catalog → space → pool`: the space lock nests inside the catalog lock
+//! and outside the buffer-pool internals (enforced by `aib-lint`'s
+//! lock-order rule).
 
 use std::sync::Arc;
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use crate::sync::{AtomicU64, Ordering, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use aib_storage::{BudgetComponent, MemoryBudget, MemoryUsage};
 
@@ -71,216 +53,147 @@ use crate::counters::SkipBitset;
 use crate::index_buffer::BufferId;
 use crate::space::{grow_selection, BufferPending, IndexBufferSpace};
 
-/// The sharded Index Buffer Space facade. With `shards = 1` this is a
-/// single [`IndexBufferSpace`] behind one lock — bit-for-bit the sequential
-/// layout — and every additional shard only splits the lock, never the
-/// budget.
-pub struct ShardedSpace {
-    shards: Box<[RwLock<IndexBufferSpace>]>,
-    /// Per-shard published epoch: the shard's epoch as of the last write
-    /// guard drop, or a sentinel (`epoch + 1`) while a writer is inside.
-    published: Box<[AtomicU64]>,
-    /// Buffer-set stamp, bumped on registration: snapshots must also prove
-    /// they saw the current buffer roster.
+/// The Index Buffer Space as concurrent clients share it: one
+/// [`IndexBufferSpace`] behind one lock, the published epoch and roster
+/// generation that validate snapshots of it, and the last snapshot built.
+pub struct SharedSpace {
+    inner: RwLock<IndexBufferSpace>,
+    /// The space's epoch as of the last write guard drop, or a sentinel
+    /// (`epoch + 1`) while a writer is inside.
+    published: AtomicU64,
+    /// Buffer-set stamp, bumped on every roster change: snapshots must also
+    /// prove they saw the current buffer roster.
     generation: AtomicU64,
     /// The last built snapshot; possibly stale (every consumer revalidates).
     snapshot: RwLock<Arc<SpaceSnapshot>>,
-    /// Globally allocated buffer ids (`id % shards` routes to a shard).
-    next_buffer: AtomicUsize,
+    /// Copies of the space's own, readable without its lock.
     config: SpaceConfig,
     budget: Arc<MemoryBudget>,
 }
 
-impl ShardedSpace {
-    /// Creates an empty sharded space drawing from a shared
-    /// [`MemoryBudget`]; the caller configures the budget's limits.
+impl SharedSpace {
+    /// Creates an empty space drawing from a shared [`MemoryBudget`]; the
+    /// caller configures the budget's limits.
     pub fn with_budget(config: SpaceConfig, budget: Arc<MemoryBudget>) -> Self {
-        config.validate();
-        let footprints: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..config.shards).map(|_| AtomicUsize::new(0)).collect());
-        let shards: Box<[RwLock<IndexBufferSpace>]> = (0..config.shards)
-            .map(|i| {
-                RwLock::new(IndexBufferSpace::for_shard(
-                    config,
-                    Arc::clone(&budget),
-                    Arc::clone(&footprints),
-                    i,
-                ))
-            })
-            .collect();
-        let published = (0..config.shards).map(|_| AtomicU64::new(0)).collect();
-        ShardedSpace {
-            shards,
-            published,
+        Self::sharing(IndexBufferSpace::with_budget(config, budget))
+    }
+
+    /// Creates an empty space with its own private budget, capped at
+    /// [`SpaceConfig::budget_bytes`].
+    pub fn new(config: SpaceConfig) -> Self {
+        Self::sharing(IndexBufferSpace::new(config))
+    }
+
+    fn sharing(space: IndexBufferSpace) -> Self {
+        SharedSpace {
+            published: AtomicU64::new(space.epoch()),
             generation: AtomicU64::new(0),
             snapshot: RwLock::new(Arc::new(SpaceSnapshot {
                 generation: 0,
-                sections: Vec::new(),
+                epoch: space.epoch(),
+                buffers: Vec::new(),
             })),
-            next_buffer: AtomicUsize::new(0),
-            config,
-            budget,
+            config: *space.config(),
+            budget: Arc::clone(space.budget()),
+            inner: RwLock::new(space),
         }
     }
 
-    /// Creates an empty sharded space with its own private budget, capped
-    /// at [`SpaceConfig::budget_bytes`].
-    pub fn new(config: SpaceConfig) -> Self {
-        let budget = match config.budget_bytes() {
-            Some(bytes) => {
-                MemoryBudget::unlimited().with_component_limit(BudgetComponent::IndexSpace, bytes)
-            }
-            None => MemoryBudget::unlimited(),
-        };
-        Self::with_budget(config, Arc::new(budget))
-    }
-
-    /// The space configuration.
-    pub fn config(&self) -> &SpaceConfig {
-        &self.config
-    }
-
-    /// The governor this space draws from.
-    pub fn budget(&self) -> &Arc<MemoryBudget> {
-        &self.budget
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total buffers registered across all shards.
-    pub fn num_buffers(&self) -> usize {
-        self.next_buffer.load(Ordering::Acquire)
-    }
-
-    /// The shard a buffer lives in.
-    pub fn shard_of(&self, id: BufferId) -> usize {
-        id % self.shards.len()
-    }
-
-    /// Registers a new Index Buffer (see [`IndexBufferSpace::register`]);
-    /// the global id also selects the shard. Bumps the generation so
-    /// published snapshots that predate the roster change invalidate.
+    /// Registers a new Index Buffer (see [`IndexBufferSpace::register`]).
+    /// Bumps the generation so published snapshots that predate the roster
+    /// change invalidate.
     pub fn register(
         &self,
         name: impl Into<String>,
         config: BufferConfig,
         counts: Vec<u32>,
     ) -> BufferId {
-        let id = self.next_buffer.fetch_add(1, Ordering::AcqRel);
-        self.shard_write(self.shard_of(id))
-            .register_as(id, name, config, counts);
+        let id = self.write().register(name, config, counts);
         self.generation.fetch_add(1, Ordering::AcqRel);
         id
     }
 
-    /// Write-locks one shard. Acquisition parks the epoch sentinel (failing
-    /// fast-path validation for the whole critical section) and drains the
-    /// shard's deferred Table II events — so the guard always exposes
-    /// histories with nothing outstanding.
-    pub fn shard_write(&self, shard: usize) -> ShardWriteGuard<'_> {
-        let mut inner = self.shards[shard].write();
-        // Park the sentinel: `epoch + 1` can never equal an epoch a section
-        // was built at, so every validation fails until the guard's drop
-        // republishes the truth. Model test: `snapshot_validation_vs_writer`.
+    /// Removes a buffer (see [`IndexBufferSpace::unregister`]), bumping the
+    /// generation like [`register`](Self::register).
+    pub fn unregister(&self, id: BufferId) {
+        self.write().unregister(id);
+        self.generation.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Write-locks the space. Acquisition parks the epoch sentinel (failing
+    /// snapshot validation for the whole critical section) and drains the
+    /// deferred Table II events — so the guard always exposes histories
+    /// with nothing outstanding.
+    pub fn write(&self) -> SpaceWriteGuard<'_> {
+        let mut inner = self.inner.write();
+        // Park the sentinel: `epoch + 1` can never equal the epoch a
+        // snapshot was built at, so every validation fails until the
+        // guard's drop republishes the truth. Model test:
+        // `snapshot_validation_vs_writer`.
         #[cfg(not(model_seeded_bug = "missing_sentinel"))]
-        self.published[shard].store(inner.epoch().wrapping_add(1), Ordering::Release);
+        self.published
+            .store(inner.epoch().wrapping_add(1), Ordering::Release);
         #[cfg(not(model_seeded_bug = "missing_drain"))]
         inner.drain_deferred();
-        ShardWriteGuard {
+        SpaceWriteGuard {
             inner,
-            published: &self.published[shard],
+            published: &self.published,
         }
     }
 
-    /// Read-locks one shard (no drain — readers cannot mutate histories).
-    pub fn shard_read(&self, shard: usize) -> RwLockReadGuard<'_, IndexBufferSpace> {
-        self.shards[shard].read()
-    }
-
-    /// Write-locks every shard, in ascending shard index.
-    pub fn write_all(&self) -> Vec<ShardWriteGuard<'_>> {
-        (0..self.shards.len())
-            .map(|shard| self.shard_write(shard))
-            .collect()
-    }
-
-    /// Read-locks every shard, in ascending shard index.
-    pub fn read_all(&self) -> Vec<RwLockReadGuard<'_, IndexBufferSpace>> {
-        (0..self.shards.len())
-            .map(|shard| self.shard_read(shard))
-            .collect()
-    }
-
-    /// Reconciles the governor with every shard's resident footprint.
-    pub fn sync_all(&self) {
-        for shard in self.read_all() {
-            shard.sync_budget();
-        }
+    /// Read-locks the space (no drain — readers cannot mutate histories).
+    pub fn read(&self) -> RwLockReadGuard<'_, IndexBufferSpace> {
+        self.inner.read()
     }
 
     /// True when `snapshot` still reflects the live space: same buffer
-    /// roster and, for every shard, a published epoch equal to the one its
-    /// section was built at. Plain `Acquire` loads — no lock, no shared
-    /// write — so the fast path can validate on every query.
+    /// roster and a published epoch equal to the one it was built at. Plain
+    /// `Acquire` loads — no lock, no shared write — so every query can
+    /// validate.
     pub fn validate(&self, snapshot: &SpaceSnapshot) -> bool {
-        snapshot.sections.len() == self.shards.len()
-            && snapshot.generation == self.generation.load(Ordering::Acquire)
-            && snapshot
-                .sections
-                .iter()
-                .enumerate()
-                .all(|(i, s)| self.published[i].load(Ordering::Acquire) == s.epoch)
+        snapshot.generation == self.generation.load(Ordering::Acquire)
+            && snapshot.epoch == self.published.load(Ordering::Acquire)
     }
 
     /// A validated read-only snapshot of the whole space: returns the
-    /// published one when still valid, otherwise rebuilds (under shard read
-    /// locks, ascending) and republishes. Callers must not hold any shard
-    /// lock.
+    /// published one when still valid, otherwise rebuilds (under the read
+    /// lock) and republishes. Callers must not hold the space lock.
     pub fn space_snapshot(&self) -> Arc<SpaceSnapshot> {
         let current = Arc::clone(&self.snapshot.read());
         // Seeded bug: serve any non-empty cached snapshot without
         // validating — a DDL (`register`) that staled the roster goes
         // unnoticed. Model test: `generation_vs_add_buffer`.
         #[cfg(model_seeded_bug = "stale_snapshot_cache")]
-        if !current.sections.is_empty() {
+        if !current.buffers.is_empty() {
             return current;
         }
         if self.validate(&current) {
             return current;
         }
         let generation = self.generation.load(Ordering::Acquire);
-        let sections = self
-            .read_all()
-            .iter()
-            .map(|shard| ShardSection {
-                epoch: shard.epoch(),
-                buffers: shard
-                    .buffer_ids()
-                    .map(|id| {
-                        let counters = shard.counters(id);
-                        let buffer = shard.buffer(id);
-                        BufferSummary {
-                            id,
-                            entries: buffer.num_entries(),
-                            footprint: buffer.footprint(),
-                            epoch: shard.epoch(),
-                            partitions: buffer.num_partitions(),
-                            partition_pages: buffer.config().partition_pages,
-                            skip: counters.skip_snapshot(counters.num_pages()),
-                            candidates: counters.pages_by_ascending_counter(),
-                            pending: Arc::clone(shard.pending(id)),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
+        let space = self.read();
         let rebuilt = Arc::new(SpaceSnapshot {
             generation,
-            sections,
+            epoch: space.epoch(),
+            buffers: space
+                .buffer_ids()
+                .map(|id| {
+                    let counters = space.counters(id);
+                    let buffer = space.buffer(id);
+                    BufferSummary {
+                        id,
+                        entries: buffer.num_entries(),
+                        footprint: buffer.footprint(),
+                        partitions: buffer.num_partitions(),
+                        partition_pages: buffer.config().partition_pages,
+                        skip: counters.skip_snapshot(counters.num_pages()),
+                        candidates: counters.pages_by_ascending_counter(),
+                        pending: Arc::clone(space.pending(id)),
+                    }
+                })
+                .collect(),
         });
+        drop(space);
         // Last-build-wins publication; a concurrently staled snapshot is
         // caught by the next validation, never served silently.
         *self.snapshot.write() = Arc::clone(&rebuilt);
@@ -288,9 +201,9 @@ impl ShardedSpace {
     }
 
     /// Defers one query's Table II events into every buffer's pending cell
-    /// (Table II touches all histories). The queried buffer's shard-write
-    /// entry then drains them in order. Callers must not hold any shard
-    /// lock (the snapshot may rebuild).
+    /// (Table II touches all histories); the next write-side entry drains
+    /// them in order. Callers must not hold the space lock (the snapshot
+    /// may rebuild).
     pub fn record_shared(&self, queried: Option<BufferId>, partial_hit: bool) {
         let snapshot = self.space_snapshot();
         for buffer in snapshot.buffers() {
@@ -307,25 +220,24 @@ impl ShardedSpace {
     /// [`IndexBufferSpace::select_pages_for_buffer`] is *provably*
     /// equivalent without mutating anything — no partition displaced, no RNG
     /// drawn, no counter restored — and `None` otherwise (the caller fails
-    /// closed to the shard-write path).
+    /// closed to the write-locked path).
     ///
     /// The three plannable cases:
     /// 1. No candidate pages (`C[p] = 0` everywhere): the locked selection
     ///    returns empty before touching budget or RNG.
     /// 2. Unlimited `IndexSpace` budget: the locked path skips the
     ///    displacement loop entirely, so growth alone decides.
-    /// 3. Limited budget but zero growth *and* no sibling buffer in the
-    ///    shard owns a partition: the displacement loop's victim pick
-    ///    deterministically finds no eligible partition and returns without
-    ///    consuming randomness.
+    /// 3. Limited budget but zero growth *and* no other buffer owns a
+    ///    partition: the displacement loop's victim pick deterministically
+    ///    finds no eligible partition and returns without consuming
+    ///    randomness.
     ///
     /// A limited budget with nonzero growth is **not** plannable: committing
     /// those pages outside the lock could overshoot the budget raced by a
     /// concurrent reservation. Only empty selections are accepted there,
     /// which also makes the unsynchronized `headroom` read sound.
     pub fn plan_selection(&self, snapshot: &SpaceSnapshot, target: BufferId) -> Option<Vec<u32>> {
-        let section = snapshot.sections.get(self.shard_of(target))?;
-        let summary = section.buffers.iter().find(|b| b.id == target)?;
+        let summary = snapshot.buffer(target)?;
         let candidates = summary.candidates.as_slice();
         if candidates.is_empty() {
             return Some(Vec::new());
@@ -333,65 +245,60 @@ impl ShardedSpace {
         let i_max = self.config.i_max as usize;
         if self.budget.is_unlimited(BudgetComponent::IndexSpace) {
             let (pages, _, _) = grow_selection(candidates, i_max, usize::MAX);
-            return Some(candidates[..pages].iter().map(|&(p, _)| p).collect());
+            return Some(candidates.iter().take(pages).map(|&(p, _)| p).collect());
         }
         let headroom = self.budget.headroom(BudgetComponent::IndexSpace);
         let (pages, _, _) = grow_selection(candidates, i_max, headroom);
         if pages > 0 {
             return None;
         }
-        let displacement_reachable = i_max > 0
-            && section
-                .buffers
-                .iter()
-                .any(|b| b.id != target && b.partitions > 0);
+        let displacement_reachable = snapshot
+            .buffers()
+            .any(|b| b.id != target && b.partitions > 0);
         if displacement_reachable {
             return None;
         }
         Some(Vec::new())
     }
 
-    /// Consistency check across every shard (tests): per-shard invariants
-    /// plus the cross-shard budget reconciliation.
+    /// Consistency check (tests): see
+    /// [`IndexBufferSpace::check_invariants`].
     pub fn check_invariants(&self) {
-        for shard in self.read_all() {
-            shard.check_invariants();
-        }
+        self.read().check_invariants();
     }
 }
 
-impl std::fmt::Debug for ShardedSpace {
+impl std::fmt::Debug for SharedSpace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSpace")
-            .field("shards", &self.shards.len())
-            .field("buffers", &self.num_buffers())
+        f.debug_struct("SharedSpace")
+            .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
 
-/// Write guard for one shard. While held, the shard's published epoch reads
-/// as a sentinel, so no snapshot of this shard validates; dropping the
-/// guard republishes the (possibly advanced) true epoch, instantly
-/// re-validating snapshots after write windows that mutated nothing.
-pub struct ShardWriteGuard<'a> {
+/// Write guard for the space. While held, the published epoch reads as a
+/// sentinel, so no snapshot validates; dropping the guard republishes the
+/// (possibly advanced) true epoch, instantly re-validating snapshots after
+/// write windows that mutated nothing.
+pub struct SpaceWriteGuard<'a> {
     inner: RwLockWriteGuard<'a, IndexBufferSpace>,
     published: &'a AtomicU64,
 }
 
-impl Drop for ShardWriteGuard<'_> {
+impl Drop for SpaceWriteGuard<'_> {
     fn drop(&mut self) {
         self.published.store(self.inner.epoch(), Ordering::Release);
     }
 }
 
-impl std::ops::Deref for ShardWriteGuard<'_> {
+impl std::ops::Deref for SpaceWriteGuard<'_> {
     type Target = IndexBufferSpace;
     fn deref(&self) -> &IndexBufferSpace {
         &self.inner
     }
 }
 
-impl std::ops::DerefMut for ShardWriteGuard<'_> {
+impl std::ops::DerefMut for SpaceWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut IndexBufferSpace {
         &mut self.inner
     }
@@ -399,17 +306,13 @@ impl std::ops::DerefMut for ShardWriteGuard<'_> {
 
 /// An epoch-stamped, read-only view of the whole space: per-buffer entry
 /// counts, footprints and cloned skip bitsets, plus the shared deferred-
-/// event cells. Valid (per [`ShardedSpace::validate`]) it answers
+/// event cells. Valid (per [`SharedSpace::validate`]) it answers
 /// fully-skippable queries and introspection without any lock.
 #[derive(Debug)]
 pub struct SpaceSnapshot {
     generation: u64,
-    sections: Vec<ShardSection>,
-}
-
-#[derive(Debug)]
-struct ShardSection {
     epoch: u64,
+    /// Registration order, which is ascending id order.
     buffers: Vec<BufferSummary>,
 }
 
@@ -419,10 +322,8 @@ pub struct BufferSummary {
     id: BufferId,
     entries: usize,
     footprint: usize,
-    /// The shard epoch the summary was built at (== its section's).
-    epoch: u64,
     /// Partitions resident at snapshot time (victim-eligibility input for
-    /// [`ShardedSpace::plan_selection`]).
+    /// [`SharedSpace::plan_selection`]).
     partitions: usize,
     /// The buffer's configured partition size in pages.
     partition_pages: u32,
@@ -447,12 +348,6 @@ impl BufferSummary {
     /// Resident bytes at snapshot time.
     pub fn footprint(&self) -> usize {
         self.footprint
-    }
-
-    /// The shard epoch this summary was built at; an epoch-guarded probe of
-    /// the live buffer compares against it.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Partitions resident at snapshot time.
@@ -483,36 +378,35 @@ impl BufferSummary {
 
     /// True when a scan of `heap_pages` table pages against this buffer
     /// would skip every page *and* find nothing in the buffer itself —
-    /// exactly the queries the lock-free fast path may answer. Requires
-    /// `entries == 0` because a non-empty buffer contributes buffer-scan
-    /// matches the snapshot cannot produce.
+    /// exactly the queries that may be answered without the space lock.
+    /// Requires `entries == 0` because a non-empty buffer contributes
+    /// buffer-scan matches the snapshot cannot produce.
     pub fn fully_skippable(&self, heap_pages: u32) -> bool {
         self.entries == 0 && self.skip.len() >= heap_pages && self.skip.count() == self.skip.len()
     }
 }
 
 impl SpaceSnapshot {
-    /// The buffer-roster stamp this snapshot was built at.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// The space epoch this snapshot was built at; an epoch-guarded probe
+    /// of the live space compares against it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
-    /// Every buffer in the space, ascending shard then registration order.
+    /// Every buffer in the space, in registration (ascending id) order.
     pub fn buffers(&self) -> impl Iterator<Item = &BufferSummary> + '_ {
-        self.sections.iter().flat_map(|s| s.buffers.iter())
+        self.buffers.iter()
     }
 
     /// Looks up one buffer's summary.
     pub fn buffer(&self, id: BufferId) -> Option<&BufferSummary> {
-        self.buffers().find(|b| b.id == id)
+        self.buffers.iter().find(|b| b.id == id)
     }
 
     /// Per-buffer entry counts in ascending buffer-id order (the shape
     /// query metrics report).
     pub fn buffer_entries(&self) -> Vec<usize> {
-        let mut all: Vec<(BufferId, usize)> = self.buffers().map(|b| (b.id, b.entries)).collect();
-        all.sort_unstable_by_key(|&(id, _)| id);
-        all.into_iter().map(|(_, entries)| entries).collect()
+        self.buffers.iter().map(|b| b.entries).collect()
     }
 }
 
@@ -527,7 +421,7 @@ impl SpaceSnapshot {
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     snapshot: Option<Arc<SpaceSnapshot>>,
-    /// Deferred events per buffer, indexed by global [`BufferId`].
+    /// Deferred events, one cell per buffer of `snapshot`, in its order.
     local: Vec<LocalPending>,
 }
 
@@ -546,18 +440,24 @@ impl SnapshotCache {
     }
 
     /// The cached snapshot if it still validates against `space`, otherwise
-    /// a freshly fetched one (which may rebuild under shard read locks —
-    /// callers must not hold any shard lock).
-    pub fn ensure(&mut self, space: &ShardedSpace) -> &Arc<SpaceSnapshot> {
+    /// a freshly fetched one (which may rebuild under the read lock —
+    /// callers must not hold the space lock).
+    pub fn ensure(&mut self, space: &SharedSpace) -> &Arc<SpaceSnapshot> {
         let stale = match &self.snapshot {
             Some(snapshot) => !space.validate(snapshot),
             None => true,
         };
         if stale {
-            self.snapshot = Some(space.space_snapshot());
+            // Local events were recorded against the outgoing roster.
+            self.flush();
+            let fresh = space.space_snapshot();
+            self.local.clear();
+            self.local
+                .resize(fresh.buffers.len(), LocalPending::default());
+            self.snapshot = Some(fresh);
         }
         // The option was just populated on the stale path.
-        // aib-lint: allow(no-panic) — set two lines above.
+        // aib-lint: allow(no-panic) — set a few lines above.
         self.snapshot.as_ref().expect("snapshot just ensured")
     }
 
@@ -568,14 +468,7 @@ impl SnapshotCache {
         let Some(snapshot) = &self.snapshot else {
             return;
         };
-        let max_id = snapshot.buffers().map(|b| b.id).max();
-        if let Some(max_id) = max_id {
-            if self.local.len() <= max_id {
-                self.local.resize(max_id + 1, LocalPending::default());
-            }
-        }
-        for buffer in snapshot.buffers() {
-            let cell = &mut self.local[buffer.id];
+        for (buffer, cell) in snapshot.buffers.iter().zip(&mut self.local) {
             if Some(buffer.id) == queried && !partial_hit {
                 if cell.uses == 0 {
                     cell.uses_at = cell.ticks;
@@ -594,10 +487,7 @@ impl SnapshotCache {
         let Some(snapshot) = &self.snapshot else {
             return;
         };
-        for buffer in snapshot.buffers() {
-            let Some(cell) = self.local.get_mut(buffer.id) else {
-                continue;
-            };
+        for (buffer, cell) in snapshot.buffers.iter().zip(&mut self.local) {
             if cell.ticks != 0 || cell.uses != 0 {
                 buffer.pending().defer(cell.ticks, cell.uses, cell.uses_at);
                 *cell = LocalPending::default();
@@ -610,63 +500,41 @@ impl SnapshotCache {
 mod tests {
     use super::*;
 
-    fn cfg(shards: usize) -> SpaceConfig {
+    fn cfg() -> SpaceConfig {
         SpaceConfig {
-            shards,
             seed: 7,
             ..Default::default()
         }
     }
 
     #[test]
-    fn buffers_route_to_shards_round_robin() {
-        let space = ShardedSpace::new(cfg(3));
-        let ids: Vec<BufferId> = (0..7)
-            .map(|i| space.register(format!("b{i}"), BufferConfig::default(), vec![1; 4]))
-            .collect();
-        assert_eq!(ids, (0..7).collect::<Vec<_>>());
-        assert_eq!(space.num_buffers(), 7);
-        assert_eq!(space.shard_read(0).num_buffers(), 3);
-        assert_eq!(space.shard_read(1).num_buffers(), 2);
-        assert_eq!(space.shard_read(2).num_buffers(), 2);
-        // Every buffer is reachable through its shard under its global id.
-        for &id in &ids {
-            let shard = space.shard_read(space.shard_of(id));
-            assert_eq!(shard.buffer(id).id(), id);
-        }
-        space.check_invariants();
-    }
-
-    #[test]
     fn snapshot_validates_until_a_mutation_and_revalidates_after() {
-        let space = ShardedSpace::new(cfg(2));
+        let space = SharedSpace::new(cfg());
         let a = space.register("a", BufferConfig::default(), vec![0; 4]);
         let snap = space.space_snapshot();
         assert!(space.validate(&snap));
         assert!(snap.buffer(a).is_some());
 
         // A write window that mutates nothing re-validates on drop.
-        drop(space.shard_write(space.shard_of(a)));
+        drop(space.write());
         assert!(space.validate(&snap), "no mutation, epoch republished");
 
         // A mutation inside the window invalidates for good.
-        space
-            .shard_write(space.shard_of(a))
-            .with_buffer_mut(a, |_, _| {});
-        assert!(!space.validate(&snap), "mutated shard stales the snapshot");
+        space.write().with_buffer_mut(a, |_, _| {});
+        assert!(!space.validate(&snap), "a mutation stales the snapshot");
         let fresh = space.space_snapshot();
         assert!(space.validate(&fresh));
     }
 
     #[test]
     fn snapshot_invalidates_while_writer_is_inside() {
-        let space = ShardedSpace::new(cfg(2));
-        let a = space.register("a", BufferConfig::default(), vec![0; 4]);
+        let space = SharedSpace::new(cfg());
+        space.register("a", BufferConfig::default(), vec![0; 4]);
         let snap = space.space_snapshot();
-        let guard = space.shard_write(space.shard_of(a));
+        let guard = space.write();
         assert!(
             !space.validate(&snap),
-            "sentinel parks while the writer holds the shard"
+            "sentinel parks while the writer is inside"
         );
         drop(guard);
         assert!(space.validate(&snap), "clean window restores validity");
@@ -677,13 +545,11 @@ mod tests {
         // Satellite regression: reset_counters / clear_buffer flip pages
         // skippable; a snapshot published before the reset must not keep
         // validating (it would answer from the stale bitset).
-        let space = ShardedSpace::new(cfg(2));
+        let space = SharedSpace::new(cfg());
         let a = space.register("a", BufferConfig::default(), vec![1; 4]);
         let before = space.space_snapshot();
         assert!(space.validate(&before));
-        space
-            .shard_write(space.shard_of(a))
-            .reset_counters(a, vec![0; 4]);
+        space.write().reset_counters(a, vec![0; 4]);
         assert!(
             !space.validate(&before),
             "reset_counters must invalidate published snapshots"
@@ -693,7 +559,7 @@ mod tests {
         assert!(summary.fully_skippable(4));
 
         let again = space.space_snapshot();
-        space.shard_write(space.shard_of(a)).clear_buffer(a);
+        space.write().clear_buffer(a);
         assert!(
             !space.validate(&again),
             "clear_buffer must invalidate published snapshots"
@@ -702,7 +568,7 @@ mod tests {
 
     #[test]
     fn registration_stales_snapshots_via_generation() {
-        let space = ShardedSpace::new(cfg(2));
+        let space = SharedSpace::new(cfg());
         space.register("a", BufferConfig::default(), vec![0; 2]);
         let snap = space.space_snapshot();
         assert!(space.validate(&snap));
@@ -714,12 +580,12 @@ mod tests {
 
     #[test]
     fn fully_skippable_demands_empty_buffer_and_full_bitset() {
-        let space = ShardedSpace::new(cfg(1));
+        let space = SharedSpace::new(cfg());
         let a = space.register("a", BufferConfig::default(), vec![0, 1, 0]);
         let snap = space.space_snapshot();
         let s = snap.buffer(a).expect("registered");
         assert!(!s.fully_skippable(3), "page 1 still has uncovered tuples");
-        space.shard_write(0).reset_counters(a, vec![0, 0, 0]);
+        space.write().reset_counters(a, vec![0, 0, 0]);
         let snap = space.space_snapshot();
         let s = snap.buffer(a).expect("registered");
         assert!(s.fully_skippable(3));
@@ -729,7 +595,7 @@ mod tests {
 
     #[test]
     fn cache_defers_locally_and_flushes_through_shared_cells() {
-        let space = ShardedSpace::new(cfg(2));
+        let space = SharedSpace::new(cfg());
         let a = space.register("a", BufferConfig::default(), Vec::new());
         let b = space.register("b", BufferConfig::default(), Vec::new());
         let mut cache = SnapshotCache::new();
@@ -739,51 +605,72 @@ mod tests {
         cache.record(Some(a), false);
         cache.record(None, false);
         // Nothing visible anywhere until the flush...
-        assert!(space.shard_read(space.shard_of(a)).pending(a).is_empty());
+        assert!(space.read().pending(a).is_empty());
         cache.flush();
         // ...then the write-side drain applies them in deferral order.
-        drop(space.shard_write(space.shard_of(a)));
-        drop(space.shard_write(space.shard_of(b)));
-        let sa = space.shard_read(space.shard_of(a));
-        assert_eq!(sa.buffer(a).history().uses(), 1);
-        assert_eq!(sa.buffer(a).history().clock(), 2);
-        drop(sa);
-        let sb = space.shard_read(space.shard_of(b));
-        assert_eq!(sb.buffer(b).history().uses(), 0);
-        assert_eq!(sb.buffer(b).history().clock(), 3);
+        drop(space.write());
+        let live = space.read();
+        assert_eq!(live.buffer(a).history().uses(), 1);
+        assert_eq!(live.buffer(a).history().clock(), 2);
+        assert_eq!(live.buffer(b).history().uses(), 0);
+        assert_eq!(live.buffer(b).history().clock(), 3);
+    }
+
+    #[test]
+    fn unregistering_stales_snapshots_and_orphans_cached_events() {
+        let space = SharedSpace::new(cfg());
+        let a = space.register("a", BufferConfig::default(), vec![1; 2]);
+        let b = space.register("b", BufferConfig::default(), vec![1; 2]);
+        let mut cache = SnapshotCache::new();
+        cache.ensure(&space);
+        cache.record(Some(b), false);
+        let snap = space.space_snapshot();
+        space.unregister(a);
+        assert!(!space.validate(&snap), "roster change invalidates");
+        // The cache flushes against the roster it recorded under, then
+        // follows the new one: `b` keeps its event, `a`'s goes nowhere.
+        let fresh = cache.ensure(&space);
+        assert_eq!(
+            fresh.buffers().map(BufferSummary::id).collect::<Vec<_>>(),
+            [b]
+        );
+        assert_eq!(fresh.buffer_entries(), [0]);
+        cache.record(None, false);
+        cache.flush();
+        drop(space.write());
+        assert_eq!(space.read().buffer(b).history().uses(), 1);
+        assert_eq!(space.read().buffer(b).history().clock(), 1);
+        // Ids are never reused.
+        assert_eq!(space.register("c", BufferConfig::default(), Vec::new()), 2);
     }
 
     #[test]
     fn plan_selection_matches_locked_selection_when_plannable() {
         use aib_storage::DEFAULT_ENTRY_FOOTPRINT;
         // Unlimited budget: the planned selection must equal the locked one.
-        let space = ShardedSpace::new(cfg(2));
+        let space = SharedSpace::new(cfg());
         let a = space.register("a", BufferConfig::default(), vec![3, 0, 1, 2]);
         let snap = space.space_snapshot();
         let planned = space.plan_selection(&snap, a).expect("unlimited budget");
-        let locked = space
-            .shard_write(space.shard_of(a))
-            .select_pages_for_buffer(a);
+        let locked = space.write().select_pages_for_buffer(a);
         assert_eq!(planned, locked.pages);
         assert_eq!(planned, vec![2, 3, 0], "ascending counter order");
 
         // Zero headroom, no sibling partitions: plannable, empty.
-        let tight = ShardedSpace::new(SpaceConfig {
+        let tight = SharedSpace::new(SpaceConfig {
             max_bytes: Some(0),
-            shards: 1,
             seed: 7,
             ..Default::default()
         });
         let b = tight.register("b", BufferConfig::default(), vec![5, 5]);
         let snap = tight.space_snapshot();
         assert_eq!(tight.plan_selection(&snap, b), Some(Vec::new()));
-        let locked = tight.shard_write(0).select_pages_for_buffer(b);
+        let locked = tight.write().select_pages_for_buffer(b);
         assert!(locked.pages.is_empty() && locked.displaced.is_empty());
 
         // Limited budget with headroom: growth is nonzero → not plannable.
-        let roomy = ShardedSpace::new(SpaceConfig {
+        let roomy = SharedSpace::new(SpaceConfig {
             max_bytes: Some(10 * DEFAULT_ENTRY_FOOTPRINT),
-            shards: 1,
             seed: 7,
             ..Default::default()
         });
@@ -802,16 +689,15 @@ mod tests {
         use aib_storage::{Rid, Value};
         // Zero headroom but a sibling owns a partition: the locked path
         // would consult the RNG-weighted victim pick — not plannable.
-        let space = ShardedSpace::new(SpaceConfig {
+        let space = SharedSpace::new(SpaceConfig {
             max_bytes: Some(2 * aib_storage::DEFAULT_ENTRY_FOOTPRINT),
-            shards: 1,
             seed: 7,
             ..Default::default()
         });
         let a = space.register("a", BufferConfig::default(), vec![1, 1]);
         let b = space.register("b", BufferConfig::default(), vec![4, 4]);
         {
-            let mut s = space.shard_write(0);
+            let mut s = space.write();
             s.with_buffer_mut(a, |buffer, counters| {
                 buffer.index_page(0, vec![(Value::Int(0), Rid::new(0, 0))]);
                 counters.set_zero(0);
@@ -830,43 +716,13 @@ mod tests {
 
     #[test]
     fn snapshot_carries_planning_inputs() {
-        let space = ShardedSpace::new(cfg(1));
+        let space = SharedSpace::new(cfg());
         let a = space.register("a", BufferConfig::default(), vec![0, 2, 1]);
         let snap = space.space_snapshot();
         let s = snap.buffer(a).expect("registered");
         assert_eq!(s.candidates(), &[(2, 1), (1, 2)]);
         assert_eq!(s.partitions(), 0);
         assert_eq!(s.partition_pages(), BufferConfig::default().partition_pages);
-        let live = space.shard_read(0);
-        assert_eq!(s.epoch(), live.epoch());
-    }
-
-    #[test]
-    fn shards_share_one_budget() {
-        use aib_storage::{Rid, Value};
-        let space = ShardedSpace::new(SpaceConfig {
-            max_bytes: Some(10 * aib_storage::DEFAULT_ENTRY_FOOTPRINT),
-            shards: 2,
-            seed: 7,
-            ..Default::default()
-        });
-        let a = space.register("a", BufferConfig::default(), vec![1; 8]);
-        let b = space.register("b", BufferConfig::default(), vec![1; 8]);
-        assert_ne!(space.shard_of(a), space.shard_of(b));
-        // Fill shard 0's buffer; shard 1 must see the shrunken headroom.
-        {
-            let mut s0 = space.shard_write(space.shard_of(a));
-            for p in 0..8u32 {
-                s0.with_buffer_mut(a, |buffer, counters| {
-                    buffer.index_page(p, vec![(Value::Int(p as i64), Rid::new(p, 0))]);
-                    counters.set_zero(p);
-                });
-            }
-            s0.sync_budget();
-        }
-        let s1 = space.shard_read(space.shard_of(b));
-        assert_eq!(s1.free_entries(), 2, "8 of 10 entries claimed by shard 0");
-        drop(s1);
-        space.check_invariants();
+        assert_eq!(snap.epoch(), space.read().epoch());
     }
 }

@@ -16,7 +16,8 @@
 //!
 //! Victim selection lives in [`BenefitPolicy`], which plays the same role
 //! for partitions that LRU plays for buffer-pool frames; both displacement
-//! pipelines draw on one governor.
+//! pipelines draw on one governor. Stage 1 sees **every** buffer of the
+//! system — the paper has one Index Buffer Space bounded by `L`.
 //!
 //! ### Deviation from the paper's pseudocode
 //!
@@ -40,7 +41,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -178,7 +179,7 @@ pub struct Selection {
 /// paper's experiments, an estimate otherwise (the post-scan sync reconciles
 /// the difference). Shared by the locked selection
 /// ([`IndexBufferSpace::select_pages_for_buffer`]) and the snapshot-planned
-/// one (`ShardedSpace::plan_selection`) so the two cannot drift.
+/// one (`SharedSpace::plan_selection`) so the two cannot drift.
 pub(crate) fn grow_selection(
     candidates: &[(u32, u32)],
     i_max: usize,
@@ -200,7 +201,7 @@ pub(crate) fn grow_selection(
 }
 
 /// Deferred Table II events for one buffer: the lock-free fast path
-/// accumulates its history operations here instead of taking the shard's
+/// accumulates its history operations here instead of taking the space's
 /// write lock, and the next write-side entry drains them into the LRU-K
 /// history (in deferral order) before reading any benefit.
 ///
@@ -267,16 +268,17 @@ struct Slot {
     buffer: IndexBuffer,
     counters: PageCounters,
     /// Shared with published snapshots so fast-path queries can defer their
-    /// Table II events without any shard lock.
+    /// Table II events without the space lock.
     pending: Arc<BufferPending>,
 }
 
-/// The Index Buffer Space manager — one shard of it, when
-/// [`SpaceConfig::shards`] `> 1` (the sharded wrapper lives in
-/// [`crate::sharded::ShardedSpace`]; a standalone space is simply shard 0
-/// of 1).
+/// The Index Buffer Space manager (concurrent clients share it through
+/// [`crate::shared::SharedSpace`]).
 pub struct IndexBufferSpace {
+    /// Registration order, which is ascending id order.
     slots: Vec<Slot>,
+    /// The id the next registration gets; ids are never reused.
+    next_id: BufferId,
     config: SpaceConfig,
     budget: Arc<MemoryBudget>,
     victim_policy: BenefitPolicy,
@@ -284,10 +286,6 @@ pub struct IndexBufferSpace {
     /// counter state (never by pure history traffic), so a published
     /// snapshot can tell whether its bitsets are still current.
     epoch: u64,
-    /// Per-shard resident footprints, shared across all shards of one
-    /// space: the governor's `IndexSpace` charge is their sum.
-    footprints: Arc<Vec<AtomicUsize>>,
-    shard_index: usize,
 }
 
 impl IndexBufferSpace {
@@ -309,29 +307,14 @@ impl IndexBufferSpace {
     /// growth shrinks the other's headroom. The caller is responsible for
     /// configuring the budget's limits (this constructor applies none).
     pub fn with_budget(config: SpaceConfig, budget: Arc<MemoryBudget>) -> Self {
-        Self::for_shard(config, budget, Arc::new(vec![AtomicUsize::new(0)]), 0)
-    }
-
-    /// Creates shard `shard_index` of a sharded space: the victim-selection
-    /// RNG is re-seeded per shard (`seed + shard_index`, so shard 0 of any
-    /// sharding replays the unsharded stream) and the resident footprint is
-    /// reported through the shared `footprints` slot for this shard.
-    pub(crate) fn for_shard(
-        config: SpaceConfig,
-        budget: Arc<MemoryBudget>,
-        footprints: Arc<Vec<AtomicUsize>>,
-        shard_index: usize,
-    ) -> Self {
         config.validate();
-        assert!(shard_index < footprints.len(), "shard index within fleet");
         IndexBufferSpace {
             slots: Vec::new(),
-            victim_policy: BenefitPolicy::new(config.seed.wrapping_add(shard_index as u64)),
+            next_id: 0,
+            victim_policy: BenefitPolicy::new(config.seed),
             config,
             budget,
             epoch: 0,
-            footprints,
-            shard_index,
         }
     }
 
@@ -359,30 +342,29 @@ impl IndexBufferSpace {
         config: BufferConfig,
         counts: Vec<u32>,
     ) -> BufferId {
-        let id = self.slots.len();
-        self.register_as(id, name, config, counts);
-        id
-    }
-
-    /// Registers a buffer under a caller-assigned (globally allocated) id —
-    /// the sharded wrapper hands out global ids and routes each to its
-    /// shard, so local slot positions and buffer ids decouple.
-    pub(crate) fn register_as(
-        &mut self,
-        id: BufferId,
-        name: impl Into<String>,
-        config: BufferConfig,
-        counts: Vec<u32>,
-    ) {
+        let id = self.next_id;
+        self.next_id += 1;
         self.epoch += 1;
         self.slots.push(Slot {
             buffer: IndexBuffer::new(id, name, config),
             counters: PageCounters::from_counts(counts),
             pending: Arc::new(BufferPending::default()),
         });
+        id
     }
 
-    /// Number of buffers registered in this space (this shard).
+    /// Removes a buffer with everything it holds — the "partial index
+    /// dropped" transition. Its bytes return to the governor, its history
+    /// stops ticking and its id is never handed out again. Bumps the epoch:
+    /// a snapshot published before the drop would otherwise keep answering
+    /// from the dropped bitset.
+    pub fn unregister(&mut self, id: BufferId) {
+        self.epoch += 1;
+        self.slots.remove(self.slot_pos(id));
+        self.sync_budget();
+    }
+
+    /// Number of buffers registered in this space.
     pub fn num_buffers(&self) -> usize {
         self.slots.len()
     }
@@ -395,14 +377,14 @@ impl IndexBufferSpace {
     /// Slot position of a registered buffer.
     ///
     /// # Panics
-    /// If `id` was never registered in this space — engine routing handed a
-    /// buffer to the wrong shard, which invariant checks must surface.
+    /// If `id` is not registered in this space — the engine kept a handle
+    /// to a dropped buffer, which invariant checks must surface.
     fn slot_pos(&self, id: BufferId) -> usize {
         self.slots
             .iter()
             .position(|s| s.buffer.id() == id)
-            // aib-lint: allow(no-panic) — misrouted ids are engine bugs.
-            .expect("buffer id registered in this shard")
+            // aib-lint: allow(no-panic) — dangling ids are engine bugs.
+            .expect("buffer id registered in this space")
     }
 
     /// Borrows a buffer.
@@ -424,7 +406,7 @@ impl IndexBufferSpace {
     /// of `f` — the only mutable seam the space exposes. Closure scoping
     /// (rather than returned `&mut`s) keeps counter mutation confined to
     /// space-mediated call sites and lets the space stamp every mutation:
-    /// the epoch is bumped so published snapshots of this shard invalidate.
+    /// the epoch is bumped so published snapshots invalidate.
     /// Callers that add or drop entries should call
     /// [`sync_budget`](Self::sync_budget) when done.
     pub fn with_buffer_mut<R>(
@@ -451,11 +433,11 @@ impl IndexBufferSpace {
         self.sync_budget();
     }
 
-    /// Drops every partition of a buffer and zeroes its counters — the
-    /// "partial index dropped" transition. The slot stays registered (buffer
-    /// ids are stable handles) and an empty buffer costs nothing; its
-    /// history only ticks. Bumps the epoch: a snapshot published before the
-    /// clear would otherwise keep answering from the dropped bitset.
+    /// Drops every partition of a buffer and zeroes its counters — the first
+    /// half of a coverage redefinition, whose rescan then
+    /// [`reset_counters`](Self::reset_counters). Bumps the epoch: a snapshot
+    /// published before the clear would otherwise keep answering from the
+    /// dropped bitset.
     pub fn clear_buffer(&mut self, id: BufferId) {
         self.epoch += 1;
         let pos = self.slot_pos(id);
@@ -468,7 +450,7 @@ impl IndexBufferSpace {
         self.sync_budget();
     }
 
-    /// The shard's mutation stamp (see the `epoch` field).
+    /// The space's mutation stamp (see the `epoch` field).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -504,18 +486,10 @@ impl IndexBufferSpace {
     /// the true resident footprint. Mutations flow through `&mut IndexBuffer`
     /// borrows the space hands out, so it cannot intercept them one by one;
     /// instead the selection path and the scan/maintenance drivers reconcile
-    /// here at their natural barriers. Under sharding each shard publishes
-    /// its own footprint and charges the governor with the fleet's sum, so
-    /// every shard's displacement pressure sees every other shard's bytes.
+    /// here at their natural barriers.
     pub fn sync_budget(&self) {
-        self.footprints[self.shard_index].store(self.footprint(), Ordering::Release);
-        let total: usize = self
-            .footprints
-            .iter()
-            .map(|f| f.load(Ordering::Acquire))
-            .sum();
         self.budget
-            .set_component_usage(BudgetComponent::IndexSpace, total);
+            .set_component_usage(BudgetComponent::IndexSpace, self.footprint());
     }
 
     /// Byte headroom the governor grants this space right now (reconciles
@@ -707,15 +681,10 @@ impl IndexBufferSpace {
             );
         }
         self.sync_budget();
-        let fleet: usize = self
-            .footprints
-            .iter()
-            .map(|f| f.load(Ordering::Acquire))
-            .sum();
         assert_eq!(
             self.budget.used(BudgetComponent::IndexSpace),
-            fleet,
-            "governor charge reconciles with the fleet's resident footprint"
+            self.footprint(),
+            "governor charge reconciles with the resident footprint"
         );
     }
 }
@@ -749,7 +718,6 @@ mod tests {
             max_bytes: max.map(|entries| entries * DEFAULT_ENTRY_FOOTPRINT),
             i_max,
             seed: 42,
-            shards: 1,
         }
     }
 
@@ -849,7 +817,6 @@ mod tests {
             max_bytes: Some(5 * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 100,
             seed: 42,
-            shards: 1,
         };
         let mut s = IndexBufferSpace::new(bytes);
         let a = s.register("A", bcfg(10), vec![2; 10]);
@@ -1012,6 +979,72 @@ mod tests {
             (sel.pages.clone(), sel.displaced.clone())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn stage_one_picks_among_all_other_buffers() {
+        // §IV stage 1: "a buffer ≠ B_N with probability ∝ 1/b_B" among all
+        // buffers of the one space. Two equally used buffers fill the
+        // budget; a hot third one must be able to victimise either.
+        let displaced_by_hot = |seed: u64| {
+            let mut s = IndexBufferSpace::new(SpaceConfig {
+                seed,
+                ..cfg(Some(8), 100)
+            });
+            let a = s.register("a", bcfg(2), vec![1; 12]);
+            let b = s.register("b", bcfg(2), vec![1; 12]);
+            let hot = s.register("hot", bcfg(2), vec![1; 12]);
+            s.on_query(Some(a), false);
+            fill_pages(&mut s, a, 0..4);
+            s.on_query(Some(b), false);
+            fill_pages(&mut s, b, 0..4);
+            for _ in 0..30 {
+                s.on_query(Some(hot), false);
+            }
+            let sel = s.select_pages_for_buffer(hot);
+            s.check_invariants();
+            sel.displaced
+                .iter()
+                .map(|d| d.buffer)
+                .collect::<Vec<BufferId>>()
+        };
+        let mut first_victims = std::collections::BTreeSet::<BufferId>::new();
+        for seed in 0..32 {
+            let victims = displaced_by_hot(seed);
+            assert!(
+                victims.contains(&0) && victims.contains(&1),
+                "seed {seed}: one selection reaches both cold buffers, got {victims:?}"
+            );
+            first_victims.extend(victims.first().copied());
+        }
+        assert_eq!(
+            first_victims.into_iter().collect::<Vec<_>>(),
+            [0, 1],
+            "over seeds, the first victim is drawn from either buffer"
+        );
+    }
+
+    #[test]
+    fn unregister_frees_bytes_and_never_reuses_the_id() {
+        let mut s = IndexBufferSpace::new(cfg(Some(10), 100));
+        let a = s.register("a", bcfg(5), vec![1; 10]);
+        let b = s.register("b", bcfg(5), vec![1; 10]);
+        fill_pages(&mut s, a, 0..6);
+        fill_pages(&mut s, b, 0..4);
+        assert_eq!(s.free_entries(), 0);
+        let before = s.epoch();
+        s.unregister(a);
+        assert!(s.epoch() > before, "snapshots of the old roster go stale");
+        assert_eq!(s.buffer_ids().collect::<Vec<_>>(), [b]);
+        assert_eq!(s.free_entries(), 6, "the dropped buffer's bytes return");
+        // Table II and victim selection no longer see it.
+        s.on_query(Some(b), false);
+        assert_eq!(s.total_entries(), 4);
+        let c = s.register("c", bcfg(5), vec![1; 10]);
+        assert_eq!(c, 2, "ids stay unique and ascending");
+        assert_eq!(s.buffer(b).name(), "b");
+        assert_eq!(s.buffer(c).name(), "c");
+        s.check_invariants();
     }
 
     #[test]

@@ -59,7 +59,6 @@ fn build(setup: &SpaceSetup) -> IndexBufferSpace {
         max_bytes: Some(setup.max_entries * DEFAULT_ENTRY_FOOTPRINT),
         i_max: setup.i_max,
         seed: 7,
-        shards: 1,
     });
     for (i, (counts, pre_index, uses)) in setup.buffers.iter().enumerate() {
         let cfg = BufferConfig {

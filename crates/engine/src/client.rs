@@ -63,7 +63,7 @@ impl Clone for ClientHandle {
 impl Drop for ClientHandle {
     fn drop(&mut self) {
         // Publish any still-deferred Table II events; the next write-side
-        // entry into each shard drains them.
+        // entry into the space drains them.
         self.cache.get_mut().flush();
     }
 }

@@ -61,9 +61,9 @@
 //! [`crate::Database::open`]) and moves on, so rotation no longer stalls
 //! the commit that happened to cross the threshold. This lock is a leaf of
 //! the engine hierarchy like PR 7's `Durability` mutex: commits wait on it
-//! only *after* releasing the catalog and shard locks, and the
+//! only *after* releasing the catalog and space locks, and the
 //! checkpointer takes it only *after* taking the catalog write lock, so
-//! the order catalog → shard(i) → pool → commit is acyclic.
+//! the order catalog → space → pool → commit is acyclic.
 
 use std::time::{Duration, Instant};
 

@@ -18,37 +18,31 @@
 //!
 //! [`Database`] is shareable across client threads (`Arc<Database>`, or the
 //! [`crate::ClientHandle`] wrapper): every entry point takes `&self`. Engine
-//! state is split across the catalog lock, the sharded Index Buffer Space,
-//! and the already-concurrent storage layer:
+//! state is split across the catalog lock, the Index Buffer Space lock, and
+//! the already-concurrent storage layer:
 //!
 //! * the **catalog** (tables, heaps, partial indexes, tuners) behind one
 //!   `RwLock` — read queries hold its read lock end to end, so DML/DDL
 //!   (write lock) never interleaves with an in-flight query and each query
 //!   sees a frozen heap and coverage;
-//! * the **Index Buffer Space** (buffers + `C[p]` counters) as a
-//!   [`ShardedSpace`]: buffer `id` lives in shard `id % shards`, each shard
-//!   behind its own `RwLock`, all drawing Algorithm 2 headroom from the one
-//!   shared [`MemoryBudget`]. Shard write sections stay short: the
-//!   Algorithm 2 selection before a sweep, the staged apply after it, and
-//!   DML maintenance — and a query only locks the shard of the buffer it
-//!   scans, so clients on disjoint buffers never contend.
+//! * the **Index Buffer Space** (buffers + `C[p]` counters) as one
+//!   [`SharedSpace`]: the paper's single space behind one `RwLock`, drawing
+//!   Algorithm 2 headroom from the shared [`MemoryBudget`]. Its write
+//!   sections stay short: the Algorithm 2 selection before a sweep, the
+//!   staged apply after it, and DML maintenance.
 //!
 //! Every read runs the one **plan → sweep → adapt** pipeline of
 //! [`crate::read`] (see there and DESIGN.md §6): it plans lock-free from
 //! an epoch-validated [`SpaceSnapshot`], fails closed to planning under
-//! the shard write lock when the snapshot cannot prove the selection, and
+//! the space write lock when the snapshot cannot prove the selection, and
 //! applies the insertions its sweep staged before the query returns.
 //!
-//! Lock order is **catalog → shard(0) → shard(1) → … → pool**: shard locks
-//! nest inside the catalog lock, multi-shard acquisitions proceed in
-//! ascending shard index (DML and the exclusive tuned path take
-//! `write_all`), and pool locks are storage-internal leaves (see
+//! Lock order is **catalog → space → pool**: the space lock nests inside
+//! the catalog lock, and pool locks are storage-internal leaves (see
 //! `aib-storage::buffer_pool`). Sweeping with no engine lock held is what
 //! lets concurrent read queries overlap their page I/O: the paper's
 //! Algorithm 1 mutates index structure as a side effect of reads, and the
 //! staged-apply split confines that mutation to the short write sections.
-//! With `shards = 1` the whole arrangement degenerates to the previous
-//! single-lock executor bit for bit.
 
 // aib-lint: allow-file(no-index) — `tables` and `indexed` are only ever
 // indexed by positions this module itself computed (`table_index`,
@@ -64,7 +58,7 @@ use aib_core::sync::{AtomicUsize, Ordering, RwLock, RwLockReadGuard};
 
 use aib_core::{
     cover_tuple, maintain, uncover_tuple, BufferConfig, BufferId, IndexBufferSpace, Predicate,
-    ScanStats, ShardWriteGuard, ShardedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot, TupleRef,
+    ScanStats, SharedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot, TupleRef,
 };
 use aib_index::{AdaptationCost, Coverage, IndexBackend, PagedIndex, PartialIndex};
 use aib_storage::stats::IoSnapshot;
@@ -297,17 +291,15 @@ impl std::ops::Deref for TableRef<'_> {
     }
 }
 
-/// Read access to one shard of the Index Buffer Space: an RAII guard over
-/// that shard's read lock, dereferencing to the shard's
-/// [`IndexBufferSpace`]. Obtain it from [`Database::space_shard`] with the
-/// buffer you want to inspect; holding it blocks that shard's writers
-/// (scans' staged apply, DML maintenance) — other shards stay free. Keep it
-/// scoped.
-pub struct ShardRef<'a> {
+/// Read access to the Index Buffer Space: an RAII guard over its read lock,
+/// dereferencing to the [`IndexBufferSpace`]. Obtain it from
+/// [`Database::space`]; holding it blocks the space's writers (scans'
+/// staged apply, DML maintenance). Keep it scoped.
+pub struct SpaceRef<'a> {
     guard: RwLockReadGuard<'a, IndexBufferSpace>,
 }
 
-impl std::ops::Deref for ShardRef<'_> {
+impl std::ops::Deref for SpaceRef<'_> {
     type Target = IndexBufferSpace;
     fn deref(&self) -> &IndexBufferSpace {
         &self.guard
@@ -349,7 +341,7 @@ pub struct Database {
     /// Shared with the background checkpointer thread, which takes the
     /// write lock for the checkpoint cut exactly like a DML caller.
     catalog: Arc<RwLock<Catalog>>,
-    pub(crate) space: ShardedSpace,
+    pub(crate) space: SharedSpace,
     pub(crate) config: EngineConfig,
     queries_executed: AtomicUsize,
     /// `Some` for file-backed databases ([`Database::open`]): the
@@ -492,7 +484,7 @@ impl Database {
                 .with_budget(Arc::clone(&budget))
                 .with_io_wait(config.io_wait),
         );
-        let space = ShardedSpace::with_budget(config.space, Arc::clone(&budget));
+        let space = SharedSpace::with_budget(config.space, Arc::clone(&budget));
         Database {
             pool,
             stats,
@@ -525,13 +517,12 @@ impl Database {
         Arc::clone(&self.stats)
     }
 
-    /// Read-locks the shard of the Index Buffer Space that holds `buffer`
-    /// (inspection). The guard dereferences to the shard's
-    /// [`IndexBufferSpace`]; holding it blocks that shard's scans and DML
-    /// maintenance, so keep it scoped.
-    pub fn space_shard(&self, buffer: BufferId) -> ShardRef<'_> {
-        ShardRef {
-            guard: self.space.shard_read(self.space.shard_of(buffer)),
+    /// Read-locks the Index Buffer Space (inspection). The guard
+    /// dereferences to the [`IndexBufferSpace`]; holding it blocks scans'
+    /// write sections and DML maintenance, so keep it scoped.
+    pub fn space(&self) -> SpaceRef<'_> {
+        SpaceRef {
+            guard: self.space.read(),
         }
     }
 
@@ -539,14 +530,13 @@ impl Database {
     /// Space: per-buffer entry counts, footprints and skip bitsets, with no
     /// lock held by the caller afterwards. Cheap while nothing mutates
     /// (returns the published snapshot after plain atomic validation);
-    /// rebuilds under short shard read locks otherwise.
+    /// rebuilds under a short read lock otherwise.
     pub fn space_snapshot(&self) -> Arc<SpaceSnapshot> {
         self.space.space_snapshot()
     }
 
-    /// Checks the Index Buffer Space's structural invariants across every
-    /// shard, including the cross-shard budget reconciliation (tests;
-    /// panics on violation).
+    /// Checks the Index Buffer Space's structural invariants, including the
+    /// budget reconciliation (tests; panics on violation).
     pub fn check_space_invariants(&self) {
         self.space.check_invariants();
     }
@@ -557,9 +547,9 @@ impl Database {
     }
 
     /// A point-in-time copy of the governor's byte counters, after
-    /// reconciling every shard's resident footprint.
+    /// reconciling the space's resident footprint.
     pub fn memory(&self) -> BudgetSnapshot {
-        self.space.sync_all();
+        self.space.read().sync_budget();
         self.budget.snapshot()
     }
 
@@ -866,36 +856,36 @@ impl Database {
     /// staged on the group-commit pipeline and acked only after its
     /// covering fsync; see `crate::commit`.
     pub fn insert(&self, table: &str, tuple: &Tuple) -> EngineResult<Rid> {
-        self.dml(|catalog, shards| self.insert_locked(catalog, shards, table, tuple))
+        self.dml(|catalog, space| self.insert_locked(catalog, space, table, tuple))
     }
 
     /// One DML statement end to end: `op` mutates under the catalog and
-    /// every shard write lock and names its log record, which is staged
+    /// space write locks and names its log record, which is staged
     /// before the locks drop; the commit is acked only after its covering
     /// fsync, awaited with no engine lock held.
     fn dml<R>(
         &self,
-        op: impl FnOnce(&mut Catalog, &mut [ShardWriteGuard<'_>]) -> EngineResult<(R, WalRecord)>,
+        op: impl FnOnce(&mut Catalog, &mut IndexBufferSpace) -> EngineResult<(R, WalRecord)>,
     ) -> EngineResult<R> {
         let (out, ticket) = {
             let mut catalog = self.catalog.write();
-            let mut shards = self.space.write_all();
-            let (out, record) = op(&mut catalog, &mut shards)?;
+            let mut space = self.space.write();
+            let (out, record) = op(&mut catalog, &mut space)?;
             let ticket = self.stage(&[record]);
-            self.verify_checkpoint(&catalog, &shards)?;
+            self.verify_checkpoint(&catalog, &space)?;
             (out, ticket)
         };
         self.wait_durable(ticket)?;
         Ok(out)
     }
 
-    /// Insert body under the caller's catalog + shard write locks,
+    /// Insert body under the caller's catalog + space write locks,
     /// returning the record to stage. Shared by [`Database::insert`] and
     /// [`Database::execute_batch`].
     fn insert_locked(
         &self,
         catalog: &mut Catalog,
-        shards: &mut [ShardWriteGuard<'_>],
+        space: &mut IndexBufferSpace,
         table: &str,
         tuple: &Tuple,
     ) -> EngineResult<(Rid, WalRecord)> {
@@ -906,13 +896,7 @@ impl Database {
         let t = &mut catalog.tables[ti];
         for ic in &mut t.indexed {
             let value = column_value(tuple, ic.column)?;
-            apply_maintenance(
-                &self.space,
-                shards,
-                ic,
-                None,
-                Some(TupleRef::new(value, rid, page)),
-            )?;
+            apply_maintenance(space, ic, None, Some(TupleRef::new(value, rid, page)))?;
         }
         Ok((
             rid,
@@ -926,14 +910,14 @@ impl Database {
 
     /// Deletes the tuple at `rid` (Table I, delete row).
     pub fn delete(&self, table: &str, rid: Rid) -> EngineResult<()> {
-        self.dml(|catalog, shards| Ok(((), self.delete_locked(catalog, shards, table, rid)?)))
+        self.dml(|catalog, space| Ok(((), self.delete_locked(catalog, space, table, rid)?)))
     }
 
-    /// Delete body under the caller's catalog + shard write locks.
+    /// Delete body under the caller's catalog + space write locks.
     fn delete_locked(
         &self,
         catalog: &mut Catalog,
-        shards: &mut [ShardWriteGuard<'_>],
+        space: &mut IndexBufferSpace,
         table: &str,
         rid: Rid,
     ) -> EngineResult<WalRecord> {
@@ -945,13 +929,7 @@ impl Database {
         let t = &mut catalog.tables[ti];
         for ic in &mut t.indexed {
             let value = column_value(&old, ic.column)?;
-            apply_maintenance(
-                &self.space,
-                shards,
-                ic,
-                Some(TupleRef::new(value, rid, page)),
-                None,
-            )?;
+            apply_maintenance(space, ic, Some(TupleRef::new(value, rid, page)), None)?;
         }
         Ok(WalRecord::Delete {
             table: ti as u32,
@@ -962,14 +940,14 @@ impl Database {
     /// Updates the tuple at `rid`, returning its possibly new record id
     /// (Table I, full matrix — the tuple may change pages).
     pub fn update(&self, table: &str, rid: Rid, tuple: &Tuple) -> EngineResult<Rid> {
-        self.dml(|catalog, shards| self.update_locked(catalog, shards, table, rid, tuple))
+        self.dml(|catalog, space| self.update_locked(catalog, space, table, rid, tuple))
     }
 
-    /// Update body under the caller's catalog + shard write locks.
+    /// Update body under the caller's catalog + space write locks.
     fn update_locked(
         &self,
         catalog: &mut Catalog,
-        shards: &mut [ShardWriteGuard<'_>],
+        space: &mut IndexBufferSpace,
         table: &str,
         rid: Rid,
         tuple: &Tuple,
@@ -986,8 +964,7 @@ impl Database {
             let old_value = column_value(&old, ic.column)?;
             let new_value = column_value(tuple, ic.column)?;
             apply_maintenance(
-                &self.space,
-                shards,
+                space,
                 ic,
                 Some(TupleRef::new(old_value, rid, old_page)),
                 Some(TupleRef::new(new_value, new_rid, new_page)),
@@ -1004,7 +981,7 @@ impl Database {
         ))
     }
 
-    /// Applies a batch of DML operations under **one** catalog/shard lock
+    /// Applies a batch of DML operations under **one** catalog/space lock
     /// acquisition and **one** commit-pipeline ticket, so a single client
     /// amortizes the covering fsync across the whole batch exactly like
     /// concurrent writers do (the group-commit window's single-threaded
@@ -1018,20 +995,20 @@ impl Database {
     pub fn execute_batch(&self, ops: &[BatchOp]) -> EngineResult<Vec<Option<Rid>>> {
         let (result, ticket) = {
             let mut catalog = self.catalog.write();
-            let mut shards = self.space.write_all();
+            let mut space = self.space.write();
             let mut records = Vec::with_capacity(ops.len());
             let mut rids = Vec::with_capacity(ops.len());
             let mut failure = None;
             for op in ops {
                 let applied = match op {
                     BatchOp::Insert { table, tuple } => self
-                        .insert_locked(&mut catalog, &mut shards, table, tuple)
+                        .insert_locked(&mut catalog, &mut space, table, tuple)
                         .map(|(rid, record)| (Some(rid), record)),
                     BatchOp::Delete { table, rid } => self
-                        .delete_locked(&mut catalog, &mut shards, table, *rid)
+                        .delete_locked(&mut catalog, &mut space, table, *rid)
                         .map(|record| (None, record)),
                     BatchOp::Update { table, rid, tuple } => self
-                        .update_locked(&mut catalog, &mut shards, table, *rid, tuple)
+                        .update_locked(&mut catalog, &mut space, table, *rid, tuple)
                         .map(|(rid, record)| (Some(rid), record)),
                 };
                 match applied {
@@ -1046,7 +1023,7 @@ impl Database {
                 }
             }
             let ticket = self.stage(&records);
-            self.verify_checkpoint(&catalog, &shards)?;
+            self.verify_checkpoint(&catalog, &space)?;
             let result = match failure {
                 Some(e) => Err(e),
                 None => Ok(rids),
@@ -1132,7 +1109,7 @@ impl Database {
         };
         let ic = self.build_index_from_heap(&catalog.tables[ti], def.clone())?;
         catalog.tables[ti].indexed.push(ic);
-        self.space.sync_all();
+        self.space.read().sync_budget();
         let ticket = self.stage(&[WalRecord::Ddl(
             DdlOp::CreateIndex {
                 table: ti as u32,
@@ -1145,12 +1122,9 @@ impl Database {
         self.wait_durable(ticket)
     }
 
-    /// Drops the partial index (and Index Buffer contents) of a column.
-    /// Subsequent queries on the column fall back to plain scans.
-    ///
-    /// The buffer's slot in the Index Buffer Space stays registered but
-    /// empty — buffer ids are stable handles and an empty buffer costs
-    /// nothing (its history only ticks).
+    /// Drops the partial index of a column and unregisters its Index Buffer
+    /// from the space. Subsequent queries on the column fall back to plain
+    /// scans.
     pub fn drop_partial_index(&self, table: &str, column: &str) -> EngineResult<()> {
         let mut catalog = self.catalog.write();
         let ti = catalog.table_index(table)?;
@@ -1160,9 +1134,7 @@ impl Database {
             .ok_or_else(|| EngineError::NoSuchIndex(format!("{table}.{column}")))?;
         let ic = catalog.tables[ti].indexed.remove(slot);
         if let Some(bid) = ic.buffer {
-            self.space
-                .shard_write(self.space.shard_of(bid))
-                .clear_buffer(bid);
+            self.space.unregister(bid);
         }
         let ticket = self.stage(&[WalRecord::Ddl(
             DdlOp::DropIndex {
@@ -1225,18 +1197,14 @@ impl Database {
         ic.partial.redefine_coverage(coverage);
         // Rebuild entries and counters from the heap; any buffered pages are
         // invalidated (their composition changed under the buffer). Both the
-        // clear and the counter reset bump the shard epoch, so snapshots
+        // clear and the counter reset bump the space epoch, so snapshots
         // published before the redefinition stop validating.
         if let Some(bid) = ic.buffer {
-            self.space
-                .shard_write(self.space.shard_of(bid))
-                .clear_buffer(bid);
+            self.space.write().clear_buffer(bid);
         }
         let counts = populate_from_heap(&t.heap, ci, &mut ic.partial)?;
         if let Some(bid) = ic.buffer {
-            self.space
-                .shard_write(self.space.shard_of(bid))
-                .reset_counters(bid, counts);
+            self.space.write().reset_counters(bid, counts);
         }
         let ticket = self.stage(&[WalRecord::Ddl(ddl.encode())]);
         self.verify_checkpoint_now(&catalog)?;
@@ -1257,7 +1225,7 @@ impl Database {
     pub fn vacuum(&self, table: &str, min_occupancy: f64) -> EngineResult<(u32, u64)> {
         let (drained, moved, ticket) = {
             let mut catalog = self.catalog.write();
-            let mut shards = self.space.write_all();
+            let mut space = self.space.write();
             let ti = catalog.table_index(table)?;
             let pages = catalog.tables[ti].heap.num_pages();
             if pages == 0 {
@@ -1282,8 +1250,7 @@ impl Database {
                     for ic in &mut t.indexed {
                         let value = column_value(&tuple, ic.column)?;
                         apply_maintenance(
-                            &self.space,
-                            &mut shards,
+                            &mut space,
                             ic,
                             Some(TupleRef::new(value.clone(), rid, ord)),
                             Some(TupleRef::new(value, new_rid, new_ord)),
@@ -1301,7 +1268,7 @@ impl Database {
             // The whole vacuum rides one ticket — one covering fsync no
             // matter how many tuples moved.
             let ticket = self.stage(&records);
-            self.verify_checkpoint(&catalog, &shards)?;
+            self.verify_checkpoint(&catalog, &space)?;
             (drained, moved, ticket)
         };
         self.wait_durable(ticket)?;
@@ -1316,9 +1283,9 @@ impl Database {
     /// Safe to call from many client threads at once: read queries hold the
     /// catalog read lock end to end and run the plan → sweep → adapt
     /// pipeline of [`crate::read`], which plans lock-free from the
-    /// published [`SpaceSnapshot`] and serializes on the queried buffer's
-    /// shard only for the short write sections (a selection the snapshot
-    /// cannot prove, the staged apply). Tuned point queries adapt the
+    /// published [`SpaceSnapshot`] and serializes on the space lock only
+    /// for the short write sections (a selection the snapshot cannot
+    /// prove, the staged apply). Tuned point queries adapt the
     /// partial index and therefore run exclusive.
     ///
     /// This entry point keeps a query-local [`SnapshotCache`]; clients
@@ -1351,7 +1318,7 @@ impl Database {
         let t = &catalog.tables[ti];
         if t.tuned_point(ci, &query.predicate) {
             drop(catalog);
-            // The exclusive run drains pending events on shard entry; the
+            // The exclusive run drains pending events on space entry; the
             // cache's deferrals must be published first to stay in order.
             cache.flush();
             return self.execute_holding_all(query, clock);
@@ -1368,7 +1335,7 @@ impl Database {
     }
 
     /// The sequential reference executor: the same pipeline run with the
-    /// catalog write lock and every shard guard held, so no other client
+    /// catalog write lock and the space guard held, so no other client
     /// can interleave — the path every tuned point query already takes.
     /// `proptest_convergence` holds [`Database::execute`] to its answers
     /// and end state.
@@ -1381,7 +1348,7 @@ impl Database {
     /// any) observe a point query and adapt the partial index.
     fn execute_holding_all(&self, query: &Query, clock: QueryClock) -> EngineResult<ExecOutcome> {
         let mut catalog = self.catalog.write();
-        let mut shards = self.space.write_all();
+        let mut space = self.space.write();
         let catalog = &mut *catalog;
         // Resolved under the write lock: the catalog may have changed since
         // a caller looked under its read lock.
@@ -1394,29 +1361,21 @@ impl Database {
             ci,
             &query.predicate,
             plan,
-            SpaceAccess::Held(&mut shards),
+            SpaceAccess::Held(&mut space),
         )?;
 
         // Online tuning: observe the queried value, adapt the partial index.
         if let Predicate::Equals(v) = &query.predicate {
-            apply_tuning(
-                &mut catalog.tables[ti],
-                ci,
-                &self.space,
-                &mut shards,
-                v,
-                &result.rids,
-            )?;
+            apply_tuning(&mut catalog.tables[ti], ci, &mut space, v, &result.rids)?;
         }
 
-        for shard in &shards {
-            shard.sync_budget();
-        }
-        let buffer_entries = (0..self.space.num_buffers())
-            .map(|b| shards[self.space.shard_of(b)].buffer(b).num_entries())
+        space.sync_budget();
+        let buffer_entries = space
+            .buffer_ids()
+            .map(|b| space.buffer(b).num_entries())
             .collect();
         let metrics = self.finish_metrics(clock, &result, scan, source, threads, buffer_entries);
-        self.verify_checkpoint(catalog, &shards)?;
+        self.verify_checkpoint(catalog, &space)?;
         Ok(ExecOutcome { result, metrics })
     }
 
@@ -1433,7 +1392,7 @@ impl Database {
     }
 
     /// Assembles a query's [`QueryMetrics`]; `buffer_entries` comes from
-    /// either the validated snapshot (shared run) or the held shard guards
+    /// either the validated snapshot (shared run) or the held space guard
     /// (exclusive run), so no lock is taken here.
     fn finish_metrics(
         &self,
@@ -1465,7 +1424,7 @@ impl Database {
     /// Index Buffer's own bookkeeping makes this free, unlike what-if
     /// optimizer calls). Built from the very [`crate::read`] plan value
     /// `execute` consumes; the snapshot answers everything it needs without
-    /// locking any shard.
+    /// locking the space.
     pub fn explain(&self, query: &Query) -> EngineResult<crate::explain::Explanation> {
         let catalog = self.catalog.read();
         let ti = catalog.table_index(&query.table)?;
@@ -1517,31 +1476,24 @@ impl Database {
     #[cfg(feature = "invariant-checks")]
     pub fn verify_invariants(&self) -> EngineResult<()> {
         let catalog = self.catalog.read();
-        let shards = self.space.read_all();
-        self.verify_with(&catalog, &shards)
+        self.verify_with(&catalog, &self.space.read())
     }
 
-    /// The shadow model against already-held shard locks (so mutation paths
-    /// can verify without re-acquiring). `shards` must hold every shard in
-    /// ascending index order — exactly what `read_all`/`write_all` return.
+    /// The shadow model against an already-held space lock (so mutation
+    /// paths can verify without re-acquiring).
     #[cfg(feature = "invariant-checks")]
-    fn verify_with<S>(&self, catalog: &Catalog, shards: &[S]) -> EngineResult<()>
-    where
-        S: std::ops::Deref<Target = IndexBufferSpace>,
-    {
-        use aib_core::{verify_buffer, verify_shards, GroundTruth};
-        let refs: Vec<&IndexBufferSpace> = shards.iter().map(|s| &**s).collect();
-        let mut report = verify_shards(&refs);
+    fn verify_with(&self, catalog: &Catalog, space: &IndexBufferSpace) -> EngineResult<()> {
+        use aib_core::{verify_buffer, verify_space, GroundTruth};
+        let mut report = verify_space(space);
         for t in &catalog.tables {
             for ic in &t.indexed {
                 let Some(bid) = ic.buffer else { continue };
-                let shard = refs[self.space.shard_of(bid)];
                 let coverage = ic.partial.coverage();
                 let covered = |v: &Value| coverage.covers(v);
-                let truth = GroundTruth::compute(&t.heap, ic.column, &covered, shard.buffer(bid))?;
+                let truth = GroundTruth::compute(&t.heap, ic.column, &covered, space.buffer(bid))?;
                 report.merge(verify_buffer(
-                    shard.buffer(bid),
-                    shard.counters(bid),
+                    space.buffer(bid),
+                    space.counters(bid),
                     &truth,
                 ));
             }
@@ -1552,26 +1504,23 @@ impl Database {
 
     /// Shadow-model checkpoint: diffs bookkeeping against ground truth
     /// after every mutation when `invariant-checks` is on; compiles to
-    /// nothing otherwise. Takes the caller's held shard guards — never
+    /// nothing otherwise. Takes the caller's held space guard — never
     /// acquires.
     #[inline]
-    fn verify_checkpoint<S>(&self, catalog: &Catalog, shards: &[S]) -> EngineResult<()>
-    where
-        S: std::ops::Deref<Target = IndexBufferSpace>,
-    {
+    fn verify_checkpoint(&self, catalog: &Catalog, space: &IndexBufferSpace) -> EngineResult<()> {
         #[cfg(feature = "invariant-checks")]
-        self.verify_with(catalog, shards)?;
-        let _ = (catalog, shards);
+        self.verify_with(catalog, space)?;
+        let _ = (catalog, space);
         Ok(())
     }
 
-    /// Shadow-model checkpoint for paths that hold no shard lock: acquires
-    /// every shard (read) only when `invariant-checks` is on — reads stay
+    /// Shadow-model checkpoint for paths that do not hold the space lock:
+    /// acquires it (read) only when `invariant-checks` is on — reads stay
     /// lock-free in normal builds.
     #[inline]
     fn verify_checkpoint_now(&self, catalog: &Catalog) -> EngineResult<()> {
         #[cfg(feature = "invariant-checks")]
-        self.verify_with(catalog, &self.space.read_all())?;
+        self.verify_with(catalog, &self.space.read())?;
         let _ = catalog;
         Ok(())
     }
@@ -1626,14 +1575,12 @@ fn checkpoint_core(
 }
 
 /// Applies the online tuner's decision for an observed point query on
-/// `column` (a no-op for untuned columns). Runs with the catalog and every
-/// shard write guard held (only the exclusive run tunes); mutates only the
-/// tuned buffer's shard.
+/// `column` (a no-op for untuned columns). Runs with the catalog and space
+/// write guards held (only the exclusive run tunes).
 fn apply_tuning(
     t: &mut Table,
     column: usize,
-    space: &ShardedSpace,
-    shards: &mut [ShardWriteGuard<'_>],
+    space: &mut IndexBufferSpace,
     value: &Value,
     matched: &[Rid],
 ) -> EngineResult<()> {
@@ -1658,7 +1605,7 @@ fn apply_tuning(
             .collect::<Result<_, StorageError>>()?;
         let ic = &mut t.indexed[slot];
         if let Some(bid) = ic.buffer {
-            shards[space.shard_of(bid)].with_buffer_mut(bid, |buffer, counters| {
+            space.with_buffer_mut(bid, |buffer, counters| {
                 for &(rid, page) in &pages {
                     cover_tuple(buffer, counters, &v, rid, page)
                         .map_err(|e| EngineError::Invariant(e.to_string()))?;
@@ -1677,14 +1624,14 @@ fn apply_tuning(
         for rid in rids {
             let page = t.ordinal(rid)?;
             if let Some(bid) = buffer {
-                shards[space.shard_of(bid)].with_buffer_mut(bid, |b, c| {
+                space.with_buffer_mut(bid, |b, c| {
                     uncover_tuple(b, c, v.clone(), rid, page);
                 });
             }
         }
     }
-    if let Some(bid) = t.indexed[slot].buffer {
-        shards[space.shard_of(bid)].sync_budget();
+    if t.indexed[slot].buffer.is_some() {
+        space.sync_budget();
     }
     Ok(())
 }
@@ -1694,24 +1641,22 @@ fn apply_tuning(
 /// `maintain` means engine bookkeeping diverged from the heap; it surfaces as
 /// [`EngineError::Invariant`].
 fn apply_maintenance(
-    space: &ShardedSpace,
-    shards: &mut [ShardWriteGuard<'_>],
+    space: &mut IndexBufferSpace,
     ic: &mut IndexedColumn,
     old: Option<TupleRef>,
     new: Option<TupleRef>,
 ) -> EngineResult<()> {
     match ic.buffer {
         Some(bid) => {
-            let shard = &mut shards[space.shard_of(bid)];
             let partial = &mut ic.partial;
-            shard
+            space
                 .with_buffer_mut(bid, |buffer, counters| {
                     maintain(partial, buffer, counters, old, new)
                 })
                 .map_err(|e| EngineError::Invariant(e.to_string()))?;
             // Maintenance mutates partitions behind the governor's back;
             // reconcile the byte charge at this barrier.
-            shard.sync_budget();
+            space.sync_budget();
         }
         None => {
             // Only the partial-index row of Table I applies.

@@ -11,7 +11,7 @@
 //! An [`Explanation`] is built from the plan value the executor itself
 //! runs (`crate::read`), so what it prints is what `execute` does next on
 //! unchanged state. The one thing only execution can tell: a
-//! shard-locked or exclusive plan runs Algorithm 2 under the lock, which
+//! locked or exclusive plan runs Algorithm 2 under the lock, which
 //! may displace *other* buffers' partitions — the queried buffer's own
 //! page counts below are unaffected by that.
 
@@ -24,7 +24,7 @@ pub struct Explanation {
     /// The access path the executor would take.
     pub path: AccessPath,
     /// Where the scan's page selection would come from: planned lock-free
-    /// from the snapshot, under the shard write lock (the planner
+    /// from the snapshot, under the space write lock (the planner
     /// declined), or in an exclusive run (tuned point queries).
     pub plan: PlanSource,
     /// Whether the queried column has a partial index.
@@ -164,10 +164,10 @@ mod tests {
         assert!(scan(25, 3, 4).summary().contains("4 scan threads"));
 
         let locked = Explanation {
-            plan: PlanSource::ShardLocked,
+            plan: PlanSource::Locked,
             ..scan(25, 3, 1)
         };
-        assert!(locked.summary().contains("(shard-locked plan)"));
+        assert!(locked.summary().contains("(locked plan)"));
 
         let plain = Explanation {
             path: AccessPath::PlainScan,

@@ -26,7 +26,7 @@ pub mod read;
 pub mod tuner;
 
 pub use client::ClientHandle;
-pub use db::{BatchOp, Database, EngineConfig, ShardRef, Table, TableRef};
+pub use db::{BatchOp, Database, EngineConfig, SpaceRef, Table, TableRef};
 pub use error::{EngineError, EngineResult};
 pub use explain::Explanation;
 pub use metrics::{QueryMetrics, WorkloadRecorder};
@@ -49,7 +49,6 @@ mod tests {
                 max_bytes: None,
                 i_max: 10_000,
                 seed: 7,
-                ..Default::default()
             },
             ..Default::default()
         }
@@ -284,15 +283,11 @@ mod tests {
         let db = setup(300, 100);
         // Warm the buffer fully.
         db.execute(&Query::point("t", "k", 250i64)).unwrap();
-        assert!(db.space_shard(0).buffer(0).num_entries() > 0);
+        assert!(db.space().buffer(0).num_entries() > 0);
         // Flip coverage to the top of the domain (experiment 4's switch).
         db.redefine_coverage("t", "k", Coverage::IntRange { lo: 200, hi: 299 })
             .unwrap();
-        assert_eq!(
-            db.space_shard(0).buffer(0).num_entries(),
-            0,
-            "buffer invalidated"
-        );
+        assert_eq!(db.space().buffer(0).num_entries(), 0, "buffer invalidated");
         let (r, m) = db
             .execute(&Query::point("t", "k", 250i64))
             .unwrap()
@@ -374,13 +369,10 @@ mod tests {
     fn drop_partial_index_reverts_to_plain_scans() {
         let db = setup(200, 50);
         db.execute(&Query::point("t", "k", 150i64)).unwrap(); // warm buffer
-        assert!(db.space_shard(0).buffer(0).num_entries() > 0);
+        assert!(db.space().buffer(0).num_entries() > 0);
         db.drop_partial_index("t", "k").unwrap();
-        assert_eq!(
-            db.space_shard(0).buffer(0).num_entries(),
-            0,
-            "buffer emptied"
-        );
+        assert_eq!(db.space().num_buffers(), 0, "buffer unregistered");
+        assert_eq!(db.memory().index_bytes, 0, "its bytes returned");
         let (r, m) = db
             .execute(&Query::point("t", "k", 10i64))
             .unwrap()
@@ -406,6 +398,30 @@ mod tests {
             .into_parts();
         assert_eq!(m.path, AccessPath::PartialIndex);
         assert_eq!(r.count(), 1);
+
+        // Drop + recreate cycles leave no dead buffer behind: the roster
+        // stays at the live indexes and answers do not change.
+        let miss = Query::point("t", "k", 150i64);
+        let expected = db.execute(&miss).unwrap().result.rids;
+        for _ in 0..50 {
+            db.drop_partial_index("t", "k").unwrap();
+            db.create_partial_index(
+                "t",
+                "k",
+                Coverage::IntRange { lo: 0, hi: 49 },
+                IndexBackend::BTree,
+                Some(BufferConfig::default()),
+            )
+            .unwrap();
+            let (r, m) = db.execute(&miss).unwrap().into_parts();
+            assert_eq!((m.path, &r.rids), (AccessPath::BufferedScan, &expected));
+            assert_eq!(m.buffer_entries.len(), 1, "one CSV column per live buffer");
+        }
+        assert_eq!(db.space_snapshot().buffers().count(), 1);
+        assert_eq!(db.buffer_id("t", "k"), Some(51), "ids are never reused");
+        db.check_space_invariants();
+        #[cfg(feature = "invariant-checks")]
+        db.verify_invariants().unwrap();
     }
 
     #[test]
@@ -507,7 +523,6 @@ mod tests {
                 max_bytes: None,
                 i_max: 10_000,
                 seed: 7,
-                ..Default::default()
             },
             ..Default::default()
         });
@@ -636,7 +651,7 @@ mod tests {
         // sees exactly the total minus both components' residency, not the
         // paper's standalone entry bound.
         assert_eq!(
-            db.space_shard(0).free_bytes(),
+            db.space().free_bytes(),
             TOTAL - after.buffer_pool_bytes - after.index_bytes,
             "pool bytes shrink what Algorithm 2 may claim"
         );
@@ -671,7 +686,7 @@ mod tests {
                 .unwrap();
                 seen.push((out.result.count(), out.metrics.plan, out.metrics.scan));
             }
-            let entries = db.space_shard(0).buffer(0).num_entries();
+            let entries = db.space().buffer(0).num_entries();
             db.check_space_invariants();
             (seen, entries)
         };

@@ -18,7 +18,7 @@ pub struct QueryMetrics {
     /// Access path taken.
     pub path: AccessPath,
     /// Where the scan's page selection came from: the lock-free snapshot,
-    /// the shard-locked fallback, an exclusive run — or nothing to select
+    /// the write-locked fallback, an exclusive run — or nothing to select
     /// (hits and plain scans).
     pub plan: PlanSource,
     /// Matching tuples.
@@ -122,7 +122,7 @@ impl WorkloadRecorder {
 
     /// Renders the series as CSV with one row per query. Columns:
     /// `seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,entries_b0,entries_b1,...`
-    /// (`plan` is the [`PlanSource`] tag: `snapshot`, `shard-locked`,
+    /// (`plan` is the [`PlanSource`] tag: `snapshot`, `locked`,
     /// `exclusive`, or `none` for hits and plain scans; `read_requests` is
     /// the disk requests `pages_read` arrived in — one per page fetched on
     /// its own, one per contiguous run of a sweep batch).
@@ -234,7 +234,7 @@ mod tests {
             sweep_batches: 3,
             ..Default::default()
         });
-        scanned.plan = PlanSource::ShardLocked;
+        scanned.plan = PlanSource::Locked;
         rec.push(scanned);
         let csv = rec.to_csv();
         let mut lines = csv.lines();
@@ -250,7 +250,7 @@ mod tests {
         );
         assert_eq!(
             lines.next().unwrap(),
-            "1,buffered,shard-locked,1,2,1,4,2,3,200,5,16384,960,17344,1,2,10,20",
+            "1,buffered,locked,1,2,1,4,2,3,200,5,16384,960,17344,1,2,10,20",
             "scan rows carry the plan-source tag and the sweep-shape columns"
         );
     }

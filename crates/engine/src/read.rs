@@ -19,20 +19,20 @@
 //!    against differ only by the pages `C[p] = 0` skips and the entries
 //!    line 16 inserts.
 //! 3. **Adapt** (`adapt`). Staged pages reach the buffer before the query
-//!    returns, under the buffer's shard write lock, each page re-checked
+//!    returns, under the space write lock, each page re-checked
 //!    against the live `C[p]` so a page an overlapping scan already indexed
 //!    is skipped. This module is the only place that knows that rule.
 //!
 //! The plan stage never mutates: a selection that *cannot* be made
 //! read-only — Algorithm 2 might displace a partition or draw randomness,
-//! or the caller already holds the shard guards — is left out of the plan
-//! (`Sweep::Buffered` with `planned: None`) and runs under the shard
+//! or the caller already holds the space guard — is left out of the plan
+//! (`Sweep::Buffered` with `planned: None`) and runs under the space
 //! write lock as the sweep stage's first step.
 
 use aib_core::{
     apply_staged, buffer_scan_rids, planned_scan_threads, prepare_scan, prepare_scan_from_snapshot,
     sweep_plan, BufferId, BufferSummary, IndexBufferSpace, Predicate, ScanPrep, ScanStats,
-    ShardWriteGuard, ShardedSpace, SkipBitset, SnapshotCache, SpaceSnapshot, StagedPage,
+    SharedSpace, SkipBitset, SnapshotCache, SpaceSnapshot, StagedPage,
 };
 use aib_storage::{Rid, Value};
 
@@ -47,14 +47,14 @@ use crate::query::{AccessPath, QueryResult};
 pub enum PlanSource {
     /// Nothing to select: partial-index hits and plain scans.
     None,
-    /// Planned read-only against the validated [`SpaceSnapshot`], no shard
+    /// Planned read-only against the validated [`SpaceSnapshot`], no space
     /// lock held — including the fully-skippable case that visits no page.
     Snapshot,
-    /// [`ShardedSpace::plan_selection`] declined (displacement reachable,
+    /// [`SharedSpace::plan_selection`] declined (displacement reachable,
     /// or a limited budget would admit pages) or the epoch guard tripped:
-    /// Algorithm 2 runs under the buffer's shard write lock.
-    ShardLocked,
-    /// The caller holds the catalog write lock and every shard guard —
+    /// Algorithm 2 runs under the space write lock.
+    Locked,
+    /// The caller holds the catalog write lock and the space guard —
     /// tuned point queries (the tuner rewrites the partial index) and
     /// [`Database::execute_sequential`].
     Exclusive,
@@ -66,7 +66,7 @@ impl PlanSource {
         match self {
             PlanSource::None => "none",
             PlanSource::Snapshot => "snapshot",
-            PlanSource::ShardLocked => "shard-locked",
+            PlanSource::Locked => "locked",
             PlanSource::Exclusive => "exclusive",
         }
     }
@@ -87,7 +87,7 @@ pub(crate) enum Sweep {
     /// and an empty selection.
     Plain(PlannedSweep),
     /// Algorithm 1 over `buffer`. `planned` is `None` when the selection
-    /// must run under the shard write lock.
+    /// must run under the space write lock.
     Buffered {
         /// The queried column's Index Buffer.
         buffer: BufferId,
@@ -217,59 +217,52 @@ impl ReadPlan {
 const INDEX_PROBE_PAGES: u64 = 3;
 
 /// How the sweep and adapt stages reach the Index Buffer Space.
-pub(crate) enum SpaceAccess<'a, 'g> {
+pub(crate) enum SpaceAccess<'a> {
     /// A client sharing the space: Table II is deferred through the
-    /// client's [`SnapshotCache`], shard locks are taken per stage.
+    /// client's [`SnapshotCache`], the space lock is taken per stage.
     Shared(&'a mut SnapshotCache),
-    /// The caller holds every shard write guard, in ascending order.
-    Held(&'a mut [ShardWriteGuard<'g>]),
+    /// The caller holds the space write guard.
+    Held(&'a mut IndexBufferSpace),
 }
 
-impl SpaceAccess<'_, '_> {
+impl SpaceAccess<'_> {
     /// Table II: every query adjusts every buffer's history. Shared
     /// clients defer the events locally (drained, in deferral order, by
-    /// the next write-side entry into each shard); a guard holder applies
-    /// them directly — the queried buffer lives in exactly one shard,
-    /// every other shard only ticks.
-    fn on_query(&mut self, space: &ShardedSpace, queried: Option<BufferId>, hit: bool) {
+    /// the next write-side entry into the space); a guard holder applies
+    /// them directly.
+    fn on_query(&mut self, queried: Option<BufferId>, hit: bool) {
         match self {
             SpaceAccess::Shared(cache) => cache.record(queried, hit),
-            SpaceAccess::Held(guards) => {
-                for (i, shard) in guards.iter_mut().enumerate() {
-                    shard.on_query(queried.filter(|&b| space.shard_of(b) == i), hit);
-                }
-            }
+            SpaceAccess::Held(space) => space.on_query(queried, hit),
         }
     }
 
-    /// Runs `f` on `shard` write-locked. A shared client first flushes its
-    /// deferred Table II events, so the lock's entry drain applies them
+    /// Runs `f` on the space write-locked. A shared client first flushes
+    /// its deferred Table II events, so the lock's entry drain applies them
     /// before any history is read.
-    fn with_shard<R>(
+    fn with_space<R>(
         &mut self,
-        space: &ShardedSpace,
-        shard: usize,
+        space: &SharedSpace,
         f: impl FnOnce(&mut IndexBufferSpace) -> R,
     ) -> R {
         match self {
             SpaceAccess::Shared(cache) => {
                 cache.flush();
-                f(&mut space.shard_write(shard))
+                f(&mut space.write())
             }
-            // aib-lint: allow(no-index) — `write_all` returns one guard per shard.
-            SpaceAccess::Held(guards) => f(&mut guards[shard]),
+            SpaceAccess::Held(space) => f(space),
         }
     }
 }
 
 /// The adapt stage — the one rule for when staged insertions reach the
-/// buffer: **before the query returns**, under the buffer's shard write
-/// lock, each page validated against the live `C[p]` ([`apply_staged`]),
+/// buffer: **before the query returns**, under the space write lock,
+/// each page validated against the live `C[p]` ([`apply_staged`]),
 /// then the governor reconciled. A sweep that
 /// staged nothing takes no lock and leaves published snapshots valid.
 fn adapt(
-    access: &mut SpaceAccess<'_, '_>,
-    space: &ShardedSpace,
+    access: &mut SpaceAccess<'_>,
+    space: &SharedSpace,
     buffer: BufferId,
     staged: Vec<StagedPage>,
     stats: &mut ScanStats,
@@ -277,11 +270,11 @@ fn adapt(
     if staged.is_empty() {
         return;
     }
-    access.with_shard(space, space.shard_of(buffer), |shard| {
-        shard.with_buffer_mut(buffer, |buffer, counters| {
+    access.with_space(space, |space| {
+        space.with_buffer_mut(buffer, |buffer, counters| {
             apply_staged(buffer, counters, staged, stats);
         });
-        shard.sync_budget();
+        space.sync_budget();
     });
 }
 
@@ -291,7 +284,7 @@ impl Database {
     /// it without executing anything.
     ///
     /// `snapshot` is the validated space snapshot, or `None` when the
-    /// caller holds every shard guard (an [`PlanSource::Exclusive`] run —
+    /// caller holds the space guard (an [`PlanSource::Exclusive`] run —
     /// the snapshot cannot be consulted from inside the write section, and
     /// the locked selection does not need it).
     ///
@@ -300,15 +293,15 @@ impl Database {
     /// * every page skippable and the buffer empty → no sweep at all; this
     ///   case allocates nothing here (no bitset resize, no predicate
     ///   compile);
-    /// * [`ShardedSpace::plan_selection`] accepts → selection, buffer probe
+    /// * [`SharedSpace::plan_selection`] accepts → selection, buffer probe
     ///   and sweep plan are fixed here. An empty buffer needs no probe; a
-    ///   non-empty one is probed under the shard *read* latch with the
-    ///   shard epoch re-checked — a match proves the live buffer is exactly
+    ///   non-empty one is probed under the space *read* latch with the
+    ///   epoch re-checked — a match proves the live buffer is exactly
     ///   the snapshot's. The planned prepare never reads histories, so the
     ///   query's own Table II events may stay deferred.
     ///
     /// Otherwise the plan fails closed: the selection is left to the
-    /// shard-locked first step of the sweep stage.
+    /// write-locked first step of the sweep stage.
     pub(crate) fn plan_read(
         &self,
         t: &Table,
@@ -372,7 +365,7 @@ impl Database {
         } else {
             match summary.and_then(|b| self.plan_sweep(t, bid, predicate, snapshot, b)) {
                 Some(planned) => (PlanSource::Snapshot, buffered(Some(planned))),
-                None => (PlanSource::ShardLocked, buffered(None)),
+                None => (PlanSource::Locked, buffered(None)),
             }
         };
         plan
@@ -391,13 +384,13 @@ impl Database {
         let probe = if summary.entries() == 0 {
             Vec::new()
         } else {
-            let shard = self.space.shard_read(self.space.shard_of(bid));
-            if shard.epoch() != summary.epoch() {
-                // Something mutated the shard since the snapshot; the
+            let space = self.space.read();
+            if space.epoch() != snapshot.epoch() {
+                // Something mutated the space since the snapshot; the
                 // bitset/selection may be stale. Fail closed.
                 return None;
             }
-            buffer_scan_rids(shard.buffer(bid), predicate)
+            buffer_scan_rids(space.buffer(bid), predicate)
         };
         Some(PlannedSweep::read_only(
             t,
@@ -421,14 +414,14 @@ impl Database {
         ci: usize,
         predicate: &Predicate,
         plan: ReadPlan,
-        mut access: SpaceAccess<'_, '_>,
+        mut access: SpaceAccess<'_>,
     ) -> EngineResult<(QueryResult, Option<ScanStats>)> {
         let (path, threads) = (plan.path, plan.threads);
         let done = |rids| QueryResult { rids, path };
         let ic = t.index_on(ci);
         if ic.is_some() {
             // Only a column with a partial index is a query Table II sees.
-            access.on_query(&self.space, plan.buffer, plan.hit.is_some());
+            access.on_query(plan.buffer, plan.hit.is_some());
         }
         if let (Some(ic), Some(rids)) = (ic, plan.hit) {
             self.charge_index_probe(ic.paged);
@@ -485,14 +478,12 @@ impl Database {
                 let planned = planned.unwrap_or_else(|| {
                     // Algorithm 2 — the scan's single RNG draw — then the
                     // buffer probe and the counter/selection snapshots,
-                    // all under the shard write lock.
+                    // all under the space write lock.
                     let mut buffer_rids = Vec::new();
-                    access.with_shard(&self.space, self.space.shard_of(buffer), |shard| {
-                        PlannedSweep {
-                            prep: prepare_scan(&t.heap, shard, buffer, predicate, &mut buffer_rids),
-                            partition_pages: shard.buffer(buffer).config().partition_pages,
-                            buffer_rids,
-                        }
+                    access.with_space(&self.space, |space| PlannedSweep {
+                        prep: prepare_scan(&t.heap, space, buffer, predicate, &mut buffer_rids),
+                        partition_pages: space.buffer(buffer).config().partition_pages,
+                        buffer_rids,
                     })
                 });
                 let (mut stats, rids, staged) = sweep(planned)?;

@@ -32,7 +32,6 @@ fn build() -> Arc<Database> {
             max_bytes: None,
             i_max: 1_000_000,
             seed: 3,
-            shards: 4,
         },
         ..Default::default()
     });

@@ -67,6 +67,15 @@ fn image(db: &Database, table: &str) -> Vec<(Rid, Tuple)> {
     rows
 }
 
+/// The Index Buffer Space's roster, in registration order.
+fn buffer_names(db: &Database) -> Vec<String> {
+    let space = db.space();
+    space
+        .buffer_ids()
+        .map(|b| space.buffer(b).name().to_string())
+        .collect()
+}
+
 #[test]
 fn clean_reopen_restores_exact_heap_and_empty_buffer() {
     let dir = TempDir::new("clean");
@@ -266,15 +275,27 @@ fn ddl_between_checkpoints_replays() {
             Some(BufferConfig::default()),
         )
         .unwrap();
-        db.create_partial_index("b", "k", Coverage::All, IndexBackend::Hash, None)
-            .unwrap();
+        db.create_partial_index(
+            "b",
+            "k",
+            Coverage::All,
+            IndexBackend::Hash,
+            Some(BufferConfig::default()),
+        )
+        .unwrap();
         db.redefine_coverage("a", "k", Coverage::IntRange { lo: 0, hi: 19 })
             .unwrap();
         db.drop_partial_index("b", "k").unwrap();
+        assert_eq!(buffer_names(&db), ["a.k"]);
         // Crash.
     }
 
     let db = Database::open(dir.path(), config()).unwrap();
+    assert_eq!(
+        buffer_names(&db),
+        ["a.k"],
+        "replay reaches the roster the DDL sequence left: no buffer for a dropped index"
+    );
     assert_eq!(
         db.coverage("a", "k"),
         Some(Coverage::IntRange { lo: 0, hi: 19 }),

@@ -36,7 +36,6 @@ fn database_covering(coverage: Coverage, budget_entries: Option<usize>) -> Datab
             max_bytes: budget_entries.map(|n| n * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 1_000,
             seed: 5,
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -139,10 +138,10 @@ fn snapshot_planned_then_fully_skippable() {
 fn limited_budget_falls_back_to_the_locked_planner() {
     // Headroom for some but not all uncovered tuples: the read-only
     // planner may not commit pages against a limited budget, so Algorithm 2
-    // runs under the shard write lock — and explain says so.
+    // runs under the space write lock — and explain says so.
     let db = database(1_500, Some(400));
     let q = Query::point("t", "k", 4_500i64);
-    let first = agree(&db, &q, AccessPath::BufferedScan, PlanSource::ShardLocked);
+    let first = agree(&db, &q, AccessPath::BufferedScan, PlanSource::Locked);
     // With the budget spent the planner can prove the selection empty
     // (nothing admitted, no sibling to displace): lock-free again.
     let second = agree(&db, &q, AccessPath::BufferedScan, PlanSource::Snapshot);

@@ -12,7 +12,7 @@
 //! | `no-index`           | no panicking slice/array indexing in library code                |
 //! | `atomics-order`      | `Ordering::Relaxed` only on allowlisted telemetry counters       |
 //! | `sync-shim`          | atomics and locks come from the `aib_core::sync` / `aib_storage::sync` shim (so `--cfg aib_model` builds can interpose the model runtime), never raw `std::sync::atomic` / `parking_lot` |
-//! | `lock-order`         | hierarchy `catalog → shard(0) → … → shard(n-1) → pool`: catalog outermost, shard locks in ascending index order, BufferPool innermost |
+//! | `lock-order`         | hierarchy `catalog → space → pool`: catalog outermost, BufferPool innermost, commit-queue mutexes leaves below all three |
 //! | `crate-hygiene`      | crate roots forbid unsafe code and deny missing docs             |
 //! | `database-result`    | every `&mut self` `pub fn` on `Database` returns `Result<_, EngineError>` |
 //! | `durable-io`         | in `wal.rs` / `file_backend.rs` / `commit.rs`, every raw file-I/O result is converted to `StorageError` in the same statement — never unwrapped, never discarded; and `sync_data` is *called* only in `wal.rs` / `file_backend.rs` (the commit pipeline goes through the `Wal` batch API) |
@@ -306,8 +306,7 @@ const DURABLE_IO_MODULES: &[&str] = &["wal.rs", "file_backend.rs", "commit.rs"];
 /// every fsync on the durability path is counted (`Wal::syncs`) and ordered
 /// by the WAL's framing — an uncounted side-channel fsync would silently
 /// skew the group-commit amortization the bench reports and could reorder
-/// around the WAL-before-data contract. (`sync_all` is deliberately not
-/// matched: `ShardedSpace::sync_all` is budget reconciliation, not I/O.)
+/// around the WAL-before-data contract.
 const FSYNC_SITES: &[&str] = &["wal.rs", "file_backend.rs"];
 
 /// Raw file-I/O calls whose `io::Result` must be mapped to [`StorageError`]
@@ -504,12 +503,8 @@ fn sync_shim(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum LockKind {
     Catalog,
-    /// A shard of the `ShardedSpace`; the index is `Some` only when it is a
-    /// statically-known literal (a `shards[2]` receiver or a
-    /// `shard_write(2)` argument). `write_all`/`read_all` and dynamically
-    /// computed indices are `None` — they still anchor the shard tier in the
-    /// catalog/pool checks, but cannot participate in the ascending test.
-    Shard(Option<u64>),
+    /// The Index Buffer Space lock (`SharedSpace::read` / `write`).
+    Space,
     Pool,
     /// A queue-class leaf mutex: the group-commit queue (`queue`). It sits
     /// *below* every tier — it is taken with the catalog lock already held
@@ -519,11 +514,9 @@ enum LockKind {
 
 fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
     for body in function_bodies(&stripped.text) {
-        let mut shard_seen: Option<usize> = None;
+        let mut space_seen: Option<usize> = None;
         let mut pool_seen: Option<usize> = None;
         let mut queue_seen: Option<usize> = None;
-        // Highest statically-known shard index locked so far, with its line.
-        let mut max_shard: Option<(u64, usize)> = None;
         for (line_idx, kind) in lock_acquisitions(&stripped.text, body.clone()) {
             // Queue-class mutexes are leaves of the whole hierarchy:
             // acquiring *any* tiered lock after one in the same body risks
@@ -540,7 +533,7 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
                         format!(
                             "tiered lock acquired after a queue-class leaf mutex (queue \
                              lock at line {}); commit queue mutexes are \
-                             leaves below catalog → shard(i) → pool and must be \
+                             leaves below catalog → space → pool and must be \
                              released before any other acquisition",
                             queue_line + 1
                         ),
@@ -553,12 +546,12 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
                 }
                 LockKind::Catalog => {
                     // The catalog is the engine's outermost lock: a reader
-                    // or writer that already holds a shard or a pool lock
+                    // or writer that already holds the space or a pool lock
                     // must never wait on it, or a query holding the catalog
                     // and wanting the space deadlocks against it.
-                    let inner = match (shard_seen, pool_seen) {
+                    let inner = match (space_seen, pool_seen) {
                         (Some(s), Some(p)) if p < s => Some((p, "BufferPool")),
-                        (Some(s), _) => Some((s, "space shard")),
+                        (Some(s), _) => Some((s, "space")),
                         (None, Some(p)) => Some((p, "BufferPool")),
                         (None, None) => None,
                     };
@@ -578,11 +571,12 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
                         );
                     }
                 }
-                LockKind::Shard(index) => {
-                    shard_seen.get_or_insert(line_idx);
+                LockKind::Space => {
+                    space_seen.get_or_insert(line_idx);
                     // The pool is the innermost tier: a thread holding a
-                    // frame latch must never wait on a shard, or a scan
-                    // holding a shard and pinning pages deadlocks against it.
+                    // frame latch must never wait on the space, or a scan
+                    // holding the space and pinning pages deadlocks against
+                    // it.
                     if let Some(pool_line) = pool_seen {
                         push(
                             out,
@@ -591,38 +585,12 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
                             line_idx,
                             "lock-order",
                             format!(
-                                "space shard lock acquired after BufferPool lock (pool \
+                                "space lock acquired after BufferPool lock (pool \
                                  lock at line {}); the pool is the innermost lock in \
-                                 catalog → shard(i) → pool",
+                                 catalog → space → pool",
                                 pool_line + 1
                             ),
                         );
-                    }
-                    // Ascending-shard-index rule: two shards may only be held
-                    // together when taken in ascending order (the order
-                    // `write_all`/`read_all` use), or two multi-shard callers
-                    // deadlock against each other.
-                    if let Some(i) = index {
-                        if let Some((max_i, max_line)) = max_shard {
-                            if i < max_i {
-                                push(
-                                    out,
-                                    stripped,
-                                    rel,
-                                    line_idx,
-                                    "lock-order",
-                                    format!(
-                                        "shard {i} lock acquired after shard {max_i} \
-                                         (at line {}); shard locks must be taken in \
-                                         ascending index order",
-                                        max_line + 1
-                                    ),
-                                );
-                            }
-                        }
-                        if max_shard.is_none_or(|(m, _)| i > m) {
-                            max_shard = Some((i, line_idx));
-                        }
                     }
                 }
                 LockKind::Pool => {
@@ -696,15 +664,9 @@ fn function_bodies(text: &str) -> Vec<std::ops::Range<usize>> {
     bodies
 }
 
-/// Lock acquisitions inside `range`, classified by receiver name or method,
-/// in source order. Three families:
-/// - guard methods (`.lock()` / `.read()` / `.write()` with no arguments),
-///   classified by walking back over the receiver chain — including `[i]`
-///   subscripts, so `shards[2].write()` is shard 2;
-/// - shard-scoped accessors (`.shard_write(i)` / `.shard_read(i)`), with the
-///   index recovered when the argument is an integer literal;
-/// - whole-space sweeps (`.write_all()` / `.read_all()`), which acquire every
-///   shard ascending and count as an index-unknown shard acquisition.
+/// Lock acquisitions inside `range` — guard methods (`.lock()` / `.read()` /
+/// `.write()` with no arguments) — in source order, classified by walking
+/// back over the receiver chain (`self.space.write()` is the space lock).
 fn lock_acquisitions(text: &str, range: std::ops::Range<usize>) -> Vec<(usize, LockKind)> {
     let body = text.get(range.clone()).unwrap_or("");
     let base_line = text.get(..range.start).unwrap_or("").matches('\n').count();
@@ -714,7 +676,7 @@ fn lock_acquisitions(text: &str, range: std::ops::Range<usize>) -> Vec<(usize, L
         while let Some(rel_pos) = body.get(from..).and_then(|s| s.find(method)) {
             let pos = from + rel_pos;
             // Receiver chain: walk back over identifier chars, dots, and
-            // subscript brackets (`self.shards[2]`).
+            // subscript brackets (`self.frames[2]`).
             let recv: String = body
                 .get(..pos)
                 .unwrap_or("")
@@ -732,12 +694,8 @@ fn lock_acquisitions(text: &str, range: std::ops::Range<usize>) -> Vec<(usize, L
                 Some(LockKind::Catalog)
             } else if lower.contains("pool") || lower.contains("frame") {
                 Some(LockKind::Pool)
-            } else if lower.contains("shard") {
-                Some(LockKind::Shard(subscript_index(&recv)))
             } else if lower.contains("space") {
-                // A bare guard on a space receiver is one shard of the
-                // (possibly single-shard) space.
-                Some(LockKind::Shard(None))
+                Some(LockKind::Space)
             } else {
                 None
             };
@@ -748,47 +706,11 @@ fn lock_acquisitions(text: &str, range: std::ops::Range<usize>) -> Vec<(usize, L
             from = pos + method.len();
         }
     }
-    for method in [".shard_write(", ".shard_read("] {
-        let mut from = 0usize;
-        while let Some(rel_pos) = body.get(from..).and_then(|s| s.find(method)) {
-            let pos = from + rel_pos;
-            let arg_start = pos + method.len();
-            let index = argument_index(body, arg_start);
-            let line = base_line + body.get(..pos).unwrap_or("").matches('\n').count();
-            found.push((pos, line, LockKind::Shard(index)));
-            from = arg_start;
-        }
-    }
-    for method in [".write_all()", ".read_all()"] {
-        let mut from = 0usize;
-        while let Some(rel_pos) = body.get(from..).and_then(|s| s.find(method)) {
-            let pos = from + rel_pos;
-            let line = base_line + body.get(..pos).unwrap_or("").matches('\n').count();
-            found.push((pos, line, LockKind::Shard(None)));
-            from = pos + method.len();
-        }
-    }
     found.sort_by_key(|&(pos, _, _)| pos);
     found
         .into_iter()
         .map(|(_, line, kind)| (line, kind))
         .collect()
-}
-
-/// The literal index of a trailing `[N]` subscript in a receiver chain, if
-/// any (`self.shards[2]` → `Some(2)`, `self.shards[i]` → `None`).
-fn subscript_index(recv: &str) -> Option<u64> {
-    let inner = recv.strip_suffix(']')?;
-    let open = inner.rfind('[')?;
-    inner.get(open + 1..)?.trim().replace('_', "").parse().ok()
-}
-
-/// The literal value of a call argument starting at `from` (just past the
-/// opening paren), if the whole argument is one integer literal.
-fn argument_index(body: &str, from: usize) -> Option<u64> {
-    let rest = body.get(from..)?;
-    let close = rest.find(')')?;
-    rest.get(..close)?.trim().replace('_', "").parse().ok()
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 /// Directories never descended into.
-const SKIP_DIRS: &[&str] = &["target", ".git", ".devstubs", "node_modules"];
+const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
 
 /// A discovered source file with its root-relative path.
 pub struct SourceFile {
@@ -58,9 +58,11 @@ fn collect_into(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> Result<
 
 /// True when the root-relative path is test-adjacent code (integration tests,
 /// benches, examples, fixtures) that the library-code rules skip. The
-/// stand-alone `e2e/` benchmark package is a bench harness end to end.
+/// stand-alone `e2e/` benchmark package is a bench harness end to end, and
+/// `stubs/` holds the offline stand-ins for the test and bench harnesses.
 pub fn is_test_code(rel: &str) -> bool {
     rel.starts_with("e2e/")
+        || rel.starts_with("stubs/")
         || rel
             .split('/')
             .any(|part| matches!(part, "tests" | "benches" | "examples" | "fixtures"))

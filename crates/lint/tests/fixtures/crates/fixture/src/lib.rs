@@ -10,7 +10,6 @@ use std::sync::Mutex;
 
 pub struct Database {
     pool: Mutex<u32>,
-    shards: [Mutex<u32>; 2],
     space: Mutex<u32>,
     catalog: Mutex<u32>,
     queue: Mutex<u32>,
@@ -27,22 +26,12 @@ impl Database {
     }
 
     pub fn wrong_lock_order(&mut self) -> EngineResult<u32> {
-        // lock-order: pool lock taken before the shard lock (the pool is the
-        // innermost tier of catalog → shard(i) → pool).
+        // lock-order: pool lock taken before the space lock (the pool is the
+        // innermost tier of catalog → space → pool).
         let pool = self.pool.lock();
         let space = self.space.lock();
         let a = *space.map_err(|_| EngineError)?;
         let b = *pool.map_err(|_| EngineError)?;
-        Ok(a + b)
-    }
-
-    pub fn descending_shard_order(&mut self) -> EngineResult<u32> {
-        // lock-order: shard 0 taken while shard 1 is held — shard locks must
-        // be acquired in ascending index order.
-        let hi = self.shards[1].lock();
-        let lo = self.shards[0].lock();
-        let a = *hi.map_err(|_| EngineError)?;
-        let b = *lo.map_err(|_| EngineError)?;
         Ok(a + b)
     }
 
@@ -57,26 +46,24 @@ impl Database {
 
     pub fn tiered_lock_after_queue(&mut self) -> EngineResult<u32> {
         // lock-order: a queue-class mutex (adaptation/commit queue) is a
-        // leaf of the hierarchy — a shard lock must never be acquired
+        // leaf of the hierarchy — the space lock must never be acquired
         // while one is held.
         let queue = self.queue.lock();
-        let shard = self.shards[0].lock();
+        let space = self.space.lock();
         let a = *queue.map_err(|_| EngineError)?;
-        let b = *shard.map_err(|_| EngineError)?;
+        let b = *space.map_err(|_| EngineError)?;
         Ok(a + b)
     }
 
     pub fn right_lock_order(&mut self) -> EngineResult<u32> {
-        // Clean: catalog outermost, shards ascending, pool innermost.
+        // Clean: catalog outermost, then the space, pool innermost.
         let catalog = self.catalog.lock();
-        let lo = self.shards[0].lock();
-        let hi = self.shards[1].lock();
+        let space = self.space.lock();
         let pool = self.pool.lock();
         let a = *catalog.map_err(|_| EngineError)?;
-        let b = *lo.map_err(|_| EngineError)?;
-        let c = *hi.map_err(|_| EngineError)?;
-        let d = *pool.map_err(|_| EngineError)?;
-        Ok(a + b + c + d)
+        let b = *space.map_err(|_| EngineError)?;
+        let c = *pool.map_err(|_| EngineError)?;
+        Ok(a + b + c)
     }
 }
 

@@ -159,51 +159,22 @@ fn doc_comments_quoting_directive_syntax_are_not_directives() {
 }
 
 #[test]
-fn lock_order_fires_on_pool_before_shard() {
-    // The pool is the innermost tier of catalog → shard(i) → pool: taking a
-    // shard (or the single-shard space) after a pool lock is the violation.
+fn lock_order_fires_on_pool_before_space() {
+    // The pool is the innermost tier of catalog → space → pool: taking the
+    // space lock after a pool lock is the violation.
     for bad in [
         "fn f(&self) { let p = self.pool.lock(); let s = self.space.lock(); }\n",
-        "fn f(&self) { let p = self.pool.lock(); let s = self.shards[0].write(); }\n",
-        "fn f(&self) { let p = self.pool.lock(); let g = self.space.shard_write(0); }\n",
-        "fn f(&self) { let p = self.pool.lock(); let g = self.space.write_all(); }\n",
+        "fn f(&self) { let p = self.pool.lock(); let g = self.space.write(); }\n",
+        "fn f(&self) { let p = self.frames[2].lock(); let g = self.db.space.read(); }\n",
     ] {
         let v = lint_lib(bad);
         assert!(rules_of(&v).contains("lock-order"), "{bad}: {v:?}");
     }
     for good in [
         "fn f(&self) { let s = self.space.lock(); let p = self.pool.lock(); }\n",
-        "fn f(&self) { let g = self.space.shard_write(0); let p = self.pool.lock(); }\n",
+        "fn f(&self) { let g = self.space.write(); let p = self.pool.lock(); }\n",
         // Order is per-function: separate bodies never interleave.
         "fn a(&self) { let p = self.pool.lock(); }\nfn b(&self) { let s = self.space.lock(); }\n",
-    ] {
-        let v = lint_lib(good);
-        assert!(!rules_of(&v).contains("lock-order"), "{good}: {v:?}");
-    }
-}
-
-#[test]
-fn lock_order_fires_on_descending_shard_indices() {
-    // Two shards held together must be taken in ascending index order — the
-    // order `write_all`/`read_all` use — whether addressed by subscript or
-    // through the shard-scoped accessors.
-    for bad in [
-        "fn f(&self) { let a = self.shards[1].write(); let b = self.shards[0].write(); }\n",
-        "fn f(&self) { let a = self.space.shard_write(2); let b = self.space.shard_write(1); }\n",
-        "fn f(&self) { let a = self.space.shard_read(1); let b = self.space.shard_read(0); }\n",
-    ] {
-        let v = lint_lib(bad);
-        assert!(rules_of(&v).contains("lock-order"), "{bad}: {v:?}");
-    }
-    for good in [
-        "fn f(&self) { let a = self.shards[0].write(); let b = self.shards[1].write(); }\n",
-        "fn f(&self) { let a = self.space.shard_write(0); let b = self.space.shard_write(1); }\n",
-        // Dynamically computed indices cannot be ordered statically; the
-        // runtime invariant checks cover them.
-        "fn f(&self, i: usize) { let a = self.space.shard_write(i); let b = self.space.shard_write(0); }\n",
-        // Re-acquisition after a drop is sequential, but the lint is
-        // conservative only for known literals in one body going down.
-        "fn f(&self) { let a = self.space.shard_write(1); drop(a); let b = self.space.shard_write(2); }\n",
     ] {
         let v = lint_lib(good);
         assert!(!rules_of(&v).contains("lock-order"), "{good}: {v:?}");
@@ -216,7 +187,7 @@ fn lock_order_fires_on_tiered_lock_after_queue_leaf() {
     // stagers enter it with the catalog write lock already held, so holding
     // it while acquiring any tiered lock is an inversion.
     for bad in [
-        "fn f(&self) { let q = self.queue.lock(); let g = self.space.shard_write(0); }\n",
+        "fn f(&self) { let q = self.queue.lock(); let g = self.space.write(); }\n",
         "fn f(&self) { let q = self.queue.lock(); let c = self.catalog.read(); }\n",
         "fn f(&self) { let q = self.queue.lock(); let p = self.pool.lock(); }\n",
     ] {
@@ -348,10 +319,6 @@ fn durable_io_confines_fsync_to_wal_and_backend() {
         let v = lint_source(module, mapped);
         assert!(!rules_of(&v).contains("durable-io"), "{module}: {v:?}");
     }
-    // `sync_all` is deliberately out of scope: `ShardedSpace::sync_all` is
-    // budget reconciliation, not file I/O.
-    let v = lint_lib("fn f(&self) { self.space.sync_all(); }\n");
-    assert!(!rules_of(&v).contains("durable-io"), "{v:?}");
     // The commit module is a durable module for the conversion half: a
     // raw I/O result discarded there is flagged like in wal.rs.
     let v = lint_source(

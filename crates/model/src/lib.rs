@@ -1,8 +1,8 @@
 //! `aib-model` — a zero-dependency, loom-style deterministic schedule
 //! explorer for the engine's lock-free protocols.
 //!
-//! PR 6 made the hot read path lock-free (epoch-stamped snapshots
-//! validated against Release-published shard epochs); stress tests
+//! The hot read path is lock-free (epoch-stamped snapshots validated
+//! against the Release-published space epoch); stress tests
 //! exercise that protocol but cannot *enumerate* its interleavings. This
 //! crate can, within bounds: a model is a closure spawning
 //! [`thread`]-module threads that exercise [`sync`]-module primitives, and

@@ -1,12 +1,12 @@
 //! Distilled models of engine protocols that live above the `aib_core`
-//! layer (WAL commit ordering, engine lock ordering).
+//! layer (WAL commit ordering, the group-commit handoff).
 //!
 //! The snapshot, deferred-drain, and budget protocols are model-checked
 //! directly against the production code in `aib-core`/`aib-storage`
 //! (compiled onto the instrumented shim under `cfg(aib_model)`). The WAL
-//! and lock-order protocols involve disk I/O and the whole engine stack,
+//! and group-commit protocols involve disk I/O and the whole engine stack,
 //! so the model checks these distilled skeletons instead: each mirrors the
-//! exact lock/atomic structure of `crates/engine/src/db.rs` with the I/O
+//! exact lock/atomic structure of the engine's commit path with the I/O
 //! replaced by counters, and DESIGN §7 cross-links each skeleton to the
 //! production code lines it stands in for.
 //!
@@ -14,7 +14,7 @@
 //! "...")` — a deliberately wrong variant the checker must catch, proving
 //! the model is not vacuous.
 
-use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
+use crate::sync::{AtomicU64, Mutex, Ordering};
 
 /// Skeleton of the WAL commit protocol: `Database` applies a mutation in
 /// memory and appends the corresponding WAL record under one durability
@@ -73,57 +73,6 @@ impl WalModel {
         let logged = self.logged.load(Ordering::Acquire);
         let applied = self.applied.load(Ordering::Acquire);
         (logged, applied)
-    }
-}
-
-/// Skeleton of the multi-shard lock-ordering discipline: `write_all` /
-/// `sync_all` in `ShardedSpace` take shard locks in **ascending index
-/// order**, which is what makes concurrent whole-space operations
-/// deadlock-free.
-///
-/// Seeded bug `abba_shard_locks` reverses the order in `sync_all`,
-/// producing the classic ABBA deadlock the runtime's wait-for analysis
-/// must report.
-#[derive(Debug, Default)]
-pub struct ShardPair {
-    shard0: RwLock<u64>,
-    shard1: RwLock<u64>,
-}
-
-impl ShardPair {
-    /// A two-shard skeleton with zeroed contents.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whole-space write: ascending lock order, bump both shards.
-    pub fn write_all(&self) {
-        let mut s0 = self.shard0.write();
-        let mut s1 = self.shard1.write();
-        *s0 += 1;
-        *s1 += 1;
-    }
-
-    /// Whole-space sync: must use the same ascending order as
-    /// [`write_all`](Self::write_all); returns the shard totals.
-    #[must_use]
-    pub fn sync_all(&self) -> (u64, u64) {
-        #[cfg(not(model_seeded_bug = "abba_shard_locks"))]
-        {
-            let s0 = self.shard0.write();
-            let s1 = self.shard1.write();
-            (*s0, *s1)
-        }
-        #[cfg(model_seeded_bug = "abba_shard_locks")]
-        {
-            // WRONG: descending order — concurrent write_all (holding
-            // shard0, wanting shard1) and sync_all (holding shard1,
-            // wanting shard0) deadlock.
-            let s1 = self.shard1.write();
-            let s0 = self.shard0.write();
-            (*s0, *s1)
-        }
     }
 }
 

@@ -30,7 +30,6 @@ const SEEDED_BUGS: &[&str] = &[
     "budget_check_then_act",
     "budget_release_lost",
     "wal_unlocked_log",
-    "abba_shard_locks",
     "commit_ack_before_fsync",
 ];
 

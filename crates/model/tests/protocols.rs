@@ -1,4 +1,4 @@
-//! Model checks for the five load-bearing concurrency protocols of the
+//! Model checks for the seven load-bearing concurrency protocols of the
 //! Adaptive Index Buffer (ISSUE PR 8, tentpole item 3).
 //!
 //! This file only compiles under `--cfg aib_model`, where `aib-storage` and
@@ -11,27 +11,20 @@
 //!
 //! Each test is one closed concurrent program small enough to explore
 //! exhaustively yet faithful to the real call graph: the threads call the
-//! *production* entry points (`shard_write`, `space_snapshot`, `defer`,
+//! *production* entry points (`write`, `space_snapshot`, `defer`,
 //! `try_reserve`, ...), not re-implementations.
 #![cfg(aib_model)]
 
 use std::sync::Arc;
 
-use aib_core::{BufferConfig, ShardedSpace, SpaceConfig};
-use aib_model::protocols::{CommitQueueModel, ShardPair, WalModel};
+use aib_core::{BufferConfig, SharedSpace, SpaceConfig};
+use aib_model::protocols::{CommitQueueModel, WalModel};
 use aib_model::sync::{AtomicU64, Ordering};
 use aib_model::{thread, Model};
 use aib_storage::{BudgetComponent, MemoryBudget};
 
-fn one_shard() -> SpaceConfig {
-    SpaceConfig {
-        shards: 1,
-        ..SpaceConfig::default()
-    }
-}
-
 /// Protocol 1 — snapshot validation vs a concurrent `with_buffer_mut`-class
-/// writer. The epoch sentinel parked by `shard_write` must fail validation
+/// writer. The epoch sentinel parked by `write` must fail validation
 /// *closed*: once the writer's mutation is observable anywhere (here via a
 /// `Release`-published mirror flag), no reader may still be served the
 /// pre-write snapshot.
@@ -41,7 +34,7 @@ fn one_shard() -> SpaceConfig {
 #[test]
 fn snapshot_validation_vs_writer() {
     Model::new("snapshot_validation_vs_writer").check(|| {
-        let space = Arc::new(ShardedSpace::new(one_shard()));
+        let space = Arc::new(SharedSpace::new(SpaceConfig::default()));
         let b0 = space.register("b", BufferConfig::default(), vec![1; 2]);
         // Publish a valid pre-write snapshot for the writer to stale.
         let _ = space.space_snapshot();
@@ -51,7 +44,7 @@ fn snapshot_validation_vs_writer() {
             let space = Arc::clone(&space);
             let mirror = Arc::clone(&mirror);
             thread::spawn(move || {
-                let mut guard = space.shard_write(0);
+                let mut guard = space.write();
                 guard.reset_counters(b0, vec![0; 2]);
                 // Evidence the mutation happened, published from inside the
                 // critical section: any reader that observes it must also
@@ -78,14 +71,14 @@ fn snapshot_validation_vs_writer() {
 
 /// Protocol 2 — `generation` bump vs `add_buffer` (DDL). A reader that has
 /// evidence the DDL completed must see the new buffer in its snapshot: the
-/// roster generation is the cross-shard invalidation edge.
+/// roster generation is the DDL invalidation edge.
 ///
 /// Catches: `stale_snapshot_cache` (any non-empty cached snapshot is served
 /// without validation, hiding the registered buffer).
 #[test]
 fn generation_vs_add_buffer() {
     Model::new("generation_vs_add_buffer").check(|| {
-        let space = Arc::new(ShardedSpace::new(one_shard()));
+        let space = Arc::new(SharedSpace::new(SpaceConfig::default()));
         let _b0 = space.register("b0", BufferConfig::default(), vec![1; 1]);
         let _ = space.space_snapshot();
         let added = Arc::new(AtomicU64::new(0));
@@ -115,7 +108,7 @@ fn generation_vs_add_buffer() {
 
 /// Protocol 3 — deferred-tick drain vs concurrent lock-free `defer`. Every
 /// Table II event deferred from the fast path must be applied to the
-/// history exactly once, however drains (shard write windows) interleave
+/// history exactly once, however drains (space write windows) interleave
 /// with defers.
 ///
 /// Catches: `missing_drain` (events never applied) and `drain_load_store`
@@ -123,10 +116,10 @@ fn generation_vs_add_buffer() {
 #[test]
 fn deferred_drain_vs_displacement() {
     Model::new("deferred_drain_vs_displacement").check(|| {
-        let space = Arc::new(ShardedSpace::new(one_shard()));
+        let space = Arc::new(SharedSpace::new(SpaceConfig::default()));
         let b0 = space.register("b", BufferConfig::default(), vec![1; 1]);
-        let c0 = space.shard_read(0).buffer(b0).history().clock();
-        let pend = Arc::clone(space.shard_read(0).pending(b0));
+        let c0 = space.read().buffer(b0).history().clock();
+        let pend = Arc::clone(space.read().pending(b0));
 
         let fast_path = thread::spawn(move || {
             pend.defer(1, 0, 0);
@@ -134,16 +127,16 @@ fn deferred_drain_vs_displacement() {
         });
         let drainer = {
             let space = Arc::clone(&space);
-            // A displacement-class write window: acquiring the shard write
+            // A displacement-class write window: acquiring the space write
             // lock drains the pending cells into the history.
-            thread::spawn(move || drop(space.shard_write(0)))
+            thread::spawn(move || drop(space.write()))
         };
 
         fast_path.join();
         drainer.join();
         // Final drain picks up whatever the concurrent window left behind.
-        drop(space.shard_write(0));
-        let clock = space.shard_read(0).buffer(b0).history().clock();
+        drop(space.write());
+        let clock = space.read().buffer(b0).history().clock();
         assert_eq!(
             clock,
             c0 + 2,
@@ -251,32 +244,7 @@ fn wal_append_happens_before_apply() {
     });
 }
 
-/// Protocol 6 — shard lock ordering. `write_all`-class multi-shard sweeps
-/// must take shard locks in ascending index; the model's lock-order
-/// tracking reports the ABBA deadlock as a violation rather than hanging.
-///
-/// Catches: `abba_shard_locks` (`sync_all` descends while `write_all`
-/// ascends).
-#[test]
-fn shard_lock_ordering() {
-    Model::new("shard_lock_ordering").check(|| {
-        let pair = Arc::new(ShardPair::new());
-        let writer = {
-            let pair = Arc::clone(&pair);
-            thread::spawn(move || pair.write_all())
-        };
-        let syncer = {
-            let pair = Arc::clone(&pair);
-            thread::spawn(move || {
-                let _ = pair.sync_all();
-            })
-        };
-        writer.join();
-        syncer.join();
-    });
-}
-
-/// Protocol 7 — group-commit handoff (PR 9): frame staged → leader fsync
+/// Protocol 6 — group-commit handoff (PR 9): frame staged → leader fsync
 /// → follower ack, in that happens-before order. Two writers stage and
 /// wait; whichever becomes leader fsyncs the staged batch before
 /// publishing the durable watermark, so at every ack the fsync watermark

@@ -250,22 +250,3 @@ fn wal_skeleton_passes() {
     });
     assert!(report.violation.is_none(), "{:?}", report.violation);
 }
-
-/// The distilled shard-lock skeleton passes in ascending-order form.
-#[test]
-fn shard_lock_order_skeleton_passes() {
-    use aib_model::protocols::ShardPair;
-    let report = Model::new("shard-lock-order").check_report(|| {
-        let shards = Arc::new(ShardPair::new());
-        let s2 = Arc::clone(&shards);
-        let t = thread::spawn(move || {
-            s2.write_all();
-        });
-        let (a, b) = shards.sync_all();
-        // sync_all sees both shards at the same count: write_all holds
-        // both write locks across its bumps.
-        assert_eq!(a, b, "torn write_all visible: {a} vs {b}");
-        t.join();
-    });
-    assert!(report.violation.is_none(), "{:?}", report.violation);
-}

@@ -26,7 +26,6 @@ pub mod error;
 pub mod file_backend;
 pub mod freespace;
 pub mod heap;
-pub mod lruk;
 pub mod page;
 pub mod replacement;
 pub mod rid;
@@ -46,7 +45,6 @@ pub use disk::{CostModel, DiskBackend, DiskManager, PAGE_SIZE};
 pub use error::StorageError;
 pub use file_backend::FileBackend;
 pub use heap::HeapFile;
-pub use lruk::AccessHistory;
 pub use page::{PageView, SlottedPage};
 pub use replacement::FrameId;
 pub use rid::{PageId, Rid, SlotId};

@@ -3,9 +3,8 @@
 //! The paper's "database buffer" needs one replacement rule, so the pool
 //! holds an [`LruPolicy`] directly, with no trait in between. (The Index
 //! Buffer Space's benefit-weighted victim selection — Algorithm 2 — is a
-//! different rule over different state and lives in `aib-core::space`; the
-//! LRU-K access history the paper cites for benefit accounting is
-//! [`crate::lruk::AccessHistory`].)
+//! different rule over different state and lives in `aib-core::space`, next
+//! to the LRU-K access history the paper cites for benefit accounting.)
 //!
 //! The list is intrusive: two link arrays indexed by frame id, so every
 //! operation is a handful of array writes under the pool's state mutex — no

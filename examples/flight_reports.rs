@@ -116,8 +116,8 @@ fn main() {
 
     println!(
         "\nIndex Buffer: {} entries covering {} pages — the German reports now run at index speed",
-        db.space_shard(0).buffer(0).num_entries(),
-        db.space_shard(0).buffer(0).num_buffered_pages()
+        db.space().buffer(0).num_entries(),
+        db.space().buffer(0).num_buffered_pages()
     );
 }
 

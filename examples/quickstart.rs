@@ -100,7 +100,7 @@ fn main() {
 
     println!(
         "\nIndex Buffer now holds {} entries across {} partitions",
-        db.space_shard(0).buffer(0).num_entries(),
-        db.space_shard(0).buffer(0).num_partitions()
+        db.space().buffer(0).num_entries(),
+        db.space().buffer(0).num_partitions()
     );
 }

@@ -21,7 +21,6 @@ fn main() {
             max_bytes: Some((spec.rows as f64 * 1.6) as usize * DEFAULT_ENTRY_FOOTPRINT),
             i_max: (spec.rows / 100) as u32,
             seed: 5,
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -61,9 +60,7 @@ fn main() {
         }
     }
 
-    let final_entries: Vec<usize> = (0..3)
-        .map(|b| db.space_shard(b).buffer(b).num_entries())
-        .collect();
+    let final_entries: Vec<usize> = (0..3).map(|b| db.space().buffer(b).num_entries()).collect();
     println!(
         "\nAfter the flip, the space manager displaced A's partitions in favour of C: {final_entries:?}"
     );

@@ -146,7 +146,6 @@ fn shared_db() -> Arc<Database> {
             max_bytes: None,
             i_max: 1_000_000,
             seed: 23,
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -314,18 +313,15 @@ fn concurrent_dml_and_reads_stay_linearizable() {
 ///   pre-DDL cached snapshot — the roster it returns must be complete.
 ///
 /// The CI `invariants` job re-runs this under `--features invariant-checks`,
-/// which adds the cross-shard consistency sweep at every churn step.
+/// which adds the space consistency sweep at every churn step.
 #[test]
 fn snapshot_fast_path_fails_closed_under_concurrent_ddl() {
-    use adaptive_index_buffer::core::ShardedSpace;
+    use adaptive_index_buffer::core::SharedSpace;
 
     const HEAP_PAGES: u32 = 4;
     const DDL_BUFFERS: usize = 48;
 
-    let space = Arc::new(ShardedSpace::new(SpaceConfig {
-        shards: 4,
-        ..SpaceConfig::default()
-    }));
+    let space = Arc::new(SharedSpace::new(SpaceConfig::default()));
     let hot = space.register("hot", BufferConfig::default(), vec![3; HEAP_PAGES as usize]);
     let ddl_done = Arc::new(AtomicBool::new(false));
 
@@ -345,19 +341,18 @@ fn snapshot_fast_path_fails_closed_under_concurrent_ddl() {
             });
         }
         {
-            // Churn writer: full write sections on the hot buffer's shard.
+            // Churn writer: full write sections on the space.
             // Each one parks the epoch sentinel, so snapshots racing it
             // must rebuild rather than validate a mid-write view. Counters
             // alternate but never reach zero.
             let space = Arc::clone(&space);
             let ddl_done = Arc::clone(&ddl_done);
             s.spawn(move || {
-                let shard = space.shard_of(hot);
                 let mut flip = false;
                 while !ddl_done.load(Ordering::Acquire) {
                     let fill = if flip { 5 } else { 3 };
                     space
-                        .shard_write(shard)
+                        .write()
                         .reset_counters(hot, vec![fill; HEAP_PAGES as usize]);
                     flip = !flip;
                     #[cfg(feature = "invariant-checks")]
@@ -402,7 +397,7 @@ fn snapshot_fast_path_fails_closed_under_concurrent_ddl() {
     let snap = space.space_snapshot();
     assert!(space.validate(&snap), "quiescent snapshot must validate");
     assert_eq!(snap.buffers().count(), 1 + DDL_BUFFERS);
-    assert_eq!(space.num_buffers(), 1 + DDL_BUFFERS);
+    assert_eq!(space.read().num_buffers(), 1 + DDL_BUFFERS);
     #[cfg(feature = "invariant-checks")]
     space.check_invariants();
 }

@@ -55,7 +55,6 @@ fn experiment1_workload_is_correct_and_converges() {
         max_bytes: None,
         i_max: 100,
         seed: 1,
-        ..Default::default()
     };
     let (db, spec) = eval_db(20_000, space);
     let queries = experiment1_queries(&spec, 60, 5);
@@ -95,7 +94,6 @@ fn experiment3_respects_space_bound_and_flips_allocation() {
         max_bytes: Some(bound * DEFAULT_ENTRY_FOOTPRINT),
         i_max: 200,
         seed: 2,
-        ..Default::default()
     };
     let (db, spec) = eval_db(rows, space);
     let queries = experiment3_queries(&spec, 200, 9);
@@ -113,9 +111,7 @@ fn experiment3_respects_space_bound_and_flips_allocation() {
             entries_at_switch = m.buffer_entries.clone();
         }
     }
-    let final_entries: Vec<usize> = (0..3)
-        .map(|b| db.space_shard(b).buffer(b).num_entries())
-        .collect();
+    let final_entries: Vec<usize> = (0..3).map(|b| db.space().buffer(b).num_entries()).collect();
     assert!(
         entries_at_switch[0] > entries_at_switch[2],
         "A dominates C before the switch: {entries_at_switch:?}"
@@ -133,7 +129,6 @@ fn dml_between_queries_never_breaks_results() {
         max_bytes: None,
         i_max: 1_000_000,
         seed: 3,
-        ..Default::default()
     };
     let (db, spec) = eval_db(5_000, space);
     // Warm the buffer for column A.
@@ -196,7 +191,6 @@ fn counters_match_ground_truth_after_mixed_workload() {
         max_bytes: Some(4_000 * DEFAULT_ENTRY_FOOTPRINT),
         i_max: 50,
         seed: 4,
-        ..Default::default()
     };
     let (db, spec) = eval_db(5_000, space);
     // Mixed queries warm up all three buffers against the bound.
@@ -212,7 +206,7 @@ fn counters_match_ground_truth_after_mixed_workload() {
     let table = db.table("eval").unwrap();
     for (col_idx, col) in ["A", "B", "C"].iter().enumerate() {
         let bid = db.buffer_id("eval", col).unwrap();
-        let space = db.space_shard(bid);
+        let space = db.space();
         let buffer = space.buffer(bid);
         let counters = space.counters(bid);
         let ci = table.schema().column_index(col).unwrap();
@@ -251,7 +245,6 @@ fn range_queries_agree_with_ground_truth_across_coverage_boundary() {
         max_bytes: None,
         i_max: 1_000_000,
         seed: 5,
-        ..Default::default()
     };
     let (db, spec) = eval_db(5_000, space);
     let (_, chi) = spec.covered_range();

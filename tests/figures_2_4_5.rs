@@ -89,7 +89,7 @@ fn fig4_buffer_completes_pages_and_serves_the_extra_tuple() {
     db.execute(&Query::point("flights", "airport", "FRA"))
         .unwrap();
     assert_eq!(
-        db.space_shard(0).buffer(0).num_entries(),
+        db.space().buffer(0).num_entries(),
         800,
         "the two uncovered airports' tuples are buffered"
     );

@@ -22,7 +22,6 @@ fn build_db(scan_threads: usize) -> (Database, Vec<Rid>) {
             max_bytes: Some(2_500 * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 60,
             seed: 11,
-            ..Default::default()
         },
         scan_threads,
         ..Default::default()
@@ -71,7 +70,7 @@ fn workload() -> Vec<Query> {
 
 fn counter_vector(db: &Database) -> Vec<u32> {
     let bid = db.buffer_id("t", "k").unwrap();
-    let space = db.space_shard(bid);
+    let space = db.space();
     let counters = space.counters(bid);
     (0..counters.num_pages()).map(|p| counters.get(p)).collect()
 }
@@ -143,8 +142,8 @@ fn four_threads_match_one_thread_exactly() {
     assert_eq!(counter_vector(&seq), counter_vector(&par), "page counters");
     let sbid = seq.buffer_id("t", "k").unwrap();
     let pbid = par.buffer_id("t", "k").unwrap();
-    let seq_space = seq.space_shard(sbid);
-    let par_space = par.space_shard(pbid);
+    let seq_space = seq.space();
+    let par_space = par.space();
     let sb = seq_space.buffer(sbid);
     let pb = par_space.buffer(pbid);
     assert_eq!(sb.num_entries(), pb.num_entries(), "buffer entry count");

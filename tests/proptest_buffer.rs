@@ -47,7 +47,6 @@ fn build(seed_rows: usize, bound: Option<usize>) -> (Database, Vec<Rid>) {
             max_bytes: bound.map(|b| b * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 4,
             seed: 99,
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -90,7 +89,7 @@ fn check_skippability(db: &Database) {
     for col in ["a", "b"] {
         let ci = table.schema().column_index(col).unwrap();
         let bid = db.buffer_id("t", col).unwrap();
-        let space = db.space_shard(bid);
+        let space = db.space();
         let buffer = space.buffer(bid);
         let counters = space.counters(bid);
         for ord in 0..table.num_pages() {

@@ -24,12 +24,15 @@ const DOMAIN: i64 = 40;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(i64, i64, u16),
+    Insert(i64, i64, i64, u16),
     Delete(usize),
-    Update(usize, i64, i64),
-    /// Point query; column "a" misses its range coverage above the split,
-    /// column "b" drives the tuner's add/evict adaptation.
+    Update(usize, i64, i64, i64),
+    /// Point query; columns "a" and "c" miss their range coverage outside
+    /// it, column "b" drives the tuner's add/evict adaptation.
     Query(u8, i64),
+    /// Range query on "a" or "c": sweeps many pages, maximizing Algorithm 2
+    /// selections and displacement churn among the three buffers.
+    Range(u8, i64, i64),
     /// Redefine column "a"'s range coverage wholesale (experiment 4).
     Redefine(i64, i64),
     /// Drop column "a"'s partial index and recreate it from scratch.
@@ -39,32 +42,51 @@ enum Op {
 fn op() -> impl Strategy<Value = Op> {
     let val = 1..=DOMAIN;
     prop_oneof![
-        3 => (val.clone(), val.clone(), 1u16..300).prop_map(|(a, b, n)| Op::Insert(a, b, n)),
+        3 => (val.clone(), val.clone(), val.clone(), 1u16..300)
+            .prop_map(|(a, b, c, n)| Op::Insert(a, b, c, n)),
         2 => (0usize..1000).prop_map(Op::Delete),
-        2 => ((0usize..1000), val.clone(), val.clone()).prop_map(|(i, a, b)| Op::Update(i, a, b)),
-        6 => ((0u8..2), val.clone()).prop_map(|(c, v)| Op::Query(c, v)),
+        2 => ((0usize..1000), val.clone(), val.clone(), val.clone())
+            .prop_map(|(i, a, b, c)| Op::Update(i, a, b, c)),
+        6 => ((0u8..3), val.clone()).prop_map(|(col, v)| Op::Query(col, v)),
+        2 => ((0u8..2), val.clone(), val.clone())
+            .prop_map(|(col, lo, hi)| Op::Range(col, lo.min(hi), lo.max(hi))),
         1 => (val.clone(), val.clone()).prop_map(|(lo, hi)| Op::Redefine(lo.min(hi), lo.max(hi))),
         1 => val.prop_map(Op::DropRecreate),
     ]
 }
 
+/// Columns by generator index; `Range` draws `0..2` and maps 1 to "c".
+const COLUMNS: [&str; 3] = ["a", "b", "c"];
+
+fn small_buffer() -> Option<BufferConfig> {
+    Some(BufferConfig {
+        partition_pages: 2,
+        ..Default::default()
+    })
+}
+
 fn build(seed_rows: usize) -> (Database, Vec<Rid>) {
-    let mut db = Database::new(EngineConfig {
+    let db = Database::new(EngineConfig {
         pool_frames: 8,
         cost_model: CostModel::free(),
         space: SpaceConfig {
-            // Tight bound: indexing scans constantly displace partitions,
-            // exercising the restore path against the shadow model.
-            max_bytes: Some(50 * DEFAULT_ENTRY_FOOTPRINT),
+            // Tight bound shared by three buffers: indexing scans
+            // constantly displace each other's partitions, exercising the
+            // restore path against the shadow model.
+            max_bytes: Some(60 * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 4,
             seed: 7,
-            ..Default::default()
         },
         ..Default::default()
     });
     db.create_table(
         "t",
-        Schema::new(vec![Column::int("a"), Column::int("b"), Column::str("pad")]),
+        Schema::new(vec![
+            Column::int("a"),
+            Column::int("b"),
+            Column::int("c"),
+            Column::str("pad"),
+        ]),
     )
     .unwrap();
     let mut rids = Vec::new();
@@ -72,6 +94,7 @@ fn build(seed_rows: usize) -> (Database, Vec<Rid>) {
         let t = Tuple::new(vec![
             Value::Int((i as i64 * 13) % DOMAIN + 1),
             Value::Int((i as i64 * 29) % DOMAIN + 1),
+            Value::Int((i as i64 * 17) % DOMAIN + 1),
             Value::from("x".repeat(1 + (i * 37) % 200)),
         ]);
         rids.push(db.insert("t", &t).unwrap());
@@ -82,10 +105,7 @@ fn build(seed_rows: usize) -> (Database, Vec<Rid>) {
         "a",
         Coverage::IntRange { lo: 1, hi: 12 },
         IndexBackend::BTree,
-        Some(BufferConfig {
-            partition_pages: 2,
-            ..Default::default()
-        }),
+        small_buffer(),
     )
     .unwrap();
     // Column "b": tuned set coverage — queries mutate coverage value by
@@ -95,10 +115,16 @@ fn build(seed_rows: usize) -> (Database, Vec<Rid>) {
         "b",
         Coverage::empty_set(),
         IndexBackend::BTree,
-        Some(BufferConfig {
-            partition_pages: 2,
-            ..Default::default()
-        }),
+        small_buffer(),
+    )
+    .unwrap();
+    // Column "c": a second range-covered buffer competing for the cap.
+    db.create_partial_index(
+        "t",
+        "c",
+        Coverage::IntRange { lo: 20, hi: 32 },
+        IndexBackend::BTree,
+        small_buffer(),
     )
     .unwrap();
     db.attach_tuner(
@@ -114,27 +140,34 @@ fn build(seed_rows: usize) -> (Database, Vec<Rid>) {
     (db, rids)
 }
 
-fn truth(db: &Database, col: &str, value: i64) -> Vec<Rid> {
+/// Ground truth recomputed from the heap, independent of any buffer state.
+fn truth(db: &Database, col: &str, lo: i64, hi: i64) -> Vec<Rid> {
     let table = db.table("t").unwrap();
     let ci = table.schema().column_index(col).unwrap();
     let mut rids: Vec<Rid> = table
         .scan_all()
         .unwrap()
         .into_iter()
-        .filter(|(_, t)| t.get(ci).unwrap().as_int() == Some(value))
+        .filter(|(_, t)| {
+            t.get(ci)
+                .unwrap()
+                .as_int()
+                .is_some_and(|v| lo <= v && v <= hi)
+        })
         .map(|(rid, _)| rid)
         .collect();
     rids.sort_unstable();
     rids
 }
 
-fn run_case(mut db: Database, mut rids: Vec<Rid>, ops: Vec<Op>) {
+fn run_case(db: Database, mut rids: Vec<Rid>, ops: Vec<Op>) {
     for op in ops {
         match op {
-            Op::Insert(a, b, n) => {
+            Op::Insert(a, b, c, n) => {
                 let t = Tuple::new(vec![
                     Value::Int(a),
                     Value::Int(b),
+                    Value::Int(c),
                     Value::from("y".repeat(n as usize)),
                 ]);
                 rids.push(db.insert("t", &t).unwrap());
@@ -146,22 +179,32 @@ fn run_case(mut db: Database, mut rids: Vec<Rid>, ops: Vec<Op>) {
                 let rid = rids.remove(i % rids.len());
                 db.delete("t", rid).unwrap();
             }
-            Op::Update(i, a, b) => {
+            Op::Update(i, a, b, c) => {
                 if rids.is_empty() {
                     continue;
                 }
                 let idx = i % rids.len();
                 let old = db.fetch("t", rids[idx]).unwrap();
-                let pad = old.get(2).unwrap().clone();
-                let t = Tuple::new(vec![Value::Int(a), Value::Int(b), pad]);
+                let pad = old.get(3).unwrap().clone();
+                let t = Tuple::new(vec![Value::Int(a), Value::Int(b), Value::Int(c), pad]);
                 rids[idx] = db.update("t", rids[idx], &t).unwrap();
             }
-            Op::Query(c, v) => {
-                let col = if c == 0 { "a" } else { "b" };
+            Op::Query(col, v) => {
+                let col = COLUMNS[col as usize];
                 let r = db.execute(&Query::point("t", col, v)).unwrap().result;
                 let mut got = r.rids.clone();
                 got.sort_unstable();
-                assert_eq!(got, truth(&db, col, v), "query {col}={v}");
+                assert_eq!(got, truth(&db, col, v, v), "query {col}={v}");
+            }
+            Op::Range(col, lo, hi) => {
+                let col = COLUMNS[2 * col as usize];
+                let r = db
+                    .execute(&Query::on("t", col).between(lo, hi))
+                    .unwrap()
+                    .result;
+                let mut got = r.rids.clone();
+                got.sort_unstable();
+                assert_eq!(got, truth(&db, col, lo, hi), "query {col} in {lo}..={hi}");
             }
             Op::Redefine(lo, hi) => {
                 db.redefine_coverage("t", "a", Coverage::IntRange { lo, hi })
@@ -174,17 +217,24 @@ fn run_case(mut db: Database, mut rids: Vec<Rid>, ops: Vec<Op>) {
                     "a",
                     Coverage::IntRange { lo: 1, hi },
                     IndexBackend::BTree,
-                    Some(BufferConfig {
-                        partition_pages: 2,
-                        ..Default::default()
-                    }),
+                    small_buffer(),
                 )
                 .unwrap();
             }
         }
     }
-    // Belt to the per-op suspenders: one explicit full shadow-model pass.
+    // Belt to the per-op suspenders: one explicit full shadow-model pass,
+    // then the roster — a dropped index leaves no buffer behind — and the
+    // governor's charge against the summed resident footprints. (A hard
+    // `<= cap` bound would be wrong: Table I DML may append to a buffered
+    // page outside Algorithm 2's admission gate, because a buffered page
+    // must stay complete; only *selections* are cap-gated.)
     db.verify_invariants().unwrap();
+    db.check_space_invariants();
+    let snapshot = db.space_snapshot();
+    assert_eq!(snapshot.buffers().count(), COLUMNS.len());
+    let resident: usize = snapshot.buffers().map(|b| b.footprint()).sum();
+    assert_eq!(db.memory().index_bytes, resident);
 }
 
 proptest! {

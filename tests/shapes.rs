@@ -78,7 +78,6 @@ fn fig6_shape_buffer_beats_scan_and_reaches_index_level() {
         max_bytes: None,
         i_max,
         seed: 6,
-        ..Default::default()
     };
 
     let mut buffered = build(&spec, space, Some(BufferConfig::default()), &["A"]);
@@ -118,7 +117,6 @@ fn fig7_shape_imax_and_space_bound() {
             max_bytes: None,
             i_max,
             seed: 7,
-            ..Default::default()
         };
         let mut db = build(&spec, space, Some(BufferConfig::default()), &["A"]);
         let rec = run(&mut db, &queries);
@@ -139,7 +137,6 @@ fn fig7_shape_imax_and_space_bound() {
             max_bytes,
             i_max,
             seed: 7,
-            ..Default::default()
         };
         let mut db = build(&spec, space, Some(BufferConfig::default()), &["A"]);
         let rec = run(&mut db, &queries);
@@ -186,7 +183,6 @@ fn fig8_shape_allocation_flips_with_the_mix() {
             max_bytes: Some(l * DEFAULT_ENTRY_FOOTPRINT),
             i_max,
             seed,
-            ..Default::default()
         };
         let mut db = Database::new(EngineConfig {
             pool_frames: 200,

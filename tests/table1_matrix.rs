@@ -262,7 +262,6 @@ impl EngineFixture {
                 max_bytes: None,
                 i_max: 100_000,
                 seed: 5,
-                ..Default::default()
             },
             ..Default::default()
         });
@@ -331,17 +330,17 @@ impl EngineFixture {
 
     fn buffered(&self, ord: u32) -> bool {
         let bid = self.db.buffer_id("t", "k").unwrap();
-        self.db.space_shard(bid).buffer(bid).is_buffered(ord)
+        self.db.space().buffer(bid).is_buffered(ord)
     }
 
     fn entries(&self) -> i64 {
         let bid = self.db.buffer_id("t", "k").unwrap();
-        self.db.space_shard(bid).buffer(bid).num_entries() as i64
+        self.db.space().buffer(bid).num_entries() as i64
     }
 
     fn counter(&self, ord: u32) -> u32 {
         let bid = self.db.buffer_id("t", "k").unwrap();
-        self.db.space_shard(bid).counters(bid).get(ord)
+        self.db.space().counters(bid).get(ord)
     }
 
     fn ix_len(&self) -> i64 {
@@ -593,7 +592,7 @@ fn table1_through_the_engine_dml_api() {
     fx.db.check_space_invariants();
     let table = fx.db.table("t").unwrap();
     let bid = fx.db.buffer_id("t", "k").unwrap();
-    let space = fx.db.space_shard(bid);
+    let space = fx.db.space();
     let buffer = space.buffer(bid);
     let counters = space.counters(bid);
     for ord in 0..table.num_pages() {
