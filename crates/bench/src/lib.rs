@@ -116,35 +116,48 @@ pub fn scale(spec: &TableSpec, paper_value: u64) -> u64 {
 }
 
 /// Provenance stamp embedded in every `BENCH_*.json` the harness writes:
-/// the git revision the numbers were measured at, the UTC wall time of the
-/// run, and the bench-harness crate version. Rendered as a JSON object
-/// value, for a top-level `"provenance": {...}` field.
+/// the git revision the numbers were measured at (`+dirty` when the working
+/// tree differs from it), the UTC wall time of the run, the compiler, and
+/// the bench-harness crate version. Rendered as a JSON object value, for a
+/// top-level `"provenance": {...}` field (the writers that time threads or
+/// a file system put `host_cpus` beside it).
 ///
 /// Numbers without provenance go stale silently — a committed JSON that
 /// predates a perf-relevant change looks exactly like one that postdates
-/// it. The stamp makes "were these measured on this code?" a one-line
-/// `git log` question.
+/// it. The stamp makes "were these measured on this code, on what?" a
+/// one-line `git log` question.
 pub fn provenance_json() -> String {
     format!(
-        "{{ \"git_rev\": \"{}\", \"generated_utc\": \"{}\", \"harness_version\": \"{}\" }}",
+        "{{ \"git_rev\": \"{}\", \"generated_utc\": \"{}\", \"rustc\": \"{}\", \"harness_version\": \"{}\" }}",
         git_revision(),
         utc_timestamp(),
+        command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string()),
         env!("CARGO_PKG_VERSION")
     )
+}
+
+/// The trimmed, non-empty standard output of a command that succeeded.
+fn command_line(program: &str, args: &[&str]) -> Option<String> {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|line| line.trim().to_string())
+        .filter(|line| !line.is_empty())
 }
 
 /// `git rev-parse HEAD` of the working tree, `"unknown"` when git is
 /// unavailable (e.g. a source tarball).
 fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let Some(rev) = command_line("git", &["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match command_line("git", &["status", "--porcelain", "--untracked-files=no"]) {
+        Some(_) => format!("{rev}+dirty"),
+        None => rev,
+    }
 }
 
 /// Current UTC time as ISO-8601 (`2026-08-08T12:34:56Z`), derived from the

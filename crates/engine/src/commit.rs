@@ -3,15 +3,16 @@
 //!
 //! ### Leader/follower commit
 //!
-//! Concurrent writers **stage** their encoded WAL frames into a shared
-//! in-memory commit queue *while still holding the catalog write lock* —
-//! that is what keeps log order equal to mutation order — then release
-//! their engine locks and **wait** for the covering fsync. The first
-//! waiter to take the WAL mutex and find its ticket not yet durable
-//! becomes the **leader**: it drains the queue, writes every staged frame
-//! with a single `write_all` + one `sync_data`
-//! ([`Wal::append_payload_batch`]), and publishes the new durable
-//! watermark. A commit is acked (its `insert`/`delete`/`update` call
+//! Concurrent writers **stage** their WAL records — framed and checksummed
+//! on their own thread ([`WalRecord::frame_into`]), before any pipeline lock
+//! — into a shared in-memory commit queue *while still holding the catalog
+//! write lock* — that is what keeps log order equal to mutation order —
+//! then release their engine locks and **wait** for the covering fsync. The
+//! first waiter to take the WAL mutex and find its ticket not yet durable
+//! becomes the **leader**: it takes the queue's buffer as it stands, writes
+//! it with a single positional write + one `sync_data`
+//! ([`Wal::append_frames`] — no re-framing, no copy), and publishes the new
+//! durable watermark. A commit is acked (its `insert`/`delete`/`update` call
 //! returns) **only after a covering fsync**, so the WAL-before-data
 //! guarantee of PR 7 is unchanged; what changed is that one fsync now
 //! covers every commit that queued up behind it.
@@ -40,8 +41,7 @@
 //! a leader is inside `sync_data` are drained together by the next leader.
 //! A nonzero window makes the leader sleep that many microseconds before
 //! draining, trading its own latency for a larger batch; the wait is
-//! skipped (and the drain is capped) once the staged payload bytes reach
-//! `GROUP_COMMIT_MAX_BYTES`.
+//! skipped once the staged bytes reach `GROUP_COMMIT_MAX_BYTES`.
 //!
 //! ### Failure semantics
 //!
@@ -49,25 +49,37 @@
 //! durable prefix and fails every ticket from the first lost frame on; the
 //! WAL is poisoned from that point (appended frames would be unreachable
 //! behind the torn one), so later commits also fail — until a checkpoint
-//! rotates in a fresh log, which supersedes the failure wholesale (the
-//! snapshot covers the applied-but-unlogged mutations, exactly as it does
-//! for PR 7's failed single appends).
+//! whose heap image holds every applied-but-unlogged mutation rotates in a
+//! fresh log, which supersedes the failure wholesale. That takes a
+//! checkpoint *cut after the last failed commit*: one that finds the log
+//! failed keeps the catalog lock until it has rotated, and a failure that
+//! arrives between a cut and its rotation stays in force and asks for
+//! another checkpoint.
 //!
-//! ### Off-path checkpointing
+//! ### Off-path checkpointing, and the cut
 //!
 //! The leader only *counts* records toward
 //! [`crate::EngineConfig::wal_checkpoint_interval`]; when the interval
 //! trips it flags the background checkpointer thread (spawned by
-//! [`crate::Database::open`]) and moves on, so rotation no longer stalls
-//! the commit that happened to cross the threshold. This lock is a leaf of
-//! the engine hierarchy like PR 7's `Durability` mutex: commits wait on it
-//! only *after* releasing the catalog and space locks, and the
-//! checkpointer takes it only *after* taking the catalog write lock, so
-//! the order catalog → space → pool → commit is acyclic.
+//! [`crate::Database::open`]) and moves on. The checkpointer holds the
+//! catalog write lock only to *capture*: drain this queue
+//! ([`CommitPipeline::flush`]), freeze the dirty pages, encode the catalog,
+//! and [`CommitPipeline::mark_cut`]. From the cut on the WAL keeps what it
+//! appends in memory; once the frozen pages are flushed — no engine lock
+//! held, commits flowing — [`CommitPipeline::rotate`] writes the snapshot and
+//! that tail as the new log under the WAL mutex alone. Every record is
+//! therefore in the flushed heap image (logged before the cut, and the
+//! queue was empty at the cut) or in the rotated log (appended after it);
+//! `aib_model::protocols::CheckpointCutModel` (protocol 8) checks exactly
+//! that against concurrent `stage` + `lead`. The WAL mutex is a leaf of the
+//! engine hierarchy: commits wait on it only *after* releasing the catalog
+//! and space locks, and the checkpointer takes it *after* the catalog write
+//! lock or with no engine lock at all, so the order catalog → space → pool →
+//! commit is acyclic.
 
 use std::time::{Duration, Instant};
 
-use aib_core::sync::{AtomicU64, Mutex, Ordering};
+use aib_core::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
 use aib_storage::{StorageError, Wal, WalRecord};
 
 /// The last ticket of the contiguous range one [`CommitPipeline::stage`]
@@ -80,39 +92,40 @@ pub(crate) struct Ticket {
     last: u64,
 }
 
-/// One staged, not-yet-durable WAL frame payload.
-struct StagedFrame {
-    seq: u64,
-    payload: Vec<u8>,
-}
-
-/// The shared commit queue: staged frames plus the ticket counter.
+/// The shared commit queue: the staged, not-yet-durable frames plus the
+/// ticket counter.
 struct CommitQueue {
     next_seq: u64,
-    staged: Vec<StagedFrame>,
-    /// Total payload bytes currently staged (what the byte cap meters).
-    bytes: usize,
+    /// Whole frames (`len | crc | payload`, generation-free CRC) back to
+    /// back in ticket order: exactly what the leader hands to
+    /// [`Wal::append_frames`].
+    frames: Vec<u8>,
+    /// Frames in `frames`: tickets `next_seq - records .. next_seq`.
+    records: u64,
 }
 
 /// Everything guarded by the WAL mutex: the log itself plus the durable /
 /// failed watermarks the leader publishes and followers read.
 struct WalState {
     wal: Wal,
-    /// Records appended since the last checkpoint rotation.
+    /// Records appended since the last checkpoint cut.
     since_checkpoint: u64,
+    /// What `since_checkpoint` stood at when the pending cut was marked,
+    /// given back if its checkpoint fails (so the next flag retries).
+    at_cut: u64,
     /// Highest ticket whose outcome is decided (durable or failed).
     /// Followers whose ticket is covered stop waiting.
     durable_seq: u64,
+    /// `durable_seq` when the pending cut was marked.
+    cut_seq: u64,
     /// First ticket lost to a failed batch, with the error every affected
-    /// waiter reports. Cleared by rotation (the checkpoint snapshot
-    /// supersedes the poisoned log).
+    /// waiter reports. Cleared by a rotation whose cut came after every
+    /// failed commit (its heap image supersedes the poisoned log).
     failed: Option<(u64, StorageError)>,
 }
 
-/// Group-commit byte cap: once the staged payload bytes reach this, the
-/// leader skips the window wait, and no single batch drains more than this
-/// many bytes (plus one frame). Bounds both ack latency under a nonzero
-/// window and batch memory.
+/// Group-commit byte cap: once the staged bytes reach this, the leader
+/// skips the window wait. Bounds ack latency under a nonzero window.
 const GROUP_COMMIT_MAX_BYTES: usize = 1 << 20;
 
 /// The group-commit pipeline of one durable [`crate::Database`]. See the
@@ -145,22 +158,27 @@ pub(crate) struct CommitPipeline {
     /// The last background checkpoint failure, surfaced by
     /// [`crate::Database::close`].
     background_error: Mutex<Option<String>>,
+    /// Held for the length of a checkpoint: the explicit and the periodic
+    /// one no longer exclude each other through the catalog lock. Outermost
+    /// — taken with no other lock held.
+    checkpointing: Mutex<()>,
 }
 
 impl CommitPipeline {
-    /// A pipeline over an open WAL that already holds `since_checkpoint`
-    /// records (replayed at open).
-    pub fn new(wal: Wal, since_checkpoint: u64, wait_us: u64, checkpoint_interval: u64) -> Self {
+    /// A pipeline over a freshly rotated WAL.
+    pub fn new(wal: Wal, wait_us: u64, checkpoint_interval: u64) -> Self {
         CommitPipeline {
             queue: Mutex::new(CommitQueue {
                 next_seq: 1,
-                staged: Vec::new(),
-                bytes: 0,
+                frames: Vec::new(),
+                records: 0,
             }),
             wal: Mutex::new(WalState {
                 wal,
-                since_checkpoint,
+                since_checkpoint: 0,
+                at_cut: 0,
                 durable_seq: 0,
+                cut_seq: 0,
                 failed: None,
             }),
             clean_durable: AtomicU64::new(0),
@@ -171,11 +189,12 @@ impl CommitPipeline {
             waiters: Mutex::new(Vec::new()),
             checkpointer: Mutex::new(None),
             background_error: Mutex::new(None),
+            checkpointing: Mutex::new(()),
         }
     }
 
-    /// Stages encoded frames for `records` on the commit queue, returning
-    /// the ticket to wait on ([`None`] for an empty record set). Call this
+    /// Stages `records` on the commit queue as whole frames, returning the
+    /// ticket to wait on ([`None`] for an empty record set). Call this
     /// while still holding the catalog write lock of the mutation the
     /// records describe, so ticket order is mutation order; wait *after*
     /// releasing it, so other writers can stage into the same batch.
@@ -183,13 +202,19 @@ impl CommitPipeline {
         if records.is_empty() {
             return None;
         }
-        let mut q = self.queue.lock();
+        // Encoding and checksumming happen here, on the stager's thread and
+        // under no pipeline lock; the queue only takes the finished bytes.
+        let mut frames = Vec::new();
         for record in records {
-            let payload = record.encode();
-            let seq = q.next_seq;
-            q.next_seq += 1;
-            q.bytes += payload.len();
-            q.staged.push(StagedFrame { seq, payload });
+            record.frame_into(&mut frames);
+        }
+        let mut q = self.queue.lock();
+        q.next_seq += records.len() as u64;
+        q.records += records.len() as u64;
+        if q.frames.is_empty() {
+            q.frames = frames;
+        } else {
+            q.frames.extend_from_slice(&frames);
         }
         Some(Ticket {
             last: q.next_seq - 1,
@@ -261,9 +286,9 @@ impl CommitPipeline {
         }
     }
 
-    /// One leader turn: optionally linger for followers, drain a batch off
-    /// the queue, write it with one `write_all` + one `sync_data`, and
-    /// publish the outcome. Runs with the WAL mutex held — followers block
+    /// One leader turn: optionally linger for followers, take what is staged
+    /// off the queue, write it with one positional write + one `sync_data`,
+    /// and publish the outcome. Runs with the WAL mutex held — followers block
     /// on that mutex and are woken by its release.
     fn lead(&self, w: &mut WalState) {
         if self.wait_us > 0 {
@@ -276,33 +301,28 @@ impl CommitPipeline {
             // very stagers the leader is collecting.
             let deadline = Instant::now() + Duration::from_micros(self.wait_us);
             while Instant::now() < deadline {
-                if self.queue.lock().bytes >= GROUP_COMMIT_MAX_BYTES {
+                if self.queue.lock().frames.len() >= GROUP_COMMIT_MAX_BYTES {
                     break;
                 }
                 std::thread::yield_now();
             }
         }
-        let batch: Vec<StagedFrame> = {
+        let (frames, records, last) = {
             let mut q = self.queue.lock();
-            let mut cut = 0;
-            let mut bytes = 0;
-            for frame in &q.staged {
-                if cut > 0 && bytes + frame.payload.len() > GROUP_COMMIT_MAX_BYTES {
-                    break;
-                }
-                bytes += frame.payload.len();
-                cut += 1;
-            }
-            q.bytes -= bytes;
-            q.staged.drain(..cut).collect()
+            let records = std::mem::take(&mut q.records);
+            (std::mem::take(&mut q.frames), records, q.next_seq - 1)
         };
-        let (Some(first), Some(last)) = (batch.first().map(|f| f.seq), batch.last().map(|f| f.seq))
-        else {
+        if records == 0 {
             return;
-        };
-        let payloads: Vec<&[u8]> = batch.iter().map(|f| f.payload.as_slice()).collect();
+        }
+        let first = last + 1 - records;
         let before = w.wal.records_written();
-        let outcome = w.wal.append_payload_batch(&payloads);
+        // A failed log takes nothing more, even after a rotation made the
+        // file itself sound again: see `rotate`.
+        let outcome = match &w.failed {
+            Some((_, error)) => Err(error.clone()),
+            None => w.wal.append_frames(frames),
+        };
         let appended = w.wal.records_written() - before;
         w.since_checkpoint += appended;
         if let Err(error) = outcome {
@@ -334,7 +354,7 @@ impl CommitPipeline {
     pub fn flush(&self) {
         loop {
             let mut w = self.wal.lock();
-            if self.queue.lock().staged.is_empty() {
+            if self.queue.lock().records == 0 {
                 return;
             }
             self.lead(&mut w);
@@ -343,19 +363,68 @@ impl CommitPipeline {
         }
     }
 
-    /// Rotates the WAL to a fresh log holding only `snapshot`, resetting
-    /// the checkpoint counter and clearing any poisoned-log failure (the
-    /// snapshot supersedes the lost records — their mutations are in the
-    /// heap image it describes).
-    pub fn rotate(&self, snapshot: &WalRecord) -> Result<(), StorageError> {
+    /// Serializes checkpoints: hold the guard from before the catalog lock
+    /// until the rotation is done.
+    pub fn checkpointing(&self) -> MutexGuard<'_, ()> {
+        self.checkpointing.lock()
+    }
+
+    /// Marks the checkpoint cut. Call under the catalog write lock, right
+    /// after [`CommitPipeline::flush`] and after capturing the heap image:
+    /// the queue is empty, so every record logged so far is in that image,
+    /// and everything the WAL appends from here on it also keeps for
+    /// [`CommitPipeline::rotate`]. The interval counter restarts at the cut.
+    ///
+    /// Returns whether the log is failed — the caller must then keep the
+    /// catalog lock until it has rotated, so that no commit can fail *after*
+    /// the cut and miss the image that is to supersede it.
+    pub fn mark_cut(&self) -> bool {
+        let mut w = self.wal.lock();
+        w.wal.mark_cut();
+        w.cut_seq = w.durable_seq;
+        w.at_cut = std::mem::take(&mut w.since_checkpoint);
+        // Whoever flagged a checkpoint while this one waited for the catalog
+        // lock meant these records: one checkpoint serves them all.
+        self.checkpoint_due.store(0, Ordering::Release);
+        w.failed.is_some()
+    }
+
+    /// The checkpoint of the pending cut failed: stop keeping the tail and
+    /// give the interval counter its records back, so the next append
+    /// flags another attempt.
+    pub fn abandon_cut(&self) {
+        let mut w = self.wal.lock();
+        w.wal.abandon_cut();
+        w.since_checkpoint += std::mem::take(&mut w.at_cut);
+    }
+
+    /// Rotates the WAL into `snapshot` plus the frames appended since
+    /// [`CommitPipeline::mark_cut`] — over the retired log's blocks when
+    /// `recycle`d, into a compact fresh file otherwise. Needs the WAL mutex
+    /// only. A failed log is cleared if no commit was decided since the cut:
+    /// then the snapshot's heap image holds every applied-but-unlogged
+    /// mutation. Otherwise some failed commit came after the cut, the
+    /// failure stays (no later commit may be acked on top of a mutation
+    /// that is in neither the image nor the log) and another checkpoint is
+    /// requested — which will find the log failed and keep the world
+    /// stopped.
+    pub fn rotate(&self, snapshot: &WalRecord, recycle: bool) -> Result<(), StorageError> {
         {
             let mut w = self.wal.lock();
-            w.wal.rotate(snapshot)?;
-            w.since_checkpoint = 0;
-            w.failed = None;
-            // The snapshot covers every decided ticket, failed or not, so
-            // the clean watermark catches up to the decided watermark.
-            self.clean_durable.store(w.durable_seq, Ordering::Release);
+            if recycle {
+                w.wal.rotate_recycled(snapshot)?;
+            } else {
+                w.wal.rotate(snapshot)?;
+            }
+            w.at_cut = 0;
+            if w.durable_seq == w.cut_seq {
+                w.failed = None;
+                // The snapshot covers every decided ticket, failed or not,
+                // so the clean watermark catches up to the decided one.
+                self.clean_durable.store(w.durable_seq, Ordering::Release);
+            } else if w.failed.is_some() {
+                self.request_checkpoint();
+            }
         }
         self.wake_waiters();
         Ok(())

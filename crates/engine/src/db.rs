@@ -112,9 +112,11 @@ pub struct EngineConfig {
     pub io_wait: bool,
     /// Durable databases ([`Database::open`]) checkpoint automatically
     /// after this many WAL records: dirty pages are flushed and fsynced,
-    /// then the log rotates to a fresh snapshot. The rotation runs on a
-    /// background thread — the commit that crosses the threshold only
-    /// flags it — so the interval no longer stalls in-flight commits.
+    /// then the log rotates to a snapshot plus whatever was committed
+    /// meanwhile. The checkpoint runs on a background thread — the commit
+    /// that crosses the threshold only flags it — and holds the catalog
+    /// lock only to copy what it will flush, so neither the interval nor
+    /// the flush stalls in-flight commits.
     /// Irrelevant for in-memory databases ([`Database::new`]), which have
     /// no WAL.
     pub wal_checkpoint_interval: u64,
@@ -391,6 +393,18 @@ pub enum BatchOp {
     },
 }
 
+/// Where a checkpoint stands when it calls the observer of
+/// [`Database::checkpoint_observed`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointPhase {
+    /// The cut is marked and the catalog lock released; the frozen pages are
+    /// about to be flushed. Commits from here on land behind the cut.
+    Captured,
+    /// The heap file is flushed and fsynced; the log has not rotated yet.
+    Flushed,
+}
+
 /// A query's start stamp; see [`Database::start_query`].
 struct QueryClock {
     seq: usize,
@@ -430,22 +444,36 @@ impl Database {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| StorageError::io("create database directory", e))?;
-        let backend = FileBackend::open(&dir.join("heap.db"), config.cost_model)?;
-        let stats = DiskBackend::stats(&backend);
-        let mut db = Self::assemble(Box::new(backend), stats, config);
+        // Recovery reads `heap.db` and `wal.log` and nothing else: what a
+        // crashed rotation left beside the log goes first.
         let wal_path = dir.join("wal.log");
+        Wal::remove_side_files(&wal_path)?;
+        let backend = FileBackend::open(&dir.join("heap.db"), config.cost_model)?;
+        let (stats, heap_pages) = (DiskBackend::stats(&backend), backend.num_pages());
+        let mut db = Self::assemble(Box::new(backend), stats, config);
         let records = Wal::replay(&wal_path)?;
+        // Pages become durable only at a checkpoint, and the first one comes
+        // after the log exists: a heap with pages and no log has lost it.
+        if records.is_empty() && heap_pages > 0 {
+            return Err(StorageError::Corrupt(format!(
+                "heap.db holds {heap_pages} pages but wal.log has no record of them"
+            ))
+            .into());
+        }
         db.recover(&records)?;
+        // The opening checkpoint: the recovered heap reaches the file, then
+        // a compact log holding only its snapshot replaces whatever was
+        // replayed (or creates the log — one rename, one directory fsync).
+        db.pool.sync()?;
+        let snapshot = WalRecord::Snapshot(snapshot_image(&db.catalog.read()).encode());
         let pipeline = Arc::new(CommitPipeline::new(
-            Wal::open(&wal_path)?,
-            records.len() as u64,
+            Wal::create(&wal_path, &snapshot)?,
             db.config.group_commit_wait_us,
             db.config.wal_checkpoint_interval,
         ));
         db.durability = Some(Arc::clone(&pipeline));
-        db.checkpoint()?;
-        // The background checkpointer owns WAL rotation from here on: the
-        // commit that crosses `wal_checkpoint_interval` only flags the
+        // The background checkpointer owns periodic rotation from here on:
+        // the commit that crosses `wal_checkpoint_interval` only flags the
         // checkpoint as due and unparks this thread, so the rotation's
         // pool flush never sits on any commit's latency path.
         let thread_pool = Arc::clone(&db.pool);
@@ -455,8 +483,15 @@ impl Database {
             .name("aib-checkpoint".into())
             .spawn(move || {
                 checkpointer_loop(&thread_pipeline, || {
-                    checkpoint_core(&thread_pool, &thread_catalog, &thread_pipeline)
-                        .map_err(|e| e.to_string())
+                    // Periodic: rotate over the retired log's blocks.
+                    checkpoint_core(
+                        &thread_pool,
+                        &thread_catalog,
+                        &thread_pipeline,
+                        true,
+                        &mut |_| {},
+                    )
+                    .map_err(|e| e.to_string())
                 })
             })
             .map_err(|e| StorageError::io("spawn checkpoint thread", e))?;
@@ -567,28 +602,47 @@ impl Database {
     }
 
     /// Forces a checkpoint: flushes every dirty page to the heap file
-    /// (fsync), then rotates the WAL to a fresh log holding only a catalog
-    /// snapshot. After a clean checkpoint, reopening replays nothing.
-    /// A no-op for in-memory databases.
+    /// (fsync), then rotates the WAL to a compact fresh log holding a catalog
+    /// snapshot and whatever was committed while the flush ran — nothing,
+    /// for a caller that is alone. After a clean checkpoint, reopening
+    /// replays nothing. A no-op for in-memory databases.
     ///
     /// Explicit checkpoints stay synchronous; only the *periodic*
     /// checkpoint (every [`EngineConfig::wal_checkpoint_interval`]
-    /// records) runs on the background thread, off the commit path.
+    /// records) runs on the background thread, off the commit path. Either
+    /// holds the catalog lock only while it captures what to flush (see
+    /// `checkpoint_core`).
     pub fn checkpoint(&self) -> EngineResult<()> {
         let Some(pipeline) = &self.durability else {
             return Ok(());
         };
-        checkpoint_core(&self.pool, &self.catalog, pipeline)
+        checkpoint_core(&self.pool, &self.catalog, pipeline, false, &mut |_| {})
+    }
+
+    /// Crash-point hook (tests): a checkpoint on the caller's thread —
+    /// `recycle`d like the periodic one, or compact — that calls `observe`
+    /// at each phase boundary with no engine lock held, so a test can commit
+    /// behind the cut and copy the directory as a crash there would leave it.
+    #[doc(hidden)]
+    pub fn checkpoint_observed(
+        &self,
+        recycle: bool,
+        observe: &mut dyn FnMut(CheckpointPhase),
+    ) -> EngineResult<()> {
+        let Some(pipeline) = &self.durability else {
+            return Ok(());
+        };
+        checkpoint_core(&self.pool, &self.catalog, pipeline, recycle, observe)
     }
 
     /// Checkpoints and releases the database. Durable state needs nothing
     /// beyond [`Database::checkpoint`] — every DML record was fsynced
     /// before its commit was acked, so even skipping `close` loses
     /// nothing; closing just compacts the log so the next open replays
-    /// nothing. Also surfaces any failure the background checkpointer
-    /// recorded since the last `close`-or-open.
+    /// nothing (and, the background checkpointer being stopped first,
+    /// leaves no recycled log beside it). Also surfaces any failure the
+    /// background checkpointer recorded since the last `close`-or-open.
     pub fn close(mut self) -> EngineResult<()> {
-        self.checkpoint()?;
         let Some(pipeline) = self.durability.clone() else {
             return Ok(());
         };
@@ -596,6 +650,7 @@ impl Database {
         if let Some(handle) = self.checkpointer.take() {
             let _ = handle.join();
         }
+        self.checkpoint()?;
         if let Some(message) = pipeline.take_background_error() {
             return Err(EngineError::Internal(format!(
                 "background checkpoint failed: {message}"
@@ -856,7 +911,13 @@ impl Database {
     /// staged on the group-commit pipeline and acked only after its
     /// covering fsync; see `crate::commit`.
     pub fn insert(&self, table: &str, tuple: &Tuple) -> EngineResult<Rid> {
-        self.dml(|catalog, space| self.insert_locked(catalog, space, table, tuple))
+        self.dml(|catalog, space| {
+            let mut placed = Vec::with_capacity(1);
+            self.insert_run_locked(catalog, space, table, &[tuple], &mut placed)?;
+            placed
+                .pop()
+                .ok_or_else(|| EngineError::Internal("insert placed nothing".into()))
+        })
     }
 
     /// One DML statement end to end: `op` mutates under the catalog and
@@ -879,33 +940,48 @@ impl Database {
         Ok(out)
     }
 
-    /// Insert body under the caller's catalog + space write locks,
-    /// returning the record to stage. Shared by [`Database::insert`] and
-    /// [`Database::execute_batch`].
-    fn insert_locked(
+    /// Insert body under the caller's catalog + space write locks: places a
+    /// run of tuples of one table through [`HeapFile::insert_run`] (one heap
+    /// lock, one page latch per page filled — and exactly the placement of
+    /// one-by-one inserts), then maintains every index for each, pushing the
+    /// rid and the record to stage onto `placed`. Stops at the first tuple
+    /// that fails; the ones before it are applied and in `placed`. Shared by
+    /// [`Database::insert`] (a run of one) and [`Database::execute_batch`].
+    fn insert_run_locked(
         &self,
         catalog: &mut Catalog,
         space: &mut IndexBufferSpace,
         table: &str,
-        tuple: &Tuple,
-    ) -> EngineResult<(Rid, WalRecord)> {
+        tuples: &[&Tuple],
+        placed: &mut Vec<(Rid, WalRecord)>,
+    ) -> EngineResult<()> {
         let ti = catalog.table_index(table)?;
-        let bytes = tuple.to_bytes_checked(&catalog.tables[ti].schema)?;
-        let rid = catalog.tables[ti].heap.insert(&bytes)?;
-        let page = catalog.tables[ti].ordinal(rid)?;
         let t = &mut catalog.tables[ti];
-        for ic in &mut t.indexed {
-            let value = column_value(tuple, ic.column)?;
-            apply_maintenance(space, ic, None, Some(TupleRef::new(value, rid, page)))?;
+        let mut invalid = None;
+        let mut encoded = Vec::with_capacity(tuples.len());
+        for tuple in tuples {
+            match tuple.to_bytes_checked(&t.schema) {
+                Ok(bytes) => encoded.push(bytes),
+                Err(e) => {
+                    invalid = Some(e);
+                    break;
+                }
+            }
         }
-        Ok((
-            rid,
-            WalRecord::Insert {
-                table: ti as u32,
-                rid,
-                bytes,
-            },
-        ))
+        let mut rids = Vec::with_capacity(encoded.len());
+        let images: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let landed = t.heap.insert_run(&images, &mut rids);
+        drop(images);
+        for ((rid, page), (tuple, bytes)) in rids.into_iter().zip(tuples.iter().zip(encoded)) {
+            for ic in &mut t.indexed {
+                let value = column_value(tuple, ic.column)?;
+                apply_maintenance(space, ic, None, Some(TupleRef::new(value, rid, page)))?;
+            }
+            let table = ti as u32;
+            placed.push((rid, WalRecord::Insert { table, rid, bytes }));
+        }
+        landed?;
+        invalid.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Deletes the tuple at `rid` (Table I, delete row).
@@ -999,27 +1075,52 @@ impl Database {
             let mut records = Vec::with_capacity(ops.len());
             let mut rids = Vec::with_capacity(ops.len());
             let mut failure = None;
-            for op in ops {
+            let mut rest = ops;
+            while let Some((op, after)) = rest.split_first() {
+                rest = after;
                 let applied = match op {
-                    BatchOp::Insert { table, tuple } => self
-                        .insert_locked(&mut catalog, &mut space, table, tuple)
-                        .map(|(rid, record)| (Some(rid), record)),
+                    BatchOp::Insert { table, tuple } => {
+                        // The whole run of inserts into this table at once.
+                        let mut run = vec![tuple];
+                        while let Some((BatchOp::Insert { table: next, tuple }, after)) =
+                            rest.split_first()
+                        {
+                            if next != table {
+                                break;
+                            }
+                            run.push(tuple);
+                            rest = after;
+                        }
+                        let mut placed = Vec::with_capacity(run.len());
+                        let ran = self.insert_run_locked(
+                            &mut catalog,
+                            &mut space,
+                            table,
+                            &run,
+                            &mut placed,
+                        );
+                        for (rid, record) in placed {
+                            rids.push(Some(rid));
+                            records.push(record);
+                        }
+                        ran
+                    }
                     BatchOp::Delete { table, rid } => self
                         .delete_locked(&mut catalog, &mut space, table, *rid)
-                        .map(|record| (None, record)),
+                        .map(|record| {
+                            rids.push(None);
+                            records.push(record);
+                        }),
                     BatchOp::Update { table, rid, tuple } => self
                         .update_locked(&mut catalog, &mut space, table, *rid, tuple)
-                        .map(|(rid, record)| (Some(rid), record)),
+                        .map(|(rid, record)| {
+                            rids.push(Some(rid));
+                            records.push(record);
+                        }),
                 };
-                match applied {
-                    Ok((rid, record)) => {
-                        rids.push(rid);
-                        records.push(record);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+                if let Err(e) = applied {
+                    failure = Some(e);
+                    break;
                 }
             }
             let ticket = self.stage(&records);
@@ -1552,26 +1653,52 @@ impl Drop for Database {
     }
 }
 
-/// Checkpoint body, shared by [`Database::checkpoint`] and the background
-/// checkpointer thread. The catalog write lock quiesces DML and queries, so
-/// the flushed pages and the encoded catalog are one consistent cut; with
-/// it held, staged frames can't appear mid-checkpoint, so the
-/// [`CommitPipeline::flush`] drain is complete. Flush order is what makes
-/// crashes safe: staged WAL frames land *first* (WAL before data), data
-/// pages reach the heap file and fsync *second*, the log rotates *last* — a
-/// crash between the steps leaves the old log, whose replay converges over
-/// the partially-flushed heap (see `aib-storage::wal` "Replay
-/// convergence").
+/// Checkpoint body, shared by [`Database::checkpoint`] (`recycle` off: a
+/// compact log, no side file) and the background checkpointer thread
+/// (`recycle` on). Three phases, and only the first holds an engine lock:
+///
+/// 1. **Capture**, under the catalog write lock — which quiesces DML and
+///    queries, so what is captured is one consistent cut. Staged WAL frames
+///    land *first* ([`CommitPipeline::flush`]: WAL before data, and with the
+///    lock held none can appear behind the drain); then the dirty pages are
+///    frozen ([`BufferPool::capture`], a memcpy), the catalog is encoded, and
+///    the WAL cut is marked. The frozen images hold exactly the mutations
+///    logged before the cut.
+/// 2. **Flush**, with no lock: the frozen pages reach the heap file in runs
+///    and are fsynced while commits go on — into the old log, and into the
+///    WAL's in-memory tail.
+/// 3. **Rotate**, under the WAL mutex alone: the new log is the snapshot of
+///    the cut plus that tail.
+///
+/// A crash before the rotation is durable leaves the old log, complete,
+/// whose replay converges over the partially- or fully-flushed heap (see
+/// `aib-storage::wal` "Replay convergence"); after it, the new log over the
+/// flushed image of its cut. A failed log keeps the catalog lock through all
+/// three phases (see [`CommitPipeline::rotate`]).
 fn checkpoint_core(
     pool: &BufferPool,
     catalog: &RwLock<Catalog>,
     pipeline: &CommitPipeline,
+    recycle: bool,
+    observe: &mut dyn FnMut(CheckpointPhase),
 ) -> EngineResult<()> {
-    let catalog = catalog.write();
+    let _one_at_a_time = pipeline.checkpointing();
+    let quiesced = catalog.write();
     pipeline.flush();
-    pool.sync()?;
-    let image = snapshot_image(&catalog);
-    Ok(pipeline.rotate(&WalRecord::Snapshot(image.encode()))?)
+    let captured = pool.capture()?;
+    let snapshot = WalRecord::Snapshot(snapshot_image(&quiesced).encode());
+    // A sound log lets the world go on here; a failed one keeps it stopped.
+    let quiesced = pipeline.mark_cut().then_some(quiesced);
+    observe(CheckpointPhase::Captured);
+    let outcome = captured.flush().and_then(|()| {
+        observe(CheckpointPhase::Flushed);
+        pipeline.rotate(&snapshot, recycle)
+    });
+    drop(quiesced);
+    if outcome.is_err() {
+        pipeline.abandon_cut();
+    }
+    Ok(outcome?)
 }
 
 /// Applies the online tuner's decision for an observed point query on

@@ -26,7 +26,7 @@ pub mod read;
 pub mod tuner;
 
 pub use client::ClientHandle;
-pub use db::{BatchOp, Database, EngineConfig, SpaceRef, Table, TableRef};
+pub use db::{BatchOp, CheckpointPhase, Database, EngineConfig, SpaceRef, Table, TableRef};
 pub use error::{EngineError, EngineResult};
 pub use explain::Explanation;
 pub use metrics::{QueryMetrics, WorkloadRecorder};

@@ -12,10 +12,10 @@
 //! | `no-index`           | no panicking slice/array indexing in library code                |
 //! | `atomics-order`      | `Ordering::Relaxed` only on allowlisted telemetry counters       |
 //! | `sync-shim`          | atomics and locks come from the `aib_core::sync` / `aib_storage::sync` shim (so `--cfg aib_model` builds can interpose the model runtime), never raw `std::sync::atomic` / `parking_lot` |
-//! | `lock-order`         | hierarchy `catalog → space → pool`: catalog outermost, BufferPool innermost, commit-queue mutexes leaves below all three |
+//! | `lock-order`         | hierarchy `catalog → space → pool`: catalog outermost, BufferPool innermost; the WAL mutex a leaf below all three (the checkpointer takes catalog → WAL, never the reverse), the commit-queue mutex a leaf below that; and the pool's `disk` mutex is never held across a sync — a backend's flush and fsync run off it |
 //! | `crate-hygiene`      | crate roots forbid unsafe code and deny missing docs             |
 //! | `database-result`    | every `&mut self` `pub fn` on `Database` returns `Result<_, EngineError>` |
-//! | `durable-io`         | in `wal.rs` / `file_backend.rs` / `commit.rs`, every raw file-I/O result is converted to `StorageError` in the same statement — never unwrapped, never discarded; and `sync_data` is *called* only in `wal.rs` / `file_backend.rs` (the commit pipeline goes through the `Wal` batch API) |
+//! | `durable-io`         | in `wal.rs` / `file_backend.rs` / `fsio.rs` / `commit.rs`, every raw file-I/O result is converted to `StorageError` in the same statement — never unwrapped, never discarded; and `sync_data` is *called* only in `wal.rs` / `file_backend.rs` / `fsio.rs` (the commit pipeline goes through the `Wal` batch API) |
 //!
 //! (`no-index`, `database-result`, and `durable-io` are sub-rules of the
 //! panic-freedom and hygiene families, split out so the `allow(...)` escape
@@ -297,9 +297,10 @@ fn no_index(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------------
 
 /// Modules on the durability path: the write-ahead log, the file backend,
-/// and the group-commit pipeline. Matched by suffix so the fixture workspace
-/// can seed violations under its own crate layout.
-const DURABLE_IO_MODULES: &[&str] = &["wal.rs", "file_backend.rs", "commit.rs"];
+/// the file-system primitives they share, and the group-commit pipeline.
+/// Matched by suffix so the fixture workspace can seed violations under its
+/// own crate layout.
+const DURABLE_IO_MODULES: &[&str] = &["wal.rs", "file_backend.rs", "fsio.rs", "commit.rs"];
 
 /// The only modules allowed to *issue* a file fsync (`sync_data`). The
 /// commit pipeline and engine stage through the `Wal` batch API instead, so
@@ -307,12 +308,13 @@ const DURABLE_IO_MODULES: &[&str] = &["wal.rs", "file_backend.rs", "commit.rs"];
 /// by the WAL's framing — an uncounted side-channel fsync would silently
 /// skew the group-commit amortization the bench reports and could reorder
 /// around the WAL-before-data contract.
-const FSYNC_SITES: &[&str] = &["wal.rs", "file_backend.rs"];
+const FSYNC_SITES: &[&str] = &["wal.rs", "file_backend.rs", "fsio.rs"];
 
 /// Raw file-I/O calls whose `io::Result` must be mapped to [`StorageError`]
 /// before it leaves the statement.
 const DURABLE_IO_CALLS: &[&str] = &[
     ".write_all(",
+    "write_all_at(",
     ".read_exact(",
     ".read_vectored(",
     ".read_to_end(",
@@ -323,6 +325,7 @@ const DURABLE_IO_CALLS: &[&str] = &[
     ".metadata()",
     "std::fs::read(",
     "std::fs::rename(",
+    "std::fs::hard_link(",
     "std::fs::remove_file(",
     "File::open(",
     "File::create(",
@@ -347,6 +350,13 @@ fn durable_io(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
         while let Some(rel_pos) = text.get(from..).and_then(|s| s.find(token)) {
             let pos = from + rel_pos;
             from = pos + token.len();
+            // A definition of the helper, not a call of it.
+            if text
+                .get(..pos)
+                .is_some_and(|before| before.ends_with("fn "))
+            {
+                continue;
+            }
             // The statement: from the call to its terminating `;` (bounded,
             // so a missing semicolon cannot borrow a later statement's
             // conversion). Multi-line builder chains stay in one statement,
@@ -506,6 +516,11 @@ enum LockKind {
     /// The Index Buffer Space lock (`SharedSpace::read` / `write`).
     Space,
     Pool,
+    /// The WAL mutex (`wal`): a leaf below the three tiers. Commits wait on
+    /// it with no engine lock held and the checkpointer takes it after the
+    /// catalog lock (catalog → WAL), so a thread holding it must never wait
+    /// on a tiered lock. Only the queue mutex nests inside it.
+    Wal,
     /// A queue-class leaf mutex: the group-commit queue (`queue`). It sits
     /// *below* every tier — it is taken with the catalog lock already held
     /// and must never be held across another acquisition.
@@ -514,10 +529,27 @@ enum LockKind {
 
 fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
     for body in function_bodies(&stripped.text) {
+        disk_held_across_sync(rel, stripped, body.clone(), out);
         let mut space_seen: Option<usize> = None;
         let mut pool_seen: Option<usize> = None;
         let mut queue_seen: Option<usize> = None;
+        let mut wal_seen: Option<usize> = None;
         for (line_idx, kind) in lock_acquisitions(&stripped.text, body.clone()) {
+            if let Some(wal_line) = wal_seen {
+                if !matches!(kind, LockKind::Wal | LockKind::Queue) {
+                    push(
+                        out,
+                        stripped,
+                        rel,
+                        line_idx,
+                        "lock-order",
+                        format!(
+                            "tiered lock acquired after the WAL mutex (at line {}); the                              order is catalog → WAL — the checkpointer cuts under the                              catalog lock and rotates under the WAL mutex alone",
+                            wal_line + 1
+                        ),
+                    );
+                }
+            }
             // Queue-class mutexes are leaves of the whole hierarchy:
             // acquiring *any* tiered lock after one in the same body risks
             // a deadlock against the staging path, which enters the queue
@@ -543,6 +575,9 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
             match kind {
                 LockKind::Queue => {
                     queue_seen.get_or_insert(line_idx);
+                }
+                LockKind::Wal => {
+                    wal_seen.get_or_insert(line_idx);
                 }
                 LockKind::Catalog => {
                     // The catalog is the engine's outermost lock: a reader
@@ -597,6 +632,49 @@ fn lock_order(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
                     pool_seen.get_or_insert(line_idx);
                 }
             }
+        }
+    }
+}
+
+/// Calls that flush or fsync a backend: what must not run under `disk`.
+const SYNC_CALLS: &[&str] = &[".sync(", ".write_out(", ".sync_data(", ".sync_all("];
+
+/// The pool's `disk` mutex serializes page reads and writes; a sync under it
+/// stalls every miss and eviction for the length of a flush and an fsync.
+/// Flags a `disk.lock()` guard — a temporary chained straight into a sync
+/// call, or a `let`-bound one with a sync call later in the body.
+fn disk_held_across_sync(
+    rel: &str,
+    stripped: &Stripped,
+    range: std::ops::Range<usize>,
+    out: &mut Vec<Violation>,
+) {
+    let text = &stripped.text;
+    let body = text.get(range.clone()).unwrap_or("");
+    let mut from = 0usize;
+    while let Some(rel_pos) = body.get(from..).and_then(|s| s.find("disk.lock()")) {
+        let pos = from + rel_pos;
+        from = pos + "disk.lock()".len();
+        let after = body.get(from..).unwrap_or("");
+        let chained = SYNC_CALLS.iter().any(|call| after.starts_with(call));
+        let bound = after.trim_start().starts_with(';')
+            && SYNC_CALLS.iter().any(|call| after.contains(call));
+        if chained || bound {
+            let line_idx = text
+                .get(..range.start + pos)
+                .unwrap_or("")
+                .matches('\n')
+                .count();
+            push(
+                out,
+                stripped,
+                rel,
+                line_idx,
+                "lock-order",
+                "`disk` mutex held across a sync; freeze under it, write out and \
+                 fsync off it (`DiskBackend::freeze` / `FlushJob::write_out` / `thaw`)"
+                    .to_string(),
+            );
         }
     }
 }
@@ -690,6 +768,8 @@ fn lock_acquisitions(text: &str, range: std::ops::Range<usize>) -> Vec<(usize, L
             let lower = recv.to_lowercase();
             let kind = if lower.contains("queue") {
                 Some(LockKind::Queue)
+            } else if lower.contains("wal") {
+                Some(LockKind::Wal)
             } else if lower.contains("catalog") {
                 Some(LockKind::Catalog)
             } else if lower.contains("pool") || lower.contains("frame") {

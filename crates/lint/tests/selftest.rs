@@ -208,6 +208,51 @@ fn lock_order_fires_on_tiered_lock_after_queue_leaf() {
 }
 
 #[test]
+fn lock_order_puts_the_wal_mutex_below_the_tiers_and_above_the_queue() {
+    // The checkpointer's order is catalog → WAL; rotating needs the WAL
+    // mutex alone. Anything tiered *after* it inverts that.
+    for bad in [
+        "fn f(&self) { let w = self.wal.lock(); let c = self.catalog.write(); }\n",
+        "fn f(&self) { let w = pipeline.wal.lock(); let s = self.space.write(); }\n",
+        "fn f(&self) { let w = self.wal.lock(); let p = self.pool.lock(); }\n",
+        "fn f(&self) { let q = self.queue.lock(); let w = self.wal.lock(); }\n",
+    ] {
+        let v = lint_lib(bad);
+        assert!(rules_of(&v).contains("lock-order"), "{bad}: {v:?}");
+    }
+    for good in [
+        "fn f(&self) { let c = self.catalog.write(); let w = self.wal.lock(); }\n",
+        "fn f(&self) { let w = self.wal.lock(); let q = self.queue.lock(); }\n",
+        "fn f(&self) { let w = self.wal.lock(); let again = self.wal.lock(); }\n",
+        "fn a(&self) { let w = self.wal.lock(); }\nfn b(&self) { let c = self.catalog.write(); }\n",
+    ] {
+        let v = lint_lib(good);
+        assert!(!rules_of(&v).contains("lock-order"), "{good}: {v:?}");
+    }
+}
+
+#[test]
+fn lock_order_keeps_syncs_off_the_disk_mutex() {
+    for bad in [
+        "fn sync(&self) -> R { self.disk.lock().sync() }\n",
+        "fn sync(&self) -> R { let job = self.freeze()?; self.pool.disk.lock().write_out() }\n",
+        "fn sync(&self) -> R { let mut disk = self.disk.lock(); disk.write(p, b)?; disk.sync() }\n",
+        "fn sync(&self) -> R { let disk = self.disk.lock(); job.write_out() }\n",
+    ] {
+        let v = lint_lib(bad);
+        assert!(rules_of(&v).contains("lock-order"), "{bad}: {v:?}");
+    }
+    for good in [
+        "fn sync(&self) -> R { let job = self.disk.lock().freeze(&d)?; let r = job.write_out(); self.disk.lock().thaw(r) }\n",
+        "fn grow(&self) -> R { let mut disk = self.disk.lock(); disk.allocate() }\n",
+        "fn a(&self) { let disk = self.disk.lock(); }\nfn b(&self) -> R { job.write_out() }\n",
+    ] {
+        let v = lint_lib(good);
+        assert!(!rules_of(&v).contains("lock-order"), "{good}: {v:?}");
+    }
+}
+
+#[test]
 fn lock_order_fires_on_catalog_after_space_or_pool() {
     // The catalog is the outermost lock of the engine hierarchy: acquiring
     // it after the space or the pool in one body is a deadlock recipe.
@@ -315,6 +360,7 @@ fn durable_io_confines_fsync_to_wal_and_backend() {
     for module in [
         "crates/storage/src/wal.rs",
         "crates/storage/src/file_backend.rs",
+        "crates/storage/src/fsio.rs",
     ] {
         let v = lint_source(module, mapped);
         assert!(!rules_of(&v).contains("durable-io"), "{module}: {v:?}");
@@ -326,6 +372,20 @@ fn durable_io_confines_fsync_to_wal_and_backend() {
         "fn f(file: &mut File, b: &[u8]) { let _ = file.write_all(b); }\n",
     );
     assert!(rules_of(&v).contains("durable-io"), "{v:?}");
+    // The positional write and the hard link of the recycled rotation are
+    // raw I/O like any other; the helper's own definition is not a call.
+    for bad in [
+        "fn f(file: &File, b: &[u8]) { let _ = write_all_at(file, b, 0); }\n",
+        "fn f(a: &Path, b: &Path) -> bool { std::fs::hard_link(a, b).is_ok() }\n",
+    ] {
+        let v = lint_source("crates/storage/src/wal.rs", bad);
+        assert!(rules_of(&v).contains("durable-io"), "{bad}: {v:?}");
+    }
+    let v = lint_source(
+        "crates/storage/src/wal.rs",
+        "fn write_all_at(file: &File, buf: &[u8], offset: u64) -> u64 { offset }\n",
+    );
+    assert!(!rules_of(&v).contains("durable-io"), "{v:?}");
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Distilled models of engine protocols that live above the `aib_core`
-//! layer (WAL commit ordering, the group-commit handoff).
+//! layer (WAL commit ordering, the group-commit handoff, the checkpoint
+//! cut).
 //!
 //! The snapshot, deferred-drain, and budget protocols are model-checked
 //! directly against the production code in `aib-core`/`aib-storage`
@@ -156,5 +157,129 @@ impl CommitQueueModel {
                 self.fsynced.store(batch_end, Ordering::Release);
             }
         }
+    }
+}
+
+/// Skeleton of the checkpoint capture/cut protocol against concurrent
+/// `stage` + `lead` (`checkpoint_core` in `crates/engine/src/db.rs`,
+/// `CommitPipeline::{stage, lead, flush, mark_cut, rotate}`). Frames are
+/// bits. A writer applies its mutation to the pool and stages its frame
+/// under the catalog lock, then leads — appends whatever is staged, its own
+/// frame or another writer's, to the log, and to the in-memory tail if a cut
+/// is pending — with no engine lock.
+/// The checkpointer, under the catalog lock, drains the queue, captures the
+/// heap image (every mutation applied so far) and marks the cut; off the
+/// lock it flushes that image and rotates the log into the tail.
+///
+/// Two obligations. **No frame is missing from both** the frozen heap image
+/// and the rotated log: the drain, the capture and the cut are one critical
+/// section against appliers. **WAL before data**: when the flush of the
+/// frozen image starts, every mutation in it is already in the log.
+///
+/// Seeded bug `checkpoint_cut_before_drain` marks the cut (and captures)
+/// before the queue is drained, leaving the drain for later: the flush
+/// starts over a mutation whose frame is still only staged — a crash there
+/// leaves it in the heap file and in no log. Seeded bug
+/// `checkpoint_cut_after_unlock` marks the cut after releasing the catalog
+/// lock: a commit that slips in between is too late for the image and too
+/// early for the tail, and the rotation drops it.
+#[derive(Debug, Default)]
+pub struct CheckpointCutModel {
+    /// The catalog write lock, over the mutations applied to pool pages.
+    catalog: Mutex<u64>,
+    /// The commit queue: frames staged, not yet appended.
+    queue: Mutex<u64>,
+    /// The WAL mutex: the live log, and the tail kept since a pending cut.
+    wal: Mutex<(u64, Option<u64>)>,
+}
+
+/// What one [`CheckpointCutModel::checkpoint`] froze and saw.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointCut {
+    /// Mutations in the heap image the checkpoint flushed.
+    pub frozen: u64,
+    /// Frames in the log when that flush started.
+    pub logged_at_flush: u64,
+}
+
+impl CheckpointCutModel {
+    /// An empty model.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Applies the mutation of `frame` (a single bit) and stages the frame,
+    /// under the catalog lock.
+    pub fn stage(&self, frame: u64) {
+        let mut applied = self.catalog.lock();
+        *applied |= frame;
+        *self.queue.lock() |= frame;
+    }
+
+    /// A leader turn, off every engine lock: append what is staged to the
+    /// log — and to the tail, if a cut is pending.
+    pub fn lead(&self) {
+        let mut wal = self.wal.lock();
+        let staged = std::mem::take(&mut *self.queue.lock());
+        wal.0 |= staged;
+        if let Some(tail) = &mut wal.1 {
+            *tail |= staged;
+        }
+    }
+
+    fn mark_cut(&self) {
+        self.wal.lock().1 = Some(0);
+    }
+
+    /// One checkpoint: capture, flush, rotate.
+    #[must_use]
+    pub fn checkpoint(&self) -> CheckpointCut {
+        #[cfg(not(any(
+            model_seeded_bug = "checkpoint_cut_before_drain",
+            model_seeded_bug = "checkpoint_cut_after_unlock"
+        )))]
+        let frozen = {
+            let applied = self.catalog.lock();
+            self.lead(); // the drain: nothing can be staged behind it
+            self.mark_cut();
+            *applied
+        };
+        #[cfg(model_seeded_bug = "checkpoint_cut_before_drain")]
+        let frozen = {
+            // WRONG: image and cut are taken with frames still staged; the
+            // drain trails behind (below), after the flush has begun.
+            let applied = self.catalog.lock();
+            self.mark_cut();
+            *applied
+        };
+        #[cfg(model_seeded_bug = "checkpoint_cut_after_unlock")]
+        let frozen = {
+            let frozen = {
+                let applied = self.catalog.lock();
+                self.lead();
+                *applied
+            };
+            // WRONG: a commit can apply, stage and lead right here.
+            self.mark_cut();
+            frozen
+        };
+        // The flush of the frozen image starts: what does the log hold?
+        let logged_at_flush = self.wal.lock().0;
+        #[cfg(model_seeded_bug = "checkpoint_cut_before_drain")]
+        self.lead();
+        // Rotation: the new log is the snapshot of the cut plus the tail.
+        let mut wal = self.wal.lock();
+        wal.0 = wal.1.take().unwrap_or(0);
+        CheckpointCut {
+            frozen,
+            logged_at_flush,
+        }
+    }
+
+    /// The frames in the live log.
+    #[must_use]
+    pub fn log(&self) -> u64 {
+        self.wal.lock().0
     }
 }

@@ -31,6 +31,8 @@ const SEEDED_BUGS: &[&str] = &[
     "budget_release_lost",
     "wal_unlocked_log",
     "commit_ack_before_fsync",
+    "checkpoint_cut_before_drain",
+    "checkpoint_cut_after_unlock",
 ];
 
 fn workspace_root() -> PathBuf {

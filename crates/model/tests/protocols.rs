@@ -1,4 +1,4 @@
-//! Model checks for the seven load-bearing concurrency protocols of the
+//! Model checks for the eight load-bearing concurrency protocols of the
 //! Adaptive Index Buffer (ISSUE PR 8, tentpole item 3).
 //!
 //! This file only compiles under `--cfg aib_model`, where `aib-storage` and
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use aib_core::{BufferConfig, SharedSpace, SpaceConfig};
-use aib_model::protocols::{CommitQueueModel, WalModel};
+use aib_model::protocols::{CheckpointCutModel, CommitQueueModel, WalModel};
 use aib_model::sync::{AtomicU64, Ordering};
 use aib_model::{thread, Model};
 use aib_storage::{BudgetComponent, MemoryBudget};
@@ -273,5 +273,48 @@ fn commit_ack_happens_after_covering_fsync() {
         let b = writer(&queue);
         a.join();
         b.join();
+    });
+}
+
+/// Protocol 8 — the checkpoint cut against concurrent `stage` + `lead`
+/// (ISSUE 21): the checkpointer drains the queue, captures the heap image
+/// and marks the WAL cut in one catalog-lock critical section, then flushes
+/// and rotates with no engine lock. One commit is staged and not yet led
+/// when it starts (the frame the drain is there for; its writer leads late,
+/// at the end); a second writer stages and leads concurrently — and may
+/// drain the first one's frame with its own. Every frame must end up in the
+/// frozen image or in the rotated log, and the flush may only start over
+/// mutations whose frames are already logged.
+///
+/// Catches: `checkpoint_cut_before_drain` (the image holds a mutation whose
+/// frame is still only staged when the flush starts — WAL before data) and
+/// `checkpoint_cut_after_unlock` (a commit between the capture and the cut
+/// is in neither the image nor the tail).
+#[test]
+fn checkpoint_cut_loses_no_frame() {
+    Model::new("checkpoint_cut_loses_no_frame").check(|| {
+        let engine = Arc::new(CheckpointCutModel::new());
+        engine.stage(0b01);
+        let writer = {
+            let engine = Arc::clone(&engine);
+            thread::spawn(move || {
+                engine.stage(0b10);
+                engine.lead();
+            })
+        };
+        let cut = engine.checkpoint();
+        assert_eq!(
+            cut.frozen & !cut.logged_at_flush,
+            0,
+            "heap flush started over frames {:#b} that no log holds yet",
+            cut.frozen & !cut.logged_at_flush
+        );
+        writer.join();
+        engine.lead();
+        let kept = cut.frozen | engine.log();
+        assert_eq!(
+            kept, 0b11,
+            "a frame is missing from both the frozen image and the rotated log"
+        );
     });
 }

@@ -31,7 +31,10 @@
 //! 2. per-frame `RwLock`s — acquired after `state` only for frames proven
 //!    unpinned (no holders, cannot block), otherwise after releasing `state`;
 //! 3. `disk` — taken last, for the duration of one read/write/batch; a leaf:
-//!    nothing is acquired while it is held.
+//!    nothing is acquired while it is held, and it is never held across a
+//!    sync: [`BufferPool::capture`] freezes the dirty pages under it (a
+//!    memcpy) and [`CapturedSync::flush`] writes and fsyncs them off it
+//!    (`aib-lint`'s `lock-order` rule has an arm for exactly that).
 //!
 //! Wall-clock I/O stalls ([`BufferPoolConfig::io_wait`]) honour the same
 //! rule: the thread sleeps holding only the frame lock of the page being
@@ -56,7 +59,7 @@ use parking_lot::{
 };
 
 use crate::budget::{BudgetComponent, MemoryBudget, MemoryUsage};
-use crate::disk::{DiskBackend, DiskManager, PAGE_SIZE};
+use crate::disk::{DiskBackend, DiskManager, FlushJob, PAGE_SIZE};
 use crate::error::StorageError;
 use crate::replacement::{FrameId, LruPolicy};
 use crate::rid::PageId;
@@ -582,12 +585,41 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Checkpoint hook: flushes every dirty page to the backend, then asks
-    /// the backend to make them durable ([`DiskBackend::sync`] — fsync for
-    /// the file backend, a no-op for the simulation).
+    /// Checkpoint hook: makes every page written so far durable
+    /// ([`DiskBackend::sync`] semantics — fsync for the file backend, a no-op
+    /// for the simulation). [`BufferPool::capture`] and
+    /// [`CapturedSync::flush`] back to back.
     pub fn sync(&self) -> Result<(), StorageError> {
-        self.flush_all()?;
-        self.disk.lock().sync()
+        self.capture()?.flush()
+    }
+
+    /// The first half of [`BufferPool::sync`], and the only one that needs
+    /// the pool still: hands every dirty frame to the backend in one
+    /// [`DiskBackend::freeze`] — one walk over the frames, one `disk` lock —
+    /// and marks them clean. What comes back owns a frozen copy of
+    /// everything unsynced; the caller may release its own locks before
+    /// [`CapturedSync::flush`] does the I/O, and pages dirtied in between
+    /// belong to the next sync.
+    pub fn capture(&self) -> Result<CapturedSync<'_>, StorageError> {
+        let mut dirty: Vec<_> = self
+            .frames
+            .iter()
+            .map(|cell| cell.write())
+            .filter(|cell| cell.dirty && cell.page.is_some())
+            .collect();
+        let images: Vec<(PageId, &[u8; PAGE_SIZE])> = dirty
+            .iter()
+            .filter_map(|cell| Some((cell.page?, &*cell.data)))
+            .collect();
+        let job = self.disk.lock().freeze(&images)?;
+        drop(images);
+        for cell in &mut dirty {
+            cell.dirty = false;
+        }
+        Ok(CapturedSync {
+            pool: self,
+            job: Some(job),
+        })
     }
 
     /// Recovery hook: allocates backend pages until `pid` exists, so WAL
@@ -625,6 +657,46 @@ impl std::fmt::Debug for BufferPool {
         f.debug_struct("BufferPool")
             .field("frames", &self.frames.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// Everything [`BufferPool::capture`] found unsynced, frozen and waiting to
+/// be written out. Dropping it without [`CapturedSync::flush`] hands the
+/// pages back to the backend as unsynced writes.
+#[must_use = "a captured sync is durable only once flushed"]
+pub struct CapturedSync<'a> {
+    pool: &'a BufferPool,
+    job: Option<Box<dyn FlushJob>>,
+}
+
+impl CapturedSync<'_> {
+    /// Writes the frozen pages out and fsyncs them — with no pool lock held,
+    /// so fetches, evictions and page writes go on meanwhile — then books
+    /// the outcome with the backend ([`DiskBackend::thaw`]).
+    pub fn flush(mut self) -> Result<(), StorageError> {
+        let Some(job) = self.job.take() else {
+            return Ok(());
+        };
+        let flushed = job.write_out();
+        self.pool.disk.lock().thaw(flushed)
+    }
+}
+
+impl Drop for CapturedSync<'_> {
+    fn drop(&mut self) {
+        if self.job.take().is_some() {
+            let abandoned = Err(StorageError::Io("captured sync abandoned".into()));
+            // The error is the one just made up: nothing to report.
+            let _ = self.pool.disk.lock().thaw(abandoned);
+        }
+    }
+}
+
+impl std::fmt::Debug for CapturedSync<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CapturedSync")
+            .field("flushed", &self.job.is_none())
+            .finish()
     }
 }
 
@@ -986,6 +1058,43 @@ mod tests {
         // Data still correct via a fresh read.
         let r = pool.fetch_read(pid).unwrap();
         assert_eq!(r[7], 9);
+    }
+
+    #[test]
+    fn a_captured_sync_flushes_the_cut_not_what_came_after() {
+        use crate::file_backend::FileBackend;
+        let mut path = std::env::temp_dir();
+        path.push(format!("aib-pool-{}-capture.heap", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let open = || FileBackend::open(&path, CostModel::free()).unwrap();
+        let pool = BufferPool::with_backend(Box::new(open()), BufferPoolConfig::lru(4));
+        let (a, mut w) = pool.new_page().unwrap();
+        w[0] = 1;
+        drop(w);
+        let (b, mut w) = pool.new_page().unwrap();
+        w[0] = 2;
+        drop(w);
+        let before = pool.stats().snapshot();
+        let captured = pool.capture().unwrap();
+        assert_eq!(pool.stats().snapshot().since(&before).page_writes, 2);
+        // Dirtied behind the cut: the next sync's business.
+        pool.fetch_write(a).unwrap()[0] = 9;
+        captured.flush().unwrap();
+        let file = |pid: PageId| {
+            let mut buf = [0u8; PAGE_SIZE];
+            open().read(pid, &mut buf).unwrap();
+            buf[0]
+        };
+        assert_eq!((file(a), file(b)), (1, 2));
+        assert_eq!(pool.fetch_read(a).unwrap()[0], 9);
+        // An abandoned capture hands its pages back; the sync after it
+        // writes them.
+        pool.fetch_write(b).unwrap()[0] = 8;
+        drop(pool.capture().unwrap());
+        assert_eq!((file(a), file(b)), (1, 2));
+        pool.sync().unwrap();
+        assert_eq!((file(a), file(b)), (9, 8));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -66,12 +66,35 @@ pub trait DiskBackend: Send {
     /// Number of allocated pages.
     fn num_pages(&self) -> usize;
 
+    /// Phase one of a sync — the only one that needs the backend exclusively.
+    /// Writes `dirty` (charged like [`DiskBackend::write`], page by page) and
+    /// detaches those images, together with everything written since the
+    /// previous sync, as a **frozen set**: a cut of the page space that later
+    /// writes do not touch and that reads keep seeing (where nothing newer
+    /// overlays it) until [`DiskBackend::thaw`]. The returned job makes the
+    /// set durable; it owns what it needs, so the caller runs it *after*
+    /// releasing whatever lock guards the backend. One sync at a time.
+    fn freeze(
+        &mut self,
+        dirty: &[(PageId, &[u8; PAGE_SIZE])],
+    ) -> Result<Box<dyn FlushJob>, StorageError>;
+
+    /// Phase three: books the outcome of the frozen set's [`FlushJob`]. On
+    /// `Ok` the set is durable and reads of it go to the medium again; on
+    /// `Err` its pages go back to being unsynced writes, to be retried by
+    /// the next sync. Returns `flushed`.
+    fn thaw(&mut self, flushed: Result<(), StorageError>) -> Result<(), StorageError>;
+
     /// Makes all writes since the previous `sync` durable (fsync for
-    /// file-backed implementations; a no-op for the simulation). Flush I/O
-    /// performed here is *not* charged to [`IoStats`] in either backend —
-    /// the simulated-time axis tracks the paper's read/write economics, not
-    /// checkpoint background I/O.
-    fn sync(&mut self) -> Result<(), StorageError>;
+    /// file-backed implementations; a no-op for the simulation): the three
+    /// phases back to back, for callers that hold the backend outright.
+    /// Flush I/O performed here is *not* charged to [`IoStats`] in either
+    /// backend — the simulated-time axis tracks the paper's read/write
+    /// economics, not checkpoint background I/O.
+    fn sync(&mut self) -> Result<(), StorageError> {
+        let flushed = self.freeze(&[])?.write_out();
+        self.thaw(flushed)
+    }
 
     /// The shared statistics sink; clones of this `Arc` observe all I/O.
     fn stats(&self) -> Arc<IoStats>;
@@ -83,6 +106,23 @@ pub trait DiskBackend: Send {
     /// reached the medium, emulating a crash mid-checkpoint. The default
     /// (and the simulation's) implementation ignores it.
     fn fail_next_sync(&mut self) {}
+}
+
+/// The off-lock half of a two-phase sync: what [`DiskBackend::freeze`] hands
+/// back.
+pub trait FlushJob: Send {
+    /// Writes the frozen pages to the medium and makes them durable. Takes
+    /// no lock and needs none: run it with none held.
+    fn write_out(&self) -> Result<(), StorageError>;
+}
+
+/// The job of a backend that is its own medium.
+struct NothingToFlush;
+
+impl FlushJob for NothingToFlush {
+    fn write_out(&self) -> Result<(), StorageError> {
+        Ok(())
+    }
 }
 
 /// One `(page id, destination)` request of a [`DiskBackend::read_batch`].
@@ -274,9 +314,19 @@ impl DiskBackend for DiskManager {
         DiskManager::num_pages(self)
     }
 
-    fn sync(&mut self) -> Result<(), StorageError> {
+    fn freeze(
+        &mut self,
+        dirty: &[(PageId, &[u8; PAGE_SIZE])],
+    ) -> Result<Box<dyn FlushJob>, StorageError> {
+        for (id, page) in dirty {
+            DiskManager::write(self, *id, page)?;
+        }
         // Nothing to persist: the simulation *is* its own medium.
-        Ok(())
+        Ok(Box::new(NothingToFlush))
+    }
+
+    fn thaw(&mut self, flushed: Result<(), StorageError>) -> Result<(), StorageError> {
+        flushed
     }
 
     fn stats(&self) -> Arc<IoStats> {

@@ -25,6 +25,7 @@ pub mod disk;
 pub mod error;
 pub mod file_backend;
 pub mod freespace;
+mod fsio;
 pub mod heap;
 pub mod page;
 pub mod replacement;
@@ -40,8 +41,10 @@ pub use budget::{
     entry_footprint, BudgetComponent, BudgetSnapshot, MemoryBudget, MemoryUsage,
     DEFAULT_ENTRY_FOOTPRINT, ENTRY_BASE_BYTES,
 };
-pub use buffer_pool::{BufferPool, BufferPoolConfig, PageReadGuard, PageWriteGuard, PinnedBatch};
-pub use disk::{CostModel, DiskBackend, DiskManager, PAGE_SIZE};
+pub use buffer_pool::{
+    BufferPool, BufferPoolConfig, CapturedSync, PageReadGuard, PageWriteGuard, PinnedBatch,
+};
+pub use disk::{CostModel, DiskBackend, DiskManager, FlushJob, PAGE_SIZE};
 pub use error::StorageError;
 pub use file_backend::FileBackend;
 pub use heap::HeapFile;
