@@ -43,7 +43,6 @@ fn main() {
     let buffer = BufferConfig {
         partition_pages: p,
         history_k: k,
-        ..Default::default()
     };
     let mut db = timed("populate db (3 indexed columns)", || {
         build_eval_db(

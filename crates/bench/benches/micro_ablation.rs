@@ -1,6 +1,5 @@
 //! Ablation study over the design choices the paper leaves open
-//! (DESIGN.md §6): partition size `P`, LRU-K depth `K`, and the buffer's
-//! backing structure (B+-tree vs. hash).
+//! (DESIGN.md §6): partition size `P` and LRU-K depth `K`.
 //!
 //! Each configuration runs the experiment-3 workload (three competing
 //! buffers, bounded space, shifting mix) at a reduced scale and reports the
@@ -8,7 +7,6 @@
 
 use aib_bench::{build_eval_db, engine_config_for, header, run_workload, timed};
 use aib_core::{BufferConfig, SpaceConfig};
-use aib_index::IndexBackend;
 use aib_storage::DEFAULT_ENTRY_FOOTPRINT;
 use aib_workload::{experiment3_queries, TableSpec, PAPER_QUERIES};
 
@@ -50,7 +48,7 @@ fn main() {
         None => TableSpec::scaled(100_000, 0xDA7A),
     };
     header(
-        "Ablation: partition size P, history depth K, buffer backend",
+        "Ablation: partition size P, history depth K",
         &format!("experiment-3 workload at rows={}", spec.rows),
     );
     println!("config,total_sim_us,mean_wall_us,final_entries_abc");
@@ -76,17 +74,6 @@ fn main() {
                 ..Default::default()
             },
             &format!("K={k}"),
-        );
-    }
-    // Backend: B+-tree vs hash (paper §III: either works).
-    for (backend, name) in [(IndexBackend::BTree, "btree"), (IndexBackend::Hash, "hash")] {
-        run_config(
-            &spec,
-            BufferConfig {
-                backend,
-                ..Default::default()
-            },
-            &format!("backend={name}"),
         );
     }
 }

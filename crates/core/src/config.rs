@@ -1,8 +1,6 @@
 //! Tuning knobs of the Index Buffer and the Index Buffer Space, named after
 //! the paper's parameters.
 
-use aib_index::IndexBackend;
-
 /// Per-Index-Buffer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferConfig {
@@ -11,9 +9,6 @@ pub struct BufferConfig {
     pub partition_pages: u32,
     /// `K` — length of the LRU-K access-interval history (paper Table II).
     pub history_k: usize,
-    /// Backing structure for partition entries (paper §III: B\*-tree by
-    /// default, hash possible).
-    pub backend: IndexBackend,
 }
 
 impl Default for BufferConfig {
@@ -26,7 +21,6 @@ impl Default for BufferConfig {
         BufferConfig {
             partition_pages: 10_000,
             history_k: 8,
-            backend: IndexBackend::BTree,
         }
     }
 }

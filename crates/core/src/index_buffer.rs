@@ -167,14 +167,14 @@ impl IndexBuffer {
     }
 
     /// Scans the buffer for tuples in `[lo, hi]` (range-query extension).
-    /// Returns `None` if any partition backend cannot scan ranges.
-    pub fn scan_range(&self, lo: &Value, hi: &Value) -> Option<Vec<Rid>> {
-        let mut rids = Vec::new();
-        for p in self.partitions.values() {
-            rids.extend(p.lookup_range(lo, hi)?);
-        }
+    pub fn scan_range(&self, lo: &Value, hi: &Value) -> Vec<Rid> {
+        let mut rids: Vec<Rid> = self
+            .partitions
+            .values()
+            .flat_map(|p| p.lookup_range(lo, hi))
+            .collect();
         rids.sort_unstable();
-        Some(rids)
+        rids
     }
 
     /// True if the exact entry exists in some partition.
@@ -213,11 +213,10 @@ impl IndexBuffer {
                 pid
             }
         };
-        let backend = self.config.backend;
         let partition = self
             .partitions
             .entry(pid)
-            .or_insert_with(|| Partition::new(pid, backend));
+            .or_insert_with(|| Partition::new(pid));
         (pid, partition)
     }
 
@@ -386,7 +385,6 @@ impl std::fmt::Debug for IndexBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aib_index::IndexBackend;
 
     fn buffer(p: u32) -> IndexBuffer {
         IndexBuffer::new(
@@ -395,7 +393,6 @@ mod tests {
             BufferConfig {
                 partition_pages: p,
                 history_k: 2,
-                backend: IndexBackend::BTree,
             },
         )
     }
@@ -444,7 +441,7 @@ mod tests {
     fn scan_range_extension() {
         let mut b = buffer(10);
         b.index_page(0, (0..10).map(|i| (v(i), Rid::new(0, i as u16))));
-        let rids = b.scan_range(&v(3), &v(5)).unwrap();
+        let rids = b.scan_range(&v(3), &v(5));
         assert_eq!(rids.len(), 3);
     }
 

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use aib_index::{IndexBackend, SecondaryIndex};
+use aib_index::BTreeIndex;
 use aib_storage::{MemoryUsage, Rid, Value};
 
 /// Identifier of a partition within its Index Buffer (monotonic).
@@ -55,7 +55,7 @@ pub fn page_range_chunks(
 /// One partition: a group of up to `P` buffered pages and their entries.
 pub struct Partition {
     id: PartitionId,
-    entries: Box<dyn SecondaryIndex>,
+    entries: BTreeIndex,
     /// Buffer entries per covered page — exactly the value `C[p]` must be
     /// restored to if this partition is dropped.
     per_page: HashMap<u32, u32>,
@@ -63,10 +63,10 @@ pub struct Partition {
 
 impl Partition {
     /// Creates an empty partition.
-    pub fn new(id: PartitionId, backend: IndexBackend) -> Self {
+    pub fn new(id: PartitionId) -> Self {
         Partition {
             id,
-            entries: backend.build(),
+            entries: BTreeIndex::new(),
             per_page: HashMap::new(),
         }
     }
@@ -147,8 +147,8 @@ impl Partition {
         self.entries.lookup(value)
     }
 
-    /// Range lookup, if the backend supports it.
-    pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Option<Vec<Rid>> {
+    /// Range lookup within this partition, in (value, rid) order.
+    pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Vec<Rid> {
         self.entries.lookup_range(lo, hi)
     }
 
@@ -163,17 +163,17 @@ impl Partition {
     }
 
     /// Visits every entry.
-    pub fn for_each(&self, f: &mut dyn FnMut(&Value, Rid)) {
+    pub fn for_each(&self, f: impl FnMut(&Value, Rid)) {
         self.entries.for_each(f);
     }
 }
 
 impl MemoryUsage for Partition {
-    /// Bytes resident in this partition's entries, as reported by the
-    /// backing index. The per-page restore counts are deliberately *not*
-    /// charged: they are bookkeeping the space manager keeps regardless of
-    /// budget pressure, and excluding them keeps the paper's entry bound
-    /// `L` exactly convertible to bytes for INTEGER columns.
+    /// Bytes resident in this partition's entries. The per-page restore
+    /// counts are deliberately *not* charged: they are bookkeeping the space
+    /// manager keeps regardless of budget pressure, and excluding them keeps
+    /// the paper's entry bound `L` exactly convertible to bytes for INTEGER
+    /// columns.
     fn footprint(&self) -> usize {
         self.entries.footprint()
     }
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn index_page_records_counts() {
-        let mut p = Partition::new(0, IndexBackend::BTree);
+        let mut p = Partition::new(0);
         let n = p.index_page(5, vec![(v(1), Rid::new(5, 0)), (v(2), Rid::new(5, 1))]);
         assert_eq!(n, 2);
         assert_eq!(p.pages_covered(), 1);
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn maintenance_entry_ops_track_per_page() {
-        let mut p = Partition::new(0, IndexBackend::BTree);
+        let mut p = Partition::new(0);
         p.index_page(3, vec![(v(10), Rid::new(3, 0))]);
         assert!(p.add_entry(v(11), Rid::new(3, 1), 3));
         assert!(!p.add_entry(v(11), Rid::new(3, 1), 3), "duplicate");
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "registered twice")]
     fn double_page_registration_panics() {
-        let mut p = Partition::new(0, IndexBackend::BTree);
+        let mut p = Partition::new(0);
         p.add_page(1, 1);
         p.add_page(1, 1);
     }
@@ -236,7 +236,7 @@ mod tests {
         // A page whose uncovered tuples were all deleted still counts as
         // covered with restore count 0: it stays skippable even after the
         // partition drops.
-        let mut p = Partition::new(0, IndexBackend::BTree);
+        let mut p = Partition::new(0);
         p.index_page(9, std::iter::empty());
         assert!(p.covers(9));
         assert_eq!(p.pages_covered(), 1);
@@ -281,12 +281,9 @@ mod tests {
 
     #[test]
     fn range_lookup_via_btree_backend() {
-        let mut p = Partition::new(0, IndexBackend::BTree);
+        let mut p = Partition::new(0);
         p.index_page(1, (0..10).map(|i| (v(i), Rid::new(1, i as u16))));
-        let rids = p.lookup_range(&v(2), &v(4)).unwrap();
+        let rids = p.lookup_range(&v(2), &v(4));
         assert_eq!(rids.len(), 3);
-
-        let hash = Partition::new(1, IndexBackend::Hash);
-        assert!(hash.lookup_range(&v(0), &v(1)).is_none());
     }
 }

@@ -457,27 +457,11 @@ pub fn indexing_scan(
 ///
 /// Public because the snapshot-planned path probes the live buffer under
 /// the space *read* latch (epoch-guarded) and must produce exactly the rid
-/// set the locked prepare would: all three routes below return the full
-/// sorted matching rid set, so the output is backend-independent.
+/// set the locked prepare would: the full sorted matching rid set.
 pub fn buffer_scan_rids(buffer: &IndexBuffer, predicate: &Predicate) -> Vec<Rid> {
     match predicate {
         Predicate::Equals(v) => buffer.scan_point(v),
-        Predicate::Between(lo, hi) => buffer.scan_range(lo, hi).unwrap_or_else(|| {
-            // Hash-backed buffers cannot range-scan; fall back to a full
-            // buffer sweep (still memory-only, no page I/O).
-            let mut rids = Vec::new();
-            for pid in buffer.partition_ids() {
-                if let Some(p) = buffer.partition(pid) {
-                    p.for_each(&mut |v, rid| {
-                        if predicate.matches(v) {
-                            rids.push(rid);
-                        }
-                    });
-                }
-            }
-            rids.sort_unstable();
-            rids
-        }),
+        Predicate::Between(lo, hi) => buffer.scan_range(lo, hi),
     }
 }
 

@@ -200,21 +200,6 @@ impl SharedSpace {
         rebuilt
     }
 
-    /// Defers one query's Table II events into every buffer's pending cell
-    /// (Table II touches all histories); the next write-side entry drains
-    /// them in order. Callers must not hold the space lock (the snapshot
-    /// may rebuild).
-    pub fn record_shared(&self, queried: Option<BufferId>, partial_hit: bool) {
-        let snapshot = self.space_snapshot();
-        for buffer in snapshot.buffers() {
-            if Some(buffer.id()) == queried && !partial_hit {
-                buffer.pending().defer(0, 1, 0);
-            } else {
-                buffer.pending().defer(1, 0, 0);
-            }
-        }
-    }
-
     /// Plans Algorithm 2's page selection for `target` read-only against a
     /// validated `snapshot`, returning `Some(pages)` exactly when the locked
     /// [`IndexBufferSpace::select_pages_for_buffer`] is *provably*

@@ -5,7 +5,6 @@
 //! and exact byte restoration to the memory governor.
 
 use aib_core::{BufferConfig, IndexBufferSpace, SpaceConfig};
-use aib_index::IndexBackend;
 use aib_storage::{BudgetComponent, MemoryUsage, Rid, Value, DEFAULT_ENTRY_FOOTPRINT};
 use proptest::prelude::*;
 
@@ -64,7 +63,6 @@ fn build(setup: &SpaceSetup) -> IndexBufferSpace {
         let cfg = BufferConfig {
             partition_pages: setup.partition_pages,
             history_k: 4,
-            backend: IndexBackend::BTree,
         };
         let id = space.register(format!("b{i}"), cfg, counts.clone());
         // Pre-index some pages (as earlier scans would have), while budget

@@ -60,7 +60,7 @@ use aib_core::{
     cover_tuple, maintain, uncover_tuple, BufferConfig, BufferId, IndexBufferSpace, Predicate,
     ScanStats, SharedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot, TupleRef,
 };
-use aib_index::{AdaptationCost, Coverage, IndexBackend, PagedIndex, PartialIndex};
+use aib_index::{AdaptationCost, Coverage, IndexBackend, PartialIndex};
 use aib_storage::stats::IoSnapshot;
 use aib_storage::{
     BudgetComponent, BudgetSnapshot, BufferPool, BufferPoolConfig, CostModel, DiskBackend,
@@ -151,11 +151,8 @@ pub(crate) struct IndexedColumn {
     pub(crate) partial: PartialIndex,
     pub(crate) buffer: Option<BufferId>,
     tuner: Option<OnlineTuner>,
-    /// Disk-resident backend: probe/maintenance I/O is real page traffic,
-    /// so no synthetic probe cost is charged.
-    pub(crate) paged: bool,
     /// The DDL-time definition as the WAL sees it: coverage set by
-    /// create/redefine (never by tuner adaptation), backend, buffer config.
+    /// create/redefine (never by tuner adaptation) and buffer config.
     /// Checkpoints snapshot this, so recovery reverts adaptation.
     logged: IndexDef,
 }
@@ -845,18 +842,14 @@ impl Database {
                 EngineError::Internal(format!("logged index column {ci} out of schema range"))
             })?;
         let name = format!("{}.{}", t.name, column_name);
-        let mut partial = if def.paged {
-            let index = PagedIndex::create(Arc::clone(&self.pool))?;
-            PartialIndex::with_index(name.clone(), def.coverage.clone(), Box::new(index))
-        } else {
-            PartialIndex::new(name.clone(), def.coverage.clone(), def.backend).with_cost(
+        let mut partial =
+            PartialIndex::new(name.clone(), def.coverage.clone(), IndexBackend::BTree).with_cost(
                 AdaptationCost::charged(
                     Arc::clone(&self.stats),
                     self.config.cost_model,
                     INDEX_ENTRIES_PER_PAGE,
                 ),
-            )
-        };
+            );
         let counts = populate_from_heap(&t.heap, ci, &mut partial)?;
         let buffer = def.buffer.map(|cfg| self.space.register(name, cfg, counts));
         Ok(IndexedColumn {
@@ -864,7 +857,6 @@ impl Database {
             partial,
             buffer,
             tuner: None,
-            paged: def.paged,
             logged: def,
         })
     }
@@ -1148,52 +1140,18 @@ impl Database {
     /// scanning the table to populate it, and — when `buffer` is given — an
     /// Index Buffer whose counters are initialised from the scan
     /// ("the array of all counters is initialized during the creation of
-    /// the partial index", paper §III).
+    /// the partial index", paper §III). The build is the same
+    /// populate-and-count scan recovery runs.
+    ///
+    /// `_backend` has one value and is kept only because the frozen
+    /// benchmark passes it (see [`IndexBackend`]).
     pub fn create_partial_index(
         &self,
         table: &str,
         column: &str,
         coverage: Coverage,
-        backend: IndexBackend,
+        _backend: IndexBackend,
         buffer: Option<BufferConfig>,
-    ) -> EngineResult<()> {
-        self.install_partial_index(table, column, coverage, backend, buffer, false)
-    }
-
-    /// Like [`Database::create_partial_index`], but the index is
-    /// **disk-resident**: a [`PagedIndex`] whose nodes flow through the same
-    /// buffer pool as the table's heap pages, so probe and maintenance I/O
-    /// is real page traffic rather than a synthetic charge. Integer columns
-    /// only.
-    pub fn create_paged_partial_index(
-        &self,
-        table: &str,
-        column: &str,
-        coverage: Coverage,
-        buffer: Option<BufferConfig>,
-    ) -> EngineResult<()> {
-        // The backend tag is meaningless for paged indexes (recovery
-        // recreates a PagedIndex); log the default.
-        self.install_partial_index(
-            table,
-            column,
-            coverage,
-            IndexBackend::default(),
-            buffer,
-            true,
-        )
-    }
-
-    /// Builds the index from the heap — the same populate-and-count scan
-    /// recovery runs — and logs its definition.
-    fn install_partial_index(
-        &self,
-        table: &str,
-        column: &str,
-        coverage: Coverage,
-        backend: IndexBackend,
-        buffer: Option<BufferConfig>,
-        paged: bool,
     ) -> EngineResult<()> {
         let mut catalog = self.catalog.write();
         let ti = catalog.table_index(table)?;
@@ -1204,9 +1162,7 @@ impl Database {
         let def = IndexDef {
             column: ci as u32,
             coverage,
-            backend,
             buffer,
-            paged,
         };
         let ic = self.build_index_from_heap(&catalog.tables[ti], def.clone())?;
         catalog.tables[ti].indexed.push(ic);

@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 
 use aib_core::BufferConfig;
-use aib_index::{Coverage, IndexBackend};
+use aib_index::Coverage;
 use aib_storage::{Column, ColumnType, PageId, Schema, StorageError, Value};
 
 /// Snapshot payload format version.
@@ -37,12 +37,8 @@ pub(crate) struct IndexDef {
     pub column: u32,
     /// DDL-time coverage (set by create/redefine, never by the tuner).
     pub coverage: Coverage,
-    /// Backing structure for an in-memory partial index.
-    pub backend: IndexBackend,
     /// Index Buffer configuration, when the column has one.
     pub buffer: Option<BufferConfig>,
-    /// Whether the index is disk-resident ([`aib_index::PagedIndex`]).
-    pub paged: bool,
 }
 
 /// Catalog image of one table inside a snapshot.
@@ -76,7 +72,7 @@ pub(crate) enum DdlOp {
         /// Table schema.
         schema: Schema,
     },
-    /// `create_partial_index` / `create_paged_partial_index`.
+    /// `create_partial_index`.
     CreateIndex {
         /// Catalog ordinal of the table.
         table: u32,
@@ -158,27 +154,28 @@ fn put_coverage(out: &mut Vec<u8>, coverage: &Coverage) {
     }
 }
 
-fn put_backend(out: &mut Vec<u8>, backend: IndexBackend) {
-    out.push(match backend {
-        IndexBackend::BTree => 0,
-        IndexBackend::Hash => 1,
-    });
-}
+/// The one value of the three bytes that used to select an index structure:
+/// the partial index's backend tag, the buffer's backend tag and the
+/// disk-resident ("paged") flag. Every index is a B+-tree in memory now; the
+/// bytes stay in the format (no `SNAPSHOT_VERSION` bump) so existing logs
+/// decode and every record keeps its length — the benchmark's byte counts
+/// repeat exactly.
+const BTREE_IN_MEMORY: u8 = 0;
 
 fn put_index_def(out: &mut Vec<u8>, def: &IndexDef) {
     put_u32(out, def.column);
     put_coverage(out, &def.coverage);
-    put_backend(out, def.backend);
+    out.push(BTREE_IN_MEMORY);
     match &def.buffer {
         None => out.push(0),
         Some(cfg) => {
             out.push(1);
             put_u32(out, cfg.partition_pages);
             put_u64(out, cfg.history_k as u64);
-            put_backend(out, cfg.backend);
+            out.push(BTREE_IN_MEMORY);
         }
     }
-    out.push(u8::from(def.paged));
+    out.push(BTREE_IN_MEMORY);
 }
 
 impl SnapshotImage {
@@ -406,12 +403,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn backend(&mut self) -> Result<IndexBackend, StorageError> {
+    /// Reads one of the three structure bytes (see [`BTREE_IN_MEMORY`]). A
+    /// log written when the hash or paged structure existed may carry 1.
+    fn removed_structure(&mut self, removed: &str) -> Result<(), StorageError> {
         match self.u8()? {
-            0 => Ok(IndexBackend::BTree),
-            1 => Ok(IndexBackend::Hash),
+            BTREE_IN_MEMORY => Ok(()),
             other => Err(StorageError::Corrupt(format!(
-                "unknown index backend tag {other}"
+                "index definition selects the removed {removed} (byte {other}); \
+                 only the in-memory B+-tree exists"
             ))),
         }
     }
@@ -419,17 +418,16 @@ impl<'a> Reader<'a> {
     fn index_def(&mut self) -> Result<IndexDef, StorageError> {
         let column = self.u32()?;
         let coverage = self.coverage()?;
-        let backend = self.backend()?;
+        self.removed_structure("hash index backend")?;
         let buffer = match self.u8()? {
             0 => None,
             1 => {
                 let partition_pages = self.u32()?;
                 let history_k = self.u64()? as usize;
-                let backend = self.backend()?;
+                self.removed_structure("hash buffer backend")?;
                 Some(BufferConfig {
                     partition_pages,
                     history_k,
-                    backend,
                 })
             }
             other => {
@@ -438,13 +436,11 @@ impl<'a> Reader<'a> {
                 )));
             }
         };
-        let paged = self.u8()? != 0;
+        self.removed_structure("paged (disk-resident) index")?;
         Ok(IndexDef {
             column,
             coverage,
-            backend,
             buffer,
-            paged,
         })
     }
 
@@ -474,13 +470,10 @@ mod tests {
                         IndexDef {
                             column: 0,
                             coverage: Coverage::IntRange { lo: -5, hi: 99 },
-                            backend: IndexBackend::BTree,
                             buffer: Some(BufferConfig {
                                 partition_pages: 128,
                                 history_k: 4,
-                                backend: IndexBackend::Hash,
                             }),
-                            paged: false,
                         },
                         IndexDef {
                             column: 1,
@@ -489,9 +482,7 @@ mod tests {
                                     .into_iter()
                                     .collect(),
                             ),
-                            backend: IndexBackend::Hash,
                             buffer: None,
-                            paged: true,
                         },
                     ],
                 },
@@ -525,9 +516,7 @@ mod tests {
                 def: IndexDef {
                     column: 0,
                     coverage: Coverage::All,
-                    backend: IndexBackend::BTree,
                     buffer: Some(BufferConfig::default()),
-                    paged: false,
                 },
             },
             DdlOp::DropIndex {

@@ -328,44 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_backend_end_to_end() {
-        let db = Database::new(config());
-        db.create_table("t", Schema::new(vec![Column::int("k")]))
-            .unwrap();
-        for i in 0..100 {
-            db.insert("t", &Tuple::new(vec![Value::Int(i)])).unwrap();
-        }
-        db.create_partial_index(
-            "t",
-            "k",
-            Coverage::IntRange { lo: 0, hi: 49 },
-            IndexBackend::Hash,
-            Some(BufferConfig {
-                backend: IndexBackend::Hash,
-                ..Default::default()
-            }),
-        )
-        .unwrap();
-        let (r, _) = db
-            .execute(&Query::point("t", "k", 25i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!((r.path, r.count()), (AccessPath::PartialIndex, 1));
-        let (r, _) = db
-            .execute(&Query::point("t", "k", 75i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!((r.path, r.count()), (AccessPath::BufferedScan, 1));
-        // Ranges on a hash partial index are never hits.
-        let (r, _) = db
-            .execute(&Query::range("t", "k", 10i64, 20i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.path, AccessPath::BufferedScan);
-        assert_eq!(r.count(), 11);
-    }
-
-    #[test]
     fn drop_partial_index_reverts_to_plain_scans() {
         let db = setup(200, 50);
         db.execute(&Query::point("t", "k", 150i64)).unwrap(); // warm buffer
@@ -510,86 +472,6 @@ mod tests {
             .filter(|(_, t)| t.get(0).unwrap().as_int() == Some(50))
             .count();
         assert_eq!(r.count(), expected);
-        db.check_space_invariants();
-    }
-
-    #[test]
-    fn paged_partial_index_end_to_end() {
-        // A disk-resident partial index: same semantics, real probe I/O.
-        let db = Database::new(EngineConfig {
-            pool_frames: 16,
-            cost_model: CostModel::default(),
-            space: SpaceConfig {
-                max_bytes: None,
-                i_max: 10_000,
-                seed: 7,
-            },
-            ..Default::default()
-        });
-        db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
-            .unwrap();
-        for i in 0..3_000 {
-            db.insert(
-                "t",
-                &Tuple::new(vec![Value::Int(i % 300), Value::from("q".repeat(60))]),
-            )
-            .unwrap();
-        }
-        db.create_paged_partial_index(
-            "t",
-            "k",
-            Coverage::IntRange { lo: 0, hi: 99 },
-            Some(BufferConfig::default()),
-        )
-        .unwrap();
-
-        // Covered point query: hit via the paged tree, probe I/O is real.
-        let (r, m) = db
-            .execute(&Query::point("t", "k", 50i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.path, AccessPath::PartialIndex);
-        assert_eq!(r.count(), 10);
-        assert!(m.io.page_reads > 0, "paged probe reads pages: {:?}", m.io);
-
-        // Covered range query works through lookup_range.
-        let (r, _) = db
-            .execute(&Query::range("t", "k", 10i64, 12i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.path, AccessPath::PartialIndex);
-        assert_eq!(r.count(), 30);
-
-        // Uncovered query: buffered scan, then skips.
-        let (r, _) = db
-            .execute(&Query::point("t", "k", 200i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.path, AccessPath::BufferedScan);
-        assert_eq!(r.count(), 10);
-        let (r, m) = db
-            .execute(&Query::point("t", "k", 250i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(m.scan.unwrap().pages_read, 0);
-        assert_eq!(r.count(), 10);
-
-        // DML maintains the paged tree.
-        let rid = db
-            .insert("t", &Tuple::new(vec![Value::Int(50), Value::from("new")]))
-            .unwrap();
-        let (r, _) = db
-            .execute(&Query::point("t", "k", 50i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.count(), 11);
-        assert!(r.rids.contains(&rid));
-        db.delete("t", rid).unwrap();
-        let (r, _) = db
-            .execute(&Query::point("t", "k", 50i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.count(), 10);
         db.check_space_invariants();
     }
 

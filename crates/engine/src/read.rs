@@ -325,8 +325,7 @@ impl Database {
             plan.indexed = true;
             plan.buffer = ic.buffer;
             // The one hit-vs-miss decision. A range is a hit only if
-            // coverage is complete AND the backend can range-scan (hash
-            // indexes cannot).
+            // coverage is complete over it.
             plan.hit = match predicate {
                 Predicate::Equals(v) => ic.partial.covers(v).then(|| ic.partial.lookup(v)),
                 Predicate::Between(lo, hi) => ic.partial.lookup_range(lo, hi),
@@ -423,8 +422,8 @@ impl Database {
             // Only a column with a partial index is a query Table II sees.
             access.on_query(plan.buffer, plan.hit.is_some());
         }
-        if let (Some(ic), Some(rids)) = (ic, plan.hit) {
-            self.charge_index_probe(ic.paged);
+        if let Some(rids) = plan.hit {
+            self.charge_index_probe();
             // Materialise results: the paper's "index scan" baseline
             // includes fetching the qualifying tuples from their pages.
             for &rid in &rids {
@@ -497,7 +496,7 @@ impl Database {
             // A straddling range also matches *covered* tuples, which live
             // in pages the sweep may have skipped — answer that fraction
             // from the partial index and deduplicate against scanned pages.
-            self.charge_index_probe(ic.paged);
+            self.charge_index_probe();
             rids.extend(ic.partial.entries_in(lo, hi));
             rids.sort_unstable();
             rids.dedup();
@@ -507,11 +506,9 @@ impl Database {
 
     /// Charges the simulated tree descent of one partial-index probe
     /// (in-memory partial indexes stand in for disk-resident ones; see
-    /// DESIGN.md §4). Paged indexes pay real page I/O instead.
-    fn charge_index_probe(&self, paged: bool) {
-        if !paged {
-            self.stats
-                .record_reads(INDEX_PROBE_PAGES, self.config.cost_model.read_us);
-        }
+    /// DESIGN.md §4).
+    fn charge_index_probe(&self) {
+        self.stats
+            .record_reads(INDEX_PROBE_PAGES, self.config.cost_model.read_us);
     }
 }

@@ -279,7 +279,7 @@ fn ddl_between_checkpoints_replays() {
             "b",
             "k",
             Coverage::All,
-            IndexBackend::Hash,
+            IndexBackend::BTree,
             Some(BufferConfig::default()),
         )
         .unwrap();
@@ -310,33 +310,97 @@ fn ddl_between_checkpoints_replays() {
     assert_eq!((r.path, r.count()), (AccessPath::PlainScan, 1));
 }
 
-#[test]
-fn paged_partial_index_rebuilds_on_reopen() {
-    let dir = TempDir::new("paged");
-    {
-        let db = Database::open(dir.path(), config()).unwrap();
-        db.create_table("t", schema()).unwrap();
-        for i in 0..120 {
-            db.insert("t", &tuple(i)).unwrap();
-        }
-        db.create_paged_partial_index(
-            "t",
-            "k",
-            Coverage::IntRange { lo: 0, hi: 59 },
-            Some(BufferConfig::default()),
-        )
-        .unwrap();
-        db.close().unwrap();
-    }
+/// An index definition as `durability.rs` lays it out — column 0,
+/// `Coverage::All`, a default-sized buffer — with the three bytes that used
+/// to select the hash backend (partial index, buffer) and the disk-resident
+/// paged tree set by the caller.
+fn index_def_bytes(backend: u8, buffer_backend: u8, paged: u8) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&0u32.to_le_bytes()); // column
+    out.push(1); // Coverage::All
+    out.push(backend);
+    out.push(1); // has a buffer
+    out.extend_from_slice(&10_000u32.to_le_bytes()); // P
+    out.extend_from_slice(&8u64.to_le_bytes()); // K
+    out.push(buffer_backend);
+    out.push(paged);
+    out
+}
 
-    let db = Database::open(dir.path(), config()).unwrap();
-    // Heap pages and (leaked, reallocated) index pages interleave in the
-    // file; the rescan must rebuild the paged index around the holes.
-    let r = db.execute(&Query::on("t", "k").eq(10i64)).unwrap().result;
-    assert_eq!((r.path, r.count()), (AccessPath::PartialIndex, 1));
-    let r = db.execute(&Query::on("t", "k").eq(100i64)).unwrap().result;
-    assert_eq!((r.path, r.count()), (AccessPath::BufferedScan, 1));
-    assert_eq!(db.table("t").unwrap().live_tuples(), 120);
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A log or snapshot written when the hash and paged structures existed may
+/// select them. Reopening it is an error that names what was removed — not
+/// a panic, not a silent B+-tree — and leaves both files as they were.
+#[test]
+fn a_log_selecting_a_removed_index_structure_fails_to_open() {
+    use aib_storage::{Wal, WalRecord};
+
+    // (backend, buffer backend, paged); the first row is the control that
+    // shows the hand-built bytes are otherwise a valid definition.
+    let cases = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)];
+    for (backend, buffer_backend, paged) in cases {
+        let def = index_def_bytes(backend, buffer_backend, paged);
+        for (form, rows) in [("ddl", 30), ("snapshot", 0)] {
+            let dir = TempDir::new("removed");
+            {
+                let db = Database::open(dir.path(), config()).unwrap();
+                db.create_table("t", schema()).unwrap();
+                for i in 0..rows {
+                    db.insert("t", &tuple(i)).unwrap();
+                }
+                db.close().unwrap();
+            }
+            let wal_path = dir.path().join("wal.log");
+            if form == "ddl" {
+                // A `CreateIndex` record behind the clean checkpoint of "t".
+                let mut ddl = vec![2u8]; // ddl_tag::CREATE_INDEX
+                ddl.extend_from_slice(&0u32.to_le_bytes()); // table ordinal
+                ddl.extend_from_slice(&def);
+                let mut wal = Wal::open(&wal_path).unwrap();
+                wal.append(&WalRecord::Ddl(ddl)).unwrap();
+            } else {
+                // The only index of the (empty) table "t" in a snapshot.
+                let mut snapshot = Vec::new();
+                snapshot.extend_from_slice(&1u32.to_le_bytes()); // SNAPSHOT_VERSION
+                snapshot.extend_from_slice(&1u32.to_le_bytes()); // tables
+                put_str(&mut snapshot, "t");
+                snapshot.extend_from_slice(&2u32.to_le_bytes()); // columns
+                put_str(&mut snapshot, "k");
+                snapshot.extend_from_slice(&[0, 0]); // Int, not nullable
+                put_str(&mut snapshot, "pad");
+                snapshot.extend_from_slice(&[1, 0]); // Str, not nullable
+                snapshot.extend_from_slice(&0u32.to_le_bytes()); // heap pages
+                snapshot.extend_from_slice(&1u32.to_le_bytes()); // indexes
+                snapshot.extend_from_slice(&def);
+                Wal::create(&wal_path, &WalRecord::Snapshot(snapshot)).unwrap();
+            }
+            let files = || {
+                (
+                    std::fs::read(&wal_path).unwrap(),
+                    std::fs::read(dir.path().join("heap.db")).unwrap(),
+                )
+            };
+            let before = files();
+            let case = format!("{form} ({backend}, {buffer_backend}, {paged})");
+
+            match Database::open(dir.path(), config()) {
+                Ok(db) => {
+                    assert_eq!((backend, buffer_backend, paged), (0, 0, 0), "{case}");
+                    assert_eq!(db.coverage("t", "k"), Some(Coverage::All), "{case}");
+                    assert_eq!(buffer_names(&db), ["t.k"], "{case}");
+                }
+                Err(e) => {
+                    assert_ne!((backend, buffer_backend, paged), (0, 0, 0), "{case}: {e}");
+                    assert!(e.to_string().contains("removed"), "{case}: {e}");
+                    assert_eq!(files(), before, "{case}: a refused open wrote");
+                }
+            }
+        }
+    }
 }
 
 #[test]

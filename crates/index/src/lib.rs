@@ -4,8 +4,8 @@
 //!
 //! * [`btree::BPlusTree`] — a from-scratch B+-tree (the "B\*-Tree" the
 //!   paper builds on), with range scans and structural invariant checking.
-//! * [`secondary`] — the [`secondary::SecondaryIndex`] multi-map abstraction
-//!   with B+-tree and hash backends (paper §III offers both).
+//! * [`secondary`] — [`secondary::BTreeIndex`], the `(value, rid)` multi-map
+//!   on that tree which partial indexes and buffer partitions store into.
 //! * [`coverage`] / [`partial`] — partial secondary indexes over value
 //!   coverage predicates (paper §II), including adaptation operations with
 //!   simulated I/O cost (paper §I's "index adaptation is not for free").
@@ -17,7 +17,6 @@ pub mod btree;
 pub mod cost;
 pub mod coverage;
 pub mod key;
-pub mod paged;
 pub mod partial;
 pub mod secondary;
 
@@ -25,6 +24,5 @@ pub use btree::BPlusTree;
 pub use cost::AdaptationCost;
 pub use coverage::Coverage;
 pub use key::EntryKey;
-pub use paged::{PagedBTree, PagedIndex, PagedKey};
 pub use partial::PartialIndex;
-pub use secondary::{BTreeIndex, HashIndex, IndexBackend, SecondaryIndex};
+pub use secondary::{BTreeIndex, IndexBackend};

@@ -1,57 +1,24 @@
-//! The secondary-index abstraction shared by partial indexes and Index
-//! Buffer partitions.
+//! The entry store shared by partial indexes and Index Buffer partitions:
+//! a multi-map from column values to record ids on the B+-tree.
 //!
-//! Paper §III: "The Index Buffer builds on a normal B\*-Tree. Main
-//! memory-optimized index structures such as the CSB+-Tree or a hash table
-//! can be used too. Which particular index structure is used is not
-//! essential for the general idea." This trait is that seam: the B+-tree
-//! backend supports range scans; the hash backend trades them for O(1)
-//! point lookups.
+//! Paper §III: "The Index Buffer builds on a normal B\*-Tree. [...] Which
+//! particular index structure is used is not essential for the general
+//! idea." One structure is therefore all this crate carries; the hash and
+//! disk-resident alternatives were measured and deleted (DESIGN.md §6).
 
 use aib_storage::{entry_footprint, MemoryUsage, Rid, Value};
 
 use crate::btree::BPlusTree;
 use crate::key::EntryKey;
-use std::collections::HashMap;
 
-/// A multi-map from column values to record ids.
+/// A multi-map from column values to record ids, ordered by `(value, rid)`.
 ///
-/// Every backend reports a byte-accurate [`MemoryUsage::footprint`] so the
-/// memory governor can charge resident entries against the shared budget:
-/// memory-resident backends account [`entry_footprint`] bytes per entry;
-/// disk-resident backends (the paged B+-tree) report zero here because
-/// their pages are already charged to the buffer-pool component while
-/// cached.
-/// Backends must be `Send + Sync`: the engine shares tables (and therefore
-/// their partial indexes) across client threads behind a catalog `RwLock`,
-/// and concurrent read queries probe indexes through `&self`.
-pub trait SecondaryIndex: MemoryUsage + Send + Sync {
-    /// Adds an entry. Returns `false` if it was already present.
-    fn add(&mut self, value: Value, rid: Rid) -> bool;
-    /// Removes an entry. Returns `false` if it was not present.
-    fn remove(&mut self, value: &Value, rid: Rid) -> bool;
-    /// True if the exact entry exists.
-    fn contains(&self, value: &Value, rid: Rid) -> bool;
-    /// All rids recorded for `value`, in rid order.
-    fn lookup(&self, value: &Value) -> Vec<Rid>;
-    /// Rids for all values in `[lo, hi]`, in (value, rid) order.
-    /// Returns `None` if the backend cannot scan ranges.
-    fn lookup_range(&self, lo: &Value, hi: &Value) -> Option<Vec<Rid>>;
-    /// Number of entries.
-    fn len(&self) -> usize;
-    /// True when no entries are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Removes all entries.
-    fn clear(&mut self);
-    /// Visits every entry in backend order.
-    fn for_each(&self, f: &mut dyn FnMut(&Value, Rid));
-    /// Backend name for diagnostics.
-    fn backend_name(&self) -> &'static str;
-}
-
-/// B+-tree-backed secondary index (the paper's default).
+/// Reports a byte-accurate [`MemoryUsage::footprint`] —
+/// [`entry_footprint`] bytes per entry — so the memory governor can charge
+/// resident entries against the shared budget. `Send + Sync`: the engine
+/// shares tables (and therefore their partial indexes) across client
+/// threads behind a catalog `RwLock`, and concurrent read queries probe
+/// indexes through `&self`.
 #[derive(Debug, Default)]
 pub struct BTreeIndex {
     tree: BPlusTree<EntryKey, ()>,
@@ -59,29 +26,13 @@ pub struct BTreeIndex {
 }
 
 impl BTreeIndex {
-    /// An empty B+-tree index with the default order.
+    /// An empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty B+-tree index with the given node order (fanout knob for the
-    /// CSB-style cache ablation).
-    pub fn with_order(order: usize) -> Self {
-        BTreeIndex {
-            tree: BPlusTree::with_order(order),
-            bytes: 0,
-        }
-    }
-}
-
-impl MemoryUsage for BTreeIndex {
-    fn footprint(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl SecondaryIndex for BTreeIndex {
-    fn add(&mut self, value: Value, rid: Rid) -> bool {
+    /// Adds an entry. Returns `false` if it was already present.
+    pub fn add(&mut self, value: Value, rid: Rid) -> bool {
         let bytes = entry_footprint(&value);
         let inserted = self.tree.insert(EntryKey::new(value, rid), ()).is_none();
         if inserted {
@@ -90,7 +41,8 @@ impl SecondaryIndex for BTreeIndex {
         inserted
     }
 
-    fn remove(&mut self, value: &Value, rid: Rid) -> bool {
+    /// Removes an entry. Returns `false` if it was not present.
+    pub fn remove(&mut self, value: &Value, rid: Rid) -> bool {
         let removed = self
             .tree
             .remove(&EntryKey::new(value.clone(), rid))
@@ -101,252 +53,140 @@ impl SecondaryIndex for BTreeIndex {
         removed
     }
 
-    fn contains(&self, value: &Value, rid: Rid) -> bool {
+    /// True if the exact entry exists.
+    pub fn contains(&self, value: &Value, rid: Rid) -> bool {
         self.tree.contains_key(&EntryKey::new(value.clone(), rid))
     }
 
-    fn lookup(&self, value: &Value) -> Vec<Rid> {
-        let lo = EntryKey::min_for(value.clone());
-        let hi = EntryKey::max_for(value.clone());
+    /// All rids recorded for `value`, in rid order.
+    pub fn lookup(&self, value: &Value) -> Vec<Rid> {
+        self.lookup_range(value, value)
+    }
+
+    /// Rids for all values in `[lo, hi]`, in (value, rid) order.
+    pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Vec<Rid> {
+        let lo = EntryKey::min_for(lo.clone());
+        let hi = EntryKey::max_for(hi.clone());
         self.tree.range(&lo, &hi).map(|(k, _)| k.rid).collect()
     }
 
-    fn lookup_range(&self, lo: &Value, hi: &Value) -> Option<Vec<Rid>> {
-        let lo = EntryKey::min_for(lo.clone());
-        let hi = EntryKey::max_for(hi.clone());
-        Some(self.tree.range(&lo, &hi).map(|(k, _)| k.rid).collect())
-    }
-
-    fn len(&self) -> usize {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.tree.len()
     }
 
-    fn clear(&mut self) {
+    /// True when no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Removes all entries.
+    pub fn clear(&mut self) {
         self.tree.clear();
         self.bytes = 0;
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(&Value, Rid)) {
+    /// Visits every entry in (value, rid) order.
+    pub fn for_each(&self, mut f: impl FnMut(&Value, Rid)) {
         for (k, ()) in self.tree.iter() {
             f(&k.value, k.rid);
         }
     }
-
-    fn backend_name(&self) -> &'static str {
-        "btree"
-    }
 }
 
-/// Hash-backed secondary index: O(1) point lookups, no range scans.
-#[derive(Debug, Default)]
-pub struct HashIndex {
-    map: HashMap<Value, Vec<Rid>>,
-    len: usize,
-    bytes: usize,
-}
-
-impl HashIndex {
-    /// An empty hash index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MemoryUsage for HashIndex {
+impl MemoryUsage for BTreeIndex {
     fn footprint(&self) -> usize {
         self.bytes
     }
 }
 
-impl SecondaryIndex for HashIndex {
-    fn add(&mut self, value: Value, rid: Rid) -> bool {
-        let bytes = entry_footprint(&value);
-        let rids = self.map.entry(value).or_default();
-        match rids.binary_search(&rid) {
-            Ok(_) => false,
-            Err(i) => {
-                rids.insert(i, rid);
-                self.len += 1;
-                self.bytes += bytes;
-                true
-            }
-        }
-    }
-
-    fn remove(&mut self, value: &Value, rid: Rid) -> bool {
-        let Some(rids) = self.map.get_mut(value) else {
-            return false;
-        };
-        match rids.binary_search(&rid) {
-            Ok(i) => {
-                rids.remove(i);
-                if rids.is_empty() {
-                    self.map.remove(value);
-                }
-                self.len -= 1;
-                self.bytes -= entry_footprint(value);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn contains(&self, value: &Value, rid: Rid) -> bool {
-        self.map
-            .get(value)
-            .is_some_and(|rids| rids.binary_search(&rid).is_ok())
-    }
-
-    fn lookup(&self, value: &Value) -> Vec<Rid> {
-        self.map.get(value).cloned().unwrap_or_default()
-    }
-
-    fn lookup_range(&self, _lo: &Value, _hi: &Value) -> Option<Vec<Rid>> {
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.len = 0;
-        self.bytes = 0;
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Value, Rid)) {
-        for (v, rids) in &self.map {
-            for &rid in rids {
-                f(v, rid);
-            }
-        }
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "hash"
-    }
-}
-
-/// Which backend to construct, where a choice is exposed.
+/// The structure behind a partial index. One variant: every index is a
+/// [`BTreeIndex`]. The enum survives only as the argument the frozen
+/// benchmark (`e2e/`) still passes to `PartialIndex::new` and
+/// `Database::create_partial_index`; ROADMAP item 6's benchmark PR drops
+/// the argument and this type with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexBackend {
-    /// B+-tree (paper default; supports range scans).
+    /// B+-tree (the paper's structure).
     #[default]
     BTree,
-    /// Hash table (paper §III alternative; point lookups only).
-    Hash,
-}
-
-impl IndexBackend {
-    /// Instantiates an empty index of this backend.
-    pub fn build(self) -> Box<dyn SecondaryIndex> {
-        match self {
-            IndexBackend::BTree => Box::new(BTreeIndex::new()),
-            IndexBackend::Hash => Box::new(HashIndex::new()),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn backends() -> Vec<Box<dyn SecondaryIndex>> {
-        vec![Box::new(BTreeIndex::new()), Box::new(HashIndex::new())]
-    }
-
     #[test]
-    fn add_lookup_remove_all_backends() {
-        for mut ix in backends() {
-            let v = Value::Int(5);
-            assert!(ix.add(v.clone(), Rid::new(1, 1)));
-            assert!(ix.add(v.clone(), Rid::new(1, 2)));
-            assert!(ix.add(v.clone(), Rid::new(0, 9)));
-            assert!(!ix.add(v.clone(), Rid::new(1, 1)), "duplicate rejected");
-            assert_eq!(ix.len(), 3, "{}", ix.backend_name());
-            assert_eq!(
-                ix.lookup(&v),
-                vec![Rid::new(0, 9), Rid::new(1, 1), Rid::new(1, 2)],
-                "rid order ({})",
-                ix.backend_name()
-            );
-            assert!(ix.contains(&v, Rid::new(1, 2)));
-            assert!(!ix.contains(&v, Rid::new(9, 9)));
-            assert!(ix.remove(&v, Rid::new(1, 1)));
-            assert!(!ix.remove(&v, Rid::new(1, 1)));
-            assert_eq!(ix.len(), 2);
-            assert_eq!(ix.lookup(&Value::Int(6)), vec![]);
-        }
+    fn add_lookup_remove() {
+        let mut ix = BTreeIndex::new();
+        let v = Value::Int(5);
+        assert!(ix.add(v.clone(), Rid::new(1, 1)));
+        assert!(ix.add(v.clone(), Rid::new(1, 2)));
+        assert!(ix.add(v.clone(), Rid::new(0, 9)));
+        assert!(!ix.add(v.clone(), Rid::new(1, 1)), "duplicate rejected");
+        assert_eq!(ix.len(), 3);
+        assert_eq!(
+            ix.lookup(&v),
+            vec![Rid::new(0, 9), Rid::new(1, 1), Rid::new(1, 2)],
+            "rid order"
+        );
+        assert!(ix.contains(&v, Rid::new(1, 2)));
+        assert!(!ix.contains(&v, Rid::new(9, 9)));
+        assert!(ix.remove(&v, Rid::new(1, 1)));
+        assert!(!ix.remove(&v, Rid::new(1, 1)));
+        assert_eq!(ix.len(), 2);
+        assert_eq!(ix.lookup(&Value::Int(6)), vec![]);
     }
 
     #[test]
     fn duplicate_values_isolated_per_value() {
-        for mut ix in backends() {
-            ix.add(Value::Int(1), Rid::new(0, 0));
-            ix.add(Value::Int(2), Rid::new(0, 1));
-            assert_eq!(ix.lookup(&Value::Int(1)).len(), 1);
-            assert_eq!(ix.lookup(&Value::Int(2)).len(), 1);
-        }
+        let mut ix = BTreeIndex::new();
+        ix.add(Value::Int(1), Rid::new(0, 0));
+        ix.add(Value::Int(2), Rid::new(0, 1));
+        assert_eq!(ix.lookup(&Value::Int(1)).len(), 1);
+        assert_eq!(ix.lookup(&Value::Int(2)).len(), 1);
     }
 
     #[test]
     fn range_lookup_btree_only() {
-        let mut bt = BTreeIndex::new();
+        let mut ix = BTreeIndex::new();
         for i in 0..10 {
-            bt.add(Value::Int(i), Rid::new(i as u32, 0));
+            ix.add(Value::Int(i), Rid::new(i as u32, 0));
         }
-        let rids = bt.lookup_range(&Value::Int(3), &Value::Int(6)).unwrap();
+        let rids = ix.lookup_range(&Value::Int(3), &Value::Int(6));
         assert_eq!(rids, (3..=6).map(|i| Rid::new(i, 0)).collect::<Vec<_>>());
-
-        let hash = HashIndex::new();
-        assert!(hash.lookup_range(&Value::Int(0), &Value::Int(9)).is_none());
     }
 
     #[test]
     fn clear_and_for_each() {
-        for mut ix in backends() {
-            for i in 0..20 {
-                ix.add(Value::Int(i % 5), Rid::new(i as u32, 0));
-            }
-            let mut n = 0;
-            ix.for_each(&mut |_, _| n += 1);
-            assert_eq!(n, 20);
-            ix.clear();
-            assert!(ix.is_empty());
-            let mut n = 0;
-            ix.for_each(&mut |_, _| n += 1);
-            assert_eq!(n, 0);
+        let mut ix = BTreeIndex::new();
+        for i in 0..20 {
+            ix.add(Value::Int(i % 5), Rid::new(i as u32, 0));
         }
+        let mut n = 0;
+        ix.for_each(|_, _| n += 1);
+        assert_eq!(n, 20);
+        ix.clear();
+        assert!(ix.is_empty());
+        let mut n = 0;
+        ix.for_each(|_, _| n += 1);
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn footprint_tracks_entry_bytes_exactly() {
-        for mut ix in backends() {
-            assert_eq!(ix.footprint(), 0);
-            ix.add(Value::Int(7), Rid::new(0, 0));
-            ix.add(Value::Int(7), Rid::new(0, 1));
-            ix.add(Value::from("ORD"), Rid::new(1, 0));
-            assert!(!ix.add(Value::Int(7), Rid::new(0, 0)), "duplicate free");
-            let int_bytes = entry_footprint(&Value::Int(7));
-            let str_bytes = entry_footprint(&Value::from("ORD"));
-            assert_eq!(
-                ix.footprint(),
-                2 * int_bytes + str_bytes,
-                "{}",
-                ix.backend_name()
-            );
-            ix.remove(&Value::Int(7), Rid::new(0, 1));
-            assert_eq!(ix.footprint(), int_bytes + str_bytes);
-            ix.clear();
-            assert_eq!(ix.footprint(), 0);
-        }
-    }
-
-    #[test]
-    fn backend_enum_builds() {
-        assert_eq!(IndexBackend::BTree.build().backend_name(), "btree");
-        assert_eq!(IndexBackend::Hash.build().backend_name(), "hash");
-        assert_eq!(IndexBackend::default(), IndexBackend::BTree);
+        let mut ix = BTreeIndex::new();
+        assert_eq!(ix.footprint(), 0);
+        ix.add(Value::Int(7), Rid::new(0, 0));
+        ix.add(Value::Int(7), Rid::new(0, 1));
+        ix.add(Value::from("ORD"), Rid::new(1, 0));
+        assert!(!ix.add(Value::Int(7), Rid::new(0, 0)), "duplicate free");
+        let int_bytes = entry_footprint(&Value::Int(7));
+        let str_bytes = entry_footprint(&Value::from("ORD"));
+        assert_eq!(ix.footprint(), 2 * int_bytes + str_bytes);
+        ix.remove(&Value::Int(7), Rid::new(0, 1));
+        assert_eq!(ix.footprint(), int_bytes + str_bytes);
+        ix.clear();
+        assert_eq!(ix.footprint(), 0);
     }
 }

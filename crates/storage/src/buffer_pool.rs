@@ -624,10 +624,10 @@ impl BufferPool {
 
     /// Recovery hook: allocates backend pages until `pid` exists, so WAL
     /// replay can address the exact page ids the pre-crash execution used
-    /// even when intervening ids belonged to non-heap (e.g. paged-index)
-    /// pages that recovery does not rebuild. Skipped ids stay zeroed — a
-    /// valid empty slotted page — and simply leak; the recovery-free
-    /// contract trades that slack for not logging adaptation state.
+    /// even when intervening ids belong to pages this heap does not own
+    /// (another table's, or allocated before the crash and never logged).
+    /// Skipped ids stay zeroed — a valid empty slotted page — until some
+    /// heap adopts them.
     pub fn ensure_page(&self, pid: PageId) -> Result<(), StorageError> {
         let mut disk = self.disk.lock();
         while disk.num_pages() <= pid.index() {

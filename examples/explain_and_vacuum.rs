@@ -1,12 +1,12 @@
 //! Operational tooling around the Index Buffer: `explain` (what would this
-//! query cost right now?), vacuum (drain sparse pages through full Table I
-//! maintenance), and a disk-resident paged partial index.
+//! query cost right now?) and vacuum (drain sparse pages through full Table I
+//! maintenance).
 //!
 //! Run with `cargo run --release --example explain_and_vacuum`.
 
 use aib_core::BufferConfig;
 use aib_engine::{Database, EngineConfig, Query};
-use aib_index::Coverage;
+use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, Schema, Tuple, Value};
 
 fn main() {
@@ -29,12 +29,11 @@ fn main() {
         )
         .unwrap();
     }
-    // A *disk-resident* partial index: its nodes share the buffer pool with
-    // the table, so probes cost real page I/O.
-    db.create_paged_partial_index(
+    db.create_partial_index(
         "events",
         "kind",
         Coverage::IntRange { lo: 0, hi: 99 },
+        IndexBackend::BTree,
         Some(BufferConfig::default()),
     )
     .unwrap();

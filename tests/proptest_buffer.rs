@@ -141,7 +141,7 @@ fn truth(db: &Database, col: &str, value: i64) -> Vec<Rid> {
     rids
 }
 
-fn run_case(db: Database, mut rids: Vec<Rid>, ops: Vec<Op>, bound: Option<usize>) {
+fn run_case(db: &Database, mut rids: Vec<Rid>, ops: Vec<Op>, bound: Option<usize>) {
     // Paper §IV: the bound is enforced *before a table scan adds entries*;
     // DML maintenance (Table I B.Add) may transiently exceed it. Each
     // insert/update can add at most one entry per indexed column.
@@ -180,7 +180,7 @@ fn run_case(db: Database, mut rids: Vec<Rid>, ops: Vec<Op>, bound: Option<usize>
                 let (r, m) = db.execute(&Query::point("t", col, v)).unwrap().into_parts();
                 let mut got = r.rids.clone();
                 got.sort_unstable();
-                assert_eq!(got, truth(&db, col, v), "query {col}={v}");
+                assert_eq!(got, truth(db, col, v), "query {col}={v}");
                 if let Some(bound) = bound {
                     let total: usize = m.buffer_entries.iter().sum();
                     assert!(
@@ -190,7 +190,7 @@ fn run_case(db: Database, mut rids: Vec<Rid>, ops: Vec<Op>, bound: Option<usize>
                 }
             }
         }
-        check_skippability(&db);
+        check_skippability(db);
     }
     db.check_space_invariants();
 }
@@ -202,7 +202,7 @@ proptest! {
     #[test]
     fn invariants_hold_unlimited(ops in prop::collection::vec(op(), 1..60)) {
         let (db, rids) = build(150, None);
-        run_case(db, rids, ops, None);
+        run_case(&db, rids, ops, None);
     }
 
     /// Tight space bound: constant displacement; invariants and result
@@ -213,6 +213,33 @@ proptest! {
     #[test]
     fn invariants_hold_with_displacement(ops in prop::collection::vec(op(), 1..60)) {
         let (db, rids) = build(150, Some(60));
-        run_case(db, rids, ops, Some(60));
+        run_case(&db, rids, ops, Some(60));
+    }
+
+    /// A range probe of the buffer returns exactly the entries a walk of
+    /// every partition finds in `[lo, hi]`, in rid order.
+    #[test]
+    fn scan_range_equals_the_filter_over_every_entry(
+        ops in prop::collection::vec(op(), 1..60),
+        a in 1..=DOMAIN,
+        b in 1..=DOMAIN,
+    ) {
+        let (db, rids) = build(150, None);
+        run_case(&db, rids, ops, None);
+        let (lo, hi) = (Value::Int(a.min(b)), Value::Int(a.max(b)));
+        for col in ["a", "b"] {
+            let space = db.space();
+            let buffer = space.buffer(db.buffer_id("t", col).unwrap());
+            let mut want = Vec::new();
+            for pid in buffer.partition_ids() {
+                buffer.partition(pid).unwrap().for_each(|v, rid| {
+                    if (&lo..=&hi).contains(&v) {
+                        want.push(rid);
+                    }
+                });
+            }
+            want.sort_unstable();
+            prop_assert_eq!(buffer.scan_range(&lo, &hi), want, "col {}", col);
+        }
     }
 }
