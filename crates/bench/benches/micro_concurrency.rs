@@ -63,9 +63,6 @@ fn build_fraction(
         pool_frames,
         cost_model: cost,
         io_wait,
-        // Client threads are the parallelism under test: one sweep worker
-        // per query, what the committed recordings ran with.
-        scan_threads: 1,
         space: SpaceConfig {
             max_bytes: Some(0),
             i_max: 1_000_000,

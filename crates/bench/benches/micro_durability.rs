@@ -59,7 +59,6 @@ impl Drop for TempDir {
 fn config(window_us: u64) -> EngineConfig {
     EngineConfig {
         pool_frames: 1024,
-        scan_threads: 1,
         group_commit_wait_us: window_us,
         // Keep periodic rotation out of the measurement.
         wal_checkpoint_interval: u64::MAX,

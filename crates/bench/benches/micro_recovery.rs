@@ -58,7 +58,6 @@ impl Drop for TempDir {
 fn config() -> EngineConfig {
     EngineConfig {
         pool_frames: 1024,
-        scan_threads: 1,
         // Keep periodic rotation out of the measurement: the crash fixture
         // wants every post-checkpoint record still in the log.
         wal_checkpoint_interval: u64::MAX,

@@ -400,8 +400,7 @@ impl PageCounters {
     /// A point-in-time skippability snapshot sized to exactly `num_pages`
     /// (the heap's page count at scan start): tracked zero-counter pages are
     /// set, everything else — including pages the counters do not track —
-    /// is clear. Every sweep worker reads this one snapshot, which is what
-    /// keeps the scan bit-for-bit the same at any worker count.
+    /// is clear.
     pub fn skip_snapshot(&self, num_pages: u32) -> SkipBitset {
         self.skip.resized(num_pages)
     }

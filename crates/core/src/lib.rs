@@ -12,10 +12,8 @@
 //!   page (§III).
 //! * [`scan::indexing_scan`] — Algorithm 1: scan the buffer, skip
 //!   `C[p] == 0` pages, index selected pages as you pass them. It is the
-//!   one-worker composition of [`scan::prepare_scan`], [`scan::sweep_plan`]
-//!   (read-only discovery over partition-aligned page chunks, on any number
-//!   of workers) and [`scan::apply_staged`] (the sequential, ordered
-//!   mutation); the result is bit-for-bit the same at any worker count.
+//!   composition of [`scan::prepare_scan`], [`scan::scan_chunk`] (read-only
+//!   discovery, no lock) and [`scan::apply_staged`] (the ordered mutation).
 //! * [`index_buffer::IndexBuffer`] / [`partition::Partition`] — the
 //!   partitioned scratch-pad itself (§IV, Fig. 5); displacement drops whole
 //!   partitions and restores counters exactly.
@@ -85,11 +83,11 @@ pub use index_buffer::{BufferId, DroppedPartition, IndexBuffer};
 #[cfg(feature = "invariant-checks")]
 pub use invariants::{verify_buffer, verify_space, GroundTruth, InvariantReport};
 pub use maintenance::{cover_tuple, maintain, uncover_tuple, MaintAction, TupleRef};
-pub use partition::{page_range_chunks, Partition, PartitionId};
+pub use partition::{Partition, PartitionId};
 pub use scan::{
     apply_staged, buffer_scan_rids, indexing_scan, planned_scan_threads, prepare_scan,
     prepare_scan_from_snapshot, scan_chunk, sweep_plan, ChunkResult, CompiledPredicate, Predicate,
-    ScanPlan, ScanPrep, ScanStats, StagedPage, CHUNKS_PER_THREAD, MIN_PAGES_PER_THREAD,
+    ScanPlan, ScanPrep, ScanStats, StagedPage,
 };
 pub use shared::{BufferSummary, SharedSpace, SnapshotCache, SpaceSnapshot, SpaceWriteGuard};
 pub use space::{BenefitPolicy, BufferPending, Displacement, IndexBufferSpace, Selection};

@@ -13,44 +13,12 @@
 //! pages' `C[p]` counters exactly.
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use aib_index::BTreeIndex;
 use aib_storage::{MemoryUsage, Rid, Value};
 
 /// Identifier of a partition within its Index Buffer (monotonic).
 pub type PartitionId = u64;
-
-/// Splits `num_pages` table pages into contiguous page-range chunks for a
-/// parallel indexing scan.
-///
-/// Chunks are **partition-aligned**: no chunk is larger than
-/// `partition_pages` (`P`), so the pages one chunk stages for the buffer
-/// never exceed one partition's capacity. Below that cap, the chunk size
-/// shrinks until at least `min_chunks` chunks exist (when the table has that
-/// many pages), giving the worker pool enough pieces to balance load.
-///
-/// The ranges are returned in ascending page order and exactly cover
-/// `0..num_pages`; an empty table yields no chunks.
-pub fn page_range_chunks(
-    num_pages: u32,
-    partition_pages: u32,
-    min_chunks: usize,
-) -> Vec<Range<u32>> {
-    if num_pages == 0 {
-        return Vec::new();
-    }
-    let target = num_pages.div_ceil(min_chunks.max(1) as u32);
-    let chunk = target.clamp(1, partition_pages.max(1));
-    let mut out = Vec::with_capacity(num_pages.div_ceil(chunk) as usize);
-    let mut start = 0;
-    while start < num_pages {
-        let end = (start + chunk).min(num_pages);
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
 
 /// One partition: a group of up to `P` buffered pages and their entries.
 pub struct Partition {
@@ -241,42 +209,6 @@ mod tests {
         assert!(p.covers(9));
         assert_eq!(p.pages_covered(), 1);
         assert_eq!(p.num_entries(), 0);
-    }
-
-    #[test]
-    fn page_range_chunks_cover_exactly_and_stay_partition_aligned() {
-        for (n, p, min_chunks) in [
-            (0u32, 10u32, 4usize),
-            (1, 10, 4),
-            (100, 10, 4),
-            (100, 10_000, 16),
-            (97, 7, 5),
-            (10_000, 10_000, 32),
-        ] {
-            let chunks = page_range_chunks(n, p, min_chunks);
-            if n == 0 {
-                assert!(chunks.is_empty());
-                continue;
-            }
-            // Exact, ordered, gapless cover of 0..n.
-            let mut next = 0;
-            for r in &chunks {
-                assert_eq!(r.start, next);
-                assert!(r.end > r.start);
-                assert!(r.end - r.start <= p, "chunk larger than a partition");
-                next = r.end;
-            }
-            assert_eq!(next, n);
-            // Rounding can undershoot min_chunks slightly, but the split must
-            // land in the right ballpark for load balancing.
-            if (n as usize) >= min_chunks {
-                assert!(
-                    chunks.len() * 2 >= min_chunks,
-                    "n={n} p={p} min={min_chunks} got {}",
-                    chunks.len()
-                );
-            }
-        }
     }
 
     #[test]

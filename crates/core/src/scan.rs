@@ -50,32 +50,25 @@
 //!    matches to `out`, and fixes the [`ScanPlan`] snapshots.
 //!    [`prepare_scan_from_snapshot`] builds the same value from a published
 //!    snapshot with no lock held; both end in one shared tail.
-//! 2. **Sweep (read-only, any number of workers).** [`sweep_plan`] cuts the
-//!    page range into partition-aligned chunks ([`page_range_chunks`]);
-//!    workers claim chunks in order and run [`scan_chunk`]. One worker is
-//!    the sequential scan.
-//! 3. **Apply (sequential, ordered).** Chunk results merge in ascending page
-//!    order: matches append to `out` in page order, and staged pages feed
-//!    [`apply_staged`], which inserts into the buffer and zeroes `C[p]` in
-//!    page order.
+//! 2. **Sweep (read-only, no lock).** [`scan_chunk`] over `0..num_pages`
+//!    on the calling thread: matches come back in page order, pages to
+//!    index come back *staged*.
+//! 3. **Apply (sequential, ordered).** Matches append to `out`, and staged
+//!    pages feed [`apply_staged`], which inserts into the buffer and zeroes
+//!    `C[p]` in page order.
 //!
-//! [`indexing_scan`] is that composition with one worker. Because the plan
-//! is fixed before any page is read and the apply is ordered, the result —
-//! `Q`, buffer contents, partition composition, `C[p]`, [`ScanStats`] — is
-//! bit-for-bit the same at any worker count; only wall-clock differs.
+//! [`indexing_scan`] is that composition. The split exists for concurrency
+//! *between* queries, not inside one: an executor holds the space write lock
+//! for steps 1 and 3 only, so other clients' sweeps overlap step 2.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
-use std::sync::OnceLock;
-use std::thread;
 
 use aib_storage::{ColumnRef, HeapFile, PageId, PageView, Rid, StorageError, Tuple, Value};
 
 use crate::counters::{PageCounters, SkipBitset};
 use crate::index_buffer::{BufferId, IndexBuffer};
-use crate::partition::page_range_chunks;
 use crate::space::IndexBufferSpace;
-use crate::sync::{AtomicUsize, Ordering};
 
 /// Query predicate over a single column — the paper's `q`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -263,17 +256,13 @@ pub struct ScanStats {
     pub pages_skipped: u32,
     /// Pages newly indexed into the buffer by this scan (`|I|` realised).
     pub pages_indexed: u32,
-    /// Contiguous fully-indexed runs the sweep jumped whole.
-    ///
-    /// Computed analytically from the skip snapshot, so the figure is the
-    /// same at any worker count regardless of chunking.
+    /// Contiguous fully-indexed runs the sweep jumps whole, computed from
+    /// the skip snapshot at prepare time.
     pub skip_runs: u32,
-    /// Batched page-sweep requests a *sequential* sweep issues for the
-    /// unskipped runs (runs are read [`HeapFile::sweep_batch_pages`] pages
-    /// per batch; batches never span a skip gap).
-    ///
-    /// Computed analytically from the skip snapshot, so the figure is the
-    /// same at any worker count regardless of chunking.
+    /// Batched page-sweep requests the sweep issues for the unskipped runs
+    /// (runs are read [`HeapFile::sweep_batch_pages`] pages per batch;
+    /// batches never span a skip gap), computed from the skip snapshot at
+    /// prepare time.
     pub sweep_batches: u32,
     /// Buffer entries added by this scan.
     pub entries_added: u64,
@@ -283,10 +272,9 @@ pub struct ScanStats {
     pub entries_displaced: usize,
 }
 
-/// Immutable per-scan sweep plan shared by every chunk worker: counter and
-/// selection snapshots taken before any page is read, plus the predicate
-/// compiled once per scan. Workers never see mid-scan counter zeroing, so
-/// every chunk observes the state the sequential scan started from.
+/// Immutable per-scan sweep plan: counter and selection snapshots taken
+/// before any page is read, plus the predicate compiled once per scan. The
+/// sweep never sees counter zeroing — its own or a concurrent scan's.
 #[derive(Debug)]
 pub struct ScanPlan {
     /// Snapshot of the `C[p] == 0` skip bitset, sized to the heap.
@@ -304,7 +292,7 @@ pub struct ScanPlan {
 ///
 /// Public because the staged-apply boundary is also the engine's
 /// *concurrency* boundary: a multi-client executor runs [`prepare_scan`]
-/// under its space write lock, the sweep ([`sweep_plan`]) with no space lock
+/// under its space write lock, the sweep ([`scan_chunk`]) with no space lock
 /// at all, and the apply ([`apply_staged`]) under the write lock again.
 #[derive(Debug)]
 pub struct ScanPrep {
@@ -334,8 +322,7 @@ pub fn prepare_scan(
     // fully-skippable queries.
     let buffer_rids = buffer_scan_rids(space.buffer(buffer_id), predicate);
 
-    // Snapshot of the skip bitset; the sweep (and every chunk worker) never
-    // sees mid-scan zeroing.
+    // Snapshot of the skip bitset; the sweep never sees mid-scan zeroing.
     let skip = space.counters(buffer_id).skip_snapshot(heap.num_pages());
     let mut prep = finish_prepare(heap, skip, &selection.pages, buffer_rids, predicate, out);
     prep.stats.partitions_dropped = selection.displaced.len();
@@ -374,8 +361,7 @@ pub fn prepare_scan_from_snapshot(
 /// The tail both prepares share, so the two cannot drift: `skip` is already
 /// sized to the heap; the selection becomes the to-index bitset, the
 /// buffer's matches open `out`, and the sweep shape is derived from the
-/// plan, not from execution, so chunking cannot change the reported
-/// figures.
+/// plan, not from execution.
 fn finish_prepare(
     heap: &HeapFile,
     skip: SkipBitset,
@@ -417,7 +403,7 @@ fn finish_prepare(
 ///
 /// The caller is responsible for having applied Table II
 /// ([`IndexBufferSpace::on_query`]) first; this function only performs the
-/// scan itself: [`prepare_scan`], [`sweep_plan`] with one worker, then
+/// scan itself: [`prepare_scan`], [`scan_chunk`] over the whole table, then
 /// [`apply_staged`]. On error (I/O or tuple decode) **no** staged entry is
 /// applied: the buffer and counters are left untouched.
 pub fn indexing_scan(
@@ -425,15 +411,14 @@ pub fn indexing_scan(
     space: &mut IndexBufferSpace,
     buffer_id: BufferId,
     column: usize,
-    covered: &(dyn Fn(&Value) -> bool + Sync),
+    covered: &dyn Fn(&Value) -> bool,
     predicate: &Predicate,
     out: &mut Vec<Rid>,
 ) -> Result<ScanStats, StorageError> {
     let ScanPrep { mut stats, plan } = prepare_scan(heap, space, buffer_id, predicate, out);
-    let partition_pages = space.buffer(buffer_id).config().partition_pages;
 
-    // Lines 11–17, discover half: one worker over the whole table.
-    let chunk = sweep_plan(heap, &plan, partition_pages, column, covered, predicate, 1)?;
+    // Lines 11–17, discover half.
+    let chunk = scan_chunk(heap, 0..plan.num_pages, &plan, column, covered, predicate)?;
     stats.pages_read = chunk.pages_read;
     stats.pages_skipped = chunk.pages_skipped;
     out.extend(chunk.matches);
@@ -465,31 +450,8 @@ pub fn buffer_scan_rids(buffer: &IndexBuffer, predicate: &Predicate) -> Vec<Rid>
     }
 }
 
-/// Chunks handed to each scan worker per thread — the load-balancing
-/// granularity of [`sweep_plan`].
-pub const CHUNKS_PER_THREAD: usize = 4;
-
-/// Minimum table pages needed to justify each additional scan worker; below
-/// `threads * MIN_PAGES_PER_THREAD` pages the planned parallelism degrades
-/// toward a plain sequential scan.
-pub const MIN_PAGES_PER_THREAD: u32 = 16;
-
-/// Number of scan workers the executor should actually use for a table of
-/// `num_pages` pages when the caller requested `requested` threads.
-///
-/// Returns 1 (sequential) for single-threaded requests and for tables too
-/// small to amortise worker start-up; otherwise `requested` capped so that
-/// every worker has at least [`MIN_PAGES_PER_THREAD`] pages to chew on.
-pub fn planned_scan_threads(num_pages: u32, requested: usize) -> usize {
-    if requested <= 1 {
-        return 1;
-    }
-    let cap = (num_pages / MIN_PAGES_PER_THREAD) as usize;
-    requested.min(cap.max(1))
-}
-
-/// Entries one chunk scan discovered on a single page, waiting to be applied
-/// to the Index Buffer in page order.
+/// Entries the sweep discovered on a single page, waiting to be applied to
+/// the Index Buffer in page order.
 #[derive(Debug)]
 pub struct StagedPage {
     /// Page ordinal the entries came from (the `p` of `C[p]`).
@@ -499,35 +461,37 @@ pub struct StagedPage {
     pub entries: Vec<(Value, Rid)>,
 }
 
-/// Read-only result of scanning one page-range chunk.
+/// Read-only result of sweeping a page range.
 #[derive(Debug, Default)]
 pub struct ChunkResult {
     /// Rids matching the predicate, in page-then-slot order.
     pub matches: Vec<Rid>,
     /// Pages staged for buffer insertion, in ascending page order.
     pub staged: Vec<StagedPage>,
-    /// Pages fetched by this chunk.
+    /// Pages fetched.
     pub pages_read: u32,
-    /// Pages skipped (`C[p] == 0`) by this chunk.
+    /// Pages skipped (`C[p] == 0`).
     pub pages_skipped: u32,
 }
 
-/// Scans one chunk of table pages without touching the buffer or counters —
-/// the one page-visiting loop of Algorithm 1.
+/// Sweeps `range` of the table without touching the buffer or counters —
+/// the one page-visiting loop of Algorithm 1. A query passes
+/// `0..plan.num_pages`.
 ///
 /// This is the "discover" half of the split algorithm: it evaluates the
 /// predicate (lines 13–14) and *stages* the tuples line 16 would insert,
-/// leaving all mutation to [`apply_staged`]. The [`ScanPlan`] snapshots are
-/// taken before any worker starts, so every chunk sees the counter state
-/// the scan started from. Pages being indexed take the decoding path (the
-/// buffer insert needs owned values anyway, and a corrupt tuple surfaces
-/// as an error); every other page takes the zero-copy kernel.
+/// leaving all mutation to [`apply_staged`]. It touches only the heap and
+/// the immutable [`ScanPlan`], never the space, so a concurrent executor
+/// calls it *without* holding any engine lock, between a [`prepare_scan`]
+/// and an [`apply_staged`] that do. Pages being indexed take the decoding
+/// path (the buffer insert needs owned values anyway, and a corrupt tuple
+/// surfaces as an error); every other page takes the zero-copy kernel.
 pub fn scan_chunk(
     heap: &HeapFile,
     range: Range<u32>,
     plan: &ScanPlan,
     column: usize,
-    covered: &(dyn Fn(&Value) -> bool + Sync),
+    covered: &dyn Fn(&Value) -> bool,
     predicate: &Predicate,
 ) -> Result<ChunkResult, StorageError> {
     let mut result = ChunkResult::default();
@@ -580,9 +544,9 @@ pub fn scan_chunk(
 /// half of the split Algorithm 1 (lines 16–17). Returns the number of staged
 /// pages skipped.
 ///
-/// Ascending order reproduces one insertion sequence at any worker count,
-/// so partition composition (which pages share a partition) and the
-/// displacement victim order downstream do not depend on chunking.
+/// Ascending order makes partition composition (which pages share a
+/// partition), and with it the displacement victim order downstream, a
+/// function of the staged set alone.
 ///
 /// Every staged page is validated against the *current* counters first: a
 /// page whose `C[p]` has dropped to zero since the plan snapshot was indexed
@@ -613,74 +577,27 @@ pub fn apply_staged(
     skipped
 }
 
-/// The "discover" phase of the split Algorithm 1 for a whole table: sweeps
-/// every page the plan does not skip — fanned out over `threads` workers
-/// when the table is big enough, on the calling thread otherwise — and
-/// returns one merged [`ChunkResult`] in ascending page order.
-///
-/// Touches only the heap and the immutable [`ScanPlan`]; never the space.
-/// That is the point: a concurrent executor calls this *without* holding any
-/// engine lock, between a [`prepare_scan`] and an [`apply_staged`] that do.
-/// `partition_pages` is the queried buffer's partition extent (chunk
-/// boundaries align to it so staged pages group exactly as one worker
-/// would group them).
+// ---- Vestigial names (ROADMAP item 6 drops them with their call sites) ----
+//
+// The frozen `e2e/` package calls these two; nothing in this workspace does.
+
+/// Always 1: a query's sweep runs on the calling thread.
+pub fn planned_scan_threads(_num_pages: u32, _requested: usize) -> usize {
+    1
+}
+
+/// [`scan_chunk`] over `0..plan.num_pages`; `partition_pages` and `threads`
+/// are ignored.
 pub fn sweep_plan(
     heap: &HeapFile,
     plan: &ScanPlan,
-    partition_pages: u32,
+    _partition_pages: u32,
     column: usize,
-    covered: &(dyn Fn(&Value) -> bool + Sync),
+    covered: &dyn Fn(&Value) -> bool,
     predicate: &Predicate,
-    threads: usize,
+    _threads: usize,
 ) -> Result<ChunkResult, StorageError> {
-    let num_pages = plan.num_pages;
-    let chunks = if threads <= 1 {
-        Vec::new()
-    } else {
-        page_range_chunks(num_pages, partition_pages, threads * CHUNKS_PER_THREAD)
-    };
-    if chunks.len() <= 1 {
-        // Sequential (or not enough pages to split): one chunk, this thread.
-        return scan_chunk(heap, 0..num_pages, plan, column, covered, predicate);
-    }
-
-    // Workers claim chunks from a shared cursor and record results per
-    // chunk slot.
-    let workers = threads.min(chunks.len());
-    let results: Vec<OnceLock<Result<ChunkResult, StorageError>>> =
-        chunks.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    {
-        let (chunks, results, cursor) = (&chunks, &results, &cursor);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    // Relaxed: atomicity alone makes each claim unique; the
-                    // scope join publishes the per-chunk results.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(range) = chunks.get(i) else { break };
-                    let r = scan_chunk(heap, range.clone(), plan, column, covered, predicate);
-                    if let Some(cell) = results.get(i) {
-                        let set = cell.set(r);
-                        debug_assert!(set.is_ok(), "chunk {i} claimed twice");
-                    }
-                });
-            }
-        });
-    }
-
-    // Merge in ascending page order.
-    let mut merged = ChunkResult::default();
-    for cell in results {
-        let chunk = cell.into_inner().ok_or_else(|| {
-            StorageError::Corrupt("scan chunk never claimed by a worker".into())
-        })??;
-        merged.pages_read += chunk.pages_read;
-        merged.pages_skipped += chunk.pages_skipped;
-        merged.matches.extend(chunk.matches);
-        merged.staged.extend(chunk.staged);
-    }
-    Ok(merged)
+    scan_chunk(heap, 0..plan.num_pages, plan, column, covered, predicate)
 }
 
 #[cfg(test)]
@@ -910,110 +827,6 @@ mod tests {
         out.sort_unstable();
         out2.sort_unstable();
         assert_eq!(out, out2);
-    }
-
-    /// Algorithm 1 with the sweep fanned out over `threads` workers: the
-    /// composition `indexing_scan` is, at another worker count.
-    fn scan_with_workers(
-        heap: &HeapFile,
-        space: &mut IndexBufferSpace,
-        id: BufferId,
-        covered: &(dyn Fn(&Value) -> bool + Sync),
-        predicate: &Predicate,
-        out: &mut Vec<Rid>,
-        threads: usize,
-    ) -> ScanStats {
-        let ScanPrep { mut stats, plan } = prepare_scan(heap, space, id, predicate, out);
-        let partition_pages = space.buffer(id).config().partition_pages;
-        let chunk =
-            sweep_plan(heap, &plan, partition_pages, 0, covered, predicate, threads).unwrap();
-        stats.pages_read = chunk.pages_read;
-        stats.pages_skipped = chunk.pages_skipped;
-        out.extend(chunk.matches);
-        if !chunk.staged.is_empty() {
-            let skipped = space.with_buffer_mut(id, |buffer, counters| {
-                apply_staged(buffer, counters, chunk.staged, &mut stats)
-            });
-            assert_eq!(skipped, 0, "an uncontended apply skips nothing");
-            space.sync_budget();
-        }
-        stats.matches = out.len();
-        stats
-    }
-
-    #[test]
-    fn parallel_scan_is_sequential_equivalent() {
-        let covered = covered_fn(150);
-        let predicates = [
-            Predicate::Equals(Value::Int(400)),
-            Predicate::Between(Value::Int(180), Value::Int(320)),
-            Predicate::Equals(Value::Int(599)),
-        ];
-        for threads in [1, 2, 4] {
-            // Two identical worlds: one through `indexing_scan`, one through
-            // `sweep_plan` at this worker count.
-            let (heap_s, mut space_s, id_s) = setup(600, 150);
-            let (heap_p, mut space_p, id_p) = setup(600, 150);
-            assert!(
-                page_range_chunks(heap_p.num_pages(), 10_000, 2 * CHUNKS_PER_THREAD).len() > 1,
-                "the table must be big enough to actually fan out"
-            );
-            for (round, predicate) in predicates.iter().enumerate() {
-                space_s.on_query(Some(id_s), false);
-                space_p.on_query(Some(id_p), false);
-                let mut out_s = Vec::new();
-                let mut out_p = Vec::new();
-                let stats_s = indexing_scan(
-                    &heap_s,
-                    &mut space_s,
-                    id_s,
-                    0,
-                    &covered,
-                    predicate,
-                    &mut out_s,
-                )
-                .unwrap();
-                let stats_p = scan_with_workers(
-                    &heap_p,
-                    &mut space_p,
-                    id_p,
-                    &covered,
-                    predicate,
-                    &mut out_p,
-                    threads,
-                );
-                assert_eq!(out_p, out_s, "{threads} workers, round {round}: rid order");
-                assert_eq!(stats_p, stats_s, "{threads} workers, round {round}: stats");
-            }
-            assert_eq!(
-                space_p.buffer(id_p).num_entries(),
-                space_s.buffer(id_s).num_entries()
-            );
-            assert_eq!(
-                space_p.buffer(id_p).num_partitions(),
-                space_s.buffer(id_s).num_partitions(),
-                "partition composition must not depend on the worker count"
-            );
-            let counters_s: Vec<u32> = (0..heap_s.num_pages())
-                .map(|p| space_s.counters(id_s).get(p))
-                .collect();
-            let counters_p: Vec<u32> = (0..heap_p.num_pages())
-                .map(|p| space_p.counters(id_p).get(p))
-                .collect();
-            assert_eq!(counters_p, counters_s, "identical final C[p] vectors");
-            space_p.check_invariants();
-        }
-    }
-
-    #[test]
-    fn planned_threads_degrade_on_small_tables() {
-        assert_eq!(planned_scan_threads(10_000, 8), 8);
-        assert_eq!(planned_scan_threads(64, 4), 4);
-        assert_eq!(planned_scan_threads(48, 4), 3);
-        assert_eq!(planned_scan_threads(10, 4), 1);
-        assert_eq!(planned_scan_threads(0, 4), 1);
-        assert_eq!(planned_scan_threads(10_000, 1), 1);
-        assert_eq!(planned_scan_threads(10_000, 0), 1);
     }
 
     #[test]

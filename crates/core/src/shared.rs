@@ -185,7 +185,6 @@ impl SharedSpace {
                         entries: buffer.num_entries(),
                         footprint: buffer.footprint(),
                         partitions: buffer.num_partitions(),
-                        partition_pages: buffer.config().partition_pages,
                         skip: counters.skip_snapshot(counters.num_pages()),
                         candidates: counters.pages_by_ascending_counter(),
                         pending: Arc::clone(space.pending(id)),
@@ -310,8 +309,6 @@ pub struct BufferSummary {
     /// Partitions resident at snapshot time (victim-eligibility input for
     /// [`SharedSpace::plan_selection`]).
     partitions: usize,
-    /// The buffer's configured partition size in pages.
-    partition_pages: u32,
     skip: SkipBitset,
     /// Candidate pages in ascending `(C[p], p)` order at snapshot time —
     /// the input Algorithm 2 grows a selection from.
@@ -338,11 +335,6 @@ impl BufferSummary {
     /// Partitions resident at snapshot time.
     pub fn partitions(&self) -> usize {
         self.partitions
-    }
-
-    /// The buffer's configured partition size in pages.
-    pub fn partition_pages(&self) -> u32 {
-        self.partition_pages
     }
 
     /// The skip bitset at snapshot time, sized to the tracked page range.
@@ -707,7 +699,6 @@ mod tests {
         let s = snap.buffer(a).expect("registered");
         assert_eq!(s.candidates(), &[(2, 1), (1, 2)]);
         assert_eq!(s.partitions(), 0);
-        assert_eq!(s.partition_pages(), BufferConfig::default().partition_pages);
         assert_eq!(snap.epoch(), space.read().epoch());
     }
 }

@@ -99,10 +99,8 @@ pub struct EngineConfig {
     /// leaves the components independently governed — the pool by its frame
     /// count, the space by [`SpaceConfig`]'s byte budget.
     pub total_memory_bytes: Option<usize>,
-    /// Worker threads for the indexing scan (1 = always sequential). The
-    /// executor may use fewer for small tables; results are bit-for-bit
-    /// identical at any setting (sequential-equivalence). Defaults to the
-    /// machine's available parallelism.
+    /// Ignored: a query's sweep runs on the calling thread. The field stays
+    /// only because the frozen `e2e/` spells it (ROADMAP item 6 drops it).
     pub scan_threads: usize,
     /// When `true`, buffer-pool read misses stall the calling thread for
     /// the cost model's per-page read latency in *wall time* (see
@@ -137,7 +135,7 @@ impl Default for EngineConfig {
             cost_model: CostModel::default(),
             space: SpaceConfig::default(),
             total_memory_bytes: None,
-            scan_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            scan_threads: 1,
             io_wait: false,
             wal_checkpoint_interval: 4096,
             group_commit_wait_us: 0,
@@ -1382,11 +1380,11 @@ impl Database {
         }
         let snapshot = cache.ensure(&self.space);
         let plan = self.plan_read(t, ci, &query.predicate, Some(snapshot));
-        let (source, threads) = (plan.source, plan.threads);
+        let source = plan.source;
         let (result, scan) =
             self.run_read(t, ci, &query.predicate, plan, SpaceAccess::Shared(cache))?;
         let buffer_entries = cache.ensure(&self.space).buffer_entries();
-        let metrics = self.finish_metrics(clock, &result, scan, source, threads, buffer_entries);
+        let metrics = self.finish_metrics(clock, &result, scan, source, buffer_entries);
         self.verify_checkpoint_now(&catalog)?;
         Ok(ExecOutcome { result, metrics })
     }
@@ -1412,7 +1410,7 @@ impl Database {
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
         let plan = self.plan_read(&catalog.tables[ti], ci, &query.predicate, None);
-        let (source, threads) = (plan.source, plan.threads);
+        let source = plan.source;
         let (result, scan) = self.run_read(
             &catalog.tables[ti],
             ci,
@@ -1431,7 +1429,7 @@ impl Database {
             .buffer_ids()
             .map(|b| space.buffer(b).num_entries())
             .collect();
-        let metrics = self.finish_metrics(clock, &result, scan, source, threads, buffer_entries);
+        let metrics = self.finish_metrics(clock, &result, scan, source, buffer_entries);
         self.verify_checkpoint(catalog, &space)?;
         Ok(ExecOutcome { result, metrics })
     }
@@ -1457,7 +1455,6 @@ impl Database {
         result: &QueryResult,
         scan: Option<ScanStats>,
         plan: PlanSource,
-        scan_threads: usize,
         buffer_entries: Vec<usize>,
     ) -> QueryMetrics {
         QueryMetrics {
@@ -1468,7 +1465,6 @@ impl Database {
             io: self.stats.snapshot().since(&clock.before),
             wall: clock.start.elapsed(),
             scan,
-            scan_threads,
             buffer_entries,
             memory: self.budget.snapshot(),
         }

@@ -59,9 +59,6 @@ pub struct Explanation {
     /// Resident bytes those entries charge to the memory governor
     /// ([`aib_storage::MemoryUsage`] footprint of the column's buffer).
     pub buffer_bytes: usize,
-    /// Worker threads the executor would run the indexing scan with (1 for
-    /// index hits and plain scans).
-    pub scan_threads: usize,
 }
 
 impl Explanation {
@@ -104,9 +101,6 @@ impl Explanation {
                         self.cold_read_requests
                     ));
                 }
-                if self.scan_threads > 1 {
-                    s.push_str(&format!(", {} scan threads", self.scan_threads));
-                }
                 s
             }
             AccessPath::PlainScan => {
@@ -123,7 +117,7 @@ impl Explanation {
 mod tests {
     use super::*;
 
-    fn scan(pages_to_read: u32, skip_runs: u32, scan_threads: usize) -> Explanation {
+    fn scan(pages_to_read: u32, skip_runs: u32) -> Explanation {
         Explanation {
             path: AccessPath::BufferedScan,
             plan: PlanSource::Snapshot,
@@ -137,7 +131,6 @@ mod tests {
             known_cardinality: None,
             buffer_entries: 900,
             buffer_bytes: 28_800,
-            scan_threads,
         }
     }
 
@@ -147,25 +140,23 @@ mod tests {
             path: AccessPath::PartialIndex,
             plan: PlanSource::None,
             known_cardinality: Some(7),
-            ..scan(0, 0, 1)
+            ..scan(0, 0)
         };
         assert_eq!(hit.summary(), "partial index hit (7 rows)");
         assert_eq!(hit.skip_ratio(), 1.0);
 
-        let s = scan(25, 3, 1).summary();
+        let s = scan(25, 3).summary();
         assert!(s.starts_with("indexing scan (snapshot plan): 25 of 100 pages"));
         assert!(s.contains("75% skippable"));
         assert!(s.contains("900 entries (28800 bytes)"));
         assert!(s.contains("3 skip runs"));
-        assert!(!s.contains("scan threads"));
-        assert!(scan(25, 1, 1)
+        assert!(scan(25, 1)
             .summary()
             .ends_with("1 skip run, 1 disk requests when cold"));
-        assert!(scan(25, 3, 4).summary().contains("4 scan threads"));
 
         let locked = Explanation {
             plan: PlanSource::Locked,
-            ..scan(25, 3, 1)
+            ..scan(25, 3)
         };
         assert!(locked.summary().contains("(locked plan)"));
 
@@ -174,7 +165,7 @@ mod tests {
             plan: PlanSource::None,
             table_pages: 40,
             pages_skippable: 0,
-            ..scan(40, 0, 1)
+            ..scan(40, 0)
         };
         assert_eq!(
             plain.summary(),
@@ -188,7 +179,7 @@ mod tests {
         let e = Explanation {
             table_pages: 0,
             pages_skippable: 0,
-            ..scan(0, 0, 1)
+            ..scan(0, 0)
         };
         assert_eq!(e.skip_ratio(), 0.0);
     }

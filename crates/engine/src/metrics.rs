@@ -29,9 +29,6 @@ pub struct QueryMetrics {
     pub wall: Duration,
     /// Scan instrumentation, for scan paths.
     pub scan: Option<ScanStats>,
-    /// Worker threads the indexing scan actually ran with (1 for sequential
-    /// scans and for non-scan paths).
-    pub scan_threads: usize,
     /// Entries per Index Buffer after the query (Figures 8 and 9 plot this
     /// series), in buffer-id order.
     pub buffer_entries: Vec<usize>,
@@ -197,7 +194,6 @@ mod tests {
             },
             wall: Duration::from_micros(5),
             scan: None,
-            scan_threads: 1,
             buffer_entries: vec![10, 20],
             memory: BudgetSnapshot {
                 buffer_pool_bytes: 16_384,

@@ -10,14 +10,14 @@
 //!    range or not — and returns a `ReadPlan`. What used to be separate
 //!    scan functions are *fields* of that value: where the page selection
 //!    comes from ([`PlanSource`]), the sweep (`None` when no page needs
-//!    visiting), the worker count, and whether a range epilogue runs.
-//! 2. **Sweep** (no engine lock). Visits the pages the plan does not skip,
-//!    collecting matches and *staging* the tuples Algorithm 1 line 16 would
-//!    insert into the Index Buffer. There is one sweep: the plain table
-//!    scan is the same call planned from an empty skip set and an empty
-//!    selection, so a buffered scan and the baseline it is measured
-//!    against differ only by the pages `C[p] = 0` skips and the entries
-//!    line 16 inserts.
+//!    visiting), and whether a range epilogue runs.
+//! 2. **Sweep** (no engine lock, on the calling thread). Visits the pages
+//!    the plan does not skip, collecting matches and *staging* the tuples
+//!    Algorithm 1 line 16 would insert into the Index Buffer. There is one
+//!    sweep: the plain table scan is the same call planned from an empty
+//!    skip set and an empty selection, so a buffered scan and the baseline
+//!    it is measured against differ only by the pages `C[p] = 0` skips and
+//!    the entries line 16 inserts.
 //! 3. **Adapt** (`adapt`). Staged pages reach the buffer before the query
 //!    returns, under the space write lock, each page re-checked
 //!    against the live `C[p]` so a page an overlapping scan already indexed
@@ -30,9 +30,9 @@
 //! write lock as the sweep stage's first step.
 
 use aib_core::{
-    apply_staged, buffer_scan_rids, planned_scan_threads, prepare_scan, prepare_scan_from_snapshot,
-    sweep_plan, BufferId, BufferSummary, IndexBufferSpace, Predicate, ScanPrep, ScanStats,
-    SharedSpace, SkipBitset, SnapshotCache, SpaceSnapshot, StagedPage,
+    apply_staged, buffer_scan_rids, prepare_scan, prepare_scan_from_snapshot, scan_chunk, BufferId,
+    BufferSummary, IndexBufferSpace, Predicate, ScanPrep, ScanStats, SharedSpace, SkipBitset,
+    SnapshotCache, SpaceSnapshot, StagedPage,
 };
 use aib_storage::{Rid, Value};
 
@@ -103,8 +103,6 @@ pub(crate) struct PlannedSweep {
     prep: ScanPrep,
     /// The Index Buffer's own matches (Algorithm 1 lines 8–10).
     buffer_rids: Vec<Rid>,
-    /// The buffer's partition extent (sweep chunks align to it).
-    partition_pages: u32,
 }
 
 impl PlannedSweep {
@@ -117,7 +115,6 @@ impl PlannedSweep {
         selection: &[u32],
         probe: Vec<Rid>,
         predicate: &Predicate,
-        partition_pages: u32,
     ) -> Self {
         let mut buffer_rids = Vec::new();
         let prep = prepare_scan_from_snapshot(
@@ -128,11 +125,7 @@ impl PlannedSweep {
             predicate,
             &mut buffer_rids,
         );
-        PlannedSweep {
-            prep,
-            buffer_rids,
-            partition_pages,
-        }
+        PlannedSweep { prep, buffer_rids }
     }
 }
 
@@ -144,8 +137,6 @@ pub(crate) struct ReadPlan {
     pub path: AccessPath,
     /// Where the page selection comes from.
     pub source: PlanSource,
-    /// Sweep workers (1 for hits and plain scans).
-    pub threads: usize,
     /// A straddling range: after the sweep, the covered fraction is
     /// answered from the partial index and deduplicated against it.
     pub range_epilogue: bool,
@@ -207,7 +198,6 @@ impl ReadPlan {
             known_cardinality: self.hit.as_ref().map(Vec::len),
             buffer_entries: summary.map_or(0, BufferSummary::entries),
             buffer_bytes: summary.map_or(0, BufferSummary::footprint),
-            scan_threads: self.threads,
         }
     }
 }
@@ -313,7 +303,6 @@ impl Database {
         let mut plan = ReadPlan {
             path: AccessPath::PlainScan,
             source: PlanSource::None,
-            threads: 1,
             range_epilogue: false,
             table_pages,
             indexed: false,
@@ -336,19 +325,16 @@ impl Database {
             }
         }
         let Some(bid) = plan.buffer else {
-            // No buffer, so no partition for sweep chunks to align to.
             plan.sweep = Sweep::Plain(PlannedSweep::read_only(
                 t,
                 &SkipBitset::default(),
                 &[],
                 Vec::new(),
                 predicate,
-                table_pages.max(1),
             ));
             return plan;
         };
         plan.path = AccessPath::BufferedScan;
-        plan.threads = planned_scan_threads(table_pages, self.config.scan_threads);
         plan.range_epilogue = matches!(predicate, Predicate::Between(..));
         let buffered = |planned| Sweep::Buffered {
             buffer: bid,
@@ -397,7 +383,6 @@ impl Database {
             &selection,
             probe,
             predicate,
-            summary.partition_pages(),
         ))
     }
 
@@ -415,7 +400,7 @@ impl Database {
         plan: ReadPlan,
         mut access: SpaceAccess<'_>,
     ) -> EngineResult<(QueryResult, Option<ScanStats>)> {
-        let (path, threads) = (plan.path, plan.threads);
+        let path = plan.path;
         let done = |rids| QueryResult { rids, path };
         let ic = t.index_on(ci);
         if ic.is_some() {
@@ -432,11 +417,8 @@ impl Database {
             return Ok((done(rids), None));
         }
 
-        // The coverage test is the only piece of the partial index the
-        // sweep workers need, and unlike the index it is `Sync`. A plain
-        // sweep indexes no page and never asks.
-        let coverage = ic.map(|ic| ic.partial.coverage());
-        let covered = |v: &Value| coverage.is_some_and(|c| c.covers(v));
+        // A plain sweep indexes no page and never asks.
+        let covered = |v: &Value| ic.is_some_and(|ic| ic.partial.covers(v));
         // The one sweep: the buffer's own matches, then every page the
         // plan does not skip; staged pages are returned for `adapt`.
         let sweep = |planned: PlannedSweep| {
@@ -445,15 +427,7 @@ impl Database {
                 plan: pages,
             } = planned.prep;
             let mut rids = planned.buffer_rids;
-            let chunk = sweep_plan(
-                &t.heap,
-                &pages,
-                planned.partition_pages,
-                ci,
-                &covered,
-                predicate,
-                threads,
-            )?;
+            let chunk = scan_chunk(&t.heap, 0..pages.num_pages, &pages, ci, &covered, predicate)?;
             stats.pages_read = chunk.pages_read;
             stats.pages_skipped = chunk.pages_skipped;
             rids.extend(chunk.matches);
@@ -481,7 +455,6 @@ impl Database {
                     let mut buffer_rids = Vec::new();
                     access.with_space(&self.space, |space| PlannedSweep {
                         prep: prepare_scan(&t.heap, space, buffer, predicate, &mut buffer_rids),
-                        partition_pages: space.buffer(buffer).config().partition_pages,
                         buffer_rids,
                     })
                 });

@@ -58,7 +58,6 @@ fn read_files(dir: &Path) -> Files {
 fn config() -> EngineConfig {
     EngineConfig {
         pool_frames: 64,
-        scan_threads: 1,
         // Checkpoints happen where the test says, nowhere else.
         wal_checkpoint_interval: u64::MAX,
         ..Default::default()

@@ -46,7 +46,6 @@ impl Drop for TempDir {
 fn config() -> EngineConfig {
     EngineConfig {
         pool_frames: 64,
-        scan_threads: 1,
         ..Default::default()
     }
 }

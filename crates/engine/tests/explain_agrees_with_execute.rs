@@ -1,7 +1,7 @@
 //! `explain` prints the plan `execute` runs: on quiescent state,
 //! `explain(q)` followed by `execute(q)` must agree on the access path, the
-//! plan source, the pages the sweep reads, the skippable runs it jumps and
-//! the worker count — for every kind of plan the read pipeline produces,
+//! plan source, the pages the sweep reads and the skippable runs it jumps
+//! — for every kind of plan the read pipeline produces,
 //! and for a table that grew after its index was created (a page it grew by
 //! is tracked from its first tuple on, so one holding only covered tuples
 //! is skipped).
@@ -31,7 +31,6 @@ fn database_covering(coverage: Coverage, budget_entries: Option<usize>) -> Datab
     let db = Database::new(EngineConfig {
         pool_frames: 256,
         cost_model: CostModel::free(),
-        scan_threads: 4,
         space: SpaceConfig {
             max_bytes: budget_entries.map(|n| n * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 1_000,
@@ -61,7 +60,6 @@ fn agree(db: &Database, q: &Query, path: AccessPath, source: PlanSource) -> u32 
     let out = db.execute(q).unwrap();
     assert_eq!((e.path, e.plan), (path, source), "explain: {}", e.summary());
     assert_eq!((out.result.path, out.metrics.plan), (path, source));
-    assert_eq!(e.scan_threads, out.metrics.scan_threads);
     assert!(e.summary().contains(source.as_str()) || path != AccessPath::BufferedScan);
     match &out.metrics.scan {
         Some(scan) => {
@@ -106,11 +104,10 @@ fn plain_scans_and_index_hits() {
 fn snapshot_planned_then_fully_skippable() {
     let db = database(1_500, None);
     // Cold buffer, unlimited budget: planned from the snapshot, reads the
-    // uncovered three quarters of the table with more than one worker.
+    // uncovered three quarters of the table.
     let q = Query::point("t", "k", 4_500i64);
     let read = agree(&db, &q, AccessPath::BufferedScan, PlanSource::Snapshot);
     assert!(read > 0);
-    assert!(db.explain(&q).unwrap().scan_threads > 1);
     // That scan buffered every uncovered page: nothing left to read.
     assert_eq!(
         agree(&db, &q, AccessPath::BufferedScan, PlanSource::Snapshot),

@@ -93,7 +93,6 @@ fn run(w: &Workload, sequential: bool) -> (Vec<Answer>, Vec<PlanSource>, EndStat
     let db = Database::new(EngineConfig {
         pool_frames: 256,
         cost_model: CostModel::free(),
-        scan_threads: 1,
         space: SpaceConfig {
             max_bytes: w.budget_entries.map(|n| n * DEFAULT_ENTRY_FOOTPRINT),
             i_max: 1_000,

@@ -78,10 +78,6 @@ const RELAXED_ALLOWLIST: &[(&str, &str)] = &[
         "crates/storage/src/buffer_pool.rs",
         "pins[frame].fetch_add(1, Ordering::Relaxed)",
     ),
-    // Work-claiming cursor: atomicity alone guarantees each chunk index is
-    // claimed once; result visibility comes from the scope join, not the
-    // counter.
-    ("crates/core/src/scan.rs", "cursor.fetch_add"),
     // Query sequence numbers: the counter only needs uniqueness across
     // client threads; every read is for reporting, and nothing is published
     // or consumed through it.

@@ -5,7 +5,9 @@
 use adaptive_index_buffer::core::{BufferConfig, SpaceConfig};
 use adaptive_index_buffer::engine::{AccessPath, Database, EngineConfig, Query};
 use adaptive_index_buffer::index::{Coverage, IndexBackend};
-use adaptive_index_buffer::storage::{CostModel, Tuple, Value, DEFAULT_ENTRY_FOOTPRINT};
+use adaptive_index_buffer::storage::{
+    Column, CostModel, Schema, Tuple, Value, DEFAULT_ENTRY_FOOTPRINT,
+};
 use adaptive_index_buffer::workload::{experiment1_queries, experiment3_queries, TableSpec};
 
 fn eval_db(rows: u64, space: SpaceConfig) -> (Database, TableSpec) {
@@ -273,4 +275,149 @@ fn range_queries_agree_with_ground_truth_across_coverage_boundary() {
             assert_eq!(r.count(), truth_range(lo, hi), "range [{lo},{hi}]");
         }
     }
+}
+
+/// The baseline the paper's Figs. 6–7 plot: a plain table scan must be the
+/// buffered sweep that skips nothing — same rids in the same order, same
+/// `IoSnapshot` delta — so the two differ only by what `C[p] = 0` skips and
+/// what line 16 inserts. Columns `k` and `j` hold the same values; `k` has
+/// a partial index covering nothing and a buffer in a zero-byte space (no
+/// page is ever indexed, so no page ever becomes skippable), `j` has no
+/// index at all.
+#[test]
+fn plain_scan_is_the_buffered_sweep_that_skips_nothing() {
+    const ROWS: i64 = 6_000;
+    const DOMAIN: i64 = 600;
+    let build = |pool_frames: usize| {
+        let db = Database::new(EngineConfig {
+            pool_frames,
+            cost_model: CostModel::default(),
+            space: SpaceConfig {
+                max_bytes: Some(0),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        db.create_table(
+            "t",
+            Schema::new(vec![Column::int("k"), Column::int("j"), Column::str("pad")]),
+        )
+        .unwrap();
+        for i in 0..ROWS {
+            let v = Value::Int((i * 17) % DOMAIN);
+            let pad = Value::from("x".repeat(100 + (i as usize * 7) % 60));
+            db.insert("t", &Tuple::new(vec![v.clone(), v, pad]))
+                .unwrap();
+        }
+        db.create_partial_index(
+            "t",
+            "k",
+            Coverage::empty_set(),
+            IndexBackend::BTree,
+            Some(BufferConfig::default()),
+        )
+        .unwrap();
+        db
+    };
+    let pages = build(2048).table("t").unwrap().num_pages();
+    assert!(pages >= 64);
+
+    // A pool the table fits in, and one an eighth of it that every sweep
+    // floods.
+    for pool_frames in [2048, pages as usize / 8] {
+        let db = build(pool_frames);
+        // Settle the pool: write back the load's dirty pages, leave the
+        // frames as a full sweep leaves them.
+        db.execute(&Query::on("t", "j").eq(0i64)).unwrap();
+        for value in [3i64, 77, DOMAIN - 1, DOMAIN + 5] {
+            let plain = db.execute(&Query::on("t", "j").eq(value)).unwrap();
+            let buffered = db.execute(&Query::on("t", "k").eq(value)).unwrap();
+            assert_eq!(plain.result.path, AccessPath::PlainScan);
+            assert_eq!(buffered.result.path, AccessPath::BufferedScan);
+            let scan = buffered.metrics.scan.as_ref().unwrap();
+            assert_eq!(
+                (scan.pages_read, scan.pages_skipped, scan.pages_indexed),
+                (pages, 0, 0),
+                "{pool_frames} frames: the buffered sweep skips and indexes nothing"
+            );
+            assert_eq!(
+                plain.result.rids, buffered.result.rids,
+                "{pool_frames} frames, value {value}: same rids, same order"
+            );
+            assert_eq!(
+                plain.metrics.io, buffered.metrics.io,
+                "{pool_frames} frames, value {value}: same I/O charge"
+            );
+            let io = plain.metrics.io;
+            assert_eq!(io.buffer_hits + io.buffer_misses, u64::from(pages));
+            assert_eq!(io.page_reads, io.buffer_misses);
+            assert_eq!(io.buffer_misses == 0, pool_frames >= pages as usize);
+        }
+    }
+}
+
+/// The pool decides a sweep's admission once, from the whole plan: a miss
+/// sweep over a table three times the pool recycles one batch's frames at
+/// the cold end, so pages kept hot by partial-index hits are still resident
+/// afterwards. (Decided per fraction of the sweep, every fraction "fits"
+/// and the sweep floods the pool.) Default engine apart from the pool size.
+/// Not under `invariant-checks`: the shadow model rescans the heap through
+/// this pool after every query.
+#[cfg(not(feature = "invariant-checks"))]
+#[test]
+fn index_hit_pages_survive_a_miss_sweep_larger_than_the_pool() {
+    const ROWS: i64 = 6_000;
+    let db = Database::new(EngineConfig {
+        pool_frames: 64,
+        ..Default::default()
+    });
+    db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
+        .unwrap();
+    for i in 0..ROWS {
+        // A permutation of 0..ROWS: every key is one row, and the covered
+        // tenth is spread over every page.
+        let k = Value::Int((i * 1777) % ROWS);
+        db.insert("t", &Tuple::new(vec![k, Value::from("x".repeat(250))]))
+            .unwrap();
+    }
+    db.create_partial_index(
+        "t",
+        "k",
+        Coverage::IntRange {
+            lo: 0,
+            hi: ROWS / 10,
+        },
+        IndexBackend::BTree,
+        Some(BufferConfig::default()),
+    )
+    .unwrap();
+    let pages = db.table("t").unwrap().num_pages();
+    assert!((180..=220).contains(&pages), "{pages} pages vs 64 frames");
+
+    // Eight covered keys whose rows sit an eighth of the table apart.
+    let hot: Vec<i64> = (0..8)
+        .filter_map(|j| {
+            (j * ROWS / 8..)
+                .map(|i| (i * 1777) % ROWS)
+                .find(|&k| k < ROWS / 10)
+        })
+        .collect();
+    let hot_misses = || -> u64 {
+        hot.iter()
+            .map(|&k| {
+                let out = db.execute(&Query::on("t", "k").eq(k)).unwrap();
+                assert_eq!(out.result.path, AccessPath::PartialIndex, "key {k}");
+                assert_eq!(out.result.rids.len(), 1);
+                out.metrics.io.buffer_misses
+            })
+            .sum()
+    };
+    hot_misses();
+    assert_eq!(hot_misses(), 0, "the hot set is resident");
+
+    let miss = db.execute(&Query::on("t", "k").eq(ROWS / 2)).unwrap();
+    assert_eq!(miss.result.path, AccessPath::BufferedScan);
+    assert_eq!(miss.metrics.scan.as_ref().unwrap().pages_read, pages);
+
+    assert_eq!(hot_misses(), 0, "the sweep evicted index-hit pages");
 }
