@@ -2,7 +2,7 @@
 //! `std::collections::BTreeMap` — the substrate the Index Buffer and the
 //! partial indexes stand on.
 
-use aib_index::btree::BPlusTree;
+use aib_index::btree::{BPlusTree, DEFAULT_ORDER};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +33,43 @@ fn bench_insert(c: &mut Criterion) {
             for &k in &ks {
                 t.insert(k, k);
             }
+            black_box(t.len())
+        })
+    });
+    group.finish();
+}
+
+/// The index build paths: one descent per key against one bottom-up bulk
+/// load, with and without the sort that `BTreeIndex::add_batch` pays first.
+fn bench_bulk_build(c: &mut Criterion) {
+    let ks = keys(N);
+    let mut sorted = ks.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut group = c.benchmark_group("btree_bulk_build_100k");
+    group.bench_function("insert_loop", |b| {
+        b.iter(|| {
+            let mut t = BPlusTree::new();
+            for &k in &ks {
+                t.insert(k, k);
+            }
+            black_box(t.len())
+        })
+    });
+    group.bench_function("sort_then_from_sorted", |b| {
+        b.iter_with_setup(
+            || ks.clone(),
+            |mut ks| {
+                ks.sort_unstable();
+                ks.dedup();
+                let t = BPlusTree::from_sorted(DEFAULT_ORDER, ks.into_iter().map(|k| (k, k)));
+                black_box(t.len())
+            },
+        )
+    });
+    group.bench_function("from_sorted", |b| {
+        b.iter(|| {
+            let t = BPlusTree::from_sorted(DEFAULT_ORDER, sorted.iter().map(|&k| (k, k)));
             black_box(t.len())
         })
     });
@@ -118,6 +155,7 @@ fn bench_order_sweep(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_insert,
+    bench_bulk_build,
     bench_get,
     bench_range,
     bench_order_sweep

@@ -375,6 +375,18 @@ impl PageCounters {
     /// by counter — the page-selection order of Algorithm 2 ("adds pages in
     /// ascending order of their counter C": cheapest completions first).
     pub fn pages_by_ascending_counter(&self) -> Vec<(u32, u32)> {
+        self.cheapest_pages(usize::MAX)
+    }
+
+    /// The first `k` entries of [`pages_by_ascending_counter`] — all that
+    /// Algorithm 2 ever reads, since a selection holds at most `I^MAX`
+    /// pages — without sorting the rest: a `select_nth_unstable` cuts the
+    /// `k` smallest `(C[p], p)` pairs, and only that prefix is sorted. The
+    /// keys are unique (one per page), so the result is the prefix a full
+    /// sort would give.
+    ///
+    /// [`pages_by_ascending_counter`]: Self::pages_by_ascending_counter
+    pub fn cheapest_pages(&self, k: usize) -> Vec<(u32, u32)> {
         let mut pages: Vec<(u32, u32)> = self
             .c
             .iter()
@@ -382,7 +394,11 @@ impl PageCounters {
             .filter(|(_, &c)| c > 0)
             .map(|(p, &c)| (p as u32, c))
             .collect();
-        pages.sort_by_key(|&(p, c)| (c, p));
+        if k < pages.len() {
+            pages.select_nth_unstable_by_key(k, |&(p, c)| (c, p));
+            pages.truncate(k);
+        }
+        pages.sort_unstable_by_key(|&(p, c)| (c, p));
         pages
     }
 
@@ -528,6 +544,40 @@ mod tests {
         let c = PageCounters::from_counts(vec![5, 0, 1, 3, 1]);
         let pages = c.pages_by_ascending_counter();
         assert_eq!(pages, vec![(2, 1), (4, 1), (3, 3), (0, 5)]);
+    }
+
+    #[test]
+    fn cheapest_pages_is_the_ascending_order_prefix() {
+        // Ties on C[p] across the cut, zero pages, k past the end.
+        let mut x: u64 = 0x2545F4914F6CDD1D;
+        let counts: Vec<u32> = (0..500)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 6) as u32
+            })
+            .collect();
+        let c = PageCounters::from_counts(counts);
+        let all = c.pages_by_ascending_counter();
+        for k in [
+            0,
+            1,
+            2,
+            37,
+            81,
+            82,
+            83,
+            all.len() - 1,
+            all.len(),
+            all.len() + 5,
+        ] {
+            let want = &all[..k.min(all.len())];
+            assert_eq!(c.cheapest_pages(k), want, "k = {k}");
+        }
+        assert!(PageCounters::from_counts(vec![0, 0])
+            .cheapest_pages(3)
+            .is_empty());
     }
 
     #[test]

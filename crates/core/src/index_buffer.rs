@@ -184,26 +184,52 @@ impl IndexBuffer {
 
     /// Indexes a freshly scanned page: stores its uncovered tuples and marks
     /// it buffered (Algorithm 1 lines 15–17; the caller sets `C[p] ← 0`).
-    /// Returns the number of entries added.
+    /// The one-page case of [`index_pages`](Self::index_pages). Returns the
+    /// number of entries added.
     ///
     /// # Panics
     /// If the page is already buffered.
     pub fn index_page(&mut self, page: u32, tuples: impl IntoIterator<Item = (Value, Rid)>) -> u32 {
-        assert!(!self.is_buffered(page), "page {page} is already buffered");
-        let partition_pages = self.config.partition_pages;
-        let (pid, partition) = self.open_partition_mut();
-        let added = partition.index_page(page, tuples);
-        let partition_full = partition.pages_covered() >= partition_pages;
-        self.total_entries += added as usize;
-        self.page_to_partition.insert(page, pid);
-        if partition_full {
-            self.open_partition = None; // partition is complete
+        let added = self.index_pages(vec![(page, tuples.into_iter().collect())]);
+        u32::try_from(added).unwrap_or(u32::MAX)
+    }
+
+    /// Indexes freshly scanned pages, in the given order: fills the open
+    /// partition up to `P` pages, then opens the next — the partitions
+    /// page-at-a-time indexing would build — and enters each partition's
+    /// share as one sorted batch. Returns the number of entries added.
+    ///
+    /// # Panics
+    /// If a page is already buffered or listed twice.
+    pub fn index_pages(&mut self, pages: Vec<(u32, Vec<(Value, Rid)>)>) -> usize {
+        let partition_pages = self.config.partition_pages as usize;
+        let mut pages = pages.into_iter().peekable();
+        let mut added = 0;
+        while pages.peek().is_some() {
+            let pid = self.open_partition_id();
+            let Some(partition) = self.partitions.get_mut(&pid) else {
+                debug_assert!(false, "open partition {pid} was just ensured");
+                break;
+            };
+            let room = partition_pages.saturating_sub(partition.pages_covered() as usize);
+            let share: Vec<_> = pages.by_ref().take(room).collect();
+            for &(page, _) in &share {
+                let prev = self.page_to_partition.insert(page, pid);
+                assert!(prev.is_none(), "page {page} is already buffered");
+            }
+            let n = partition.index_pages(share);
+            if partition.pages_covered() as usize >= partition_pages {
+                self.open_partition = None; // partition is complete
+            }
+            self.total_entries += n;
+            added += n;
         }
         added
     }
 
-    /// The open (incomplete) partition, creating one if needed.
-    fn open_partition_mut(&mut self) -> (PartitionId, &mut Partition) {
+    /// The open (incomplete) partition's id, creating the partition if
+    /// needed.
+    fn open_partition_id(&mut self) -> PartitionId {
         let pid = match self.open_partition {
             Some(pid) if self.partitions.contains_key(&pid) => pid,
             _ => {
@@ -213,11 +239,10 @@ impl IndexBuffer {
                 pid
             }
         };
-        let partition = self
-            .partitions
+        self.partitions
             .entry(pid)
             .or_insert_with(|| Partition::new(pid));
-        (pid, partition)
+        pid
     }
 
     /// Table I `B.Add(t_new)`: an uncovered tuple landed in buffered page

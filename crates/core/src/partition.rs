@@ -97,17 +97,33 @@ impl Partition {
         removed
     }
 
-    /// Bulk-adds the freshly indexed entries of a new page (Algorithm 1
-    /// line 16). Returns the number of entries actually added.
-    pub fn index_page(&mut self, page: u32, tuples: impl IntoIterator<Item = (Value, Rid)>) -> u32 {
-        let mut n = 0;
-        for (value, rid) in tuples {
-            if self.entries.add(value, rid) {
-                n += 1;
-            }
+    /// Adds the freshly indexed entries of new pages (Algorithm 1 line 16)
+    /// in one sorted merge, and registers each page with the number of its
+    /// entries actually added — counted as if the pages were added one
+    /// after another in the given order. Returns the total added.
+    ///
+    /// # Panics
+    /// If a page is already covered (see [`add_page`](Self::add_page)).
+    pub fn index_pages(&mut self, pages: Vec<(u32, Vec<(Value, Rid)>)>) -> usize {
+        let total = pages.iter().map(|(_, entries)| entries.len()).sum();
+        let mut batch = Vec::with_capacity(total);
+        // Which of `pages` each batch position came from.
+        let mut source = Vec::with_capacity(total);
+        let mut counts = Vec::with_capacity(pages.len());
+        for (at, (page, entries)) in pages.into_iter().enumerate() {
+            source.resize(source.len() + entries.len(), at);
+            batch.extend(entries);
+            counts.push((page, 0u32));
         }
-        self.add_page(page, n);
-        n
+        let added = self.entries.add_batch(batch, |i| {
+            if let Some((_, n)) = source.get(i).and_then(|&at| counts.get_mut(at)) {
+                *n += 1;
+            }
+        });
+        for (page, n) in counts {
+            self.add_page(page, n);
+        }
+        added
     }
 
     /// Point lookup within this partition.
@@ -168,7 +184,10 @@ mod tests {
     #[test]
     fn index_page_records_counts() {
         let mut p = Partition::new(0);
-        let n = p.index_page(5, vec![(v(1), Rid::new(5, 0)), (v(2), Rid::new(5, 1))]);
+        let n = p.index_pages(vec![(
+            5,
+            vec![(v(1), Rid::new(5, 0)), (v(2), Rid::new(5, 1))],
+        )]);
         assert_eq!(n, 2);
         assert_eq!(p.pages_covered(), 1);
         assert_eq!(p.num_entries(), 2);
@@ -178,9 +197,30 @@ mod tests {
     }
 
     #[test]
+    fn repeated_entries_count_for_the_first_page_that_stages_them() {
+        let mut p = Partition::new(0);
+        p.index_pages(vec![(1, vec![(v(7), Rid::new(1, 0))])]);
+        let n = p.index_pages(vec![
+            (2, vec![(v(8), Rid::new(2, 0)), (v(8), Rid::new(2, 0))]),
+            (
+                3,
+                vec![
+                    (v(7), Rid::new(1, 0)),
+                    (v(8), Rid::new(2, 0)),
+                    (v(9), Rid::new(3, 0)),
+                ],
+            ),
+        ]);
+        assert_eq!(n, 2, "one new entry each for pages 2 and 3");
+        let counts: HashMap<u32, u32> = p.pages().collect();
+        assert_eq!(counts, HashMap::from([(1, 1), (2, 1), (3, 1)]));
+        assert_eq!(p.num_entries(), 3);
+    }
+
+    #[test]
     fn maintenance_entry_ops_track_per_page() {
         let mut p = Partition::new(0);
-        p.index_page(3, vec![(v(10), Rid::new(3, 0))]);
+        p.index_pages(vec![(3, vec![(v(10), Rid::new(3, 0))])]);
         assert!(p.add_entry(v(11), Rid::new(3, 1), 3));
         assert!(!p.add_entry(v(11), Rid::new(3, 1), 3), "duplicate");
         let counts: HashMap<u32, u32> = p.pages().collect();
@@ -205,7 +245,7 @@ mod tests {
         // covered with restore count 0: it stays skippable even after the
         // partition drops.
         let mut p = Partition::new(0);
-        p.index_page(9, std::iter::empty());
+        p.index_pages(vec![(9, Vec::new())]);
         assert!(p.covers(9));
         assert_eq!(p.pages_covered(), 1);
         assert_eq!(p.num_entries(), 0);
@@ -214,7 +254,10 @@ mod tests {
     #[test]
     fn range_lookup_via_btree_backend() {
         let mut p = Partition::new(0);
-        p.index_page(1, (0..10).map(|i| (v(i), Rid::new(1, i as u16))));
+        p.index_pages(vec![(
+            1,
+            (0..10).map(|i| (v(i), Rid::new(1, i as u16))).collect(),
+        )]);
         let rids = p.lookup_range(&v(2), &v(4));
         assert_eq!(rids.len(), 3);
     }

@@ -553,10 +553,15 @@ pub fn scan_chunk(
 /// by a concurrent scan in the meantime — with exactly the entries staged
 /// here, because the heap and the coverage predicate are frozen for the
 /// duration of a read query — so it is skipped instead of double-inserted
-/// (the buffer treats a second `index_page` of a buffered page as a caller
+/// (the buffer treats a second indexing of a buffered page as a caller
 /// bug). An uncontended scan skips nothing; only overlapping scans of the
 /// same buffer ever diverge, and then only by not repeating work another
 /// scan already completed.
+///
+/// The pages that pass enter the buffer in one
+/// [`IndexBuffer::index_pages`] call — one sorted batch per partition
+/// instead of one B+-tree descent per entry, which is what keeps this
+/// section of the space write lock short.
 pub fn apply_staged(
     buffer: &mut IndexBuffer,
     counters: &mut PageCounters,
@@ -564,16 +569,20 @@ pub fn apply_staged(
     stats: &mut ScanStats,
 ) -> usize {
     staged.sort_by_key(|s| s.ordinal);
-    let mut skipped = 0usize;
-    for page in staged {
-        if counters.get(page.ordinal) == 0 {
-            skipped += 1;
-            continue;
+    let before = staged.len();
+    // Check-then-zero per page, in order: a page staged twice fails its
+    // second check exactly as it would page by page.
+    staged.retain(|page| {
+        let live = counters.get(page.ordinal) != 0;
+        if live {
+            counters.set_zero(page.ordinal);
         }
-        stats.entries_added += u64::from(buffer.index_page(page.ordinal, page.entries));
-        counters.set_zero(page.ordinal);
-        stats.pages_indexed += 1;
-    }
+        live
+    });
+    stats.pages_indexed += staged.len() as u32;
+    let skipped = before - staged.len();
+    let pages = staged.into_iter().map(|s| (s.ordinal, s.entries)).collect();
+    stats.entries_added += buffer.index_pages(pages) as u64;
     skipped
 }
 

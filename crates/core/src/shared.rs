@@ -186,7 +186,7 @@ impl SharedSpace {
                         footprint: buffer.footprint(),
                         partitions: buffer.num_partitions(),
                         skip: counters.skip_snapshot(counters.num_pages()),
-                        candidates: counters.pages_by_ascending_counter(),
+                        candidates: counters.cheapest_pages(self.config.i_max as usize),
                         pending: Arc::clone(space.pending(id)),
                     }
                 })
@@ -310,8 +310,8 @@ pub struct BufferSummary {
     /// [`SharedSpace::plan_selection`]).
     partitions: usize,
     skip: SkipBitset,
-    /// Candidate pages in ascending `(C[p], p)` order at snapshot time —
-    /// the input Algorithm 2 grows a selection from.
+    /// The `I^MAX` cheapest candidate pages in ascending `(C[p], p)` order
+    /// at snapshot time — the input Algorithm 2 grows a selection from.
     candidates: Vec<(u32, u32)>,
     pending: Arc<BufferPending>,
 }
@@ -343,7 +343,7 @@ impl BufferSummary {
     }
 
     /// Candidate pages (`C[p] > 0`) in ascending `(C[p], p)` order at
-    /// snapshot time.
+    /// snapshot time, the first `I^MAX` of them.
     pub fn candidates(&self) -> &[(u32, u32)] {
         &self.candidates
     }

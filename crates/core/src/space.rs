@@ -536,8 +536,8 @@ impl IndexBufferSpace {
         let i_max = self.config.i_max as usize;
         let tpos = self.slot_pos(target);
         // Candidate pages in ascending counter order (cheapest completions
-        // first, §IV).
-        let candidates = self.slots[tpos].counters.pages_by_ascending_counter();
+        // first, §IV) — only the I^MAX cheapest, all a selection can hold.
+        let candidates = self.slots[tpos].counters.cheapest_pages(i_max);
         if candidates.is_empty() {
             return Selection::default();
         }

@@ -1797,19 +1797,20 @@ fn column_value(tuple: &Tuple, column: usize) -> EngineResult<Value> {
 
 /// The one heap rescan behind index creation, coverage redefinition and
 /// recovery: adds every covered tuple of `column` the partial index does not
-/// hold yet and returns the per-page counts of the uncovered ones — the
-/// column's `C[p]`. Rides the same sweep as every query, but decodes each
-/// tuple — it needs the owned value, and a corrupt tuple must fail the DDL
-/// rather than vanish from the index.
+/// hold yet — collected during the sweep and entered as one sorted batch
+/// ([`PartialIndex::add_batch`], which drops the entries a redefined index
+/// already holds) — and returns the per-page counts of the uncovered ones,
+/// the column's `C[p]`. Rides the same sweep as every query, but decodes
+/// each tuple — it needs the owned value, and a corrupt tuple must fail the
+/// DDL rather than vanish from the index.
 fn populate_from_heap(
     heap: &HeapFile,
     column: usize,
     partial: &mut PartialIndex,
 ) -> EngineResult<Vec<u32>> {
-    // Only a redefined index can already hold some of the covered tuples.
-    let may_hold = !partial.is_empty();
     let num_pages = heap.num_pages();
     let mut counts: Vec<u32> = vec![0; num_pages as usize];
+    let mut covered = Vec::new();
     let mut scan_err: Option<StorageError> = None;
     heap.sweep_read_runs([(0..num_pages, false)], |ord, page, view| {
         for (slot, bytes) in view.iter() {
@@ -1820,18 +1821,16 @@ fn populate_from_heap(
                     return;
                 }
             };
-            let rid = Rid { page, slot };
             if partial.covers(&value) {
-                if !(may_hold && partial.contains(&value, rid)) {
-                    partial.add(value, rid);
-                }
+                covered.push((value, Rid { page, slot }));
             } else if let Some(count) = counts.get_mut(ord as usize) {
                 *count += 1;
             }
         }
     })?;
-    match scan_err {
-        Some(e) => Err(e.into()),
-        None => Ok(counts),
+    if let Some(e) = scan_err {
+        return Err(e.into());
     }
+    partial.add_batch(covered);
+    Ok(counts)
 }

@@ -9,19 +9,36 @@
 //! Keys are unique; secondary-index duplicates are modelled by composite
 //! `(value, rid)` keys (see [`crate::key::EntryKey`]), the classic way to
 //! make duplicate handling and precise deletion trivial.
+//!
+//! Two ways in: [`BPlusTree::insert`] descends once per key and splits
+//! full nodes on the way back up; [`BPlusTree::from_sorted`] builds the
+//! whole tree bottom-up from an ascending run, one pass and no descents,
+//! each node filled to ¾ of the order.
 
-// aib-lint: allow-file(no-index) — nodes live in an arena (`Vec<Node>`)
-// and are addressed by NodeIds the tree itself allocated; ids are never
-// freed, so they cannot dangle.
+// aib-lint: allow-file(no-index) — every index addresses a node's own
+// `keys` / `vals` / `children` vectors: a position a binary search over
+// that node's keys returned, or a sibling position whose existence the
+// node's arity (`children.len() == keys.len() + 1`, kept by split/merge)
+// guarantees.
 // aib-lint: allow-file(no-panic) — the remaining `expect`/`unreachable!`
 // sites assert structural invariants of the B+-tree algorithm (separator
-// counts, child arity) that are maintained locally by split/merge; a
-// violation is a bug in this module, not a recoverable input condition.
+// counts, child arity) that are maintained locally by split/merge and by
+// the bulk load's node sizing; a violation is a bug in this module, not a
+// recoverable input condition.
 
 use std::fmt::Debug;
 
 /// Default maximum number of keys per node.
 pub const DEFAULT_ORDER: usize = 64;
+
+/// Keys per bulk-loaded node: ¾ of the order. A constant, not a knob: full
+/// nodes would make the first single-key insert after a bulk load split a
+/// leaf on almost every call, half-full ones would double the node count;
+/// ¾ leaves each node a quarter of the order of slack for the Table I adds
+/// that follow.
+fn bulk_fill(order: usize) -> usize {
+    order * 3 / 4
+}
 
 enum Node<K, V> {
     Leaf {
@@ -89,6 +106,101 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             order,
             len: 0,
         }
+    }
+
+    /// Builds a tree of at most `order` keys per node from `entries` in
+    /// strictly ascending key order, bottom-up: leaves are cut straight
+    /// from the run, then each level of internal nodes from the one below,
+    /// every node filled to about ¾ of `order` — slack for the single-key
+    /// inserts that follow — and never outside the occupancy bounds
+    /// [`check_invariants`] enforces.
+    /// O(n), no key comparisons beyond the debug-build order check.
+    ///
+    /// ```
+    /// use aib_index::BPlusTree;
+    ///
+    /// let tree = BPlusTree::from_sorted(4, (0..100).map(|k| (k, k * 10)));
+    /// assert_eq!(tree.len(), 100);
+    /// assert_eq!(tree.get(&42), Some(&420));
+    /// tree.check_invariants();
+    /// ```
+    ///
+    /// # Panics
+    /// If `order < 3`; in debug builds, if `entries` is not strictly
+    /// ascending.
+    ///
+    /// [`check_invariants`]: BPlusTree::check_invariants
+    pub fn from_sorted<I>(order: usize, entries: I) -> Self
+    where
+        I: IntoIterator<Item = (K, V)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut tree = Self::with_order(order);
+        let mut entries = entries.into_iter();
+        tree.len = entries.len();
+        let min = tree.min_keys();
+        let fill = bulk_fill(order);
+
+        // Each node travels with the smallest key of its subtree: that key
+        // is the separator its parent puts in front of it. Every node is
+        // allocated for the one-past-full state a split starts from, so the
+        // first insert into a bulk-loaded node does not reallocate it.
+        let mut level: Vec<(K, Node<K, V>)> = Vec::new();
+        for size in bulk_node_sizes(tree.len, min, order, fill) {
+            let mut keys = Vec::with_capacity(order + 1);
+            let mut vals = Vec::with_capacity(order + 1);
+            for (k, v) in entries.by_ref().take(size) {
+                keys.push(k);
+                vals.push(v);
+            }
+            debug_assert!(
+                keys.windows(2).all(|w| w[0] < w[1])
+                    && level.last().is_none_or(|(_, prev)| {
+                        matches!(prev, Node::Leaf { keys: prev, .. } if prev.last() < keys.first())
+                    }),
+                "from_sorted input must be strictly ascending"
+            );
+            let first = keys.first().expect("bulk leaf sizes are positive").clone();
+            level.push((first, Node::Leaf { keys, vals }));
+        }
+        // Internal levels count children, one more than keys per node.
+        while level.len() > 1 {
+            let mut below = level.into_iter();
+            level = bulk_node_sizes(below.len(), min + 1, order + 1, fill + 1)
+                .map(|size| {
+                    let (first, leftmost) = below.next().expect("bulk sizes sum to the level");
+                    let mut keys = Vec::with_capacity(order + 1);
+                    let mut children = Vec::with_capacity(order + 2);
+                    children.push(leftmost);
+                    for (sep, child) in below.by_ref().take(size - 1) {
+                        keys.push(sep);
+                        children.push(child);
+                    }
+                    (first, Node::Internal { keys, children })
+                })
+                .collect();
+        }
+        if let Some((_, root)) = level.pop() {
+            *tree.root = root;
+        }
+        tree
+    }
+
+    /// Consumes the tree, returning its entries in key order.
+    pub fn into_sorted_vec(self) -> Vec<(K, V)> {
+        fn drain<K, V>(node: Node<K, V>, out: &mut Vec<(K, V)>) {
+            match node {
+                Node::Leaf { keys, vals } => out.extend(keys.into_iter().zip(vals)),
+                Node::Internal { children, .. } => {
+                    for child in children {
+                        drain(child, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(self.len);
+        drain(*self.root, &mut out);
+        out
     }
 
     /// Number of entries.
@@ -324,6 +436,27 @@ fn child_index<K: Ord>(keys: &[K], key: &K) -> usize {
         Ok(i) => i + 1,
         Err(i) => i,
     }
+}
+
+/// Sizes of the nodes one bulk-loaded level cuts `n` items into: as close
+/// to `target` items each as the bounds allow, spread evenly so no node
+/// holds fewer than `lo` or more than `hi`. A level of one node is the root
+/// and only needs `n <= hi`.
+///
+/// Such a split exists for every `n >= lo` because `2·lo <= hi + 1` (leaves:
+/// `lo = order/2`, `hi = order`; internal nodes count children, one more of
+/// each): the item counts `L` nodes can hold, `[L·lo, L·hi]`, then overlap
+/// from `L = 1` on, so the node counts in `[⌈n/hi⌉, ⌊n/lo⌋]` are all valid
+/// and the count nearest `target` is clamped into that range.
+fn bulk_node_sizes(n: usize, lo: usize, hi: usize, target: usize) -> impl Iterator<Item = usize> {
+    let nodes = if n == 0 {
+        0
+    } else {
+        n.div_ceil(target).max(n.div_ceil(hi)).min((n / lo).max(1))
+    };
+    let base = n.checked_div(nodes).unwrap_or(0);
+    let extra = n.checked_rem(nodes).unwrap_or(0);
+    (0..nodes).map(move |i| base + usize::from(i < extra))
 }
 
 /// Recursive insert; returns `(old_value, split)` where `split` carries the
@@ -777,6 +910,13 @@ mod tests {
         let tree: Vec<_> = t.iter().map(|(k, v)| (*k, *v)).collect();
         let model: Vec<_> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(tree, model);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_unsorted_input() {
+        BPlusTree::from_sorted(3, [(1, ()), (2, ()), (3, ()), (5, ()), (4, ())]);
     }
 
     #[test]

@@ -103,6 +103,24 @@ impl PartialIndex {
         added
     }
 
+    /// `IX.Add` for a whole batch of covered tuples in one sorted merge
+    /// ([`BTreeIndex::add_batch`]) — the index builds' path. Charges the
+    /// [`AdaptationCost`] the same total as one [`add`](Self::add) per
+    /// entry (the charge is cumulative). Returns the number of entries
+    /// added; repeats and entries already present are not.
+    ///
+    /// # Panics
+    /// In debug builds, if any value is not covered.
+    pub fn add_batch(&mut self, entries: Vec<(Value, Rid)>) -> usize {
+        debug_assert!(
+            entries.iter().all(|(value, _)| self.covers(value)),
+            "IX.Add of an uncovered value"
+        );
+        let added = self.index.add_batch(entries, |_| {});
+        self.cost.charge_entries(added as u64);
+        added
+    }
+
     /// `IX.Remove(t)` — deletes an entry.
     pub fn remove(&mut self, value: &Value, rid: Rid) -> bool {
         let removed = self.index.remove(value, rid);
@@ -313,6 +331,33 @@ mod tests {
         assert!(!ix.covers(&Value::Int(3)));
         assert!(ix.lookup(&Value::Int(3)).is_empty());
         assert_eq!(ix.lookup(&Value::Int(7)), vec![Rid::new(7, 0)]);
+    }
+
+    #[test]
+    fn add_batch_charges_what_the_add_loop_charges() {
+        use aib_storage::{CostModel, IoStats};
+        use std::sync::Arc;
+        let charged = |io: &Arc<IoStats>| {
+            PartialIndex::new("a", Coverage::All, IndexBackend::BTree).with_cost(
+                AdaptationCost::charged(Arc::clone(io), CostModel::default(), 7),
+            )
+        };
+        // Repeats, and an entry the index already holds.
+        let entries: Vec<(Value, Rid)> = (0..40u32)
+            .map(|i| (Value::Int(i64::from(i % 25)), Rid::new(i % 25, 0)))
+            .collect();
+        let (io_loop, io_batch) = (Arc::new(IoStats::new()), Arc::new(IoStats::new()));
+        let (mut looped, mut batched) = (charged(&io_loop), charged(&io_batch));
+        looped.add(Value::Int(3), Rid::new(3, 0));
+        batched.add(Value::Int(3), Rid::new(3, 0));
+        let added = entries
+            .iter()
+            .filter(|(v, r)| looped.add(v.clone(), *r))
+            .count();
+        assert_eq!(batched.add_batch(entries), added);
+        assert_eq!(added, 24);
+        assert_eq!(batched.maintenance_entries(), looped.maintenance_entries());
+        assert_eq!(io_batch.snapshot(), io_loop.snapshot());
     }
 
     #[test]

@@ -41,6 +41,94 @@ impl BTreeIndex {
         inserted
     }
 
+    /// Adds a batch of entries in one sorted merge instead of one descent
+    /// each: sorts the batch by `(value, rid)`, drops repeats and entries
+    /// already present, merges with the resident entries and rebuilds the
+    /// tree with [`BPlusTree::from_sorted`]. Same entries, same
+    /// [`MemoryUsage::footprint`] as calling [`add`](Self::add) per entry in
+    /// batch order. Calls `on_added(i)` for each position `i` of `entries`
+    /// whose entry was added — of repeats, the earliest — and returns how
+    /// many were.
+    ///
+    /// There is no small-batch fallback to per-entry inserts: the merge
+    /// moves every resident entry, a few nanoseconds each against a
+    /// descent's hundred or more, and the callers' batches are a whole
+    /// heap's covered tuples or a selection of up to `I^MAX` pages merged
+    /// into a partition of at most `P` pages (DESIGN.md, "Index Buffer
+    /// partitions").
+    pub fn add_batch(
+        &mut self,
+        mut entries: Vec<(Value, Rid)>,
+        mut on_added: impl FnMut(usize),
+    ) -> usize {
+        if entries.is_empty() {
+            return 0;
+        }
+        // Every comparison below leads with the entries' `sort_prefix`: one
+        // integer compare decides it unless the prefixes tie. The sort
+        // itself uses a 64-bit window of the prefixes, ending at the highest
+        // bit that differs within the batch — the bits above it are the
+        // same in every prefix — so it moves 16-byte elements.
+        let (any, all) = entries.iter().fold((0, !0), |(any, all), (value, rid)| {
+            let prefix = sort_prefix(value, *rid);
+            (any | prefix, all & prefix)
+        });
+        let shift = (u128::BITS - (any ^ all).leading_zeros()).saturating_sub(u64::BITS);
+        // Sort positions by window, order each run of equal windows
+        // (repeated entries; keys differing only below the window) by the
+        // full key and by position, and keep the earliest of each repeat.
+        let mut batch: Vec<(u64, usize)> = (0..)
+            .zip(&entries)
+            .map(|(i, (value, rid))| ((sort_prefix(value, *rid) >> shift) as u64, i))
+            .collect();
+        batch.sort_unstable_by_key(|&(window, _)| window);
+        for run in batch.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                run.sort_unstable_by(|a, b| {
+                    entries.get(a.1).cmp(&entries.get(b.1)).then(a.1.cmp(&b.1))
+                });
+            }
+        }
+        batch.dedup_by(|later, first| {
+            later.0 == first.0 && entries.get(later.1) == entries.get(first.1)
+        });
+
+        let order = self.tree.order();
+        let resident = std::mem::take(&mut self.tree).into_sorted_vec();
+        let mut merged = Vec::with_capacity(resident.len() + batch.len());
+        let mut resident = resident
+            .into_iter()
+            .map(|(key, ())| (sort_prefix(&key.value, key.rid), key))
+            .peekable();
+        let mut added = 0;
+        for (_, i) in batch {
+            let Some((value, rid)) = entries.get_mut(i) else {
+                continue;
+            };
+            let new = (sort_prefix(value, *rid), &*value, *rid);
+            while let Some((_, old)) = resident.next_if(|(p, old)| (*p, &old.value, old.rid) < new)
+            {
+                merged.push((old, ()));
+            }
+            if resident
+                .peek()
+                .is_some_and(|(p, old)| (*p, &old.value, old.rid) == new)
+            {
+                continue;
+            }
+            self.bytes += entry_footprint(value);
+            on_added(i);
+            added += 1;
+            merged.push((
+                EntryKey::new(std::mem::replace(value, Value::Null), *rid),
+                (),
+            ));
+        }
+        merged.extend(resident.map(|(_, key)| (key, ())));
+        self.tree = BPlusTree::from_sorted(order, merged);
+        added
+    }
+
     /// Removes an entry. Returns `false` if it was not present.
     pub fn remove(&mut self, value: &Value, rid: Rid) -> bool {
         let removed = self
@@ -92,11 +180,49 @@ impl BTreeIndex {
             f(&k.value, k.rid);
         }
     }
+
+    /// Checks the tree's structural invariants and that the byte count
+    /// equals the entries' footprints (tests). Returns the tree height.
+    ///
+    /// # Panics
+    /// If either is violated.
+    pub fn check_invariants(&self) -> usize {
+        let height = self.tree.check_invariants();
+        let bytes: usize = self
+            .tree
+            .iter()
+            .map(|(k, ())| entry_footprint(&k.value))
+            .sum();
+        assert_eq!(bytes, self.bytes, "byte count matches the entries");
+        height
+    }
 }
 
 impl MemoryUsage for BTreeIndex {
     fn footprint(&self) -> usize {
         self.bytes
+    }
+}
+
+/// A 128-bit sort key whose order agrees with `(value, rid)` order: a
+/// smaller prefix means a smaller entry. NULL and INTEGER entries pack
+/// whole (variant, order-preserving value bits, page, slot), so equal
+/// prefixes mean equal entries; a string packs its first eight bytes only,
+/// so equal prefixes must be compared in full.
+fn sort_prefix(value: &Value, rid: Rid) -> u128 {
+    const INT: u128 = 1 << 126;
+    const STR: u128 = 2 << 126;
+    let rid = u128::from(rid.page.0) << 16 | u128::from(rid.slot.0);
+    match value {
+        Value::Null => rid,
+        Value::Int(v) => INT | u128::from((*v as u64) ^ (1 << 63)) << 48 | rid,
+        Value::Str(s) => {
+            let mut head = [0u8; 8];
+            for (to, from) in head.iter_mut().zip(s.as_bytes()) {
+                *to = *from;
+            }
+            STR | u128::from(u64::from_be_bytes(head)) << 48
+        }
     }
 }
 
