@@ -3,15 +3,13 @@
 //! a file-backed table eight times the pool.
 
 use aib_storage::replacement::LruPolicy;
-use aib_storage::{
-    BufferPool, BufferPoolConfig, CostModel, DiskManager, FileBackend, HeapFile, PageId,
-};
+use aib_storage::{BufferPool, BufferPoolConfig, CostModel, FileBackend, HeapFile, PageId};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
 fn pool_with(frames: usize, pages: u32) -> (Arc<BufferPool>, Vec<PageId>) {
     let pool = BufferPool::new(
-        DiskManager::new(CostModel::free()),
+        FileBackend::new(CostModel::free()),
         BufferPoolConfig::lru(frames),
     );
     let mut pids = Vec::new();
@@ -88,7 +86,7 @@ fn bench_cyclic_sweep(c: &mut Criterion) {
     let path = std::env::temp_dir().join(format!("aib-micro-pool-{}.heap", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let disk = FileBackend::open(&path, CostModel::free()).unwrap();
-    let pool = BufferPool::with_backend(Box::new(disk), BufferPoolConfig::lru(frames));
+    let pool = BufferPool::new(disk, BufferPoolConfig::lru(frames));
     let heap = HeapFile::new(Arc::clone(&pool));
     while heap.num_pages() < pages {
         heap.insert(&[7u8; 2000]).unwrap();

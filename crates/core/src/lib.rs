@@ -28,9 +28,9 @@
 //!
 //! ```
 //! use aib_core::{BufferConfig, SpaceConfig, IndexBufferSpace, Predicate, indexing_scan};
-//! # use aib_storage::{BufferPool, BufferPoolConfig, CostModel, DiskManager,
+//! # use aib_storage::{BufferPool, BufferPoolConfig, CostModel, FileBackend,
 //! #                   HeapFile, Tuple, Value};
-//! # let pool = BufferPool::new(DiskManager::new(CostModel::free()),
+//! # let pool = BufferPool::new(FileBackend::new(CostModel::free()),
 //! #                            BufferPoolConfig::lru(16));
 //! # let heap = HeapFile::new(pool);
 //! # for i in 0..100i64 {

@@ -614,14 +614,14 @@ mod tests {
     use super::*;
     use crate::config::{BufferConfig, SpaceConfig};
 
-    use aib_storage::{BufferPool, BufferPoolConfig, Column, CostModel, DiskManager, Schema};
+    use aib_storage::{BufferPool, BufferPoolConfig, Column, CostModel, FileBackend, Schema};
 
     /// Builds a heap of two-column tuples (key, payload) with `n` keys
     /// `0..n`, plus a space with one buffer whose partial index covers keys
     /// `< covered_below`.
     fn setup(n: i64, covered_below: i64) -> (HeapFile, IndexBufferSpace, usize) {
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(16),
         );
         let heap = HeapFile::new(pool);

@@ -45,10 +45,9 @@
 //!
 //! ### Failure semantics
 //!
-//! A batch that fails mid-write (crash injection, real I/O error) acks its
-//! durable prefix and fails every ticket from the first lost frame on; the
-//! WAL is poisoned from that point (appended frames would be unreachable
-//! behind the torn one), so later commits also fail — until a checkpoint
+//! A batch whose write or sync fails acks none of its tickets; the WAL is
+//! poisoned from that point (appended frames would be unreachable behind a
+//! torn one), so later commits also fail — until a checkpoint
 //! whose heap image holds every applied-but-unlogged mutation rotates in a
 //! fresh log, which supersedes the failure wholesale. That takes a
 //! checkpoint *cut after the last failed commit*: one that finds the log
@@ -224,8 +223,8 @@ impl CommitPipeline {
     /// Blocks until every record of `ticket` has a decided outcome,
     /// leading batches as needed (leader/follower handoff — see the module
     /// docs). `Ok` means a covering fsync landed for the whole ticket
-    /// range; `Err` means at least one record was lost (a durable prefix
-    /// of the range may still replay after a crash).
+    /// range; `Err` means at least one record was lost (records of the range
+    /// that reached the file may still replay after a crash).
     pub fn wait_durable(&self, ticket: Ticket) -> Result<(), StorageError> {
         loop {
             // Lock-free ack: the clean watermark is published after the
@@ -316,24 +315,21 @@ impl CommitPipeline {
             return;
         }
         let first = last + 1 - records;
-        let before = w.wal.records_written();
         // A failed log takes nothing more, even after a rotation made the
         // file itself sound again: see `rotate`.
         let outcome = match &w.failed {
             Some((_, error)) => Err(error.clone()),
             None => w.wal.append_frames(frames),
         };
-        let appended = w.wal.records_written() - before;
-        w.since_checkpoint += appended;
-        if let Err(error) = outcome {
-            // Tickets below `first + appended` were covered by a successful
-            // fsync and may ack; everything from there on is lost.
-            if w.failed.is_none() {
-                w.failed = Some((first + appended, error));
+        match outcome {
+            Ok(()) => w.since_checkpoint += records,
+            // The whole batch is lost; tickets before it stay acked.
+            Err(error) => {
+                w.failed.get_or_insert((first, error));
             }
         }
-        // Publish last (not first + appended) even on failure: the whole
-        // batch is *decided*, which is what waiters poll for. The atomic
+        // Publish `last` even on failure: the whole batch is *decided*,
+        // which is what waiters poll for. The atomic
         // clean watermark stops just short of the first failed ticket, so
         // the lock-free ack path can never return Ok for a lost record.
         w.durable_seq = last;
@@ -438,14 +434,6 @@ impl CommitPipeline {
     /// Successful covering fsyncs issued by the WAL.
     pub fn wal_syncs(&self) -> u64 {
         self.wal.lock().wal.syncs()
-    }
-
-    /// Crash-injection hook: fail the append that would become record
-    /// `records_written() + n`.
-    pub fn fail_after(&self, n: u64) {
-        let mut w = self.wal.lock();
-        let at = w.wal.records_written() + n;
-        w.wal.set_fail_at(at);
     }
 
     // ------------------------------------------- background checkpointing

@@ -63,9 +63,9 @@ use aib_core::{
 use aib_index::{AdaptationCost, Coverage, IndexBackend, PartialIndex};
 use aib_storage::stats::IoSnapshot;
 use aib_storage::{
-    BudgetComponent, BudgetSnapshot, BufferPool, BufferPoolConfig, CostModel, DiskBackend,
-    DiskManager, FileBackend, HeapFile, IoStats, MemoryBudget, PageId, Rid, Schema, SlotId,
-    StorageError, Tuple, Value, Wal, WalRecord,
+    BudgetComponent, BudgetSnapshot, BufferPool, BufferPoolConfig, CostModel, FileBackend,
+    HeapFile, IoStats, MemoryBudget, OsDir, PageId, Rid, Schema, SlotId, StorageError, StoreDir,
+    Tuple, Value, Wal, WalRecord,
 };
 
 use crate::commit::{checkpointer_loop, CommitPipeline, Ticket};
@@ -82,6 +82,10 @@ type PageOps = Vec<(SlotId, Option<Vec<u8>>)>;
 
 /// Partial-index entries per leaf page, for adaptation cost accounting.
 const INDEX_ENTRIES_PER_PAGE: u64 = 400;
+
+/// The heap file and the log of a durable database, in its directory.
+const HEAP_FILE: &str = "heap.db";
+const WAL_FILE: &str = "wal.log";
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -408,14 +412,12 @@ struct QueryClock {
 }
 
 impl Database {
-    /// Creates an empty **in-memory** database: pages live in the
-    /// simulated [`DiskManager`], nothing survives the process, and no WAL
-    /// is written. This is the benchmark default — deterministic and
-    /// bit-for-bit identical to the pre-durability engine.
+    /// Creates an empty **in-memory** database: pages live in a
+    /// [`FileBackend`] over an in-memory file, nothing survives the process,
+    /// and no WAL is written. This is the benchmark default — deterministic
+    /// and bit-for-bit identical to the pre-durability engine.
     pub fn new(config: EngineConfig) -> Self {
-        let disk = DiskManager::new(config.cost_model);
-        let stats = disk.stats();
-        Self::assemble(Box::new(disk), stats, config)
+        Self::assemble(FileBackend::new(config.cost_model), config)
     }
 
     /// Opens (or creates) a **durable** database in directory `dir`:
@@ -436,17 +438,23 @@ impl Database {
     /// On success the database has already checkpointed once, compacting
     /// the log to a single snapshot record.
     pub fn open(dir: impl AsRef<Path>, config: EngineConfig) -> EngineResult<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
+        let dir = OsDir::create(dir.as_ref())
             .map_err(|e| StorageError::io("create database directory", e))?;
+        Self::open_in(Arc::new(dir), config)
+    }
+
+    /// [`Database::open`] on any directory of the file seam — the real file
+    /// system, or an in-memory [`aib_storage::MemDir`] that a test can cut
+    /// the power of. The durable engine runs unchanged: WAL, group commit,
+    /// checkpoints and recovery.
+    pub fn open_in(dir: Arc<dyn StoreDir>, config: EngineConfig) -> EngineResult<Self> {
         // Recovery reads `heap.db` and `wal.log` and nothing else: what a
         // crashed rotation left beside the log goes first.
-        let wal_path = dir.join("wal.log");
-        Wal::remove_side_files(&wal_path)?;
-        let backend = FileBackend::open(&dir.join("heap.db"), config.cost_model)?;
-        let (stats, heap_pages) = (DiskBackend::stats(&backend), backend.num_pages());
-        let mut db = Self::assemble(Box::new(backend), stats, config);
-        let records = Wal::replay(&wal_path)?;
+        Wal::remove_side_files(&*dir, WAL_FILE)?;
+        let backend = FileBackend::open_in(&*dir, HEAP_FILE, config.cost_model)?;
+        let heap_pages = backend.num_pages();
+        let mut db = Self::assemble(backend, config);
+        let records = Wal::replay_in(&*dir, WAL_FILE)?;
         // Pages become durable only at a checkpoint, and the first one comes
         // after the log exists: a heap with pages and no log has lost it.
         if records.is_empty() && heap_pages > 0 {
@@ -462,7 +470,7 @@ impl Database {
         db.pool.sync()?;
         let snapshot = WalRecord::Snapshot(snapshot_image(&db.catalog.read()).encode());
         let pipeline = Arc::new(CommitPipeline::new(
-            Wal::create(&wal_path, &snapshot)?,
+            Wal::create(dir, WAL_FILE, &snapshot)?,
             db.config.group_commit_wait_us,
             db.config.wal_checkpoint_interval,
         ));
@@ -495,8 +503,9 @@ impl Database {
         Ok(db)
     }
 
-    /// Shared constructor over any [`DiskBackend`].
-    fn assemble(disk: Box<dyn DiskBackend>, stats: Arc<IoStats>, config: EngineConfig) -> Self {
+    /// Shared constructor over a page store.
+    fn assemble(disk: FileBackend, config: EngineConfig) -> Self {
+        let stats = disk.stats();
         // One governor for the whole engine: the pool reserves frame bytes
         // against it and the space draws Algorithm 2's headroom from it, so
         // either side's growth is the other side's denial.
@@ -508,7 +517,7 @@ impl Database {
             budget = budget.with_component_limit(BudgetComponent::IndexSpace, bytes);
         }
         let budget = Arc::new(budget);
-        let pool = BufferPool::with_backend(
+        let pool = BufferPool::new(
             disk,
             BufferPoolConfig::lru(config.pool_frames)
                 .with_budget(Arc::clone(&budget))
@@ -685,23 +694,6 @@ impl Database {
     /// amortization factor the durability bench reports.
     pub fn wal_fsyncs(&self) -> u64 {
         self.durability.as_ref().map_or(0, |p| p.wal_syncs())
-    }
-
-    /// Crash-injection hook (tests): the WAL append `n` appends from now
-    /// (0 = the very next one) writes a torn frame prefix and fails with
-    /// an I/O error, emulating a crash mid-DML. No-op when in-memory.
-    pub fn wal_fail_after(&self, n: u64) {
-        if let Some(pipeline) = &self.durability {
-            pipeline.fail_after(n);
-        }
-    }
-
-    /// Crash-injection hook (tests): the next checkpoint's heap-file sync
-    /// flushes only half its dirty pages and fails without updating the
-    /// durable header, emulating a crash mid-checkpoint. No-op when
-    /// in-memory.
-    pub fn fail_next_heap_sync(&self) {
-        self.pool.fail_next_sync();
     }
 
     /// Rebuilds the whole engine state from replayed WAL `records` into

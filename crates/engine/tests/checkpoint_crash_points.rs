@@ -6,18 +6,23 @@
 //! own generation may replay.
 //!
 //! The phase boundaries are observed on a live engine
-//! (`Database::checkpoint_observed`), with commits issued *between* them so
-//! that the rotated log has a tail the heap image does not hold. The steps
+//! (`Database::checkpoint_observed`) running on an in-memory directory, with
+//! commits issued *between* them so that the rotated log has a tail the heap
+//! image does not hold; each crashed state is reopened on the file system.
+//! The steps
 //! inside the rotation are composed from two observed directories — the one
 //! just before it and the one just after — because each of them only moves
 //! names around.
 
 use aib_engine::{CheckpointPhase, Database, EngineConfig};
 use aib_index::{Coverage, IndexBackend};
-use aib_storage::{Column, Rid, Schema, Tuple, Value, Wal, WalRecord};
+use aib_storage::{
+    Column, Fault, MemDir, OsDir, Rid, Schema, Tuple, Value, Wal, WalRecord, PAGE_SIZE,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory per use, removed on drop.
 struct TempDir(PathBuf);
@@ -52,6 +57,14 @@ fn read_files(dir: &Path) -> Files {
     FILES
         .into_iter()
         .filter_map(|name| Some((name, std::fs::read(dir.join(name)).ok()?)))
+        .collect()
+}
+
+/// [`read_files`] of an in-memory directory: what a killed process leaves.
+fn mem_files(dir: &MemDir) -> Files {
+    FILES
+        .into_iter()
+        .filter_map(|name| Some((name, dir.read(name)?)))
         .collect()
 }
 
@@ -100,7 +113,7 @@ impl Model {
 
 /// What the observed engine run left at each boundary.
 struct Observed {
-    /// After the first (injected) half flush of the heap: old log, heap
+    /// After the first (injected) partial flush of the heap: old log, heap
     /// partly newer.
     mid_heap_flush: (Files, Model),
     /// Heap flushed and fsynced, log not rotated; a tail committed since the
@@ -115,8 +128,8 @@ struct Observed {
 }
 
 fn observe() -> Observed {
-    let dir = TempDir::new("live");
-    let db = Database::open(&dir.0, config()).unwrap();
+    let dir = Arc::new(MemDir::new());
+    let db = Database::open_in(dir.clone(), config()).unwrap();
     db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
         .unwrap();
     let mut model = Model::default();
@@ -128,25 +141,26 @@ fn observe() -> Observed {
     db.checkpoint_observed(true, &mut |_| {}).unwrap();
     model.churn(&db, 5, 400);
     db.checkpoint_observed(true, &mut |_| {}).unwrap();
-    assert!(
-        dir.0.join("wal.log.new").exists(),
-        "a retired log is parked"
-    );
+    assert!(dir.read("wal.log.new").is_some(), "a retired log is parked");
     for k in 300..340 {
         model.insert(&db, k, 150);
     }
     model.churn(&db, 9, 700);
 
-    // Crash point: mid heap flush. Commits land behind the cut, half the
+    // Crash point: mid heap flush. Commits land behind the cut, two of the
     // frozen pages reach the file, the checkpoint dies.
-    db.fail_next_heap_sync();
+    dir.arm(Fault::Write {
+        name: "heap.db".into(),
+        nth: 0,
+        keep: 2 * PAGE_SIZE,
+    });
     let failed = db.checkpoint_observed(true, &mut |phase| {
         if phase == CheckpointPhase::Captured {
             model.insert(&db, 900, 300);
         }
     });
     assert!(failed.is_err());
-    let mid_heap_flush = (read_files(&dir.0), model.clone());
+    let mid_heap_flush = (mem_files(&dir), model.clone());
 
     // The checkpoint under test, with a tail: DML behind the cut, a DDL
     // record among it, more DML after the heap fsync.
@@ -172,12 +186,12 @@ fn observe() -> Observed {
                 model.insert(&db, k, 50);
             }
             tail += db.wal_records_written() - before;
-            before_rotation = Some(read_files(&dir.0));
+            before_rotation = Some(mem_files(&dir));
         }
     })
     .unwrap();
     assert_eq!(db.wal_records_written(), 1 + tail, "snapshot + tail");
-    let after_rotation = read_files(&dir.0);
+    let after_rotation = mem_files(&dir);
     drop(db); // a crash: no close
     Observed {
         mid_heap_flush,
@@ -199,7 +213,7 @@ fn stale_frames_at(at: usize, generation: u32, records: &[WalRecord]) -> Vec<u8>
     std::fs::write(&path, header).unwrap();
     // File header, frame header and tag byte in front of the padding.
     let padding = WalRecord::Snapshot(vec![0; at - 8 - 8 - 1]);
-    let mut wal = Wal::create(&path, &padding).unwrap();
+    let mut wal = Wal::create(Arc::new(OsDir::new(&dir.0)), "scratch.log", &padding).unwrap();
     for record in records {
         wal.append(record).unwrap();
     }

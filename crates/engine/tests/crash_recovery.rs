@@ -12,9 +12,10 @@
 use aib_core::BufferConfig;
 use aib_engine::{AccessPath, Database, EngineConfig, Query, TunerConfig};
 use aib_index::{Coverage, IndexBackend};
-use aib_storage::{Column, Rid, Schema, Tuple, Value};
+use aib_storage::{Column, Fault, MemDir, Rid, Schema, Tuple, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory per test, removed on drop.
 struct TempDir(PathBuf);
@@ -41,6 +42,21 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// The durable engine on `dir`, an in-memory directory: the tests that
+/// inject a fault run there, the rest on the file system.
+fn open_in(dir: &Arc<MemDir>, config: EngineConfig) -> Database {
+    Database::open_in(dir.clone(), config).unwrap()
+}
+
+/// Fails the next write to the log, landing only `keep` bytes of it.
+fn tear_next_log_write(dir: &MemDir, keep: usize) {
+    dir.arm(Fault::Write {
+        name: "wal.log".into(),
+        nth: 0,
+        keep,
+    });
 }
 
 fn config() -> EngineConfig {
@@ -127,9 +143,9 @@ fn clean_reopen_restores_exact_heap_and_empty_buffer() {
 
 #[test]
 fn crash_mid_dml_keeps_exactly_the_logged_prefix() {
-    let dir = TempDir::new("middml");
+    let dir = Arc::new(MemDir::new());
     let before = {
-        let db = Database::open(dir.path(), config()).unwrap();
+        let db = open_in(&dir, config());
         db.create_table("t", schema()).unwrap();
         for i in 0..50 {
             db.insert("t", &tuple(i)).unwrap();
@@ -140,7 +156,7 @@ fn crash_mid_dml_keeps_exactly_the_logged_prefix() {
         db.delete("t", rows[7].0).unwrap();
         // The 51st insert crashes mid-append: a torn frame hits the log and
         // the operation reports failure.
-        db.wal_fail_after(0);
+        tear_next_log_write(&dir, 12);
         assert!(db.insert("t", &tuple(999)).is_err());
         image(&db, "t")
         // ... and the "process" dies here: no close, no checkpoint.
@@ -150,7 +166,7 @@ fn crash_mid_dml_keeps_exactly_the_logged_prefix() {
         .filter(|(_, t)| t.get(0) != Some(&Value::Int(999)))
         .collect();
 
-    let db = Database::open(dir.path(), config()).unwrap();
+    let db = open_in(&dir, config());
     let after = image(&db, "t");
     assert_eq!(after, expected, "logged prefix survives, torn insert gone");
     assert_eq!(db.table("t").unwrap().live_tuples(), 49);
@@ -218,9 +234,9 @@ fn buffer_growth_and_adaptation_write_zero_wal_records() {
 
 #[test]
 fn crash_mid_checkpoint_converges_via_old_log() {
-    let dir = TempDir::new("midckpt");
+    let dir = Arc::new(MemDir::new());
     let before = {
-        let db = Database::open(dir.path(), config()).unwrap();
+        let db = open_in(&dir, config());
         db.create_table("t", schema()).unwrap();
         for i in 0..80 {
             db.insert("t", &tuple(i)).unwrap();
@@ -236,15 +252,18 @@ fn crash_mid_checkpoint_converges_via_old_log() {
                 db.update("t", *rid, &tuple(1000 + i as i64)).unwrap();
             }
         }
-        // The next checkpoint flushes only half its dirty pages, then dies:
-        // the heap file is left *partially* newer than the surviving log's
-        // snapshot.
-        db.fail_next_heap_sync();
+        // The next checkpoint's flush lands one page, then dies: the heap
+        // file is left *partially* newer than the surviving log's snapshot.
+        dir.arm(Fault::Write {
+            name: "heap.db".into(),
+            nth: 0,
+            keep: aib_storage::PAGE_SIZE,
+        });
         assert!(db.checkpoint().is_err());
         image(&db, "t")
     };
 
-    let db = Database::open(dir.path(), config()).unwrap();
+    let db = open_in(&dir, config());
     assert_eq!(
         image(&db, "t"),
         before,
@@ -375,7 +394,8 @@ fn a_log_selecting_a_removed_index_structure_fails_to_open() {
                 snapshot.extend_from_slice(&0u32.to_le_bytes()); // heap pages
                 snapshot.extend_from_slice(&1u32.to_le_bytes()); // indexes
                 snapshot.extend_from_slice(&def);
-                Wal::create(&wal_path, &WalRecord::Snapshot(snapshot)).unwrap();
+                let dir = Arc::new(aib_storage::OsDir::new(dir.path()));
+                Wal::create(dir, "wal.log", &WalRecord::Snapshot(snapshot)).unwrap();
             }
             let files = || {
                 (
@@ -515,20 +535,26 @@ fn no_acked_commit_is_lost_across_a_crash() {
     assert_eq!(keys.len(), acked.len(), "recovery invented rows");
 }
 
-/// A torn batch tail behaves like the old torn single frame: replay stops
-/// cleanly at the tear, the batch's durable prefix survives, and the ops
-/// behind the tear report failure (and are absent after recovery).
+/// The log frame of one insert of [`tuple`]: header, tag, table, rid and
+/// the tuple's bytes.
+fn insert_frame_len() -> usize {
+    8 + 1 + 4 + 6 + tuple(0).to_bytes().len()
+}
+
+/// A torn batch tail behaves like a torn single frame: the whole batch
+/// reports failure, the log refuses commits until a checkpoint rotates it,
+/// and that checkpoint's snapshot keeps every applied mutation.
 #[test]
 fn torn_batch_tail_stops_replay_at_the_tear() {
-    let dir = TempDir::new("tornbatch");
+    let dir = Arc::new(MemDir::new());
     {
-        let db = Database::open(dir.path(), config()).unwrap();
+        let db = open_in(&dir, config());
         db.create_table("t", schema()).unwrap();
         for i in 0..10 {
             db.insert("t", &tuple(i)).unwrap();
         }
         // One batch of 6 inserts; the 4th frame tears mid-write.
-        db.wal_fail_after(3);
+        tear_next_log_write(&dir, 3 * insert_frame_len() + 20);
         let ops: Vec<aib_engine::BatchOp> = (100..106i64)
             .map(|k| aib_engine::BatchOp::Insert {
                 table: "t".into(),
@@ -545,7 +571,7 @@ fn torn_batch_tail_stops_replay_at_the_tear() {
         db.close().unwrap();
     }
 
-    let db = Database::open(dir.path(), config()).unwrap();
+    let db = open_in(&dir, config());
     let keys: std::collections::BTreeSet<i64> = image(&db, "t")
         .into_iter()
         .map(|(_, t)| match t.get(0) {
@@ -567,19 +593,19 @@ fn torn_batch_tail_stops_replay_at_the_tear() {
     assert!(keys.contains(&500), "post-rotation insert lost");
 }
 
-/// The torn tail without the rescuing checkpoint: crash right after the
-/// failed batch. Replay stops at the tear, keeping exactly the batch's
-/// durable prefix.
+/// The torn tail without the rescuing checkpoint: the process dies right
+/// after the failed batch. Replay stops at the tear, keeping exactly the
+/// frames of the batch that reached the file before it.
 #[test]
 fn torn_batch_tail_without_checkpoint_keeps_durable_prefix() {
-    let dir = TempDir::new("tornprefix");
+    let dir = Arc::new(MemDir::new());
     {
-        let db = Database::open(dir.path(), config()).unwrap();
+        let db = open_in(&dir, config());
         db.create_table("t", schema()).unwrap();
         for i in 0..10 {
             db.insert("t", &tuple(i)).unwrap();
         }
-        db.wal_fail_after(3);
+        tear_next_log_write(&dir, 3 * insert_frame_len() + 20);
         let ops: Vec<aib_engine::BatchOp> = (100..106i64)
             .map(|k| aib_engine::BatchOp::Insert {
                 table: "t".into(),
@@ -590,7 +616,7 @@ fn torn_batch_tail_without_checkpoint_keeps_durable_prefix() {
         // Crash: no checkpoint, no close.
     }
 
-    let db = Database::open(dir.path(), config()).unwrap();
+    let db = open_in(&dir, config());
     let keys: std::collections::BTreeSet<i64> = image(&db, "t")
         .into_iter()
         .map(|(_, t)| match t.get(0) {

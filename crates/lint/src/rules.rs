@@ -15,7 +15,7 @@
 //! | `lock-order`         | hierarchy `catalog → space → pool`: catalog outermost, BufferPool innermost; the WAL mutex a leaf below all three (the checkpointer takes catalog → WAL, never the reverse), the commit-queue mutex a leaf below that; and the pool's `disk` mutex is never held across a sync — a backend's flush and fsync run off it |
 //! | `crate-hygiene`      | crate roots forbid unsafe code and deny missing docs             |
 //! | `database-result`    | every `&mut self` `pub fn` on `Database` returns `Result<_, EngineError>` |
-//! | `durable-io`         | in `wal.rs` / `file_backend.rs` / `fsio.rs` / `commit.rs`, every raw file-I/O result is converted to `StorageError` in the same statement — never unwrapped, never discarded; and `sync_data` is *called* only in `wal.rs` / `file_backend.rs` / `fsio.rs` (the commit pipeline goes through the `Wal` batch API) |
+//! | `durable-io`         | in `wal.rs` / `file_backend.rs`, every raw file-I/O result (a call of the `store.rs` seam or of `std::fs`) is converted to `StorageError` in the same statement — never unwrapped, never discarded; and `sync_data` is *called* only in `store.rs`, the seam itself (everything else syncs through it; the commit pipeline through the `Wal` batch API) |
 //!
 //! (`no-index`, `database-result`, and `durable-io` are sub-rules of the
 //! panic-freedom and hygiene families, split out so the `allow(...)` escape
@@ -292,23 +292,31 @@ fn no_index(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
 // Rule 2c: durable-storage modules convert raw I/O errors to StorageError
 // ---------------------------------------------------------------------------
 
-/// Modules on the durability path: the write-ahead log, the file backend,
-/// the file-system primitives they share, and the group-commit pipeline.
-/// Matched by suffix so the fixture workspace can seed violations under its
-/// own crate layout.
-const DURABLE_IO_MODULES: &[&str] = &["wal.rs", "file_backend.rs", "fsio.rs", "commit.rs"];
+/// Modules that map raw I/O results on the durability path: the
+/// write-ahead log and the page store, the two users of the file seam
+/// (`store.rs`, which hands its `io::Result`s up unconverted). Matched by
+/// suffix so the fixture workspace can seed violations under its own crate
+/// layout.
+const DURABLE_IO_MODULES: &[&str] = &["wal.rs", "file_backend.rs"];
 
-/// The only modules allowed to *issue* a file fsync (`sync_data`). The
-/// commit pipeline and engine stage through the `Wal` batch API instead, so
-/// every fsync on the durability path is counted (`Wal::syncs`) and ordered
-/// by the WAL's framing — an uncounted side-channel fsync would silently
-/// skew the group-commit amortization the bench reports and could reorder
-/// around the WAL-before-data contract.
-const FSYNC_SITES: &[&str] = &["wal.rs", "file_backend.rs", "fsio.rs"];
+/// The only module allowed to *issue* a file fsync (`sync_data`): the seam.
+/// The log and the page store sync through it, and the commit pipeline and
+/// engine through the `Wal` batch API, so every fsync on the durability path
+/// is counted (`Wal::syncs`), ordered by the WAL's framing, and injectable
+/// by the in-memory directory — an uncounted side-channel fsync would
+/// silently skew the group-commit amortization the bench reports and could
+/// reorder around the WAL-before-data contract.
+const FSYNC_SITES: &[&str] = &["store.rs"];
 
 /// Raw file-I/O calls whose `io::Result` must be mapped to [`StorageError`]
-/// before it leaves the statement.
+/// before it leaves the statement: the seam's methods, and `std`'s.
 const DURABLE_IO_CALLS: &[&str] = &[
+    ".open(",
+    ".rename(",
+    ".hard_link(",
+    ".remove(",
+    ".sync()",
+    ".read_vectored_at(",
     ".write_all(",
     "write_all_at(",
     ".read_exact(",
@@ -400,9 +408,9 @@ fn fsync_confinement(rel: &str, stripped: &Stripped, out: &mut Vec<Violation>) {
             rel,
             line_idx,
             "durable-io",
-            "`sync_data` outside the WAL/file-backend modules; route durable \
-             writes through the `Wal` batch API so every fsync is counted \
-             and ordered by the commit pipeline"
+            "`sync_data` outside the file seam (`store.rs`); sync through a \
+             `StoreFile`, and durable writes through the `Wal` batch API, so \
+             every fsync is counted and ordered by the commit pipeline"
                 .to_string(),
         );
     }
@@ -668,7 +676,7 @@ fn disk_held_across_sync(
                 line_idx,
                 "lock-order",
                 "`disk` mutex held across a sync; freeze under it, write out and \
-                 fsync off it (`DiskBackend::freeze` / `FlushJob::write_out` / `thaw`)"
+                 fsync off it (`FileBackend::freeze` / `FileFlush::write_out` / `thaw`)"
                     .to_string(),
             );
         }

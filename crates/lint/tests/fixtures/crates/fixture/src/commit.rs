@@ -1,12 +1,11 @@
 //! Self-test fixture for the fsync-confinement half of `durable-io`: the
-//! file name ends in `commit.rs` — a durable module, but *not* an fsync
-//! site — so calling `sync_data` here is a violation even when the result
-//! is mapped correctly.
+//! file name ends in `commit.rs` — *not* the file seam — so calling
+//! `sync_data` here is a violation even when the result is mapped correctly.
 
 use std::fs::File;
 
 pub fn fsync_side_channel(file: &File) -> Result<(), StorageError> {
-    // durable-io: direct fsync outside wal.rs / file_backend.rs.
+    // durable-io: direct fsync outside store.rs.
     file.sync_data().map_err(|e| StorageError::io("fsync", e))
 }
 

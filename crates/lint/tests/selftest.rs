@@ -331,8 +331,8 @@ fn durable_io_fires_only_in_durable_modules() {
     // The idiom — mapping to StorageError in the same (multi-line)
     // statement — is clean, as is a match whose error arm converts.
     for good in [
-        "fn f(file: &mut File) -> Result<(), StorageError> {\n    file\n        \
-         .sync_data()\n        .map_err(|e| StorageError::io(\"fsync\", e))\n}\n",
+        "fn f(file: &dyn StoreFile) -> Result<(), StorageError> {\n    file\n        \
+         .sync()\n        .map_err(|e| StorageError::io(\"fsync\", e))\n}\n",
         "fn f(p: &Path) -> Result<Vec<u8>, StorageError> {\n    match std::fs::read(p) {\n        \
          Ok(raw) => Ok(raw),\n        Err(e) => Err(StorageError::io(\"read\", e)),\n    }\n}\n",
     ] {
@@ -342,41 +342,38 @@ fn durable_io_fires_only_in_durable_modules() {
 }
 
 #[test]
-fn durable_io_confines_fsync_to_wal_and_backend() {
-    // A correctly mapped `sync_data` is still a violation anywhere outside
-    // wal.rs / file_backend.rs — the commit pipeline must go through the
-    // `Wal` batch API, never fsync on the side.
+fn durable_io_confines_fsync_to_the_store() {
+    // A correctly mapped `sync_data` is a violation anywhere outside the
+    // file seam — the log and the page store included: they sync through a
+    // `StoreFile`, the commit pipeline through the `Wal` batch API.
     let mapped = "fn f(file: &File) -> Result<(), StorageError> {\n    file.sync_data()\n        \
          .map_err(|e| StorageError::io(\"fsync\", e))\n}\n";
     for module in [
         "crates/engine/src/commit.rs",
         "crates/fixture/src/lib.rs",
         "crates/engine/src/db.rs",
+        "crates/storage/src/wal.rs",
+        "crates/storage/src/file_backend.rs",
     ] {
         let v = lint_source(module, mapped);
         assert!(rules_of(&v).contains("durable-io"), "{module}: {v:?}");
     }
-    // The fsync sites themselves are exempt from the confinement half.
-    for module in [
-        "crates/storage/src/wal.rs",
-        "crates/storage/src/file_backend.rs",
-        "crates/storage/src/fsio.rs",
+    // The seam itself issues the fsync and hands its `io::Result` up.
+    for seam in [
+        mapped,
+        "fn sync(&self) -> io::Result<()> {\n    self.0.sync_data()\n}\n",
     ] {
-        let v = lint_source(module, mapped);
-        assert!(!rules_of(&v).contains("durable-io"), "{module}: {v:?}");
+        let v = lint_source("crates/storage/src/store.rs", seam);
+        assert!(!rules_of(&v).contains("durable-io"), "{seam}: {v:?}");
     }
-    // The commit module is a durable module for the conversion half: a
-    // raw I/O result discarded there is flagged like in wal.rs.
-    let v = lint_source(
-        "crates/engine/src/commit.rs",
-        "fn f(file: &mut File, b: &[u8]) { let _ = file.write_all(b); }\n",
-    );
-    assert!(rules_of(&v).contains("durable-io"), "{v:?}");
-    // The positional write and the hard link of the recycled rotation are
-    // raw I/O like any other; the helper's own definition is not a call.
+    // In the log and the page store a call of the seam is raw I/O like any
+    // other: discarded, it is flagged; the helper's own definition is not a
+    // call.
     for bad in [
-        "fn f(file: &File, b: &[u8]) { let _ = write_all_at(file, b, 0); }\n",
-        "fn f(a: &Path, b: &Path) -> bool { std::fs::hard_link(a, b).is_ok() }\n",
+        "fn f(file: &dyn StoreFile, b: &[u8]) { let _ = file.write_all_at(b, 0); }\n",
+        "fn f(file: &dyn StoreFile) { let _ = file.sync(); }\n",
+        "fn f(dir: &dyn StoreDir) { let _ = dir.rename(\"a\", \"b\"); }\n",
+        "fn f(dir: &dyn StoreDir) -> bool { dir.hard_link(\"a\", \"b\").is_ok() }\n",
     ] {
         let v = lint_source("crates/storage/src/wal.rs", bad);
         assert!(rules_of(&v).contains("durable-io"), "{bad}: {v:?}");

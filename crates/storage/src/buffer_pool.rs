@@ -59,8 +59,9 @@ use parking_lot::{
 };
 
 use crate::budget::{BudgetComponent, MemoryBudget, MemoryUsage};
-use crate::disk::{DiskBackend, DiskManager, FlushJob, PAGE_SIZE};
+use crate::disk::PAGE_SIZE;
 use crate::error::StorageError;
+use crate::file_backend::{FileBackend, FileFlush};
 use crate::replacement::{FrameId, LruPolicy};
 use crate::rid::PageId;
 use crate::stats::IoStats;
@@ -130,8 +131,8 @@ impl MemoryUsage for FrameCell {
 /// guarded per-frame, so I/O and page reads proceed without this lock).
 struct PoolState {
     /// `page_table[pid]`: the frame holding page `pid`, or [`NO_FRAME`].
-    /// Page ids are the backend's dense allocation sequence, so the table is
-    /// a plain array grown to the backend's page count on demand (see
+    /// Page ids are the store's dense allocation sequence, so the table is
+    /// a plain array grown to the store's page count on demand (see
     /// [`BufferPool::cover`]); like the hash map it replaces it is pool
     /// bookkeeping, not page residency, and sits outside the
     /// [`MemoryBudget`].
@@ -167,7 +168,7 @@ pub struct BufferPool {
     /// keeps guard drops off the state mutex entirely.
     pins: Vec<AtomicU32>,
     state: Mutex<PoolState>,
-    disk: Mutex<Box<dyn DiskBackend>>,
+    disk: Mutex<FileBackend>,
     stats: Arc<IoStats>,
     budget: Arc<MemoryBudget>,
     /// Wall-clock microseconds a read miss stalls the calling thread
@@ -176,23 +177,11 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Builds a pool over the simulated `disk` — the historical constructor
-    /// every bench and test uses; equivalent to
-    /// [`BufferPool::with_backend`] with a boxed [`DiskManager`].
+    /// Builds a pool over the page store `disk`.
     ///
     /// # Panics
     /// If `config.frames == 0`.
-    pub fn new(disk: DiskManager, config: BufferPoolConfig) -> Arc<Self> {
-        Self::with_backend(Box::new(disk), config)
-    }
-
-    /// Builds a pool over any [`DiskBackend`] — the seam through which the
-    /// engine picks between the in-memory simulation and the file-backed
-    /// durable store.
-    ///
-    /// # Panics
-    /// If `config.frames == 0`.
-    pub fn with_backend(disk: Box<dyn DiskBackend>, config: BufferPoolConfig) -> Arc<Self> {
+    pub fn new(disk: FileBackend, config: BufferPoolConfig) -> Arc<Self> {
         assert!(config.frames > 0, "buffer pool needs at least one frame");
         let stats = disk.stats();
         let io_wait_us = if config.io_wait {
@@ -224,7 +213,15 @@ impl BufferPool {
         })
     }
 
-    /// The shared I/O statistics (same sink the disk manager reports to).
+    /// [`BufferPool::new`] over a boxed store. Kept only because the frozen
+    /// `e2e/` harness still calls it (ROADMAP item 1 deletes it); nothing
+    /// else may use it.
+    #[allow(clippy::boxed_local)] // the box is the frozen harness's spelling
+    pub fn with_backend(disk: Box<FileBackend>, config: BufferPoolConfig) -> Arc<Self> {
+        Self::new(*disk, config)
+    }
+
+    /// The shared I/O statistics (same sink the page store reports to).
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
     }
@@ -394,7 +391,7 @@ impl BufferPool {
     }
 
     /// Makes sure the page table has a slot for `pid`, growing it to the
-    /// backend's current page count. An id the backend never allocated is
+    /// store's current page count. An id the store never allocated is
     /// refused here — the same error its read would give — so a wild id
     /// cannot size the table.
     fn cover(&self, state: &mut PoolState, pid: PageId) -> Result<(), StorageError> {
@@ -435,10 +432,10 @@ impl BufferPool {
     /// A dirty victim is written back *before* its mapping leaves the page
     /// table. Unmapping first and writing after the state lock is released
     /// loses writes: a concurrent fetch of the victim misses in the window,
-    /// reads the stale image from the backend, and every later reader sees
+    /// reads the stale image from the store, and every later reader sees
     /// that instead of the update that sat in this frame. The write is the
-    /// only I/O ever done under the state lock; it is an 8 KiB copy (the
-    /// simulated disk's page map, the file backend's no-steal overlay).
+    /// only I/O ever done under the state lock; it is an 8 KiB copy into the
+    /// store's no-steal overlay.
     ///
     /// On a write error the victim stays mapped and goes back on the list as
     /// evictable — the pool is as if the frame was never claimed.
@@ -586,16 +583,15 @@ impl BufferPool {
     }
 
     /// Checkpoint hook: makes every page written so far durable
-    /// ([`DiskBackend::sync`] semantics — fsync for the file backend, a no-op
-    /// for the simulation). [`BufferPool::capture`] and
+    /// ([`FileBackend::sync`]). [`BufferPool::capture`] and
     /// [`CapturedSync::flush`] back to back.
     pub fn sync(&self) -> Result<(), StorageError> {
         self.capture()?.flush()
     }
 
     /// The first half of [`BufferPool::sync`], and the only one that needs
-    /// the pool still: hands every dirty frame to the backend in one
-    /// [`DiskBackend::freeze`] — one walk over the frames, one `disk` lock —
+    /// the pool still: hands every dirty frame to the store in one freeze —
+    /// one walk over the frames, one `disk` lock —
     /// and marks them clean. What comes back owns a frozen copy of
     /// everything unsynced; the caller may release its own locks before
     /// [`CapturedSync::flush`] does the I/O, and pages dirtied in between
@@ -622,7 +618,7 @@ impl BufferPool {
         })
     }
 
-    /// Recovery hook: allocates backend pages until `pid` exists, so WAL
+    /// Recovery hook: allocates store pages until `pid` exists, so WAL
     /// replay can address the exact page ids the pre-crash execution used
     /// even when intervening ids belong to pages this heap does not own
     /// (another table's, or allocated before the crash and never logged).
@@ -634,12 +630,6 @@ impl BufferPool {
             disk.allocate()?;
         }
         Ok(())
-    }
-
-    /// Crash-injection passthrough to [`DiskBackend::fail_next_sync`]:
-    /// the next [`BufferPool::sync`] fails after a partial flush. Test hook.
-    pub fn fail_next_sync(&self) {
-        self.disk.lock().fail_next_sync();
     }
 }
 
@@ -662,17 +652,17 @@ impl std::fmt::Debug for BufferPool {
 
 /// Everything [`BufferPool::capture`] found unsynced, frozen and waiting to
 /// be written out. Dropping it without [`CapturedSync::flush`] hands the
-/// pages back to the backend as unsynced writes.
+/// pages back to the store as unsynced writes.
 #[must_use = "a captured sync is durable only once flushed"]
 pub struct CapturedSync<'a> {
     pool: &'a BufferPool,
-    job: Option<Box<dyn FlushJob>>,
+    job: Option<FileFlush>,
 }
 
 impl CapturedSync<'_> {
     /// Writes the frozen pages out and fsyncs them — with no pool lock held,
     /// so fetches, evictions and page writes go on meanwhile — then books
-    /// the outcome with the backend ([`DiskBackend::thaw`]).
+    /// the outcome with the store.
     pub fn flush(mut self) -> Result<(), StorageError> {
         let Some(job) = self.job.take() else {
             return Ok(());
@@ -728,7 +718,7 @@ pub struct PinnedBatch<'a> {
 impl PinnedBatch<'_> {
     /// Pins *every* page of `pids` — residents and misses alike — doing all
     /// pool bookkeeping in one state-lock acquisition and all miss I/O in one
-    /// disk request ([`DiskBackend::read_batch`]): per page it costs two
+    /// disk request ([`FileBackend::read_batch`]): per page it costs two
     /// atomic pin updates and a few array writes, not a lock round-trip and
     /// an individual disk call. Pins left over from the previous batch are
     /// released first.
@@ -971,7 +961,7 @@ mod tests {
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(frames),
         )
     }
@@ -1062,12 +1052,11 @@ mod tests {
 
     #[test]
     fn a_captured_sync_flushes_the_cut_not_what_came_after() {
-        use crate::file_backend::FileBackend;
         let mut path = std::env::temp_dir();
         path.push(format!("aib-pool-{}-capture.heap", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let open = || FileBackend::open(&path, CostModel::free()).unwrap();
-        let pool = BufferPool::with_backend(Box::new(open()), BufferPoolConfig::lru(4));
+        let pool = BufferPool::new(open(), BufferPoolConfig::lru(4));
         let (a, mut w) = pool.new_page().unwrap();
         w[0] = 1;
         drop(w);
@@ -1131,7 +1120,7 @@ mod tests {
                 .with_component_limit(BudgetComponent::BufferPool, 2 * PAGE_SIZE),
         );
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(4).with_budget(Arc::clone(&budget)),
         );
         let mut pids = Vec::new();
@@ -1162,7 +1151,7 @@ mod tests {
             MemoryBudget::unlimited().with_component_limit(BudgetComponent::BufferPool, PAGE_SIZE),
         );
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(2).with_budget(Arc::clone(&budget)),
         );
         let (_p0, g0) = pool.new_page().unwrap();
@@ -1242,8 +1231,8 @@ mod tests {
     #[test]
     fn a_contiguous_miss_batch_is_one_disk_request() {
         let cold_pool = || {
-            let mut disk = DiskManager::new(CostModel::free());
-            let pids: Vec<PageId> = (0..64).map(|_| disk.allocate()).collect();
+            let mut disk = FileBackend::new(CostModel::free());
+            let pids: Vec<PageId> = (0..64).map(|_| disk.allocate().unwrap()).collect();
             (BufferPool::new(disk, BufferPoolConfig::lru(128)), pids)
         };
         let (pool, pids) = cold_pool();

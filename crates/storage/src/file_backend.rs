@@ -1,6 +1,12 @@
-//! File-backed [`DiskBackend`]: one heap file with a versioned header page,
-//! page-aligned reads/writes, and a no-steal write overlay flushed on
-//! [`DiskBackend::sync`].
+//! The page store: one heap file with a versioned header page,
+//! page-aligned reads and writes, and a no-steal write overlay flushed on
+//! [`FileBackend::sync`].
+//!
+//! The file is a [`StoreFile`]. For the durable engine it is `heap.db` in a
+//! [`StoreDir`] ([`FileBackend::open`], [`FileBackend::open_in`]); for
+//! [`FileBackend::new`] — `Database::new`, the benches, most tests — it is an
+//! in-memory file that nothing else sees, so a run is deterministic and
+//! leaves nothing behind.
 //!
 //! ### On-disk layout
 //!
@@ -24,43 +30,41 @@
 //! converges to the same final heap (see `wal.rs`).
 //!
 //! A sync is three steps so that its I/O needs no lock
-//! ([`DiskBackend::freeze`] / [`FlushJob::write_out`] /
-//! [`DiskBackend::thaw`]): *freeze* moves the overlay and the pool's dirty
-//! frames into one sorted, contiguous **frozen set** — a memcpy; *write out*
-//! sends every run of consecutive pages down in one positional write, then
-//! the header, then one `fdatasync`, through a handle of its own while reads
-//! and writes go on (a read of a frozen page is served from the set, a write
-//! lands in the new overlay on top of it); *thaw* drops the set and moves
-//! the durable page count to where the cut was.
+//! (`freeze` / `write_out` / `thaw`): *freeze* moves the
+//! overlay and the pool's dirty frames into one sorted, contiguous **frozen
+//! set** — a memcpy; *write out* sends every run of consecutive pages down in
+//! one positional write, then the header, then one sync, through a handle of
+//! its own while reads and writes go on (a read of a frozen page is served
+//! from the set, a write lands in the new overlay on top of it); *thaw* drops
+//! the set and moves the durable page count to where the cut was.
 //!
-//! ### Accounting parity
+//! ### Accounting
 //!
-//! Reads and writes charge [`IoStats`] identically to the simulated
-//! [`crate::DiskManager`] (same counts, same [`CostModel`] microseconds), so
-//! experiments report the same simulated-time axis regardless of backend;
-//! `crates/storage/tests/backend_parity.rs` pins this down. `sync`'s flush
-//! I/O is charged in neither backend.
+//! Reads and writes charge [`IoStats`] per page at the [`CostModel`]'s
+//! microseconds, whichever directory holds the file, so experiments report
+//! the same simulated-time axis in memory and on disk
+//! (`crates/storage/tests/backend_parity.rs` pins the counts). A sync's flush
+//! I/O is never charged.
 //!
 //! ### Vectored run reads
 //!
-//! [`DiskBackend::read_batch`] serves a batch as runs of consecutive page
+//! [`FileBackend::read_batch`] serves a batch as runs of consecutive page
 //! ids. Inside a run, every stretch of pages that live *in the file* (below
-//! the durable count, not in the overlay) is one `seek` plus one vectored
-//! read straight into the callers' buffers — after a checkpoint a whole
-//! 64-page sweep batch is two system calls instead of 128. Overlay pages
-//! and the never-written tail are memory copies in between.
+//! the durable count, not in the overlay) is one vectored read straight into
+//! the callers' buffers — on the file system one `seek` plus one
+//! `read_vectored`, so after a checkpoint a whole 64-page sweep batch is two
+//! system calls instead of 128. Overlay pages and the never-written tail are
+//! memory copies in between.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, IoSliceMut, Read, Seek, SeekFrom};
+use std::io::{ErrorKind, IoSliceMut};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::disk::{read_runs, CostModel, DiskBackend, FlushJob, ReadReq, PAGE_SIZE};
+use crate::disk::{CostModel, PAGE_SIZE};
 use crate::error::StorageError;
-use crate::fsio::write_all_at;
 use crate::rid::PageId;
 use crate::stats::IoStats;
+use crate::store::{read_exact_at, MemDir, OsDir, StoreDir, StoreFile};
 
 /// Magic bytes opening every heap file.
 const MAGIC: &[u8; 8] = b"AIBHEAP1";
@@ -70,32 +74,34 @@ const FORMAT_VERSION: u32 = 1;
 /// Most pages one positional write of a flush carries (256 KiB).
 const FLUSH_WRITE_PAGES: usize = 32;
 
-/// File-backed page store. See the module docs for layout and semantics.
+/// One `(page id, destination)` request of a [`FileBackend::read_batch`].
+pub(crate) type ReadReq<'a> = (PageId, &'a mut [u8; PAGE_SIZE]);
+
+/// The page store, addressed by dense [`PageId`]s. See the module docs.
 pub struct FileBackend {
     /// Shared with the flush job of a sync in flight, which only ever writes
-    /// positionally — the file offset belongs to the reads.
-    file: Arc<File>,
+    /// positionally — on the file system the file offset belongs to reads.
+    file: Arc<dyn StoreFile>,
     /// Total allocated pages, including not-yet-flushed ones.
     num_pages: u32,
     /// Pages the file itself holds (header's count as of the last sync).
     durable_pages: u32,
-    /// No-steal write overlay: page id → latest contents.
-    overlay: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    /// No-steal write overlay: latest contents by page id (ids are dense).
+    overlay: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     /// The cut a sync in flight is writing out; older than the overlay,
     /// newer than the file.
     frozen: Option<Arc<FrozenPages>>,
     cost: CostModel,
     stats: Arc<IoStats>,
-    /// Crash-injection hook: fail the next sync after a partial flush.
-    fail_next_sync: bool,
 }
 
 impl std::fmt::Debug for FileBackend {
+    /// Compact summary — a derived impl would dump every 8 KiB page buffer.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FileBackend")
             .field("num_pages", &self.num_pages)
             .field("durable_pages", &self.durable_pages)
-            .field("overlay_pages", &self.overlay.len())
+            .field("overlay_pages", &self.overlay.iter().flatten().count())
             .field("cost", &self.cost)
             .field("stats", &self.stats.snapshot())
             .finish()
@@ -116,10 +122,9 @@ impl FrozenPages {
         self.data.get(at * PAGE_SIZE..(at + 1) * PAGE_SIZE)
     }
 
-    /// `(first page id, images)` of every run of consecutive ids among the
-    /// first `limit` pages.
-    fn runs(&self, limit: usize) -> impl Iterator<Item = (u32, &[u8])> {
-        let ids = self.ids.get(..limit).unwrap_or(&self.ids);
+    /// `(first page id, images)` of every run of consecutive ids.
+    fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        let ids = &self.ids;
         let mut at = 0;
         std::iter::from_fn(move || {
             let first = *ids.get(at)?;
@@ -136,24 +141,19 @@ impl FrozenPages {
     }
 }
 
-/// Writes one frozen set to the heap file and fsyncs it.
-struct FileFlush {
-    file: Arc<File>,
+/// The off-lock half of a sync: writes one frozen set to the heap file and
+/// syncs it.
+pub(crate) struct FileFlush {
+    file: Arc<dyn StoreFile>,
     pages: Arc<FrozenPages>,
-    /// Crash emulation: half the pages reach the medium, the header and the
-    /// fsync never happen.
-    fail_halfway: bool,
 }
 
-impl FlushJob for FileFlush {
-    fn write_out(&self) -> Result<(), StorageError> {
+impl FileFlush {
+    /// Writes the frozen pages, then the header, then syncs. Takes no lock
+    /// and needs none: run it with none held.
+    pub(crate) fn write_out(&self) -> Result<(), StorageError> {
         let pages = &self.pages;
-        let limit = if self.fail_halfway {
-            pages.ids.len() / 2
-        } else {
-            pages.ids.len()
-        };
-        for (first, images) in pages.runs(limit) {
+        for (first, images) in pages.runs() {
             // One write per run — in pieces of `FLUSH_WRITE_PAGES`: a
             // buffered write of megabytes makes the page cache back the file
             // with folios as large, and every later 8 KiB write into one of
@@ -162,82 +162,86 @@ impl FlushJob for FileFlush {
             // page rewrites of that file run four times slower afterwards).
             let pieces = images.chunks(FLUSH_WRITE_PAGES * PAGE_SIZE);
             for (piece, at) in pieces.zip((first..).step_by(FLUSH_WRITE_PAGES)) {
-                write_all_at(&self.file, piece, page_offset(at))
+                self.file
+                    .write_all_at(piece, page_offset(at))
                     .map_err(|e| StorageError::io("flush pages", e))?;
             }
-        }
-        if self.fail_halfway {
-            return Err(StorageError::Io(
-                "injected sync failure (crash mid-checkpoint)".into(),
-            ));
         }
         // Pages allocated but never written stay implicitly zeroed: extend
         // the file so reads of them succeed.
         let needed_len = page_offset(pages.num_pages);
         let cur_len = self
             .file
-            .metadata()
-            .map_err(|e| StorageError::io("stat heap file", e))?
-            .len();
+            .len()
+            .map_err(|e| StorageError::io("stat heap file", e))?;
         if cur_len < needed_len {
             self.file
                 .set_len(needed_len)
                 .map_err(|e| StorageError::io("extend heap file", e))?;
         }
-        write_all_at(&self.file, &encode_header(pages.num_pages), 0)
-            .map_err(|e| StorageError::io("write header", e))?;
-        // fdatasync covers the size change; nobody needs the mtime.
         self.file
-            .sync_data()
+            .write_all_at(&encode_header(pages.num_pages), 0)
+            .map_err(|e| StorageError::io("write header", e))?;
+        self.file
+            .sync()
             .map_err(|e| StorageError::io("fsync heap file", e))
     }
 }
 
 impl FileBackend {
-    /// Opens (or creates) the heap file at `path`, validating the header.
+    /// A page store over a fresh in-memory file: the default of
+    /// `Database::new` and of every bench. Nothing persists.
+    pub fn new(cost: CostModel) -> Self {
+        FileBackend::over(MemDir::lone_file(), 0, cost)
+    }
+
+    /// Opens (or creates) the heap file at `path` on the file system.
     pub fn open(path: &Path, cost: CostModel) -> Result<Self, StorageError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
+        let (dir, name) = OsDir::split(path).map_err(|e| StorageError::io("open heap file", e))?;
+        FileBackend::open_in(&dir, &name, cost)
+    }
+
+    /// Opens (or creates) the heap file `name` in `dir`, validating the
+    /// header.
+    pub fn open_in(dir: &dyn StoreDir, name: &str, cost: CostModel) -> Result<Self, StorageError> {
+        let file = dir
+            .open(name, true)
             .map_err(|e| StorageError::io("open heap file", e))?;
         let len = file
-            .metadata()
-            .map_err(|e| StorageError::io("stat heap file", e))?
-            .len();
+            .len()
+            .map_err(|e| StorageError::io("stat heap file", e))?;
         let durable_pages = if len == 0 {
             // Fresh file: write an empty header so a crash before the first
             // checkpoint still leaves a well-formed (zero-page) heap.
-            write_all_at(&file, &encode_header(0), 0)
+            file.write_all_at(&encode_header(0), 0)
                 .map_err(|e| StorageError::io("write header", e))?;
-            file.sync_data()
+            file.sync()
                 .map_err(|e| StorageError::io("fsync header", e))?;
             0
         } else {
             let mut header = [0u8; PAGE_SIZE];
-            file.seek(SeekFrom::Start(0))
-                .map_err(|e| StorageError::io("seek header", e))?;
-            file.read_exact(&mut header)
+            read_exact_at(&*file, &mut header, 0)
                 .map_err(|e| StorageError::io("read header", e))?;
             decode_header(&header)?
         };
-        Ok(FileBackend {
-            file: Arc::new(file),
+        Ok(FileBackend::over(file, durable_pages, cost))
+    }
+
+    fn over(file: Arc<dyn StoreFile>, durable_pages: u32, cost: CostModel) -> Self {
+        FileBackend {
+            file,
             num_pages: durable_pages,
             durable_pages,
-            overlay: HashMap::new(),
+            overlay: Vec::new(),
             frozen: None,
             cost,
             stats: Arc::new(IoStats::new()),
-            fail_next_sync: false,
-        })
+        }
     }
-}
 
-impl DiskBackend for FileBackend {
-    fn allocate(&mut self) -> Result<PageId, StorageError> {
+    /// Allocates a fresh zeroed page and returns its id. Allocation itself
+    /// is not charged; the first write is.
+    pub fn allocate(&mut self) -> Result<PageId, StorageError> {
         let id = PageId(self.num_pages);
         self.num_pages = self
             .num_pages
@@ -246,42 +250,86 @@ impl DiskBackend for FileBackend {
         Ok(id)
     }
 
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
+    /// Reads page `id` into `buf`, charging one page read.
+    pub fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.read_batch(&mut [(id, buf)])
     }
 
-    fn read_batch(
-        &mut self,
-        reqs: &mut [(PageId, &mut [u8; PAGE_SIZE])],
-    ) -> Result<(), StorageError> {
+    /// Fills every `(id, buf)` request in one disk operation — the sweep
+    /// read's "one request per run" path. Each page is charged the same
+    /// per-page cost as [`FileBackend::read`], but the statistics sink is
+    /// touched once for the whole batch.
+    ///
+    /// The batch is served as its **runs** of consecutive page ids, one
+    /// request ([`IoStats::read_requests`]) each — a sweep batch that never
+    /// spans a skip gap is one run. The first id the store does not know
+    /// ends the batch with [`StorageError::UnknownPage`]; the runs before it
+    /// (including the known pages directly in front of it) are filled and
+    /// charged, nothing after. A run whose read fails is not charged.
+    pub fn read_batch(&mut self, reqs: &mut [ReadReq<'_>]) -> Result<(), StorageError> {
         let memory = InMemory {
             overlay: &self.overlay,
             frozen: self.frozen.as_deref(),
             durable_pages: self.durable_pages,
         };
-        let (pages, file) = (self.num_pages as usize, &*self.file);
-        read_runs(reqs, pages, self.cost, &self.stats, |run| {
-            fetch_run(file, &memory, run)
-        })
+        let num_pages = self.num_pages as usize;
+        let (mut pages, mut requests) = (0usize, 0u64);
+        let mut rest = reqs;
+        let outcome = loop {
+            let Some(first) = rest.first().map(|(id, _)| *id) else {
+                break Ok(());
+            };
+            // The leading run: ids counting up from `first`, while known.
+            let run = rest
+                .iter()
+                .zip(first.index()..num_pages)
+                .take_while(|((id, _), expected)| id.index() == *expected)
+                .count();
+            if run == 0 {
+                break Err(StorageError::UnknownPage(first));
+            }
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(run);
+            if let Err(e) = fetch_run(&*self.file, &memory, head) {
+                break Err(e);
+            }
+            pages += run;
+            requests += 1;
+            rest = tail;
+        };
+        if requests > 0 {
+            self.stats.record_reads(pages as u64, self.cost.read_us);
+            self.stats.record_read_requests(requests);
+        }
+        outcome
     }
 
-    fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
+    /// Writes `buf` to page `id`, charging one page write.
+    pub fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
         if id.0 >= self.num_pages {
             return Err(StorageError::UnknownPage(id));
         }
-        self.overlay.insert(id.0, Box::new(*buf));
+        *overlay_slot(&mut self.overlay, id.0) = Some(Box::new(*buf));
         self.stats.record_writes(1, self.cost.write_us);
         Ok(())
     }
 
-    fn num_pages(&self) -> usize {
+    /// Number of allocated pages.
+    pub fn num_pages(&self) -> usize {
         self.num_pages as usize
     }
 
-    fn freeze(
+    /// Phase one of a sync — the only one that needs the store exclusively.
+    /// Writes `dirty` (charged like [`FileBackend::write`], page by page) and
+    /// detaches those images, together with everything written since the
+    /// previous sync, as a **frozen set**: a cut of the page space that later
+    /// writes do not touch and that reads keep seeing (where nothing newer
+    /// overlays it) until `thaw`. The returned job makes the set durable; it
+    /// owns what it needs, so the caller runs it *after* releasing whatever
+    /// lock guards the store. One sync at a time.
+    pub(crate) fn freeze(
         &mut self,
         dirty: &[(PageId, &[u8; PAGE_SIZE])],
-    ) -> Result<Box<dyn FlushJob>, StorageError> {
+    ) -> Result<FileFlush, StorageError> {
         if self.frozen.is_some() {
             return Err(StorageError::Io(
                 "a sync of the heap file is already in flight".into(),
@@ -292,7 +340,8 @@ impl DiskBackend for FileBackend {
         }
         self.stats
             .record_writes(dirty.len() as u64, self.cost.write_us);
-        let evicted = self.overlay.iter().map(|(id, page)| (*id, &**page));
+        let overlay = self.overlay.iter().zip(0..);
+        let evicted = overlay.filter_map(|(page, id)| Some((id, &**page.as_ref()?)));
         let mut images: Vec<(u32, &[u8; PAGE_SIZE])> = evicted
             .chain(dirty.iter().map(|(id, page)| (id.0, *page)))
             .collect();
@@ -315,14 +364,17 @@ impl DiskBackend for FileBackend {
         self.overlay.clear();
         let pages = Arc::new(pages);
         self.frozen = Some(Arc::clone(&pages));
-        Ok(Box::new(FileFlush {
+        Ok(FileFlush {
             file: Arc::clone(&self.file),
             pages,
-            fail_halfway: std::mem::take(&mut self.fail_next_sync),
-        }))
+        })
     }
 
-    fn thaw(&mut self, flushed: Result<(), StorageError>) -> Result<(), StorageError> {
+    /// Phase three: books the outcome of the frozen set's
+    /// [`FileFlush::write_out`]. On `Ok` the set is durable and reads of it
+    /// go to the file again; on `Err` its pages go back to being unsynced
+    /// writes, to be retried by the next sync. Returns `flushed`.
+    pub(crate) fn thaw(&mut self, flushed: Result<(), StorageError>) -> Result<(), StorageError> {
         let Some(frozen) = self.frozen.take() else {
             return flushed;
         };
@@ -334,7 +386,7 @@ impl DiskBackend for FileBackend {
         // not: the pages are unsynced writes again, under whatever has been
         // written over them since.
         for (id, image) in frozen.ids.iter().zip(frozen.data.chunks_exact(PAGE_SIZE)) {
-            self.overlay.entry(*id).or_insert_with(|| {
+            overlay_slot(&mut self.overlay, *id).get_or_insert_with(|| {
                 let mut page = Box::new([0u8; PAGE_SIZE]);
                 page.copy_from_slice(image);
                 page
@@ -343,22 +395,29 @@ impl DiskBackend for FileBackend {
         flushed
     }
 
-    fn stats(&self) -> Arc<IoStats> {
+    /// Makes all writes since the previous sync durable: the three phases
+    /// back to back, for a caller that holds the store outright. The flush
+    /// I/O is *not* charged to [`IoStats`] — the simulated-time axis tracks
+    /// the paper's read/write economics, not checkpoint background I/O.
+    pub fn sync(&mut self) -> Result<(), StorageError> {
+        let flushed = self.freeze(&[])?.write_out();
+        self.thaw(flushed)
+    }
+
+    /// The shared statistics sink; clones of this `Arc` observe all I/O.
+    pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
     }
 
-    fn cost_model(&self) -> CostModel {
+    /// The active cost model.
+    pub fn cost_model(&self) -> CostModel {
         self.cost
-    }
-
-    fn fail_next_sync(&mut self) {
-        self.fail_next_sync = true;
     }
 }
 
 /// Where the pages that are not (only) in the file live.
 struct InMemory<'a> {
-    overlay: &'a HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    overlay: &'a [Option<Box<[u8; PAGE_SIZE]>>],
     frozen: Option<&'a FrozenPages>,
     durable_pages: u32,
 }
@@ -369,20 +428,31 @@ impl InMemory<'_> {
     /// sync but never written — zeroes.
     fn image(&self, id: u32) -> Option<&[u8]> {
         const ZEROED: &[u8] = &[0; PAGE_SIZE];
-        let written = self
-            .overlay
-            .get(&id)
-            .map(|page| &page[..])
+        let written = (self.overlay.get(id as usize))
+            .and_then(|page| Some(&page.as_deref()?[..]))
             .or_else(|| self.frozen.and_then(|frozen| frozen.get(id)));
         written.or((id >= self.durable_pages).then_some(ZEROED))
     }
+}
+
+/// The overlay's slot of page `id`, grown to it.
+fn overlay_slot(
+    overlay: &mut Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+    id: u32,
+) -> &mut Option<Box<[u8; PAGE_SIZE]>> {
+    let at = id as usize;
+    if overlay.len() <= at {
+        overlay.resize_with(at + 1, || None);
+    }
+    // aib-lint: allow(no-index) — grown above to hold `at`.
+    &mut overlay[at]
 }
 
 /// Fills one run of consecutive allocated page ids: every stretch of pages
 /// whose current image is in the file with one [`read_stretch`], the pages in
 /// between from memory.
 fn fetch_run(
-    file: &File,
+    file: &dyn StoreFile,
     memory: &InMemory<'_>,
     run: &mut [ReadReq<'_>],
 ) -> Result<(), StorageError> {
@@ -408,21 +478,20 @@ fn fetch_run(
 }
 
 /// Reads the consecutive file pages starting at `first` into the buffers of
-/// `stretch` with one seek and, short reads aside, one vectored read.
+/// `stretch` with, short reads aside, one vectored read.
 fn read_stretch(
-    mut file: &File,
+    file: &dyn StoreFile,
     first: u32,
     stretch: &mut [ReadReq<'_>],
 ) -> Result<(), StorageError> {
-    file.seek(SeekFrom::Start(page_offset(first)))
-        .map_err(|e| StorageError::io("seek page", e))?;
+    let mut offset = page_offset(first);
     let mut rest = stretch;
     while !rest.is_empty() {
         let mut slices: Vec<IoSliceMut<'_>> = rest
             .iter_mut()
             .map(|(_, buf)| IoSliceMut::new(&mut buf[..]))
             .collect();
-        let got = match file.read_vectored(&mut slices) {
+        let got = match file.read_vectored_at(&mut slices, offset) {
             Ok(0) => Err(std::io::Error::from(ErrorKind::UnexpectedEof)),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             got => got,
@@ -432,11 +501,14 @@ fn read_stretch(
         // A short read stops inside some page: finish that page, then go
         // round again for the ones behind it.
         let mut filled = got / PAGE_SIZE;
-        if got % PAGE_SIZE > 0 {
+        let torn = got % PAGE_SIZE;
+        offset += got as u64;
+        if torn > 0 {
             if let Some((_, buf)) = rest.get_mut(filled) {
-                file.read_exact(buf.get_mut(got % PAGE_SIZE..).unwrap_or_default())
+                read_exact_at(file, buf.get_mut(torn..).unwrap_or_default(), offset)
                     .map_err(|e| StorageError::io("read page", e))?;
             }
+            offset += (PAGE_SIZE - torn) as u64;
             filled += 1;
         }
         rest = std::mem::take(&mut rest)
@@ -488,6 +560,7 @@ fn decode_header(header: &[u8; PAGE_SIZE]) -> Result<u32, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Fault;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -579,33 +652,37 @@ mod tests {
 
     #[test]
     fn injected_sync_failure_keeps_old_header() {
-        let path = temp_path("failsync");
+        let dir = MemDir::new();
+        let open = || FileBackend::open_in(&dir, "heap.db", CostModel::free()).unwrap();
         {
-            let mut disk = FileBackend::open(&path, CostModel::free()).unwrap();
+            let mut disk = open();
             for i in 0..4u8 {
                 let p = disk.allocate().unwrap();
-                let mut buf = [0u8; PAGE_SIZE];
-                buf[0] = i + 1;
-                disk.write(p, &buf).unwrap();
+                disk.write(p, &[i + 1; PAGE_SIZE]).unwrap();
             }
             disk.sync().unwrap();
-            // Second round of writes, then a failed sync.
-            for i in 0..4u32 {
-                let mut buf = [0u8; PAGE_SIZE];
-                buf[0] = 10 + i as u8;
-                disk.write(PageId(i), &buf).unwrap();
+            // Second round of writes, then a sync whose run of pages lands
+            // only its first two before the write fails.
+            for i in 0..4u8 {
+                disk.write(PageId(i.into()), &[10 + i; PAGE_SIZE]).unwrap();
             }
-            disk.fail_next_sync();
+            dir.arm(Fault::Write {
+                name: "heap.db".into(),
+                nth: 0,
+                keep: 2 * PAGE_SIZE,
+            });
             assert!(matches!(disk.sync(), Err(StorageError::Io(_))));
         }
-        // Reopen: header still names 4 pages; some pages may hold new data
+        // Reopen: header still names 4 pages; some pages hold new data
         // (partial flush), which is exactly the state WAL replay converges.
-        let mut disk = FileBackend::open(&path, CostModel::free()).unwrap();
+        let mut disk = open();
         assert_eq!(disk.num_pages(), 4);
-        let mut out = [0u8; PAGE_SIZE];
-        disk.read(PageId(3), &mut out).unwrap();
-        assert_eq!(out[0], 4, "unflushed page keeps checkpointed contents");
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(read_tag(&mut disk, 1), 11, "flushed before the failure");
+        assert_eq!(
+            read_tag(&mut disk, 3),
+            4,
+            "unflushed page keeps checkpointed contents"
+        );
     }
 
     fn read_tag(disk: &mut FileBackend, id: u32) -> u8 {
@@ -687,16 +764,11 @@ mod tests {
             data,
             num_pages: 11,
         };
-        let shape = |limit| -> Vec<(u32, usize, u8)> {
-            pages
-                .runs(limit)
-                .map(|(first, images)| (first, images.len() / PAGE_SIZE, images[0]))
-                .collect()
-        };
-        assert_eq!(shape(6), [(1, 3, 1), (7, 1, 7), (9, 2, 9)]);
-        assert_eq!(shape(5), [(1, 3, 1), (7, 1, 7), (9, 1, 9)]);
-        assert_eq!(shape(2), [(1, 2, 1)]);
-        assert_eq!(shape(0), []);
+        let shape: Vec<(u32, usize, u8)> = pages
+            .runs()
+            .map(|(first, images)| (first, images.len() / PAGE_SIZE, images[0]))
+            .collect();
+        assert_eq!(shape, [(1, 3, 1), (7, 1, 7), (9, 2, 9)]);
         assert_eq!(pages.get(7).map(|p| p[0]), Some(7));
         assert_eq!(pages.get(8), None);
     }
@@ -797,7 +869,7 @@ mod tests {
         let path = temp_path("truncated");
         let mut disk = mixed_backend(&path);
         // Cut the file inside page 6: pages 6 and 7 are gone.
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(page_offset(6) + 100).unwrap();
         let mut bufs = vec![[0u8; PAGE_SIZE]; 6];
         let ids = [0u32, 9, 2, 3, 6, 7];
@@ -814,6 +886,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The same operations charge the same on the file system and in memory.
     #[test]
     fn charges_match_simulation() {
         let cost = CostModel {
@@ -821,24 +894,28 @@ mod tests {
             write_us: 7,
         };
         let path = temp_path("parity");
-        let mut disk = FileBackend::open(&path, cost).unwrap();
-        let p0 = disk.allocate().unwrap();
-        let p1 = disk.allocate().unwrap();
-        let buf = [0u8; PAGE_SIZE];
-        disk.write(p0, &buf).unwrap();
-        disk.write(p1, &buf).unwrap();
-        let mut a = [0u8; PAGE_SIZE];
-        let mut b = [0u8; PAGE_SIZE];
-        disk.read_batch(&mut [(p0, &mut a), (p1, &mut b)]).unwrap();
-        disk.read(p0, &mut a).unwrap();
-        let before_sync = disk.stats().snapshot();
-        disk.sync().unwrap();
-        let s = disk.stats().snapshot();
-        assert_eq!(s, before_sync, "sync flush I/O is never charged");
-        assert_eq!(s.page_reads, 3);
-        assert_eq!(s.read_requests, 2, "the two-page batch is one request");
-        assert_eq!(s.page_writes, 2);
-        assert_eq!(s.simulated_us, 3 * 5 + 2 * 7);
+        for mut disk in [
+            FileBackend::new(cost),
+            FileBackend::open(&path, cost).unwrap(),
+        ] {
+            let p0 = disk.allocate().unwrap();
+            let p1 = disk.allocate().unwrap();
+            let buf = [0u8; PAGE_SIZE];
+            disk.write(p0, &buf).unwrap();
+            disk.write(p1, &buf).unwrap();
+            let mut a = [0u8; PAGE_SIZE];
+            let mut b = [0u8; PAGE_SIZE];
+            disk.read_batch(&mut [(p0, &mut a), (p1, &mut b)]).unwrap();
+            disk.read(p0, &mut a).unwrap();
+            let before_sync = disk.stats().snapshot();
+            disk.sync().unwrap();
+            let s = disk.stats().snapshot();
+            assert_eq!(s, before_sync, "sync flush I/O is never charged");
+            assert_eq!(s.page_reads, 3);
+            assert_eq!(s.read_requests, 2, "the two-page batch is one request");
+            assert_eq!(s.page_writes, 2);
+            assert_eq!(s.simulated_us, 3 * 5 + 2 * 7);
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -420,9 +420,9 @@ impl HeapFile {
         self.ordinal_of(page).ok_or(StorageError::UnknownPage(page))
     }
 
-    /// Adopts an existing backend page into this heap, returning its
+    /// Adopts an existing store page into this heap, returning its
     /// ordinal. If the page is already owned this is a no-op. Otherwise the
-    /// backend is extended until `pid` exists, the page joins the ordinal
+    /// store is extended until `pid` exists, the page joins the ordinal
     /// map at the next free ordinal, and FSM / live-tuple bookkeeping is
     /// rebuilt from the page's **current contents** (a zeroed page reads as
     /// a valid empty page). Recovery uses this for checkpoint page lists
@@ -528,11 +528,12 @@ impl std::fmt::Debug for HeapFile {
 mod tests {
     use super::*;
     use crate::buffer_pool::BufferPoolConfig;
-    use crate::disk::{CostModel, DiskManager};
+    use crate::disk::CostModel;
+    use crate::file_backend::FileBackend;
 
     fn heap(frames: usize) -> HeapFile {
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(frames),
         );
         HeapFile::new(pool)
@@ -1027,7 +1028,7 @@ mod tests {
         // Populate a heap, then adopt its pages into a *fresh* heap sharing
         // the same pool — the recovery situation after a checkpoint restore.
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(8),
         );
         let h = HeapFile::new(Arc::clone(&pool));
@@ -1105,7 +1106,7 @@ mod tests {
     #[test]
     fn replay_page_adopts_unknown_pages() {
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(8),
         );
         let h = HeapFile::new(pool);

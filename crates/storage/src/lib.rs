@@ -1,20 +1,21 @@
 //! Storage substrate for the Adaptive Index Buffer reproduction.
 //!
 //! This crate implements everything the paper's prototype got for free from
-//! the H2 Database Engine: a value/tuple model, slotted pages, a simulated
-//! disk manager with I/O accounting, an LRU buffer pool, and heap files
-//! swept run by run at page granularity — the substrate on which the Index
-//! Buffer's page-skipping logic operates.
+//! the H2 Database Engine: a value/tuple model, slotted pages, a page store
+//! with I/O accounting, an LRU buffer pool, and heap files swept run by run
+//! at page granularity — the substrate on which the Index Buffer's
+//! page-skipping logic operates.
 //!
-//! The disk sits behind the [`disk::DiskBackend`] trait with two
-//! implementations: the in-memory simulation ([`disk::DiskManager`], the
-//! bench default — deterministic, no durability) and a file-backed store
-//! ([`file_backend::FileBackend`]) paired with a write-ahead log
-//! ([`wal::Wal`]) for the durability/recovery path. All page reads and
+//! There is one page store, [`file_backend::FileBackend`], under the buffer
+//! pool. It and the write-ahead log ([`wal::Wal`]) reach files only through
+//! the seam in [`store`], which has two directories: the real file system
+//! ([`store::OsDir`], the durable engine) and an in-memory one
+//! ([`store::MemDir`], which can also lose unsynced bytes on purpose).
+//! [`file_backend::FileBackend::new`] puts the store on an in-memory file —
+//! the bench default, deterministic and without durability. Page reads and
 //! writes are counted in [`stats::IoStats`] and charged to a configurable
-//! [`disk::CostModel`] identically on both backends, so experiments report
-//! deterministic simulated I/O cost alongside wall time regardless of
-//! backend.
+//! [`disk::CostModel`] by that one store, so the simulated I/O cost is the
+//! same in memory and on disk.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,13 +26,13 @@ pub mod disk;
 pub mod error;
 pub mod file_backend;
 pub mod freespace;
-mod fsio;
 pub mod heap;
 pub mod page;
 pub mod replacement;
 pub mod rid;
 pub mod schema;
 pub mod stats;
+pub mod store;
 pub mod sync;
 pub mod tuple;
 pub mod value;
@@ -44,7 +45,7 @@ pub use budget::{
 pub use buffer_pool::{
     BufferPool, BufferPoolConfig, CapturedSync, PageReadGuard, PageWriteGuard, PinnedBatch,
 };
-pub use disk::{CostModel, DiskBackend, DiskManager, FlushJob, PAGE_SIZE};
+pub use disk::{CostModel, DiskManager, PAGE_SIZE};
 pub use error::StorageError;
 pub use file_backend::FileBackend;
 pub use heap::HeapFile;
@@ -53,6 +54,7 @@ pub use replacement::FrameId;
 pub use rid::{PageId, Rid, SlotId};
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{IoSnapshot, IoStats};
+pub use store::{Fault, MemDir, OsDir, StoreDir, StoreFile};
 pub use tuple::Tuple;
 pub use value::{ColumnRef, ColumnView, Value};
 pub use wal::{Wal, WalRecord};

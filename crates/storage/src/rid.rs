@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Identifier of a disk page, allocated by the [`crate::disk::DiskManager`].
+/// Identifier of a disk page, allocated by the [`crate::FileBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
 

@@ -1,4 +1,4 @@
-//! I/O accounting shared between the disk manager and the buffer pool.
+//! I/O accounting shared between the page store and the buffer pool.
 //!
 //! The paper reports query runtimes on a concrete SSD testbed. Our substrate
 //! replaces the physical disk with a simulation, so experiments report
@@ -13,13 +13,13 @@ use crate::sync::{AtomicU64, Ordering};
 pub struct IoStats {
     /// Pages read from the simulated disk.
     pub page_reads: AtomicU64,
-    /// Read requests the backend served: one per [`DiskBackend::read`], one
-    /// per run of consecutive page ids inside a
-    /// [`DiskBackend::read_batch`]. `page_reads / read_requests` is the
+    /// Read requests the page store served: one per [`FileBackend::read`],
+    /// one per run of consecutive page ids inside a
+    /// [`FileBackend::read_batch`]. `page_reads / read_requests` is the
     /// pages a disk request carries.
     ///
-    /// [`DiskBackend::read`]: crate::DiskBackend::read
-    /// [`DiskBackend::read_batch`]: crate::DiskBackend::read_batch
+    /// [`FileBackend::read`]: crate::FileBackend::read
+    /// [`FileBackend::read_batch`]: crate::FileBackend::read_batch
     pub read_requests: AtomicU64,
     /// Pages written to the simulated disk.
     pub page_writes: AtomicU64,
@@ -44,7 +44,7 @@ impl IoStats {
         self.simulated_us.fetch_add(n * us, Ordering::Relaxed);
     }
 
-    /// Records `n` read requests to the backend (see
+    /// Records `n` read requests to the page store (see
     /// [`IoStats::read_requests`]); their pages are charged with
     /// [`IoStats::record_reads`].
     #[inline]

@@ -89,13 +89,13 @@
 //! page compaction, so re-applying an already-flushed mutation is
 //! idempotent.
 
-use std::fs::{File, OpenOptions};
-use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::io::ErrorKind;
+use std::path::Path;
+use std::sync::Arc;
 
 use crate::error::StorageError;
-use crate::fsio::{sync_parent_dir, write_all_at};
 use crate::rid::{PageId, Rid, SlotId};
+use crate::store::{read_all, read_exact_at, OsDir, StoreDir, StoreFile};
 
 /// Least and most zeroes an append that lengthens the file writes ahead.
 const PREWRITE_MIN: u64 = 64 << 10;
@@ -464,43 +464,52 @@ impl<'a> Iterator for IntactFrames<'a> {
     }
 }
 
-/// `<log><suffix>`: the name of a side file of the log at `path`.
-fn side_path(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(suffix);
-    PathBuf::from(name)
+/// `<log><suffix>`: the name of a side file of the log `name`.
+fn side_name(name: &str, suffix: &str) -> String {
+    format!("{name}{suffix}")
 }
 
-/// Removes the directory entry `path` if there is one. Only the name goes:
+/// Removes the directory entry `name` if there is one. Only the name goes:
 /// an inode some other name still holds is untouched.
-fn remove_name(path: &Path) -> Result<(), StorageError> {
-    match std::fs::remove_file(path) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+fn remove_name(dir: &dyn StoreDir, name: &str) -> Result<(), StorageError> {
+    match dir.remove(name) {
+        Err(e) if e.kind() != ErrorKind::NotFound => {
             Err(StorageError::io("remove wal side file", e))
         }
         _ => Ok(()),
     }
 }
 
-/// Creates a new file named `at` holding `contents`, durably. A stale entry
-/// of that name is unlinked first — never truncated: it may be a hard link
-/// to a log that is still live.
-fn write_new_file(at: &Path, contents: &[u8]) -> Result<File, StorageError> {
-    remove_name(at)?;
-    let file = OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(at)
+/// Creates a new file named `name` holding `contents`, durably. A stale
+/// entry of that name is unlinked first — never truncated: it may be a hard
+/// link to a log that is still live.
+fn write_new_file(
+    dir: &dyn StoreDir,
+    name: &str,
+    contents: &[u8],
+) -> Result<Arc<dyn StoreFile>, StorageError> {
+    remove_name(dir, name)?;
+    let file = dir
+        .open(name, true)
         .map_err(|e| StorageError::io("create wal file", e))?;
-    overwrite(&file, contents)?;
+    overwrite(&*file, contents)?;
     Ok(file)
 }
 
 /// Writes `contents` over the front of `file`, durably.
-fn overwrite(file: &File, contents: &[u8]) -> Result<(), StorageError> {
-    write_all_at(file, contents, 0).map_err(|e| StorageError::io("write staged wal", e))?;
-    file.sync_data()
+fn overwrite(file: &dyn StoreFile, contents: &[u8]) -> Result<(), StorageError> {
+    file.write_all_at(contents, 0)
+        .map_err(|e| StorageError::io("write staged wal", e))?;
+    file.sync()
         .map_err(|e| StorageError::io("fsync staged wal", e))
+}
+
+/// Makes a just-created, just-linked or just-renamed entry of `dir` durable
+/// (the rename-durability rule: file syncs cover file *contents*; only a
+/// directory sync covers the entry).
+fn sync_dir(dir: &dyn StoreDir) -> Result<(), StorageError> {
+    dir.sync()
+        .map_err(|e| StorageError::io("fsync wal directory", e))
 }
 
 /// Frames appended since [`Wal::mark_cut`], mixed for the generation they
@@ -511,11 +520,12 @@ struct CutTail {
     records: u64,
 }
 
-/// An open write-ahead log.
+/// An open write-ahead log: the file `name` of a [`StoreDir`].
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
-    path: PathBuf,
+    dir: Arc<dyn StoreDir>,
+    name: String,
+    file: Arc<dyn StoreFile>,
     /// The generation in the live file's header.
     generation: u32,
     /// The logical tail: where the next frame goes.
@@ -524,22 +534,19 @@ pub struct Wal {
     /// that stays below it changes no file size.
     written: u64,
     records_written: u64,
-    /// Successful covering `sync_data` calls issued by this handle — the
+    /// Successful covering syncs issued by this handle — the
     /// group-commit bench divides records by this to report amortization.
     syncs: u64,
-    /// Set once an append left a torn or half-written frame at the tail, or
-    /// a rotation could not make its rename durable: nothing may be
-    /// acknowledged until a rotation succeeds. Anything written behind a
+    /// Set once an append failed — it may have left a torn frame at the
+    /// tail — or a rotation could not make its rename durable: nothing may
+    /// be acknowledged until a rotation succeeds. Anything written behind a
     /// torn frame is unreachable by [`Wal::replay`] (which stops at the
     /// first bad frame), so further appends must fail rather than produce
     /// acked-but-unrecoverable records.
     poisoned: bool,
-    /// Crash-injection hook: fail the append once `records_written` reaches
-    /// this count, leaving a torn frame prefix in the file.
-    fail_at: Option<u64>,
     /// The log the last recycled rotation retired (and its length), parked
     /// as `<log>.new`: the next one stages over its blocks.
-    spare: Option<(File, u64)>,
+    spare: Option<(Arc<dyn StoreFile>, u64)>,
     /// `Some` from [`Wal::mark_cut`] until the rotation that consumes it.
     cut: Option<CutTail>,
 }
@@ -547,81 +554,91 @@ pub struct Wal {
 impl Wal {
     /// A handle on `file`, `written` bytes long, whose log ends at `end`.
     fn over(
-        file: File,
-        path: &Path,
+        dir: Arc<dyn StoreDir>,
+        name: &str,
+        file: Arc<dyn StoreFile>,
         generation: u32,
         (end, written): (usize, usize),
         records: u64,
     ) -> Self {
         Wal {
+            dir,
+            name: name.to_string(),
             file,
-            path: path.to_path_buf(),
             generation,
             end: end as u64,
             written: written as u64,
             records_written: records,
             syncs: 0,
             poisoned: false,
-            fail_at: None,
             spare: None,
             cut: None,
         }
     }
 
-    /// Opens the log at `path` for appending, creating it (header only,
-    /// generation 1, file and directory entry fsynced) if absent. Existing
-    /// records are preserved — appends continue at the logical tail, over
-    /// whatever torn or stale bytes lie behind it; run [`Wal::replay`] first
-    /// if you need them.
+    /// [`Wal::open_in`] for the log at `path` on the file system.
     pub fn open(path: &Path) -> Result<Self, StorageError> {
-        let raw = match std::fs::read(path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                return Err(StorageError::io("read wal", e))
+        let (dir, name) = OsDir::split(path).map_err(|e| StorageError::io("open wal", e))?;
+        Wal::open_in(Arc::new(dir), &name)
+    }
+
+    /// Opens the log `name` in `dir` for appending, creating it (header
+    /// only, generation 1, file and directory entry synced) if absent.
+    /// Existing records are preserved — appends continue at the logical
+    /// tail, over whatever torn or stale bytes lie behind it; run
+    /// [`Wal::replay_in`] first if you need them.
+    pub fn open_in(dir: Arc<dyn StoreDir>, name: &str) -> Result<Self, StorageError> {
+        let file = match dir.open(name, false) {
+            Err(e) if e.kind() != ErrorKind::NotFound => {
+                return Err(StorageError::io("open wal", e))
             }
             Err(_) => {
-                let file = write_new_file(path, &file_header(1))?;
+                let file = write_new_file(&*dir, name, &file_header(1))?;
                 // Rename-durability rule (POSIX): the file's data is durable
-                // via its own fsync, the directory entry pointing at it only
-                // once the parent directory is fsynced too.
-                sync_parent_dir(path)?;
-                return Ok(Wal::over(file, path, 1, (FILE_HEADER, FILE_HEADER), 0));
+                // via its own sync, the directory entry pointing at it only
+                // once the directory is synced too.
+                sync_dir(&*dir)?;
+                return Ok(Wal::over(dir, name, file, 1, (FILE_HEADER, FILE_HEADER), 0));
             }
+            Ok(file) => file,
         };
+        let raw = read_all(&*file).map_err(|e| StorageError::io("read wal", e))?;
         let generation = parse_file_header(&raw)?;
         let mut frames = IntactFrames::new(&raw, generation);
         frames.by_ref().for_each(drop);
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| StorageError::io("open wal", e))?;
+        let end = frames.pos;
+        Ok(Wal::over(dir, name, file, generation, (end, raw.len()), 0))
+    }
+
+    /// Replaces whatever is named `name` in `dir` with a compact fresh log
+    /// whose only record is `snapshot`, and returns it open: what
+    /// `Database::open` does once recovery has flushed the heap. Staged,
+    /// renamed and directory-synced like [`Wal::rotate`], so the old log
+    /// (if any) stays whole until the new one is durable; the generation
+    /// continues from the old header's.
+    pub fn create(
+        dir: Arc<dyn StoreDir>,
+        name: &str,
+        snapshot: &WalRecord,
+    ) -> Result<Self, StorageError> {
+        let previous = stored_generation(&*dir, name)?;
+        let (generation, log) = next_log(previous, snapshot, None)?;
+        let file = install(&*dir, name, &log)?;
         Ok(Wal::over(
+            dir,
+            name,
             file,
-            path,
             generation,
-            (frames.pos, raw.len()),
-            0,
+            (log.len(), log.len()),
+            1,
         ))
     }
 
-    /// Replaces whatever is at `path` with a compact fresh log whose only
-    /// record is `snapshot`, and returns it open: what `Database::open` does
-    /// once recovery has flushed the heap. Staged, renamed and
-    /// directory-fsynced like [`Wal::rotate`], so the old log (if any) stays
-    /// whole until the new one is durable; the generation continues from the
-    /// old header's.
-    pub fn create(path: &Path, snapshot: &WalRecord) -> Result<Self, StorageError> {
-        let previous = stored_generation(path)?;
-        let (generation, log) = next_log(previous, snapshot, None)?;
-        let file = install(path, &log)?;
-        Ok(Wal::over(file, path, generation, (log.len(), log.len()), 1))
-    }
-
-    /// Deletes the side files a crashed rotation of the log at `path` may
-    /// have left (`<log>.new`, `<log>.old`). Recovery never reads them.
-    pub fn remove_side_files(path: &Path) -> Result<(), StorageError> {
-        remove_name(&side_path(path, ".new"))?;
-        remove_name(&side_path(path, ".old"))
+    /// Deletes the side files a crashed rotation of the log `name` may have
+    /// left in `dir` (`<log>.new`, `<log>.old`). Recovery never reads them.
+    pub fn remove_side_files(dir: &dyn StoreDir, name: &str) -> Result<(), StorageError> {
+        remove_name(dir, &side_name(name, ".new"))?;
+        remove_name(dir, &side_name(name, ".old"))
     }
 
     /// Number of records in the live log that this handle wrote: appends
@@ -636,13 +653,6 @@ impl Wal {
     /// amortization factor.
     pub fn syncs(&self) -> u64 {
         self.syncs
-    }
-
-    /// Crash-injection hook: the append that would become record number
-    /// `n` (0-based among this handle's appends) writes a torn frame prefix
-    /// and fails with [`StorageError::Io`].
-    pub fn set_fail_at(&mut self, n: u64) {
-        self.fail_at = Some(n);
     }
 
     /// Appends one record: frame, write, fsync. On success the record is
@@ -667,79 +677,47 @@ impl Wal {
     /// Appends a group-commit batch of whole frames as
     /// [`WalRecord::frame_into`] builds them: the generation is mixed into
     /// each CRC field in place, and the buffer goes down at the logical tail
-    /// in **one** positional write made durable by **one** `sync_data`,
-    /// amortizing the fsync across the whole batch. A one-frame batch is
-    /// bit-for-bit the classic fsync-per-record append, and the on-disk
-    /// bytes are identical to appending the same records one by one.
+    /// in **one** positional write made durable by **one** sync, amortizing
+    /// it across the whole batch. A one-frame batch is bit-for-bit the
+    /// classic sync-per-record append, and the bytes written are identical
+    /// to appending the same records one by one.
     ///
-    /// On failure the durable prefix is reflected in
-    /// [`Wal::records_written`]: frames before an injected torn write count
-    /// if (and only if) the covering fsync still landed; after a real write
-    /// or fsync error nothing in the batch may be acked. Either way the
-    /// tail may now hold a garbage frame that [`Wal::replay`] stops at,
-    /// so the log is poisoned: subsequent appends fail until a rotation
-    /// replaces the file.
+    /// A failed write or sync acks nothing of the batch. Part of it may have
+    /// reached the file — a process that dies here leaves frames that
+    /// replay, up to a torn one — and anything appended behind a torn frame
+    /// would be unreachable, so the log is poisoned: subsequent appends fail
+    /// until a rotation replaces the file.
     pub fn append_frames(&mut self, mut frames: Vec<u8>) -> Result<(), StorageError> {
         if frames.is_empty() {
             return Ok(());
         }
         if self.poisoned {
             return Err(StorageError::Io(
-                "wal poisoned by an earlier torn append; checkpoint to rotate the log".into(),
+                "wal poisoned by an earlier failed append; checkpoint to rotate the log".into(),
             ));
         }
-        let mask = generation_mask(self.generation);
-        let (mut pos, mut intact) = (0usize, 0u64);
-        let mut torn_len = None;
-        while let Some((len, crc)) = frame_header(&frames, pos) {
-            if self.fail_at == Some(self.records_written + intact) {
-                // Emulated crash mid-batch: half of this frame reaches the
-                // medium, everything after it nothing at all.
-                self.fail_at = None;
-                torn_len = Some(pos + (FRAME_HEADER + len) / 2);
-                break;
-            }
-            if let Some(field) = frames.get_mut(pos + 4..pos + FRAME_HEADER) {
-                field.copy_from_slice(&(crc ^ mask).to_le_bytes());
-            }
-            pos += FRAME_HEADER + len;
-            intact += 1;
-        }
-        if let Some(torn_len) = torn_len {
-            self.poisoned = true;
-            frames.truncate(torn_len);
-            write_all_at(&self.file, &frames, self.end)
-                .map_err(|e| StorageError::io("wal torn write", e))?;
-            // aib-lint: allow(durable-io) — crash emulation: the intact prefix only counts as durable if its covering fsync still landed.
-            if self.file.sync_data().is_ok() {
-                frames.truncate(pos);
-                self.landed(&frames, intact);
-            }
-            return Err(StorageError::Io(
-                "injected wal append failure (crash mid-DML)".into(),
-            ));
-        }
+        let records = mix_frames(&mut frames, generation_mask(self.generation));
         // Pre-write: an append that would lengthen the file lengthens it by
         // as much again (64 KiB at least, 1 MiB at most) in zeroes, so that
         // the appends after it overwrite written blocks — a young log pays
-        // the size-changing fsync a handful of times, not once per commit.
+        // the size-changing sync a handful of times, not once per commit.
         // A zeroed frame header reads as the tail.
         let framed = frames.len();
         if self.end + framed as u64 > self.written {
             let ahead = self.written.clamp(PREWRITE_MIN, PREWRITE_MAX);
             frames.resize(framed + ahead as usize, 0);
         }
-        write_all_at(&self.file, &frames, self.end).map_err(|e| {
+        self.file.write_all_at(&frames, self.end).map_err(|e| {
             self.poisoned = true;
             StorageError::io("wal append", e)
         })?;
-        self.file.sync_data().map_err(|e| {
+        self.file.sync().map_err(|e| {
             self.poisoned = true;
             StorageError::io("wal fsync", e)
         })?;
         self.written = self.written.max(self.end + frames.len() as u64);
         frames.truncate(framed);
-        self.landed(&frames, intact);
+        self.landed(&frames, records);
         Ok(())
     }
 
@@ -789,25 +767,30 @@ impl Wal {
 
     fn rotate_to(&mut self, snapshot: &WalRecord, recycle: bool) -> Result<(), StorageError> {
         let (generation, log) = next_log(self.generation, snapshot, self.cut.as_ref())?;
-        let staging = side_path(&self.path, ".new");
+        let staging = side_name(&self.name, ".new");
         let (staged, staged_len) = match self.spare.take().filter(|_| recycle) {
             Some((parked, len)) => {
-                overwrite(&parked, &log)?;
+                overwrite(&*parked, &log)?;
                 (parked, len.max(log.len() as u64))
             }
             // A fresh file takes the parked log's name (and frees it).
-            None => (write_new_file(&staging, &log)?, log.len() as u64),
+            None => (
+                write_new_file(&*self.dir, &staging, &log)?,
+                log.len() as u64,
+            ),
         };
-        let retiring = side_path(&self.path, ".old");
+        let retiring = side_name(&self.name, ".old");
         let mut linked = false;
         if recycle {
-            remove_name(&retiring)?;
+            remove_name(&*self.dir, &retiring)?;
             // Without a second name the rename below would free the retiring
             // inode and its written blocks with it.
             // aib-lint: allow(durable-io) — a file system without hard links is not an error: the rotation degrades to the compact one.
-            linked = std::fs::hard_link(&self.path, &retiring).is_ok();
+            linked = self.dir.hard_link(&self.name, &retiring).is_ok();
         }
-        std::fs::rename(&staging, &self.path).map_err(|e| StorageError::io("rename wal.new", e))?;
+        self.dir
+            .rename(&staging, &self.name)
+            .map_err(|e| StorageError::io("rename wal.new", e))?;
         // From here `<log>` names the staged file: appends must follow it
         // there whatever else fails, and none may be acknowledged until the
         // rename is durable.
@@ -819,30 +802,38 @@ impl Wal {
         self.records_written = 1 + self.cut.take().map_or(0, |cut| cut.records);
         self.poisoned = true;
         if linked {
-            std::fs::rename(&retiring, &staging)
+            self.dir
+                .rename(&retiring, &staging)
                 .map_err(|e| StorageError::io("park retired wal", e))?;
             self.spare = Some((retired, retired_len));
         }
         // Rename-durability rule (POSIX): a rename is only durable once the
-        // parent directory's entry update is fsynced. Without this, a crash
-        // right after rotation can resurrect the old (pre-checkpoint) log —
-        // whose replay would then be applied over a heap file that already
+        // directory's entry update is synced. Without this, a crash right
+        // after rotation can resurrect the old (pre-checkpoint) log — whose
+        // replay would then be applied over a heap file that already
         // contains the *post*-checkpoint flush.
-        sync_parent_dir(&self.path)?;
+        sync_dir(&*self.dir)?;
         self.poisoned = false; // the torn file (if any) is gone
         Ok(())
     }
 
-    /// Reads every intact record from the log at `path`, stopping (without
-    /// error) at the logical tail: a torn, corrupt or stale-generation
-    /// frame. A missing file is an empty log; a file without a valid header
-    /// is [`StorageError::Corrupt`].
+    /// [`Wal::replay_in`] for the log at `path` on the file system.
     pub fn replay(path: &Path) -> Result<Vec<WalRecord>, StorageError> {
-        match std::fs::read(path) {
-            Ok(raw) => Wal::replay_image(&raw),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(StorageError::io("read wal", e)),
-        }
+        let (dir, name) = OsDir::split(path).map_err(|e| StorageError::io("read wal", e))?;
+        Wal::replay_in(&dir, &name)
+    }
+
+    /// Reads every intact record of the log `name` in `dir`, stopping
+    /// (without error) at the logical tail: a torn, corrupt or
+    /// stale-generation frame. A missing file is an empty log; a file
+    /// without a valid header is [`StorageError::Corrupt`].
+    pub fn replay_in(dir: &dyn StoreDir, name: &str) -> Result<Vec<WalRecord>, StorageError> {
+        let raw = match dir.open(name, false) {
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(StorageError::io("read wal", e)),
+            Ok(file) => read_all(&*file).map_err(|e| StorageError::io("read wal", e))?,
+        };
+        Wal::replay_image(&raw)
     }
 
     /// [`Wal::replay`] over the bytes of a log file.
@@ -854,13 +845,16 @@ impl Wal {
     }
 }
 
-/// The generation in the header of the log at `path`; 0 when there is none.
-fn stored_generation(path: &Path) -> Result<u32, StorageError> {
+/// The generation in the header of the log `name`; 0 when there is none.
+fn stored_generation(dir: &dyn StoreDir, name: &str) -> Result<u32, StorageError> {
     let mut header = [0u8; FILE_HEADER];
-    match File::open(path).and_then(|mut old| old.read_exact(&mut header)) {
-        Ok(()) => parse_file_header(&header),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+    match dir
+        .open(name, false)
+        .and_then(|old| read_exact_at(&*old, &mut header, 0))
+    {
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(0),
         Err(e) => Err(StorageError::io("read wal header", e)),
+        Ok(()) => parse_file_header(&header),
     }
 }
 
@@ -892,19 +886,22 @@ fn next_log(
     Ok((generation, log))
 }
 
-/// Stages `log` in a fresh `<path>.new`, renames it over `path` and makes
+/// Stages `log` in a fresh `<name>.new`, renames it over `name` and makes
 /// the rename durable. Returns the installed file.
-fn install(path: &Path, log: &[u8]) -> Result<File, StorageError> {
-    let staging = side_path(path, ".new");
-    let file = write_new_file(&staging, log)?;
-    std::fs::rename(&staging, path).map_err(|e| StorageError::io("rename wal.new", e))?;
-    sync_parent_dir(path)?;
+fn install(dir: &dyn StoreDir, name: &str, log: &[u8]) -> Result<Arc<dyn StoreFile>, StorageError> {
+    let staging = side_name(name, ".new");
+    let file = write_new_file(dir, &staging, log)?;
+    dir.rename(&staging, name)
+        .map_err(|e| StorageError::io("rename wal.new", e))?;
+    sync_dir(dir)?;
     Ok(file)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{Fault, MemDir};
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -913,10 +910,10 @@ mod tests {
         p
     }
 
-    /// The bytes of the log `wal` wrote, up to its logical tail — without
-    /// the zeroes it pre-wrote behind it.
-    fn logical(wal: Wal) -> Vec<u8> {
-        let mut raw = std::fs::read(&wal.path).unwrap();
+    /// The bytes of the log `wal` wrote at `path`, up to its logical tail —
+    /// without the zeroes it pre-wrote behind it.
+    fn logical(wal: Wal, path: &Path) -> Vec<u8> {
+        let mut raw = std::fs::read(path).unwrap();
         assert!(raw[wal.end as usize..].iter().all(|&b| b == 0));
         raw.truncate(wal.end as usize);
         raw
@@ -1056,7 +1053,7 @@ mod tests {
         wal.append(&records[0]).unwrap();
         wal.append(&records[1]).unwrap();
         // A torn third frame: garbage behind the tail.
-        let mut raw = logical(wal);
+        let mut raw = logical(wal, &path);
         raw.extend_from_slice(&[0xEE; 13]);
         std::fs::write(&path, &raw).unwrap();
         let mut wal = Wal::open(&path).unwrap();
@@ -1077,7 +1074,7 @@ mod tests {
         // Chop bytes off the log's end, down to the file header: every prefix
         // must replay to some prefix of the records, never error, never
         // resurrect the torn record.
-        let full = logical(wal);
+        let full = logical(wal, &path);
         for cut in 1..=full.len() - FILE_HEADER {
             std::fs::write(&path, &full[..full.len() - cut]).unwrap();
             let replayed = Wal::replay(&path).unwrap();
@@ -1107,18 +1104,23 @@ mod tests {
 
     #[test]
     fn injected_append_failure_leaves_torn_frame() {
-        let path = temp_path("failinject");
-        let mut wal = Wal::open(&path).unwrap();
+        let dir = Arc::new(MemDir::new());
+        let mut wal = Wal::open_in(dir.clone(), "wal.log").unwrap();
         wal.append(&sample_records()[0]).unwrap();
-        wal.set_fail_at(1);
+        dir.arm(Fault::Write {
+            name: "wal.log".into(),
+            nth: 0,
+            keep: FRAME_HEADER + 2,
+        });
+        // The update: its payload is no run of the zeroes pre-written
+        // behind the tail, so the half that never lands tears it.
         assert!(matches!(
-            wal.append(&sample_records()[1]),
+            wal.append(&sample_records()[2]),
             Err(StorageError::Io(_))
         ));
         drop(wal);
-        let replayed = Wal::replay(&path).unwrap();
+        let replayed = Wal::replay_in(&*dir, "wal.log").unwrap();
         assert_eq!(replayed, sample_records()[..1].to_vec());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1138,7 +1140,7 @@ mod tests {
         // identically to a per-record log — but one fsync instead of five.
         assert_eq!((a.records_written(), a.syncs()), (5, 5));
         assert_eq!((b.records_written(), b.syncs()), (5, 1));
-        assert_eq!(logical(a), logical(b));
+        assert_eq!(logical(a, &per_record), logical(b, &batched));
         assert_eq!(Wal::replay(&batched).unwrap(), records);
         let _ = std::fs::remove_file(&per_record);
         let _ = std::fs::remove_file(&batched);
@@ -1154,21 +1156,34 @@ mod tests {
     }
 
     #[test]
-    fn torn_batch_keeps_durable_prefix_and_poisons_the_log() {
-        let path = temp_path("batch-torn");
+    fn a_torn_batch_acks_nothing_and_poisons_the_log() {
+        let dir = Arc::new(MemDir::new());
         let records = sample_records();
-        let mut wal = Wal::open(&path).unwrap();
-        wal.set_fail_at(2);
+        let mut wal = Wal::open_in(dir.clone(), "wal.log").unwrap();
         let payloads: Vec<Vec<u8>> = records.iter().map(WalRecord::encode).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        // The write lands two whole frames and half the third, then fails.
+        let two = 2 * FRAME_HEADER + payloads[0].len() + payloads[1].len();
+        dir.arm(Fault::Write {
+            name: "wal.log".into(),
+            nth: 0,
+            keep: two + FRAME_HEADER / 2,
+        });
         assert!(matches!(
             wal.append_payload_batch(&refs),
             Err(StorageError::Io(_))
         ));
-        // Two intact frames made it down under the covering fsync; the
-        // third is torn, the rest were never written.
-        assert_eq!(wal.records_written(), 2);
-        assert_eq!(Wal::replay(&path).unwrap(), records[..2].to_vec());
+        assert_eq!(
+            (wal.records_written(), wal.syncs()),
+            (0, 0),
+            "nothing acked"
+        );
+        // A process that dies now leaves the two frames that landed, and
+        // replay stops at the torn third.
+        assert_eq!(
+            Wal::replay_in(&*dir, "wal.log").unwrap(),
+            records[..2].to_vec()
+        );
         // The log is poisoned: another append would land after the torn
         // frame where replay can never reach it, so it must fail...
         assert!(matches!(wal.append(&records[0]), Err(StorageError::Io(_))));
@@ -1176,8 +1191,13 @@ mod tests {
         let snap = WalRecord::Snapshot(vec![1, 2]);
         wal.rotate(&snap).unwrap();
         wal.append(&records[0]).unwrap();
-        assert_eq!(Wal::replay(&path).unwrap(), vec![snap, records[0].clone()]);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            Wal::replay_in(&*dir, "wal.log").unwrap(),
+            vec![snap, records[0].clone()]
+        );
+        // Power lost now keeps exactly what the syncs covered.
+        dir.cut_power(0);
+        assert_eq!(Wal::replay_in(&*dir, "wal.log").unwrap().len(), 2);
     }
 
     #[test]
@@ -1229,6 +1249,29 @@ mod tests {
         remove_all(&path);
     }
 
+    /// `<log><suffix>` beside the log at `path`.
+    fn side_path(path: &Path, suffix: &str) -> PathBuf {
+        let mut name = path.as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
+    }
+
+    /// The directory of the log at `path`, and the log's name in it.
+    fn os(path: &Path) -> (Arc<OsDir>, String) {
+        let (dir, name) = OsDir::split(path).unwrap();
+        (Arc::new(dir), name)
+    }
+
+    fn remove_side_files(path: &Path) -> Result<(), StorageError> {
+        let (dir, name) = os(path);
+        Wal::remove_side_files(&*dir, &name)
+    }
+
+    fn create(path: &Path, snapshot: &WalRecord) -> Result<Wal, StorageError> {
+        let (dir, name) = os(path);
+        Wal::create(dir, &name, snapshot)
+    }
+
     fn side_files(path: &Path) -> (bool, bool) {
         (
             side_path(path, ".new").exists(),
@@ -1238,7 +1281,7 @@ mod tests {
 
     fn remove_all(path: &Path) {
         let _ = std::fs::remove_file(path);
-        let _ = Wal::remove_side_files(path);
+        let _ = remove_side_files(path);
     }
 
     #[test]
@@ -1339,11 +1382,11 @@ mod tests {
         // The state a crash between a rotation's link and its rename leaves.
         std::fs::hard_link(&path, side_path(&path, ".old")).unwrap();
         std::fs::write(side_path(&path, ".new"), b"half a staged log").unwrap();
-        Wal::remove_side_files(&path).unwrap();
+        remove_side_files(&path).unwrap();
         assert_eq!(side_files(&path), (false, false));
         assert_eq!(Wal::replay(&path).unwrap(), sample_records()[..1].to_vec());
         // Nothing to remove is fine too.
-        Wal::remove_side_files(&path).unwrap();
+        remove_side_files(&path).unwrap();
         remove_all(&path);
     }
 
@@ -1351,11 +1394,11 @@ mod tests {
     fn create_replaces_any_log_with_a_compact_one_of_the_next_generation() {
         let path = temp_path("create");
         let snap = WalRecord::Snapshot(vec![1, 2, 3]);
-        let mut wal = Wal::create(&path, &snap).unwrap();
+        let mut wal = create(&path, &snap).unwrap();
         assert_eq!((wal.generation, wal.records_written()), (1, 1));
         wal.append(&sample_records()[0]).unwrap();
         drop(wal);
-        let wal = Wal::create(&path, &snap).unwrap();
+        let wal = create(&path, &snap).unwrap();
         assert_eq!(wal.generation, 2);
         assert_eq!(side_files(&path), (false, false));
         assert_eq!(Wal::replay(&path).unwrap(), vec![snap]);

@@ -1,17 +1,19 @@
-//! Accounting parity between the two [`DiskBackend`] implementations.
+//! The page store's I/O accounting, pinned.
 //!
 //! The paper's economics are expressed in page I/O counts and simulated
-//! time, so swapping the simulated [`DiskManager`] for the durable
-//! [`FileBackend`] must not change a single counter: the same operation
-//! sequence run against both backends has to produce identical
-//! [`IoSnapshot`]s, and checkpoint flush I/O (`sync`) must be charged in
-//! neither.
+//! time. There is one page store, [`FileBackend`], and it charges
+//! [`IoStats`](aib_storage::IoStats) itself, so the counts cannot depend on
+//! where its file lives: every expectation here runs over a directory on the
+//! file system and over an in-memory one, and checkpoint flush I/O (`sync`)
+//! is charged in neither.
+
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use aib_storage::{
-    BufferPool, BufferPoolConfig, CostModel, DiskBackend, DiskManager, FileBackend, HeapFile,
-    IoSnapshot, PAGE_SIZE,
+    BufferPool, BufferPoolConfig, CostModel, FileBackend, HeapFile, IoSnapshot, MemDir, OsDir,
+    PageId, StoreDir, PAGE_SIZE,
 };
-use std::path::PathBuf;
 
 struct TempDir(PathBuf);
 
@@ -31,10 +33,18 @@ impl Drop for TempDir {
     }
 }
 
-/// One mixed workload, phrased purely through the trait: allocations,
-/// single reads/writes, a batched sweep read, a sync, and post-sync
-/// traffic. Returns the accounting snapshot at the end.
-fn drive(disk: &mut dyn DiskBackend) -> IoSnapshot {
+/// A fresh directory on the file system (removed with the guard) and an
+/// in-memory one.
+fn directories(tag: &str) -> (TempDir, [Arc<dyn StoreDir>; 2]) {
+    let tmp = TempDir::new(tag);
+    let os: Arc<dyn StoreDir> = Arc::new(OsDir::new(&tmp.0));
+    (tmp, [os, Arc::new(MemDir::new())])
+}
+
+/// One mixed workload: allocations, single reads/writes, a batched sweep
+/// read, a sync, and post-sync traffic. Returns the accounting snapshot at
+/// the end.
+fn drive(disk: &mut FileBackend) -> IoSnapshot {
     let mut pages = Vec::new();
     for _ in 0..8 {
         pages.push(disk.allocate().unwrap());
@@ -80,47 +90,35 @@ fn identical_op_sequence_charges_identical_stats() {
         read_us: 100,
         write_us: 120,
     };
-    let mut simulated = DiskManager::new(cost);
-    let sim = drive(&mut simulated);
-
-    let dir = TempDir::new("stats");
-    let mut file = FileBackend::open(&dir.0.join("heap.db"), cost).unwrap();
-    let durable = drive(&mut file);
-
-    assert_eq!(
-        sim, durable,
-        "file backend must charge exactly what the simulation charges"
-    );
-    // Sanity-pin the shared expectation rather than only comparing the two:
-    // 8 writes + 1 post-sync write, 4 reads + 5 batched + 1 post-sync read;
-    // the batch is five consecutive pages, so one request beside the five
-    // single ones.
-    assert_eq!(sim.page_writes, 9);
-    assert_eq!(sim.page_reads, 10);
-    assert_eq!(sim.read_requests, 6);
-    assert_eq!(sim.simulated_us, 10 * 100 + 9 * 120);
+    let (_tmp, dirs) = directories("stats");
+    for dir in dirs {
+        let s = drive(&mut FileBackend::open_in(&*dir, "heap.db", cost).unwrap());
+        // 8 writes + 1 post-sync write, 4 reads + 5 batched + 1 post-sync
+        // read; the batch is five consecutive pages, so one request beside
+        // the five single ones.
+        assert_eq!(s.page_writes, 9, "{dir:?}");
+        assert_eq!(s.page_reads, 10, "{dir:?}");
+        assert_eq!(s.read_requests, 6, "{dir:?}");
+        assert_eq!(s.simulated_us, 10 * 100 + 9 * 120, "{dir:?}");
+    }
 }
 
 #[test]
 fn zero_cost_model_still_counts_operations() {
-    let mut simulated = DiskManager::new(CostModel::free());
-    let sim = drive(&mut simulated);
-
-    let dir = TempDir::new("free");
-    let mut file = FileBackend::open(&dir.0.join("heap.db"), CostModel::free()).unwrap();
-    let durable = drive(&mut file);
-
-    assert_eq!(sim, durable);
-    assert_eq!(sim.simulated_us, 0);
-    assert_eq!(sim.total_io(), 19);
+    let (_tmp, dirs) = directories("free");
+    for dir in dirs {
+        let s = drive(&mut FileBackend::open_in(&*dir, "heap.db", CostModel::free()).unwrap());
+        assert_eq!(s.simulated_us, 0, "{dir:?}");
+        assert_eq!(s.total_io(), 19, "{dir:?}");
+    }
 }
 
 /// The table sweep — the plain scan and the buffered sweep that skips
 /// nothing are this one call — over a heap on `disk` through a pool of
 /// `frames` frames. Returns what the sweep visited and was charged.
-fn sweep(disk: Box<dyn DiskBackend>, frames: usize) -> (Vec<(u32, usize)>, IoSnapshot) {
-    let pool = BufferPool::with_backend(disk, BufferPoolConfig::lru(frames));
-    let heap = HeapFile::new(std::sync::Arc::clone(&pool));
+fn sweep(disk: FileBackend, frames: usize) -> (Vec<(u32, usize)>, IoSnapshot) {
+    let pool = BufferPool::new(disk, BufferPoolConfig::lru(frames));
+    let heap = HeapFile::new(Arc::clone(&pool));
     for i in 0..400u16 {
         heap.insert(&[(i % 251) as u8; 1000]).unwrap();
     }
@@ -144,31 +142,30 @@ fn table_sweep_charges_identical_stats_on_both_backends() {
         read_us: 100,
         write_us: 120,
     };
-    let dir = TempDir::new("sweep");
+    let (_tmp, dirs) = directories("sweep");
     // A pool the table fits in (every page a hit), and one an eighth of
     // it. The sweep cannot fit those 7 frames, so its misses recycle one
     // frame (7 frames make one-page batches) at the cold end of the list;
     // the other six keep what the load left in them — the table's last
     // pages — and the sweep hits those when it gets there.
     for (frames, resident) in [(128usize, true), (7, false)] {
-        let (sim_seen, sim) = sweep(Box::new(DiskManager::new(cost)), frames);
-        let path = dir.0.join(format!("heap-{frames}.db"));
-        let file = FileBackend::open(&path, cost).unwrap();
-        let (file_seen, durable) = sweep(Box::new(file), frames);
-        assert_eq!(
-            sim_seen, file_seen,
-            "{frames} frames: same pages, same tuples"
-        );
-        assert_eq!(sim, durable, "{frames} frames: same I/O charge");
-        let pages = sim_seen.len() as u64;
+        let name = format!("heap-{frames}.db");
+        let runs = dirs.iter().map(|dir| {
+            let disk = FileBackend::open_in(&**dir, &name, cost).unwrap();
+            sweep(disk, frames)
+        });
+        let runs: Vec<_> = runs.collect();
+        let (seen, s) = &runs[0];
+        assert_eq!(runs[1], runs[0], "{frames} frames: same pages, same charge");
+        let pages = seen.len() as u64;
         let hits = if resident { pages } else { 6 };
         assert_eq!(
-            (sim.buffer_hits, sim.page_reads, sim.simulated_us),
+            (s.buffer_hits, s.page_reads, s.simulated_us),
             (hits, pages - hits, (pages - hits) * 100),
             "{frames} frames"
         );
         assert_eq!(
-            sim.read_requests, sim.page_reads,
+            s.read_requests, s.page_reads,
             "one-page batches: a request per page"
         );
     }
@@ -176,23 +173,24 @@ fn table_sweep_charges_identical_stats_on_both_backends() {
 
 #[test]
 fn reopen_preserves_pages_and_starts_fresh_stats() {
-    let dir = TempDir::new("reopen");
-    let path = dir.0.join("heap.db");
     let cost = CostModel::default();
-    {
-        let mut file = FileBackend::open(&path, cost).unwrap();
-        drive(&mut file);
-        file.sync().unwrap();
+    let (_tmp, dirs) = directories("reopen");
+    for dir in dirs {
+        {
+            let mut file = FileBackend::open_in(&*dir, "heap.db", cost).unwrap();
+            drive(&mut file);
+            file.sync().unwrap();
+        }
+        let mut file = FileBackend::open_in(&*dir, "heap.db", cost).unwrap();
+        assert_eq!(file.num_pages(), 8, "synced pages survive reopen");
+        assert_eq!(
+            file.stats().snapshot(),
+            IoSnapshot::default(),
+            "recovery reads are not charged as workload I/O"
+        );
+        let mut buf = [0u8; PAGE_SIZE];
+        file.read(PageId(5), &mut buf).unwrap();
+        assert_eq!(buf[0], 0xEE, "post-sync write was made durable by sync()");
+        assert_eq!(file.stats().snapshot().page_reads, 1);
     }
-    let mut file = FileBackend::open(&path, cost).unwrap();
-    assert_eq!(file.num_pages(), 8, "synced pages survive reopen");
-    assert_eq!(
-        file.stats().snapshot(),
-        IoSnapshot::default(),
-        "recovery reads are not charged as workload I/O"
-    );
-    let mut buf = [0u8; PAGE_SIZE];
-    file.read(aib_storage::PageId(5), &mut buf).unwrap();
-    assert_eq!(buf[0], 0xEE, "post-sync write was made durable by sync()");
-    assert_eq!(file.stats().snapshot().page_reads, 1);
 }

@@ -4,14 +4,14 @@
 //! `pool_eviction_race` repro): the pool used to unmap a dirty victim under
 //! its state lock and write it back only after releasing the lock, so a
 //! concurrent fetch of that page missed, read the stale image from the
-//! backend, and the update that sat in the evicted frame was gone for every
+//! page store, and the update that sat in the evicted frame was gone for every
 //! later reader — 30–80 of 20,000 acked `HeapFile::update`s on two cores.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use aib_storage::{BufferPool, BufferPoolConfig, CostModel, DiskManager, HeapFile};
+use aib_storage::{BufferPool, BufferPoolConfig, CostModel, FileBackend, HeapFile};
 
 const ROWS: usize = 20_000;
 const UPDATES: usize = 6_000;
@@ -22,7 +22,7 @@ const FRAMES: usize = 64;
 #[test]
 fn an_update_survives_concurrent_sweeps_evicting_its_page() {
     let pool = BufferPool::new(
-        DiskManager::new(CostModel::default()),
+        FileBackend::new(CostModel::default()),
         BufferPoolConfig::lru(FRAMES),
     );
     let heap = HeapFile::new(Arc::clone(&pool));

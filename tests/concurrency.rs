@@ -7,7 +7,7 @@ use adaptive_index_buffer::core::{BufferConfig, SpaceConfig};
 use adaptive_index_buffer::engine::{ClientHandle, Database, EngineConfig, Query};
 use adaptive_index_buffer::index::{Coverage, IndexBackend};
 use adaptive_index_buffer::storage::{
-    BufferPool, BufferPoolConfig, Column, CostModel, DiskManager, HeapFile, Rid, Schema, Tuple,
+    BufferPool, BufferPoolConfig, Column, CostModel, FileBackend, HeapFile, Rid, Schema, Tuple,
     Value,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,7 +16,7 @@ use std::sync::Arc;
 #[test]
 fn parallel_heap_readers_during_inserts() {
     let pool = BufferPool::new(
-        DiskManager::new(CostModel::free()),
+        FileBackend::new(CostModel::free()),
         BufferPoolConfig::lru(16),
     );
     let heap = Arc::new(HeapFile::new(pool));
@@ -80,7 +80,7 @@ fn pool_eviction_pressure_is_linearizable_per_page() {
     // a per-page counter only its owner thread increments, so values must
     // never regress.
     let pool = BufferPool::new(
-        DiskManager::new(CostModel::free()),
+        FileBackend::new(CostModel::free()),
         BufferPoolConfig::lru(4),
     );
     let mut pids = Vec::new();

@@ -3,7 +3,7 @@
 
 use adaptive_index_buffer::storage::page::{PageView, SlottedPage};
 use adaptive_index_buffer::storage::{
-    BufferPool, BufferPoolConfig, CostModel, DiskManager, HeapFile, Rid, SlotId, PAGE_SIZE,
+    BufferPool, BufferPoolConfig, CostModel, FileBackend, HeapFile, Rid, SlotId, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -145,7 +145,7 @@ proptest! {
     #[test]
     fn heap_matches_model(ops in prop::collection::vec(heap_op(), 1..150)) {
         let pool = BufferPool::new(
-            DiskManager::new(CostModel::free()),
+            FileBackend::new(CostModel::free()),
             BufferPoolConfig::lru(3),
         );
         let heap = HeapFile::new(pool);
