@@ -1,14 +1,17 @@
 //! The entry store shared by partial indexes and Index Buffer partitions:
-//! a multi-map from column values to record ids on the B+-tree.
+//! a multi-map from column values to record ids on the standard library's
+//! B-tree, `std::collections::BTreeSet`.
 //!
 //! Paper §III: "The Index Buffer builds on a normal B\*-Tree. [...] Which
 //! particular index structure is used is not essential for the general
-//! idea." One structure is therefore all this crate carries; the hash and
-//! disk-resident alternatives were measured and deleted (DESIGN.md §6).
+//! idea." One structure is therefore all this crate carries, and not a
+//! hand-rolled one; the hash, disk-resident and from-scratch B+-tree
+//! alternatives were measured and deleted (DESIGN.md §6).
+
+use std::collections::BTreeSet;
 
 use aib_storage::{entry_footprint, MemoryUsage, Rid, Value};
 
-use crate::btree::BPlusTree;
 use crate::key::EntryKey;
 
 /// A multi-map from column values to record ids, ordered by `(value, rid)`.
@@ -21,7 +24,7 @@ use crate::key::EntryKey;
 /// indexes through `&self`.
 #[derive(Debug, Default)]
 pub struct BTreeIndex {
-    tree: BPlusTree<EntryKey, ()>,
+    entries: BTreeSet<EntryKey>,
     bytes: usize,
 }
 
@@ -34,7 +37,7 @@ impl BTreeIndex {
     /// Adds an entry. Returns `false` if it was already present.
     pub fn add(&mut self, value: Value, rid: Rid) -> bool {
         let bytes = entry_footprint(&value);
-        let inserted = self.tree.insert(EntryKey::new(value, rid), ()).is_none();
+        let inserted = self.entries.insert(EntryKey::new(value, rid));
         if inserted {
             self.bytes += bytes;
         }
@@ -43,19 +46,19 @@ impl BTreeIndex {
 
     /// Adds a batch of entries in one sorted merge instead of one descent
     /// each: sorts the batch by `(value, rid)`, drops repeats and entries
-    /// already present, merges with the resident entries and rebuilds the
-    /// tree with [`BPlusTree::from_sorted`]. Same entries, same
-    /// [`MemoryUsage::footprint`] as calling [`add`](Self::add) per entry in
-    /// batch order. Calls `on_added(i)` for each position `i` of `entries`
-    /// whose entry was added — of repeats, the earliest — and returns how
-    /// many were.
+    /// already present (one walk of the resident entries), and hands the
+    /// new ones to [`BTreeSet::append`], which merges the two sorted runs
+    /// into one bulk build — or, into an empty index, just takes them. Same
+    /// entries, same [`MemoryUsage::footprint`] as calling
+    /// [`add`](Self::add) per entry in batch order. Calls `on_added(i)` for
+    /// each position `i` of `entries` whose entry was added — of repeats,
+    /// the earliest — and returns how many were.
     ///
     /// There is no small-batch fallback to per-entry inserts: the merge
-    /// moves every resident entry, a few nanoseconds each against a
-    /// descent's hundred or more, and the callers' batches are a whole
-    /// heap's covered tuples or a selection of up to `I^MAX` pages merged
-    /// into a partition of at most `P` pages (DESIGN.md, "Index Buffer
-    /// partitions").
+    /// moves every resident entry, about 23 ns each against an insert's
+    /// 150 or more, and the callers' batches are a whole heap's covered
+    /// tuples or a selection of up to `I^MAX` pages merged into a partition
+    /// of at most `P` pages (DESIGN.md, "Index Buffer partitions").
     pub fn add_batch(
         &mut self,
         mut entries: Vec<(Value, Rid)>,
@@ -93,23 +96,21 @@ impl BTreeIndex {
             later.0 == first.0 && entries.get(later.1) == entries.get(first.1)
         });
 
-        let order = self.tree.order();
-        let resident = std::mem::take(&mut self.tree).into_sorted_vec();
-        let mut merged = Vec::with_capacity(resident.len() + batch.len());
-        let mut resident = resident
-            .into_iter()
-            .map(|(key, ())| (sort_prefix(&key.value, key.rid), key))
+        let mut resident = self
+            .entries
+            .iter()
+            .map(|key| (sort_prefix(&key.value, key.rid), key))
             .peekable();
-        let mut added = 0;
+        let mut fresh = Vec::with_capacity(batch.len());
         for (_, i) in batch {
             let Some((value, rid)) = entries.get_mut(i) else {
                 continue;
             };
             let new = (sort_prefix(value, *rid), &*value, *rid);
-            while let Some((_, old)) = resident.next_if(|(p, old)| (*p, &old.value, old.rid) < new)
-            {
-                merged.push((old, ()));
-            }
+            while resident
+                .next_if(|(p, old)| (*p, &old.value, old.rid) < new)
+                .is_some()
+            {}
             if resident
                 .peek()
                 .is_some_and(|(p, old)| (*p, &old.value, old.rid) == new)
@@ -118,23 +119,16 @@ impl BTreeIndex {
             }
             self.bytes += entry_footprint(value);
             on_added(i);
-            added += 1;
-            merged.push((
-                EntryKey::new(std::mem::replace(value, Value::Null), *rid),
-                (),
-            ));
+            fresh.push(EntryKey::new(std::mem::replace(value, Value::Null), *rid));
         }
-        merged.extend(resident.map(|(_, key)| (key, ())));
-        self.tree = BPlusTree::from_sorted(order, merged);
+        let added = fresh.len();
+        self.entries.append(&mut BTreeSet::from_iter(fresh));
         added
     }
 
     /// Removes an entry. Returns `false` if it was not present.
     pub fn remove(&mut self, value: &Value, rid: Rid) -> bool {
-        let removed = self
-            .tree
-            .remove(&EntryKey::new(value.clone(), rid))
-            .is_some();
+        let removed = self.entries.remove(&EntryKey::new(value.clone(), rid));
         if removed {
             self.bytes -= entry_footprint(value);
         }
@@ -143,7 +137,7 @@ impl BTreeIndex {
 
     /// True if the exact entry exists.
     pub fn contains(&self, value: &Value, rid: Rid) -> bool {
-        self.tree.contains_key(&EntryKey::new(value.clone(), rid))
+        self.entries.contains(&EntryKey::new(value.clone(), rid))
     }
 
     /// All rids recorded for `value`, in rid order.
@@ -151,50 +145,41 @@ impl BTreeIndex {
         self.lookup_range(value, value)
     }
 
-    /// Rids for all values in `[lo, hi]`, in (value, rid) order.
+    /// Rids for all values in `[lo, hi]`, in (value, rid) order; none when
+    /// `lo > hi` (a reversed `Between`).
     pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Vec<Rid> {
+        if lo > hi {
+            return Vec::new();
+        }
         let lo = EntryKey::min_for(lo.clone());
         let hi = EntryKey::max_for(hi.clone());
-        self.tree.range(&lo, &hi).map(|(k, _)| k.rid).collect()
+        self.entries.range(lo..=hi).map(|k| k.rid).collect()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.entries.len()
     }
 
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.tree.clear();
-        self.bytes = 0;
+        self.entries.is_empty()
     }
 
     /// Visits every entry in (value, rid) order.
     pub fn for_each(&self, mut f: impl FnMut(&Value, Rid)) {
-        for (k, ()) in self.tree.iter() {
+        for k in &self.entries {
             f(&k.value, k.rid);
         }
     }
 
-    /// Checks the tree's structural invariants and that the byte count
-    /// equals the entries' footprints (tests). Returns the tree height.
+    /// Checks that the byte count equals the entries' footprints (tests).
     ///
     /// # Panics
-    /// If either is violated.
-    pub fn check_invariants(&self) -> usize {
-        let height = self.tree.check_invariants();
-        let bytes: usize = self
-            .tree
-            .iter()
-            .map(|(k, ())| entry_footprint(&k.value))
-            .sum();
+    /// If it does not.
+    pub fn check_invariants(&self) {
+        let bytes: usize = self.entries.iter().map(|k| entry_footprint(&k.value)).sum();
         assert_eq!(bytes, self.bytes, "byte count matches the entries");
-        height
     }
 }
 
@@ -281,22 +266,23 @@ mod tests {
         }
         let rids = ix.lookup_range(&Value::Int(3), &Value::Int(6));
         assert_eq!(rids, (3..=6).map(|i| Rid::new(i, 0)).collect::<Vec<_>>());
+        assert_eq!(
+            ix.lookup_range(&Value::Int(6), &Value::Int(3)),
+            vec![],
+            "reversed"
+        );
     }
 
     #[test]
-    fn clear_and_for_each() {
+    fn for_each_visits_every_entry_in_order() {
         let mut ix = BTreeIndex::new();
         for i in 0..20 {
             ix.add(Value::Int(i % 5), Rid::new(i as u32, 0));
         }
-        let mut n = 0;
-        ix.for_each(|_, _| n += 1);
-        assert_eq!(n, 20);
-        ix.clear();
-        assert!(ix.is_empty());
-        let mut n = 0;
-        ix.for_each(|_, _| n += 1);
-        assert_eq!(n, 0);
+        let mut seen = Vec::new();
+        ix.for_each(|v, rid| seen.push((v.clone(), rid)));
+        assert_eq!(seen.len(), 20);
+        assert!(seen.is_sorted(), "(value, rid) order");
     }
 
     #[test]
@@ -312,7 +298,8 @@ mod tests {
         assert_eq!(ix.footprint(), 2 * int_bytes + str_bytes);
         ix.remove(&Value::Int(7), Rid::new(0, 1));
         assert_eq!(ix.footprint(), int_bytes + str_bytes);
-        ix.clear();
+        ix.remove(&Value::Int(7), Rid::new(0, 0));
+        ix.remove(&Value::from("ORD"), Rid::new(1, 0));
         assert_eq!(ix.footprint(), 0);
     }
 }

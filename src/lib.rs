@@ -7,7 +7,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`storage`] — slotted pages, simulated disk, buffer pool, heap files.
-//! * [`index`] — B+-tree, partial secondary indexes.
+//! * [`index`] — the `(value, rid)` entry store, partial secondary indexes.
 //! * [`core`] — the paper's contribution: the Adaptive Index Buffer.
 //! * [`engine`] — a mini database engine wiring it all together, plus the
 //!   online partial-index tuner the buffer is designed to back up.
