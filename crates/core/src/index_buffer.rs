@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use aib_index::PackedEntries;
 use aib_storage::{MemoryUsage, Rid, Value};
 
 use crate::config::BufferConfig;
@@ -196,12 +197,13 @@ impl IndexBuffer {
 
     /// Indexes freshly scanned pages, in the given order: fills the open
     /// partition up to `P` pages, then opens the next — the partitions
-    /// page-at-a-time indexing would build — and enters each partition's
-    /// share as one sorted batch. Returns the number of entries added.
+    /// page-at-a-time indexing would build — and merges each partition's
+    /// share into it as one sorted batch. Returns the number of entries
+    /// added.
     ///
     /// # Panics
     /// If a page is already buffered or listed twice.
-    pub fn index_pages(&mut self, pages: Vec<(u32, Vec<(Value, Rid)>)>) -> usize {
+    pub fn index_pages(&mut self, pages: Vec<(u32, PackedEntries)>) -> usize {
         let partition_pages = self.config.partition_pages as usize;
         let mut pages = pages.into_iter().peekable();
         let mut added = 0;

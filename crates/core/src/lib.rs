@@ -86,8 +86,8 @@ pub use maintenance::{cover_tuple, maintain, uncover_tuple, MaintAction, TupleRe
 pub use partition::{Partition, PartitionId};
 pub use scan::{
     apply_staged, buffer_scan_rids, indexing_scan, planned_scan_threads, prepare_scan,
-    prepare_scan_from_snapshot, scan_chunk, sweep_plan, ChunkResult, CompiledPredicate, Predicate,
-    ScanPlan, ScanPrep, ScanStats, StagedPage,
+    prepare_scan_from_snapshot, scan_chunk, sweep_plan, ChunkResult, CompiledPredicate,
+    CoverageTest, Predicate, ScanPlan, ScanPrep, ScanStats, StagedPage,
 };
 pub use shared::{BufferSummary, SharedSpace, SnapshotCache, SpaceSnapshot, SpaceWriteGuard};
 pub use space::{BenefitPolicy, BufferPending, Displacement, IndexBufferSpace, Selection};

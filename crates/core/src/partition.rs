@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use aib_index::BTreeIndex;
+use aib_index::{BTreeIndex, PackedEntries};
 use aib_storage::{MemoryUsage, Rid, Value};
 
 /// Identifier of a partition within its Index Buffer (monotonic).
@@ -98,30 +98,24 @@ impl Partition {
     }
 
     /// Adds the freshly indexed entries of new pages (Algorithm 1 line 16)
-    /// in one sorted merge, and registers each page with the number of its
-    /// entries actually added — counted as if the pages were added one
-    /// after another in the given order. Returns the total added.
+    /// in one sorted merge ([`BTreeIndex::merge`]) and registers each page
+    /// with the number of its entries actually added, counted as if the
+    /// pages were added one after another in the given order. Returns the
+    /// total added.
     ///
     /// # Panics
     /// If a page is already covered (see [`add_page`](Self::add_page)).
-    pub fn index_pages(&mut self, pages: Vec<(u32, Vec<(Value, Rid)>)>) -> usize {
-        let total = pages.iter().map(|(_, entries)| entries.len()).sum();
-        let mut batch = Vec::with_capacity(total);
-        // Which of `pages` each batch position came from.
-        let mut source = Vec::with_capacity(total);
-        let mut counts = Vec::with_capacity(pages.len());
-        for (at, (page, entries)) in pages.into_iter().enumerate() {
-            source.resize(source.len() + entries.len(), at);
-            batch.extend(entries);
-            counts.push((page, 0u32));
+    pub fn index_pages(&mut self, pages: Vec<(u32, PackedEntries)>) -> usize {
+        let mut batch = PackedEntries::default();
+        for (_, entries) in &pages {
+            batch.extend_from(entries);
         }
-        let added = self.entries.add_batch(batch, |i| {
-            if let Some((_, n)) = source.get(i).and_then(|&at| counts.get_mut(at)) {
-                *n += 1;
-            }
-        });
-        for (page, n) in counts {
-            self.add_page(page, n);
+        let before = self.entries.len();
+        let mut repeats = self.entries.merge(batch);
+        let added = self.entries.len() - before;
+        for (page, entries) in &pages {
+            let n = repeats.admitted(entries);
+            self.add_page(*page, u32::try_from(n).unwrap_or(u32::MAX));
         }
         added
     }
@@ -146,7 +140,7 @@ impl Partition {
         self.per_page.iter().map(|(&p, &n)| (p, n))
     }
 
-    /// Visits every entry.
+    /// Visits every entry, in (value, rid) order.
     pub fn for_each(&self, f: impl FnMut(&Value, Rid)) {
         self.entries.for_each(f);
     }
@@ -181,13 +175,20 @@ mod tests {
         Value::Int(i)
     }
 
+    fn staged(pages: Vec<(u32, Vec<(Value, Rid)>)>) -> Vec<(u32, PackedEntries)> {
+        pages
+            .into_iter()
+            .map(|(page, entries)| (page, entries.into_iter().collect()))
+            .collect()
+    }
+
     #[test]
     fn index_page_records_counts() {
         let mut p = Partition::new(0);
-        let n = p.index_pages(vec![(
+        let n = p.index_pages(staged(vec![(
             5,
             vec![(v(1), Rid::new(5, 0)), (v(2), Rid::new(5, 1))],
-        )]);
+        )]));
         assert_eq!(n, 2);
         assert_eq!(p.pages_covered(), 1);
         assert_eq!(p.num_entries(), 2);
@@ -199,8 +200,8 @@ mod tests {
     #[test]
     fn repeated_entries_count_for_the_first_page_that_stages_them() {
         let mut p = Partition::new(0);
-        p.index_pages(vec![(1, vec![(v(7), Rid::new(1, 0))])]);
-        let n = p.index_pages(vec![
+        p.index_pages(staged(vec![(1, vec![(v(7), Rid::new(1, 0))])]));
+        let n = p.index_pages(staged(vec![
             (2, vec![(v(8), Rid::new(2, 0)), (v(8), Rid::new(2, 0))]),
             (
                 3,
@@ -210,7 +211,7 @@ mod tests {
                     (v(9), Rid::new(3, 0)),
                 ],
             ),
-        ]);
+        ]));
         assert_eq!(n, 2, "one new entry each for pages 2 and 3");
         let counts: HashMap<u32, u32> = p.pages().collect();
         assert_eq!(counts, HashMap::from([(1, 1), (2, 1), (3, 1)]));
@@ -220,7 +221,7 @@ mod tests {
     #[test]
     fn maintenance_entry_ops_track_per_page() {
         let mut p = Partition::new(0);
-        p.index_pages(vec![(3, vec![(v(10), Rid::new(3, 0))])]);
+        p.index_pages(staged(vec![(3, vec![(v(10), Rid::new(3, 0))])]));
         assert!(p.add_entry(v(11), Rid::new(3, 1), 3));
         assert!(!p.add_entry(v(11), Rid::new(3, 1), 3), "duplicate");
         let counts: HashMap<u32, u32> = p.pages().collect();
@@ -229,6 +230,35 @@ mod tests {
         assert!(!p.remove_entry(&v(10), Rid::new(3, 0), 3));
         let counts: HashMap<u32, u32> = p.pages().collect();
         assert_eq!(counts[&3], 1, "restore count follows entries");
+    }
+
+    #[test]
+    fn open_partition_takes_single_entry_ops_between_batches() {
+        let mut p = Partition::new(0);
+        p.index_pages(staged(vec![(
+            1,
+            vec![(v(5), Rid::new(1, 0)), (v(3), Rid::new(1, 1))],
+        )]));
+        assert!(p.add_entry(v(4), Rid::new(1, 2), 1), "B.Add while open");
+        p.index_pages(staged(vec![(
+            2,
+            vec![(v(4), Rid::new(2, 0)), (v(4), Rid::new(1, 2))],
+        )]));
+        let counts: HashMap<u32, u32> = p.pages().collect();
+        assert_eq!(counts, HashMap::from([(1, 3), (2, 1)]), "resident entry");
+        assert_eq!(p.lookup(&v(4)), vec![Rid::new(1, 2), Rid::new(2, 0)]);
+        assert!(p.remove_entry(&v(3), Rid::new(1, 1), 1));
+        let mut seen = Vec::new();
+        p.for_each(|value, rid| seen.push((value.clone(), rid)));
+        assert_eq!(
+            seen,
+            vec![
+                (v(4), Rid::new(1, 2)),
+                (v(4), Rid::new(2, 0)),
+                (v(5), Rid::new(1, 0))
+            ]
+        );
+        assert_eq!(p.footprint(), 3 * aib_storage::DEFAULT_ENTRY_FOOTPRINT);
     }
 
     #[test]
@@ -245,7 +275,7 @@ mod tests {
         // covered with restore count 0: it stays skippable even after the
         // partition drops.
         let mut p = Partition::new(0);
-        p.index_pages(vec![(9, Vec::new())]);
+        p.index_pages(staged(vec![(9, Vec::new())]));
         assert!(p.covers(9));
         assert_eq!(p.pages_covered(), 1);
         assert_eq!(p.num_entries(), 0);
@@ -254,10 +284,10 @@ mod tests {
     #[test]
     fn range_lookup_via_btree_backend() {
         let mut p = Partition::new(0);
-        p.index_pages(vec![(
+        p.index_pages(staged(vec![(
             1,
             (0..10).map(|i| (v(i), Rid::new(1, i as u16))).collect(),
-        )]);
+        )]));
         let rids = p.lookup_range(&v(2), &v(4));
         assert_eq!(rids.len(), 3);
     }

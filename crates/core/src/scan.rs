@@ -16,8 +16,8 @@
 //!
 //! # Fast path
 //!
-//! The table sweep is zero-copy on every page that is *not* being indexed by
-//! this scan. The predicate is compiled once per scan into a
+//! The table sweep reads every page in place, without decoding a tuple
+//! into owned values. The predicate is compiled once per scan into a
 //! [`CompiledPredicate`]; its page-level driver
 //! ([`CompiledPredicate::matches_page`]) walks the slot directory with
 //! [`PageView::for_each_live`] and, for equality, compares the pre-encoded
@@ -26,10 +26,13 @@
 //! an inline byte loop instead of an out-of-line `memcmp` call (the call
 //! overhead dominates at ~10-byte keys). Range predicates borrow the column
 //! extent ([`Tuple::read_column_raw`]) and compare under value ordering.
-//! Pages selected for indexing fall back to the decoding path, which the
-//! buffer insert needs anyway; equivalence of the paths is proven by unit
-//! tests here and by the `compiled_predicate_matches_decoded_values`
-//! proptest.
+//! Pages selected for indexing take the staging kernel
+//! ([`StagedPage::stage`]): it borrows the column extent the same way, runs
+//! the same compiled predicate, tests coverage compiled once per scan
+//! ([`CompiledCoverage`]), and stages each uncovered tuple as a packed key
+//! ([`PackedEntries`]) — no owned [`Value`] for a fixed-width column.
+//! Equivalence with the decoded semantics is proven by unit tests here and
+//! by the `compiled_predicate_matches_decoded_values` proptest.
 //!
 //! Page skipping is run-at-a-time: the maintained
 //! [`SkipBitset`] in [`PageCounters`] yields alternating
@@ -64,6 +67,7 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
 
+use aib_index::{CompiledCoverage, PackedEntries};
 use aib_storage::{ColumnRef, HeapFile, PageId, PageView, Rid, StorageError, Tuple, Value};
 
 use crate::counters::{PageCounters, SkipBitset};
@@ -136,7 +140,7 @@ impl CompiledPredicate {
     #[inline]
     pub fn matches(&self, col: &ColumnRef<'_>) -> bool {
         match self {
-            CompiledPredicate::Equals { key } => col.raw() == &key[..],
+            CompiledPredicate::Equals { key } => short_bytes_eq(col.raw(), key),
             CompiledPredicate::Between { lo, hi } => {
                 col.cmp_value(lo) != CmpOrdering::Less && col.cmp_value(hi) != CmpOrdering::Greater
             }
@@ -170,7 +174,7 @@ impl CompiledPredicate {
     /// dispatched once per page, not once per row; the `Equals` row loop is
     /// a slot-directory decode, a bounds-checked window read, and an inlined
     /// short byte compare, nothing else. Failure modes: the `Between` arm
-    /// (and the decoding path on indexed pages) surface a corrupt tuple as
+    /// (and the staging kernel on indexed pages) surface a corrupt tuple as
     /// [`StorageError::Corrupt`]; the `Equals` arm reports it as a
     /// non-match — its window read never decodes the tuple, which is exactly
     /// why it is fast. On well-formed pages all paths agree with
@@ -418,7 +422,7 @@ pub fn indexing_scan(
     let ScanPrep { mut stats, plan } = prepare_scan(heap, space, buffer_id, predicate, out);
 
     // Lines 11–17, discover half.
-    let chunk = scan_chunk(heap, 0..plan.num_pages, &plan, column, covered, predicate)?;
+    let chunk = scan_chunk(heap, 0..plan.num_pages, &plan, column, covered)?;
     stats.pages_read = chunk.pages_read;
     stats.pages_skipped = chunk.pages_skipped;
     out.extend(chunk.matches);
@@ -450,15 +454,52 @@ pub fn buffer_scan_rids(buffer: &IndexBuffer, predicate: &Predicate) -> Vec<Rid>
     }
 }
 
+/// The partial-index membership test `t ∈ IX` (Algorithm 1 line 15) that
+/// the sweep stages by, on a borrowed column value.
+pub trait CoverageTest {
+    /// Whether the partial index covers `column`'s value.
+    fn covers(&self, column: &ColumnRef<'_>) -> bool;
+}
+
+impl CoverageTest for CompiledCoverage {
+    #[inline]
+    fn covers(&self, column: &ColumnRef<'_>) -> bool {
+        CompiledCoverage::covers(self, column.view())
+    }
+}
+
 /// Entries the sweep discovered on a single page, waiting to be applied to
 /// the Index Buffer in page order.
 #[derive(Debug)]
 pub struct StagedPage {
     /// Page ordinal the entries came from (the `p` of `C[p]`).
     pub ordinal: u32,
-    /// Uncovered tuples of that page, in slot order — exactly what
+    /// Uncovered tuples of that page, packed, in slot order — exactly what
     /// Algorithm 1 line 16 would insert.
-    pub entries: Vec<(Value, Rid)>,
+    pub entries: PackedEntries,
+}
+
+impl StagedPage {
+    /// The sweep's kernel on a page being indexed (Algorithm 1 lines
+    /// 13–16), for one stored tuple: borrows column `column` straight from
+    /// the tuple bytes, stages `(value, rid)` unless `covered` admits the
+    /// value, and returns whether `predicate` matches. A malformed tuple
+    /// fails with [`StorageError::Corrupt`], as decoding it would.
+    #[inline]
+    pub fn stage<C: CoverageTest + ?Sized>(
+        &mut self,
+        bytes: &[u8],
+        rid: Rid,
+        column: usize,
+        predicate: &CompiledPredicate,
+        covered: &C,
+    ) -> Result<bool, StorageError> {
+        let col = Tuple::read_column_raw(bytes, column)?;
+        if !covered.covers(&col) {
+            self.entries.push(col.view(), rid);
+        }
+        Ok(predicate.matches(&col))
+    }
 }
 
 /// Read-only result of sweeping a page range.
@@ -483,48 +524,40 @@ pub struct ChunkResult {
 /// leaving all mutation to [`apply_staged`]. It touches only the heap and
 /// the immutable [`ScanPlan`], never the space, so a concurrent executor
 /// calls it *without* holding any engine lock, between a [`prepare_scan`]
-/// and an [`apply_staged`] that do. Pages being indexed take the decoding
-/// path (the buffer insert needs owned values anyway, and a corrupt tuple
-/// surfaces as an error); every other page takes the zero-copy kernel.
-pub fn scan_chunk(
+/// and an [`apply_staged`] that do. Pages being indexed take the staging
+/// kernel ([`StagedPage::stage`]: the column read from the tuple bytes,
+/// coverage tested by `covered`, entries staged packed, a corrupt tuple an
+/// error); every other page takes the zero-copy predicate kernel.
+pub fn scan_chunk<C: CoverageTest + ?Sized>(
     heap: &HeapFile,
     range: Range<u32>,
     plan: &ScanPlan,
     column: usize,
-    covered: &dyn Fn(&Value) -> bool,
-    predicate: &Predicate,
+    covered: &C,
 ) -> Result<ChunkResult, StorageError> {
     let mut result = ChunkResult::default();
     let mut decode_error: Option<StorageError> = None;
-    // Hoisted out of the page callback: a page that stages entries hands the
-    // filled vec to its `StagedPage` (which must own them), while pages that
-    // stage nothing keep reusing the same allocation.
-    let mut pending: Vec<(Value, Rid)> = Vec::new();
     let (read, skipped) = heap.sweep_read_runs(plan.skip.runs(range), |ord, pid, view| {
         if decode_error.is_some() {
             return;
         }
         if plan.to_index.contains(ord) {
-            for (slot, bytes) in view.iter() {
-                let value = match Tuple::read_column(bytes, column) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        decode_error = Some(e);
-                        return;
-                    }
-                };
-                let rid = Rid { page: pid, slot };
-                if predicate.matches(&value) {
-                    result.matches.push(rid);
-                }
-                if !covered(&value) {
-                    pending.push((value, rid));
-                }
-            }
-            result.staged.push(StagedPage {
+            let mut page = StagedPage {
                 ordinal: ord,
-                entries: std::mem::take(&mut pending),
+                entries: PackedEntries::with_capacity(view.slot_count()),
+            };
+            view.for_each_live(|slot, bytes| {
+                if decode_error.is_some() {
+                    return;
+                }
+                let rid = Rid { page: pid, slot };
+                match page.stage(bytes, rid, column, &plan.compiled, covered) {
+                    Ok(true) => result.matches.push(rid),
+                    Ok(false) => {}
+                    Err(e) => decode_error = Some(e),
+                }
             });
+            result.staged.push(page);
         } else if let Err(e) = plan
             .compiled
             .matches_page(&view, pid, column, &mut result.matches)
@@ -559,9 +592,9 @@ pub fn scan_chunk(
 /// scan already completed.
 ///
 /// The pages that pass enter the buffer in one
-/// [`IndexBuffer::index_pages`] call — one sorted batch per partition
-/// instead of one B+-tree descent per entry, which is what keeps this
-/// section of the space write lock short.
+/// [`IndexBuffer::index_pages`] call: their packed keys are sorted once
+/// per partition and merged with the partition's entries in one walk,
+/// which is what keeps this section of the space write lock short.
 pub fn apply_staged(
     buffer: &mut IndexBuffer,
     counters: &mut PageCounters,
@@ -586,27 +619,35 @@ pub fn apply_staged(
     skipped
 }
 
-// ---- Vestigial names (ROADMAP item 6 drops them with their call sites) ----
+// ---- Vestigial names (ROADMAP item 1 drops them with their call sites) ----
 //
-// The frozen `e2e/` package calls these two; nothing in this workspace does.
+// The frozen `e2e/` package calls the two functions; nothing in this
+// workspace does. Its closures, and `indexing_scan`'s, reach the staging
+// kernel through the `CoverageTest` impl, one decoded `Value` per tuple.
+
+impl CoverageTest for dyn Fn(&Value) -> bool + '_ {
+    fn covers(&self, column: &ColumnRef<'_>) -> bool {
+        self(&column.to_value())
+    }
+}
 
 /// Always 1: a query's sweep runs on the calling thread.
 pub fn planned_scan_threads(_num_pages: u32, _requested: usize) -> usize {
     1
 }
 
-/// [`scan_chunk`] over `0..plan.num_pages`; `partition_pages` and `threads`
-/// are ignored.
+/// [`scan_chunk`] over `0..plan.num_pages`; `partition_pages`,
+/// `predicate` (the plan carries it compiled) and `threads` are ignored.
 pub fn sweep_plan(
     heap: &HeapFile,
     plan: &ScanPlan,
     _partition_pages: u32,
     column: usize,
     covered: &dyn Fn(&Value) -> bool,
-    predicate: &Predicate,
+    _predicate: &Predicate,
     _threads: usize,
 ) -> Result<ChunkResult, StorageError> {
-    scan_chunk(heap, 0..plan.num_pages, plan, column, covered, predicate)
+    scan_chunk(heap, 0..plan.num_pages, plan, column, covered)
 }
 
 #[cfg(test)]
@@ -707,6 +748,46 @@ mod tests {
         assert_eq!(s2.sweep_batches, 0, "no batched reads needed");
         assert_eq!(s2.buffer_matches, 1);
         space.check_invariants();
+    }
+
+    #[test]
+    fn corrupt_tuple_on_an_indexed_page_fails_the_scan_and_applies_nothing() {
+        let pool = BufferPool::new(
+            FileBackend::new(CostModel::free()),
+            BufferPoolConfig::lru(16),
+        );
+        let heap = HeapFile::new(pool);
+        for i in 0..100 {
+            let t = Tuple::new(vec![Value::Int(i), Value::from("x".repeat(200))]);
+            heap.insert(&t.to_bytes()).unwrap();
+        }
+        // Arity 2, then an unknown value tag where column 0 starts.
+        heap.insert(&[2, 0, 9]).unwrap();
+        let counts: Vec<u32> = (0..heap.num_pages())
+            .map(|p| heap.tuples_on_page(p).unwrap() as u32)
+            .collect();
+        let mut space = IndexBufferSpace::new(SpaceConfig {
+            i_max: 1_000_000,
+            seed: 1,
+            ..Default::default()
+        });
+        let id = space.register("k", BufferConfig::default(), counts.clone());
+        space.on_query(Some(id), false);
+        let err = indexing_scan(
+            &heap,
+            &mut space,
+            id,
+            0,
+            &covered_fn(0),
+            &Predicate::Equals(Value::Int(42)),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        assert_eq!(space.buffer(id).num_entries(), 0, "nothing applied");
+        for (page, &count) in (0..).zip(&counts) {
+            assert_eq!(space.counters(id).get(page), count, "C[{page}]");
+        }
     }
 
     #[test]

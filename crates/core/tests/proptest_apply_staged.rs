@@ -3,7 +3,9 @@
 //! same partitions holding the same pages with the same restore counts,
 //! the same victim order, the same answers — across staged sets that hold
 //! already-zeroed pages, pages staged twice, repeated entries, and more
-//! pages than the open partition has room for.
+//! pages than the open partition has room for. Every run is checked twice:
+//! on INTEGER entries, and on string entries that share their first eight
+//! bytes, so the packed form's order falls back to the strings.
 
 use aib_core::{apply_staged, BufferConfig, IndexBuffer, PageCounters, ScanStats, StagedPage};
 use aib_storage::{Rid, Value};
@@ -35,17 +37,28 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn staged(pages: &[Page]) -> Vec<StagedPage> {
+/// A page's entries, each value drawn as `v` made `value(v)`.
+fn entries(page: &Page, value: fn(i64) -> Value) -> Vec<(Value, Rid)> {
+    page.1
+        .iter()
+        .map(|&(v, page, slot)| (value(v), Rid::new(page, slot)))
+        .collect()
+}
+
+/// The staged pages.
+fn staged(pages: &[Page], value: fn(i64) -> Value) -> Vec<StagedPage> {
     pages
         .iter()
-        .map(|(ordinal, entries)| StagedPage {
-            ordinal: *ordinal,
-            entries: entries
-                .iter()
-                .map(|&(v, page, slot)| (Value::Int(v), Rid::new(page, slot)))
-                .collect(),
+        .map(|page| StagedPage {
+            ordinal: page.0,
+            entries: entries(page, value).into_iter().collect(),
         })
         .collect()
+}
+
+/// Strings whose first eight bytes tie, in the order of `v` (0..10).
+fn shared_prefix(v: i64) -> Value {
+    Value::from(format!("shared-prefix-{v}"))
 }
 
 /// The reference: one `index_page` per staged page, each checked against
@@ -53,18 +66,21 @@ fn staged(pages: &[Page]) -> Vec<StagedPage> {
 fn apply_reference(
     buffer: &mut IndexBuffer,
     counters: &mut PageCounters,
-    mut staged: Vec<StagedPage>,
+    pages: &[Page],
+    value: fn(i64) -> Value,
     stats: &mut ScanStats,
 ) -> usize {
-    staged.sort_by_key(|s| s.ordinal);
+    let mut pages: Vec<&Page> = pages.iter().collect();
+    pages.sort_by_key(|page| page.0);
     let mut skipped = 0;
-    for page in staged {
-        if counters.get(page.ordinal) == 0 {
+    for page in pages {
+        let ordinal = page.0;
+        if counters.get(ordinal) == 0 {
             skipped += 1;
             continue;
         }
-        stats.entries_added += u64::from(buffer.index_page(page.ordinal, page.entries));
-        counters.set_zero(page.ordinal);
+        stats.entries_added += u64::from(buffer.index_page(ordinal, entries(page, value)));
+        counters.set_zero(ordinal);
         stats.pages_indexed += 1;
     }
     skipped
@@ -102,46 +118,48 @@ proptest! {
         steps in prop::collection::vec(step(), 1..10),
     ) {
         let config = BufferConfig { partition_pages, history_k: 2 };
-        let mut batched = (IndexBuffer::new(0, "a", config), PageCounters::from_counts(initial.clone()));
-        let mut reference = (IndexBuffer::new(0, "a", config), PageCounters::from_counts(initial));
-        for (at, step) in steps.into_iter().enumerate() {
-            match step {
-                Step::Apply(pages) => {
-                    let (mut got, mut want) = (ScanStats::default(), ScanStats::default());
-                    let skipped = apply_staged(&mut batched.0, &mut batched.1, staged(&pages), &mut got);
-                    let skipped_ref =
-                        apply_reference(&mut reference.0, &mut reference.1, staged(&pages), &mut want);
-                    prop_assert_eq!(skipped, skipped_ref, "skipped at step {}", at);
-                    prop_assert_eq!(got, want, "stats at step {}", at);
-                }
-                Step::Drop => {
-                    for (buffer, counters) in [&mut batched, &mut reference] {
-                        if let Some(&victim) = buffer.partitions_in_victim_order().first() {
-                            let dropped = buffer.drop_partition(victim).expect("victim exists");
-                            for (page, restore) in dropped.pages {
-                                counters.restore(page, restore);
+        for value in [Value::Int as fn(i64) -> Value, shared_prefix] {
+            let mut batched = (IndexBuffer::new(0, "a", config), PageCounters::from_counts(initial.clone()));
+            let mut reference = (IndexBuffer::new(0, "a", config), PageCounters::from_counts(initial.clone()));
+            for (at, step) in steps.iter().cloned().enumerate() {
+                match step {
+                    Step::Apply(pages) => {
+                        let (mut got, mut want) = (ScanStats::default(), ScanStats::default());
+                        let skipped = apply_staged(&mut batched.0, &mut batched.1, staged(&pages, value), &mut got);
+                        let skipped_ref =
+                            apply_reference(&mut reference.0, &mut reference.1, &pages, value, &mut want);
+                        prop_assert_eq!(skipped, skipped_ref, "skipped at step {}", at);
+                        prop_assert_eq!(got, want, "stats at step {}", at);
+                    }
+                    Step::Drop => {
+                        for (buffer, counters) in [&mut batched, &mut reference] {
+                            if let Some(&victim) = buffer.partitions_in_victim_order().first() {
+                                let dropped = buffer.drop_partition(victim).expect("victim exists");
+                                for (page, restore) in dropped.pages {
+                                    counters.restore(page, restore);
+                                }
                             }
                         }
                     }
                 }
-            }
-            prop_assert_eq!(observe(&batched.0), observe(&reference.0), "buffer at step {}", at);
-            for page in 0..PAGES {
-                prop_assert_eq!(batched.1.get(page), reference.1.get(page), "C[{}] at step {}", page, at);
-            }
-            prop_assert_eq!(batched.1.check_bitset(), Ok(()));
-            for v in 0..10 {
+                prop_assert_eq!(observe(&batched.0), observe(&reference.0), "buffer at step {}", at);
+                for page in 0..PAGES {
+                    prop_assert_eq!(batched.1.get(page), reference.1.get(page), "C[{}] at step {}", page, at);
+                }
+                prop_assert_eq!(batched.1.check_bitset(), Ok(()));
+                for v in 0..10 {
+                    prop_assert_eq!(
+                        batched.0.scan_point(&value(v)),
+                        reference.0.scan_point(&value(v))
+                    );
+                }
                 prop_assert_eq!(
-                    batched.0.scan_point(&Value::Int(v)),
-                    reference.0.scan_point(&Value::Int(v))
+                    batched.0.scan_range(&value(2), &value(6)),
+                    reference.0.scan_range(&value(2), &value(6))
                 );
+                prop_assert_eq!(batched.0.num_entries(), reference.0.num_entries());
+                batched.0.check_invariants();
             }
-            prop_assert_eq!(
-                batched.0.scan_range(&Value::Int(2), &Value::Int(6)),
-                reference.0.scan_range(&Value::Int(2), &Value::Int(6))
-            );
-            prop_assert_eq!(batched.0.num_entries(), reference.0.num_entries());
-            batched.0.check_invariants();
         }
     }
 }

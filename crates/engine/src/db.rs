@@ -104,7 +104,7 @@ pub struct EngineConfig {
     /// count, the space by [`SpaceConfig`]'s byte budget.
     pub total_memory_bytes: Option<usize>,
     /// Ignored: a query's sweep runs on the calling thread. The field stays
-    /// only because the frozen `e2e/` spells it (ROADMAP item 6 drops it).
+    /// only because the frozen `e2e/` spells it (ROADMAP item 1 drops it).
     pub scan_threads: usize,
     /// When `true`, buffer-pool read misses stall the calling thread for
     /// the cost model's per-page read latency in *wall time* (see

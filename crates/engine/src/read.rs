@@ -34,7 +34,8 @@ use aib_core::{
     BufferSummary, IndexBufferSpace, Predicate, ScanPrep, ScanStats, SharedSpace, SkipBitset,
     SnapshotCache, SpaceSnapshot, StagedPage,
 };
-use aib_storage::{Rid, Value};
+use aib_index::CompiledCoverage;
+use aib_storage::Rid;
 
 use crate::db::{Database, Table};
 use crate::error::EngineResult;
@@ -417,8 +418,6 @@ impl Database {
             return Ok((done(rids), None));
         }
 
-        // A plain sweep indexes no page and never asks.
-        let covered = |v: &Value| ic.is_some_and(|ic| ic.partial.covers(v));
         // The one sweep: the buffer's own matches, then every page the
         // plan does not skip; staged pages are returned for `adapt`.
         let sweep = |planned: PlannedSweep| {
@@ -427,7 +426,13 @@ impl Database {
                 plan: pages,
             } = planned.prep;
             let mut rids = planned.buffer_rids;
-            let chunk = scan_chunk(&t.heap, 0..pages.num_pages, &pages, ci, &covered, predicate)?;
+            // Compiled once per sweep, and only when it stages a page: a
+            // plain sweep, or one whose selection is empty, never asks.
+            let covered = match ic {
+                Some(ic) if pages.to_index.count() > 0 => ic.partial.coverage().compile(),
+                _ => CompiledCoverage::None,
+            };
+            let chunk = scan_chunk(&t.heap, 0..pages.num_pages, &pages, ci, &covered)?;
             stats.pages_read = chunk.pages_read;
             stats.pages_skipped = chunk.pages_skipped;
             rids.extend(chunk.matches);

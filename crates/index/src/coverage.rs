@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use aib_storage::Value;
+use aib_storage::{ColumnView, Value};
 
 /// A predicate over column values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +72,32 @@ impl Coverage {
         }
     }
 
+    /// Compiles the coverage for a sweep that tests it once per tuple.
+    pub fn compile(&self) -> CompiledCoverage {
+        match self {
+            Coverage::None => CompiledCoverage::None,
+            Coverage::All => CompiledCoverage::All,
+            Coverage::IntRange { lo, hi } => CompiledCoverage::IntRange { lo: *lo, hi: *hi },
+            Coverage::Set(set) => {
+                // The set iterates in value order (NULL, integers, strings),
+                // so both lists come out sorted.
+                let (mut null, mut ints, mut strs) = (false, Vec::new(), Vec::new());
+                for value in set {
+                    match value {
+                        Value::Null => null = true,
+                        Value::Int(v) => ints.push(*v),
+                        Value::Str(s) => strs.push(s.clone()),
+                    }
+                }
+                CompiledCoverage::Set {
+                    null,
+                    ints: ints.into(),
+                    strs: strs.into(),
+                }
+            }
+        }
+    }
+
     /// Number of covered values, when enumerable.
     pub fn covered_count(&self) -> Option<usize> {
         match self {
@@ -110,9 +136,91 @@ impl Coverage {
     }
 }
 
+/// A [`Coverage`] compiled for testing borrowed column values: the two
+/// constant shapes stay constants, a range is two compares, and a set is
+/// binary-searched sorted lists per value kind. Agrees with
+/// [`Coverage::covers`] on every value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompiledCoverage {
+    /// Covers nothing.
+    None,
+    /// Covers everything.
+    All,
+    /// Covers integers in `lo..=hi`.
+    IntRange {
+        /// Inclusive lower bound.
+        lo: i64,
+        /// Inclusive upper bound.
+        hi: i64,
+    },
+    /// Covers an explicit set of values.
+    Set {
+        /// Whether NULL is a member.
+        null: bool,
+        /// The integer members, ascending.
+        ints: Box<[i64]>,
+        /// The string members, ascending.
+        strs: Box<[String]>,
+    },
+}
+
+impl CompiledCoverage {
+    /// Whether `value` is covered.
+    #[inline]
+    pub fn covers(&self, value: ColumnView<'_>) -> bool {
+        match self {
+            CompiledCoverage::None => false,
+            CompiledCoverage::All => true,
+            CompiledCoverage::IntRange { lo, hi } => {
+                matches!(value, ColumnView::Int(v) if *lo <= v && v <= *hi)
+            }
+            CompiledCoverage::Set { null, ints, strs } => match value {
+                ColumnView::Null => *null,
+                ColumnView::Int(v) => ints.binary_search(&v).is_ok(),
+                ColumnView::Str(s) => strs.binary_search_by(|m| m.as_str().cmp(s)).is_ok(),
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn compiled_coverage_agrees_with_covers() {
+        let values = [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(i64::MAX),
+            Value::from(""),
+            Value::from("ORD"),
+            Value::from("ORE"),
+        ];
+        let mut shapes = vec![
+            Coverage::None,
+            Coverage::All,
+            Coverage::IntRange { lo: -1, hi: 7 },
+            Coverage::IntRange { lo: 7, hi: -1 },
+            Coverage::empty_set(),
+        ];
+        for members in [&values[..], &values[..1], &values[2..5], &values[6..8]] {
+            shapes.push(Coverage::Set(members.iter().cloned().collect()));
+        }
+        for shape in &shapes {
+            let compiled = shape.compile();
+            for v in &values {
+                assert_eq!(
+                    compiled.covers(v.view()),
+                    shape.covers(v),
+                    "{shape:?} on {v}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn none_and_all() {

@@ -104,10 +104,11 @@ impl PartialIndex {
     }
 
     /// `IX.Add` for a whole batch of covered tuples in one sorted merge
-    /// ([`BTreeIndex::add_batch`]) — the index builds' path. Charges the
-    /// [`AdaptationCost`] the same total as one [`add`](Self::add) per
-    /// entry (the charge is cumulative). Returns the number of entries
-    /// added; repeats and entries already present are not.
+    /// ([`BTreeIndex::merge`]) — the index builds' path; strings move into
+    /// the index uncopied. Charges the [`AdaptationCost`] the same total as
+    /// one [`add`](Self::add) per entry (the charge is cumulative). Returns
+    /// the number of entries added; repeats and entries already present
+    /// are not.
     ///
     /// # Panics
     /// In debug builds, if any value is not covered.
@@ -116,7 +117,9 @@ impl PartialIndex {
             entries.iter().all(|(value, _)| self.covers(value)),
             "IX.Add of an uncovered value"
         );
-        let added = self.index.add_batch(entries, |_| {});
+        let before = self.index.len();
+        self.index.merge(entries.into_iter().collect());
+        let added = self.index.len() - before;
         self.cost.charge_entries(added as u64);
         added
     }

@@ -1,6 +1,6 @@
-//! The entry store shared by partial indexes and Index Buffer partitions:
-//! a multi-map from column values to record ids on the standard library's
-//! B-tree, `std::collections::BTreeSet`.
+//! The entry store shared by partial indexes and closed Index Buffer
+//! partitions: a multi-map from column values to record ids on the
+//! standard library's B-tree, `std::collections::BTreeSet`.
 //!
 //! Paper §III: "The Index Buffer builds on a normal B\*-Tree. [...] Which
 //! particular index structure is used is not essential for the general
@@ -10,11 +10,15 @@
 
 use std::collections::BTreeSet;
 
-use aib_storage::{entry_footprint, MemoryUsage, Rid, Value};
+use aib_storage::{entry_footprint, ColumnView, MemoryUsage, Rid, Value};
 
-use crate::key::EntryKey;
+use crate::key::{
+    footprint, key, merge_sorted, sort_fixed, unpack, Key, PackedEntries, Repeats, Span, StrEntry,
+};
 
-/// A multi-map from column values to record ids, ordered by `(value, rid)`.
+/// A multi-map from column values to record ids, ordered by `(value, rid)`,
+/// holding its entries in the packed form ([`crate::key`]): NULL and
+/// INTEGER entries as one `u128` each, string entries beside them.
 ///
 /// Reports a byte-accurate [`MemoryUsage::footprint`] —
 /// [`entry_footprint`] bytes per entry — so the memory governor can charge
@@ -24,7 +28,8 @@ use crate::key::EntryKey;
 /// indexes through `&self`.
 #[derive(Debug, Default)]
 pub struct BTreeIndex {
-    entries: BTreeSet<EntryKey>,
+    fixed: BTreeSet<u128>,
+    strs: BTreeSet<StrEntry>,
     bytes: usize,
 }
 
@@ -36,99 +41,87 @@ impl BTreeIndex {
 
     /// Adds an entry. Returns `false` if it was already present.
     pub fn add(&mut self, value: Value, rid: Rid) -> bool {
-        let bytes = entry_footprint(&value);
-        let inserted = self.entries.insert(EntryKey::new(value, rid));
+        let inserted = match key(value.view(), rid) {
+            Key::Fixed(k) => self.fixed.insert(k),
+            Key::Str(s, rid) => self.strs.insert(StrEntry::new(s.to_owned(), rid)),
+        };
         if inserted {
-            self.bytes += bytes;
+            self.bytes += entry_footprint(&value);
         }
         inserted
     }
 
-    /// Adds a batch of entries in one sorted merge instead of one descent
-    /// each: sorts the batch by `(value, rid)`, drops repeats and entries
-    /// already present (one walk of the resident entries), and hands the
-    /// new ones to [`BTreeSet::append`], which merges the two sorted runs
-    /// into one bulk build — or, into an empty index, just takes them. Same
-    /// entries, same [`MemoryUsage::footprint`] as calling
+    /// Adds a batch of entries in one sorted merge ([`merge`](Self::merge))
+    /// instead of one descent each, and tells which positions were added.
+    /// Same entries, same [`MemoryUsage::footprint`] as calling
     /// [`add`](Self::add) per entry in batch order. Calls `on_added(i)` for
     /// each position `i` of `entries` whose entry was added — of repeats,
     /// the earliest — and returns how many were.
     ///
-    /// There is no small-batch fallback to per-entry inserts: the merge
-    /// moves every resident entry, about 23 ns each against an insert's
-    /// 150 or more, and the callers' batches are a whole heap's covered
-    /// tuples or a selection of up to `I^MAX` pages merged into a partition
-    /// of at most `P` pages (DESIGN.md, "Index Buffer partitions").
+    /// Strings are copied into the batch, since the walk that names the
+    /// positions needs the entries after the merge; a caller that needs no
+    /// positions merges the entries themselves
+    /// ([`PartialIndex::add_batch`](crate::PartialIndex::add_batch)).
     pub fn add_batch(
         &mut self,
-        mut entries: Vec<(Value, Rid)>,
+        entries: Vec<(Value, Rid)>,
         mut on_added: impl FnMut(usize),
     ) -> usize {
         if entries.is_empty() {
             return 0;
         }
-        // Every comparison below leads with the entries' `sort_prefix`: one
-        // integer compare decides it unless the prefixes tie. The sort
-        // itself uses a 64-bit window of the prefixes, ending at the highest
-        // bit that differs within the batch — the bits above it are the
-        // same in every prefix — so it moves 16-byte elements.
-        let (any, all) = entries.iter().fold((0, !0), |(any, all), (value, rid)| {
-            let prefix = sort_prefix(value, *rid);
-            (any | prefix, all & prefix)
-        });
-        let shift = (u128::BITS - (any ^ all).leading_zeros()).saturating_sub(u64::BITS);
-        // Sort positions by window, order each run of equal windows
-        // (repeated entries; keys differing only below the window) by the
-        // full key and by position, and keep the earliest of each repeat.
-        let mut batch: Vec<(u64, usize)> = (0..)
-            .zip(&entries)
-            .map(|(i, (value, rid))| ((sort_prefix(value, *rid) >> shift) as u64, i))
-            .collect();
-        batch.sort_unstable_by_key(|&(window, _)| window);
-        for run in batch.chunk_by_mut(|a, b| a.0 == b.0) {
-            if run.len() > 1 {
-                run.sort_unstable_by(|a, b| {
-                    entries.get(a.1).cmp(&entries.get(b.1)).then(a.1.cmp(&b.1))
-                });
+        let mut batch = PackedEntries::with_capacity(entries.len());
+        for (value, rid) in &entries {
+            batch.push(value.view(), *rid);
+        }
+        let before = self.len();
+        let mut repeats = self.merge(batch);
+        for (i, (value, rid)) in entries.iter().enumerate() {
+            if repeats.admit(value.view(), *rid) {
+                on_added(i);
             }
         }
-        batch.dedup_by(|later, first| {
-            later.0 == first.0 && entries.get(later.1) == entries.get(first.1)
-        });
+        self.len() - before
+    }
 
-        let mut resident = self
-            .entries
-            .iter()
-            .map(|key| (sort_prefix(&key.value, key.rid), key))
-            .peekable();
-        let mut fresh = Vec::with_capacity(batch.len());
-        for (_, i) in batch {
-            let Some((value, rid)) = entries.get_mut(i) else {
-                continue;
-            };
-            let new = (sort_prefix(value, *rid), &*value, *rid);
-            while resident
-                .next_if(|(p, old)| (*p, &old.value, old.rid) < new)
-                .is_some()
-            {}
-            if resident
-                .peek()
-                .is_some_and(|(p, old)| (*p, &old.value, old.rid) == new)
-            {
-                continue;
-            }
-            self.bytes += entry_footprint(value);
-            on_added(i);
-            fresh.push(EntryKey::new(std::mem::replace(value, Value::Null), *rid));
-        }
-        let added = fresh.len();
-        self.entries.append(&mut BTreeSet::from_iter(fresh));
-        added
+    /// Merges a packed batch (any order, repeats allowed) into the index:
+    /// the batch is sorted once (a radix sort for NULL and INTEGER keys),
+    /// one linear walk merges it with the resident entries, and each set is
+    /// built again from the result in one pass. Returns the batch entries
+    /// not added where they first occurred, so a caller that knows where the
+    /// batch came from can tell which of its entries were
+    /// ([`Repeats::admit`]).
+    pub fn merge(&mut self, batch: PackedEntries) -> Repeats {
+        let PackedEntries {
+            mut fixed,
+            mut strs,
+        } = batch;
+        sort_fixed(&mut fixed);
+        strs.sort_unstable();
+        let mut repeats = Repeats::default();
+        let mut bytes = 0;
+        self.fixed = merge_sorted(
+            std::mem::take(&mut self.fixed),
+            fixed,
+            &mut repeats.fixed,
+            |&k| bytes += footprint(unpack(k).0),
+        );
+        self.strs = merge_sorted(
+            std::mem::take(&mut self.strs),
+            strs,
+            &mut repeats.strs,
+            |e| bytes += footprint(ColumnView::Str(&e.value)),
+        );
+        self.bytes += bytes;
+        repeats
     }
 
     /// Removes an entry. Returns `false` if it was not present.
     pub fn remove(&mut self, value: &Value, rid: Rid) -> bool {
-        let removed = self.entries.remove(&EntryKey::new(value.clone(), rid));
+        let removed = match key(value.view(), rid) {
+            Key::Fixed(k) => self.fixed.remove(&k),
+            Key::Str(s, rid) => self.strs.remove(&StrEntry::new(s.to_owned(), rid)),
+        };
         if removed {
             self.bytes -= entry_footprint(value);
         }
@@ -137,7 +130,10 @@ impl BTreeIndex {
 
     /// True if the exact entry exists.
     pub fn contains(&self, value: &Value, rid: Rid) -> bool {
-        self.entries.contains(&EntryKey::new(value.clone(), rid))
+        match key(value.view(), rid) {
+            Key::Fixed(k) => self.fixed.contains(&k),
+            Key::Str(s, rid) => self.strs.contains(&StrEntry::new(s.to_owned(), rid)),
+        }
     }
 
     /// All rids recorded for `value`, in rid order.
@@ -148,29 +144,43 @@ impl BTreeIndex {
     /// Rids for all values in `[lo, hi]`, in (value, rid) order; none when
     /// `lo > hi` (a reversed `Between`).
     pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Vec<Rid> {
-        if lo > hi {
+        if self.is_empty() {
             return Vec::new();
         }
-        let lo = EntryKey::min_for(lo.clone());
-        let hi = EntryKey::max_for(hi.clone());
-        self.entries.range(lo..=hi).map(|k| k.rid).collect()
+        let Some(Span { fixed, strs }) = Span::of(lo, hi) else {
+            return Vec::new();
+        };
+        let mut rids: Vec<Rid> = fixed
+            .map(|b| self.fixed.range(b).map(|&k| unpack(k).1).collect())
+            .unwrap_or_default();
+        if let Some(b) = strs {
+            rids.extend(self.strs.range(b).map(|e| e.rid));
+        }
+        rids
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.fixed.len() + self.strs.len()
     }
 
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Visits every entry in (value, rid) order.
     pub fn for_each(&self, mut f: impl FnMut(&Value, Rid)) {
-        for k in &self.entries {
-            f(&k.value, k.rid);
+        for (value, rid) in self.iter() {
+            f(&value.to_value(), rid);
         }
+    }
+
+    /// The entries in (value, rid) order, borrowed.
+    fn iter(&self) -> impl Iterator<Item = (ColumnView<'_>, Rid)> + '_ {
+        let fixed = self.fixed.iter().map(|&k| unpack(k));
+        let strs = self.strs.iter().map(|e| (ColumnView::Str(&e.value), e.rid));
+        fixed.chain(strs)
     }
 
     /// Checks that the byte count equals the entries' footprints (tests).
@@ -178,7 +188,7 @@ impl BTreeIndex {
     /// # Panics
     /// If it does not.
     pub fn check_invariants(&self) {
-        let bytes: usize = self.entries.iter().map(|k| entry_footprint(&k.value)).sum();
+        let bytes: usize = self.iter().map(|(value, _)| footprint(value)).sum();
         assert_eq!(bytes, self.bytes, "byte count matches the entries");
     }
 }
@@ -189,32 +199,10 @@ impl MemoryUsage for BTreeIndex {
     }
 }
 
-/// A 128-bit sort key whose order agrees with `(value, rid)` order: a
-/// smaller prefix means a smaller entry. NULL and INTEGER entries pack
-/// whole (variant, order-preserving value bits, page, slot), so equal
-/// prefixes mean equal entries; a string packs its first eight bytes only,
-/// so equal prefixes must be compared in full.
-fn sort_prefix(value: &Value, rid: Rid) -> u128 {
-    const INT: u128 = 1 << 126;
-    const STR: u128 = 2 << 126;
-    let rid = u128::from(rid.page.0) << 16 | u128::from(rid.slot.0);
-    match value {
-        Value::Null => rid,
-        Value::Int(v) => INT | u128::from((*v as u64) ^ (1 << 63)) << 48 | rid,
-        Value::Str(s) => {
-            let mut head = [0u8; 8];
-            for (to, from) in head.iter_mut().zip(s.as_bytes()) {
-                *to = *from;
-            }
-            STR | u128::from(u64::from_be_bytes(head)) << 48
-        }
-    }
-}
-
 /// The structure behind a partial index. One variant: every index is a
 /// [`BTreeIndex`]. The enum survives only as the argument the frozen
 /// benchmark (`e2e/`) still passes to `PartialIndex::new` and
-/// `Database::create_partial_index`; ROADMAP item 6's benchmark PR drops
+/// `Database::create_partial_index`; ROADMAP item 1's benchmark PR drops
 /// the argument and this type with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexBackend {

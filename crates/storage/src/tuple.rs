@@ -93,21 +93,7 @@ impl Tuple {
     /// payload column (a up-to-512-byte string) for every visited tuple
     /// would dominate the scan cost.
     pub fn read_column(buf: &[u8], idx: usize) -> Result<Value, StorageError> {
-        let arity_bytes: [u8; 2] = buf
-            .get(..2)
-            .ok_or_else(|| StorageError::Corrupt("tuple shorter than arity header".into()))?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("arity header width".into()))?;
-        let arity = u16::from_le_bytes(arity_bytes) as usize;
-        if idx >= arity {
-            return Err(StorageError::Corrupt(format!(
-                "column {idx} out of range for arity {arity}"
-            )));
-        }
-        let mut pos = 2;
-        for _ in 0..idx {
-            Value::skip(buf, &mut pos)?;
-        }
+        let mut pos = Self::seek_column(buf, idx)?;
         Value::decode(buf, &mut pos)
     }
 
@@ -129,29 +115,26 @@ impl Tuple {
         idx: usize,
         len: usize,
     ) -> Result<Option<&[u8]>, StorageError> {
-        let arity_bytes: [u8; 2] = buf
-            .get(..2)
-            .ok_or_else(|| StorageError::Corrupt("tuple shorter than arity header".into()))?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("arity header width".into()))?;
-        let arity = u16::from_le_bytes(arity_bytes) as usize;
-        if idx >= arity {
-            return Err(StorageError::Corrupt(format!(
-                "column {idx} out of range for arity {arity}"
-            )));
-        }
-        let mut pos = 2;
-        for _ in 0..idx {
-            Value::skip(buf, &mut pos)?;
-        }
+        let pos = Self::seek_column(buf, idx)?;
         Ok(pos.checked_add(len).and_then(|end| buf.get(pos..end)))
     }
 
     /// Zero-copy variant of [`Tuple::read_column`]: borrows the encoded
     /// extent of column `idx` as a [`ColumnRef`] instead of materialising a
-    /// [`Value`], so the scan fast path evaluates predicates without
-    /// allocating. Validation and failure modes match `read_column` exactly.
+    /// [`Value`], so the scan fast path evaluates predicates — and the
+    /// sweep stages buffer entries — without allocating. Validation and
+    /// failure modes match `read_column` exactly.
+    #[inline]
     pub fn read_column_raw(buf: &[u8], idx: usize) -> Result<ColumnRef<'_>, StorageError> {
+        let mut pos = Self::seek_column(buf, idx)?;
+        Value::decode_ref(buf, &mut pos)
+    }
+
+    /// The one column seek behind the three column reads: checks the arity
+    /// header, then skips (and structurally validates) the columns before
+    /// `idx`, returning the offset where column `idx`'s encoding starts.
+    #[inline]
+    fn seek_column(buf: &[u8], idx: usize) -> Result<usize, StorageError> {
         let arity_bytes: [u8; 2] = buf
             .get(..2)
             .ok_or_else(|| StorageError::Corrupt("tuple shorter than arity header".into()))?
@@ -167,7 +150,7 @@ impl Tuple {
         for _ in 0..idx {
             Value::skip(buf, &mut pos)?;
         }
-        Value::decode_ref(buf, &mut pos)
+        Ok(pos)
     }
 }
 

@@ -52,13 +52,20 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// The borrowing view of this value — what a [`ColumnRef`] decoded
+    /// from its encoding would show.
+    #[inline]
+    pub fn view(&self) -> ColumnView<'_> {
+        match self {
+            Value::Null => ColumnView::Null,
+            Value::Int(v) => ColumnView::Int(*v),
+            Value::Str(s) => ColumnView::Str(s),
+        }
+    }
+
     /// Number of bytes [`Value::encode`] will append.
     pub fn encoded_len(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) => 1 + 8,
-            Value::Str(s) => 1 + 4 + s.len(),
-        }
+        self.view().encoded_len()
     }
 
     /// Appends the compact binary encoding of the value to `out`.
@@ -219,6 +226,27 @@ pub enum ColumnView<'a> {
     Str(&'a str),
 }
 
+impl ColumnView<'_> {
+    /// Materialises an owned [`Value`] (allocates for strings).
+    pub fn to_value(&self) -> Value {
+        match *self {
+            ColumnView::Null => Value::Null,
+            ColumnView::Int(v) => Value::Int(v),
+            ColumnView::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+
+    /// Number of bytes the value's encoding takes ([`Value::encoded_len`]).
+    #[inline]
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            ColumnView::Null => 1,
+            ColumnView::Int(_) => 1 + 8,
+            ColumnView::Str(s) => 1 + 4 + s.len(),
+        }
+    }
+}
+
 impl<'a> ColumnRef<'a> {
     /// The encoded bytes of this value (tag + payload), exactly as
     /// [`Value::encode`] would produce them.
@@ -235,11 +263,7 @@ impl<'a> ColumnRef<'a> {
 
     /// Materialises an owned [`Value`] (allocates for strings).
     pub fn to_value(&self) -> Value {
-        match self.view {
-            ColumnView::Null => Value::Null,
-            ColumnView::Int(v) => Value::Int(v),
-            ColumnView::Str(s) => Value::Str(s.to_owned()),
-        }
+        self.view.to_value()
     }
 
     /// Compares against an owned [`Value`] under the same total order as
@@ -259,6 +283,7 @@ impl<'a> ColumnRef<'a> {
 }
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -268,6 +293,7 @@ impl Ord for Value {
     /// Total order: `Null < Int(_) < Str(_)`; same-variant values compare by
     /// payload. Cross-type comparisons never happen for well-typed columns
     /// but must still be total so values can key a B+-tree.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {

@@ -255,7 +255,8 @@ proptest! {
 // Scan fast path: compiled predicates and the maintained skip bitset
 // ---------------------------------------------------------------------------
 
-use adaptive_index_buffer::core::{CompiledPredicate, PageCounters, Predicate};
+use adaptive_index_buffer::core::{CompiledPredicate, PageCounters, Predicate, StagedPage};
+use adaptive_index_buffer::index::PackedEntries;
 
 /// Every [`Value`] variant, including the empty string and integer extremes
 /// the little-endian encoding makes interesting.
@@ -297,8 +298,11 @@ fn counter_op() -> impl Strategy<Value = CounterOp> {
 proptest! {
     /// The zero-copy path and the interpreted path must agree on every
     /// value variant: [`CompiledPredicate`] evaluated on the raw encoded
-    /// column bytes ⇔ [`Predicate::matches`] on the decoded [`Value`].
-    /// Referenced by the `aib-core` scan module docs.
+    /// column bytes ⇔ [`Predicate::matches`] on the decoded [`Value`]; and
+    /// the staging kernel of indexed pages ([`StagedPage::stage`]) ⇔
+    /// [`Coverage::covers`], [`Predicate::matches`] and
+    /// [`Tuple::read_column`], under every coverage shape. Referenced by
+    /// the `aib-core` scan module docs.
     #[test]
     fn compiled_predicate_matches_decoded_values(
         v in any_value(),
@@ -307,6 +311,18 @@ proptest! {
         hi in any_value(),
         pad in any_value(),
     ) {
+        // Coverage shapes built from the drawn values: each shape both
+        // covering `v` and, mostly, not.
+        let near = v.as_int().unwrap_or(0);
+        let other = probe.as_int().unwrap_or(1);
+        let coverages = [
+            Coverage::None,
+            Coverage::All,
+            Coverage::IntRange { lo: near.saturating_sub(1), hi: near },
+            Coverage::IntRange { lo: other, hi: other },
+            Coverage::Set([v.clone(), pad.clone()].into_iter().collect()),
+            Coverage::Set([probe.clone(), lo.clone(), hi.clone()].into_iter().collect()),
+        ];
         let tuple = Tuple::new(vec![pad, v.clone()]);
         let bytes = tuple.to_bytes();
         // Random probes mostly miss; the self-referential predicates pin the
@@ -332,6 +348,20 @@ proptest! {
                 pred.matches(&v),
                 "window path: {:?} on {:?}", pred, v
             );
+            for coverage in &coverages {
+                let rid = Rid::new(3, 1);
+                let mut page = StagedPage { ordinal: 0, entries: PackedEntries::default() };
+                let matched = page.stage(&bytes, rid, 1, &compiled, &coverage.compile()).unwrap();
+                prop_assert_eq!(matched, pred.matches(&v), "kernel: {:?} on {:?}", pred, v);
+                let want: PackedEntries = if coverage.covers(&v) {
+                    Vec::new()
+                } else {
+                    vec![(Tuple::read_column(&bytes, 1).unwrap(), rid)]
+                }
+                .into_iter()
+                .collect();
+                prop_assert_eq!(page.entries, want, "kernel: {:?} on {:?}", coverage, v);
+            }
         }
     }
 
