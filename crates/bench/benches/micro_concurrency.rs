@@ -2,7 +2,7 @@
 //! threads scale over the covered-fraction sweep, recorded in
 //! `BENCH_concurrency.json` (see EXPERIMENTS.md).
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **single_client** — the exact `micro_scan` covered-fraction fixture
 //!    (50k sequential rows, resident pool, zero-cost disk, buffer pinned
@@ -11,23 +11,12 @@
 //!    read path (catalog/space read locks + staged apply) must stay within
 //!    noise of the pre-concurrency engine.
 //!
-//! 2. **scaling** — the same fixture under a disk that costs wall time:
-//!    [`BufferPoolConfig::io_wait`] turns the cost model's `read_us` into a
-//!    real (overlappable) stall per missed page, and the pool is shrunk
-//!    below the unskippable page count so every query pays its misses.
-//!    1/2/4/8 client threads then measure queries/sec. I/O-bound fractions
-//!    scale near-linearly because clients overlap their stalls; the 100%
-//!    fraction takes the lock-free snapshot fast path (no space lock, no
-//!    catalog contention) and is pure CPU, so its scaling ceiling is the
-//!    host's core count — on a single-core host it reports ~1.0x however
-//!    cheap the path is, which is why the JSON records `host_cpus`.
-//!
-//! 3. **contended** — the CPU-bound acceptance sweep for the snapshot-
-//!    planned read path: `io_wait = false`, zero-cost disk, resident pool,
-//!    50% and 90% skippable fractions at 1–8 threads. With no stalls to
-//!    overlap, throughput is bounded by whatever serializes the read path,
-//!    so a flat or rising q/s column over threads (up to `host_cpus`) is
-//!    the evidence that steady-state reads take no space lock. (The
+//! 2. **contended** — the CPU-bound acceptance sweep for the snapshot-
+//!    planned read path: zero-cost disk, resident pool, 50% and 90%
+//!    skippable fractions at 1–8 threads. With no stalls to overlap,
+//!    throughput is bounded by whatever serializes the read path, so a
+//!    flat or rising q/s column over threads (up to `host_cpus`) is the
+//!    evidence that steady-state reads take no space lock. (The
 //!    always-locked planner this path was once measured against lost all
 //!    eight rows, 1.06–1.21×, and is no longer selectable; that table is
 //!    kept, stamped with its revision, in EXPERIMENTS.md.)
@@ -47,22 +36,15 @@ use aib_storage::{Column, CostModel, Schema, Tuple, Value};
 const SWEEP_ROWS: i64 = 50_000;
 const FRACTIONS: [u32; 4] = [0, 50, 90, 100];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-const SCALING_POOL_FRAMES: usize = 32;
 
 /// The `micro_scan` covered-fraction fixture: sequential keys so the
 /// `IntRange` partial index covers a contiguous page prefix, the Index
 /// Buffer pinned empty so the skippable fraction never drifts, and the
 /// probe key just past the covered range forcing the indexing-scan path.
-fn build_fraction(
-    pct: u32,
-    cost: CostModel,
-    pool_frames: usize,
-    io_wait: bool,
-) -> (Arc<Database>, i64) {
+fn build_fraction(pct: u32) -> (Arc<Database>, i64) {
     let db = Database::new(EngineConfig {
-        pool_frames,
-        cost_model: cost,
-        io_wait,
+        pool_frames: 1024,
+        cost_model: CostModel::free(),
         space: SpaceConfig {
             max_bytes: Some(0),
             i_max: 1_000_000,
@@ -111,7 +93,7 @@ fn single_client_sweep(quick: bool) -> Vec<SinglePoint> {
         "skippable", "wall/query", "pages_read", "pages_skipped"
     );
     for pct in FRACTIONS {
-        let (db, probe) = build_fraction(pct, CostModel::free(), 1024, false);
+        let (db, probe) = build_fraction(pct);
         let client = ClientHandle::new(Arc::clone(&db));
         for _ in 0..5 {
             black_box(client.execute(&Query::point("t", "k", probe)).unwrap());
@@ -143,17 +125,8 @@ fn single_client_sweep(quick: bool) -> Vec<SinglePoint> {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: thread scaling against a disk that costs wall time.
+// Section 2: CPU-bound contention on the snapshot-planned read path.
 // ---------------------------------------------------------------------------
-
-struct ScalingPoint {
-    skippable_pct: u32,
-    threads: usize,
-    queries: u64,
-    wall_s: f64,
-    qps: f64,
-    scaling_x: f64,
-}
 
 /// Runs `n` client threads hammering the probe query for `dur`, returning
 /// (completed queries, elapsed wall seconds).
@@ -182,46 +155,6 @@ fn run_clients(db: &Arc<Database>, probe: i64, n: usize, dur: Duration) -> (u64,
     (total.load(Ordering::Relaxed), t0.elapsed().as_secs_f64())
 }
 
-fn scaling_sweep(quick: bool) -> Vec<ScalingPoint> {
-    let dur = Duration::from_millis(if quick { 250 } else { 1500 });
-    let mut points = Vec::new();
-    println!(
-        "scaling sweep: read_us=100 wall-time stalls, pool={SCALING_POOL_FRAMES} frames, {}ms/point",
-        dur.as_millis()
-    );
-    println!(
-        "{:>13} {:>8} {:>9} {:>11} {:>10}",
-        "skippable", "threads", "queries", "queries/s", "scaling"
-    );
-    for pct in FRACTIONS {
-        let (db, probe) = build_fraction(pct, CostModel::default(), SCALING_POOL_FRAMES, true);
-        black_box(db.execute(&Query::point("t", "k", probe)).unwrap());
-        let mut base_qps = 0.0;
-        for n in THREADS {
-            let (queries, wall_s) = run_clients(&db, probe, n, dur);
-            let qps = queries as f64 / wall_s;
-            if n == 1 {
-                base_qps = qps;
-            }
-            let scaling_x = if base_qps > 0.0 { qps / base_qps } else { 0.0 };
-            println!("{pct:>12}% {n:>8} {queries:>9} {qps:>11.1} {scaling_x:>9.2}x");
-            points.push(ScalingPoint {
-                skippable_pct: pct,
-                threads: n,
-                queries,
-                wall_s,
-                qps,
-                scaling_x,
-            });
-        }
-    }
-    points
-}
-
-// ---------------------------------------------------------------------------
-// Section 3: CPU-bound contention on the snapshot-planned read path.
-// ---------------------------------------------------------------------------
-
 const CONTENDED_FRACTIONS: [u32; 2] = [50, 90];
 
 struct ContendedPoint {
@@ -230,9 +163,8 @@ struct ContendedPoint {
     qps: f64,
 }
 
-/// CPU-bound sweep (`io_wait = false`, zero-cost disk, resident pool): with
-/// no stalls to overlap, throughput is bounded by whatever serializes the
-/// read path. Steady-state reads plan from the snapshot and take no space
+/// CPU-bound sweep (zero-cost disk, resident pool): with no stalls to
+/// overlap, throughput is bounded by whatever serializes the read path. Steady-state reads plan from the snapshot and take no space
 /// lock at all, so q/s must not fall as threads are added.
 fn contended_sweep(quick: bool) -> Vec<ContendedPoint> {
     let dur = Duration::from_millis(if quick { 250 } else { 1000 });
@@ -242,12 +174,12 @@ fn contended_sweep(quick: bool) -> Vec<ContendedPoint> {
     let reps = if quick { 1 } else { 3 };
     let mut points = Vec::new();
     println!(
-        "contended sweep: io_wait=false, zero-cost disk, resident pool, {}ms/point, median of {reps}",
+        "contended sweep: zero-cost disk, resident pool, {}ms/point, median of {reps}",
         dur.as_millis()
     );
     println!("{:>13} {:>8} {:>13}", "skippable", "threads", "queries/s");
     for pct in CONTENDED_FRACTIONS {
-        let (db, probe) = build_fraction(pct, CostModel::free(), 1024, false);
+        let (db, probe) = build_fraction(pct);
         for _ in 0..5 {
             black_box(db.execute(&Query::point("t", "k", probe)).unwrap());
         }
@@ -275,12 +207,7 @@ fn contended_sweep(quick: bool) -> Vec<ContendedPoint> {
 // JSON emission
 // ---------------------------------------------------------------------------
 
-fn emit_bench_json(
-    single: &[SinglePoint],
-    scaling: &[ScalingPoint],
-    contended: &[ContendedPoint],
-    quick: bool,
-) {
+fn emit_bench_json(single: &[SinglePoint], contended: &[ContendedPoint], quick: bool) {
     let Ok(path) = std::env::var("AIB_CONCURRENCY_JSON") else {
         println!("(set AIB_CONCURRENCY_JSON=<path> to record BENCH_concurrency.json)");
         return;
@@ -291,15 +218,6 @@ fn emit_bench_json(
             format!(
                 "      {{ \"skippable_pct\": {}, \"wall_us\": {:.1}, \"pages_read\": {}, \"pages_skipped\": {} }}",
                 p.skippable_pct, p.wall_us, p.pages_read, p.pages_skipped
-            )
-        })
-        .collect();
-    let scaling_rows: Vec<String> = scaling
-        .iter()
-        .map(|p| {
-            format!(
-                "      {{ \"skippable_pct\": {}, \"threads\": {}, \"queries\": {}, \"wall_s\": {:.3}, \"qps\": {:.1}, \"scaling_x\": {:.2} }}",
-                p.skippable_pct, p.threads, p.queries, p.wall_s, p.qps, p.scaling_x
             )
         })
         .collect();
@@ -315,9 +233,8 @@ fn emit_bench_json(
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let provenance = aib_bench::provenance_json();
     let out = format!(
-        "{{\n  \"bench\": \"micro_concurrency\",\n  \"provenance\": {provenance},\n  \"rows\": {SWEEP_ROWS},\n  \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"single_client\": {{\n    \"note\": \"micro_scan fixture through ClientHandle; comparable to BENCH_scan.json\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"scaling\": {{\n    \"note\": \"io_wait rows overlap their stalls and scale on any host; the 100% row is the lock-free fast path, pure CPU, so its ceiling is host_cpus (~1.0x on a single-core host)\",\n    \"read_us\": 100,\n    \"pool_frames\": {SCALING_POOL_FRAMES},\n    \"io_wait\": true,\n    \"points\": [\n{}\n    ]\n  }},\n  \"contended\": {{\n    \"note\": \"CPU-bound: the epoch-validated snapshot-planned read path, no space lock on steady-state reads; q/s over threads is meaningful up to host_cpus.\",\n    \"io_wait\": false,\n    \"pool_frames\": 1024,\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"micro_concurrency\",\n  \"provenance\": {provenance},\n  \"rows\": {SWEEP_ROWS},\n  \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"single_client\": {{\n    \"note\": \"micro_scan fixture through ClientHandle; comparable to BENCH_scan.json\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"contended\": {{\n    \"note\": \"CPU-bound: the epoch-validated snapshot-planned read path, no space lock on steady-state reads; q/s over threads is meaningful up to host_cpus.\",\n    \"pool_frames\": 1024,\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
         single_rows.join(",\n"),
-        scaling_rows.join(",\n"),
         contended_rows.join(",\n")
     );
     match std::fs::write(&path, out) {
@@ -330,7 +247,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--test");
     let single = single_client_sweep(quick);
-    let scaling = scaling_sweep(quick);
     let contended = contended_sweep(quick);
-    emit_bench_json(&single, &scaling, &contended, quick);
+    emit_bench_json(&single, &contended, quick);
 }

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use crate::sync::{AtomicU64, Ordering, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use aib_storage::{BudgetComponent, MemoryBudget, MemoryUsage};
+use aib_storage::{MemoryBudget, MemoryUsage};
 
 use crate::config::{BufferConfig, SpaceConfig};
 use crate::counters::SkipBitset;
@@ -73,7 +73,7 @@ pub struct SharedSpace {
 
 impl SharedSpace {
     /// Creates an empty space drawing from a shared [`MemoryBudget`]; the
-    /// caller configures the budget's limits.
+    /// caller sets the budget's space cap.
     pub fn with_budget(config: SpaceConfig, budget: Arc<MemoryBudget>) -> Self {
         Self::sharing(IndexBufferSpace::with_budget(config, budget))
     }
@@ -209,16 +209,16 @@ impl SharedSpace {
     /// The three plannable cases:
     /// 1. No candidate pages (`C[p] = 0` everywhere): the locked selection
     ///    returns empty before touching budget or RNG.
-    /// 2. Unlimited `IndexSpace` budget: the locked path skips the
-    ///    displacement loop entirely, so growth alone decides.
-    /// 3. Limited budget but zero growth *and* no other buffer owns a
+    /// 2. Uncapped space: the locked path skips the displacement loop
+    ///    entirely, so growth alone decides.
+    /// 3. Capped space but zero growth *and* no other buffer owns a
     ///    partition: the displacement loop's victim pick deterministically
     ///    finds no eligible partition and returns without consuming
     ///    randomness.
     ///
-    /// A limited budget with nonzero growth is **not** plannable: committing
-    /// those pages outside the lock could overshoot the budget raced by a
-    /// concurrent reservation. Only empty selections are accepted there,
+    /// A capped space with nonzero growth is **not** plannable: committing
+    /// those pages outside the lock could overshoot the cap raced by a
+    /// concurrent selection. Only empty selections are accepted there,
     /// which also makes the unsynchronized `headroom` read sound.
     pub fn plan_selection(&self, snapshot: &SpaceSnapshot, target: BufferId) -> Option<Vec<u32>> {
         let summary = snapshot.buffer(target)?;
@@ -227,11 +227,11 @@ impl SharedSpace {
             return Some(Vec::new());
         }
         let i_max = self.config.i_max as usize;
-        if self.budget.is_unlimited(BudgetComponent::IndexSpace) {
+        if self.budget.space_limit().is_none() {
             let (pages, _, _) = grow_selection(candidates, i_max, usize::MAX);
             return Some(candidates.iter().take(pages).map(|&(p, _)| p).collect());
         }
-        let headroom = self.budget.headroom(BudgetComponent::IndexSpace);
+        let headroom = self.budget.headroom();
         let (pages, _, _) = grow_selection(candidates, i_max, headroom);
         if pages > 0 {
             return None;

@@ -293,19 +293,14 @@ impl IndexBufferSpace {
     /// at [`SpaceConfig::budget_bytes`] (unlimited when the config sets no
     /// bound).
     pub fn new(config: SpaceConfig) -> Self {
-        let budget = match config.budget_bytes() {
-            Some(bytes) => {
-                MemoryBudget::unlimited().with_component_limit(BudgetComponent::IndexSpace, bytes)
-            }
-            None => MemoryBudget::unlimited(),
-        };
+        let budget = MemoryBudget::new(config.budget_bytes());
         Self::with_budget(config, Arc::new(budget))
     }
 
     /// Creates an empty space drawing from a shared [`MemoryBudget`] — the
-    /// engine passes the same budget to the buffer pool, so either side's
-    /// growth shrinks the other's headroom. The caller is responsible for
-    /// configuring the budget's limits (this constructor applies none).
+    /// engine passes the same budget to the buffer pool, which books its
+    /// frames there. The caller sets the budget's space cap (this
+    /// constructor applies none).
     pub fn with_budget(config: SpaceConfig, budget: Arc<MemoryBudget>) -> Self {
         config.validate();
         IndexBufferSpace {
@@ -496,7 +491,7 @@ impl IndexBufferSpace {
     /// first; `usize::MAX` when unlimited).
     pub fn free_bytes(&self) -> usize {
         self.sync_budget();
-        self.budget.headroom(BudgetComponent::IndexSpace)
+        self.budget.headroom()
     }
 
     /// Free *entries* under the byte budget, at [`DEFAULT_ENTRY_FOOTPRINT`]
@@ -504,7 +499,7 @@ impl IndexBufferSpace {
     /// paper-denominated experiments and tests can keep reasoning in the
     /// paper's unit `L`.
     pub fn free_entries(&self) -> usize {
-        if self.budget.is_unlimited(BudgetComponent::IndexSpace) {
+        if self.budget.space_limit().is_none() {
             usize::MAX
         } else {
             self.free_bytes() / DEFAULT_ENTRY_FOOTPRINT
@@ -549,7 +544,7 @@ impl IndexBufferSpace {
         let (mut best_pages, mut best_entries, mut best_bytes) = grow(free);
         let mut committed_victims: Vec<(BufferId, PartitionId, f64)> = Vec::new();
 
-        if !self.budget.is_unlimited(BudgetComponent::IndexSpace) {
+        if self.budget.space_limit().is_some() {
             let mut victims: Vec<(BufferId, PartitionId, f64)> = Vec::new();
             let mut victim_bytes = 0usize;
             let mut victim_benefit = 0.0f64;
@@ -1058,28 +1053,6 @@ mod tests {
             5,
             "at most I^MAX pages per scan (paper §IV)"
         );
-    }
-
-    #[test]
-    fn shared_budget_lets_pool_residency_shrink_the_space() {
-        // One governor, both components: bytes parked in buffer-pool
-        // frames reduce what the Index Buffer Space may select.
-        let budget = Arc::new(MemoryBudget::with_total(6 * DEFAULT_ENTRY_FOOTPRINT));
-        let mut s = IndexBufferSpace::with_budget(cfg(None, 100), Arc::clone(&budget));
-        let a = s.register("a", bcfg(10), vec![1; 10]);
-        s.on_query(Some(a), false);
-        // The "pool" claims 4 entries' worth of the shared total.
-        budget.charge(BudgetComponent::BufferPool, 4 * DEFAULT_ENTRY_FOOTPRINT);
-        let sel = s.select_pages_for_buffer(a);
-        assert_eq!(
-            sel.pages.len(),
-            2,
-            "only the unclaimed remainder is selectable"
-        );
-        assert!(sel.displaced.is_empty(), "nothing of ours to displace");
-        budget.release(BudgetComponent::BufferPool, 4 * DEFAULT_ENTRY_FOOTPRINT);
-        let sel = s.select_pages_for_buffer(a);
-        assert_eq!(sel.pages.len(), 6, "released frames restore headroom");
     }
 
     #[test]

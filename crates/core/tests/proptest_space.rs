@@ -189,7 +189,7 @@ proptest! {
         // the selection, resident bytes stay under the configured cap.
         space.sync_budget();
         let budget = space.budget();
-        let cap = budget.component_limit(BudgetComponent::IndexSpace)
+        let cap = budget.space_limit()
             .expect("bounded setup carries a byte cap");
         prop_assert!(budget.used(BudgetComponent::IndexSpace) <= cap,
             "governor bound: {} > {}", budget.used(BudgetComponent::IndexSpace), cap);

@@ -63,9 +63,9 @@ use aib_core::{
 use aib_index::{AdaptationCost, Coverage, IndexBackend, PartialIndex};
 use aib_storage::stats::IoSnapshot;
 use aib_storage::{
-    BudgetComponent, BudgetSnapshot, BufferPool, BufferPoolConfig, CostModel, FileBackend,
-    HeapFile, IoStats, MemoryBudget, OsDir, PageId, Rid, Schema, SlotId, StorageError, StoreDir,
-    Tuple, Value, Wal, WalRecord,
+    BudgetSnapshot, BufferPool, BufferPoolConfig, CostModel, FileBackend, HeapFile, IoStats,
+    MemoryBudget, OsDir, PageId, Rid, Schema, SlotId, StorageError, StoreDir, Tuple, Value, Wal,
+    WalRecord,
 };
 
 use crate::commit::{checkpointer_loop, CommitPipeline, Ticket};
@@ -96,22 +96,9 @@ pub struct EngineConfig {
     pub cost_model: CostModel,
     /// Index Buffer Space parameters (`L`, `I^MAX`, seed).
     pub space: SpaceConfig,
-    /// Shared byte cap across buffer-pool frames *and* index-buffer
-    /// partitions. When set, one [`MemoryBudget`] arbitrates both: index
-    /// growth can deny the pool a frame (forcing an eviction) and pool
-    /// residency shrinks what Algorithm 2 may select. `None` (default)
-    /// leaves the components independently governed — the pool by its frame
-    /// count, the space by [`SpaceConfig`]'s byte budget.
-    pub total_memory_bytes: Option<usize>,
     /// Ignored: a query's sweep runs on the calling thread. The field stays
     /// only because the frozen `e2e/` spells it (ROADMAP item 1 drops it).
     pub scan_threads: usize,
-    /// When `true`, buffer-pool read misses stall the calling thread for
-    /// the cost model's per-page read latency in *wall time* (see
-    /// [`BufferPoolConfig::io_wait`]). Off by default; multi-client
-    /// throughput experiments turn it on so concurrent queries overlap
-    /// their I/O waits the way they would against a real disk.
-    pub io_wait: bool,
     /// Durable databases ([`Database::open`]) checkpoint automatically
     /// after this many WAL records: dirty pages are flushed and fsynced,
     /// then the log rotates to a snapshot plus whatever was committed
@@ -138,9 +125,7 @@ impl Default for EngineConfig {
             pool_frames: 1024,
             cost_model: CostModel::default(),
             space: SpaceConfig::default(),
-            total_memory_bytes: None,
             scan_threads: 1,
-            io_wait: false,
             wal_checkpoint_interval: 4096,
             group_commit_wait_us: 0,
         }
@@ -506,22 +491,12 @@ impl Database {
     /// Shared constructor over a page store.
     fn assemble(disk: FileBackend, config: EngineConfig) -> Self {
         let stats = disk.stats();
-        // One governor for the whole engine: the pool reserves frame bytes
-        // against it and the space draws Algorithm 2's headroom from it, so
-        // either side's growth is the other side's denial.
-        let mut budget = match config.total_memory_bytes {
-            Some(total) => MemoryBudget::with_total(total),
-            None => MemoryBudget::unlimited(),
-        };
-        if let Some(bytes) = config.space.budget_bytes() {
-            budget = budget.with_component_limit(BudgetComponent::IndexSpace, bytes);
-        }
-        let budget = Arc::new(budget);
+        // One governor for the whole engine: the pool charges its frames to
+        // it and the space reads Algorithm 2's headroom under its own cap.
+        let budget = Arc::new(MemoryBudget::new(config.space.budget_bytes()));
         let pool = BufferPool::new(
             disk,
-            BufferPoolConfig::lru(config.pool_frames)
-                .with_budget(Arc::clone(&budget))
-                .with_io_wait(config.io_wait),
+            BufferPoolConfig::lru(config.pool_frames).with_budget(Arc::clone(&budget)),
         );
         let space = SharedSpace::with_budget(config.space, Arc::clone(&budget));
         Database {

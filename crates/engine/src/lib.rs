@@ -476,81 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_budget_crosses_components_both_ways() {
-        use aib_storage::{DEFAULT_ENTRY_FOOTPRINT, PAGE_SIZE};
-
-        // One heap page plus the index bytes fit a two-page total exactly
-        // minus the buffer's footprint — so the *second* heap frame is
-        // denied only because the Index Buffer grew.
-        const TOTAL: usize = 2 * PAGE_SIZE;
-        let mut cfg = config();
-        cfg.pool_frames = 4;
-        cfg.total_memory_bytes = Some(TOTAL);
-        let db = Database::new(cfg);
-        db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
-            .unwrap();
-        let row = |k: i64| Tuple::new(vec![Value::Int(k), Value::from("p".repeat(200))]);
-        for i in 0..30 {
-            db.insert("t", &row(i)).unwrap();
-        }
-        assert_eq!(db.table("t").unwrap().num_pages(), 1, "one page so far");
-        db.create_partial_index(
-            "t",
-            "k",
-            Coverage::empty_set(),
-            IndexBackend::BTree,
-            Some(BufferConfig::default()),
-        )
-        .unwrap();
-
-        // The indexing scan buffers all 30 uncovered tuples.
-        let (r, m) = db
-            .execute(&Query::point("t", "k", 7i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.count(), 1);
-        assert_eq!(m.memory.index_bytes, 30 * DEFAULT_ENTRY_FOOTPRINT);
-        let before = db.memory();
-        assert_eq!(before.denials, 0, "one frame plus the buffer fit the total");
-        assert_eq!(before.buffer_pool_bytes, PAGE_SIZE);
-
-        // Index growth denies the pool: a second heap page would fit the
-        // total on its own (2 × PAGE_SIZE), but not next to the resident
-        // index bytes — the pool must displace instead of claiming a frame.
-        for i in 0..200 {
-            db.insert("t", &row(100 + i)).unwrap();
-        }
-        let after = db.memory();
-        assert!(
-            after.denials > before.denials,
-            "index bytes denied the pool"
-        );
-        assert!(after.displacements > before.displacements);
-        assert!(after.total_bytes() <= TOTAL, "governor holds the line");
-        assert!(after.high_water >= after.total_bytes());
-
-        // Pool residency denies the space (the other direction): Algorithm 2
-        // sees exactly the total minus both components' residency, not the
-        // paper's standalone entry bound.
-        assert_eq!(
-            db.space().free_bytes(),
-            TOTAL - after.buffer_pool_bytes - after.index_bytes,
-            "pool bytes shrink what Algorithm 2 may claim"
-        );
-
-        // Queries stay correct under the shrunken working set.
-        let (r, m) = db
-            .execute(&Query::point("t", "k", 150i64))
-            .unwrap()
-            .into_parts();
-        assert_eq!(r.count(), 1);
-        // A scan batch may pin the whole resident set, forcing at most one
-        // page of charged overshoot; the bound is otherwise intact.
-        assert!(m.memory.total_bytes() <= TOTAL + PAGE_SIZE);
-        db.check_space_invariants();
-    }
-
-    #[test]
     fn planned_reads_agree_with_the_sequential_executor() {
         // The same uncovered workload through `execute` (snapshot-planned,
         // staged apply) and through `execute_sequential` (every lock held)

@@ -33,8 +33,8 @@ pub struct QueryMetrics {
     /// series), in buffer-id order.
     pub buffer_entries: Vec<usize>,
     /// Memory-governor counters after the query: bytes resident per
-    /// component, combined high-water mark, denied reservations and
-    /// displacements performed so far.
+    /// component, combined high-water mark and displacements performed so
+    /// far.
     pub memory: BudgetSnapshot,
 }
 
@@ -118,7 +118,7 @@ impl WorkloadRecorder {
     }
 
     /// Renders the series as CSV with one row per query. Columns:
-    /// `seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,mem_displacements,entries_b0,entries_b1,...`
+    /// `seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_displacements,entries_b0,entries_b1,...`
     /// (`plan` is the [`PlanSource`] tag: `snapshot`, `locked`,
     /// `exclusive`, or `none` for hits and plain scans; `read_requests` is
     /// the disk requests `pages_read` arrived in — one per page fetched on
@@ -132,7 +132,7 @@ impl WorkloadRecorder {
             .unwrap_or(0);
         let mut out = String::from(
             "seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,\
-             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,\
+             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,\
              mem_displacements",
         );
         for b in 0..buffers {
@@ -146,7 +146,7 @@ impl WorkloadRecorder {
                 AccessPath::PlainScan => "scan",
             };
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.seq,
                 path,
                 r.plan.as_str(),
@@ -161,7 +161,6 @@ impl WorkloadRecorder {
                 r.memory.buffer_pool_bytes,
                 r.memory.index_bytes,
                 r.memory.high_water,
-                r.memory.denials,
                 r.memory.displacements,
             ));
             for b in 0..buffers {
@@ -198,9 +197,7 @@ mod tests {
             memory: BudgetSnapshot {
                 buffer_pool_bytes: 16_384,
                 index_bytes: 960,
-                total_limit: None,
                 high_water: 17_344,
-                denials: 1,
                 displacements: 2,
             },
         }
@@ -237,16 +234,16 @@ mod tests {
         assert_eq!(
             lines.next().unwrap(),
             "seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,\
-             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_denials,\
+             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,\
              mem_displacements,entries_b0,entries_b1"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "0,index,none,1,2,1,0,0,0,200,5,16384,960,17344,1,2,10,20"
+            "0,index,none,1,2,1,0,0,0,200,5,16384,960,17344,2,10,20"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "1,buffered,locked,1,2,1,4,2,3,200,5,16384,960,17344,1,2,10,20",
+            "1,buffered,locked,1,2,1,4,2,3,200,5,16384,960,17344,2,10,20",
             "scan rows carry the plan-source tag and the sweep-shape columns"
         );
     }

@@ -1,6 +1,6 @@
 //! Contended smoke: eight client threads hammer the snapshot-planned read
-//! path CPU-bound (`io_wait = false`, zero-cost disk, resident pool — no
-//! stalls to hide serialization behind) on a partially skippable fixture.
+//! path CPU-bound (zero-cost disk, resident pool — no stalls to hide
+//! serialization behind) on a partially skippable fixture.
 //! Every thread checks each result against the arithmetic ground truth
 //! while racing the others' adaptation; afterwards the space must be
 //! structurally sound (and, under `--features invariant-checks`, exact
@@ -27,7 +27,6 @@ fn build() -> Arc<Database> {
     let db = Database::new(EngineConfig {
         pool_frames: 1024,
         cost_model: CostModel::free(),
-        io_wait: false,
         space: SpaceConfig {
             max_bytes: None,
             i_max: 1_000_000,

@@ -62,14 +62,13 @@ const COUNTER_MUTATORS: &[&str] = &[
 /// `Ordering::Relaxed` allowlist: `(path suffix, required line substring)`.
 /// An empty substring allows every occurrence in the file. Everything here is
 /// monotonic telemetry or mutex-protected state — never an ordering that
-/// guards a reserve/charge decision (see `crates/storage/src/budget.rs` for
-/// the written audit).
+/// guards a charge or headroom decision (see `crates/storage/src/budget.rs`
+/// for the written audit).
 const RELAXED_ALLOWLIST: &[(&str, &str)] = &[
     // I/O accounting: monotonic counters read only for reporting.
     ("crates/storage/src/stats.rs", ""),
-    // Budget telemetry: denial/displacement tallies do not synchronize the
-    // CAS loop that admits reservations; that loop is Acquire/AcqRel.
-    ("crates/storage/src/budget.rs", "denials"),
+    // Budget telemetry: the displacement tally does not synchronize the
+    // charge accounting; that is Acquire/AcqRel.
     ("crates/storage/src/budget.rs", "displacements"),
     // Pin counts: every increment happens under the pool's state mutex,
     // which already orders them; the lock-free decrement is Release and the

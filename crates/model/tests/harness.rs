@@ -27,7 +27,6 @@ const SEEDED_BUGS: &[&str] = &[
     "stale_snapshot_cache",
     "missing_drain",
     "drain_load_store",
-    "budget_check_then_act",
     "budget_release_lost",
     "wal_unlocked_log",
     "commit_ack_before_fsync",

@@ -1,5 +1,5 @@
-//! Model checks for the eight load-bearing concurrency protocols of the
-//! Adaptive Index Buffer (ISSUE PR 8, tentpole item 3).
+//! Model checks for the load-bearing concurrency protocols of the Adaptive
+//! Index Buffer.
 //!
 //! This file only compiles under `--cfg aib_model`, where `aib-storage` and
 //! `aib-core` route every atomic and lock through the instrumented
@@ -12,7 +12,7 @@
 //! Each test is one closed concurrent program small enough to explore
 //! exhaustively yet faithful to the real call graph: the threads call the
 //! *production* entry points (`write`, `space_snapshot`, `defer`,
-//! `try_reserve`, ...), not re-implementations.
+//! `charge`, ...), not re-implementations.
 #![cfg(aib_model)]
 
 use std::sync::Arc;
@@ -141,51 +141,6 @@ fn deferred_drain_vs_displacement() {
             clock,
             c0 + 2,
             "deferred ticks were lost or duplicated across a concurrent drain"
-        );
-    });
-}
-
-/// Protocol 4 — cross-component admission under the shared total. Two
-/// components race 60-byte reservations against a 100-byte shared cap:
-/// exactly one may win, and the loser must be counted and rolled back.
-///
-/// Catches: `budget_check_then_act` (both components read the pre-claim
-/// total and both admit, jointly overshooting the cap).
-#[test]
-fn budget_cross_pressure() {
-    Model::new("budget_cross_pressure").check(|| {
-        let budget = Arc::new(MemoryBudget::with_total(100));
-        let ra = Arc::new(AtomicU64::new(0));
-        let rb = Arc::new(AtomicU64::new(0));
-
-        let pool = {
-            let budget = Arc::clone(&budget);
-            let ra = Arc::clone(&ra);
-            thread::spawn(move || {
-                if budget.try_reserve(BudgetComponent::BufferPool, 60) {
-                    ra.store(1, Ordering::Release);
-                }
-            })
-        };
-        let index = {
-            let budget = Arc::clone(&budget);
-            let rb = Arc::clone(&rb);
-            thread::spawn(move || {
-                if budget.try_reserve(BudgetComponent::IndexSpace, 60) {
-                    rb.store(1, Ordering::Release);
-                }
-            })
-        };
-        pool.join();
-        index.join();
-
-        let admitted = ra.load(Ordering::Acquire) + rb.load(Ordering::Acquire);
-        assert_eq!(admitted, 1, "exactly one 60B claim fits a 100B total");
-        assert_eq!(budget.total_used(), 60);
-        assert_eq!(budget.denials(), 1);
-        assert!(
-            budget.high_water() <= 100,
-            "admitted usage overshot the cap"
         );
     });
 }

@@ -2,26 +2,19 @@
 //! Buffer Space.
 //!
 //! The paper bounds the Index Buffer with an entry count `L` (§IV) because
-//! its prototype lived inside H2's heap. A production Adaptive Index Buffer
-//! by definition lives *inside* the database buffer, so this crate accounts
-//! real bytes instead: every memory-resident structure implements
-//! [`MemoryUsage`], and one [`MemoryBudget`] arbitrates between the two
-//! components that compete for the same pool — page frames
-//! ([`BudgetComponent::BufferPool`]) and index-buffer partitions
+//! its prototype lived inside H2's heap. This crate accounts real bytes
+//! instead: every memory-resident structure implements [`MemoryUsage`], and
+//! one [`MemoryBudget`] books what the two resident components hold — page
+//! frames ([`BudgetComponent::BufferPool`]) and index-buffer partitions
 //! ([`BudgetComponent::IndexSpace`]).
 //!
-//! The budget supports three limits, all optional:
+//! Only the Index Buffer Space is capped: its byte cap is what the paper's
+//! `L` compiles down to, via [`entry_footprint`]-derived bytes, and
+//! Algorithm 2 reads what is left of it as headroom. The buffer pool is
+//! bounded by its frame count, not by the budget.
 //!
-//! * a **total** cap shared by both components — growth on one side denies
-//!   reservations on the other;
-//! * a per-component cap for [`BufferPool`](BudgetComponent::BufferPool);
-//! * a per-component cap for [`IndexSpace`](BudgetComponent::IndexSpace) —
-//!   this is what the paper's `L` compiles down to, via
-//!   [`entry_footprint`]-derived bytes.
-//!
-//! Accounting is atomic (reservation loops CAS the component counter), and
-//! the governor tracks a high-water mark, denied reservations, and
-//! displacement counts for `engine::metrics`.
+//! Accounting is atomic, and the governor tracks a high-water mark of the
+//! combined usage and a displacement count for `engine::metrics`.
 
 // aib-lint: allow-file(no-index) — per-component counters are fixed-size
 // arrays indexed by `BudgetComponent as usize`, a closed enum whose
@@ -78,54 +71,43 @@ impl BudgetComponent {
     }
 }
 
-/// Sentinel for "no limit" (a limit of `usize::MAX` bytes is unreachable).
-const UNLIMITED: usize = usize::MAX;
-
-/// Shared byte budget with atomic reservation/release accounting.
+/// Shared byte budget with atomic charge/release accounting.
 ///
 /// Owned by the engine and handed (via `Arc`) to both the buffer pool and
-/// the Index Buffer Space. A reservation succeeds only if it fits the
-/// requesting component's own cap *and* the shared total; either side can
-/// therefore starve the other of headroom, which is exactly the production
-/// constraint the paper's standalone `L` ignores.
+/// the Index Buffer Space. The pool charges a page image per occupied
+/// frame; the space reconciles its partitions' footprint and reads its
+/// [`headroom`](MemoryBudget::headroom) under its own cap.
 ///
 /// # Atomics ordering audit
 ///
 /// This is the written audit `aib-lint`'s `atomics-order` allowlist points
 /// at (the Acquire/Release edges are also tabulated in DESIGN §7 and
-/// model-checked by `aib-model`'s `budget_cross_pressure` protocol). Two
-/// classes of atomics live here, with different ordering needs:
+/// model-checked by `aib-model`'s `budget_release_reconciles` protocol).
+/// Two classes of atomics live here, with different ordering needs:
 ///
-/// * **Admission state** (`used`, `total`, `high_water`): every load that
-///   feeds a reserve/charge decision is `Acquire` and every successful
-///   `compare_exchange_weak`/`fetch_add`/`store` that publishes a new
-///   charge is `AcqRel`/`Release`. Same-component racing reservations
-///   serialise on the per-component CAS loop; **cross**-component racing
-///   reservations serialise on the `total` CAS in stage 2 of
-///   [`try_reserve`](MemoryBudget::try_reserve) — the single
-///   linearization point for the shared cap, which is what guarantees two
-///   components can never jointly overshoot `total_limit` (each admission
-///   atomically claims its bytes out of the remaining total or rolls its
-///   component claim back). These sites must **never** be relaxed; they
-///   are deliberately absent from the lint allowlist.
-/// * **Telemetry** (`denials`, `displacements`): monotonic event tallies
-///   read only by [`snapshot`](MemoryBudget::snapshot) and the metrics
-///   accessors, for reporting. They guard no decision and order no other
-///   memory access, so `Ordering::Relaxed` is sound — atomicity alone
-///   gives an exact count, and a reader observing a slightly stale tally
-///   is indistinguishable from having read a moment earlier. These are
-///   the only `Relaxed` sites in this file, and the only ones the lint
-///   allowlist admits (substrings `denials` / `displacements`).
+/// * **Accounting state** (`used`, `total`, `high_water`): every load that
+///   feeds a decision (Algorithm 2's headroom) is `Acquire` and every
+///   `compare_exchange_weak`/`fetch_add`/`swap` that publishes a new charge
+///   is `AcqRel`. Racing charges and releases of one component serialise
+///   on its slot, so none is lost. These sites must **never** be relaxed;
+///   they are deliberately absent from the lint allowlist.
+/// * **Telemetry** (`displacements`): a monotonic event tally read only by
+///   [`snapshot`](MemoryBudget::snapshot) and the metrics accessors, for
+///   reporting. It guards no decision and orders no other memory access,
+///   so `Ordering::Relaxed` is sound — atomicity alone gives an exact
+///   count, and a reader observing a slightly stale tally is
+///   indistinguishable from having read a moment earlier. These are the
+///   only `Relaxed` sites in this file, and the only ones the lint
+///   allowlist admits (substring `displacements`).
 #[derive(Debug)]
 pub struct MemoryBudget {
-    total_limit: usize,
-    component_limits: [usize; COMPONENTS],
+    /// Cap on [`BudgetComponent::IndexSpace`], if any.
+    space_limit: Option<usize>,
     used: [AtomicUsize; COMPONENTS],
-    /// Combined admitted bytes — kept as its own atomic (not the sum of
-    /// `used`) so cross-component admission has one word to CAS.
+    /// Combined charged bytes — kept as its own atomic (not the sum of
+    /// `used`) so the high-water mark samples one consistent word.
     total: AtomicUsize,
     high_water: AtomicUsize,
-    denials: AtomicU64,
     displacements: AtomicU64,
 }
 
@@ -136,48 +118,26 @@ impl Default for MemoryBudget {
 }
 
 impl MemoryBudget {
-    /// A budget with no caps: every reservation succeeds, usage is still
-    /// tracked. This is the default wiring and preserves the pre-governor
-    /// behaviour of both components.
-    pub fn unlimited() -> Self {
+    /// A budget capping the Index Buffer Space at `space_limit` bytes
+    /// (`None`: no cap). Usage of both components is tracked either way.
+    pub fn new(space_limit: Option<usize>) -> Self {
         MemoryBudget {
-            total_limit: UNLIMITED,
-            component_limits: [UNLIMITED; COMPONENTS],
+            space_limit,
             used: [AtomicUsize::new(0), AtomicUsize::new(0)],
             total: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
-            denials: AtomicU64::new(0),
             displacements: AtomicU64::new(0),
         }
     }
 
-    /// A budget whose *combined* usage may not exceed `total` bytes.
-    pub fn with_total(total: usize) -> Self {
-        let mut b = Self::unlimited();
-        b.total_limit = total;
-        b
+    /// A budget with no cap: usage is tracked, nothing is bounded.
+    pub fn unlimited() -> Self {
+        Self::new(None)
     }
 
-    /// Caps `component` at `limit` bytes (builder-style).
-    pub fn with_component_limit(mut self, component: BudgetComponent, limit: usize) -> Self {
-        self.component_limits[component.idx()] = limit;
-        self
-    }
-
-    /// The shared total cap, if any.
-    pub fn total_limit(&self) -> Option<usize> {
-        (self.total_limit != UNLIMITED).then_some(self.total_limit)
-    }
-
-    /// The per-component cap, if any.
-    pub fn component_limit(&self, component: BudgetComponent) -> Option<usize> {
-        let limit = self.component_limits[component.idx()];
-        (limit != UNLIMITED).then_some(limit)
-    }
-
-    /// True when neither the total nor `component` carries a cap.
-    pub fn is_unlimited(&self, component: BudgetComponent) -> bool {
-        self.total_limit == UNLIMITED && self.component_limits[component.idx()] == UNLIMITED
+    /// The Index Buffer Space's byte cap, if any.
+    pub fn space_limit(&self) -> Option<usize> {
+        self.space_limit
     }
 
     /// Bytes currently charged to `component`.
@@ -190,97 +150,17 @@ impl MemoryBudget {
         self.total.load(Ordering::Acquire)
     }
 
-    /// Bytes `component` may still reserve before a cap denies it
-    /// (`usize::MAX` when unlimited).
-    pub fn headroom(&self, component: BudgetComponent) -> usize {
-        let mine = self.used(component);
-        let component_room = self.component_limits[component.idx()].saturating_sub(mine);
-        let total_room = self.total_limit.saturating_sub(self.total_used());
-        component_room.min(total_room)
+    /// Bytes the Index Buffer Space may still grow by before its cap
+    /// (`usize::MAX` when uncapped).
+    pub fn headroom(&self) -> usize {
+        self.space_limit.map_or(usize::MAX, |limit| {
+            limit.saturating_sub(self.used(BudgetComponent::IndexSpace))
+        })
     }
 
-    /// Atomically reserves `bytes` for `component`. Returns `false` (and
-    /// counts a denial) when the reservation would exceed the component cap
-    /// or the shared total.
-    ///
-    /// Admission is two CAS stages: claim under the component cap, then
-    /// claim under the shared total (rolling the component claim back on
-    /// denial). The `total` CAS is the cross-component linearization
-    /// point — without it, two components racing the shared cap could each
-    /// read the other's pre-claim usage and *both* admit (check-then-act),
-    /// jointly overshooting `total_limit`. A claim that loses stage 2 is
-    /// briefly visible in its component slot, so a concurrent
-    /// same-component reservation can be denied conservatively; it can
-    /// never cause an over-admission. Model test: `budget_cross_pressure`.
-    pub fn try_reserve(&self, component: BudgetComponent, bytes: usize) -> bool {
-        let slot = &self.used[component.idx()];
-        let mut mine = slot.load(Ordering::Acquire);
-        loop {
-            let fits = mine
-                .checked_add(bytes)
-                .is_some_and(|new| new <= self.component_limits[component.idx()]);
-            if !fits {
-                self.denials.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            match slot.compare_exchange_weak(
-                mine,
-                mine + bytes,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(actual) => mine = actual,
-            }
-        }
-        #[cfg(not(model_seeded_bug = "budget_check_then_act"))]
-        {
-            let mut cur = self.total.load(Ordering::Acquire);
-            loop {
-                let fits = cur
-                    .checked_add(bytes)
-                    .is_some_and(|t| t <= self.total_limit);
-                if !fits {
-                    self.release_slot(component, bytes);
-                    self.denials.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                match self.total.compare_exchange_weak(
-                    cur,
-                    cur + bytes,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.note_high_water();
-                        return true;
-                    }
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-        #[cfg(model_seeded_bug = "budget_check_then_act")]
-        {
-            // WRONG: check-then-act on the shared total — two components
-            // racing the cap both read the pre-claim total and both admit.
-            let cur = self.total.load(Ordering::Acquire);
-            let fits = cur
-                .checked_add(bytes)
-                .is_some_and(|t| t <= self.total_limit);
-            if !fits {
-                self.release_slot(component, bytes);
-                self.denials.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            self.total.store(cur + bytes, Ordering::Release);
-            self.note_high_water();
-            return true;
-        }
-    }
-
-    /// Charges `bytes` to `component` unconditionally (no cap check). Used
-    /// for transient overshoot during maintenance, where denying would lose
-    /// updates; the caller is expected to displace back under budget.
+    /// Charges `bytes` to `component`. Nothing is checked against the cap:
+    /// the pool is bounded by its frame count, and the space selects only
+    /// what its [`headroom`](MemoryBudget::headroom) admits.
     pub fn charge(&self, component: BudgetComponent, bytes: usize) {
         self.used[component.idx()].fetch_add(bytes, Ordering::AcqRel);
         self.total.fetch_add(bytes, Ordering::AcqRel);
@@ -314,7 +194,7 @@ impl MemoryBudget {
         cur - new
     }
 
-    /// Decrements the shared total by `bytes`, saturating at zero.
+    /// Decrements the combined total by `bytes`, saturating at zero.
     fn release_total(&self, bytes: usize) {
         let mut cur = self.total.load(Ordering::Acquire);
         loop {
@@ -329,7 +209,7 @@ impl MemoryBudget {
         }
     }
 
-    /// Releases `bytes` previously reserved or charged to `component`,
+    /// Releases `bytes` previously charged to `component`,
     /// saturating at zero.
     pub fn release(&self, component: BudgetComponent, bytes: usize) {
         let freed = self.release_slot(component, bytes);
@@ -354,9 +234,11 @@ impl MemoryBudget {
         self.high_water.load(Ordering::Acquire)
     }
 
-    /// Reservations denied so far.
+    /// Always 0: the budget denies nothing. Kept only because the frozen
+    /// `e2e/` harness still reads it (ROADMAP item 1 deletes it); nothing
+    /// else may use it.
     pub fn denials(&self) -> u64 {
-        self.denials.load(Ordering::Relaxed)
+        0
     }
 
     /// Displacements recorded so far (partition drops + frame evictions).
@@ -374,9 +256,7 @@ impl MemoryBudget {
         BudgetSnapshot {
             buffer_pool_bytes: self.used(BudgetComponent::BufferPool),
             index_bytes: self.used(BudgetComponent::IndexSpace),
-            total_limit: self.total_limit(),
             high_water: self.high_water(),
-            denials: self.denials(),
             displacements: self.displacements(),
         }
     }
@@ -394,12 +274,8 @@ pub struct BudgetSnapshot {
     pub buffer_pool_bytes: usize,
     /// Bytes resident in index-buffer partitions.
     pub index_bytes: usize,
-    /// The shared total cap, if any.
-    pub total_limit: Option<usize>,
     /// Highest combined usage observed.
     pub high_water: usize,
-    /// Reservations denied.
-    pub denials: u64,
     /// Displacements performed.
     pub displacements: u64,
 }
@@ -419,43 +295,30 @@ mod tests {
     #[test]
     fn unlimited_budget_accepts_everything() {
         let b = MemoryBudget::unlimited();
-        assert!(b.is_unlimited(BufferPool));
-        assert!(b.try_reserve(BufferPool, usize::MAX / 2));
-        assert!(b.try_reserve(IndexSpace, usize::MAX / 2));
+        assert_eq!(b.space_limit(), None);
+        b.charge(BufferPool, usize::MAX / 2);
+        b.charge(IndexSpace, 1_000);
+        assert_eq!(b.total_used(), usize::MAX / 2 + 1_000);
+        assert_eq!(b.headroom(), usize::MAX, "no cap to run into");
         assert_eq!(b.denials(), 0);
-        assert_eq!(b.total_limit(), None);
     }
 
     #[test]
     fn component_cap_denies_and_counts() {
-        let b = MemoryBudget::unlimited().with_component_limit(IndexSpace, 100);
-        assert!(b.try_reserve(IndexSpace, 60));
-        assert!(
-            !b.try_reserve(IndexSpace, 41),
-            "61..=100 leaves room for 40"
-        );
-        assert!(b.try_reserve(IndexSpace, 40));
+        // The space's cap shrinks its headroom to nothing; Algorithm 2
+        // selects nothing more until a release.
+        let b = MemoryBudget::new(Some(100));
+        assert_eq!(b.space_limit(), Some(100));
+        b.charge(IndexSpace, 60);
+        assert_eq!(b.headroom(), 40, "61..=100 leaves room for 40");
+        b.charge(IndexSpace, 40);
         assert_eq!(b.used(IndexSpace), 100);
-        assert_eq!(b.denials(), 1);
-        assert_eq!(b.headroom(IndexSpace), 0);
-        // The other component is unaffected by a per-component cap.
-        assert!(b.try_reserve(BufferPool, 1_000_000));
-    }
-
-    #[test]
-    fn shared_total_lets_one_component_starve_the_other() {
-        let b = MemoryBudget::with_total(1_000);
-        assert!(b.try_reserve(IndexSpace, 900));
-        assert!(
-            !b.try_reserve(BufferPool, 200),
-            "index growth denies the pool"
-        );
-        assert_eq!(b.headroom(BufferPool), 100);
-        b.release(IndexSpace, 500);
-        assert!(
-            b.try_reserve(BufferPool, 200),
-            "released bytes free the pool"
-        );
+        assert_eq!(b.headroom(), 0);
+        // Pool bytes do not count against the space's cap.
+        b.charge(BufferPool, 1_000_000);
+        assert_eq!(b.headroom(), 0);
+        b.release(IndexSpace, 30);
+        assert_eq!(b.headroom(), 30, "released bytes return as headroom");
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! a real system: a scan of a large table cycles pages through the pool and
 //! every unskipped page costs a disk read once the table exceeds pool
 //! capacity. Resident frames are charged byte-accurately to the shared
-//! [`MemoryBudget`] under [`BudgetComponent::BufferPool`]: claiming a fresh
-//! frame reserves [`PAGE_SIZE`] bytes, and when the governor denies the
-//! reservation the pool displaces a resident page instead (byte-neutral),
-//! so index-buffer growth on the other side of the budget shrinks the
-//! pool's effective working set — the co-tenancy the paper assumes by
-//! placing the Index Buffer *inside* the database buffer.
+//! [`MemoryBudget`] under [`BudgetComponent::BufferPool`]: claiming a free
+//! frame charges [`PAGE_SIZE`] bytes, and once no frame is free the pool
+//! displaces its coldest unpinned page instead (byte-neutral). The frame
+//! count is the pool's only bound.
 //!
 //! # Lock order
 //!
@@ -35,11 +33,6 @@
 //!    sync: [`BufferPool::capture`] freezes the dirty pages under it (a
 //!    memcpy) and [`CapturedSync::flush`] writes and fsyncs them off it
 //!    (`aib-lint`'s `lock-order` rule has an arm for exactly that).
-//!
-//! Wall-clock I/O stalls ([`BufferPoolConfig::io_wait`]) honour the same
-//! rule: the thread sleeps holding only the frame lock of the page being
-//! filled, exactly the frames a concurrent fetcher of that page must wait on
-//! anyway.
 
 // aib-lint: allow-file(no-index) — `frames` and `pins` are fixed-size
 // arrays allocated at construction and only ever indexed by FrameIds the
@@ -72,15 +65,6 @@ pub struct BufferPoolConfig {
     pub frames: usize,
     /// Shared memory governor; defaults to an unlimited budget.
     pub budget: Arc<MemoryBudget>,
-    /// When `true`, a page-read miss *stalls the calling thread* for the cost
-    /// model's `read_us` per missed page, in wall time, instead of only
-    /// accruing simulated microseconds. The stall happens after the disk
-    /// mutex is released, so concurrent clients overlap their I/O waits the
-    /// way they would against a real disk with queue depth — this is what
-    /// makes multi-client read throughput measurable on the simulated disk.
-    /// Off by default: single-threaded experiments keep the pure
-    /// virtual-time accounting.
-    pub io_wait: bool,
 }
 
 impl BufferPoolConfig {
@@ -89,20 +73,12 @@ impl BufferPoolConfig {
         BufferPoolConfig {
             frames,
             budget: Arc::new(MemoryBudget::unlimited()),
-            io_wait: false,
         }
     }
 
     /// Attaches a shared memory governor (builder-style).
     pub fn with_budget(mut self, budget: Arc<MemoryBudget>) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Enables wall-clock I/O stalls on read misses (builder-style); see
-    /// [`BufferPoolConfig::io_wait`].
-    pub fn with_io_wait(mut self, io_wait: bool) -> Self {
-        self.io_wait = io_wait;
         self
     }
 }
@@ -171,9 +147,6 @@ pub struct BufferPool {
     disk: Mutex<FileBackend>,
     stats: Arc<IoStats>,
     budget: Arc<MemoryBudget>,
-    /// Wall-clock microseconds a read miss stalls the calling thread
-    /// (0 = disabled); see [`BufferPoolConfig::io_wait`].
-    io_wait_us: u64,
 }
 
 impl BufferPool {
@@ -184,11 +157,6 @@ impl BufferPool {
     pub fn new(disk: FileBackend, config: BufferPoolConfig) -> Arc<Self> {
         assert!(config.frames > 0, "buffer pool needs at least one frame");
         let stats = disk.stats();
-        let io_wait_us = if config.io_wait {
-            disk.cost_model().read_us
-        } else {
-            0
-        };
         let frames = (0..config.frames)
             .map(|_| {
                 Arc::new(RwLock::new(FrameCell {
@@ -209,7 +177,6 @@ impl BufferPool {
             disk: Mutex::new(disk),
             stats,
             budget: config.budget,
-            io_wait_us,
         })
     }
 
@@ -340,11 +307,6 @@ impl BufferPool {
         // lock until we are done.
         match self.disk.lock().read(pid, &mut guard.data) {
             Ok(()) => {
-                // Stall outside the disk mutex: concurrent misses on *other*
-                // pages overlap their waits; fetchers of this same page block
-                // on the frame lock, exactly as they would wait for the same
-                // physical read.
-                self.io_stall(1);
                 guard.page = Some(pid);
                 guard.dirty = false;
                 Ok((frame, guard))
@@ -463,40 +425,16 @@ impl BufferPool {
 
     /// Claims one frame for a not-yet-resident page, under the state lock.
     ///
-    /// Occupying a fresh frame grows resident bytes by one page image and
-    /// must clear the governor; displacing swaps one resident page for
-    /// another (byte-neutral), so it needs no reservation. A denied
-    /// reservation therefore degrades into displacement: the pool keeps
-    /// working, just with a smaller working set. Shared by
+    /// A free frame grows resident bytes by one page image, charged to the
+    /// governor; once none is free the coldest unpinned frame is displaced,
+    /// which swaps one resident page for another (byte-neutral). Shared by
     /// [`BufferPool::prepare_frame`] and [`PinnedBatch::pin`].
     fn claim_frame(&self, state: &mut PoolState) -> Result<FrameId, StorageError> {
         match state.free.pop() {
-            Some(f)
-                if self
-                    .budget
-                    .try_reserve(BudgetComponent::BufferPool, PAGE_SIZE) =>
-            {
+            Some(f) => {
+                self.budget.charge(BudgetComponent::BufferPool, PAGE_SIZE);
                 Ok(f)
             }
-            Some(f) => match self.displace_from(state) {
-                Ok(victim) => {
-                    state.free.push(f);
-                    Ok(victim)
-                }
-                // Every resident page is pinned (e.g. a scan batch holds
-                // them) but physical capacity exists: overshoot the governor
-                // rather than fail a fetch real frames could serve. The
-                // charge keeps accounting exact; later claims are denied
-                // into displacement until the overshoot is worked off.
-                Err(StorageError::PoolExhausted) => {
-                    self.budget.charge(BudgetComponent::BufferPool, PAGE_SIZE);
-                    Ok(f)
-                }
-                Err(e) => {
-                    state.free.push(f);
-                    Err(e)
-                }
-            },
             None => self.displace_from(state),
         }
     }
@@ -525,15 +463,6 @@ impl BufferPool {
         }
     }
 
-    /// Blocks the calling thread for the simulated latency of `pages` page
-    /// reads when [`BufferPoolConfig::io_wait`] is enabled; no-op otherwise.
-    /// Never called with the state or disk mutex held.
-    fn io_stall(&self, pages: u64) {
-        if self.io_wait_us > 0 && pages > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(self.io_wait_us * pages));
-        }
-    }
-
     /// Picks a displacement victim, counting it against the governor.
     fn displace_from(&self, state: &mut PoolState) -> Result<FrameId, StorageError> {
         let frame = state
@@ -553,7 +482,7 @@ impl BufferPool {
 
     /// Shadow-model hook (`invariant-checks` feature): the bytes the
     /// governor charges to [`BudgetComponent::BufferPool`] must equal the
-    /// pool's resident footprint — every frame admission reserved, every
+    /// pool's resident footprint — every frame admission charged, every
     /// eviction released, nothing double-counted. The index-space side of
     /// the same check lives in `aib-core::invariants::verify_space`.
     #[cfg(feature = "invariant-checks")]
@@ -765,7 +694,7 @@ impl PinnedBatch<'_> {
                     // pin pressure) and goes back to the cold end it was
                     // taken from, last-claimed first so the victims keep
                     // their order; fresh frames go back to the free list
-                    // and return their reservation.
+                    // and return their charge.
                     for frame in self.frames.drain(..) {
                         pool.pins[frame].fetch_sub(1, Ordering::Release);
                     }
@@ -813,11 +742,6 @@ impl PinnedBatch<'_> {
         drop(reqs);
         match fill {
             Ok(()) => {
-                // One stall for the whole batched request, after the disk
-                // mutex is released (see `load_into_frame`): the batch is
-                // one disk operation, so it costs one sequential wait of
-                // `read_us` per page, overlappable across client threads.
-                pool.io_stall(self.misses.len() as u64);
                 for mut m in self.misses.drain(..) {
                     m.guard.page = Some(pids[m.at]);
                     m.guard.dirty = false;
@@ -1108,66 +1032,6 @@ mod tests {
         }
         let r = pool.fetch_read(pid).unwrap();
         assert_eq!(r[100], 7);
-    }
-
-    #[test]
-    fn budget_denial_shrinks_working_set_instead_of_failing() {
-        // 4 frames, but the governor only grants two page images: the pool
-        // must displace within a 2-page working set and never touch the
-        // other two frames.
-        let budget = Arc::new(
-            MemoryBudget::unlimited()
-                .with_component_limit(BudgetComponent::BufferPool, 2 * PAGE_SIZE),
-        );
-        let pool = BufferPool::new(
-            FileBackend::new(CostModel::free()),
-            BufferPoolConfig::lru(4).with_budget(Arc::clone(&budget)),
-        );
-        let mut pids = Vec::new();
-        for i in 0..6u8 {
-            let (pid, mut w) = pool.new_page().unwrap();
-            w[0] = i;
-            pids.push(pid);
-        }
-        assert_eq!(budget.used(BudgetComponent::BufferPool), 2 * PAGE_SIZE);
-        assert_eq!(pool.footprint(), 2 * PAGE_SIZE, "two frames stay free");
-        assert!(budget.denials() >= 4, "third..sixth page denied a frame");
-        assert!(
-            budget.displacements() >= 4,
-            "denials degrade to displacement"
-        );
-        // Data still correct through the shrunken pool.
-        for (i, pid) in pids.iter().enumerate() {
-            assert_eq!(pool.fetch_read(*pid).unwrap()[0], i as u8);
-        }
-    }
-
-    #[test]
-    fn pinned_working_set_overshoots_budget_instead_of_failing() {
-        // One-page budget, but the only resident page is pinned when the
-        // second claim arrives: with free frames available the pool must
-        // charge the overshoot and serve the fetch, not error.
-        let budget = Arc::new(
-            MemoryBudget::unlimited().with_component_limit(BudgetComponent::BufferPool, PAGE_SIZE),
-        );
-        let pool = BufferPool::new(
-            FileBackend::new(CostModel::free()),
-            BufferPoolConfig::lru(2).with_budget(Arc::clone(&budget)),
-        );
-        let (_p0, g0) = pool.new_page().unwrap();
-        let (_p1, g1) = pool.new_page().unwrap();
-        assert_eq!(
-            budget.used(BudgetComponent::BufferPool),
-            2 * PAGE_SIZE,
-            "overshoot is charged exactly"
-        );
-        assert!(budget.denials() >= 1);
-        drop((g0, g1));
-        // With pins released, further growth is denied back into
-        // displacement: residency does not keep climbing.
-        let (_p2, g2) = pool.new_page().unwrap();
-        drop(g2);
-        assert_eq!(budget.used(BudgetComponent::BufferPool), 2 * PAGE_SIZE);
     }
 
     #[test]

@@ -408,11 +408,6 @@ impl FileBackend {
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
     }
-
-    /// The active cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
 }
 
 /// Where the pages that are not (only) in the file live.
