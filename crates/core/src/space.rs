@@ -43,10 +43,9 @@ use std::sync::Arc;
 
 use crate::sync::{AtomicU64, Ordering};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use aib_storage::{BudgetComponent, FrameId, MemoryBudget, MemoryUsage, DEFAULT_ENTRY_FOOTPRINT};
+use aib_storage::{
+    BudgetComponent, FrameId, MemoryBudget, MemoryUsage, Rng, DEFAULT_ENTRY_FOOTPRINT,
+};
 
 use crate::config::{BufferConfig, SpaceConfig};
 use crate::counters::PageCounters;
@@ -62,7 +61,7 @@ use crate::partition::PartitionId;
 /// themselves; otherwise a buffer is picked with probability proportional
 /// to `1 / b_B`. The RNG is seeded so experiments stay reproducible.
 pub struct BenefitPolicy {
-    rng: StdRng,
+    rng: Rng,
     /// Candidate weights, iterated in ascending id order so the RNG
     /// consumption is deterministic for a given candidate set.
     weights: BTreeMap<FrameId, f64>,
@@ -72,7 +71,7 @@ impl BenefitPolicy {
     /// Creates a policy with a seeded RNG and no candidates.
     pub fn new(seed: u64) -> Self {
         BenefitPolicy {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             weights: BTreeMap::new(),
         }
     }
@@ -108,11 +107,11 @@ impl BenefitPolicy {
             .map(|&(id, _)| id)
             .collect();
         let chosen = if !zeros.is_empty() {
-            let pick = self.rng.gen_range(0..zeros.len());
+            let pick = self.rng.below(zeros.len() as u64) as usize;
             zeros.get(pick).copied()
         } else {
             let total: f64 = eligible.iter().map(|&(_, b)| 1.0 / b).sum();
-            let mut roll = self.rng.gen_range(0.0..total);
+            let mut roll = self.rng.unit() * total;
             let mut chosen = eligible.last().map(|&(id, _)| id);
             for &(id, b) in &eligible {
                 roll -= 1.0 / b;

@@ -11,8 +11,7 @@
 //! (paper §II). The paper's headline: with ≥10 tuples per page and
 //! correlation ≤0.8, fewer than 5 % of pages remain fully indexed.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use aib_storage::Rng;
 
 /// One Fig. 3 scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,11 +81,10 @@ impl Sim {
         }
     }
 
-    fn swap_random(&mut self, rng: &mut impl Rng) {
-        let n = self.values.len();
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        self.values.swap(a, b);
+    fn swap_random(&mut self, rng: &mut Rng) {
+        let n = self.values.len() as u64;
+        let (a, b) = (rng.below(n), rng.below(n));
+        self.values.swap(a as usize, b as usize);
     }
 
     /// Share of pages where every tuple is covered by the partial index.
@@ -126,7 +124,7 @@ impl Sim {
 pub fn sweep(scenario: &ClusteringScenario, points: usize, seed: u64) -> Vec<ClusteringPoint> {
     assert!(points >= 2, "a sweep needs at least the two endpoints");
     let mut sim = Sim::new(scenario);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut out = Vec::with_capacity(points);
     out.push(ClusteringPoint {
         correlation: sim.correlation(),

@@ -18,14 +18,10 @@
 //! crosses 6 regularly), which yields exactly the published dynamics: the
 //! indexed band builds up, lags the queried band through the shift, and the
 //! hit rate collapses meanwhile. The deviation is recorded in
-//! EXPERIMENTS.md; [`ControlLoopConfig::theta`] additionally allows a
-//! Zipf-skewed draw for sensitivity checks.
+//! EXPERIMENTS.md.
 
 use aib_engine::{OnlineTuner, TunerConfig};
-use aib_storage::Value;
-use aib_workload::KeyDist;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use aib_storage::{Rng, Value};
 
 /// Parameters of the Fig. 1 simulation.
 #[derive(Debug, Clone)]
@@ -38,8 +34,6 @@ pub struct ControlLoopConfig {
     pub high_range: (i64, i64),
     /// Shift window in query numbers (paper: 200..300).
     pub shift: (usize, usize),
-    /// Zipf skew of the within-range draw (see module docs).
-    pub theta: f64,
     /// The tuning mechanism (paper: window 20, threshold 6, LRU).
     pub tuner: TunerConfig,
     /// RNG seed.
@@ -53,7 +47,6 @@ impl Default for ControlLoopConfig {
             low_range: (1, 15),
             high_range: (16, 30),
             shift: (200, 300),
-            theta: 0.0,
             tuner: TunerConfig {
                 window: 60,
                 threshold: 6,
@@ -147,8 +140,7 @@ pub fn queried_range(config: &ControlLoopConfig, seq: usize) -> (i64, i64) {
 /// later phase sees, so assertions anchored to a phase (tail tolerances,
 /// adaptation points) are insensitive to upstream changes in draw count.
 pub fn run(config: &ControlLoopConfig) -> ControlLoopResult {
-    let phase_rng =
-        |phase: u64| StdRng::seed_from_u64(config.seed ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let phase_rng = |phase: u64| Rng::new(config.seed ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut phase = 0u64;
     let mut rng = phase_rng(phase);
     let mut tuner = OnlineTuner::new(config.tuner);
@@ -166,14 +158,7 @@ pub fn run(config: &ControlLoopConfig) -> ControlLoopResult {
             rng = phase_rng(phase);
         }
         let range = queried_range(config, seq);
-        let width = (range.1 - range.0 + 1).max(1) as u64;
-        let offset = KeyDist::Zipf {
-            n: width,
-            theta: config.theta,
-        }
-        .sample(&mut rng)
-            - 1;
-        let value = range.0 + offset;
+        let value = rng.int(range.0, range.1.max(range.0));
         let v = Value::Int(value);
         let hit = tuner.is_covered(&v);
         tuner.observe(&v);

@@ -30,6 +30,7 @@ pub mod heap;
 pub mod page;
 pub mod replacement;
 pub mod rid;
+pub mod rng;
 pub mod schema;
 pub mod stats;
 pub mod store;
@@ -52,6 +53,7 @@ pub use heap::HeapFile;
 pub use page::{PageView, SlottedPage};
 pub use replacement::FrameId;
 pub use rid::{PageId, Rid, SlotId};
+pub use rng::Rng;
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{IoSnapshot, IoStats};
 pub use store::{Fault, MemDir, OsDir, StoreDir, StoreFile};

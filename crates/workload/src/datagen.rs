@@ -6,10 +6,7 @@
 //! > payload values is also uniformly distributed, but ranges from 1 to 512.
 //! > We filled the table with 500,000 tuples."
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use aib_storage::{Column, Schema, Tuple, Value};
+use aib_storage::{Column, Rng, Schema, Tuple, Value};
 
 /// Parameters of the generated table.
 #[derive(Debug, Clone)]
@@ -64,14 +61,14 @@ impl TableSpec {
 
     /// Generates the tuples as an iterator (stable under `seed`).
     pub fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::new(self.seed);
         (0..self.rows).map(move |_| {
-            let a = rng.gen_range(1..=self.domain);
-            let b = rng.gen_range(1..=self.domain);
-            let c = rng.gen_range(1..=self.domain);
-            let len = rng.gen_range(self.payload.0..=self.payload.1);
+            let a = rng.int(1, self.domain);
+            let b = rng.int(1, self.domain);
+            let c = rng.int(1, self.domain);
+            let len = rng.int(self.payload.0 as i64, self.payload.1 as i64);
             let payload: String = (0..len)
-                .map(|_| rng.gen_range(b'a'..=b'z') as char)
+                .map(|_| (b'a' + rng.below(26) as u8) as char)
                 .collect();
             Tuple::new(vec![
                 Value::Int(a),

@@ -1,6 +1,6 @@
 //! Key distributions for data and query generation.
 
-use rand::Rng;
+use aib_storage::Rng;
 
 /// A distribution over integer keys.
 #[derive(Debug, Clone)]
@@ -11,14 +11,6 @@ pub enum KeyDist {
         lo: i64,
         /// Inclusive upper bound.
         hi: i64,
-    },
-    /// Zipf over `1..=n` with skew `theta` (workload-extension knob; the
-    /// paper uses uniform only).
-    Zipf {
-        /// Domain size.
-        n: u64,
-        /// Skew parameter (`0` = uniform, typical `0.8–1.2`).
-        theta: f64,
     },
     /// Hot-set: with probability `hot_prob` draw uniformly from the hot
     /// range, otherwise from the cold range. Models experiment 4's
@@ -35,59 +27,17 @@ pub enum KeyDist {
 
 impl KeyDist {
     /// Draws one key.
-    pub fn sample(&self, rng: &mut impl Rng) -> i64 {
+    pub fn sample(&self, rng: &mut Rng) -> i64 {
         match self {
-            KeyDist::Uniform { lo, hi } => rng.gen_range(*lo..=*hi),
-            KeyDist::Zipf { n, theta } => zipf_sample(rng, *n, *theta),
+            KeyDist::Uniform { lo, hi } => rng.int(*lo, *hi),
             KeyDist::HotSet {
                 hot,
                 hot_prob,
                 cold,
             } => {
-                if rng.gen_bool(*hot_prob) {
-                    rng.gen_range(hot.0..=hot.1)
-                } else {
-                    rng.gen_range(cold.0..=cold.1)
-                }
+                let (lo, hi) = if rng.chance(*hot_prob) { *hot } else { *cold };
+                rng.int(lo, hi)
             }
-        }
-    }
-}
-
-/// Zipf sampling by rejection-inversion (Hörmann & Derflinger), good for
-/// large domains without precomputing a CDF.
-fn zipf_sample(rng: &mut impl Rng, n: u64, theta: f64) -> i64 {
-    assert!(n >= 1);
-    if theta <= f64::EPSILON {
-        return rng.gen_range(1..=n as i64);
-    }
-    // Simple inversion over the harmonic CDF approximation; exact enough
-    // for workload generation.
-    let h = |x: f64| -> f64 {
-        if (theta - 1.0).abs() < 1e-9 {
-            (x).ln()
-        } else {
-            (x.powf(1.0 - theta) - 1.0) / (1.0 - theta)
-        }
-    };
-    let h_inv = |y: f64| -> f64 {
-        if (theta - 1.0).abs() < 1e-9 {
-            y.exp()
-        } else {
-            (1.0 + y * (1.0 - theta)).powf(1.0 / (1.0 - theta))
-        }
-    };
-    let hn = h(n as f64 + 0.5);
-    let h1 = h(0.5);
-    loop {
-        let u = rng.gen_range(0.0..1.0);
-        let x = h_inv(h1 + u * (hn - h1));
-        let k = x.round().clamp(1.0, n as f64);
-        // Accept with probability proportional to the true mass.
-        let accept = (h(k + 0.5) - h(k - 0.5)) / (hn - h1);
-        let mass = k.powf(-theta) / (hn - h1);
-        if rng.gen_range(0.0..1.0) * accept <= mass {
-            return k as i64;
         }
     }
 }
@@ -95,12 +45,10 @@ fn zipf_sample(rng: &mut impl Rng, n: u64, theta: f64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_covers_domain() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let d = KeyDist::Uniform { lo: 1, hi: 10 };
         let mut seen = [false; 11];
         for _ in 0..1000 {
@@ -112,42 +60,8 @@ mod tests {
     }
 
     #[test]
-    fn zipf_is_skewed_towards_small_keys() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = KeyDist::Zipf {
-            n: 1000,
-            theta: 1.0,
-        };
-        let mut low = 0;
-        for _ in 0..10_000 {
-            let k = d.sample(&mut rng);
-            assert!((1..=1000).contains(&k));
-            if k <= 10 {
-                low += 1;
-            }
-        }
-        assert!(
-            low > 3000,
-            "theta=1: top-10 keys draw >30% of mass, got {low}"
-        );
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_uniform() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let d = KeyDist::Zipf { n: 100, theta: 0.0 };
-        let mut low = 0;
-        for _ in 0..10_000 {
-            if d.sample(&mut rng) <= 10 {
-                low += 1;
-            }
-        }
-        assert!((800..1200).contains(&low), "~10% expected, got {low}");
-    }
-
-    #[test]
     fn hot_set_respects_probability() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let d = KeyDist::HotSet {
             hot: (1, 100),
             hot_prob: 0.8,

@@ -13,8 +13,7 @@
 //!   for the first 100 queries and is redefined to `range_r2` afterwards —
 //!   realising the paper's 80 % → 20 % hit-rate switch.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use aib_storage::Rng;
 
 use crate::datagen::TableSpec;
 use crate::distribution::KeyDist;
@@ -46,7 +45,7 @@ fn uncovered(spec: &TableSpec) -> KeyDist {
 
 /// Experiment 1/2 workload: `n` uncovered point queries on column A.
 pub fn experiment1_queries(spec: &TableSpec, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let dist = uncovered(spec);
     (0..n)
         .map(|_| QuerySpec {
@@ -58,7 +57,7 @@ pub fn experiment1_queries(spec: &TableSpec, n: usize, seed: u64) -> Vec<QuerySp
 
 /// Experiment 3 workload: shifting mix, all values uncovered.
 pub fn experiment3_queries(spec: &TableSpec, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mix = QueryMix::experiment3();
     let dist = uncovered(spec);
     (0..n)
@@ -80,7 +79,7 @@ pub fn exp4_ranges(spec: &TableSpec) -> ((i64, i64), (i64, i64)) {
 /// Experiment 4 workload: fixed mix; column-A values drawn 80/20 over the
 /// two ranges of [`exp4_ranges`]; B and C uncovered uniform.
 pub fn experiment4_queries(spec: &TableSpec, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mix = QueryMix::experiment4();
     let (r1, r2) = exp4_ranges(spec);
     let a_dist = KeyDist::HotSet {

@@ -3,7 +3,7 @@
 //! * [`datagen::TableSpec`] — the evaluation table (500 k tuples, three
 //!   uniform INTEGER columns, VARCHAR payload), with deterministic seeding
 //!   and proportional down-scaling for tests.
-//! * [`distribution::KeyDist`] — uniform / Zipf / hot-set key distributions.
+//! * [`distribution::KeyDist`] — uniform / hot-set key distributions.
 //! * [`mix::QueryMix`] — weighted multi-phase column mixes (experiments 3/4).
 //! * [`experiments`] — the exact query streams of experiments 1–4.
 

@@ -1,7 +1,7 @@
 //! Query mixes: weighted column choices with switch points — the shape of
 //! the paper's experiments 3 and 4.
 
-use rand::Rng;
+use aib_storage::Rng;
 
 /// One phase of a query mix: relative weights per column.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ impl QueryMix {
     }
 
     /// Picks the column for query number `seq` (0-based).
-    pub fn pick(&self, seq: usize, rng: &mut impl Rng) -> &str {
+    pub fn pick(&self, seq: usize, rng: &mut Rng) -> &str {
         let mut at = seq;
         // `new` guarantees at least one phase and positive weights; the
         // empty fallbacks here are unreachable but panic-free.
@@ -81,7 +81,7 @@ impl QueryMix {
             }
         }
         let total: f64 = phase.weights.iter().map(|&(_, w)| w).sum();
-        let mut roll = rng.gen_range(0.0..total);
+        let mut roll = rng.unit() * total;
         for (col, w) in &phase.weights {
             roll -= w;
             if roll <= 0.0 {
@@ -95,12 +95,10 @@ impl QueryMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::HashMap;
 
     fn frequencies(mix: &QueryMix, from: usize, to: usize, seed: u64) -> HashMap<String, usize> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut freq = HashMap::new();
         for seq in from..to {
             *freq.entry(mix.pick(seq, &mut rng).to_owned()).or_insert(0) += 1;
@@ -173,7 +171,7 @@ mod tests {
                 queries: None,
             },
         ]);
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::new(0);
         let picks: Vec<&str> = (0..6).map(|s| mix.pick(s, &mut rng)).collect();
         assert_eq!(picks, vec!["X", "X", "X", "Y", "Y", "Y"]);
     }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # The one way to build this workspace without a registry: writes the
 # git-ignored .cargo/config.toml that turns the network off and patches the
-# four crates.io dependencies onto the tracked stand-ins (stubs/ for the
-# test and bench harnesses, e2e/stubs/ for the two the engine crates link).
+# three crates.io dependencies onto the tracked stand-ins (stubs/ for the
+# test and bench harnesses, e2e/stubs/ for parking_lot, the one the engine
+# crates link).
 # After it, plain `cargo build`, `cargo test`, `cargo bench` work from the
 # repository root. Cargo.lock then names stand-in versions and stays
 # untracked. Delete .cargo/ to go back to the registry.
@@ -19,7 +20,6 @@ cat > "$root/.cargo/config.toml" <<'TOML'
 offline = true
 
 [patch.crates-io]
-rand = { path = "e2e/stubs/rand" }
 parking_lot = { path = "e2e/stubs/parking_lot" }
 proptest = { path = "stubs/proptest" }
 criterion = { path = "stubs/criterion" }
