@@ -19,7 +19,12 @@
 //!    evidence that steady-state reads take no space lock. (The
 //!    always-locked planner this path was once measured against lost all
 //!    eight rows, 1.06–1.21×, and is no longer selectable; that table is
-//!    kept, stamped with its revision, in EXPERIMENTS.md.)
+//!    kept, stamped with its revision, in EXPERIMENTS.md.) One more row
+//!    runs the 50 % fixture as a tuned column: its coverage is the same
+//!    values as a set, an online tuner is attached, and each thread cycles
+//!    point queries over sixteen hot values past the covered half — too
+//!    many for any to reach the tuner's threshold, so every query sweeps
+//!    and is observed.
 //!
 //! Every section runs one table with one Index Buffer.
 
@@ -29,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aib_core::SpaceConfig;
-use aib_engine::{ClientHandle, Database, EngineConfig, Query};
+use aib_engine::{ClientHandle, Database, EngineConfig, Query, TunerConfig};
 use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, CostModel, Schema, Tuple, Value};
 
@@ -42,6 +47,12 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Buffer pinned empty so the skippable fraction never drifts, and the
 /// probe key just past the covered range forcing the indexing-scan path.
 fn build_fraction(pct: u32) -> (Arc<Database>, i64) {
+    build(pct, false)
+}
+
+/// [`build_fraction`], or with `tuned` the same covered values as a
+/// [`Coverage::Set`] and the default online tuner attached.
+fn build(pct: u32, tuned: bool) -> (Arc<Database>, i64) {
     let db = Database::new(EngineConfig {
         pool_frames: 1024,
         cost_model: CostModel::free(),
@@ -62,14 +73,22 @@ fn build_fraction(pct: u32) -> (Arc<Database>, i64) {
         .unwrap();
     }
     let hi = pct as i64 * SWEEP_ROWS / 100;
+    let coverage = if tuned {
+        Coverage::Set((1..=hi).map(Value::Int).collect())
+    } else {
+        Coverage::IntRange { lo: 1, hi }
+    };
     db.create_partial_index(
         "t",
         "k",
-        Coverage::IntRange { lo: 1, hi },
+        coverage,
         IndexBackend::BTree,
         Some(aib_core::BufferConfig::default()),
     )
     .unwrap();
+    if tuned {
+        db.attach_tuner("t", "k", TunerConfig::default()).unwrap();
+    }
     (db.into_shared(), hi + 1)
 }
 
@@ -128,20 +147,22 @@ fn single_client_sweep(quick: bool) -> Vec<SinglePoint> {
 // Section 2: CPU-bound contention on the snapshot-planned read path.
 // ---------------------------------------------------------------------------
 
-/// Runs `n` client threads hammering the probe query for `dur`, returning
-/// (completed queries, elapsed wall seconds).
-fn run_clients(db: &Arc<Database>, probe: i64, n: usize, dur: Duration) -> (u64, f64) {
+/// Runs `n` client threads for `dur`, each cycling point queries over
+/// `probes` from its own offset, returning (completed queries, elapsed
+/// wall seconds).
+fn run_clients(db: &Arc<Database>, probes: &[i64], n: usize, dur: Duration) -> (u64, f64) {
     let stop = AtomicBool::new(false);
     let total = AtomicU64::new(0);
     let t0 = Instant::now();
     std::thread::scope(|s| {
-        for _ in 0..n {
+        for c in 0..n {
             let client = ClientHandle::new(Arc::clone(db));
             let stop = &stop;
             let total = &total;
             s.spawn(move || {
                 let mut count = 0u64;
                 while !stop.load(Ordering::Relaxed) {
+                    let probe = probes[(c * 5 + count as usize) % probes.len()];
                     let out = client.execute(&Query::point("t", "k", probe)).unwrap();
                     black_box(out.result.count());
                     count += 1;
@@ -156,9 +177,13 @@ fn run_clients(db: &Arc<Database>, probe: i64, n: usize, dur: Duration) -> (u64,
 }
 
 const CONTENDED_FRACTIONS: [u32; 2] = [50, 90];
+/// The tuned row's fraction and its number of hot values.
+const TUNED_FRACTION: u32 = 50;
+const TUNED_HOT: i64 = 16;
 
 struct ContendedPoint {
     skippable_pct: u32,
+    tuned: bool,
     threads: usize,
     qps: f64,
 }
@@ -177,24 +202,37 @@ fn contended_sweep(quick: bool) -> Vec<ContendedPoint> {
         "contended sweep: zero-cost disk, resident pool, {}ms/point, median of {reps}",
         dur.as_millis()
     );
-    println!("{:>13} {:>8} {:>13}", "skippable", "threads", "queries/s");
-    for pct in CONTENDED_FRACTIONS {
-        let (db, probe) = build_fraction(pct);
-        for _ in 0..5 {
+    println!(
+        "{:>13} {:>6} {:>8} {:>13}",
+        "skippable", "tuned", "threads", "queries/s"
+    );
+    let rows = CONTENDED_FRACTIONS
+        .map(|pct| (pct, false))
+        .into_iter()
+        .chain([(TUNED_FRACTION, true)]);
+    for (pct, tuned) in rows {
+        let (db, first) = build(pct, tuned);
+        let probes: Vec<i64> = if tuned {
+            (first..first + TUNED_HOT).collect()
+        } else {
+            vec![first]
+        };
+        for &probe in &probes {
             black_box(db.execute(&Query::point("t", "k", probe)).unwrap());
         }
         for n in THREADS {
             let mut samples: Vec<f64> = (0..reps)
                 .map(|_| {
-                    let (queries, wall_s) = run_clients(&db, probe, n, dur);
+                    let (queries, wall_s) = run_clients(&db, &probes, n, dur);
                     queries as f64 / wall_s
                 })
                 .collect();
             samples.sort_by(|a, b| a.total_cmp(b));
             let qps = samples[reps / 2];
-            println!("{pct:>12}% {n:>8} {qps:>13.1}");
+            println!("{pct:>12}% {tuned:>6} {n:>8} {qps:>13.1}");
             points.push(ContendedPoint {
                 skippable_pct: pct,
+                tuned,
                 threads: n,
                 qps,
             });
@@ -225,15 +263,15 @@ fn emit_bench_json(single: &[SinglePoint], contended: &[ContendedPoint], quick: 
         .iter()
         .map(|p| {
             format!(
-                "      {{ \"skippable_pct\": {}, \"threads\": {}, \"qps\": {:.1} }}",
-                p.skippable_pct, p.threads, p.qps
+                "      {{ \"skippable_pct\": {}, \"tuned\": {}, \"threads\": {}, \"qps\": {:.1} }}",
+                p.skippable_pct, p.tuned, p.threads, p.qps
             )
         })
         .collect();
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let provenance = aib_bench::provenance_json();
     let out = format!(
-        "{{\n  \"bench\": \"micro_concurrency\",\n  \"provenance\": {provenance},\n  \"rows\": {SWEEP_ROWS},\n  \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"single_client\": {{\n    \"note\": \"micro_scan fixture through ClientHandle; comparable to BENCH_scan.json\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"contended\": {{\n    \"note\": \"CPU-bound: the epoch-validated snapshot-planned read path, no space lock on steady-state reads; q/s over threads is meaningful up to host_cpus.\",\n    \"pool_frames\": 1024,\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"micro_concurrency\",\n  \"provenance\": {provenance},\n  \"rows\": {SWEEP_ROWS},\n  \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"single_client\": {{\n    \"note\": \"micro_scan fixture through ClientHandle; comparable to BENCH_scan.json\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"contended\": {{\n    \"note\": \"CPU-bound: the epoch-validated snapshot-planned read path, no space lock on steady-state reads; q/s over threads is meaningful up to host_cpus. tuned rows: the 50% fixture with set coverage and an online tuner, point queries cycling sixteen uncovered hot values, every one a swept miss the tuner observes.\",\n    \"pool_frames\": 1024,\n    \"points\": [\n{}\n    ]\n  }}\n}}\n",
         single_rows.join(",\n"),
         contended_rows.join(",\n")
     );

@@ -41,10 +41,10 @@ use crate::query::{ExecOutcome, Query};
 ///
 /// Beyond forwarding, each handle owns a private [`SnapshotCache`]: the
 /// validated space snapshot plus locally deferred Table II events that make
-/// runs of fully-skippable queries lock-free (see
-/// [`Database::execute_with_cache`]). The cache is client-private state —
-/// cloning a handle gives the new client a fresh, empty cache — and it
-/// flushes its deferred events into the shared space when the handle drops.
+/// runs of fully-skippable queries lock-free. The cache is client-private
+/// state — cloning a handle gives the new client a fresh, empty cache — and
+/// it flushes its deferred events into the shared space when the handle
+/// drops.
 #[derive(Debug)]
 pub struct ClientHandle {
     db: Arc<Database>,
@@ -84,9 +84,9 @@ impl ClientHandle {
     }
 
     /// Executes a query through this client's snapshot cache. See
-    /// [`Database::execute_with_cache`].
+    /// [`Database::execute`].
     pub fn execute(&self, query: &Query) -> EngineResult<ExecOutcome> {
-        self.db.execute_with_cache(query, &mut self.cache.lock())
+        self.db.run_query(query, &mut self.cache.lock())
     }
 
     /// Explains a query without executing it. See [`Database::explain`].

@@ -222,12 +222,9 @@ impl Table {
         self.indexed.iter().find(|ic| ic.column == column)
     }
 
-    /// True for a point query on a tuned column: the tuner observes it and
-    /// may rewrite the partial index — a catalog write — so the query runs
-    /// exclusive.
-    pub(crate) fn tuned_point(&self, column: usize, predicate: &Predicate) -> bool {
-        matches!(predicate, Predicate::Equals(_))
-            && self.index_on(column).is_some_and(|ic| ic.tuner.is_some())
+    /// Whether `column` has an online tuner attached.
+    fn tuned(&self, column: usize) -> bool {
+        self.index_on(column).is_some_and(|ic| ic.tuner.is_some())
     }
 
     fn ordinal(&self, rid: Rid) -> Result<u32, StorageError> {
@@ -243,6 +240,11 @@ impl Table {
 struct Catalog {
     tables: Vec<Table>,
     names: HashMap<String, usize>,
+    /// Bumped by every DML and DDL write section. A tune section applies a
+    /// decision only if the count still equals the one its read saw, so the
+    /// read's rids are still exactly the rows holding the queried value.
+    /// Tuning itself leaves it alone: covering a value moves no row.
+    mutations: u64,
 }
 
 impl Catalog {
@@ -507,6 +509,7 @@ impl Database {
             catalog: Arc::new(RwLock::new(Catalog {
                 tables: Vec::new(),
                 names: HashMap::new(),
+                mutations: 0,
             })),
             config,
             queries_executed: AtomicUsize::new(0),
@@ -834,6 +837,7 @@ impl Database {
         let name = name.into();
         let ticket = {
             let mut catalog = self.catalog.write();
+            catalog.mutations += 1;
             if catalog.names.contains_key(&name) {
                 return Err(EngineError::TableExists(name));
             }
@@ -887,6 +891,7 @@ impl Database {
     ) -> EngineResult<R> {
         let (out, ticket) = {
             let mut catalog = self.catalog.write();
+            catalog.mutations += 1;
             let mut space = self.space.write();
             let (out, record) = op(&mut catalog, &mut space)?;
             let ticket = self.stage(&[record]);
@@ -1028,6 +1033,7 @@ impl Database {
     pub fn execute_batch(&self, ops: &[BatchOp]) -> EngineResult<Vec<Option<Rid>>> {
         let (result, ticket) = {
             let mut catalog = self.catalog.write();
+            catalog.mutations += 1;
             let mut space = self.space.write();
             let mut records = Vec::with_capacity(ops.len());
             let mut rids = Vec::with_capacity(ops.len());
@@ -1119,6 +1125,7 @@ impl Database {
         buffer: Option<BufferConfig>,
     ) -> EngineResult<()> {
         let mut catalog = self.catalog.write();
+        catalog.mutations += 1;
         let ti = catalog.table_index(table)?;
         let ci = catalog.column_index(ti, column)?;
         if catalog.tables[ti].indexed_column(ci).is_some() {
@@ -1149,6 +1156,7 @@ impl Database {
     /// scans.
     pub fn drop_partial_index(&self, table: &str, column: &str) -> EngineResult<()> {
         let mut catalog = self.catalog.write();
+        catalog.mutations += 1;
         let ti = catalog.table_index(table)?;
         let ci = catalog.column_index(ti, column)?;
         let slot = catalog.tables[ti]
@@ -1175,6 +1183,7 @@ impl Database {
     /// anything else is [`EngineError::Unsupported`].
     pub fn attach_tuner(&self, table: &str, column: &str, config: TunerConfig) -> EngineResult<()> {
         let mut catalog = self.catalog.write();
+        catalog.mutations += 1;
         let ti = catalog.table_index(table)?;
         let ci = catalog.column_index(ti, column)?;
         let slot = catalog.tables[ti]
@@ -1201,6 +1210,7 @@ impl Database {
         coverage: Coverage,
     ) -> EngineResult<()> {
         let mut catalog = self.catalog.write();
+        catalog.mutations += 1;
         let ti = catalog.table_index(table)?;
         let ci = catalog.column_index(ti, column)?;
         let slot = catalog.tables[ti]
@@ -1247,6 +1257,7 @@ impl Database {
     pub fn vacuum(&self, table: &str, min_occupancy: f64) -> EngineResult<(u32, u64)> {
         let (drained, moved, ticket) = {
             let mut catalog = self.catalog.write();
+            catalog.mutations += 1;
             let mut space = self.space.write();
             let ti = catalog.table_index(table)?;
             let pages = catalog.tables[ti].heap.num_pages();
@@ -1302,21 +1313,22 @@ impl Database {
     /// Executes a query, returning the result set together with its full
     /// metrics as one [`ExecOutcome`].
     ///
-    /// Safe to call from many client threads at once: read queries hold the
-    /// catalog read lock end to end and run the plan → sweep → adapt
+    /// Safe to call from many client threads at once: every read holds the
+    /// catalog read lock end to end and runs the plan → sweep → adapt
     /// pipeline of [`crate::read`], which plans lock-free from the
     /// published [`SpaceSnapshot`] and serializes on the space lock only
     /// for the short write sections (a selection the snapshot cannot
-    /// prove, the staged apply). Tuned point queries adapt the
-    /// partial index and therefore run exclusive.
+    /// prove, the staged apply). A point query on a tuned column then lets
+    /// the tuner observe it in a short section of its own under the catalog
+    /// write lock; a DML or DDL statement that committed since the read
+    /// drops that observation.
     ///
     /// This entry point keeps a query-local [`SnapshotCache`]; clients
     /// issuing many queries should go through [`crate::ClientHandle`],
-    /// which reuses one cache across calls via
-    /// [`Database::execute_with_cache`].
+    /// which reuses one cache across calls.
     pub fn execute(&self, query: &Query) -> EngineResult<ExecOutcome> {
         let mut cache = SnapshotCache::new();
-        let outcome = self.execute_with_cache(query, &mut cache);
+        let outcome = self.run_query(query, &mut cache);
         // Deferred Table II events outlive the cache only in the shared
         // pending cells; publish them before the cache drops.
         cache.flush();
@@ -1328,7 +1340,7 @@ impl Database {
     /// Table II events across queries, so a run of fully-skippable queries
     /// performs no shared write at all until the next slow-path boundary
     /// (any lock acquisition) flushes and drains them in deferral order.
-    pub fn execute_with_cache(
+    pub(crate) fn run_query(
         &self,
         query: &Query,
         cache: &mut SnapshotCache,
@@ -1338,42 +1350,70 @@ impl Database {
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
         let t = &catalog.tables[ti];
-        if t.tuned_point(ci, &query.predicate) {
-            drop(catalog);
-            // The exclusive run drains pending events on space entry; the
-            // cache's deferrals must be published first to stay in order.
-            cache.flush();
-            return self.execute_holding_all(query, clock);
-        }
         let snapshot = cache.ensure(&self.space);
         let plan = self.plan_read(t, ci, &query.predicate, Some(snapshot));
         let source = plan.source;
         let (result, scan) =
             self.run_read(t, ci, &query.predicate, plan, SpaceAccess::Shared(cache))?;
+        let tune = match &query.predicate {
+            Predicate::Equals(value) if t.tuned(ci) => Some((value, catalog.mutations)),
+            _ => None,
+        };
+        drop(catalog);
+        if let Some((value, read_at)) = tune {
+            self.tune(ti, ci, value, &result.rids, read_at, cache)?;
+        }
         let buffer_entries = cache.ensure(&self.space).buffer_entries();
         let metrics = self.finish_metrics(clock, &result, scan, source, buffer_entries);
-        self.verify_checkpoint_now(&catalog)?;
+        // After the metrics: the shadow model's heap rescan is not the
+        // query's I/O.
+        #[cfg(feature = "invariant-checks")]
+        self.verify_invariants()?;
         Ok(ExecOutcome { result, metrics })
     }
 
-    /// The sequential reference executor: the same pipeline run with the
-    /// catalog write lock and the space guard held, so no other client
-    /// can interleave — the path every tuned point query already takes.
-    /// `proptest_convergence` holds [`Database::execute`] to its answers
-    /// and end state.
-    #[doc(hidden)]
-    pub fn execute_sequential(&self, query: &Query) -> EngineResult<ExecOutcome> {
-        self.execute_holding_all(query, self.start_query())
+    /// The tune section of a point query on `value` that matched `rids`
+    /// under a catalog read guard whose mutation count was `read_at`: under
+    /// the catalog and space write guards the tuner observes the query and
+    /// its decision is applied before the query returns. A count that moved
+    /// means a statement may have changed which rows hold `value`, so the
+    /// observation is dropped — the tuner never holds a decision the index
+    /// did not get, and it decides again on the next query.
+    ///
+    /// The space guard is taken for a no-op decision too, for its drain of
+    /// the client's deferred Table II events. A drain folds each buffer's
+    /// deferred uses into one batch, so where drains fall shapes the LRU-K
+    /// histories; a tuned point query drains before it returns, as it did
+    /// when it ran under every lock.
+    fn tune(
+        &self,
+        ti: usize,
+        ci: usize,
+        value: &Value,
+        rids: &[Rid],
+        read_at: u64,
+        cache: &mut SnapshotCache,
+    ) -> EngineResult<()> {
+        let mut catalog = self.catalog.write();
+        if catalog.mutations != read_at {
+            return Ok(());
+        }
+        cache.flush();
+        let mut space = self.space.write();
+        apply_tuning(&mut catalog.tables[ti], ci, &mut space, value, rids)
     }
 
-    /// Runs the read pipeline exclusively, then lets the column's tuner (if
-    /// any) observe a point query and adapt the partial index.
-    fn execute_holding_all(&self, query: &Query, clock: QueryClock) -> EngineResult<ExecOutcome> {
+    /// The sequential reference executor: the same pipeline run with the
+    /// catalog write lock and the space guard held, tuning included, so no
+    /// other client can interleave — the only producer of
+    /// [`PlanSource::Exclusive`]. `proptest_convergence` holds
+    /// [`Database::execute`] to its answers and end state.
+    #[doc(hidden)]
+    pub fn execute_sequential(&self, query: &Query) -> EngineResult<ExecOutcome> {
+        let clock = self.start_query();
         let mut catalog = self.catalog.write();
         let mut space = self.space.write();
         let catalog = &mut *catalog;
-        // Resolved under the write lock: the catalog may have changed since
-        // a caller looked under its read lock.
         let ti = catalog.table_index(&query.table)?;
         let ci = catalog.column_index(ti, &query.column)?;
         let plan = self.plan_read(&catalog.tables[ti], ci, &query.predicate, None);
@@ -1385,12 +1425,9 @@ impl Database {
             plan,
             SpaceAccess::Held(&mut space),
         )?;
-
-        // Online tuning: observe the queried value, adapt the partial index.
         if let Predicate::Equals(v) = &query.predicate {
             apply_tuning(&mut catalog.tables[ti], ci, &mut space, v, &result.rids)?;
         }
-
         space.sync_budget();
         let buffer_entries = space
             .buffer_ids()
@@ -1463,6 +1500,17 @@ impl Database {
     /// Entries in the partial index of a column (inspection).
     pub fn partial_index_len(&self, table: &str, column: &str) -> Option<usize> {
         self.inspect_index(table, column, |ic| ic.partial.len())
+    }
+
+    /// The values a column's online tuner covers, in ascending order; `None`
+    /// when the column has no index or no tuner (inspection).
+    pub fn tuned_values(&self, table: &str, column: &str) -> Option<Vec<Value>> {
+        self.inspect_index(table, column, |ic| {
+            let mut values: Vec<Value> = ic.tuner.as_ref()?.covered_values().cloned().collect();
+            values.sort_unstable();
+            Some(values)
+        })
+        .flatten()
     }
 
     /// The buffer id serving a column, if any (inspection).
@@ -1620,9 +1668,10 @@ fn checkpoint_core(
     Ok(outcome?)
 }
 
-/// Applies the online tuner's decision for an observed point query on
-/// `column` (a no-op for untuned columns). Runs with the catalog and space
-/// write guards held (only the exclusive run tunes).
+/// Lets the online tuner of `column` observe a point query on `value` that
+/// matched `matched` — exactly the rows holding it — and applies the
+/// decision (a no-op for untuned columns). Runs with the catalog and space
+/// write guards held.
 fn apply_tuning(
     t: &mut Table,
     column: usize,
@@ -1640,7 +1689,9 @@ fn apply_tuning(
     if decision.is_noop() {
         return Ok(());
     }
-    if let Some(v) = decision.add {
+    // A value the index already covers (a member of the DDL-time set) has
+    // no uncovered tuple to move.
+    if let Some(v) = decision.add.filter(|v| !t.indexed[slot].partial.covers(v)) {
         // Newly covered tuples leave the "uncovered" bookkeeping: pages
         // buffered for this column drop the entries, unbuffered pages
         // decrement their counters (Table I's covering transition, via

@@ -10,10 +10,11 @@
 //!
 //! An [`Explanation`] is built from the plan value the executor itself
 //! runs (`crate::read`), so what it prints is what `execute` does next on
-//! unchanged state. The one thing only execution can tell: a
-//! locked or exclusive plan runs Algorithm 2 under the lock, which
-//! may displace *other* buffers' partitions — the queried buffer's own
-//! page counts below are unaffected by that.
+//! unchanged state. Two things only execution can tell: a locked plan
+//! runs Algorithm 2 under the lock, which may displace *other* buffers'
+//! partitions — the queried buffer's own page counts below are unaffected
+//! by that — and a point query on a tuned column may change the column's
+//! coverage after its read, in the tune section.
 
 use crate::query::AccessPath;
 use crate::read::PlanSource;
@@ -24,8 +25,9 @@ pub struct Explanation {
     /// The access path the executor would take.
     pub path: AccessPath,
     /// Where the scan's page selection would come from: planned lock-free
-    /// from the snapshot, under the space write lock (the planner
-    /// declined), or in an exclusive run (tuned point queries).
+    /// from the snapshot, or under the space write lock (the planner
+    /// declined). `explain` never reports the exclusive source, which
+    /// only the sequential reference executor runs.
     pub plan: PlanSource,
     /// Whether the queried column has a partial index.
     pub has_partial_index: bool,

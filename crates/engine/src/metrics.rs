@@ -18,8 +18,8 @@ pub struct QueryMetrics {
     /// Access path taken.
     pub path: AccessPath,
     /// Where the scan's page selection came from: the lock-free snapshot,
-    /// the write-locked fallback, an exclusive run — or nothing to select
-    /// (hits and plain scans).
+    /// the write-locked fallback, the sequential reference executor's
+    /// exclusive run — or nothing to select (hits and plain scans).
     pub plan: PlanSource,
     /// Matching tuples.
     pub result_count: usize,

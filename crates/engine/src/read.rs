@@ -55,9 +55,10 @@ pub enum PlanSource {
     /// or a limited budget would admit pages) or the epoch guard tripped:
     /// Algorithm 2 runs under the space write lock.
     Locked,
-    /// The caller holds the catalog write lock and the space guard —
-    /// tuned point queries (the tuner rewrites the partial index) and
-    /// [`Database::execute_sequential`].
+    /// The caller holds the catalog write lock and the space guard: only
+    /// the sequential reference [`Database::execute_sequential`]. Every
+    /// other read, tuned point queries included, plans from the snapshot
+    /// or under the space lock.
     Exclusive,
 }
 
@@ -275,9 +276,9 @@ impl Database {
     /// it without executing anything.
     ///
     /// `snapshot` is the validated space snapshot, or `None` when the
-    /// caller holds the space guard (an [`PlanSource::Exclusive`] run —
-    /// the snapshot cannot be consulted from inside the write section, and
-    /// the locked selection does not need it).
+    /// caller holds the space guard (the [`PlanSource::Exclusive`] run of
+    /// `execute_sequential` — the snapshot cannot be consulted from inside
+    /// the write section, and the locked selection does not need it).
     ///
     /// A buffered miss is planned from the snapshot whenever that is
     /// provably equivalent to planning under the lock:
@@ -341,7 +342,7 @@ impl Database {
             buffer: bid,
             planned,
         };
-        let Some(snapshot) = snapshot.filter(|_| !t.tuned_point(ci, predicate)) else {
+        let Some(snapshot) = snapshot else {
             (plan.source, plan.sweep) = (PlanSource::Exclusive, buffered(None));
             return plan;
         };

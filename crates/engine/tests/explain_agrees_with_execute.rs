@@ -149,28 +149,39 @@ fn limited_budget_falls_back_to_the_locked_planner() {
 }
 
 #[test]
-fn tuned_point_queries_run_exclusive() {
-    let db = database_covering(Coverage::empty_set(), None);
-    db.attach_tuner(
-        "t",
-        "k",
-        TunerConfig {
-            window: 50,
-            threshold: 40,
-            capacity: 4,
-        },
-    )
-    .unwrap();
-    let q = Query::point("t", "k", 4_500i64);
-    let read = agree(&db, &q, AccessPath::BufferedScan, PlanSource::Exclusive);
-    assert!(read > 0);
-    assert_eq!(
-        agree(&db, &q, AccessPath::BufferedScan, PlanSource::Exclusive),
-        0
-    );
-    // Ranges are not observed by the tuner and keep the shared path.
-    let q = Query::range("t", "k", 1_490i64, 1_510i64);
-    agree(&db, &q, AccessPath::BufferedScan, PlanSource::Snapshot);
+fn tuned_point_queries_explain_the_source_they_run() {
+    // A tuned point query plans like any other read: from the snapshot,
+    // or under the space lock when a limited budget declines the snapshot.
+    for budget in [None, Some(400)] {
+        let db = database_covering(Coverage::empty_set(), budget);
+        db.attach_tuner(
+            "t",
+            "k",
+            TunerConfig {
+                window: 50,
+                threshold: 2,
+                capacity: 4,
+            },
+        )
+        .unwrap();
+        let q = Query::point("t", "k", 4_500i64);
+        let mut reads = Vec::new();
+        for _ in 0..2 {
+            let source = db.explain(&q).unwrap().plan;
+            assert!(
+                matches!(source, PlanSource::Snapshot | PlanSource::Locked),
+                "{budget:?}: {source:?}"
+            );
+            reads.push(agree(&db, &q, AccessPath::BufferedScan, source));
+        }
+        assert!(reads[0] > reads[1], "{budget:?}: {reads:?}");
+        // The second query crossed the threshold: the tune section covered
+        // the value before `execute` returned.
+        assert_eq!(
+            agree(&db, &q, AccessPath::PartialIndex, PlanSource::None),
+            0
+        );
+    }
 }
 
 #[test]

@@ -8,16 +8,20 @@
 //! 1. return exactly the result set the sequential executor
 //!    (`execute_sequential`: the same pipeline with every lock held)
 //!    returns, query by query, with the same scan statistics; and
-//! 2. leave the Index Buffer contents, every per-page `C[p]`, and the
-//!    governor's `IndexSpace` charge identical to the sequential
-//!    executor's.
+//! 2. leave the Index Buffer contents, every per-page `C[p]`, the
+//!    governor's `IndexSpace` charge, every partial index's coverage and
+//!    the tuner's covered set identical to the sequential executor's.
+//!
+//! One dimension attaches an online tuner to `k`, whose partial index then
+//! covers a value set: its point queries adapt the index in `execute`'s
+//! short tune section, and in the sequential executor under every lock.
 //!
 //! Extends the `proptest_space.rs` pattern (random setup → invariant
 //! assertions vs first-principles recomputation) one layer up, to the
 //! engine's executor.
 
 use aib_core::{BufferConfig, ScanStats, SpaceConfig};
-use aib_engine::{Database, EngineConfig, PlanSource, Query};
+use aib_engine::{Database, EngineConfig, PlanSource, Query, TunerConfig};
 use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, CostModel, Schema, Tuple, Value, DEFAULT_ENTRY_FOOTPRINT};
 use proptest::prelude::*;
@@ -39,6 +43,9 @@ struct Workload {
     /// buffer empty, a mid-size cap forces the planner's fail-closed
     /// fallback and displacement decisions).
     budget_entries: Option<usize>,
+    /// A tuner on `k`, whose coverage is then the set of the same values,
+    /// with `k`'s point probes drawn from three hot values.
+    tuned: bool,
     probes: Vec<Probe>,
 }
 
@@ -63,13 +70,15 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
             (20usize..200).prop_map(Some),
         ],
         prop::collection::vec(probe, 4..12),
+        prop_oneof![Just(false), Just(true)],
     )
         .prop_map(
-            |(rows, covered_pct, columns, budget_entries, probes)| Workload {
+            |(rows, covered_pct, columns, budget_entries, probes, tuned)| Workload {
                 rows,
                 covered_pct,
                 columns,
                 budget_entries,
+                tuned,
                 probes,
             },
         )
@@ -79,11 +88,13 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
 type Answer = (usize, Option<ScanStats>);
 
 /// Observable end state: every buffer's entry count and per-page `C[p]`,
-/// and the governor's index-space byte charge.
+/// the governor's index-space byte charge, and per buffered column its
+/// partial index's coverage and the values its tuner covers.
 #[derive(Debug, PartialEq, Eq)]
 struct EndState {
     buffers: Vec<(usize, Vec<u32>)>,
     index_bytes: usize,
+    coverage: Vec<(Option<Coverage>, Option<Vec<Value>>)>,
 }
 
 /// Runs the workload through `execute` or its sequential twin and returns
@@ -122,22 +133,37 @@ fn run(w: &Workload, sequential: bool) -> (Vec<Answer>, Vec<PlanSource>, EndStat
     }
     let hi = w.covered_pct * w.rows / 100;
     let columns = &COLUMNS[..w.columns];
-    for column in columns {
+    for (c, column) in columns.iter().enumerate() {
+        let coverage = if w.tuned && c == 0 {
+            Coverage::Set((1..=hi).map(Value::Int).collect())
+        } else {
+            Coverage::IntRange { lo: 1, hi }
+        };
         db.create_partial_index(
             "t",
             column,
-            Coverage::IntRange { lo: 1, hi },
+            coverage,
             IndexBackend::BTree,
             Some(BufferConfig::default()),
         )
         .unwrap();
     }
+    if w.tuned {
+        let tuner = TunerConfig {
+            window: 6,
+            threshold: 2,
+            capacity: 2,
+        };
+        db.attach_tuner("t", COLUMNS[0], tuner).unwrap();
+    }
 
     let domain = |v: i64| 1 + (v - 1) % w.rows;
+    let hot = |v: i64| 1 + v % 3 * (w.rows / 3);
     let mut counts = Vec::with_capacity(w.probes.len());
     let mut plans = Vec::with_capacity(w.probes.len());
     for (probe, &column) in w.probes.iter().zip(columns.iter().cycle()) {
         let q = match *probe {
+            Probe::Point(v) if w.tuned && column == COLUMNS[0] => Query::point("t", column, hot(v)),
             Probe::Point(v) => Query::point("t", column, domain(v)),
             Probe::Between(lo, hi) => {
                 let (a, b) = (domain(lo), domain(hi));
@@ -171,6 +197,10 @@ fn run(w: &Workload, sequential: bool) -> (Vec<Answer>, Vec<PlanSource>, EndStat
             })
             .collect(),
         index_bytes: db.budget().snapshot().index_bytes,
+        coverage: columns
+            .iter()
+            .map(|c| (db.coverage("t", c), db.tuned_values("t", c)))
+            .collect(),
     };
     drop(space);
     (counts, plans, end)
@@ -191,7 +221,12 @@ proptest! {
         let (counts, plans, end) = run(&w, false);
         prop_assert_eq!(&counts, &seq_counts, "results diverged");
         prop_assert_eq!(&end, &seq_end, "end state diverged");
-        prop_assert!(!plans.contains(&PlanSource::Exclusive), "no tuner attached");
+        // Only the sequential executor runs exclusive, tuner or not.
+        prop_assert!(
+            !plans.contains(&PlanSource::Exclusive),
+            "execute ran exclusive (tuned: {})",
+            w.tuned
+        );
         if w.budget_entries.is_none() {
             // An unlimited budget is always plannable from the snapshot.
             prop_assert!(!plans.contains(&PlanSource::Locked));
@@ -211,6 +246,7 @@ fn both_plan_sources_are_taken_and_agree() {
         covered_pct: 20,
         columns: 2,
         budget_entries,
+        tuned: false,
         // `k` (even positions) misses once and fills most of the cap, then
         // only hits its partial index and goes cold; `k2` keeps missing.
         probes: vec![
@@ -245,5 +281,48 @@ fn both_plan_sources_are_taken_and_agree() {
         }
         let (seq_counts, _, seq_end) = run(&w, true);
         assert_eq!((counts, end), (seq_counts, seq_end), "{budget:?}");
+    }
+}
+
+/// The tuned dimension adapts: repeated point queries on `k` cross the
+/// tuner's threshold, the capacity evicts, and `execute`'s tune sections
+/// leave the same coverage, covered set, buffers and counters as the
+/// sequential executor — with a limited budget too, where the reads plan
+/// under the space lock.
+#[test]
+fn tuned_column_adapts_and_agrees() {
+    for budget_entries in [None, Some(150)] {
+        let w = Workload {
+            rows: 300,
+            covered_pct: 20,
+            columns: 2,
+            budget_entries,
+            tuned: true,
+            // `k`'s probes (even positions) visit its hot values 1, 101
+            // and 201, two of them often enough to be covered, and the
+            // third evicts the older of those.
+            probes: vec![
+                Probe::Point(4),
+                Probe::Point(250),
+                Probe::Point(4),
+                Probe::Between(240, 290),
+                Probe::Point(5),
+                Probe::Point(120),
+                Probe::Point(5),
+                Probe::Point(299),
+                Probe::Point(6),
+                Probe::Point(180),
+                Probe::Point(6),
+                Probe::Point(30),
+                Probe::Point(4),
+                Probe::Point(210),
+            ],
+        };
+        let (counts, plans, end) = run(&w, false);
+        assert!(!plans.contains(&PlanSource::Exclusive), "{plans:?}");
+        let covered = end.coverage[0].1.as_ref().expect("k is tuned");
+        assert_eq!(covered.len(), 2, "{budget_entries:?}: {end:?}");
+        let (seq_counts, _, seq_end) = run(&w, true);
+        assert_eq!((counts, end), (seq_counts, seq_end), "{budget_entries:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! Distilled models of engine protocols that live above the `aib_core`
 //! layer (WAL commit ordering, the group-commit handoff, the checkpoint
-//! cut).
+//! cut, the tune section against DML).
 //!
 //! The snapshot, deferred-drain, and budget protocols are model-checked
 //! directly against the production code in `aib-core`/`aib-storage`
@@ -15,7 +15,7 @@
 //! "...")` — a deliberately wrong variant the checker must catch, proving
 //! the model is not vacuous.
 
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
 
 /// Skeleton of the WAL commit protocol: `Database` applies a mutation in
 /// memory and appends the corresponding WAL record under one durability
@@ -281,5 +281,100 @@ impl CheckpointCutModel {
     #[must_use]
     pub fn log(&self) -> u64 {
         self.wal.lock().0
+    }
+}
+
+/// Skeleton of a tuned point query's tune section against DML
+/// (`Database::run_query` and `Database::tune` in
+/// `crates/engine/src/db.rs`). One value; rows are bits. A reader records
+/// the rows holding the value and the catalog's mutation count under the
+/// catalog read lock, then drops it. A writer inserts a row holding the
+/// value and bumps the count under the write lock; while the value is
+/// covered, Table I maintenance enters the row into the index in the same
+/// section. The tune section covers the value over the rows the reader
+/// recorded, under the write lock, only if the count still equals the one
+/// the reader saw.
+///
+/// Invariant: a covered value's index entries are exactly the rows that
+/// hold it.
+///
+/// Seeded bug `tune_unvalidated` skips the count check: an insert that
+/// commits between the read and the section leaves a row holding a covered
+/// value with no index entry.
+#[derive(Debug)]
+pub struct TuneSectionModel {
+    catalog: RwLock<TuneCatalog>,
+}
+
+#[derive(Debug, Default)]
+struct TuneCatalog {
+    /// Rows holding the value.
+    rows: u64,
+    /// The value's index entries, `Some` while it is covered.
+    entries: Option<u64>,
+    /// Bumped by every DML statement (`Catalog::mutations`).
+    mutations: u64,
+}
+
+/// What one [`TuneSectionModel::read`] saw under the catalog read lock.
+#[derive(Debug, Clone, Copy)]
+pub struct TuneRead {
+    rows: u64,
+    mutations: u64,
+}
+
+impl TuneSectionModel {
+    /// An uncovered value held by `rows`.
+    #[must_use]
+    pub fn new(rows: u64) -> Self {
+        TuneSectionModel {
+            catalog: RwLock::new(TuneCatalog {
+                rows,
+                ..TuneCatalog::default()
+            }),
+        }
+    }
+
+    /// The read: the rows matching the value, and the mutation count.
+    #[must_use]
+    pub fn read(&self) -> TuneRead {
+        let catalog = self.catalog.read();
+        TuneRead {
+            rows: catalog.rows,
+            mutations: catalog.mutations,
+        }
+    }
+
+    /// A DML statement inserting `row` (a single bit) with the value.
+    pub fn insert(&self, row: u64) {
+        let mut catalog = self.catalog.write();
+        catalog.rows |= row;
+        if let Some(entries) = &mut catalog.entries {
+            *entries |= row;
+        }
+        catalog.mutations += 1;
+    }
+
+    /// The tune section: covers the value over the rows `read` recorded.
+    pub fn tune(&self, read: TuneRead) {
+        let mut catalog = self.catalog.write();
+        #[cfg(not(model_seeded_bug = "tune_unvalidated"))]
+        if catalog.mutations != read.mutations {
+            // A statement committed since the read: its rows may differ.
+            return;
+        }
+        // WRONG: the count is never compared, so stale rows get covered.
+        #[cfg(model_seeded_bug = "tune_unvalidated")]
+        let _ = read.mutations;
+        catalog.entries = Some(read.rows);
+    }
+
+    /// Whether a covered value's entries are exactly the rows holding it.
+    #[must_use]
+    pub fn covered_exactly(&self) -> bool {
+        let catalog = self.catalog.read();
+        catalog
+            .entries
+            .is_none_or(|entries| entries == catalog.rows)
     }
 }

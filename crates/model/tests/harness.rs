@@ -32,6 +32,7 @@ const SEEDED_BUGS: &[&str] = &[
     "commit_ack_before_fsync",
     "checkpoint_cut_before_drain",
     "checkpoint_cut_after_unlock",
+    "tune_unvalidated",
 ];
 
 fn workspace_root() -> PathBuf {

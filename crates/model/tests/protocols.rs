@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use aib_core::{BufferConfig, SharedSpace, SpaceConfig};
-use aib_model::protocols::{CheckpointCutModel, CommitQueueModel, WalModel};
+use aib_model::protocols::{CheckpointCutModel, CommitQueueModel, TuneSectionModel, WalModel};
 use aib_model::sync::{AtomicU64, Ordering};
 use aib_model::{thread, Model};
 use aib_storage::{BudgetComponent, MemoryBudget};
@@ -270,6 +270,37 @@ fn checkpoint_cut_loses_no_frame() {
         assert_eq!(
             kept, 0b11,
             "a frame is missing from both the frozen image and the rotated log"
+        );
+    });
+}
+
+/// Protocol 9 — a tuned point query's tune section against DML. The read
+/// records the rows holding a value and the catalog's mutation count under
+/// the read lock; after it drops that lock, a writer may insert another
+/// row holding the value before the tune section takes the write lock.
+/// The section covers the value only if the count has not moved, so a
+/// covered value's index entries are always exactly its rows.
+///
+/// Catches: `tune_unvalidated` (the section skips the count check and
+/// covers the value with the rows of a read the insert has outdated).
+#[test]
+fn tune_section_covers_only_current_rows() {
+    Model::new("tune_section_covers_only_current_rows").check(|| {
+        let engine = Arc::new(TuneSectionModel::new(0b01));
+        let writer = {
+            let engine = Arc::clone(&engine);
+            thread::spawn(move || engine.insert(0b10))
+        };
+        let read = engine.read();
+        engine.tune(read);
+        assert!(
+            engine.covered_exactly(),
+            "a covered value's index entries differ from its rows"
+        );
+        writer.join();
+        assert!(
+            engine.covered_exactly(),
+            "a covered value's index entries differ from its rows"
         );
     });
 }
