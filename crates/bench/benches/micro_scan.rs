@@ -1,135 +1,23 @@
-//! Criterion microbenchmarks of the scan paths: plain table scan vs. the
-//! Algorithm-1 indexing scan at cold, warming, and fully buffered states,
-//! plus the covered-fraction sweep that records the scan fast-path
-//! trajectory in `BENCH_scan.json` (see EXPERIMENTS.md).
+//! The covered-fraction sweep: the scan fast path's cost per skippable-page
+//! fraction, recorded in `BENCH_scan.json` (see EXPERIMENTS.md).
+//!
+//! Keys are inserted sequentially (1..=SWEEP_ROWS) so an `IntRange` partial
+//! index covers a contiguous *prefix of pages*; with the Index Buffer budget
+//! pinned to zero entries, the skippable fraction stays exactly at the
+//! configured percentage across queries. Each query probes the first
+//! uncovered key, forcing the indexing-scan path over the remaining pages.
+//! A `plain` point — the same table with no index, so the same 516 pages
+//! through the same sweep with nothing skippable — sits beside the 0 % row:
+//! the two must cost the same, or the "buffer vs. table scan" comparisons
+//! built on them are not fair.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use aib_core::{BufferConfig, SpaceConfig};
 use aib_engine::{Database, Query};
 use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, CostModel, Schema, Tuple, Value};
-use criterion::{black_box, criterion_group, Criterion};
-
-const ROWS: i64 = 50_000;
-const DOMAIN: i64 = 5_000;
-
-fn build(buffered: bool) -> Database {
-    let db = Database::new(aib_engine::EngineConfig {
-        pool_frames: 256,
-        cost_model: CostModel::free(),
-        space: SpaceConfig {
-            max_bytes: None,
-            i_max: 1_000_000,
-            seed: 3,
-        },
-        ..Default::default()
-    });
-    db.create_table("t", Schema::new(vec![Column::int("k"), Column::str("pad")]))
-        .unwrap();
-    let mut x = 0x12345u64;
-    for _ in 0..ROWS {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let k = (x % DOMAIN as u64) as i64 + 1;
-        db.insert(
-            "t",
-            &Tuple::new(vec![Value::Int(k), Value::from("x".repeat(64))]),
-        )
-        .unwrap();
-    }
-    db.create_partial_index(
-        "t",
-        "k",
-        Coverage::IntRange {
-            lo: 1,
-            hi: DOMAIN / 10,
-        },
-        IndexBackend::BTree,
-        buffered.then(BufferConfig::default),
-    )
-    .unwrap();
-    db
-}
-
-fn bench_scans(c: &mut Criterion) {
-    let mut group = c.benchmark_group("query_uncovered_value");
-    group.sample_size(20);
-
-    // Plain scan: no buffer, every query reads every page.
-    let plain = build(false);
-    group.bench_function("plain_scan", |b| {
-        b.iter(|| {
-            let (r, _) = plain
-                .execute(&Query::point("t", "k", 4_000i64))
-                .unwrap()
-                .into_parts();
-            black_box(r.count())
-        })
-    });
-
-    // Fully buffered: warm up once, then every scan skips everything.
-    let warm = build(true);
-    warm.execute(&Query::point("t", "k", 4_000i64)).unwrap();
-    group.bench_function("buffered_scan_warm", |b| {
-        b.iter(|| {
-            let (r, _) = warm
-                .execute(&Query::point("t", "k", 4_001i64))
-                .unwrap()
-                .into_parts();
-            black_box(r.count())
-        })
-    });
-
-    // Index hit for reference.
-    group.bench_function("partial_index_hit", |b| {
-        b.iter(|| {
-            let (r, _) = warm
-                .execute(&Query::point("t", "k", 100i64))
-                .unwrap()
-                .into_parts();
-            black_box(r.count())
-        })
-    });
-
-    group.finish();
-}
-
-fn bench_first_indexing_scan(c: &mut Criterion) {
-    // The cold first scan pays the buffer build-up: measure its overhead
-    // relative to the plain scan (paper: "slightly longer runtime").
-    let mut group = c.benchmark_group("first_indexing_scan");
-    group.sample_size(10);
-    group.bench_function("cold_buffered_scan", |b| {
-        b.iter_with_setup(build_cold, |db| {
-            let (r, _) = db
-                .execute(&Query::point("t", "k", 4_000i64))
-                .unwrap()
-                .into_parts();
-            black_box(r.count())
-        })
-    });
-    group.finish();
-}
-
-fn build_cold() -> Database {
-    build(true)
-}
-
-// ---------------------------------------------------------------------------
-// Covered-fraction sweep: one measurement per skippable-page fraction.
-//
-// Keys are inserted sequentially (1..=SWEEP_ROWS) so an `IntRange` partial
-// index covers a contiguous *prefix of pages*; with the Index Buffer budget
-// pinned to zero entries, the skippable fraction stays exactly at the
-// configured percentage across queries. Each query probes the first
-// uncovered key, forcing the indexing-scan path over the remaining pages.
-// A `plain` point — the same table with no index, so the same 516 pages
-// through the same sweep with nothing skippable — sits beside the 0 % row:
-// the two must cost the same, or the "buffer vs. table scan" comparisons
-// built on them are not fair.
-// ---------------------------------------------------------------------------
 
 const SWEEP_ROWS: i64 = 50_000;
 const FRACTIONS: [u32; 4] = [0, 50, 90, 100];
@@ -303,15 +191,8 @@ fn emit_bench_json(points: &[SweepPoint], quick: bool) {
     }
 }
 
-criterion_group!(benches, bench_scans, bench_first_indexing_scan);
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--test");
-    let sweep_only = args.iter().any(|a| a == "--sweep-only");
+    let quick = std::env::args().any(|a| a == "--test");
     let points = covered_fraction_sweep(quick);
     emit_bench_json(&points, quick);
-    if !sweep_only {
-        benches();
-    }
 }

@@ -361,16 +361,6 @@ impl PageCounters {
         Ok(())
     }
 
-    /// Pages with `C[p] > 0`, i.e. pages a table scan must read, in page
-    /// order. Paper Algorithm 1 line 11.
-    pub fn unindexed_pages(&self) -> impl Iterator<Item = u32> + '_ {
-        self.c
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(p, _)| p as u32)
-    }
-
     /// Pages with `C[p] > 0` together with their counters, sorted ascending
     /// by counter — the page-selection order of Algorithm 2 ("adds pages in
     /// ascending order of their counter C": cheapest completions first).
@@ -530,13 +520,6 @@ mod tests {
             !c.is_fully_indexed(99),
             "untracked page must never be reported skippable"
         );
-    }
-
-    #[test]
-    fn unindexed_pages_iteration() {
-        let c = PageCounters::from_counts(vec![2, 0, 1, 0, 9]);
-        let pages: Vec<u32> = c.unindexed_pages().collect();
-        assert_eq!(pages, vec![0, 2, 4]);
     }
 
     #[test]

@@ -97,43 +97,6 @@ impl Coverage {
             }
         }
     }
-
-    /// Number of covered values, when enumerable.
-    pub fn covered_count(&self) -> Option<usize> {
-        match self {
-            Coverage::None => Some(0),
-            Coverage::All => None,
-            Coverage::IntRange { lo, hi } => {
-                Some(usize::try_from((hi - lo + 1).max(0)).unwrap_or(usize::MAX))
-            }
-            Coverage::Set(set) => Some(set.len()),
-        }
-    }
-
-    /// Fraction of `domain` values covered, for integer domains `1..=domain`.
-    /// Used by workload setup sanity checks and Fig. 3 scenarios.
-    pub fn selectivity(&self, domain: i64) -> f64 {
-        match self {
-            Coverage::None => 0.0,
-            Coverage::All => 1.0,
-            Coverage::IntRange { lo, hi } => {
-                let lo = (*lo).max(1);
-                let hi = (*hi).min(domain);
-                if hi < lo {
-                    0.0
-                } else {
-                    (hi - lo + 1) as f64 / domain as f64
-                }
-            }
-            Coverage::Set(set) => {
-                let n = set
-                    .iter()
-                    .filter(|v| v.as_int().is_some_and(|i| 1 <= i && i <= domain))
-                    .count();
-                n as f64 / domain as f64
-            }
-        }
-    }
 }
 
 /// A [`Coverage`] compiled for testing borrowed column values: the two
@@ -227,8 +190,6 @@ mod tests {
         assert!(!Coverage::None.covers(&Value::Int(1)));
         assert!(Coverage::All.covers(&Value::Int(1)));
         assert!(Coverage::All.covers(&Value::from("x")));
-        assert_eq!(Coverage::None.covered_count(), Some(0));
-        assert_eq!(Coverage::All.covered_count(), None);
     }
 
     #[test]
@@ -241,17 +202,6 @@ mod tests {
         assert!(
             !c.covers(&Value::from("5")),
             "non-int never covered by range"
-        );
-        assert_eq!(c.covered_count(), Some(5000));
-    }
-
-    #[test]
-    fn paper_selectivity_is_ten_percent() {
-        let c = Coverage::IntRange { lo: 1, hi: 5000 };
-        let s = c.selectivity(50_000);
-        assert!(
-            (s - 0.1).abs() < 1e-12,
-            "paper: top 10% of the value range, got {s}"
         );
     }
 
@@ -271,24 +221,5 @@ mod tests {
     #[should_panic(expected = "non-set coverage")]
     fn add_value_on_range_panics() {
         Coverage::IntRange { lo: 0, hi: 1 }.add_value(Value::Int(5));
-    }
-
-    #[test]
-    fn selectivity_clamps_to_domain() {
-        let c = Coverage::IntRange { lo: -100, hi: 200 };
-        assert!((c.selectivity(100) - 1.0).abs() < 1e-12);
-        let c = Coverage::IntRange { lo: 90, hi: 200 };
-        assert!((c.selectivity(100) - 0.11).abs() < 1e-12);
-        let c = Coverage::IntRange { lo: 300, hi: 400 };
-        assert_eq!(c.selectivity(100), 0.0);
-    }
-
-    #[test]
-    fn set_selectivity_counts_in_domain_ints() {
-        let mut c = Coverage::empty_set();
-        c.add_value(Value::Int(5));
-        c.add_value(Value::Int(500));
-        c.add_value(Value::from("x"));
-        assert!((c.selectivity(100) - 0.01).abs() < 1e-12);
     }
 }

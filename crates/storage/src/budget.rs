@@ -280,13 +280,6 @@ pub struct BudgetSnapshot {
     pub displacements: u64,
 }
 
-impl BudgetSnapshot {
-    /// Combined resident bytes across both components.
-    pub fn total_bytes(&self) -> usize {
-        self.buffer_pool_bytes + self.index_bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,7 +335,6 @@ mod tests {
         let snap = b.snapshot();
         assert_eq!(snap.buffer_pool_bytes, 0);
         assert_eq!(snap.index_bytes, 250);
-        assert_eq!(snap.total_bytes(), 250);
         assert_eq!(snap.high_water, 500);
     }
 

@@ -24,7 +24,7 @@
 //!    write-back (see `remap_frame`), which must land before the victim's
 //!    mapping leaves the page table. Everything else under it is array
 //!    writes: the page table is a dense `Vec` indexed by page id and the
-//!    recency list is intrusive ([`LruPolicy`]), so a whole sweep batch
+//!    recency list is intrusive (`LruPolicy`), so a whole sweep batch
 //!    holds the mutex for a few hundred nanoseconds;
 //! 2. per-frame `RwLock`s — acquired after `state` only for frames proven
 //!    unpinned (no holders, cannot block), otherwise after releasing `state`;

@@ -28,7 +28,7 @@ pub mod file_backend;
 pub mod freespace;
 pub mod heap;
 pub mod page;
-pub mod replacement;
+mod replacement;
 pub mod rid;
 pub mod rng;
 pub mod schema;

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The one way to build this workspace without a registry: writes the
 # git-ignored .cargo/config.toml that turns the network off and patches the
-# three crates.io dependencies onto the tracked stand-ins (stubs/ for the
-# test and bench harnesses, e2e/stubs/ for parking_lot, the one the engine
+# two crates.io dependencies onto the tracked stand-ins (stubs/ for the
+# property-test harness, e2e/stubs/ for parking_lot, the one the engine
 # crates link).
 # After it, plain `cargo build`, `cargo test`, `cargo bench` work from the
 # repository root. Cargo.lock then names stand-in versions and stays
@@ -22,6 +22,5 @@ offline = true
 [patch.crates-io]
 parking_lot = { path = "e2e/stubs/parking_lot" }
 proptest = { path = "stubs/proptest" }
-criterion = { path = "stubs/criterion" }
 TOML
 echo "wrote $root/.cargo/config.toml"
