@@ -186,13 +186,6 @@ impl SkipBitset {
         }
     }
 
-    /// The set (skippable) extents of the whole bitset, in order.
-    pub fn skippable_runs(&self) -> impl Iterator<Item = std::ops::Range<u32>> + '_ {
-        self.runs(0..self.len)
-            .filter(|(_, skippable)| *skippable)
-            .map(|(extent, _)| extent)
-    }
-
     /// Analytic sweep shape over `0..num_pages` when reads are issued in
     /// groups of `batch` pages: `(skip_runs, sweep_batches)` — the number of
     /// contiguous skippable extents a sweep jumps over whole, and the number
@@ -411,11 +404,6 @@ impl PageCounters {
         self.skip.resized(num_pages)
     }
 
-    /// The maintained skippable extents (`C[p] == 0` runs), in page order.
-    pub fn skippable_runs(&self) -> impl Iterator<Item = std::ops::Range<u32>> + '_ {
-        self.skip.skippable_runs()
-    }
-
     /// Shadow check: the maintained bitset must mirror `C[p] == 0` exactly
     /// (same length, same per-page skippability, consistent running count).
     /// Called from the `invariant-checks` shadow model and the proptests.
@@ -631,8 +619,6 @@ mod tests {
             vec![(198..200, true), (200..210, false),]
         );
         assert_eq!(b.runs(7..7).count(), 0);
-        let skippable: Vec<_> = b.skippable_runs().collect();
-        assert_eq!(skippable, vec![64..130, 197..200]);
     }
 
     #[test]
@@ -642,7 +628,6 @@ mod tests {
             empty.runs(0..100).collect::<Vec<_>>(),
             vec![(0..100, false)]
         );
-        assert_eq!(empty.skippable_runs().count(), 0);
         let mut full = SkipBitset::with_len(100);
         for p in 0..100 {
             full.insert(p);

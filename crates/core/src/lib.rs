@@ -82,7 +82,9 @@ pub use history::LruKHistory;
 pub use index_buffer::{BufferId, DroppedPartition, IndexBuffer};
 #[cfg(feature = "invariant-checks")]
 pub use invariants::{verify_buffer, verify_space, GroundTruth, InvariantReport};
-pub use maintenance::{cover_tuple, maintain, uncover_tuple, MaintAction, TupleRef};
+pub use maintenance::{
+    cover_tuple, maintain, maintain_partial_index, uncover_tuple, MaintAction, TupleRef,
+};
 pub use partition::{Partition, PartitionId};
 pub use scan::{
     apply_staged, buffer_scan_rids, indexing_scan, planned_scan_threads, prepare_scan,

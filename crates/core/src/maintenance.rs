@@ -73,6 +73,33 @@ pub enum MaintAction {
     IncNew,
 }
 
+/// The partial-index row of Table I alone: what a column without an Index
+/// Buffer runs, and the first step of [`maintain`]. Returns the operation
+/// performed, if any.
+pub fn maintain_partial_index(
+    partial: &mut PartialIndex,
+    old: Option<&TupleRef>,
+    new: Option<&TupleRef>,
+) -> Option<MaintAction> {
+    let old = old.filter(|t| partial.covers(&t.value));
+    let new = new.filter(|t| partial.covers(&t.value));
+    match (old, new) {
+        (Some(o), Some(n)) => {
+            partial.update(&o.value, o.rid, n.value.clone(), n.rid);
+            Some(MaintAction::IxUpdate)
+        }
+        (Some(o), None) => {
+            partial.remove(&o.value, o.rid);
+            Some(MaintAction::IxRemove)
+        }
+        (None, Some(n)) => {
+            partial.add(n.value.clone(), n.rid);
+            Some(MaintAction::IxAdd)
+        }
+        (None, None) => None,
+    }
+}
+
 /// Applies Table I for one column. `old`/`new` are the before/after images
 /// of the mutated tuple as this column sees them (`None` for insert/delete).
 /// Returns the primitive operations performed, in execution order.
@@ -89,25 +116,7 @@ pub fn maintain(
     new: Option<TupleRef>,
 ) -> Result<Vec<MaintAction>, CounterError> {
     let mut actions = Vec::with_capacity(2);
-    let old_in_ix = old.as_ref().map(|t| partial.covers(&t.value));
-    let new_in_ix = new.as_ref().map(|t| partial.covers(&t.value));
-
-    // --- Partial index row -------------------------------------------------
-    match (&old, old_in_ix, &new, new_in_ix) {
-        (Some(o), Some(true), Some(n), Some(true)) => {
-            partial.update(&o.value, o.rid, n.value.clone(), n.rid);
-            actions.push(MaintAction::IxUpdate);
-        }
-        (Some(o), Some(true), _, _) => {
-            partial.remove(&o.value, o.rid);
-            actions.push(MaintAction::IxRemove);
-        }
-        (_, _, Some(n), Some(true)) => {
-            partial.add(n.value.clone(), n.rid);
-            actions.push(MaintAction::IxAdd);
-        }
-        _ => {}
-    }
+    actions.extend(maintain_partial_index(partial, old.as_ref(), new.as_ref()));
 
     // --- Buffer / counter matrix -------------------------------------------
     // The page of any new tuple is tracked from here on, covered or not: a
@@ -118,14 +127,8 @@ pub fn maintain(
         counters.ensure_page(n.page);
     }
     // Only uncovered sides participate in the matrix itself.
-    let old_u = match (old, old_in_ix) {
-        (Some(t), Some(false)) => Some(t),
-        _ => None,
-    };
-    let new_u = match (new, new_in_ix) {
-        (Some(t), Some(false)) => Some(t),
-        _ => None,
-    };
+    let old_u = old.filter(|t| !partial.covers(&t.value));
+    let new_u = new.filter(|t| !partial.covers(&t.value));
     match (old_u, new_u) {
         (None, None) => {}
         (None, Some(n)) => {

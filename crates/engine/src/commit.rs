@@ -22,26 +22,22 @@
 //! watermark in an atomic *after* the covering fsync; a waiter polls that
 //! watermark, and only `try_lock`s the mutex to lead a batch itself. A
 //! covered follower therefore acks and goes on to stage its next commit
-//! while the current leader is still lingering or inside `sync_data`,
-//! and an uncovered one snoozes off-mutex (bounded yield, then a timed
-//! park) until its batch is decided. That is what lets batches form even
-//! on a machine with fewer cores than writers: if acking — or waking a
-//! parked waiter — required the mutex, a lingering leader would hold
-//! every other writer hostage and batches would never exceed one frame.
-//! The fsync-before-publish obligation is the model-checked protocol
+//! while the current leader is still inside `sync_data`, and an uncovered
+//! one snoozes off-mutex (bounded yield, then a timed park) until its
+//! batch is decided. That is what lets batches form even on a machine with
+//! fewer cores than writers: if acking — or waking a parked waiter —
+//! required the mutex, a leader inside its fsync would hold every other
+//! writer hostage and batches would never exceed one frame. The
+//! fsync-before-publish obligation is the model-checked protocol
 //! (`aib_model::protocols::CommitQueueModel`, protocol 7).
 //!
-//! ### Window knobs
+//! ### Natural batching
 //!
-//! With [`crate::EngineConfig::group_commit_wait_us`]` = 0` (the default)
-//! the leader never lingers: a single uncontended writer stages one frame
-//! and immediately writes + fsyncs it — bit-for-bit the fsync-per-record
-//! behavior of PR 7 (same syscall sequence, same on-disk bytes). Batches
-//! still form naturally under contention, because writers that stage while
+//! The leader never waits for followers: a single uncontended writer
+//! stages one frame and immediately writes + fsyncs it — bit-for-bit the
+//! fsync-per-record behavior of PR 7 (same syscall sequence, same on-disk
+//! bytes). Batches form under contention because writers that stage while
 //! a leader is inside `sync_data` are drained together by the next leader.
-//! A nonzero window makes the leader sleep that many microseconds before
-//! draining, trading its own latency for a larger batch; the wait is
-//! skipped once the staged bytes reach `GROUP_COMMIT_MAX_BYTES`.
 //!
 //! ### Failure semantics
 //!
@@ -123,10 +119,6 @@ struct WalState {
     failed: Option<(u64, StorageError)>,
 }
 
-/// Group-commit byte cap: once the staged bytes reach this, the leader
-/// skips the window wait. Bounds ack latency under a nonzero window.
-const GROUP_COMMIT_MAX_BYTES: usize = 1 << 20;
-
 /// The group-commit pipeline of one durable [`crate::Database`]. See the
 /// module docs for the protocol.
 pub(crate) struct CommitPipeline {
@@ -138,8 +130,6 @@ pub(crate) struct CommitPipeline {
     /// Tickets above it take the locked path, where `WalState::failed`
     /// disambiguates "not yet decided" from "lost".
     clean_durable: AtomicU64,
-    /// Leader linger before draining, in microseconds (0 = never).
-    wait_us: u64,
     /// Records between automatic checkpoints.
     checkpoint_interval: u64,
     /// 1 when a periodic checkpoint is due (leaders set, checkpointer
@@ -165,7 +155,7 @@ pub(crate) struct CommitPipeline {
 
 impl CommitPipeline {
     /// A pipeline over a freshly rotated WAL.
-    pub fn new(wal: Wal, wait_us: u64, checkpoint_interval: u64) -> Self {
+    pub fn new(wal: Wal, checkpoint_interval: u64) -> Self {
         CommitPipeline {
             queue: Mutex::new(CommitQueue {
                 next_seq: 1,
@@ -181,7 +171,6 @@ impl CommitPipeline {
                 failed: None,
             }),
             clean_durable: AtomicU64::new(0),
-            wait_us,
             checkpoint_interval,
             checkpoint_due: AtomicU64::new(0),
             shutdown: AtomicU64::new(0),
@@ -237,7 +226,7 @@ impl CommitPipeline {
                 // A leader is at work and our frame is already staged for
                 // its (or the next) batch. Wait *off* the mutex: if we
                 // blocked inside `lock()`, waking us would need the mutex
-                // back, and the next leader's linger would hold every
+                // back, and the next leader's fsync would hold every
                 // covered follower hostage — batches would never form.
                 // First a bounded yield-spin sized to a typical fsync, so
                 // the publish is caught the moment it lands (a park/unpark
@@ -285,27 +274,11 @@ impl CommitPipeline {
         }
     }
 
-    /// One leader turn: optionally linger for followers, take what is staged
-    /// off the queue, write it with one positional write + one `sync_data`,
-    /// and publish the outcome. Runs with the WAL mutex held — followers block
-    /// on that mutex and are woken by its release.
+    /// One leader turn: take what is staged off the queue, write it with
+    /// one positional write + one `sync_data`, and publish the outcome.
+    /// Runs with the WAL mutex held; stagers only need the queue mutex, so
+    /// they keep queueing for the next batch meanwhile.
     fn lead(&self, w: &mut WalState) {
-        if self.wait_us > 0 {
-            // The group-commit window: stagers only need the queue mutex,
-            // so they keep queueing while the leader (holding only the WAL
-            // mutex) lingers. Yield instead of sleeping — `thread::sleep`
-            // oversleeps by the kernel timer slack (~50µs), which would
-            // both stretch the window and serialize it before the fsync;
-            // yielding keeps the window honest and hands the CPU to the
-            // very stagers the leader is collecting.
-            let deadline = Instant::now() + Duration::from_micros(self.wait_us);
-            while Instant::now() < deadline {
-                if self.queue.lock().frames.len() >= GROUP_COMMIT_MAX_BYTES {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
         let (frames, records, last) = {
             let mut q = self.queue.lock();
             let records = std::mem::take(&mut q.records);

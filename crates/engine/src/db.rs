@@ -57,8 +57,9 @@ use std::time::Instant;
 use aib_core::sync::{AtomicUsize, Ordering, RwLock, RwLockReadGuard};
 
 use aib_core::{
-    cover_tuple, maintain, uncover_tuple, BufferConfig, BufferId, IndexBufferSpace, Predicate,
-    ScanStats, SharedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot, TupleRef,
+    cover_tuple, maintain, maintain_partial_index, uncover_tuple, BufferConfig, BufferId,
+    IndexBufferSpace, Predicate, ScanStats, SharedSpace, SnapshotCache, SpaceConfig, SpaceSnapshot,
+    TupleRef,
 };
 use aib_index::{AdaptationCost, Coverage, IndexBackend, PartialIndex};
 use aib_storage::stats::IoSnapshot;
@@ -68,7 +69,7 @@ use aib_storage::{
     WalRecord,
 };
 
-use crate::commit::{checkpointer_loop, CommitPipeline, Ticket};
+use crate::commit::{checkpointer_loop, CommitPipeline};
 use crate::durability::{DdlOp, IndexDef, SnapshotImage, TableImage};
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::QueryMetrics;
@@ -109,14 +110,6 @@ pub struct EngineConfig {
     /// Irrelevant for in-memory databases ([`Database::new`]), which have
     /// no WAL.
     pub wal_checkpoint_interval: u64,
-    /// Group-commit window in microseconds: how long a commit leader
-    /// lingers before writing its batch, giving concurrent writers time to
-    /// stage into it. `0` (the default) never lingers, which reproduces
-    /// the fsync-per-record write path bit-for-bit for a single writer —
-    /// concurrent writers still batch naturally, because frames staged
-    /// while a leader is inside its fsync are drained together by the next
-    /// leader. See `crate::commit` for the pipeline.
-    pub group_commit_wait_us: u64,
 }
 
 impl Default for EngineConfig {
@@ -127,7 +120,6 @@ impl Default for EngineConfig {
             space: SpaceConfig::default(),
             scan_threads: 1,
             wal_checkpoint_interval: 4096,
-            group_commit_wait_us: 0,
         }
     }
 }
@@ -240,9 +232,10 @@ impl Table {
 struct Catalog {
     tables: Vec<Table>,
     names: HashMap<String, usize>,
-    /// Bumped by every DML and DDL write section. A tune section applies a
-    /// decision only if the count still equals the one its read saw, so the
-    /// read's rids are still exactly the rows holding the queried value.
+    /// Bumped by the write section of every DML and DDL statement
+    /// (`Database::write_section`). A tune section applies a decision only
+    /// if the count still equals the one its read saw, so the read's rids
+    /// are still exactly the rows holding the queried value.
     /// Tuning itself leaves it alone: covering a value moves no row.
     mutations: u64,
 }
@@ -260,6 +253,121 @@ impl Catalog {
             .schema
             .column_index(column)
             .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))
+    }
+
+    /// Table, column and slot of the partial index on `table.column`.
+    fn index_slot(&self, table: &str, column: &str) -> EngineResult<(usize, usize, usize)> {
+        let ti = self.table_index(table)?;
+        let ci = self.column_index(ti, column)?;
+        let slot = self.tables[ti]
+            .indexed_column(ci)
+            .ok_or_else(|| EngineError::NoSuchIndex(format!("{table}.{column}")))?;
+        Ok((ti, ci, slot))
+    }
+
+    /// Inserts a run of tuples of one table through
+    /// [`HeapFile::insert_run`] (one heap lock, one page latch per page
+    /// filled — and exactly the placement of one-by-one inserts), then logs
+    /// each placed tuple and maintains every index for it. Stops at the
+    /// first tuple that fails; the ones before it are applied and logged.
+    /// Shared by [`Database::insert`] (a run of one) and
+    /// [`Database::execute_batch`].
+    fn insert_run(
+        &mut self,
+        space: &mut IndexBufferSpace,
+        table: &str,
+        tuples: &[&Tuple],
+        records: &mut Vec<WalRecord>,
+    ) -> EngineResult<Vec<Rid>> {
+        let ti = self.table_index(table)?;
+        let t = &mut self.tables[ti];
+        let mut invalid = None;
+        let mut encoded = Vec::with_capacity(tuples.len());
+        for tuple in tuples {
+            match tuple.to_bytes_checked(&t.schema) {
+                Ok(bytes) => encoded.push(bytes),
+                Err(e) => {
+                    invalid = Some(e);
+                    break;
+                }
+            }
+        }
+        let mut placed = Vec::with_capacity(encoded.len());
+        let images: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let landed = t.heap.insert_run(&images, &mut placed);
+        drop(images);
+        let mut rids = Vec::with_capacity(placed.len());
+        for ((rid, page), (tuple, bytes)) in placed.into_iter().zip(tuples.iter().zip(encoded)) {
+            let table = ti as u32;
+            records.push(WalRecord::Insert { table, rid, bytes });
+            for ic in &mut t.indexed {
+                let value = column_value(tuple, ic.column)?;
+                apply_maintenance(space, ic, None, Some(TupleRef::new(value, rid, page)))?;
+            }
+            rids.push(rid);
+        }
+        landed?;
+        invalid.map_or(Ok(rids), |e| Err(e.into()))
+    }
+
+    /// Deletes the tuple at `rid` and logs it (Table I, delete row).
+    fn delete(
+        &mut self,
+        space: &mut IndexBufferSpace,
+        table: &str,
+        rid: Rid,
+        records: &mut Vec<WalRecord>,
+    ) -> EngineResult<()> {
+        let ti = self.table_index(table)?;
+        let t = &mut self.tables[ti];
+        let old = Tuple::from_bytes(&t.heap.get(rid)?)?;
+        t.heap.delete(rid)?;
+        records.push(WalRecord::Delete {
+            table: ti as u32,
+            rid,
+        });
+        let page = t.ordinal(rid)?;
+        for ic in &mut t.indexed {
+            let value = column_value(&old, ic.column)?;
+            apply_maintenance(space, ic, Some(TupleRef::new(value, rid, page)), None)?;
+        }
+        Ok(())
+    }
+
+    /// Updates the tuple at `rid` and logs it, returning its possibly new
+    /// record id (Table I, full matrix).
+    fn update(
+        &mut self,
+        space: &mut IndexBufferSpace,
+        table: &str,
+        rid: Rid,
+        tuple: &Tuple,
+        records: &mut Vec<WalRecord>,
+    ) -> EngineResult<Rid> {
+        let ti = self.table_index(table)?;
+        let t = &mut self.tables[ti];
+        let bytes = tuple.to_bytes_checked(&t.schema)?;
+        let old = Tuple::from_bytes(&t.heap.get(rid)?)?;
+        let old_page = t.ordinal(rid)?;
+        let new_rid = t.heap.update(rid, &bytes)?;
+        records.push(WalRecord::Update {
+            table: ti as u32,
+            old: rid,
+            new: new_rid,
+            bytes,
+        });
+        let new_page = t.ordinal(new_rid)?;
+        for ic in &mut t.indexed {
+            let old_value = column_value(&old, ic.column)?;
+            let new_value = column_value(tuple, ic.column)?;
+            apply_maintenance(
+                space,
+                ic,
+                Some(TupleRef::new(old_value, rid, old_page)),
+                Some(TupleRef::new(new_value, new_rid, new_page)),
+            )?;
+        }
+        Ok(new_rid)
     }
 }
 
@@ -458,7 +566,6 @@ impl Database {
         let snapshot = WalRecord::Snapshot(snapshot_image(&db.catalog.read()).encode());
         let pipeline = Arc::new(CommitPipeline::new(
             Wal::create(dir, WAL_FILE, &snapshot)?,
-            db.config.group_commit_wait_us,
             db.config.wal_checkpoint_interval,
         ));
         db.durability = Some(Arc::clone(&pipeline));
@@ -641,22 +748,31 @@ impl Database {
         Ok(())
     }
 
-    /// Stages `records` on the commit pipeline (in-memory databases log
-    /// nothing). Call under the catalog write lock, so log order is
-    /// mutation order; pass the ticket to [`Database::wait_durable`]
-    /// *after* releasing the lock.
-    fn stage(&self, records: &[WalRecord]) -> Option<Ticket> {
-        self.durability.as_ref().and_then(|p| p.stage(records))
-    }
-
-    /// Blocks until the staged records are covered by an fsync (leading
-    /// the batch if this thread gets there first). The commit is acked to
-    /// the caller only when this returns `Ok`.
-    fn wait_durable(&self, ticket: Option<Ticket>) -> EngineResult<()> {
-        match (&self.durability, ticket) {
-            (Some(pipeline), Some(ticket)) => Ok(pipeline.wait_durable(ticket)?),
-            _ => Ok(()),
+    /// One statement's write section, the protocol every DML and DDL
+    /// statement runs: under the catalog write lock `body` mutates and
+    /// pushes the WAL records of what it applied. Those records are staged
+    /// on the commit pipeline before the lock drops — also when `body`
+    /// fails, so a failing batch logs its applied prefix — and the
+    /// statement is acked only after their covering fsync, awaited with no
+    /// engine lock held (in-memory databases log nothing). The one place
+    /// the catalog's mutation count moves.
+    fn write_section<R>(
+        &self,
+        body: impl FnOnce(&mut Catalog, &mut Vec<WalRecord>) -> EngineResult<R>,
+    ) -> EngineResult<R> {
+        let (out, ticket) = {
+            let mut catalog = self.catalog.write();
+            catalog.mutations += 1;
+            let mut records = Vec::new();
+            let out = body(&mut catalog, &mut records);
+            let ticket = self.durability.as_ref().and_then(|p| p.stage(&records));
+            self.verify_checkpoint_now(&catalog)?;
+            (out, ticket)
+        };
+        if let (Some(pipeline), Some(ticket)) = (&self.durability, ticket) {
+            pipeline.wait_durable(ticket)?;
         }
+        out
     }
 
     /// Records appended to the WAL through this handle (0 for in-memory
@@ -835,27 +951,24 @@ impl Database {
     /// already exists.
     pub fn create_table(&self, name: impl Into<String>, schema: Schema) -> EngineResult<()> {
         let name = name.into();
-        let ticket = {
-            let mut catalog = self.catalog.write();
-            catalog.mutations += 1;
+        self.write_section(|catalog, records| {
             if catalog.names.contains_key(&name) {
                 return Err(EngineError::TableExists(name));
             }
-            let idx = catalog.tables.len();
             let ddl = DdlOp::CreateTable {
                 name: name.clone(),
                 schema: schema.clone(),
             };
+            records.push(WalRecord::Ddl(ddl.encode()));
+            catalog.names.insert(name.clone(), catalog.tables.len());
             catalog.tables.push(Table {
-                name: name.clone(),
+                name,
                 schema,
                 heap: HeapFile::new(Arc::clone(&self.pool)),
                 indexed: Vec::new(),
             });
-            catalog.names.insert(name, idx);
-            self.stage(&[WalRecord::Ddl(ddl.encode())])
-        };
-        self.wait_durable(ticket)
+            Ok(())
+        })
     }
 
     /// Looks up a table, returning a read guard that dereferences to it.
@@ -872,176 +985,48 @@ impl Database {
     /// staged on the group-commit pipeline and acked only after its
     /// covering fsync; see `crate::commit`.
     pub fn insert(&self, table: &str, tuple: &Tuple) -> EngineResult<Rid> {
-        self.dml(|catalog, space| {
-            let mut placed = Vec::with_capacity(1);
-            self.insert_run_locked(catalog, space, table, &[tuple], &mut placed)?;
-            placed
-                .pop()
+        self.write_section(|catalog, records| {
+            let rids = catalog.insert_run(&mut self.space.write(), table, &[tuple], records)?;
+            rids.first()
+                .copied()
                 .ok_or_else(|| EngineError::Internal("insert placed nothing".into()))
         })
     }
 
-    /// One DML statement end to end: `op` mutates under the catalog and
-    /// space write locks and names its log record, which is staged
-    /// before the locks drop; the commit is acked only after its covering
-    /// fsync, awaited with no engine lock held.
-    fn dml<R>(
-        &self,
-        op: impl FnOnce(&mut Catalog, &mut IndexBufferSpace) -> EngineResult<(R, WalRecord)>,
-    ) -> EngineResult<R> {
-        let (out, ticket) = {
-            let mut catalog = self.catalog.write();
-            catalog.mutations += 1;
-            let mut space = self.space.write();
-            let (out, record) = op(&mut catalog, &mut space)?;
-            let ticket = self.stage(&[record]);
-            self.verify_checkpoint(&catalog, &space)?;
-            (out, ticket)
-        };
-        self.wait_durable(ticket)?;
-        Ok(out)
-    }
-
-    /// Insert body under the caller's catalog + space write locks: places a
-    /// run of tuples of one table through [`HeapFile::insert_run`] (one heap
-    /// lock, one page latch per page filled — and exactly the placement of
-    /// one-by-one inserts), then maintains every index for each, pushing the
-    /// rid and the record to stage onto `placed`. Stops at the first tuple
-    /// that fails; the ones before it are applied and in `placed`. Shared by
-    /// [`Database::insert`] (a run of one) and [`Database::execute_batch`].
-    fn insert_run_locked(
-        &self,
-        catalog: &mut Catalog,
-        space: &mut IndexBufferSpace,
-        table: &str,
-        tuples: &[&Tuple],
-        placed: &mut Vec<(Rid, WalRecord)>,
-    ) -> EngineResult<()> {
-        let ti = catalog.table_index(table)?;
-        let t = &mut catalog.tables[ti];
-        let mut invalid = None;
-        let mut encoded = Vec::with_capacity(tuples.len());
-        for tuple in tuples {
-            match tuple.to_bytes_checked(&t.schema) {
-                Ok(bytes) => encoded.push(bytes),
-                Err(e) => {
-                    invalid = Some(e);
-                    break;
-                }
-            }
-        }
-        let mut rids = Vec::with_capacity(encoded.len());
-        let images: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        let landed = t.heap.insert_run(&images, &mut rids);
-        drop(images);
-        for ((rid, page), (tuple, bytes)) in rids.into_iter().zip(tuples.iter().zip(encoded)) {
-            for ic in &mut t.indexed {
-                let value = column_value(tuple, ic.column)?;
-                apply_maintenance(space, ic, None, Some(TupleRef::new(value, rid, page)))?;
-            }
-            let table = ti as u32;
-            placed.push((rid, WalRecord::Insert { table, rid, bytes }));
-        }
-        landed?;
-        invalid.map_or(Ok(()), |e| Err(e.into()))
-    }
-
     /// Deletes the tuple at `rid` (Table I, delete row).
     pub fn delete(&self, table: &str, rid: Rid) -> EngineResult<()> {
-        self.dml(|catalog, space| Ok(((), self.delete_locked(catalog, space, table, rid)?)))
-    }
-
-    /// Delete body under the caller's catalog + space write locks.
-    fn delete_locked(
-        &self,
-        catalog: &mut Catalog,
-        space: &mut IndexBufferSpace,
-        table: &str,
-        rid: Rid,
-    ) -> EngineResult<WalRecord> {
-        let ti = catalog.table_index(table)?;
-        let bytes = catalog.tables[ti].heap.get(rid)?;
-        let old = Tuple::from_bytes(&bytes)?;
-        catalog.tables[ti].heap.delete(rid)?;
-        let page = catalog.tables[ti].ordinal(rid)?;
-        let t = &mut catalog.tables[ti];
-        for ic in &mut t.indexed {
-            let value = column_value(&old, ic.column)?;
-            apply_maintenance(space, ic, Some(TupleRef::new(value, rid, page)), None)?;
-        }
-        Ok(WalRecord::Delete {
-            table: ti as u32,
-            rid,
+        self.write_section(|catalog, records| {
+            catalog.delete(&mut self.space.write(), table, rid, records)
         })
     }
 
     /// Updates the tuple at `rid`, returning its possibly new record id
     /// (Table I, full matrix — the tuple may change pages).
     pub fn update(&self, table: &str, rid: Rid, tuple: &Tuple) -> EngineResult<Rid> {
-        self.dml(|catalog, space| self.update_locked(catalog, space, table, rid, tuple))
+        self.write_section(|catalog, records| {
+            catalog.update(&mut self.space.write(), table, rid, tuple, records)
+        })
     }
 
-    /// Update body under the caller's catalog + space write locks.
-    fn update_locked(
-        &self,
-        catalog: &mut Catalog,
-        space: &mut IndexBufferSpace,
-        table: &str,
-        rid: Rid,
-        tuple: &Tuple,
-    ) -> EngineResult<(Rid, WalRecord)> {
-        let ti = catalog.table_index(table)?;
-        let bytes = tuple.to_bytes_checked(&catalog.tables[ti].schema)?;
-        let old_bytes = catalog.tables[ti].heap.get(rid)?;
-        let old = Tuple::from_bytes(&old_bytes)?;
-        let old_page = catalog.tables[ti].ordinal(rid)?;
-        let new_rid = catalog.tables[ti].heap.update(rid, &bytes)?;
-        let new_page = catalog.tables[ti].ordinal(new_rid)?;
-        let t = &mut catalog.tables[ti];
-        for ic in &mut t.indexed {
-            let old_value = column_value(&old, ic.column)?;
-            let new_value = column_value(tuple, ic.column)?;
-            apply_maintenance(
-                space,
-                ic,
-                Some(TupleRef::new(old_value, rid, old_page)),
-                Some(TupleRef::new(new_value, new_rid, new_page)),
-            )?;
-        }
-        Ok((
-            new_rid,
-            WalRecord::Update {
-                table: ti as u32,
-                old: rid,
-                new: new_rid,
-                bytes,
-            },
-        ))
-    }
-
-    /// Applies a batch of DML operations under **one** catalog/space lock
-    /// acquisition and **one** commit-pipeline ticket, so a single client
-    /// amortizes the covering fsync across the whole batch exactly like
-    /// concurrent writers do (the group-commit window's single-threaded
-    /// twin). Returns one entry per op: the new [`Rid`] for inserts and
-    /// updates, `None` for deletes.
+    /// Applies a batch of DML operations in **one** write section, so the
+    /// batch takes the catalog and space locks once and rides **one**
+    /// commit-pipeline ticket: a single client amortizes the covering fsync
+    /// across the whole batch exactly like concurrent writers do. Returns
+    /// one entry per op: the new [`Rid`] for inserts and updates, `None`
+    /// for deletes.
     ///
     /// The batch is **not atomic**: ops apply in order, and on the first
     /// failing op the batch stops — the applied prefix is still staged and
     /// made durable (its fsync is awaited) before the error is returned,
     /// matching the "every acked mutation is durable" contract op by op.
     pub fn execute_batch(&self, ops: &[BatchOp]) -> EngineResult<Vec<Option<Rid>>> {
-        let (result, ticket) = {
-            let mut catalog = self.catalog.write();
-            catalog.mutations += 1;
+        self.write_section(|catalog, records| {
             let mut space = self.space.write();
-            let mut records = Vec::with_capacity(ops.len());
             let mut rids = Vec::with_capacity(ops.len());
-            let mut failure = None;
             let mut rest = ops;
             while let Some((op, after)) = rest.split_first() {
                 rest = after;
-                let applied = match op {
+                match op {
                     BatchOp::Insert { table, tuple } => {
                         // The whole run of inserts into this table at once.
                         let mut run = vec![tuple];
@@ -1054,48 +1039,22 @@ impl Database {
                             run.push(tuple);
                             rest = after;
                         }
-                        let mut placed = Vec::with_capacity(run.len());
-                        let ran = self.insert_run_locked(
-                            &mut catalog,
-                            &mut space,
-                            table,
-                            &run,
-                            &mut placed,
-                        );
-                        for (rid, record) in placed {
-                            rids.push(Some(rid));
-                            records.push(record);
-                        }
-                        ran
+                        let placed = catalog.insert_run(&mut space, table, &run, records)?;
+                        rids.extend(placed.into_iter().map(Some));
                     }
-                    BatchOp::Delete { table, rid } => self
-                        .delete_locked(&mut catalog, &mut space, table, *rid)
-                        .map(|record| {
-                            rids.push(None);
-                            records.push(record);
-                        }),
-                    BatchOp::Update { table, rid, tuple } => self
-                        .update_locked(&mut catalog, &mut space, table, *rid, tuple)
-                        .map(|(rid, record)| {
-                            rids.push(Some(rid));
-                            records.push(record);
-                        }),
-                };
-                if let Err(e) = applied {
-                    failure = Some(e);
-                    break;
+                    BatchOp::Delete { table, rid } => {
+                        catalog.delete(&mut space, table, *rid, records)?;
+                        rids.push(None);
+                    }
+                    BatchOp::Update { table, rid, tuple } => {
+                        rids.push(Some(
+                            catalog.update(&mut space, table, *rid, tuple, records)?,
+                        ));
+                    }
                 }
             }
-            let ticket = self.stage(&records);
-            self.verify_checkpoint(&catalog, &space)?;
-            let result = match failure {
-                Some(e) => Err(e),
-                None => Ok(rids),
-            };
-            (result, ticket)
-        };
-        self.wait_durable(ticket)?;
-        result
+            Ok(rids)
+        })
     }
 
     /// Fetches the tuple at `rid`.
@@ -1124,80 +1083,63 @@ impl Database {
         _backend: IndexBackend,
         buffer: Option<BufferConfig>,
     ) -> EngineResult<()> {
-        let mut catalog = self.catalog.write();
-        catalog.mutations += 1;
-        let ti = catalog.table_index(table)?;
-        let ci = catalog.column_index(ti, column)?;
-        if catalog.tables[ti].indexed_column(ci).is_some() {
-            return Err(EngineError::IndexExists(format!("{table}.{column}")));
-        }
-        let def = IndexDef {
-            column: ci as u32,
-            coverage,
-            buffer,
-        };
-        let ic = self.build_index_from_heap(&catalog.tables[ti], def.clone())?;
-        catalog.tables[ti].indexed.push(ic);
-        self.space.read().sync_budget();
-        let ticket = self.stage(&[WalRecord::Ddl(
-            DdlOp::CreateIndex {
+        self.write_section(|catalog, records| {
+            let ti = catalog.table_index(table)?;
+            let ci = catalog.column_index(ti, column)?;
+            if catalog.tables[ti].indexed_column(ci).is_some() {
+                return Err(EngineError::IndexExists(format!("{table}.{column}")));
+            }
+            let def = IndexDef {
+                column: ci as u32,
+                coverage,
+                buffer,
+            };
+            let ic = self.build_index_from_heap(&catalog.tables[ti], def.clone())?;
+            catalog.tables[ti].indexed.push(ic);
+            self.space.read().sync_budget();
+            let ddl = DdlOp::CreateIndex {
                 table: ti as u32,
                 def,
-            }
-            .encode(),
-        )]);
-        self.verify_checkpoint_now(&catalog)?;
-        drop(catalog);
-        self.wait_durable(ticket)
+            };
+            records.push(WalRecord::Ddl(ddl.encode()));
+            Ok(())
+        })
     }
 
     /// Drops the partial index of a column and unregisters its Index Buffer
     /// from the space. Subsequent queries on the column fall back to plain
     /// scans.
     pub fn drop_partial_index(&self, table: &str, column: &str) -> EngineResult<()> {
-        let mut catalog = self.catalog.write();
-        catalog.mutations += 1;
-        let ti = catalog.table_index(table)?;
-        let ci = catalog.column_index(ti, column)?;
-        let slot = catalog.tables[ti]
-            .indexed_column(ci)
-            .ok_or_else(|| EngineError::NoSuchIndex(format!("{table}.{column}")))?;
-        let ic = catalog.tables[ti].indexed.remove(slot);
-        if let Some(bid) = ic.buffer {
-            self.space.unregister(bid);
-        }
-        let ticket = self.stage(&[WalRecord::Ddl(
-            DdlOp::DropIndex {
+        self.write_section(|catalog, records| {
+            let (ti, ci, slot) = catalog.index_slot(table, column)?;
+            if let Some(bid) = catalog.tables[ti].indexed.remove(slot).buffer {
+                self.space.unregister(bid);
+            }
+            let ddl = DdlOp::DropIndex {
                 table: ti as u32,
                 column: ci as u32,
-            }
-            .encode(),
-        )]);
-        self.verify_checkpoint_now(&catalog)?;
-        drop(catalog);
-        self.wait_durable(ticket)
+            };
+            records.push(WalRecord::Ddl(ddl.encode()));
+            Ok(())
+        })
     }
 
     /// Attaches an online tuner to an indexed column. The column's coverage
     /// must be a [`Coverage::Set`] (the tuner adapts value by value);
     /// anything else is [`EngineError::Unsupported`].
     pub fn attach_tuner(&self, table: &str, column: &str, config: TunerConfig) -> EngineResult<()> {
-        let mut catalog = self.catalog.write();
-        catalog.mutations += 1;
-        let ti = catalog.table_index(table)?;
-        let ci = catalog.column_index(ti, column)?;
-        let slot = catalog.tables[ti]
-            .indexed_column(ci)
-            .ok_or_else(|| EngineError::NoSuchIndex(format!("{table}.{column}")))?;
-        let ic = &mut catalog.tables[ti].indexed[slot];
-        if !matches!(ic.partial.coverage(), Coverage::Set(_)) {
-            return Err(EngineError::Unsupported(format!(
-                "tuned columns need Coverage::Set, {table}.{column} has {:?}",
-                ic.partial.coverage()
-            )));
-        }
-        ic.tuner = Some(OnlineTuner::new(config));
-        Ok(())
+        self.write_section(|catalog, _| {
+            let (ti, _, slot) = catalog.index_slot(table, column)?;
+            let ic = &mut catalog.tables[ti].indexed[slot];
+            if !matches!(ic.partial.coverage(), Coverage::Set(_)) {
+                return Err(EngineError::Unsupported(format!(
+                    "tuned columns need Coverage::Set, {table}.{column} has {:?}",
+                    ic.partial.coverage()
+                )));
+            }
+            ic.tuner = Some(OnlineTuner::new(config));
+            Ok(())
+        })
     }
 
     /// Replaces the coverage of an indexed column wholesale (experiment 4's
@@ -1209,39 +1151,33 @@ impl Database {
         column: &str,
         coverage: Coverage,
     ) -> EngineResult<()> {
-        let mut catalog = self.catalog.write();
-        catalog.mutations += 1;
-        let ti = catalog.table_index(table)?;
-        let ci = catalog.column_index(ti, column)?;
-        let slot = catalog.tables[ti]
-            .indexed_column(ci)
-            .ok_or_else(|| EngineError::NoSuchIndex(format!("{table}.{column}")))?;
-        let t = &mut catalog.tables[ti];
-        let ic = &mut t.indexed[slot];
-        // Redefinition *is* DDL: the logged coverage moves with it (unlike
-        // tuner adaptation, which recovery deliberately reverts).
-        ic.logged.coverage = coverage.clone();
-        let ddl = DdlOp::RedefineCoverage {
-            table: ti as u32,
-            column: ci as u32,
-            coverage: coverage.clone(),
-        };
-        ic.partial.redefine_coverage(coverage);
-        // Rebuild entries and counters from the heap; any buffered pages are
-        // invalidated (their composition changed under the buffer). Both the
-        // clear and the counter reset bump the space epoch, so snapshots
-        // published before the redefinition stop validating.
-        if let Some(bid) = ic.buffer {
-            self.space.write().clear_buffer(bid);
-        }
-        let counts = populate_from_heap(&t.heap, ci, &mut ic.partial)?;
-        if let Some(bid) = ic.buffer {
-            self.space.write().reset_counters(bid, counts);
-        }
-        let ticket = self.stage(&[WalRecord::Ddl(ddl.encode())]);
-        self.verify_checkpoint_now(&catalog)?;
-        drop(catalog);
-        self.wait_durable(ticket)
+        self.write_section(|catalog, records| {
+            let (ti, ci, slot) = catalog.index_slot(table, column)?;
+            let t = &mut catalog.tables[ti];
+            let ic = &mut t.indexed[slot];
+            // Redefinition *is* DDL: the logged coverage moves with it
+            // (unlike tuner adaptation, which recovery deliberately reverts).
+            ic.logged.coverage = coverage.clone();
+            let ddl = DdlOp::RedefineCoverage {
+                table: ti as u32,
+                column: ci as u32,
+                coverage: coverage.clone(),
+            };
+            records.push(WalRecord::Ddl(ddl.encode()));
+            ic.partial.redefine_coverage(coverage);
+            // Rebuild entries and counters from the heap; any buffered pages
+            // are invalidated (their composition changed under the buffer).
+            // Both the clear and the counter reset bump the space epoch, so
+            // snapshots published before the redefinition stop validating.
+            if let Some(bid) = ic.buffer {
+                self.space.write().clear_buffer(bid);
+            }
+            let counts = populate_from_heap(&t.heap, ci, &mut ic.partial)?;
+            if let Some(bid) = ic.buffer {
+                self.space.write().reset_counters(bid, counts);
+            }
+            Ok(())
+        })
     }
 
     /// Drains under-occupied pages by relocating their tuples into pages
@@ -1253,33 +1189,37 @@ impl Database {
     ///
     /// Vacuuming improves the physical/logical correlation story of paper
     /// Fig. 3 in reverse: it *concentrates* tuples, raising page occupancy
-    /// so page-skipping decisions are about full pages.
+    /// so page-skipping decisions are about full pages. The whole vacuum is
+    /// one write section: one covering fsync however many tuples moved.
     pub fn vacuum(&self, table: &str, min_occupancy: f64) -> EngineResult<(u32, u64)> {
-        let (drained, moved, ticket) = {
-            let mut catalog = self.catalog.write();
-            catalog.mutations += 1;
+        self.write_section(|catalog, records| {
             let mut space = self.space.write();
             let ti = catalog.table_index(table)?;
-            let pages = catalog.tables[ti].heap.num_pages();
+            let t = &mut catalog.tables[ti];
+            let pages = t.heap.num_pages();
             if pages == 0 {
                 return Ok((0, 0));
             }
-            let avg = catalog.tables[ti].heap.live_tuples() as f64 / pages as f64;
+            let avg = t.heap.live_tuples() as f64 / pages as f64;
             let threshold = (avg * min_occupancy).floor() as usize;
-            let mut drained = 0;
-            let mut moved = 0;
-            let mut records = Vec::new();
+            let (mut drained, mut moved) = (0, 0);
             for ord in 0..pages {
-                let tuples = catalog.tables[ti].page_tuples(ord)?;
+                let tuples = t.page_tuples(ord)?;
                 if tuples.is_empty() || tuples.len() >= threshold {
                     continue;
                 }
                 drained += 1;
                 for (rid, tuple) in tuples {
-                    let new_rid = catalog.tables[ti].heap.relocate(rid)?;
-                    let new_ord = catalog.tables[ti].ordinal(new_rid)?;
+                    let new_rid = t.heap.relocate(rid)?;
+                    // A relocation is an update whose value didn't change.
+                    records.push(WalRecord::Update {
+                        table: ti as u32,
+                        old: rid,
+                        new: new_rid,
+                        bytes: tuple.to_bytes(),
+                    });
+                    let new_ord = t.ordinal(new_rid)?;
                     moved += 1;
-                    let t = &mut catalog.tables[ti];
                     for ic in &mut t.indexed {
                         let value = column_value(&tuple, ic.column)?;
                         apply_maintenance(
@@ -1289,23 +1229,10 @@ impl Database {
                             Some(TupleRef::new(value, new_rid, new_ord)),
                         )?;
                     }
-                    // A relocation is an update whose value didn't change.
-                    records.push(WalRecord::Update {
-                        table: ti as u32,
-                        old: rid,
-                        new: new_rid,
-                        bytes: tuple.to_bytes(),
-                    });
                 }
             }
-            // The whole vacuum rides one ticket — one covering fsync no
-            // matter how many tuples moved.
-            let ticket = self.stage(&records);
-            self.verify_checkpoint(&catalog, &space)?;
-            (drained, moved, ticket)
-        };
-        self.wait_durable(ticket)?;
-        Ok((drained, moved))
+            Ok((drained, moved))
+        })
     }
 
     // ------------------------------------------------------------ queries
@@ -1434,7 +1361,8 @@ impl Database {
             .map(|b| space.buffer(b).num_entries())
             .collect();
         let metrics = self.finish_metrics(clock, &result, scan, source, buffer_entries);
-        self.verify_checkpoint(catalog, &space)?;
+        drop(space);
+        self.verify_checkpoint_now(catalog)?;
         Ok(ExecOutcome { result, metrics })
     }
 
@@ -1571,20 +1499,9 @@ impl Database {
     }
 
     /// Shadow-model checkpoint: diffs bookkeeping against ground truth
-    /// after every mutation when `invariant-checks` is on; compiles to
-    /// nothing otherwise. Takes the caller's held space guard — never
-    /// acquires.
-    #[inline]
-    fn verify_checkpoint(&self, catalog: &Catalog, space: &IndexBufferSpace) -> EngineResult<()> {
-        #[cfg(feature = "invariant-checks")]
-        self.verify_with(catalog, space)?;
-        let _ = (catalog, space);
-        Ok(())
-    }
-
-    /// Shadow-model checkpoint for paths that do not hold the space lock:
-    /// acquires it (read) only when `invariant-checks` is on — reads stay
-    /// lock-free in normal builds.
+    /// after every mutation when `invariant-checks` is on, taking the space
+    /// lock (read), so the caller must not hold it; compiles to nothing
+    /// otherwise.
     #[inline]
     fn verify_checkpoint_now(&self, catalog: &Catalog) -> EngineResult<()> {
         #[cfg(feature = "invariant-checks")]
@@ -1733,8 +1650,8 @@ fn apply_tuning(
     Ok(())
 }
 
-/// Routes one column's maintenance through Table I (buffered columns) or the
-/// plain partial-index ops (unbuffered columns). A counter underflow inside
+/// Routes one column's maintenance through Table I (buffered columns) or
+/// its partial-index row alone (unbuffered columns). A counter underflow inside
 /// `maintain` means engine bookkeeping diverged from the heap; it surfaces as
 /// [`EngineError::Invariant`].
 fn apply_maintenance(
@@ -1756,19 +1673,7 @@ fn apply_maintenance(
             space.sync_budget();
         }
         None => {
-            // Only the partial-index row of Table I applies.
-            let old_cov = old.as_ref().filter(|t| ic.partial.covers(&t.value));
-            let new_cov = new.as_ref().filter(|t| ic.partial.covers(&t.value));
-            match (old_cov, new_cov) {
-                (Some(o), Some(n)) => ic.partial.update(&o.value, o.rid, n.value.clone(), n.rid),
-                (Some(o), None) => {
-                    ic.partial.remove(&o.value, o.rid);
-                }
-                (None, Some(n)) => {
-                    ic.partial.add(n.value.clone(), n.rid);
-                }
-                (None, None) => {}
-            }
+            maintain_partial_index(&mut ic.partial, old.as_ref(), new.as_ref());
         }
     }
     Ok(())

@@ -377,7 +377,7 @@ mod tests {
             .unwrap();
             let (r, m) = db.execute(&miss).unwrap().into_parts();
             assert_eq!((m.path, &r.rids), (AccessPath::BufferedScan, &expected));
-            assert_eq!(m.buffer_entries.len(), 1, "one CSV column per live buffer");
+            assert_eq!(m.buffer_entries.len(), 1, "one entry count per live buffer");
         }
         assert_eq!(db.space_snapshot().buffers().count(), 1);
         assert_eq!(db.buffer_id("t", "k"), Some(51), "ids are never reused");

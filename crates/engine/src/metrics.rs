@@ -116,63 +116,6 @@ impl WorkloadRecorder {
             .count();
         hits as f64 / slice.len() as f64
     }
-
-    /// Renders the series as CSV with one row per query. Columns:
-    /// `seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,mem_displacements,entries_b0,entries_b1,...`
-    /// (`plan` is the [`PlanSource`] tag: `snapshot`, `locked`,
-    /// `exclusive`, or `none` for hits and plain scans; `read_requests` is
-    /// the disk requests `pages_read` arrived in — one per page fetched on
-    /// its own, one per contiguous run of a sweep batch).
-    pub fn to_csv(&self) -> String {
-        let buffers = self
-            .records
-            .iter()
-            .map(|r| r.buffer_entries.len())
-            .max()
-            .unwrap_or(0);
-        let mut out = String::from(
-            "seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,\
-             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,\
-             mem_displacements",
-        );
-        for b in 0..buffers {
-            out.push_str(&format!(",entries_b{b}"));
-        }
-        out.push('\n');
-        for r in &self.records {
-            let path = match r.path {
-                AccessPath::PartialIndex => "index",
-                AccessPath::BufferedScan => "buffered",
-                AccessPath::PlainScan => "scan",
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.seq,
-                path,
-                r.plan.as_str(),
-                r.result_count,
-                r.io.page_reads,
-                r.io.read_requests,
-                r.pages_skipped(),
-                r.skip_runs(),
-                r.sweep_batches(),
-                r.simulated_us(),
-                r.wall.as_micros(),
-                r.memory.buffer_pool_bytes,
-                r.memory.index_bytes,
-                r.memory.high_water,
-                r.memory.displacements,
-            ));
-            for b in 0..buffers {
-                out.push_str(&format!(
-                    ",{}",
-                    r.buffer_entries.get(b).copied().unwrap_or(0)
-                ));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -214,38 +157,6 @@ mod tests {
         assert_eq!(rec.hit_rate(0, 2), 0.5);
         assert_eq!(rec.hit_rate(4, 8), 0.0, "out of range is empty");
         assert_eq!(rec.len(), 4);
-    }
-
-    #[test]
-    fn csv_shape() {
-        let mut rec = WorkloadRecorder::new();
-        rec.push(record(0, AccessPath::PartialIndex));
-        let mut scanned = record(1, AccessPath::BufferedScan);
-        scanned.scan = Some(ScanStats {
-            pages_skipped: 4,
-            skip_runs: 2,
-            sweep_batches: 3,
-            ..Default::default()
-        });
-        scanned.plan = PlanSource::Locked;
-        rec.push(scanned);
-        let csv = rec.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "seq,path,plan,results,pages_read,read_requests,pages_skipped,skip_runs,\
-             sweep_batches,sim_us,wall_us,pool_bytes,index_bytes,mem_high_water,\
-             mem_displacements,entries_b0,entries_b1"
-        );
-        assert_eq!(
-            lines.next().unwrap(),
-            "0,index,none,1,2,1,0,0,0,200,5,16384,960,17344,2,10,20"
-        );
-        assert_eq!(
-            lines.next().unwrap(),
-            "1,buffered,locked,1,2,1,4,2,3,200,5,16384,960,17344,2,10,20",
-            "scan rows carry the plan-source tag and the sweep-shape columns"
-        );
     }
 
     #[test]

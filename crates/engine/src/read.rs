@@ -63,7 +63,7 @@ pub enum PlanSource {
 }
 
 impl PlanSource {
-    /// The tag metrics, the per-query CSV and `explain` print.
+    /// The tag `explain` prints.
     pub fn as_str(self) -> &'static str {
         match self {
             PlanSource::None => "none",

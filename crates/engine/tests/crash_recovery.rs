@@ -10,7 +10,7 @@
 //!   crash simply reverts coverage to its DDL-time definition.
 
 use aib_core::BufferConfig;
-use aib_engine::{AccessPath, Database, EngineConfig, Query, TunerConfig};
+use aib_engine::{AccessPath, BatchOp, Database, EngineConfig, EngineError, Query, TunerConfig};
 use aib_index::{Coverage, IndexBackend};
 use aib_storage::{Column, Fault, MemDir, Rid, Schema, Tuple, Value};
 use std::path::PathBuf;
@@ -468,15 +468,6 @@ fn wal_records_auto_checkpoint_at_interval() {
 
 // ------------------------------------------------------ group commit
 
-/// Group-commit window used by the suite: long enough that concurrent
-/// writers actually share fsyncs, short enough to keep the tests fast.
-fn grouped() -> EngineConfig {
-    EngineConfig {
-        group_commit_wait_us: 200,
-        ..config()
-    }
-}
-
 /// The core ack guarantee under concurrency: every DML call that
 /// *returned `Ok`* before the crash must survive it, no matter how the
 /// group-commit leader batched the frames. 8 writers race on disjoint key
@@ -486,7 +477,7 @@ fn grouped() -> EngineConfig {
 fn no_acked_commit_is_lost_across_a_crash() {
     let dir = TempDir::new("acked");
     let acked: Vec<i64> = {
-        let db = Database::open(dir.path(), grouped()).unwrap().into_shared();
+        let db = Database::open(dir.path(), config()).unwrap().into_shared();
         db.create_table("t", schema()).unwrap();
         let mut acked = Vec::new();
         std::thread::scope(|s| {
@@ -521,7 +512,7 @@ fn no_acked_commit_is_lost_across_a_crash() {
         // Crash: drop without close.
     };
 
-    let db = Database::open(dir.path(), grouped()).unwrap();
+    let db = Database::open(dir.path(), config()).unwrap();
     let keys: std::collections::BTreeSet<i64> = image(&db, "t")
         .into_iter()
         .map(|(_, t)| match t.get(0) {
@@ -644,8 +635,7 @@ fn group_committed_log_replays_identically_to_per_record_log() {
     let batched = TempDir::new("batched");
 
     let run = |dir: &TempDir, batch: bool| {
-        let cfg = if batch { grouped() } else { config() };
-        let db = Database::open(dir.path(), cfg).unwrap();
+        let db = Database::open(dir.path(), config()).unwrap();
         db.create_table("t", schema()).unwrap();
         if batch {
             let ops: Vec<aib_engine::BatchOp> = (0..40i64)
@@ -733,6 +723,83 @@ fn execute_batch_amortizes_to_one_fsync() {
     db.close().unwrap();
 }
 
+/// Every statement runs one write section, which stages what the statement
+/// applied even when it fails: nothing for a statement that failed before
+/// it changed anything, the applied prefix for a batch that failed midway.
+#[test]
+fn a_failed_statement_stages_only_what_it_applied() {
+    let dir = Arc::new(MemDir::new());
+    let expected: std::collections::BTreeSet<i64> = {
+        let db = open_in(&dir, config());
+        db.create_table("t", schema()).unwrap();
+        for k in 0..4 {
+            db.insert("t", &tuple(k)).unwrap();
+        }
+        let rows = image(&db, "t");
+        let unknown = Rid {
+            slot: aib_storage::SlotId(999),
+            ..rows[0].0
+        };
+        let written = db.wal_records_written();
+
+        let wrong_arity = Tuple::new(vec![Value::Int(7)]);
+        assert!(db.insert("t", &wrong_arity).is_err());
+        assert!(db.delete("t", unknown).is_err());
+        assert!(db.update("t", unknown, &tuple(8)).is_err());
+        let missing = db.create_partial_index(
+            "t",
+            "missing",
+            Coverage::IntRange { lo: 0, hi: 9 },
+            IndexBackend::BTree,
+            None,
+        );
+        assert!(matches!(missing, Err(EngineError::UnknownColumn(_))));
+        assert_eq!(
+            db.wal_records_written(),
+            written,
+            "failed statements log nothing"
+        );
+
+        // The third op fails: the insert and the update before it are
+        // applied, staged and made durable; the insert after it never runs.
+        let ops = vec![
+            BatchOp::Insert {
+                table: "t".into(),
+                tuple: tuple(100),
+            },
+            BatchOp::Update {
+                table: "t".into(),
+                rid: rows[1].0,
+                tuple: tuple(1001),
+            },
+            BatchOp::Delete {
+                table: "t".into(),
+                rid: unknown,
+            },
+            BatchOp::Insert {
+                table: "t".into(),
+                tuple: tuple(102),
+            },
+        ];
+        let failed = db.execute_batch(&ops);
+        assert!(matches!(failed, Err(EngineError::Storage(_))), "{failed:?}");
+        assert_eq!(db.wal_records_written(), written + 2, "the two-op prefix");
+        assert_eq!(db.table("t").unwrap().live_tuples(), 5);
+        [0, 1001, 2, 3, 100].into()
+        // Crash: drop without close.
+    };
+
+    let db = open_in(&dir, config());
+    let keys: std::collections::BTreeSet<i64> = image(&db, "t")
+        .into_iter()
+        .map(|(_, t)| match t.get(0) {
+            Some(Value::Int(k)) => *k,
+            other => panic!("unexpected key {other:?}"),
+        })
+        .collect();
+    assert_eq!(keys, expected, "the prefix and nothing more");
+}
+
 /// 8 racing writers under the shadow model: after a crash mid-race, the
 /// recovered bookkeeping must match a `GroundTruth` recomputation (heap
 /// rescan + coverage), and the heap holds exactly the acked rows.
@@ -741,7 +808,7 @@ fn execute_batch_amortizes_to_one_fsync() {
 fn racing_writers_recover_to_ground_truth() {
     let dir = TempDir::new("racetruth");
     let acked: Vec<i64> = {
-        let db = Database::open(dir.path(), grouped()).unwrap().into_shared();
+        let db = Database::open(dir.path(), config()).unwrap().into_shared();
         db.create_table("t", schema()).unwrap();
         db.create_partial_index(
             "t",
@@ -776,7 +843,7 @@ fn racing_writers_recover_to_ground_truth() {
         // Crash.
     };
 
-    let db = Database::open(dir.path(), grouped()).unwrap();
+    let db = Database::open(dir.path(), config()).unwrap();
     db.verify_invariants().unwrap();
     db.check_space_invariants();
     let keys: std::collections::BTreeSet<i64> = image(&db, "t")

@@ -24,7 +24,6 @@ pub struct AdaptationCost {
     /// Index entries per leaf page, i.e. mutations amortised per page write.
     pub entries_per_page: u64,
     pending: u64,
-    total_entries: u64,
 }
 
 impl AdaptationCost {
@@ -38,26 +37,23 @@ impl AdaptationCost {
             cost,
             entries_per_page,
             pending: 0,
-            total_entries: 0,
         }
     }
 
-    /// A cost sink that only counts entries, charging no I/O (used for the
-    /// Index Buffer side and for tests).
+    /// A cost sink that charges no I/O (used for the Index Buffer side and
+    /// for tests).
     pub fn free() -> Self {
         AdaptationCost {
             io: None,
             cost: CostModel::free(),
             entries_per_page: u64::MAX,
             pending: 0,
-            total_entries: 0,
         }
     }
 
     /// Records `n` mutated entries, charging page writes as full pages
     /// accumulate.
     pub fn charge_entries(&mut self, n: u64) {
-        self.total_entries += n;
         self.pending += n;
         if let Some(io) = &self.io {
             let pages = self.pending / self.entries_per_page;
@@ -67,23 +63,11 @@ impl AdaptationCost {
             }
         }
     }
-
-    /// Total entries mutated over this sink's lifetime.
-    pub fn total_entries(&self) -> u64 {
-        self.total_entries
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn free_sink_counts_without_io() {
-        let mut c = AdaptationCost::free();
-        c.charge_entries(1000);
-        assert_eq!(c.total_entries(), 1000);
-    }
 
     #[test]
     fn charged_sink_amortises_page_writes() {
@@ -108,7 +92,6 @@ mod tests {
         let s = io.snapshot();
         assert_eq!(s.page_writes, 3, "2 more full pages, 50 entries pending");
         assert_eq!(s.simulated_us, 30);
-        assert_eq!(c.total_entries(), 350);
     }
 
     #[test]

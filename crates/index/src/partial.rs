@@ -84,11 +84,6 @@ impl PartialIndex {
         self.index.is_empty()
     }
 
-    /// Cumulative entries mutated by maintenance and adaptation.
-    pub fn maintenance_entries(&self) -> u64 {
-        self.cost.total_entries()
-    }
-
     /// `IX.Add(t)` — inserts an entry for a covered tuple.
     ///
     /// # Panics
@@ -296,7 +291,6 @@ mod tests {
         assert!(ix.contains(&Value::Int(6), Rid::new(0, 1)));
         assert!(ix.remove(&Value::Int(6), Rid::new(0, 1)));
         assert!(ix.is_empty());
-        assert_eq!(ix.maintenance_entries(), 4, "add + update(2) + remove");
     }
 
     #[test]
@@ -359,7 +353,6 @@ mod tests {
             .count();
         assert_eq!(batched.add_batch(entries), added);
         assert_eq!(added, 24);
-        assert_eq!(batched.maintenance_entries(), looped.maintenance_entries());
         assert_eq!(io_batch.snapshot(), io_loop.snapshot());
     }
 

@@ -82,8 +82,8 @@ impl WalModel {
 /// wait; a follower whose ticket is already covered acks off the published
 /// atomic watermark without touching the WAL mutex (the lock-free fast
 /// path that lets covered writers stage their next commit while a leader
-/// lingers), while the first waiter to find its ticket not yet durable
-/// takes the mutex and becomes the leader: it "fsyncs" the staged batch
+/// is inside its fsync), while the first waiter to find its ticket not yet
+/// durable takes the mutex and becomes the leader: it "fsyncs" the staged batch
 /// (modeled as an atomic the mutex does not guard — bytes on the platter)
 /// and only then publishes the durable watermark. The protocol's
 /// happens-before obligation: whichever path a follower acks on, the
