@@ -147,28 +147,6 @@ impl CompiledPredicate {
         }
     }
 
-    /// Evaluates the predicate straight off a stored tuple's encoded bytes —
-    /// the per-tuple fast path. `Equals` compares the pre-encoded key against
-    /// the column's byte window in place, with no decode at all; `Between`
-    /// decodes a borrowed [`ColumnRef`] view. Structural corruption *before*
-    /// the column errors on both arms; corruption inside the compared column
-    /// reports as a non-match on the `Equals` arm (the window read does not
-    /// decode it), matching [`Predicate::matches`] on every well-formed
-    /// tuple.
-    #[inline]
-    pub fn matches_tuple(&self, bytes: &[u8], column: usize) -> Result<bool, StorageError> {
-        match self {
-            CompiledPredicate::Equals { key } => {
-                Ok(Tuple::read_column_window(bytes, column, key.len())?
-                    .is_some_and(|w| short_bytes_eq(w, key)))
-            }
-            CompiledPredicate::Between { .. } => {
-                let col = Tuple::read_column_raw(bytes, column)?;
-                Ok(self.matches(&col))
-            }
-        }
-    }
-
     /// Pushes the rid of every matching live tuple on one page — the
     /// page-level fast path of the sweep. The predicate shape is
     /// dispatched once per page, not once per row; the `Equals` row loop is
@@ -655,7 +633,10 @@ mod tests {
     use super::*;
     use crate::config::{BufferConfig, SpaceConfig};
 
-    use aib_storage::{BufferPool, BufferPoolConfig, Column, CostModel, FileBackend, Schema};
+    use aib_storage::{
+        BufferPool, BufferPoolConfig, Column, CostModel, FileBackend, Schema, SlottedPage,
+        PAGE_SIZE,
+    };
 
     /// Builds a heap of two-column tuples (key, payload) with `n` keys
     /// `0..n`, plus a space with one buffer whose partial index covers keys
@@ -956,20 +937,41 @@ mod tests {
         for predicate in &predicates {
             let compiled = CompiledPredicate::compile(predicate);
             for v in &values {
-                let tuple = Tuple::new(vec![Value::from("pad"), v.clone()]);
-                let bytes = tuple.to_bytes();
-                let col = Tuple::read_column_raw(&bytes, 1).unwrap();
-                assert_eq!(
-                    compiled.matches(&col),
-                    predicate.matches(v),
-                    "{predicate:?} on {v:?}"
-                );
-                assert_eq!(
-                    compiled.matches_tuple(&bytes, 1).unwrap(),
-                    predicate.matches(v),
-                    "window path: {predicate:?} on {v:?}"
-                );
+                let pad = Value::from("pad");
+                for (column, tuple) in [(0, [v, &pad]), (1, [&pad, v])] {
+                    let bytes = Tuple::new(tuple.map(Value::clone).to_vec()).to_bytes();
+                    let col = Tuple::read_column_raw(&bytes, column).unwrap();
+                    assert_eq!(
+                        compiled.matches(&col),
+                        predicate.matches(v),
+                        "column {column}: {predicate:?} on {v:?}"
+                    );
+                    assert_eq!(
+                        page_matches(&compiled, &bytes, column),
+                        predicate.matches(v),
+                        "page kernel, column {column}: {predicate:?} on {v:?}"
+                    );
+                }
             }
         }
+    }
+
+    /// Runs `compiled` through the sweep's page kernel
+    /// ([`CompiledPredicate::matches_page`]) over a page holding the one
+    /// tuple `bytes`: whether that tuple matched.
+    fn page_matches(compiled: &CompiledPredicate, bytes: &[u8], column: usize) -> bool {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut page = SlottedPage::new(&mut buf);
+        page.init();
+        let rid = Rid {
+            page: PageId(3),
+            slot: page.insert(bytes).unwrap(),
+        };
+        let mut out = Vec::new();
+        compiled
+            .matches_page(&page.view(), rid.page, column, &mut out)
+            .unwrap();
+        assert!(out.is_empty() || out == [rid], "{out:?}");
+        !out.is_empty()
     }
 }

@@ -51,39 +51,6 @@ impl BTreeIndex {
         inserted
     }
 
-    /// Adds a batch of entries in one sorted merge ([`merge`](Self::merge))
-    /// instead of one descent each, and tells which positions were added.
-    /// Same entries, same [`MemoryUsage::footprint`] as calling
-    /// [`add`](Self::add) per entry in batch order. Calls `on_added(i)` for
-    /// each position `i` of `entries` whose entry was added — of repeats,
-    /// the earliest — and returns how many were.
-    ///
-    /// Strings are copied into the batch, since the walk that names the
-    /// positions needs the entries after the merge; a caller that needs no
-    /// positions merges the entries themselves
-    /// ([`PartialIndex::add_batch`](crate::PartialIndex::add_batch)).
-    pub fn add_batch(
-        &mut self,
-        entries: Vec<(Value, Rid)>,
-        mut on_added: impl FnMut(usize),
-    ) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        let mut batch = PackedEntries::with_capacity(entries.len());
-        for (value, rid) in &entries {
-            batch.push(value.view(), *rid);
-        }
-        let before = self.len();
-        let mut repeats = self.merge(batch);
-        for (i, (value, rid)) in entries.iter().enumerate() {
-            if repeats.admit(value.view(), *rid) {
-                on_added(i);
-            }
-        }
-        self.len() - before
-    }
-
     /// Merges a packed batch (any order, repeats allowed) into the index:
     /// the batch is sorted once (a radix sort for NULL and INTEGER keys),
     /// one linear walk merges it with the resident entries, and each set is

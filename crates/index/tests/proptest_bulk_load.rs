@@ -1,9 +1,12 @@
-//! The bulk path — `BTreeIndex::add_batch` — against one-by-one insertion:
-//! same entries in the same order, same positions reported added, same
-//! length and byte footprint; and a bulk-built index must stay so under the
-//! single-entry adds and removes that follow it (Table I maintenance).
+//! The bulk path production runs — one `BTreeIndex::merge` per batch, then
+//! `Repeats::admitted` per group in batch order, as `Partition::index_pages`
+//! enters a sweep's pages (`PartialIndex::add_batch` is the merge alone) —
+//! against one-by-one insertion: same entries in the same order, same
+//! positions admitted, same length and byte footprint; and a bulk-built
+//! index must stay so under the single-entry adds and removes that follow
+//! it (Table I maintenance).
 
-use aib_index::BTreeIndex;
+use aib_index::{BTreeIndex, PackedEntries};
 use aib_storage::{MemoryUsage, Rid, Value};
 use proptest::prelude::*;
 
@@ -53,6 +56,30 @@ fn single() -> impl Strategy<Value = Single> {
     ]
 }
 
+/// Merges `batch` into `ix` the way a sweep enters its pages: every entry
+/// a group of its own, the batch their concatenation, one merge, then
+/// [`Repeats::admitted`](aib_index::Repeats::admitted) per group in batch
+/// order. Returns how many entries were added and the positions admitted.
+fn merge_batch(ix: &mut BTreeIndex, batch: &[(Value, Rid)]) -> (usize, Vec<usize>) {
+    let groups: Vec<PackedEntries> = batch
+        .iter()
+        .map(|entry| std::iter::once(entry.clone()).collect())
+        .collect();
+    let mut packed = PackedEntries::default();
+    for group in &groups {
+        packed.extend_from(group);
+    }
+    let before = ix.len();
+    let mut repeats = ix.merge(packed);
+    let added = ix.len() - before;
+    let admitted = (0..)
+        .zip(&groups)
+        .filter(|(_, group)| repeats.admitted(group) == 1)
+        .map(|(i, _)| i)
+        .collect();
+    (added, admitted)
+}
+
 fn entries(ix: &BTreeIndex) -> Vec<(Value, Rid)> {
     let mut out = Vec::new();
     ix.for_each(|v, r| out.push((v.clone(), r)));
@@ -75,11 +102,9 @@ proptest! {
                 .filter(|(_, (v, r))| looped.add(v.clone(), *r))
                 .map(|(i, _)| i)
                 .collect();
-            let mut got = Vec::new();
-            let added = bulk.add_batch(batch, |i| got.push(i));
-            got.sort_unstable();
+            let (added, got) = merge_batch(&mut bulk, &batch);
             prop_assert_eq!(added, want.len(), "added by batch {}", at);
-            prop_assert_eq!(got, want, "positions reported by batch {}", at);
+            prop_assert_eq!(got, want, "positions admitted by batch {}", at);
             prop_assert_eq!(bulk.len(), looped.len(), "len after batch {}", at);
             prop_assert_eq!(bulk.footprint(), looped.footprint(), "bytes after batch {}", at);
             prop_assert_eq!(entries(&bulk), entries(&looped), "entries after batch {}", at);

@@ -23,7 +23,7 @@
 //!   executes, every later `Acquire`-or-stronger load of that location
 //!   reads it (or something newer). This mirrors the promptness of real
 //!   hardware (store buffers drain in nanoseconds) and makes ordering
-//!   *downgrades* honestly detectable: demote a `Release` store or an
+//!   *weakenings* honestly detectable: demote a `Release` store or an
 //!   `Acquire` load to `Relaxed` and the load may now legally observe any
 //!   sufficiently recent stale value — exactly the window the DFS then
 //!   drives an assertion through.
@@ -36,7 +36,7 @@
 //! The trade-off is stated plainly: the model over-synchronises `Release`
 //! stores (a bug whose window is the latency of a release store on real
 //! hardware is out of scope); in exchange, correct `Acquire`/`Release`
-//! protocols verify with no false alarms and every seeded downgrade is
+//! protocols verify with no false alarms and every seeded weakening is
 //! caught. Fences are schedule points but carry no ordering (nothing in
 //! the checked protocols uses them; a protocol that needs fences must
 //! extend the runtime first).

@@ -11,6 +11,20 @@
 //! displaces its coldest unpinned page instead (byte-neutral). The frame
 //! count is the pool's only bound.
 //!
+//! # Pinning
+//!
+//! A page is pinned one way, by one per-page step under the state lock: a
+//! resident page is pinned and moved to the hot end of the recency list; a
+//! missing one gets a frame claimed, write-latched and mapped to it. Both
+//! entries run that step — a single-page fetch ([`BufferPool::fetch_read`],
+//! [`BufferPool::fetch_write`], [`BufferPool::new_page`]) once, a sweep
+//! batch ([`PinnedBatch::pin`]) once per page — and both fill a miss from
+//! the store with the state lock released, under the claimed frame's write
+//! latch, so a concurrent fetcher of the same page finds it mapped and
+//! waits on that latch. A failed read ends the claimed frame's residency
+//! and leaves the pool as it was. A page guard borrows the pool and holds
+//! the frame latch, then the pin: the latch is released first.
+//!
 //! # Lock order
 //!
 //! The pool's three lock kinds are **leaves** of the engine-wide hierarchy
@@ -26,8 +40,11 @@
 //!    writes: the page table is a dense `Vec` indexed by page id and the
 //!    recency list is intrusive (`LruPolicy`), so a whole sweep batch
 //!    holds the mutex for a few hundred nanoseconds;
-//! 2. per-frame `RwLock`s — acquired after `state` only for frames proven
-//!    unpinned (no holders, cannot block), otherwise after releasing `state`;
+//! 2. per-frame latches — acquired after `state` only for frames proven
+//!    unpinned (no holders, cannot block), otherwise after releasing
+//!    `state`. The one acquisition the other way round is a failed fill's
+//!    undo, which takes `state` under the write latch of a frame it has
+//!    pinned itself, so no thread holding `state` can be waiting on it;
 //! 3. `disk` — taken last, for the duration of one read/write/batch; a leaf:
 //!    nothing is acquired while it is held, and it is never held across a
 //!    sync: [`BufferPool::capture`] freezes the dirty pages under it (a
@@ -39,17 +56,8 @@
 // pool itself handed out (from the page table or the recency list), which are
 // `< frames.len()` by construction; `page_table` is indexed only after
 // `frame_of` found the id in range or `cover` grew the table over it.
-// aib-lint: allow-file(sync-shim) — the pool's frame latches are
-// `Arc`-based `parking_lot` guards (`ArcRwLockReadGuard`/`Write`) that the
-// shim cannot express, and `AtomicU32` pin counts have no shim type; the
-// pool is driven by the model through the budget and heap layers instead.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-
-use parking_lot::{
-    ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwLock, RwLockWriteGuard,
-};
 
 use crate::budget::{BudgetComponent, MemoryBudget, MemoryUsage};
 use crate::disk::PAGE_SIZE;
@@ -58,6 +66,7 @@ use crate::file_backend::{FileBackend, FileFlush};
 use crate::replacement::{FrameId, LruPolicy};
 use crate::rid::PageId;
 use crate::stats::IoStats;
+use crate::sync::{AtomicUsize, Mutex, Ordering, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Buffer pool construction parameters.
 pub struct BufferPoolConfig {
@@ -135,14 +144,18 @@ impl PoolState {
     }
 }
 
-/// The buffer pool. Cheaply shareable via [`Arc`]; page guards keep their
-/// frame pinned for their lifetime.
+/// A frame claimed for a page that was not resident, write-latched until
+/// the caller has filled it.
+type Claimed<'a> = Option<RwLockWriteGuard<'a, FrameCell>>;
+
+/// The buffer pool. Shared via [`Arc`]; page guards borrow it and keep
+/// their frame pinned for their lifetime.
 pub struct BufferPool {
-    frames: Vec<Arc<RwLock<FrameCell>>>,
+    frames: Vec<RwLock<FrameCell>>,
     /// Per-frame pin counts. Increments happen under the state lock (so
     /// eviction scans see a stable floor); decrements are lock-free, which
     /// keeps guard drops off the state mutex entirely.
-    pins: Vec<AtomicU32>,
+    pins: Vec<AtomicUsize>,
     state: Mutex<PoolState>,
     disk: Mutex<FileBackend>,
     stats: Arc<IoStats>,
@@ -159,16 +172,16 @@ impl BufferPool {
         let stats = disk.stats();
         let frames = (0..config.frames)
             .map(|_| {
-                Arc::new(RwLock::new(FrameCell {
+                RwLock::new(FrameCell {
                     page: None,
                     dirty: false,
                     data: Box::new([0; PAGE_SIZE]),
-                }))
+                })
             })
             .collect();
         Arc::new(BufferPool {
             frames,
-            pins: (0..config.frames).map(|_| AtomicU32::new(0)).collect(),
+            pins: (0..config.frames).map(|_| AtomicUsize::new(0)).collect(),
             state: Mutex::new(PoolState {
                 page_table: Vec::new(),
                 free: (0..config.frames).rev().collect(),
@@ -204,152 +217,99 @@ impl BufferPool {
     }
 
     /// Allocates a brand-new zeroed page and returns it pinned for writing.
-    /// No disk read is charged; the page reaches disk on eviction or flush.
-    pub fn new_page(self: &Arc<Self>) -> Result<(PageId, PageWriteGuard), StorageError> {
+    /// Counted as a miss; no disk read is charged; the page reaches disk on
+    /// eviction or sync.
+    pub fn new_page(&self) -> Result<(PageId, PageWriteGuard<'_>), StorageError> {
         let pid = self.disk.lock().allocate()?;
-        let (frame, mut guard) = self.prepare_frame(pid)?;
-        guard.page = Some(pid);
-        guard.dirty = true;
-        guard.data.fill(0);
-        Ok((
-            pid,
-            PageWriteGuard {
-                pool: Arc::clone(self),
-                frame,
-                guard: Some(guard),
-            },
-        ))
+        let (pin, claimed) = self.pin_one(pid, |data| {
+            data.fill(0);
+            Ok(())
+        })?;
+        let mut cell = claimed.unwrap_or_else(|| self.frames[pin.frame].write());
+        cell.dirty = true;
+        Ok((pid, PageWriteGuard { cell, pin }))
     }
 
     /// Fetches `pid` for reading, pinning its frame.
-    pub fn fetch_read(self: &Arc<Self>, pid: PageId) -> Result<PageReadGuard, StorageError> {
-        let (frame, guard) = self.fetch(pid)?;
-        Ok(PageReadGuard {
-            pool: Arc::clone(self),
-            frame,
-            guard: Some(guard),
-        })
+    pub fn fetch_read(&self, pid: PageId) -> Result<PageReadGuard<'_>, StorageError> {
+        let (pin, claimed) = self.pin_one(pid, |data| self.disk.lock().read(pid, data))?;
+        // A miss was filled under the write latch; a reader holds the
+        // shared one. The pin keeps the frame on `pid` in between.
+        drop(claimed);
+        let cell = self.frames[pin.frame].read();
+        debug_assert_eq!(cell.page, Some(pid));
+        Ok(PageReadGuard { cell, pin })
     }
 
     /// Fetches `pid` for writing, pinning its frame and marking it dirty.
-    pub fn fetch_write(self: &Arc<Self>, pid: PageId) -> Result<PageWriteGuard, StorageError> {
-        let (frame, guard) = self.fetch_mut(pid)?;
-        Ok(PageWriteGuard {
-            pool: Arc::clone(self),
-            frame,
-            guard: Some(guard),
-        })
+    pub fn fetch_write(&self, pid: PageId) -> Result<PageWriteGuard<'_>, StorageError> {
+        let (pin, claimed) = self.pin_one(pid, |data| self.disk.lock().read(pid, data))?;
+        let mut cell = claimed.unwrap_or_else(|| self.frames[pin.frame].write());
+        debug_assert_eq!(cell.page, Some(pid));
+        cell.dirty = true;
+        Ok(PageWriteGuard { cell, pin })
     }
 
-    /// Shared fetch: returns the pinned frame id and a read guard on its cell.
-    fn fetch(
-        self: &Arc<Self>,
-        pid: PageId,
-    ) -> Result<(FrameId, ArcRwLockReadGuard<RawRwLock, FrameCell>), StorageError> {
-        if let Some(frame) = self.try_pin_resident(pid) {
-            let guard = RwLock::read_arc(&self.frames[frame]);
-            debug_assert_eq!(guard.page, Some(pid));
-            return Ok((frame, guard));
-        }
-        let (frame, write_guard) = self.load_into_frame(pid)?;
-        Ok((frame, ArcRwLockWriteGuard::downgrade(write_guard)))
-    }
-
-    /// Exclusive fetch: like [`fetch`](Self::fetch) but returns a write guard
-    /// and marks the frame dirty.
-    fn fetch_mut(
-        self: &Arc<Self>,
-        pid: PageId,
-    ) -> Result<(FrameId, ArcRwLockWriteGuard<RawRwLock, FrameCell>), StorageError> {
-        if let Some(frame) = self.try_pin_resident(pid) {
-            let mut guard = RwLock::write_arc(&self.frames[frame]);
-            debug_assert_eq!(guard.page, Some(pid));
-            guard.dirty = true;
-            return Ok((frame, guard));
-        }
-        let (frame, mut guard) = self.load_into_frame(pid)?;
-        guard.dirty = true;
-        Ok((frame, guard))
-    }
-
-    /// If `pid` is resident, pins it and records the access. The caller then
-    /// locks the frame; pinning guarantees the mapping cannot change
-    /// underneath it.
-    fn try_pin_resident(&self, pid: PageId) -> Option<FrameId> {
-        let frame = self.pin_if_resident(&mut self.state.lock(), pid)?;
-        self.stats.record_hit();
-        Some(frame)
-    }
-
-    /// The hit path under the state lock: if `pid` is resident, pins its
-    /// frame and moves it to the hot end of the recency list.
-    fn pin_if_resident(&self, state: &mut PoolState, pid: PageId) -> Option<FrameId> {
-        let frame = state.frame_of(pid)?;
-        self.pins[frame].fetch_add(1, Ordering::Relaxed);
-        state.lru.record_access(frame);
-        Some(frame)
-    }
-
-    /// Miss path: claims a frame for `pid` (possibly evicting), performs the
-    /// disk read, and returns the frame write-locked and pinned.
-    fn load_into_frame(
-        self: &Arc<Self>,
-        pid: PageId,
-    ) -> Result<(FrameId, ArcRwLockWriteGuard<RawRwLock, FrameCell>), StorageError> {
-        let (frame, mut guard) = self.prepare_frame(pid)?;
-        // Another thread may have raced us and mapped pid first; in that
-        // case prepare_frame pinned the resident frame instead.
-        if guard.page == Some(pid) {
-            return Ok((frame, guard));
-        }
-        // Read our page without the state lock, so other frames stay usable
-        // during I/O. Concurrent fetchers of `pid` block on this frame's
-        // lock until we are done.
-        match self.disk.lock().read(pid, &mut guard.data) {
-            Ok(()) => {
-                guard.page = Some(pid);
-                guard.dirty = false;
-                Ok((frame, guard))
-            }
-            Err(e) => {
-                // Undo the mapping: the frame now holds garbage. Returning
-                // it to the free list ends its residency, so its page image
-                // comes off the governor's books.
-                let mut state = self.state.lock();
-                self.pins[frame].fetch_sub(1, Ordering::Release);
-                self.abandon_frame(&mut state, pid, frame, &mut guard);
-                Err(e)
-            }
-        }
-    }
-
-    /// Claims a frame for `pid` and returns it pinned and write-locked.
-    ///
-    /// On a miss, the frame's write lock is acquired *before* the mapping is
-    /// published (safe because an unpinned frame has no lock holders), so no
-    /// other thread can observe the frame before the caller fills it. If
-    /// `pid` is already resident, the resident frame is pinned and returned —
-    /// callers detect this via `guard.page == Some(pid)`.
-    fn prepare_frame(
+    /// The single-page entry: [`pin_page`](Self::pin_page) in a state-lock
+    /// acquisition of its own, a miss linked at the hot end, then `fill` of
+    /// a miss's image with the state lock released, under the claimed
+    /// frame's write latch. Returns the pin and, for a miss, that latch over
+    /// the filled frame. A failed fill is undone like a failed batch read
+    /// ([`abandon_frame`](Self::abandon_frame)).
+    fn pin_one(
         &self,
         pid: PageId,
-    ) -> Result<(FrameId, ArcRwLockWriteGuard<RawRwLock, FrameCell>), StorageError> {
+        fill: impl FnOnce(&mut [u8; PAGE_SIZE]) -> Result<(), StorageError>,
+    ) -> Result<(Pin<'_>, Claimed<'_>), StorageError> {
         let mut state = self.state.lock();
-        if let Some(frame) = self.pin_if_resident(&mut state, pid) {
-            self.stats.record_hit();
+        let (frame, claimed) = self.pin_page(&mut state, pid)?;
+        let pin = Pin { pool: self, frame };
+        let Some(mut cell) = claimed else {
             drop(state);
-            let guard = RwLock::write_arc(&self.frames[frame]);
-            return Ok((frame, guard));
-        }
-        self.cover(&mut state, pid)?;
-        self.stats.record_miss();
-        let frame = self.claim_frame(&mut state)?;
-        // Unpinned frames have no guard holders, so this cannot block while
-        // we hold the state lock.
-        let mut guard = RwLock::write_arc(&self.frames[frame]);
-        self.remap_frame(&mut state, frame, &mut guard, pid)?;
+            self.stats.record_hit();
+            return Ok((pin, None));
+        };
         state.lru.record_access(frame);
-        Ok((frame, guard))
+        drop(state);
+        self.stats.record_miss();
+        if let Err(e) = fill(&mut cell.data) {
+            let mut state = self.state.lock();
+            drop(pin);
+            self.abandon_frame(&mut state, pid, frame, &mut cell);
+            return Err(e);
+        }
+        cell.page = Some(pid);
+        cell.dirty = false;
+        Ok((pin, Some(cell)))
+    }
+
+    /// The one per-page pinning step of both entries, under the state lock.
+    /// A resident `pid` is pinned and moved to the hot end of the recency
+    /// list. Otherwise a frame is claimed ([`claim_frame`](Self::claim_frame)),
+    /// write-latched — it is unpinned, so nothing holds it and this cannot
+    /// block — and remapped to `pid`, pinned; it is on no recency list
+    /// until the caller links it where its admission rule says, and holds
+    /// no image until the caller fills it. On error nothing is pinned.
+    fn pin_page<'a>(
+        &'a self,
+        state: &mut PoolState,
+        pid: PageId,
+    ) -> Result<(FrameId, Claimed<'a>), StorageError> {
+        let (frame, claimed) = match state.frame_of(pid) {
+            Some(frame) => {
+                state.lru.record_access(frame);
+                (frame, None)
+            }
+            None => {
+                self.cover(state, pid)?;
+                let frame = self.claim_frame(state)?;
+                let mut cell = self.frames[frame].write();
+                self.remap_frame(state, frame, &mut cell, pid)?;
+                (frame, Some(cell))
+            }
+        };
+        self.pins[frame].fetch_add(1, Ordering::Relaxed);
+        Ok((frame, claimed))
     }
 
     /// Makes sure the page table has a slot for `pid`, growing it to the
@@ -386,10 +346,8 @@ impl BufferPool {
         self.budget.release(BudgetComponent::BufferPool, PAGE_SIZE);
     }
 
-    /// Hands the just-claimed, write-locked `frame` over to `pid`, pinned,
-    /// under the state lock. The frame is off the recency list (a displaced
-    /// victim left it, a free frame never was on it); the caller links it
-    /// where its admission rule says.
+    /// Hands the just-claimed, write-latched `frame` over to `pid` under the
+    /// state lock.
     ///
     /// A dirty victim is written back *before* its mapping leaves the page
     /// table. Unmapping first and writing after the state lock is released
@@ -419,7 +377,6 @@ impl BufferPool {
             state.map(old_pid, None);
         }
         state.map(pid, Some(frame));
-        self.pins[frame].fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -427,8 +384,7 @@ impl BufferPool {
     ///
     /// A free frame grows resident bytes by one page image, charged to the
     /// governor; once none is free the coldest unpinned frame is displaced,
-    /// which swaps one resident page for another (byte-neutral). Shared by
-    /// [`BufferPool::prepare_frame`] and [`PinnedBatch::pin`].
+    /// which swaps one resident page for another (byte-neutral).
     fn claim_frame(&self, state: &mut PoolState) -> Result<FrameId, StorageError> {
         match state.free.pop() {
             Some(f) => {
@@ -497,18 +453,6 @@ impl BufferPool {
                  footprint is {footprint}"
             ))
         }
-    }
-
-    /// Writes every dirty resident page back to disk.
-    pub fn flush_all(&self) -> Result<(), StorageError> {
-        for cell in &self.frames {
-            let mut guard = cell.write();
-            if let (Some(pid), true) = (guard.page, guard.dirty) {
-                self.disk.lock().write(pid, &guard.data)?;
-                guard.dirty = false;
-            }
-        }
-        Ok(())
     }
 
     /// Checkpoint hook: makes every page written so far durable
@@ -620,7 +564,7 @@ impl std::fmt::Debug for CapturedSync<'_> {
 }
 
 /// A page of a batch that was not resident: the frame claimed for it, held
-/// write-locked until the batched read has filled it.
+/// write-latched until the batched read has filled it.
 struct Miss<'a> {
     /// Index into the batch's `pids`.
     at: usize,
@@ -663,27 +607,16 @@ impl PinnedBatch<'_> {
         let mut state = pool.state.lock();
         for (i, &pid) in pids.iter().enumerate() {
             debug_assert!(!pids[..i].contains(&pid), "batch pids must be distinct");
-            if let Some(frame) = pool.pin_if_resident(&mut state, pid) {
-                self.frames.push(frame);
-                continue;
-            }
-            let claimed = pool
-                .cover(&mut state, pid)
-                .and_then(|()| pool.claim_frame(&mut state))
-                .and_then(|frame| {
-                    // Unpinned frames have no guard holders: non-blocking.
-                    let mut guard = pool.frames[frame].write();
-                    pool.remap_frame(&mut state, frame, &mut guard, pid)?;
-                    Ok((frame, guard))
-                });
-            match claimed {
-                Ok((frame, guard)) => {
+            match pool.pin_page(&mut state, pid) {
+                Ok((frame, claimed)) => {
                     self.frames.push(frame);
-                    self.misses.push(Miss {
-                        at: i,
-                        frame,
-                        guard,
-                    });
+                    if let Some(guard) = claimed {
+                        self.misses.push(Miss {
+                            at: i,
+                            frame,
+                            guard,
+                        });
+                    }
                 }
                 Err(e) => {
                     // Unwind so the pool is as if the call never happened.
@@ -696,7 +629,7 @@ impl PinnedBatch<'_> {
                     // their order; fresh frames go back to the free list
                     // and return their charge.
                     for frame in self.frames.drain(..) {
-                        pool.pins[frame].fetch_sub(1, Ordering::Release);
+                        pool.unpin(frame);
                     }
                     for m in self.misses.drain(..).rev() {
                         state.map(pids[m.at], None);
@@ -749,12 +682,12 @@ impl PinnedBatch<'_> {
                 Ok(())
             }
             Err(e) => {
-                // Same undo as `load_into_frame`'s I/O error path: the miss
-                // frames hold garbage, so end their residency; every pin of
-                // the batch is released.
+                // The single-page fill's undo: the miss frames hold
+                // garbage, so end their residency; every pin of the batch
+                // is released.
                 let mut state = pool.state.lock();
                 for frame in self.frames.drain(..) {
-                    pool.pins[frame].fetch_sub(1, Ordering::Release);
+                    pool.unpin(frame);
                 }
                 for mut m in self.misses.drain(..) {
                     pool.abandon_frame(&mut state, pids[m.at], m.frame, &mut m.guard);
@@ -805,75 +738,66 @@ impl std::fmt::Debug for PinnedBatch<'_> {
     }
 }
 
-/// Read access to a pinned page. Derefs to the page image.
-pub struct PageReadGuard {
-    pool: Arc<BufferPool>,
+/// One pin of a page guard, released when the guard drops. It is the
+/// guard's last field, so the frame latch before it is released first and
+/// an evictor that sees the pin count reach zero can latch the frame at
+/// once.
+struct Pin<'a> {
+    pool: &'a BufferPool,
     frame: FrameId,
-    guard: Option<ArcRwLockReadGuard<RawRwLock, FrameCell>>,
 }
 
-impl std::ops::Deref for PageReadGuard {
-    type Target = [u8; PAGE_SIZE];
-    fn deref(&self) -> &Self::Target {
-        // `guard` is Some from construction until Drop, the only taker.
-        // aib-lint: allow(no-panic) — Deref cannot return an error
-        &self.guard.as_ref().expect("guard live until drop").data
-    }
-}
-
-impl Drop for PageReadGuard {
+impl Drop for Pin<'_> {
     fn drop(&mut self) {
-        // Release the frame lock before unpinning so a concurrent evictor
-        // that sees pin == 0 can immediately take the write lock.
-        drop(self.guard.take());
         self.pool.unpin(self.frame);
     }
 }
 
-impl std::fmt::Debug for PageReadGuard {
+/// Read access to a pinned page. Derefs to the page image.
+pub struct PageReadGuard<'a> {
+    cell: RwLockReadGuard<'a, FrameCell>,
+    pin: Pin<'a>,
+}
+
+impl std::ops::Deref for PageReadGuard<'_> {
+    type Target = [u8; PAGE_SIZE];
+    fn deref(&self) -> &Self::Target {
+        &self.cell.data
+    }
+}
+
+impl std::fmt::Debug for PageReadGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageReadGuard")
-            .field("frame", &self.frame)
+            .field("frame", &self.pin.frame)
             .finish_non_exhaustive()
     }
 }
 
 /// Write access to a pinned page. Derefs to the page image; the frame is
 /// marked dirty at fetch time.
-pub struct PageWriteGuard {
-    pool: Arc<BufferPool>,
-    frame: FrameId,
-    guard: Option<ArcRwLockWriteGuard<RawRwLock, FrameCell>>,
+pub struct PageWriteGuard<'a> {
+    cell: RwLockWriteGuard<'a, FrameCell>,
+    pin: Pin<'a>,
 }
 
-impl std::ops::Deref for PageWriteGuard {
+impl std::ops::Deref for PageWriteGuard<'_> {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {
-        // `guard` is Some from construction until Drop, the only taker.
-        // aib-lint: allow(no-panic) — Deref cannot return an error
-        &self.guard.as_ref().expect("guard live until drop").data
+        &self.cell.data
     }
 }
 
-impl std::ops::DerefMut for PageWriteGuard {
+impl std::ops::DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        // `guard` is Some from construction until Drop, the only taker.
-        // aib-lint: allow(no-panic) — Deref cannot return an error
-        &mut self.guard.as_mut().expect("guard live until drop").data
+        &mut self.cell.data
     }
 }
 
-impl Drop for PageWriteGuard {
-    fn drop(&mut self) {
-        drop(self.guard.take());
-        self.pool.unpin(self.frame);
-    }
-}
-
-impl std::fmt::Debug for PageWriteGuard {
+impl std::fmt::Debug for PageWriteGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageWriteGuard")
-            .field("frame", &self.frame)
+            .field("frame", &self.pin.frame)
             .finish_non_exhaustive()
     }
 }
@@ -962,12 +886,12 @@ mod tests {
         w[7] = 9;
         drop(w);
         let before = pool.stats().snapshot();
-        pool.flush_all().unwrap();
+        pool.sync().unwrap();
         let after = pool.stats().snapshot().since(&before);
         assert_eq!(after.page_writes, 1);
         // Second flush: nothing dirty.
         let before = pool.stats().snapshot();
-        pool.flush_all().unwrap();
+        pool.sync().unwrap();
         assert_eq!(pool.stats().snapshot().since(&before).page_writes, 0);
         // Data still correct via a fresh read.
         let r = pool.fetch_read(pid).unwrap();
@@ -1019,6 +943,51 @@ mod tests {
         let (pid, w) = pool.new_page().unwrap();
         drop(w);
         assert!(pool.fetch_read(pid).is_ok());
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_pool_as_it_was() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("aib-pool-{}-truncated.heap", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let open = || FileBackend::open(&path, CostModel::free()).unwrap();
+        let writer = BufferPool::new(open(), BufferPoolConfig::lru(8));
+        let pids: Vec<PageId> = (0..8u8)
+            .map(|i| {
+                let (pid, mut w) = writer.new_page().unwrap();
+                w[0] = i;
+                pid
+            })
+            .collect();
+        writer.sync().unwrap();
+        drop(writer);
+        // A cold pool over the synced file, one page resident; then the
+        // file is cut inside page 4 (page `n` sits at `(n + 1) * PAGE_SIZE`,
+        // behind the header page), so pages 4.. are gone.
+        let pool = BufferPool::new(open(), BufferPoolConfig::lru(4));
+        drop(pool.fetch_read(pids[0]).unwrap());
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(5 * PAGE_SIZE as u64 + 100).unwrap();
+        let budget = pool.budget();
+        let books = || (budget.used(BudgetComponent::BufferPool), pool.footprint());
+        let before = books();
+        assert_eq!(before, (PAGE_SIZE, PAGE_SIZE));
+        assert!(matches!(pool.fetch_read(pids[5]), Err(StorageError::Io(_))));
+        assert_eq!(books(), before, "single-page miss undone");
+        // One request for pages 3..6 runs into the cut at page 4.
+        assert!(matches!(
+            first_bytes(&pool, 3, &pids[3..6]),
+            Err(StorageError::Io(_))
+        ));
+        assert_eq!(books(), before, "batch misses undone");
+        // No pin is left: a batch needing every frame pins.
+        assert_eq!(first_bytes(&pool, 4, &pids[..4]), Ok(vec![0, 1, 2, 3]));
+        // The failed page is unmapped: fetching it again is a new miss.
+        let misses = pool.stats().snapshot();
+        assert!(pool.fetch_read(pids[5]).is_err());
+        let d = pool.stats().snapshot().since(&misses);
+        assert_eq!((d.buffer_hits, d.buffer_misses), (0, 1));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl HeapFile {
     ) -> Result<(), StorageError> {
         let mut inner = self.inner.write();
         // The page the last tuple went to, still latched.
-        let mut open: Option<(u32, PageId, PageWriteGuard)> = None;
+        let mut open: Option<(u32, PageId, PageWriteGuard<'_>)> = None;
         for bytes in tuples {
             if bytes.is_empty() || bytes.len() > MAX_TUPLE_BYTES {
                 return Err(StorageError::TupleTooLarge {
@@ -737,7 +737,7 @@ mod tests {
         }
         let n = h.num_pages();
         assert!(n > 4);
-        h.pool().flush_all().unwrap();
+        h.pool().sync().unwrap();
 
         // Skip every page: zero reads.
         let before = h.pool().stats().snapshot();
@@ -788,7 +788,7 @@ mod tests {
         }
         let n = h.num_pages();
         assert!(n >= 12);
-        h.pool().flush_all().unwrap();
+        h.pool().sync().unwrap();
 
         // An alternating skip pattern in runs of three pages, against the
         // single-page reads of the same unskipped ordinals.
@@ -1041,7 +1041,7 @@ mod tests {
             .map(|o| h.page_id_of(o).unwrap())
             .collect();
         let live = h.live_tuples();
-        pool.flush_all().unwrap();
+        pool.sync().unwrap();
 
         let fresh = HeapFile::new(pool);
         fresh.adopt_pages(&pids).unwrap();

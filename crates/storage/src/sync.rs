@@ -11,8 +11,8 @@
 //! model-checkable by construction.
 //!
 //! `aib-lint`'s `sync-shim` rule enforces the "one import path" part:
-//! raw `std::sync::atomic` / `parking_lot` imports outside this module
-//! (and the few audited exceptions) are findings.
+//! raw `std::sync::atomic` / `parking_lot` imports outside the shim
+//! modules and the model runtime are findings, and no file is excused.
 //!
 //! `Ordering` is always `std::sync::atomic::Ordering`, so ordering
 //! arguments mean the same thing in both worlds.

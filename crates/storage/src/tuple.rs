@@ -97,28 +97,6 @@ impl Tuple {
         Value::decode(buf, &mut pos)
     }
 
-    /// Borrows `len` bytes starting at column `idx`'s encoded extent, or
-    /// `None` when fewer than `len` bytes remain — the cheapest possible
-    /// column access, for equality fast paths that compare a pre-encoded
-    /// key against the stored bytes in place.
-    ///
-    /// Columns before `idx` are structurally validated (same as
-    /// [`Tuple::read_column`]); the target column itself is *not* decoded,
-    /// so corruption inside it surfaces as a non-match rather than an error.
-    /// Because the value encoding is self-describing (tag first, then an
-    /// explicit length for strings), a window equal to a well-formed key's
-    /// encoding identifies exactly that value — a longer column cannot
-    /// collide, its tag or length bytes differ inside the window.
-    #[inline]
-    pub fn read_column_window(
-        buf: &[u8],
-        idx: usize,
-        len: usize,
-    ) -> Result<Option<&[u8]>, StorageError> {
-        let pos = Self::seek_column(buf, idx)?;
-        Ok(pos.checked_add(len).and_then(|end| buf.get(pos..end)))
-    }
-
     /// Zero-copy variant of [`Tuple::read_column`]: borrows the encoded
     /// extent of column `idx` as a [`ColumnRef`] instead of materialising a
     /// [`Value`], so the scan fast path evaluates predicates — and the
@@ -130,7 +108,7 @@ impl Tuple {
         Value::decode_ref(buf, &mut pos)
     }
 
-    /// The one column seek behind the three column reads: checks the arity
+    /// The one column seek behind the two column reads: checks the arity
     /// header, then skips (and structurally validates) the columns before
     /// `idx`, returning the offset where column `idx`'s encoding starts.
     #[inline]

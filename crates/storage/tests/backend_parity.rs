@@ -124,7 +124,7 @@ fn sweep(disk: FileBackend, frames: usize) -> (Vec<(u32, usize)>, IoSnapshot) {
     }
     let pages = heap.num_pages();
     assert!(pages >= 48);
-    pool.flush_all().unwrap();
+    pool.sync().unwrap();
     let before = pool.stats().snapshot();
     let mut seen = Vec::new();
     let shape = heap

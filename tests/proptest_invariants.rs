@@ -257,6 +257,7 @@ proptest! {
 
 use adaptive_index_buffer::core::{CompiledPredicate, PageCounters, Predicate, StagedPage};
 use adaptive_index_buffer::index::PackedEntries;
+use adaptive_index_buffer::storage::{PageId, SlottedPage, PAGE_SIZE};
 
 /// Every [`Value`] variant, including the empty string and integer extremes
 /// the little-endian encoding makes interesting.
@@ -268,6 +269,25 @@ fn any_value() -> impl Strategy<Value = Value> {
         3 => any::<i64>().prop_map(Value::Int),
         3 => ".{0,12}".prop_map(Value::from),
     ]
+}
+
+/// Runs `compiled` through the sweep's page kernel
+/// ([`CompiledPredicate::matches_page`]) over a page holding the one tuple
+/// `bytes`: whether that tuple matched.
+fn page_matches(compiled: &CompiledPredicate, bytes: &[u8], column: usize) -> bool {
+    let mut buf = vec![0u8; PAGE_SIZE];
+    let mut page = SlottedPage::new(&mut buf);
+    page.init();
+    let rid = Rid {
+        page: PageId(3),
+        slot: page.insert(bytes).unwrap(),
+    };
+    let mut out = Vec::new();
+    compiled
+        .matches_page(&page.view(), rid.page, column, &mut out)
+        .unwrap();
+    assert!(out.is_empty() || out == [rid], "{out:?}");
+    !out.is_empty()
 }
 
 /// Counter maintenance as the engine drives it: Table I DML
@@ -298,7 +318,8 @@ fn counter_op() -> impl Strategy<Value = CounterOp> {
 proptest! {
     /// The zero-copy path and the interpreted path must agree on every
     /// value variant: [`CompiledPredicate`] evaluated on the raw encoded
-    /// column bytes ⇔ [`Predicate::matches`] on the decoded [`Value`]; and
+    /// column bytes, and by the sweep's page kernel at column 0 and 1, ⇔
+    /// [`Predicate::matches`] on the decoded [`Value`]; and
     /// the staging kernel of indexed pages ([`StagedPage::stage`]) ⇔
     /// [`Coverage::covers`], [`Predicate::matches`] and
     /// [`Tuple::read_column`], under every coverage shape. Referenced by
@@ -323,8 +344,8 @@ proptest! {
             Coverage::Set([v.clone(), pad.clone()].into_iter().collect()),
             Coverage::Set([probe.clone(), lo.clone(), hi.clone()].into_iter().collect()),
         ];
-        let tuple = Tuple::new(vec![pad, v.clone()]);
-        let bytes = tuple.to_bytes();
+        let bytes = Tuple::new(vec![pad.clone(), v.clone()]).to_bytes();
+        let first = Tuple::new(vec![v.clone(), pad]).to_bytes();
         // Random probes mostly miss; the self-referential predicates pin the
         // must-match side of the equivalence.
         let preds = [
@@ -341,13 +362,16 @@ proptest! {
                 pred.matches(&v),
                 "{:?} on {:?}", pred, v
             );
-            // The in-place window compare (the production page-sweep path)
-            // must agree with the decoded semantics on well-formed tuples.
-            prop_assert_eq!(
-                compiled.matches_tuple(&bytes, 1).unwrap(),
-                pred.matches(&v),
-                "window path: {:?} on {:?}", pred, v
-            );
+            // The page kernel (the production page-sweep path, with its own
+            // column-0 branch) must agree with the decoded semantics on
+            // well-formed tuples.
+            for (column, tuple) in [(0, &first), (1, &bytes)] {
+                prop_assert_eq!(
+                    page_matches(&compiled, tuple, column),
+                    pred.matches(&v),
+                    "page kernel, column {}: {:?} on {:?}", column, pred, v
+                );
+            }
             for coverage in &coverages {
                 let rid = Rid::new(3, 1);
                 let mut page = StagedPage { ordinal: 0, entries: PackedEntries::default() };
