@@ -24,8 +24,12 @@
 //! query-key bytes against a same-length byte window at the column's offset
 //! — in place, with no per-tuple `Value` allocation, no column decode, and
 //! an inline byte loop instead of an out-of-line `memcmp` call (the call
-//! overhead dominates at ~10-byte keys). Range predicates borrow the column
-//! extent ([`Tuple::read_column_raw`]) and compare under value ordering.
+//! overhead dominates at ~10-byte keys). Before that row loop, equality asks
+//! the page's value filter, which the buffer pool keeps per resident frame
+//! ([`PageView::value_filter`]): a built filter without the key's bit skips
+//! the page, and an unbuilt one is built by the row loop. Range predicates
+//! borrow the column extent ([`Tuple::read_column_raw`]) and compare under
+//! value ordering.
 //! Pages selected for indexing take the staging kernel
 //! ([`StagedPage::stage`]): it borrows the column extent the same way, runs
 //! the same compiled predicate, tests coverage compiled once per scan
@@ -68,7 +72,9 @@ use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
 
 use aib_index::{CompiledCoverage, PackedEntries};
-use aib_storage::{ColumnRef, HeapFile, PageId, PageView, Rid, StorageError, Tuple, Value};
+use aib_storage::{
+    ColumnRef, HeapFile, PageId, PageView, Rid, StorageError, Tuple, Value, ValueFilter,
+};
 
 use crate::counters::{PageCounters, SkipBitset};
 use crate::index_buffer::{BufferId, IndexBuffer};
@@ -109,6 +115,8 @@ pub enum CompiledPredicate {
     Equals {
         /// The query value, pre-encoded once at compile time.
         key: Vec<u8>,
+        /// The key's bit in a page's value filter.
+        bit: ValueFilter,
     },
     /// `lo <= column <= hi` through the decoded-view comparison.
     Between {
@@ -126,7 +134,8 @@ impl CompiledPredicate {
             Predicate::Equals(v) => {
                 let mut key = Vec::with_capacity(v.encoded_len());
                 v.encode(&mut key);
-                CompiledPredicate::Equals { key }
+                let bit = ValueFilter::of(&key);
+                CompiledPredicate::Equals { key, bit }
             }
             Predicate::Between(lo, hi) => CompiledPredicate::Between {
                 lo: lo.clone(),
@@ -140,7 +149,7 @@ impl CompiledPredicate {
     #[inline]
     pub fn matches(&self, col: &ColumnRef<'_>) -> bool {
         match self {
-            CompiledPredicate::Equals { key } => short_bytes_eq(col.raw(), key),
+            CompiledPredicate::Equals { key, .. } => short_bytes_eq(col.raw(), key),
             CompiledPredicate::Between { lo, hi } => {
                 col.cmp_value(lo) != CmpOrdering::Less && col.cmp_value(hi) != CmpOrdering::Greater
             }
@@ -150,13 +159,20 @@ impl CompiledPredicate {
     /// Pushes the rid of every matching live tuple on one page — the
     /// page-level fast path of the sweep. The predicate shape is
     /// dispatched once per page, not once per row; the `Equals` row loop is
-    /// a slot-directory decode, a bounds-checked window read, and an inlined
-    /// short byte compare, nothing else. Failure modes: the `Between` arm
-    /// (and the staging kernel on indexed pages) surface a corrupt tuple as
-    /// [`StorageError::Corrupt`]; the `Equals` arm reports it as a
-    /// non-match — its window read never decodes the tuple, which is exactly
-    /// why it is fast. On well-formed pages all paths agree with
-    /// [`Predicate::matches`] tuple for tuple.
+    /// a slot-directory decode, a skip over the columns before `column`, a
+    /// bounds-checked window read, and an inlined short byte compare.
+    ///
+    /// `Equals` first asks the page's value filter
+    /// ([`PageView::value_filter`]): a built filter without the key's bit
+    /// proves no row matches, and the slot directory is never walked. An
+    /// unbuilt one is built by the row loop — each row's column extent
+    /// hashed in — and published unless a row failed to decode.
+    ///
+    /// Failure modes: the `Between` arm (and the staging kernel on indexed
+    /// pages) surface a corrupt tuple as [`StorageError::Corrupt`]; the
+    /// `Equals` arm reports it as a non-match — its window read never
+    /// decodes the tuple, which is exactly why it is fast. On well-formed
+    /// pages all paths agree with [`Predicate::matches`] tuple for tuple.
     pub fn matches_page(
         &self,
         view: &PageView<'_>,
@@ -165,34 +181,39 @@ impl CompiledPredicate {
         out: &mut Vec<Rid>,
     ) -> Result<(), StorageError> {
         match self {
-            CompiledPredicate::Equals { key } => {
-                if column == 0 {
-                    // First column: the window starts right after the 2-byte
-                    // arity header, so the row loop has no skip work at all.
-                    view.for_each_live(|slot, bytes| {
-                        let hit = bytes
-                            .get(2..2 + key.len())
-                            .is_some_and(|w| short_bytes_eq(w, key));
-                        if hit {
-                            out.push(Rid { page, slot });
+            CompiledPredicate::Equals { key, bit } => {
+                let filter = view.value_filter(column);
+                let mut build = match filter.map(|f| f.built()) {
+                    Some(Some(built)) if !built.may_contain(*bit) => return Ok(()),
+                    Some(None) => Some(ValueFilter::default()),
+                    _ => None,
+                };
+                let mut decoded = true;
+                view.for_each_live(|slot, bytes| {
+                    let mut pos = 2usize;
+                    for _ in 0..column {
+                        if Value::skip(bytes, &mut pos).is_err() {
+                            decoded = false;
+                            return;
                         }
-                    });
-                } else {
-                    view.for_each_live(|slot, bytes| {
-                        let mut pos = 2usize;
-                        for _ in 0..column {
-                            if Value::skip(bytes, &mut pos).is_err() {
-                                return;
-                            }
+                    }
+                    let start = pos;
+                    let hit = start
+                        .checked_add(key.len())
+                        .and_then(|end| bytes.get(start..end))
+                        .is_some_and(|w| short_bytes_eq(w, key));
+                    if hit {
+                        out.push(Rid { page, slot });
+                    }
+                    if let Some(build) = &mut build {
+                        match Value::skip(bytes, &mut pos) {
+                            Ok(()) => build.insert(bytes.get(start..pos).unwrap_or_default()),
+                            Err(_) => decoded = false,
                         }
-                        let hit = pos
-                            .checked_add(key.len())
-                            .and_then(|end| bytes.get(pos..end))
-                            .is_some_and(|w| short_bytes_eq(w, key));
-                        if hit {
-                            out.push(Rid { page, slot });
-                        }
-                    });
+                    }
+                });
+                if let (Some(filter), Some(build), true) = (filter, build, decoded) {
+                    filter.publish(build);
                 }
                 Ok(())
             }
@@ -634,8 +655,8 @@ mod tests {
     use crate::config::{BufferConfig, SpaceConfig};
 
     use aib_storage::{
-        BufferPool, BufferPoolConfig, Column, CostModel, FileBackend, Schema, SlottedPage,
-        PAGE_SIZE,
+        BufferPool, BufferPoolConfig, Column, CostModel, FileBackend, FrameFilters, Schema,
+        SlottedPage, PAGE_SIZE,
     };
 
     /// Builds a heap of two-column tuples (key, payload) with `n` keys
@@ -958,7 +979,9 @@ mod tests {
 
     /// Runs `compiled` through the sweep's page kernel
     /// ([`CompiledPredicate::matches_page`]) over a page holding the one
-    /// tuple `bytes`: whether that tuple matched.
+    /// tuple `bytes` three times — with no value filter, while building
+    /// one, and with the built one — and returns whether that tuple
+    /// matched, once all three agree.
     fn page_matches(compiled: &CompiledPredicate, bytes: &[u8], column: usize) -> bool {
         let mut buf = vec![0u8; PAGE_SIZE];
         let mut page = SlottedPage::new(&mut buf);
@@ -967,11 +990,40 @@ mod tests {
             page: PageId(3),
             slot: page.insert(bytes).unwrap(),
         };
-        let mut out = Vec::new();
-        compiled
-            .matches_page(&page.view(), rid.page, column, &mut out)
-            .unwrap();
-        assert!(out.is_empty() || out == [rid], "{out:?}");
-        !out.is_empty()
+        let filters = FrameFilters::default();
+        let [plain, building, built] = [None, Some(&filters), Some(&filters)].map(|filters| {
+            let mut out = Vec::new();
+            let view = PageView::with_filters(&buf, filters);
+            compiled
+                .matches_page(&view, rid.page, column, &mut out)
+                .unwrap();
+            assert!(out.is_empty() || out == [rid], "{out:?}");
+            out
+        });
+        assert_eq!((&plain, &building), (&built, &built), "column {column}");
+        !plain.is_empty()
+    }
+
+    #[test]
+    fn an_undecodable_row_publishes_no_filter() {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut page = SlottedPage::new(&mut buf);
+        page.init();
+        let good = Tuple::new(vec![Value::Int(1), Value::Int(2)]).to_bytes();
+        page.insert(&good).unwrap();
+        // Arity 2, column 0 an int, then an unknown tag where column 1 starts.
+        page.insert(&[2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 9]).unwrap();
+        let filters = FrameFilters::default();
+        let view = PageView::with_filters(&buf, Some(&filters));
+        for (column, built) in [(0, true), (1, false)] {
+            let compiled = CompiledPredicate::compile(&Predicate::Equals(Value::Int(2)));
+            let mut out = Vec::new();
+            compiled
+                .matches_page(&view, PageId(3), column, &mut out)
+                .unwrap();
+            assert_eq!(out.len(), usize::from(column == 1), "column {column}");
+            let filter = view.value_filter(column).unwrap();
+            assert_eq!(filter.built().is_some(), built, "column {column}");
+        }
     }
 }

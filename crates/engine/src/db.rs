@@ -1495,6 +1495,7 @@ impl Database {
             }
         }
         self.pool.verify_budget().map_err(EngineError::Invariant)?;
+        self.pool.verify_filters().map_err(EngineError::Invariant)?;
         report.into_result().map_err(EngineError::Invariant)
     }
 

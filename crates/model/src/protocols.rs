@@ -1,6 +1,8 @@
 //! Distilled models of engine protocols that live above the `aib_core`
 //! layer (WAL commit ordering, the group-commit handoff, the checkpoint
-//! cut, the tune section against DML).
+//! cut, the tune section against DML), or that span it and `aib-storage`
+//! (a resident page's value filter, built by the scan kernel under a frame
+//! latch the buffer pool owns).
 //!
 //! The snapshot, deferred-drain, and budget protocols are model-checked
 //! directly against the production code in `aib-core`/`aib-storage`
@@ -376,5 +378,90 @@ impl TuneSectionModel {
         catalog
             .entries
             .is_none_or(|entries| entries == catalog.rows)
+    }
+}
+
+/// Skeleton of a resident page's value filter against a change of its image
+/// (`BufferPool::latch_write` and `PinnedBatch::visit` in
+/// `crates/storage/src/buffer_pool.rs`, `ColumnFilter` in `page.rs`, the
+/// `Equals` arm of `CompiledPredicate::matches_page` in
+/// `crates/core/src/scan.rs`). The image is one value behind the frame
+/// latch; the filter is the two words of a `ColumnFilter`: `lo` holds the
+/// value bits and `hi` the built mark, published last. A probe for a value
+/// (one sweep's visit of the page), under the read latch, skips the page if
+/// the built filter lacks the value's bit; otherwise it reads the image,
+/// and if the filter is unbuilt it builds it from the image and publishes
+/// it before it unlatches. A writer clears both words under the write latch
+/// and changes the image.
+///
+/// Invariant: a probe never skips a page whose image holds its value.
+///
+/// Seeded bug `filter_published_after_unlatch` publishes after releasing
+/// the read latch: a writer can clear the filter and change the image in
+/// between, and the filter of the old image outlives it.
+#[derive(Debug, Default)]
+pub struct FilterModel {
+    /// The frame latch over the page image.
+    frame: RwLock<u64>,
+    /// The filter's value bits.
+    lo: AtomicU64,
+    /// The built mark.
+    hi: AtomicU64,
+}
+
+/// What one [`FilterModel::probe`] did and saw under the read latch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FilterProbe {
+    /// The built filter lacked the value: the page was skipped unread.
+    pub skipped: bool,
+    /// The image held the value.
+    pub held: bool,
+}
+
+impl FilterModel {
+    const BUILT: u64 = 1;
+
+    /// A page whose image holds `value`, with no filter built.
+    #[must_use]
+    pub fn new(value: u64) -> Self {
+        FilterModel {
+            frame: RwLock::new(value),
+            ..FilterModel::default()
+        }
+    }
+
+    fn bit(value: u64) -> u64 {
+        1 << (value % 64)
+    }
+
+    /// A write guard: clears the filter under the write latch, then
+    /// changes the image to `value`.
+    pub fn write(&self, value: u64) {
+        let mut image = self.frame.write();
+        self.lo.store(0, Ordering::Release);
+        self.hi.store(0, Ordering::Release);
+        *image = value;
+    }
+
+    /// One visit of the page by a point sweep for `value`.
+    pub fn probe(&self, value: u64) -> FilterProbe {
+        let image = self.frame.read();
+        let held = *image == value;
+        if self.hi.load(Ordering::Acquire) & Self::BUILT != 0 {
+            let skipped = self.lo.load(Ordering::Acquire) & Self::bit(value) == 0;
+            return FilterProbe { skipped, held };
+        }
+        let built = Self::bit(*image);
+        // WRONG under the seeded bug: the latch goes before the publish.
+        #[cfg(model_seeded_bug = "filter_published_after_unlatch")]
+        drop(image);
+        self.lo.store(built, Ordering::Release);
+        self.hi.store(Self::BUILT, Ordering::Release);
+        #[cfg(not(model_seeded_bug = "filter_published_after_unlatch"))]
+        drop(image);
+        FilterProbe {
+            skipped: false,
+            held,
+        }
     }
 }

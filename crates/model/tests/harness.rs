@@ -33,6 +33,7 @@ const SEEDED_BUGS: &[&str] = &[
     "checkpoint_cut_before_drain",
     "checkpoint_cut_after_unlock",
     "tune_unvalidated",
+    "filter_published_after_unlatch",
 ];
 
 fn workspace_root() -> PathBuf {

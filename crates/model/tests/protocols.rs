@@ -18,7 +18,9 @@
 use std::sync::Arc;
 
 use aib_core::{BufferConfig, SharedSpace, SpaceConfig};
-use aib_model::protocols::{CheckpointCutModel, CommitQueueModel, TuneSectionModel, WalModel};
+use aib_model::protocols::{
+    CheckpointCutModel, CommitQueueModel, FilterModel, FilterProbe, TuneSectionModel, WalModel,
+};
 use aib_model::sync::{AtomicU64, Ordering};
 use aib_model::{thread, Model};
 use aib_storage::{BudgetComponent, MemoryBudget};
@@ -302,5 +304,42 @@ fn tune_section_covers_only_current_rows() {
             engine.covered_exactly(),
             "a covered value's index entries differ from its rows"
         );
+    });
+}
+
+/// Protocol 10 — a resident page's value filter against a change of its
+/// image. Two point sweeps for the value 2 visit a page whose image holds
+/// 1, while a writer changes it to 2; a last sweep runs after all of them.
+/// A sweep that finds the filter built skips the page only if the filter
+/// lacks 2, and one that finds it unbuilt builds it under its read latch,
+/// so no sweep may skip the page while its image holds 2.
+///
+/// Catches: `filter_published_after_unlatch` (a sweep publishes the filter
+/// of image 1 after the writer has cleared the filter and written 2, and
+/// the next sweep skips the page).
+#[test]
+fn value_filter_never_outlives_its_image() {
+    Model::new("value_filter_never_outlives_its_image").check(|| {
+        let page = Arc::new(FilterModel::new(1));
+        let never_skips_a_match = |probe: FilterProbe| {
+            assert!(
+                !(probe.skipped && probe.held),
+                "a sweep skipped a page on a filter built from an older image"
+            );
+        };
+        let writer = {
+            let page = Arc::clone(&page);
+            thread::spawn(move || page.write(2))
+        };
+        let reader = {
+            let page = Arc::clone(&page);
+            thread::spawn(move || never_skips_a_match(page.probe(2)))
+        };
+        never_skips_a_match(page.probe(2));
+        writer.join();
+        reader.join();
+        let last = page.probe(2);
+        never_skips_a_match(last);
+        assert!(last.held, "the write landed");
     });
 }

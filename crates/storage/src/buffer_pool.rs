@@ -25,6 +25,14 @@
 //! and leaves the pool as it was. A page guard borrows the pool and holds
 //! the frame latch, then the pin: the latch is released first.
 //!
+//! # Value filters
+//!
+//! Each frame carries the value filters of its image ([`FrameFilters`], 64
+//! bytes, pool bookkeeping outside the [`MemoryBudget`]). Every write latch
+//! that may change an image is taken through one helper that clears them,
+//! and a sweep hands them only to the pages its batch found resident
+//! ([`PinnedBatch::visit`]), which build and use them under the read latch.
+//!
 //! # Lock order
 //!
 //! The pool's three lock kinds are **leaves** of the engine-wide hierarchy
@@ -63,6 +71,7 @@ use crate::budget::{BudgetComponent, MemoryBudget, MemoryUsage};
 use crate::disk::PAGE_SIZE;
 use crate::error::StorageError;
 use crate::file_backend::{FileBackend, FileFlush};
+use crate::page::FrameFilters;
 use crate::replacement::{FrameId, LruPolicy};
 use crate::rid::PageId;
 use crate::stats::IoStats;
@@ -98,6 +107,8 @@ struct FrameCell {
     page: Option<PageId>,
     dirty: bool,
     data: Box<[u8; PAGE_SIZE]>,
+    /// Value filters of `data`; cleared by [`BufferPool::latch_write`].
+    filters: FrameFilters,
 }
 
 impl MemoryUsage for FrameCell {
@@ -176,6 +187,7 @@ impl BufferPool {
                     page: None,
                     dirty: false,
                     data: Box::new([0; PAGE_SIZE]),
+                    filters: FrameFilters::default(),
                 })
             })
             .collect();
@@ -225,9 +237,7 @@ impl BufferPool {
             data.fill(0);
             Ok(())
         })?;
-        let mut cell = claimed.unwrap_or_else(|| self.frames[pin.frame].write());
-        cell.dirty = true;
-        Ok((pid, PageWriteGuard { cell, pin }))
+        Ok((pid, self.write_guard(pin, claimed)))
     }
 
     /// Fetches `pid` for reading, pinning its frame.
@@ -244,10 +254,29 @@ impl BufferPool {
     /// Fetches `pid` for writing, pinning its frame and marking it dirty.
     pub fn fetch_write(&self, pid: PageId) -> Result<PageWriteGuard<'_>, StorageError> {
         let (pin, claimed) = self.pin_one(pid, |data| self.disk.lock().read(pid, data))?;
-        let mut cell = claimed.unwrap_or_else(|| self.frames[pin.frame].write());
-        debug_assert_eq!(cell.page, Some(pid));
+        let guard = self.write_guard(pin, claimed);
+        debug_assert_eq!(guard.cell.page, Some(pid));
+        Ok(guard)
+    }
+
+    /// Write access to a pinned page, marked dirty: a miss keeps the latch
+    /// its claim took, a hit takes one through
+    /// [`latch_write`](Self::latch_write).
+    fn write_guard<'a>(&'a self, pin: Pin<'a>, claimed: Claimed<'a>) -> PageWriteGuard<'a> {
+        let mut cell = claimed.unwrap_or_else(|| self.latch_write(pin.frame));
         cell.dirty = true;
-        Ok(PageWriteGuard { cell, pin })
+        PageWriteGuard { cell, pin }
+    }
+
+    /// Write-latches `frame` to change its image, and clears the image's
+    /// value filters under that latch. Every write latch that may change an
+    /// image — a claim's fill or remap, a write guard — is taken here;
+    /// [`capture`](Self::capture), which only reads the images, is the one
+    /// that latches directly.
+    fn latch_write(&self, frame: FrameId) -> RwLockWriteGuard<'_, FrameCell> {
+        let cell = self.frames[frame].write();
+        cell.filters.clear();
+        cell
     }
 
     /// The single-page entry: [`pin_page`](Self::pin_page) in a state-lock
@@ -303,7 +332,7 @@ impl BufferPool {
             None => {
                 self.cover(state, pid)?;
                 let frame = self.claim_frame(state)?;
-                let mut cell = self.frames[frame].write();
+                let mut cell = self.latch_write(frame);
                 self.remap_frame(state, frame, &mut cell, pid)?;
                 (frame, Some(cell))
             }
@@ -455,6 +484,50 @@ impl BufferPool {
         }
     }
 
+    /// Shadow-model hook (`invariant-checks` feature): every built value
+    /// filter holds the bit of every live tuple's value in its frame, so a
+    /// sweep that skips a page on its filter skips no match. Frames are
+    /// read-latched one at a time, so no filter is built or cleared while
+    /// its image is checked.
+    #[cfg(feature = "invariant-checks")]
+    pub fn verify_filters(&self) -> Result<(), String> {
+        use crate::page::{PageView, ValueFilter, FILTERED_COLUMNS};
+        use crate::value::Value;
+        for (frame, cell) in self.frames.iter().enumerate() {
+            let cell = cell.read();
+            let Some(page) = cell.page else { continue };
+            for column in 0..FILTERED_COLUMNS {
+                let Some(filter) = cell.filters.column(column).and_then(|f| f.built()) else {
+                    continue;
+                };
+                // The extent a sweep's row loop hashes: skip to the column,
+                // then over it.
+                let value = |bytes: &[u8]| {
+                    let mut pos = 2;
+                    for _ in 0..column {
+                        Value::skip(bytes, &mut pos).ok()?;
+                    }
+                    let start = pos;
+                    Value::skip(bytes, &mut pos).ok()?;
+                    bytes.get(start..pos).map(ValueFilter::of)
+                };
+                let mut lies = Vec::new();
+                PageView::new(&cell.data[..]).for_each_live(|slot, bytes| {
+                    if !value(bytes).is_some_and(|v| filter.may_contain(v)) {
+                        lies.push(slot);
+                    }
+                });
+                if !lies.is_empty() {
+                    return Err(format!(
+                        "frame {frame} (page {page}): the built column-{column} value \
+                         filter lacks the value of slots {lies:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Checkpoint hook: makes every page written so far durable
     /// ([`FileBackend::sync`]). [`BufferPool::capture`] and
     /// [`CapturedSync::flush`] back to back.
@@ -581,9 +654,9 @@ pub struct PinnedBatch<'a> {
     pool: &'a BufferPool,
     /// Misses enter the recency list at its cold end.
     recycle: bool,
-    /// Frames of the current batch in page order; `frames[visited..]` are
-    /// still pinned.
-    frames: Vec<FrameId>,
+    /// Frames of the current batch in page order, each with whether its
+    /// page was already resident; `frames[visited..]` are still pinned.
+    frames: Vec<(FrameId, bool)>,
     visited: usize,
     misses: Vec<Miss<'a>>,
 }
@@ -609,7 +682,7 @@ impl PinnedBatch<'_> {
             debug_assert!(!pids[..i].contains(&pid), "batch pids must be distinct");
             match pool.pin_page(&mut state, pid) {
                 Ok((frame, claimed)) => {
-                    self.frames.push(frame);
+                    self.frames.push((frame, claimed.is_none()));
                     if let Some(guard) = claimed {
                         self.misses.push(Miss {
                             at: i,
@@ -628,7 +701,7 @@ impl PinnedBatch<'_> {
                     // taken from, last-claimed first so the victims keep
                     // their order; fresh frames go back to the free list
                     // and return their charge.
-                    for frame in self.frames.drain(..) {
+                    for (frame, _) in self.frames.drain(..) {
                         pool.unpin(frame);
                     }
                     for m in self.misses.drain(..).rev() {
@@ -686,7 +759,7 @@ impl PinnedBatch<'_> {
                 // garbage, so end their residency; every pin of the batch
                 // is released.
                 let mut state = pool.state.lock();
-                for frame in self.frames.drain(..) {
+                for (frame, _) in self.frames.drain(..) {
                     pool.unpin(frame);
                 }
                 for mut m in self.misses.drain(..) {
@@ -698,13 +771,18 @@ impl PinnedBatch<'_> {
     }
 
     /// Hands every pinned page to `visit` in page order as `(index into the
-    /// pinned pids, page image)`, read-locking one frame at a time and
-    /// unpinning it as soon as its visit returns.
-    pub fn visit(&mut self, mut visit: impl FnMut(usize, &[u8; PAGE_SIZE])) {
-        while let Some(&frame) = self.frames.get(self.visited) {
+    /// pinned pids, page image, value filters)`, read-locking one frame at
+    /// a time and unpinning it as soon as its visit returns.
+    ///
+    /// Only a page this batch found already resident comes with its
+    /// frame's value filters — the reason a hit moves to the hot end: a
+    /// miss of a sweep larger than the pool is recycled before anyone
+    /// visits it again, so building its filters would be pure cost.
+    pub fn visit(&mut self, mut visit: impl FnMut(usize, &[u8; PAGE_SIZE], Option<&FrameFilters>)) {
+        while let Some(&(frame, resident)) = self.frames.get(self.visited) {
             {
                 let cell = self.pool.frames[frame].read();
-                visit(self.visited, &cell.data);
+                visit(self.visited, &cell.data, resident.then_some(&cell.filters));
             }
             // Counted as visited only once unpinned: if `visit` panics the
             // drop below still owns this pin.
@@ -715,7 +793,7 @@ impl PinnedBatch<'_> {
 
     /// Unpins whatever the last batch still holds.
     fn release(&mut self) {
-        for &frame in self.frames.get(self.visited..).unwrap_or_default() {
+        for &(frame, _) in self.frames.get(self.visited..).unwrap_or_default() {
             self.pool.unpin(frame);
         }
         self.frames.clear();
@@ -806,6 +884,10 @@ impl std::fmt::Debug for PageWriteGuard<'_> {
 mod tests {
     use super::*;
     use crate::disk::CostModel;
+    use crate::page::{PageView, SlottedPage, ValueFilter};
+    use crate::rid::Rid;
+    use crate::tuple::Tuple;
+    use crate::value::Value;
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         BufferPool::new(
@@ -1024,7 +1106,7 @@ mod tests {
         let mut batch = pool.sweep_batch(planned);
         batch.pin(pids)?;
         let mut bytes = Vec::new();
-        batch.visit(|i, page| {
+        batch.visit(|i, page, _| {
             assert_eq!(i, bytes.len());
             bytes.push(page[0]);
         });
@@ -1119,6 +1201,116 @@ mod tests {
         assert_eq!(pool.stats().snapshot().since(&before).page_reads, 0);
         // And the pool still serves the batch once pins are released.
         assert_eq!(first_bytes(&pool, 2, &[p2, p3]), Ok(vec![2, 3]));
+    }
+
+    /// A point sweep of `pids` for `key` in column 0 that uses the value
+    /// filters the way the scan kernel does: a page whose built filter
+    /// lacks the key is skipped unread, and a page's unbuilt filter is
+    /// built from its rows. Returns the matching rids and the pages skipped.
+    fn point_sweep(pool: &BufferPool, pids: &[PageId], key: i64) -> (Vec<Rid>, usize) {
+        let mut encoded = Vec::new();
+        Value::Int(key).encode(&mut encoded);
+        let bit = ValueFilter::of(&encoded);
+        let mut batch = pool.sweep_batch(pids.len());
+        batch.pin(pids).unwrap();
+        let (mut found, mut skipped) = (Vec::new(), 0);
+        batch.visit(|i, page, filters| {
+            let view = PageView::with_filters(page, filters);
+            let filter = view.value_filter(0);
+            let built = filter.and_then(|f| f.built());
+            if built.is_some_and(|f| !f.may_contain(bit)) {
+                skipped += 1;
+                return;
+            }
+            let mut build = ValueFilter::default();
+            view.for_each_live(|slot, bytes| {
+                let value = Tuple::read_column_raw(bytes, 0).unwrap().raw();
+                build.insert(value);
+                if value == encoded {
+                    found.push(Rid {
+                        page: pids[i],
+                        slot,
+                    });
+                }
+            });
+            if let (Some(filter), None) = (filter, built) {
+                filter.publish(build);
+            }
+        });
+        (found, skipped)
+    }
+
+    /// Writes a page holding one tuple per value of `keys`.
+    fn fill(page: &mut [u8; PAGE_SIZE], keys: impl IntoIterator<Item = i64>) {
+        let mut page = SlottedPage::new(&mut page[..]);
+        page.init();
+        for k in keys {
+            page.insert(&Tuple::new(vec![Value::Int(k)]).to_bytes())
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_value_filter_never_outlives_its_image() {
+        // No key of 100..140 shares a filter bit with 0..4, so a filter left
+        // over from an image of 0..4 would hide every one of them.
+        let old = (0..4).fold(ValueFilter::default(), |mut f, k| {
+            let mut encoded = Vec::new();
+            Value::Int(k).encode(&mut encoded);
+            f.insert(&encoded);
+            f
+        });
+        let new_key = (100..140)
+            .find(|&k| {
+                let mut encoded = Vec::new();
+                Value::Int(k).encode(&mut encoded);
+                !old.may_contain(ValueFilter::of(&encoded))
+            })
+            .unwrap();
+        let pool = pool(1);
+        let (a, mut w) = pool.new_page().unwrap();
+        fill(&mut w, 0..4);
+        drop(w);
+        let (b, mut w) = pool.new_page().unwrap();
+        fill(&mut w, [new_key]);
+        drop(w);
+        // Brings `a` back (a miss: no filter), then builds its filter.
+        let built = |pid| {
+            assert_eq!(point_sweep(&pool, &[pid], 2).0.len(), 1);
+            assert_eq!(point_sweep(&pool, &[pid], 2).0.len(), 1);
+            assert_eq!(point_sweep(&pool, &[pid], new_key), (vec![], 1));
+        };
+
+        // 1. A write guard changes the image in place.
+        built(a);
+        fill(&mut pool.fetch_write(a).unwrap(), [new_key]);
+        assert_eq!(
+            point_sweep(&pool, &[a], new_key).0.len(),
+            1,
+            "after fetch_write"
+        );
+
+        // 2. The frame is remapped to another page: `b` evicts `a`, then a
+        // sweep finds `b` resident in `a`'s old frame.
+        fill(&mut pool.fetch_write(a).unwrap(), 0..4);
+        built(a);
+        drop(pool.fetch_read(b).unwrap());
+        assert_eq!(
+            point_sweep(&pool, &[b], new_key).0.len(),
+            1,
+            "after a remap"
+        );
+
+        // 3. A new page takes the recycled frame.
+        built(a);
+        let (c, mut w) = pool.new_page().unwrap();
+        fill(&mut w, [new_key]);
+        drop(w);
+        assert_eq!(
+            point_sweep(&pool, &[c], new_key).0.len(),
+            1,
+            "after new_page"
+        );
     }
 
     #[test]

@@ -332,8 +332,11 @@ impl HeapFile {
     /// pass and one batched disk request per batch, not one of each per
     /// page, and each frame is read-locked only while its page is being
     /// visited. Batches never span a skip gap, so every disk request covers
-    /// one contiguous extent of the heap. Ordinals past the current end of
-    /// the heap are ignored. Returns `(pages_read, pages_skipped)`.
+    /// one contiguous extent of the heap. The view of a page the batch
+    /// found resident carries its frame's value filters
+    /// ([`PageView::value_filter`]), valid for that visit. Ordinals past the
+    /// current end of the heap are ignored. Returns `(pages_read,
+    /// pages_skipped)`.
     ///
     /// A batch the pool denies because every frame is pinned — eight
     /// sweepers at distinct positions pin a whole pool between them — is
@@ -399,9 +402,9 @@ impl HeapFile {
                     .unwrap_or_default();
                 match pins.pin(pids) {
                     Ok(()) => {
-                        pins.visit(|i, page| {
+                        pins.visit(|i, page, filters| {
                             if let Some(&pid) = pids.get(i) {
-                                visit(at + i as u32, pid, PageView::new(page));
+                                visit(at + i as u32, pid, PageView::with_filters(page, filters));
                             }
                         });
                         read += end - at;

@@ -50,7 +50,7 @@ pub use disk::{CostModel, DiskManager, PAGE_SIZE};
 pub use error::StorageError;
 pub use file_backend::FileBackend;
 pub use heap::HeapFile;
-pub use page::{PageView, SlottedPage};
+pub use page::{ColumnFilter, FrameFilters, PageView, SlottedPage, ValueFilter};
 pub use replacement::FrameId;
 pub use rid::{PageId, Rid, SlotId};
 pub use rng::Rng;

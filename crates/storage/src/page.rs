@@ -20,6 +20,17 @@
 //! Slot ids are **stable across compaction**, which is essential here: record
 //! ids are stored in partial indexes and in the Index Buffer, and Table I
 //! maintenance relies on a tuple keeping its `Rid` unless an update moves it.
+//!
+//! # Value filters
+//!
+//! A resident page's frame carries [`FrameFilters`]: for each of the first
+//! [`FILTERED_COLUMNS`] columns, a 128-bit [`ValueFilter`] with one bit per
+//! live tuple, taken from a hash of the column value's canonical encoding.
+//! A filter is a pure function of the page image: the buffer pool clears
+//! it whenever it hands out write access to the image, and a point sweep
+//! that walks the rows of an unchanged image builds and publishes it under
+//! the frame's read latch ([`ColumnFilter`]). A built filter that lacks a
+//! key's bit proves the page holds no tuple with that value.
 
 // aib-lint: allow-file(no-index) — every offset below is read from the
 // header or the slot directory and bounds-checked against PAGE_SIZE at
@@ -29,6 +40,7 @@
 
 use crate::disk::PAGE_SIZE;
 use crate::rid::SlotId;
+use crate::sync::{AtomicU64, Ordering};
 
 const HEADER: usize = 8;
 const SLOT_BYTES: usize = 4;
@@ -99,20 +111,148 @@ mod raw {
     }
 }
 
+/// Columns a frame keeps a value filter for: the first four.
+pub const FILTERED_COLUMNS: usize = 4;
+
+/// Bit 127 of a column's filter words: set once the filter is built. The
+/// values take bits 0..=126.
+const BUILT: u64 = 1 << 63;
+
+/// A set of column values as 127 bits of their hashes: the filter being
+/// built from a page's rows, or the one bit of a query key.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ValueFilter(u128);
+
+impl ValueFilter {
+    /// The filter holding only the value whose canonical encoding is
+    /// `encoded` (a [`Value::encode`](crate::Value::encode) output; the
+    /// encoding is injective, so equal values give equal bits).
+    #[inline]
+    pub fn of(encoded: &[u8]) -> Self {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mix = |h: u64, word: u64| {
+            let h = (h ^ word).wrapping_mul(K);
+            h ^ (h >> 32)
+        };
+        let mut words = encoded.chunks_exact(8);
+        let mut h = encoded.len() as u64;
+        for w in &mut words {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(w);
+            h = mix(h, u64::from_le_bytes(b));
+        }
+        let mut b = [0u8; 8];
+        for (d, s) in b.iter_mut().zip(words.remainder()) {
+            *d = *s;
+        }
+        let h = mix(h, u64::from_le_bytes(b)).wrapping_mul(K);
+        // Multiply-shift maps the top 32 bits onto 0..127 without a division.
+        ValueFilter(1 << (((h >> 32) * 127) >> 32))
+    }
+
+    /// Adds the value whose canonical encoding is `encoded`.
+    #[inline]
+    pub fn insert(&mut self, encoded: &[u8]) {
+        self.0 |= Self::of(encoded).0;
+    }
+
+    /// Whether every value of `key` may be in this set; `false` proves
+    /// that at least one is not.
+    #[inline]
+    pub fn may_contain(&self, key: ValueFilter) -> bool {
+        self.0 & key.0 == key.0
+    }
+}
+
+/// The value filters of one buffer frame: 128 bits (two words) for each of
+/// the first [`FILTERED_COLUMNS`] columns, 64 bytes. All zero is "none
+/// built". The buffer pool owns the block and clears it under the frame's
+/// write latch; a reader reaches it only through the [`PageView`] of a
+/// visit that holds the read latch.
+#[derive(Debug, Default)]
+pub struct FrameFilters {
+    columns: [[AtomicU64; 2]; FILTERED_COLUMNS],
+}
+
+impl FrameFilters {
+    /// Unbuilds every column's filter. The caller holds the frame's write
+    /// latch, so no reader is between a load and a publish.
+    pub(crate) fn clear(&self) {
+        for word in self.columns.iter().flatten() {
+            word.store(0, Ordering::Release);
+        }
+    }
+
+    /// Column `column`'s filter, if it has one.
+    pub(crate) fn column(&self, column: usize) -> Option<ColumnFilter<'_>> {
+        let [lo, hi] = self.columns.get(column)?;
+        Some(ColumnFilter { lo, hi })
+    }
+}
+
+/// One column's filter on a resident page, borrowed for the visit that
+/// holds the frame's read latch: the image cannot change while it lives.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnFilter<'a> {
+    lo: &'a AtomicU64,
+    /// Published last, with [`BUILT`]: a reader that loads it built sees
+    /// the `lo` stored before it.
+    hi: &'a AtomicU64,
+}
+
+impl ColumnFilter<'_> {
+    /// The filter, if a visit of this image has built it.
+    #[inline]
+    pub fn built(&self) -> Option<ValueFilter> {
+        let hi = self.hi.load(Ordering::Acquire);
+        (hi & BUILT != 0).then(|| {
+            let lo = self.lo.load(Ordering::Acquire);
+            ValueFilter(u128::from(hi & !BUILT) << 64 | u128::from(lo))
+        })
+    }
+
+    /// Publishes `filter`, built from every live tuple of this image. Two
+    /// visits may publish at once; both built the same bits.
+    #[inline]
+    pub fn publish(&self, filter: ValueFilter) {
+        self.lo.store(filter.0 as u64, Ordering::Release);
+        self.hi
+            .store((filter.0 >> 64) as u64 | BUILT, Ordering::Release);
+    }
+}
+
 /// Read-only view over a page image.
 #[derive(Debug, Clone, Copy)]
 pub struct PageView<'a> {
     buf: &'a [u8],
+    filters: Option<&'a FrameFilters>,
 }
 
 impl<'a> PageView<'a> {
-    /// Wraps a page-sized byte slice.
+    /// Wraps a page-sized byte slice, with no value filters.
     ///
     /// # Panics
     /// If `buf` is not exactly [`PAGE_SIZE`] bytes.
     pub fn new(buf: &'a [u8]) -> Self {
+        Self::with_filters(buf, None)
+    }
+
+    /// Wraps a page-sized byte slice with the value filters kept for this
+    /// image, if any: a sweep passes a resident frame's block while it
+    /// holds the frame's read latch.
+    ///
+    /// # Panics
+    /// If `buf` is not exactly [`PAGE_SIZE`] bytes.
+    pub fn with_filters(buf: &'a [u8], filters: Option<&'a FrameFilters>) -> Self {
         assert_eq!(buf.len(), PAGE_SIZE, "page view requires a full page image");
-        PageView { buf }
+        PageView { buf, filters }
+    }
+
+    /// Column `column`'s value filter: `None` for a view without filters
+    /// or a column past the first [`FILTERED_COLUMNS`].
+    #[inline]
+    pub fn value_filter(&self, column: usize) -> Option<ColumnFilter<'a>> {
+        self.filters?.column(column)
     }
 
     /// Number of slot directory entries (live or deleted).
@@ -204,7 +344,10 @@ impl<'a> SlottedPage<'a> {
 
     /// Read-only view of the same page.
     pub fn view(&self) -> PageView<'_> {
-        PageView { buf: self.buf }
+        PageView {
+            buf: self.buf,
+            filters: None,
+        }
     }
 
     /// Number of slot directory entries (live or deleted).

@@ -257,7 +257,7 @@ proptest! {
 
 use adaptive_index_buffer::core::{CompiledPredicate, PageCounters, Predicate, StagedPage};
 use adaptive_index_buffer::index::PackedEntries;
-use adaptive_index_buffer::storage::{PageId, SlottedPage, PAGE_SIZE};
+use adaptive_index_buffer::storage::{FrameFilters, PageId, PageView, SlottedPage, PAGE_SIZE};
 
 /// Every [`Value`] variant, including the empty string and integer extremes
 /// the little-endian encoding makes interesting.
@@ -273,7 +273,9 @@ fn any_value() -> impl Strategy<Value = Value> {
 
 /// Runs `compiled` through the sweep's page kernel
 /// ([`CompiledPredicate::matches_page`]) over a page holding the one tuple
-/// `bytes`: whether that tuple matched.
+/// `bytes` three times — with no value filter, while building one, and with
+/// the built one — and returns whether that tuple matched, once all three
+/// agree.
 fn page_matches(compiled: &CompiledPredicate, bytes: &[u8], column: usize) -> bool {
     let mut buf = vec![0u8; PAGE_SIZE];
     let mut page = SlottedPage::new(&mut buf);
@@ -282,12 +284,30 @@ fn page_matches(compiled: &CompiledPredicate, bytes: &[u8], column: usize) -> bo
         page: PageId(3),
         slot: page.insert(bytes).unwrap(),
     };
-    let mut out = Vec::new();
-    compiled
-        .matches_page(&page.view(), rid.page, column, &mut out)
-        .unwrap();
-    assert!(out.is_empty() || out == [rid], "{out:?}");
-    !out.is_empty()
+    let filters = FrameFilters::default();
+    let [plain, building, built] = [None, Some(&filters), Some(&filters)].map(|filters| {
+        let mut out = Vec::new();
+        compiled
+            .matches_page(
+                &PageView::with_filters(&buf, filters),
+                rid.page,
+                column,
+                &mut out,
+            )
+            .unwrap();
+        assert!(out.is_empty() || out == [rid], "{out:?}");
+        out
+    });
+    assert_eq!(plain, building, "while building the column-{column} filter");
+    assert_eq!(plain, built, "with the built column-{column} filter");
+    if let CompiledPredicate::Equals { .. } = compiled {
+        let filter = PageView::with_filters(&buf, Some(&filters)).value_filter(column);
+        assert!(
+            filter.unwrap().built().is_some(),
+            "column {column} filter built"
+        );
+    }
+    !plain.is_empty()
 }
 
 /// Counter maintenance as the engine drives it: Table I DML
@@ -362,9 +382,9 @@ proptest! {
                 pred.matches(&v),
                 "{:?} on {:?}", pred, v
             );
-            // The page kernel (the production page-sweep path, with its own
-            // column-0 branch) must agree with the decoded semantics on
-            // well-formed tuples.
+            // The page kernel (the production page-sweep path) must agree
+            // with the decoded semantics on well-formed tuples, with and
+            // without a value filter.
             for (column, tuple) in [(0, &first), (1, &bytes)] {
                 prop_assert_eq!(
                     page_matches(&compiled, tuple, column),
