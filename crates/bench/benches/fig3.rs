@@ -11,7 +11,7 @@
 //! fully indexed".
 
 use aib_bench::header;
-use aib_sim::{paper_scenarios, share_near_correlation, sweep};
+use aib_workload::clustering::{paper_scenarios, share_near_correlation, sweep};
 
 fn main() {
     header(

@@ -16,10 +16,10 @@
 use std::time::Instant;
 
 use aib_core::{BufferConfig, SpaceConfig};
-use aib_engine::{Database, EngineConfig, Query, WorkloadRecorder};
+use aib_engine::{AccessPath, Database, EngineConfig, Query, TunerConfig, WorkloadRecorder};
 use aib_index::{Coverage, IndexBackend};
-use aib_storage::CostModel;
-use aib_workload::{QuerySpec, TableSpec};
+use aib_storage::{Column, CostModel, Schema, Tuple, Value};
+use aib_workload::{fig1_queries, QuerySpec, TableSpec, FIG1_HIGH};
 
 /// Name of the evaluation table in every experiment.
 pub const TABLE: &str = "eval";
@@ -193,4 +193,109 @@ pub fn mean_sim_us(rec: &WorkloadRecorder, lo: usize, hi: usize) -> f64 {
         return 0.0;
     }
     r.iter().map(|m| m.simulated_us()).sum::<u64>() as f64 / r.len() as f64
+}
+
+/// The online tuner of Fig. 1: threshold 6, LRU over 15 values, and a
+/// 60-query window where the paper says 20 (see
+/// [`aib_workload::fig1_queries`] for why).
+pub const FIG1_TUNER: TunerConfig = TunerConfig {
+    window: 60,
+    threshold: 6,
+    capacity: 15,
+};
+
+/// One arm of Fig. 1 on the engine: the stream of
+/// [`aib_workload::fig1_queries`] through a tuned partial index.
+#[derive(Debug)]
+pub struct Fig1Run {
+    /// Per-query metrics. A hit is [`AccessPath::PartialIndex`], so
+    /// [`WorkloadRecorder::hit_rate`] is Fig. 1's hit-rate series.
+    pub recorder: WorkloadRecorder,
+    /// The tuner's indexed band after each query: its lowest and highest
+    /// value (`None` while empty) and its number of values.
+    pub indexed: Vec<(Option<(i64, i64)>, usize)>,
+}
+
+impl Fig1Run {
+    /// Whether query `seq` was served by the partial index.
+    pub fn hit(&self, seq: usize) -> bool {
+        self.recorder
+            .records()
+            .get(seq)
+            .is_some_and(|m| m.path == AccessPath::PartialIndex)
+    }
+
+    /// Pages read by queries `[from, to)`.
+    pub fn pages_read(&self, from: usize, to: usize) -> u64 {
+        self.recorder
+            .records()
+            .get(from..to)
+            .unwrap_or_default()
+            .iter()
+            .map(|m| m.io.page_reads)
+            .sum()
+    }
+
+    /// First query from which the hit rate over the next `window` queries
+    /// stays at or above `level` and the upper end of the indexed band has
+    /// reached the post-shift range — when the tuner has re-adapted. (A few
+    /// stale pre-shift values may linger under LRU, as in the paper's
+    /// figure, so full containment is not required.)
+    pub fn adapted_after(&self, level: f64, window: usize) -> Option<usize> {
+        let candidates = self.indexed.len().saturating_sub(window);
+        self.indexed
+            .iter()
+            .take(candidates)
+            .enumerate()
+            .find(|&(q, (band, _))| {
+                band.is_some_and(|(_, hi)| hi >= FIG1_HIGH.0)
+                    && self.recorder.hit_rate(q, q + window) >= level
+            })
+            .map(|(q, _)| q)
+    }
+}
+
+/// Runs Fig. 1 on the engine: a 40 000-row table `(k, pad)` with keys
+/// `(i · 2654435761 mod 2000) + 1` (about 20 rows each, so a hit is far
+/// cheaper than a scan) and a 120-byte pad, a 96-frame pool, and a partial
+/// index on `k` of empty coverage that [`FIG1_TUNER`] adapts. With
+/// `with_buffer`, an Index Buffer backs the index.
+pub fn fig1_run(with_buffer: bool) -> Fig1Run {
+    let db = Database::new(EngineConfig {
+        pool_frames: 96,
+        ..Default::default()
+    });
+    db.create_table(
+        TABLE,
+        Schema::new(vec![Column::int("k"), Column::str("pad")]),
+    )
+    .unwrap();
+    for i in 0..40_000 {
+        let k = (i * 2_654_435_761 % 2_000) + 1;
+        db.insert(
+            TABLE,
+            &Tuple::new(vec![Value::Int(k), Value::from("#".repeat(120))]),
+        )
+        .unwrap();
+    }
+    db.create_partial_index(
+        TABLE,
+        "k",
+        Coverage::empty_set(),
+        IndexBackend::BTree,
+        with_buffer.then(BufferConfig::default),
+    )
+    .unwrap();
+    db.attach_tuner(TABLE, "k", FIG1_TUNER).unwrap();
+
+    let int = |v: Option<&Value>| v.and_then(Value::as_int);
+    let mut recorder = WorkloadRecorder::new();
+    let mut indexed = Vec::new();
+    for value in fig1_queries() {
+        recorder.record(&db.execute(&Query::point(TABLE, "k", value)).unwrap());
+        // Sorted, so the band runs from the first value to the last.
+        let band = db.tuned_values(TABLE, "k").unwrap_or_default();
+        indexed.push((int(band.first()).zip(int(band.last())), band.len()));
+    }
+    Fig1Run { recorder, indexed }
 }

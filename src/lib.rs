@@ -12,7 +12,6 @@
 //! * [`engine`] — a mini database engine wiring it all together, plus the
 //!   online partial-index tuner the buffer is designed to back up.
 //! * [`workload`] — data and query generators for the paper's evaluation.
-//! * [`sim`] — stand-alone simulations for the motivating figures.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
 //! the reproduction methodology.
@@ -23,6 +22,5 @@
 pub use aib_core as core;
 pub use aib_engine as engine;
 pub use aib_index as index;
-pub use aib_sim as sim;
 pub use aib_storage as storage;
 pub use aib_workload as workload;

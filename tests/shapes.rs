@@ -3,77 +3,32 @@
 //! `aib-bench` figure harnesses print, frozen into assertions — if a code
 //! change breaks a published shape, a test fails, not just a plot.
 
+use std::sync::OnceLock;
+
 use adaptive_index_buffer::core::{BufferConfig, SpaceConfig};
-use adaptive_index_buffer::engine::{Database, EngineConfig, Query, WorkloadRecorder};
-use adaptive_index_buffer::index::{Coverage, IndexBackend};
-use adaptive_index_buffer::sim;
+use adaptive_index_buffer::engine::{Database, EngineConfig};
 use adaptive_index_buffer::storage::{CostModel, DEFAULT_ENTRY_FOOTPRINT};
+use adaptive_index_buffer::workload::clustering;
 use adaptive_index_buffer::workload::{
-    experiment1_queries, experiment3_queries, TableSpec, SWITCH_AT,
+    experiment1_queries, experiment3_queries, fig1_queries, TableSpec, FIG1_HIGH, FIG1_LOW,
+    FIG1_SHIFT, SWITCH_AT,
+};
+use aib_bench::{
+    build_eval_db, engine_config_for, fig1_run, mean_sim_us, run_workload, Fig1Run, TABLE,
 };
 
 const ROWS: u64 = 30_000;
 
-fn engine(space: SpaceConfig) -> EngineConfig {
-    EngineConfig {
-        pool_frames: 64, // ~1/17th of the ~1,080-page table: scans are disk-bound
-        cost_model: CostModel::default(),
-        space,
-        ..Default::default()
-    }
-}
-
+/// The harness's evaluation database, on its default engine for `spec`
+/// (at `ROWS` a 64-frame pool, ~1/17th of the ~1,080-page table: scans are
+/// disk-bound).
 fn build(
     spec: &TableSpec,
     space: SpaceConfig,
     buffer: Option<BufferConfig>,
     cols: &[&str],
 ) -> Database {
-    build_with(spec, engine(space), buffer, cols)
-}
-
-fn build_with(
-    spec: &TableSpec,
-    engine: EngineConfig,
-    buffer: Option<BufferConfig>,
-    cols: &[&str],
-) -> Database {
-    let db = Database::new(engine);
-    db.create_table("eval", spec.schema()).unwrap();
-    for t in spec.tuples() {
-        db.insert("eval", &t).unwrap();
-    }
-    let (lo, hi) = spec.covered_range();
-    for col in cols {
-        db.create_partial_index(
-            "eval",
-            col,
-            Coverage::IntRange { lo, hi },
-            IndexBackend::BTree,
-            buffer,
-        )
-        .unwrap();
-    }
-    db
-}
-
-fn run(
-    db: &mut Database,
-    queries: &[adaptive_index_buffer::workload::QuerySpec],
-) -> WorkloadRecorder {
-    let mut rec = WorkloadRecorder::new();
-    for q in queries {
-        rec.record(
-            &db.execute(&Query::point("eval", &q.column, q.value))
-                .unwrap(),
-        );
-    }
-    rec
-}
-
-fn mean_sim(rec: &WorkloadRecorder, lo: usize, hi: usize) -> f64 {
-    let r = &rec.records()[lo..hi.min(rec.len())];
-    r.iter().map(|m| m.simulated_us()).sum::<u64>() as f64 / r.len() as f64
+    build_eval_db(spec, engine_config_for(spec, space), buffer, cols)
 }
 
 /// Fig. 6 shape: buffered query cost collapses below the plain-scan level
@@ -90,16 +45,16 @@ fn fig6_shape_buffer_beats_scan_and_reaches_index_level() {
     };
 
     let mut buffered = build(&spec, space, Some(BufferConfig::default()), &["A"]);
-    let buf_rec = run(&mut buffered, &queries);
+    let buf_rec = run_workload(&mut buffered, &queries);
     let mut plain = build(&spec, space, None, &["A"]);
-    let plain_rec = run(&mut plain, &queries);
+    let plain_rec = run_workload(&mut plain, &queries);
 
-    let scan_level = mean_sim(&plain_rec, 10, 40);
+    let scan_level = mean_sim_us(&plain_rec, 10, 40);
     assert!(scan_level > 0.0, "plain scans must cost I/O at this scale");
     // Early: buffered ≤ scan (same pages read, fewer every round).
-    assert!(mean_sim(&buf_rec, 0, 2) <= scan_level * 1.05);
+    assert!(mean_sim_us(&buf_rec, 0, 2) <= scan_level * 1.05);
     // Late: buffered cost collapses (paper: reaches index-scan level).
-    let late = mean_sim(&buf_rec, 30, 40);
+    let late = mean_sim_us(&buf_rec, 30, 40);
     assert!(
         late < scan_level * 0.02,
         "late buffered cost {late} vs scan level {scan_level}"
@@ -135,10 +90,10 @@ fn fig6_run_is_deterministic_and_starts_at_scan_cost() {
         ..Default::default()
     };
     let series = || {
-        let mut db = build_with(&spec, config(), Some(BufferConfig::default()), &["A"]);
-        let pages = db.table("eval").unwrap().num_pages() as usize;
+        let mut db = build_eval_db(&spec, config(), Some(BufferConfig::default()), &["A"]);
+        let pages = db.table(TABLE).unwrap().num_pages() as usize;
         assert_eq!(pages / 40, 18, "pool ≈ 1/18th of {pages} pages");
-        run(&mut db, &queries)
+        run_workload(&mut db, &queries)
             .records()
             .iter()
             .map(|m| {
@@ -161,8 +116,8 @@ fn fig6_run_is_deterministic_and_starts_at_scan_cost() {
 
     // Fig. 6's scan baseline: the same partial index with no buffer, so the
     // index build leaves both pools on the same footing.
-    let mut plain = build_with(&spec, config(), None, &["A"]);
-    let plain_rec = run(&mut plain, &queries[..1]);
+    let mut plain = build_eval_db(&spec, config(), None, &["A"]);
+    let plain_rec = run_workload(&mut plain, &queries[..1]);
     assert_eq!(
         first[0].1,
         plain_rec.records()[0].simulated_us(),
@@ -185,8 +140,8 @@ fn fig7_shape_imax_and_space_bound() {
             seed: 7,
         };
         let mut db = build(&spec, space, Some(BufferConfig::default()), &["A"]);
-        let rec = run(&mut db, &queries);
-        mean_sim(&rec, 2, 15)
+        let rec = run_workload(&mut db, &queries);
+        mean_sim_us(&rec, 2, 15)
     };
     let slow = early_cost(500);
     let medium = early_cost(1_000);
@@ -205,8 +160,8 @@ fn fig7_shape_imax_and_space_bound() {
             seed: 7,
         };
         let mut db = build(&spec, space, Some(BufferConfig::default()), &["A"]);
-        let rec = run(&mut db, &queries);
-        mean_sim(&rec, 40, 60)
+        let rec = run_workload(&mut db, &queries);
+        mean_sim_us(&rec, 40, 60)
     };
     let tight = floor(Some(100_000));
     let loose = floor(Some(450_000));
@@ -250,28 +205,14 @@ fn fig8_shape_allocation_flips_with_the_mix() {
             i_max,
             seed,
         };
-        let mut db = Database::new(EngineConfig {
+        let engine = EngineConfig {
             pool_frames: 200,
             cost_model: CostModel::default(),
             space,
             ..Default::default()
-        });
-        db.create_table("eval", spec.schema()).unwrap();
-        for t in spec.tuples() {
-            db.insert("eval", &t).unwrap();
-        }
-        let (lo, hi) = spec.covered_range();
-        for col in ["A", "B", "C"] {
-            db.create_partial_index(
-                "eval",
-                col,
-                Coverage::IntRange { lo, hi },
-                IndexBackend::BTree,
-                Some(buffer),
-            )
-            .unwrap();
-        }
-        let rec = run(&mut db, &queries);
+        };
+        let mut db = build_eval_db(&spec, engine, Some(buffer), &["A", "B", "C"]);
+        let rec = run_workload(&mut db, &queries);
 
         let p1 = &rec.records()[SWITCH_AT - 1].buffer_entries;
         assert!(
@@ -298,40 +239,135 @@ fn fig8_shape_allocation_flips_with_the_mix() {
     }
 }
 
-/// Fig. 1 shape (simulation): hit rate collapses during the shift and the
-/// indexed range lags the queried range.
+/// Fig. 1 on the engine, tuner only (`[0]`) and tuner plus buffer (`[1]`),
+/// run once for every Fig. 1 test.
+fn fig1_arms() -> &'static [Fig1Run; 2] {
+    static ARMS: OnceLock<[Fig1Run; 2]> = OnceLock::new();
+    ARMS.get_or_init(|| [fig1_run(false), fig1_run(true)])
+}
+
+/// Fig. 1 shape, in both arms: hit rate collapses during the shift and
+/// recovers; the buffer cuts the pages the shift reads.
 #[test]
 fn fig1_shape_control_loop_delay() {
-    let config = sim::ControlLoopConfig::default();
-    let result = sim::run_control_loop(&config);
-    let warm = result.hit_rate(100, 200);
-    let during = result.hit_rate(250, 320);
-    let late = result.hit_rate(430, 500);
-    assert!(
-        warm > 0.4 && late > 0.4,
-        "adapted phases: warm {warm}, late {late}"
+    let [tuner, buffer] = fig1_arms();
+    for run in [tuner, buffer] {
+        let warm = run.recorder.hit_rate(100, 200);
+        let during = run.recorder.hit_rate(250, 320);
+        let late = run.recorder.hit_rate(430, 500);
+        assert!(
+            warm > 0.4 && late > 0.4,
+            "adapted phases: warm {warm}, late {late}"
+        );
+        assert!(
+            during < warm - 0.15,
+            "collapse during shift: {during} < {warm}"
+        );
+    }
+    let (plain, buffered) = (
+        tuner.pages_read(FIG1_SHIFT.0, FIG1_SHIFT.1),
+        buffer.pages_read(FIG1_SHIFT.0, FIG1_SHIFT.1),
     );
     assert!(
-        during < warm - 0.15,
-        "collapse during shift: {during} < {warm}"
+        buffered < plain,
+        "the buffer bridges the delay: {buffered} vs {plain} pages"
     );
+}
+
+/// Fig. 1, in both arms: the tuner adapts to the low range before the
+/// shift, loses it during the shift, and re-adapts to the high range after.
+#[test]
+fn fig1_tuner_adapts_before_shift_and_readapts_after() {
+    for run in fig1_arms() {
+        assert_eq!(run.recorder.records().len(), 500);
+        // Warm phase: by query 150 the hot values are indexed and the hit
+        // rate is substantial.
+        let warm = run.recorder.hit_rate(100, 200);
+        assert!(warm > 0.4, "pre-shift hit rate {warm}");
+        // The shift collapses the hit rate (Fig. 1's double burden).
+        let during = run.recorder.hit_rate(250, 320);
+        assert!(
+            during < warm - 0.15,
+            "hit rate must drop during adaptation: warm {warm}, during {during}"
+        );
+        // Recovery by the end.
+        let late = run.recorder.hit_rate(430, 500);
+        assert!(late > 0.4, "post-adaptation hit rate {late}");
+    }
+}
+
+/// Fig. 1's control-loop delay, in both arms: the indexed range lags the
+/// queried range through the shift and catches up only after it began.
+#[test]
+fn fig1_indexed_range_lags_queried_range() {
+    for run in fig1_arms() {
+        // Right after the shift the queried range is fully high, but the
+        // index still holds low values.
+        let (lo, _) = run.indexed[305].0.expect("index is populated");
+        assert!(
+            lo < FIG1_HIGH.0,
+            "stale low values remain indexed (lo={lo})"
+        );
+        let adapted = run.adapted_after(0.7, 50).expect("tuner must adapt");
+        assert!(
+            adapted > FIG1_SHIFT.0,
+            "adaptation completes only after the shift began: {adapted}"
+        );
+        // By the end the indexed band has moved into the high range (a few
+        // stale transition values may remain under LRU).
+        let (_, hi) = run.indexed.last().unwrap().0.unwrap();
+        assert!(hi >= FIG1_HIGH.0);
+        assert!(
+            run.indexed[480..]
+                .iter()
+                .all(|(band, _)| band.is_some_and(|(lo, _)| lo > FIG1_LOW.1 - 5)),
+            "most stale low values evicted by the end"
+        );
+    }
+}
+
+/// Both arms draw Fig. 1 exactly as the control-loop simulator that drew it
+/// before the engine did: the FNV-1a hash of the 500 `(value, hit,
+/// indexed_lo, indexed_hi, indexed_count)` records (0 for an empty band),
+/// as little-endian words, is the simulator's.
+#[test]
+fn fig1_records_match_the_simulator() {
+    for (arm, run) in ["tuner", "tuner+buffer"].into_iter().zip(fig1_arms()) {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut word = |w: u64| {
+            for byte in w.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let values = fig1_queries();
+        for (seq, &value) in values.iter().enumerate() {
+            let (band, count) = run.indexed[seq];
+            let (lo, hi) = band.unwrap_or((0, 0));
+            for w in [value, i64::from(run.hit(seq)), lo, hi, count as i64] {
+                word(w as u64);
+            }
+        }
+        assert_eq!((values.len(), run.indexed.len()), (500, 500), "{arm}");
+        assert_eq!(hash, 0x3249_aa61_8aa1_b8a7, "{arm}: Fig. 1 records");
+    }
 }
 
 /// Fig. 3 shape (simulation): <5% fully indexed pages at correlation 0.8
 /// with >=10 tuples per page and 10% coverage.
 #[test]
 fn fig3_shape_share_collapses_with_decorrelation() {
-    let scenario = sim::ClusteringScenario {
+    let scenario = clustering::ClusteringScenario {
         tuples: 20_000,
         per_page: 10,
         coverage: 0.1,
     };
-    let points = sim::sweep(&scenario, 40, 2);
+    let points = clustering::sweep(&scenario, 40, 2);
     assert!(
         (points[0].fully_indexed_share - 0.1).abs() < 0.02,
         "share at corr 1 = coverage"
     );
-    let at08 = sim::share_near_correlation(&points, 0.8).unwrap();
+    let at08 = clustering::share_near_correlation(&points, 0.8).unwrap();
     assert!(
         at08.fully_indexed_share < 0.05,
         "paper's <5% claim: {}",
