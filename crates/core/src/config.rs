@@ -68,12 +68,6 @@ impl Default for SpaceConfig {
 }
 
 impl SpaceConfig {
-    /// The byte cap this configuration imposes on the Index Buffer Space:
-    /// `max_bytes`, or `None` (unlimited).
-    pub fn budget_bytes(&self) -> Option<usize> {
-        self.max_bytes
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -94,7 +88,6 @@ mod tests {
         let s = SpaceConfig::default();
         assert_eq!(s.i_max, 5_000, "paper experiments 1-3: I^MAX = 5,000");
         assert_eq!(s.max_bytes, None, "experiment 1: unlimited space");
-        assert_eq!(s.budget_bytes(), None, "no cap -> no byte budget");
         b.validate();
         s.validate();
     }
@@ -105,7 +98,8 @@ mod tests {
             max_bytes: Some(1 << 20),
             ..Default::default()
         };
-        assert_eq!(bytes.budget_bytes(), Some(1 << 20));
+        let space = crate::IndexBufferSpace::new(bytes);
+        assert_eq!(space.budget().space_limit(), Some(1 << 20));
         bytes.validate();
     }
 

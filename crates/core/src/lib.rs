@@ -23,7 +23,7 @@
 //!   paper's entry bound `L` compiles down to bytes, shared with the buffer
 //!   pool via [`aib_storage::MemoryBudget`]), the benefit model
 //!   `b_p = X_p / T_B`, and Algorithm 2's page selection with two-stage
-//!   probabilistic victim selection ([`space::BenefitPolicy`]).
+//!   probabilistic victim selection.
 //! * [`maintenance::maintain`] — the 16 DML maintenance cases of Table I.
 //!
 //! ```
@@ -92,4 +92,4 @@ pub use scan::{
     CoverageTest, Predicate, ScanPlan, ScanPrep, ScanStats, StagedPage,
 };
 pub use shared::{BufferSummary, SharedSpace, SnapshotCache, SpaceSnapshot, SpaceWriteGuard};
-pub use space::{BenefitPolicy, BufferPending, Displacement, IndexBufferSpace, Selection};
+pub use space::{BufferPending, Displacement, IndexBufferSpace, Selection};

@@ -79,7 +79,7 @@ impl SharedSpace {
     }
 
     /// Creates an empty space with its own private budget, capped at
-    /// [`SpaceConfig::budget_bytes`].
+    /// [`SpaceConfig::max_bytes`].
     pub fn new(config: SpaceConfig) -> Self {
         Self::sharing(IndexBufferSpace::new(config))
     }

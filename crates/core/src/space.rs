@@ -11,10 +11,10 @@
 //!   choosing the pages an indexing scan should buffer, displacing old
 //!   partitions only while the new index information is more beneficial
 //!   than what is discarded, and never exceeding the governor's byte
-//!   headroom (the paper's entry bound `L` compiles down to bytes via
-//!   [`SpaceConfig::budget_bytes`]).
+//!   headroom (the paper's entry bound `L`, in bytes, is
+//!   [`SpaceConfig::max_bytes`]).
 //!
-//! Victim selection lives in [`BenefitPolicy`], which plays the same role
+//! Victim selection lives in `pick_weighted`, which plays the same role
 //! for partitions that LRU plays for buffer-pool frames; both displacement
 //! pipelines draw on one governor. Stage 1 sees **every** buffer of the
 //! system — the paper has one Index Buffer Space bounded by `L`.
@@ -38,102 +38,43 @@
 // remaining brackets index vectors built a few lines above their use. The
 // runtime shadow model covers the semantic risk.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::sync::{AtomicU64, Ordering};
 
-use aib_storage::{
-    BudgetComponent, FrameId, MemoryBudget, MemoryUsage, Rng, DEFAULT_ENTRY_FOOTPRINT,
-};
+use aib_storage::{BudgetComponent, MemoryBudget, MemoryUsage, Rng, DEFAULT_ENTRY_FOOTPRINT};
 
 use crate::config::{BufferConfig, SpaceConfig};
 use crate::counters::PageCounters;
 use crate::index_buffer::{BufferId, IndexBuffer};
 use crate::partition::PartitionId;
 
-/// Stage 1 of §IV's victim selection.
-///
-/// The space feeds every eligible Index Buffer's benefit `b_B` via
-/// [`record_weight`](BenefitPolicy::record_weight) (in ascending id
-/// order) and then asks [`displace`](BenefitPolicy::displace) for a
-/// victim: never-used buffers (`b_B = 0`) are picked first, uniformly among
-/// themselves; otherwise a buffer is picked with probability proportional
-/// to `1 / b_B`. The RNG is seeded so experiments stay reproducible.
-pub struct BenefitPolicy {
-    rng: Rng,
-    /// Candidate weights, iterated in ascending id order so the RNG
-    /// consumption is deterministic for a given candidate set.
-    weights: BTreeMap<FrameId, f64>,
-}
-
-impl BenefitPolicy {
-    /// Creates a policy with a seeded RNG and no candidates.
-    pub fn new(seed: u64) -> Self {
-        BenefitPolicy {
-            rng: Rng::new(seed),
-            weights: BTreeMap::new(),
+/// Stage 1 of §IV's victim selection over `candidates`, each an Index
+/// Buffer with its benefit `b_B`, in ascending id order (so the RNG draws
+/// are deterministic for a given candidate set): never-used buffers
+/// (`b_B = 0`) are picked first, uniformly among themselves; otherwise a
+/// buffer is picked with probability proportional to `1 / b_B`. `None` when
+/// there are no candidates.
+fn pick_weighted(rng: &mut Rng, candidates: &[(BufferId, f64)]) -> Option<BufferId> {
+    // Zero-benefit candidates are infinitely likely under 1/b weighting.
+    let zeros: Vec<BufferId> = candidates
+        .iter()
+        .filter(|&&(_, b)| b <= f64::EPSILON)
+        .map(|&(id, _)| id)
+        .collect();
+    if !zeros.is_empty() {
+        return zeros.get(rng.below(zeros.len() as u64) as usize).copied();
+    }
+    let (&(last, _), _) = candidates.split_last()?;
+    let total: f64 = candidates.iter().map(|&(_, b)| 1.0 / b).sum();
+    let mut roll = rng.unit() * total;
+    for &(id, b) in candidates {
+        roll -= 1.0 / b;
+        if roll <= 0.0 {
+            return Some(id);
         }
     }
-
-    /// Forgets all candidate weights. The space re-feeds them before every
-    /// pick because benefits change with every query.
-    pub fn clear_weights(&mut self) {
-        self.weights.clear();
-    }
-
-    /// Notes the current benefit weight of `id` — larger weights displace
-    /// later.
-    pub fn record_weight(&mut self, id: FrameId, weight: f64) {
-        self.weights.insert(id, weight);
-    }
-
-    /// Picks an unblocked victim id and forgets its weight, or returns
-    /// `None` if every candidate is blocked.
-    pub fn displace(&mut self, blocked: &dyn Fn(FrameId) -> bool) -> Option<FrameId> {
-        let eligible: Vec<(FrameId, f64)> = self
-            .weights
-            .iter()
-            .map(|(&id, &b)| (id, b))
-            .filter(|&(id, _)| !blocked(id))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        // Zero-benefit candidates are infinitely likely under 1/b weighting.
-        let zeros: Vec<FrameId> = eligible
-            .iter()
-            .filter(|&&(_, b)| b <= f64::EPSILON)
-            .map(|&(id, _)| id)
-            .collect();
-        let chosen = if !zeros.is_empty() {
-            let pick = self.rng.below(zeros.len() as u64) as usize;
-            zeros.get(pick).copied()
-        } else {
-            let total: f64 = eligible.iter().map(|&(_, b)| 1.0 / b).sum();
-            let mut roll = self.rng.unit() * total;
-            let mut chosen = eligible.last().map(|&(id, _)| id);
-            for &(id, b) in &eligible {
-                roll -= 1.0 / b;
-                if roll <= 0.0 {
-                    chosen = Some(id);
-                    break;
-                }
-            }
-            chosen
-        };
-        let chosen = chosen?;
-        self.weights.remove(&chosen);
-        Some(chosen)
-    }
-}
-
-impl std::fmt::Debug for BenefitPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BenefitPolicy")
-            .field("candidates", &self.weights.len())
-            .finish()
-    }
+    Some(last)
 }
 
 /// A displacement performed during page selection.
@@ -280,7 +221,8 @@ pub struct IndexBufferSpace {
     next_id: BufferId,
     config: SpaceConfig,
     budget: Arc<MemoryBudget>,
-    victim_policy: BenefitPolicy,
+    /// Stage 1's draws ([`pick_weighted`]), seeded so experiments repeat.
+    victim_rng: Rng,
     /// Mutation stamp: bumped by every operation that changes buffer or
     /// counter state (never by pure history traffic), so a published
     /// snapshot can tell whether its bitsets are still current.
@@ -289,10 +231,10 @@ pub struct IndexBufferSpace {
 
 impl IndexBufferSpace {
     /// Creates an empty space with its own private [`MemoryBudget`], capped
-    /// at [`SpaceConfig::budget_bytes`] (unlimited when the config sets no
+    /// at [`SpaceConfig::max_bytes`] (unlimited when the config sets no
     /// bound).
     pub fn new(config: SpaceConfig) -> Self {
-        let budget = MemoryBudget::new(config.budget_bytes());
+        let budget = MemoryBudget::new(config.max_bytes);
         Self::with_budget(config, Arc::new(budget))
     }
 
@@ -305,7 +247,7 @@ impl IndexBufferSpace {
         IndexBufferSpace {
             slots: Vec::new(),
             next_id: 0,
-            victim_policy: BenefitPolicy::new(config.seed),
+            victim_rng: Rng::new(config.seed),
             config,
             budget,
             epoch: 0,
@@ -622,12 +564,12 @@ impl IndexBufferSpace {
 
     /// The two-stage victim selection of §IV.
     ///
-    /// Stage 1 delegates to the [`BenefitPolicy`]: an Index Buffer other
-    /// than the target, with probability proportional to `1 / b_B`
-    /// (never-used buffers have zero benefit and are picked first, uniformly
-    /// among themselves). Stage 2 picks that buffer's incomplete partition
-    /// if any, then complete partitions in descending entry count.
-    /// Partitions already in `excluded` are skipped.
+    /// Stage 1 is [`pick_weighted`]: an Index Buffer other than the target,
+    /// with probability proportional to `1 / b_B` (never-used buffers have
+    /// zero benefit and are picked first, uniformly among themselves).
+    /// Stage 2 picks that buffer's incomplete partition if any, then
+    /// complete partitions in descending entry count. Partitions already in
+    /// `excluded` are skipped.
     fn pick_victim(
         &mut self,
         target: BufferId,
@@ -643,20 +585,22 @@ impl IndexBufferSpace {
                 .find(|&p| !excluded.iter().any(|&(b, q, _)| (b, q) == (id, p)))
         };
 
-        // Feed the policy fresh weights for every buffer with at least one
-        // selectable partition (slots are in registration order, so ids
-        // ascend and the RNG consumption stays deterministic).
-        self.victim_policy.clear_weights();
-        for (pos, slot) in self.slots.iter().enumerate() {
-            if slot.buffer.id() != target && next_of(&self.slots, pos).is_some() {
-                self.victim_policy
-                    .record_weight(slot.buffer.id(), slot.buffer.benefit());
-            }
-        }
-        let chosen = self.victim_policy.displace(&|_| false)?;
-        // Keep the borrow checker happy: recompute stage 2 on the chosen id.
-        // Weights were only recorded for buffers with a selectable partition,
-        // so stage 2 finding none means "no victim" rather than a panic.
+        // Every buffer with at least one selectable partition is a
+        // candidate (slots are in registration order, so ids ascend and the
+        // RNG consumption stays deterministic).
+        let candidates: Vec<(BufferId, f64)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|&(pos, slot)| {
+                slot.buffer.id() != target && next_of(&self.slots, pos).is_some()
+            })
+            .map(|(_, slot)| (slot.buffer.id(), slot.buffer.benefit()))
+            .collect();
+        let chosen = pick_weighted(&mut self.victim_rng, &candidates)?;
+        // Recompute stage 2 on the chosen id. Only buffers with a
+        // selectable partition were candidates, so stage 2 finding none
+        // means "no victim" rather than a panic.
         let part = next_of(&self.slots, self.slot_pos(chosen))?;
         Some((chosen, part))
     }
@@ -696,7 +640,7 @@ impl std::fmt::Debug for IndexBufferSpace {
             .field("buffers", &self.slots.len())
             .field("total_entries", &self.total_entries())
             .field("resident_bytes", &self.footprint())
-            .field("budget_bytes", &self.config.budget_bytes())
+            .field("max_bytes", &self.config.max_bytes)
             .finish()
     }
 }
@@ -1055,16 +999,21 @@ mod tests {
     }
 
     #[test]
-    fn benefit_policy_prefers_zero_weight_and_forgets_victims() {
-        let mut p = BenefitPolicy::new(7);
-        p.record_weight(0, 2.0);
-        p.record_weight(1, 0.0);
-        p.record_weight(2, 5.0);
-        assert_eq!(p.displace(&|_| false), Some(1), "zero-benefit goes first");
-        let next = p.displace(&|id| id == 2).expect("0 is unblocked");
-        assert_eq!(next, 0, "blocked ids are skipped");
-        assert_eq!(p.displace(&|id| id == 2), None, "only blocked ids remain");
-        p.clear_weights();
-        assert_eq!(p.displace(&|_| false), None, "cleared ids are forgotten");
+    fn pick_weighted_prefers_zero_weight() {
+        let mut rng = Rng::new(7);
+        let candidates = [(0, 2.0), (1, 0.0), (2, 5.0)];
+        assert_eq!(
+            pick_weighted(&mut rng, &candidates),
+            Some(1),
+            "zero-benefit goes first"
+        );
+        let rest = [(0, 2.0), (2, 5.0)];
+        let picked = pick_weighted(&mut rng, &rest).expect("two candidates");
+        assert!(picked == 0 || picked == 2);
+        assert_eq!(
+            pick_weighted(&mut rng, &[]),
+            None,
+            "no candidate, no victim"
+        );
     }
 }

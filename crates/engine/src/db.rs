@@ -602,7 +602,7 @@ impl Database {
         let stats = disk.stats();
         // One governor for the whole engine: the pool charges its frames to
         // it and the space reads Algorithm 2's headroom under its own cap.
-        let budget = Arc::new(MemoryBudget::new(config.space.budget_bytes()));
+        let budget = Arc::new(MemoryBudget::new(config.space.max_bytes));
         let pool = BufferPool::new(
             disk,
             BufferPoolConfig::lru(config.pool_frames).with_budget(Arc::clone(&budget)),
@@ -708,20 +708,19 @@ impl Database {
         checkpoint_core(&self.pool, &self.catalog, pipeline, false, &mut |_| {})
     }
 
-    /// Crash-point hook (tests): a checkpoint on the caller's thread —
-    /// `recycle`d like the periodic one, or compact — that calls `observe`
-    /// at each phase boundary with no engine lock held, so a test can commit
+    /// Crash-point hook (tests): a checkpoint on the caller's thread,
+    /// recycled like the periodic one, that calls `observe` at each phase
+    /// boundary with no engine lock held, so a test can commit
     /// behind the cut and copy the directory as a crash there would leave it.
     #[doc(hidden)]
     pub fn checkpoint_observed(
         &self,
-        recycle: bool,
         observe: &mut dyn FnMut(CheckpointPhase),
     ) -> EngineResult<()> {
         let Some(pipeline) = &self.durability else {
             return Ok(());
         };
-        checkpoint_core(&self.pool, &self.catalog, pipeline, recycle, observe)
+        checkpoint_core(&self.pool, &self.catalog, pipeline, true, observe)
     }
 
     /// Checkpoints and releases the database. Durable state needs nothing

@@ -12,17 +12,19 @@
 //! free from the same rescan — the whole point of §V's "no recovery cost"
 //! argument).
 //!
-//! Wire format: little-endian integers, strings and byte blobs are
-//! `u32` length + bytes, [`Value`]s reuse the tuple codec
-//! ([`Value::encode`]/[`Value::decode`]). Decoding is strict — trailing
-//! bytes or truncation surface as [`StorageError::Corrupt`], because a
-//! snapshot that passed the WAL's CRC yet fails to decode means a version
-//! mismatch or a bug, not a torn write.
+//! Wire format: the storage crate's [`codec`] — little-endian integers,
+//! `u32`-length-prefixed strings, [`Value`]s in the tuple encoding — read
+//! back by its strict [`Reader`]; `read_schema`, `read_coverage` and
+//! `read_index_def` are this module's readers over it. Trailing bytes or
+//! truncation surface as [`StorageError::Corrupt`], because a snapshot that
+//! passed the WAL's CRC yet fails to decode means a version mismatch or a
+//! bug, not a torn write.
 
 use std::collections::BTreeSet;
 
 use aib_core::BufferConfig;
 use aib_index::Coverage;
+use aib_storage::codec::{self, put_i64, put_str, put_u32, put_u64, Reader};
 use aib_storage::{Column, ColumnType, PageId, Schema, StorageError, Value};
 
 /// Snapshot payload format version.
@@ -106,23 +108,6 @@ mod ddl_tag {
 
 // ------------------------------------------------------------- encoding
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
     put_u32(out, schema.columns().len() as u32);
     for col in schema.columns() {
@@ -202,26 +187,26 @@ impl SnapshotImage {
     /// Deserializes a snapshot body produced by [`SnapshotImage::encode`].
     pub fn decode(payload: &[u8]) -> Result<SnapshotImage, StorageError> {
         let mut r = Reader::new(payload);
-        let version = r.u32()?;
+        let version = r.u32("snapshot version")?;
         if version != SNAPSHOT_VERSION {
             return Err(StorageError::Corrupt(format!(
                 "snapshot version {version}, expected {SNAPSHOT_VERSION}"
             )));
         }
-        let ntables = r.u32()? as usize;
+        let ntables = r.u32("snapshot table count")? as usize;
         let mut tables = Vec::with_capacity(ntables.min(1024));
         for _ in 0..ntables {
-            let name = r.str()?;
-            let schema = r.schema()?;
-            let npages = r.u32()? as usize;
+            let name = r.str("table name")?.to_owned();
+            let schema = read_schema(&mut r)?;
+            let npages = r.u32("table page count")? as usize;
             let mut pages = Vec::with_capacity(npages.min(1 << 16));
             for _ in 0..npages {
-                pages.push(PageId(r.u32()?));
+                pages.push(PageId(r.u32("table page id")?));
             }
-            let nindexes = r.u32()? as usize;
+            let nindexes = r.u32("table index count")? as usize;
             let mut indexes = Vec::with_capacity(nindexes.min(64));
             for _ in 0..nindexes {
-                indexes.push(r.index_def()?);
+                indexes.push(read_index_def(&mut r)?);
             }
             tables.push(TableImage {
                 name,
@@ -230,7 +215,7 @@ impl SnapshotImage {
                 indexes,
             });
         }
-        r.finish()?;
+        r.finish("snapshot")?;
         Ok(SnapshotImage { tables })
     }
 }
@@ -272,187 +257,116 @@ impl DdlOp {
     /// Deserializes a DDL body produced by [`DdlOp::encode`].
     pub fn decode(payload: &[u8]) -> Result<DdlOp, StorageError> {
         let mut r = Reader::new(payload);
-        let tag = r.u8()?;
+        let tag = r.u8("ddl tag")?;
         let op = match tag {
             ddl_tag::CREATE_TABLE => DdlOp::CreateTable {
-                name: r.str()?,
-                schema: r.schema()?,
+                name: r.str("table name")?.to_owned(),
+                schema: read_schema(&mut r)?,
             },
             ddl_tag::CREATE_INDEX => DdlOp::CreateIndex {
-                table: r.u32()?,
-                def: r.index_def()?,
+                table: r.u32("ddl table")?,
+                def: read_index_def(&mut r)?,
             },
             ddl_tag::DROP_INDEX => DdlOp::DropIndex {
-                table: r.u32()?,
-                column: r.u32()?,
+                table: r.u32("ddl table")?,
+                column: r.u32("ddl column")?,
             },
             ddl_tag::REDEFINE => DdlOp::RedefineCoverage {
-                table: r.u32()?,
-                column: r.u32()?,
-                coverage: r.coverage()?,
+                table: r.u32("ddl table")?,
+                column: r.u32("ddl column")?,
+                coverage: read_coverage(&mut r)?,
             },
             other => {
-                return Err(StorageError::Corrupt(format!("unknown ddl tag {other}")));
+                return Err(codec::corrupt(format_args!("unknown ddl tag {other}")));
             }
         };
-        r.finish()?;
+        r.finish("ddl record")?;
         Ok(op)
     }
 }
 
 // ------------------------------------------------------------- decoding
 
-/// Strict cursor over a payload; every read error is a
-/// [`StorageError::Corrupt`].
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        let slice = self
-            .buf
-            .get(self.pos..self.pos.saturating_add(n))
-            .ok_or_else(|| StorageError::Corrupt("truncated wal payload".into()))?;
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        let bytes: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("wal payload u32".into()))?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        let bytes: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("wal payload u64".into()))?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn i64(&mut self) -> Result<i64, StorageError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn str(&mut self) -> Result<String, StorageError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| StorageError::Corrupt("wal payload string".into()))
-    }
-
-    fn schema(&mut self) -> Result<Schema, StorageError> {
-        let ncols = self.u32()? as usize;
-        let mut cols = Vec::with_capacity(ncols.min(256));
-        for _ in 0..ncols {
-            let name = self.str()?;
-            let ty = match self.u8()? {
-                0 => ColumnType::Int,
-                1 => ColumnType::Str,
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "unknown column type tag {other}"
-                    )));
-                }
-            };
-            let nullable = self.u8()? != 0;
-            let mut col = match ty {
-                ColumnType::Int => Column::int(name),
-                ColumnType::Str => Column::str(name),
-            };
-            if nullable {
-                col = col.nullable();
-            }
-            cols.push(col);
-        }
-        Ok(Schema::new(cols))
-    }
-
-    fn coverage(&mut self) -> Result<Coverage, StorageError> {
-        match self.u8()? {
-            0 => Ok(Coverage::None),
-            1 => Ok(Coverage::All),
-            2 => Ok(Coverage::IntRange {
-                lo: self.i64()?,
-                hi: self.i64()?,
-            }),
-            3 => {
-                let n = self.u32()? as usize;
-                let mut values = BTreeSet::new();
-                for _ in 0..n {
-                    let v = Value::decode(self.buf, &mut self.pos)?;
-                    values.insert(v);
-                }
-                Ok(Coverage::Set(values))
-            }
-            other => Err(StorageError::Corrupt(format!(
-                "unknown coverage tag {other}"
-            ))),
-        }
-    }
-
-    /// Reads one of the three structure bytes (see [`BTREE_IN_MEMORY`]). A
-    /// log written when the hash or paged structure existed may carry 1.
-    fn removed_structure(&mut self, removed: &str) -> Result<(), StorageError> {
-        match self.u8()? {
-            BTREE_IN_MEMORY => Ok(()),
-            other => Err(StorageError::Corrupt(format!(
-                "index definition selects the removed {removed} (byte {other}); \
-                 only the in-memory B+-tree exists"
-            ))),
-        }
-    }
-
-    fn index_def(&mut self) -> Result<IndexDef, StorageError> {
-        let column = self.u32()?;
-        let coverage = self.coverage()?;
-        self.removed_structure("hash index backend")?;
-        let buffer = match self.u8()? {
-            0 => None,
-            1 => {
-                let partition_pages = self.u32()?;
-                let history_k = self.u64()? as usize;
-                self.removed_structure("hash buffer backend")?;
-                Some(BufferConfig {
-                    partition_pages,
-                    history_k,
-                })
-            }
+fn read_schema(r: &mut Reader<'_>) -> Result<Schema, StorageError> {
+    let ncols = r.u32("schema column count")? as usize;
+    let mut cols = Vec::with_capacity(ncols.min(256));
+    for _ in 0..ncols {
+        let name = r.str("column name")?;
+        let col = match r.u8("column type")? {
+            0 => Column::int(name),
+            1 => Column::str(name),
             other => {
-                return Err(StorageError::Corrupt(format!(
-                    "unknown buffer-config tag {other}"
+                return Err(codec::corrupt(format_args!(
+                    "unknown column type tag {other}"
                 )));
             }
         };
-        self.removed_structure("paged (disk-resident) index")?;
-        Ok(IndexDef {
-            column,
-            coverage,
-            buffer,
-        })
+        cols.push(match r.u8("column nullability")? {
+            0 => col,
+            _ => col.nullable(),
+        });
     }
+    Ok(Schema::new(cols))
+}
 
-    fn finish(self) -> Result<(), StorageError> {
-        if self.pos != self.buf.len() {
-            return Err(StorageError::Corrupt(format!(
-                "{} trailing bytes in wal payload",
-                self.buf.len() - self.pos
+fn read_coverage(r: &mut Reader<'_>) -> Result<Coverage, StorageError> {
+    match r.u8("coverage tag")? {
+        0 => Ok(Coverage::None),
+        1 => Ok(Coverage::All),
+        2 => Ok(Coverage::IntRange {
+            lo: r.i64("coverage lower bound")?,
+            hi: r.i64("coverage upper bound")?,
+        }),
+        3 => {
+            let n = r.u32("coverage set size")?;
+            let values = (0..n)
+                .map(|_| Value::read(r).map(|col| col.to_value()))
+                .collect::<Result<BTreeSet<_>, _>>()?;
+            Ok(Coverage::Set(values))
+        }
+        other => Err(codec::corrupt(format_args!("unknown coverage tag {other}"))),
+    }
+}
+
+/// Reads one of the three structure bytes (see [`BTREE_IN_MEMORY`]). A
+/// log written when the hash or paged structure existed may carry 1.
+fn read_removed_structure(r: &mut Reader<'_>, removed: &str) -> Result<(), StorageError> {
+    match r.u8(removed)? {
+        BTREE_IN_MEMORY => Ok(()),
+        other => Err(codec::corrupt(format_args!(
+            "index definition selects the removed {removed} (byte {other}); \
+             only the in-memory B+-tree exists"
+        ))),
+    }
+}
+
+fn read_index_def(r: &mut Reader<'_>) -> Result<IndexDef, StorageError> {
+    let column = r.u32("index column")?;
+    let coverage = read_coverage(r)?;
+    read_removed_structure(r, "hash index backend")?;
+    let buffer = match r.u8("buffer-config tag")? {
+        0 => None,
+        1 => {
+            let partition_pages = r.u32("buffer partition pages")?;
+            let history_k = r.u64("buffer history depth")? as usize;
+            read_removed_structure(r, "hash buffer backend")?;
+            Some(BufferConfig {
+                partition_pages,
+                history_k,
+            })
+        }
+        other => {
+            return Err(codec::corrupt(format_args!(
+                "unknown buffer-config tag {other}"
             )));
         }
-        Ok(())
-    }
+    };
+    read_removed_structure(r, "paged (disk-resident) index")?;
+    Ok(IndexDef {
+        column,
+        coverage,
+        buffer,
+    })
 }
 
 #[cfg(test)]
@@ -534,8 +448,73 @@ mod tests {
         }
     }
 
+    /// Every coverage shape, each with and without a buffer; the set
+    /// coverage holds `set`.
+    fn every_index_def(set: &[Value]) -> Vec<IndexDef> {
+        let coverages = [
+            Coverage::None,
+            Coverage::All,
+            Coverage::IntRange {
+                lo: i64::MIN,
+                hi: i64::MAX,
+            },
+            Coverage::empty_set(),
+            Coverage::Set(set.iter().cloned().collect()),
+        ];
+        let buffers = [
+            None,
+            Some(BufferConfig {
+                partition_pages: 128,
+                history_k: 4,
+            }),
+        ];
+        let mut defs = Vec::new();
+        for (column, coverage) in coverages.iter().enumerate() {
+            for buffer in buffers {
+                defs.push(IndexDef {
+                    column: column as u32,
+                    coverage: coverage.clone(),
+                    buffer,
+                });
+            }
+        }
+        defs
+    }
+
+    /// [`sample_snapshot`] with every index definition on its second table.
+    fn full_snapshot(set: &[Value]) -> SnapshotImage {
+        let mut snapshot = sample_snapshot();
+        snapshot.tables[1].indexes = every_index_def(set);
+        snapshot
+    }
+
+    /// Every DDL op, the index ones over every index definition.
+    fn every_ddl_op(set: &[Value]) -> Vec<DdlOp> {
+        let mut ops = vec![
+            DdlOp::CreateTable {
+                name: "eval".into(),
+                schema: Schema::new(vec![Column::int("k"), Column::str("pad").nullable()]),
+            },
+            DdlOp::DropIndex {
+                table: 2,
+                column: 1,
+            },
+        ];
+        for def in every_index_def(set) {
+            let coverage = def.coverage.clone();
+            ops.push(DdlOp::CreateIndex { table: 1, def });
+            ops.push(DdlOp::RedefineCoverage {
+                table: 1,
+                column: 0,
+                coverage,
+            });
+        }
+        ops
+    }
+
     #[test]
     fn corrupt_payloads_rejected() {
+        let corrupt = |r: Result<(), StorageError>| matches!(r, Err(StorageError::Corrupt(_)));
         assert!(SnapshotImage::decode(&[]).is_err());
         assert!(
             SnapshotImage::decode(&99u32.to_le_bytes()).is_err(),
@@ -551,10 +530,127 @@ mod tests {
         .encode();
         bytes.push(0);
         assert!(DdlOp::decode(&bytes).is_err());
-        // Truncation anywhere inside a snapshot is corruption.
-        let full = sample_snapshot().encode();
-        for cut in 1..full.len() {
-            assert!(SnapshotImage::decode(&full[..cut]).is_err(), "cut {cut}");
+        // Every strict prefix of a snapshot or of a DDL op is corruption:
+        // never a panic, never a shorter value.
+        let set = [
+            Value::Null,
+            Value::Int(-3),
+            Value::from(""),
+            Value::from("ORD"),
+        ];
+        let snapshot = full_snapshot(&set);
+        let full = snapshot.encode();
+        assert_eq!(SnapshotImage::decode(&full).unwrap(), snapshot);
+        for cut in 0..full.len() {
+            let decoded = SnapshotImage::decode(&full[..cut]).map(drop);
+            assert!(corrupt(decoded), "snapshot cut at {cut}");
         }
+        for op in every_ddl_op(&set) {
+            let full = op.encode();
+            assert_eq!(DdlOp::decode(&full).unwrap(), op);
+            for cut in 0..full.len() {
+                let decoded = DdlOp::decode(&full[..cut]).map(drop);
+                assert!(corrupt(decoded), "{op:?} cut at {cut}");
+            }
+        }
+    }
+
+    /// FNV-1a over every byte format the engine writes and reads back:
+    /// values, tuples, WAL frames of each record kind, WAL files of several
+    /// generations, the heap-file header page, snapshots and DDL bodies.
+    /// Every item is hashed behind its length. A change to any encoding
+    /// changes the hash; the constant was recorded before the byte formats
+    /// moved onto `aib_storage::codec`.
+    #[test]
+    fn byte_formats_are_frozen() {
+        use std::sync::Arc;
+
+        use aib_storage::{CostModel, FileBackend, MemDir, Rid, Tuple, Wal, WalRecord, PAGE_SIZE};
+
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut item = |bytes: &[u8]| {
+            let len = (bytes.len() as u64).to_le_bytes();
+            for &byte in len.iter().chain(bytes) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+
+        let values = vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::from(""),
+            Value::from("ORD"),
+            Value::from("日本語"),
+            Value::Str("x".repeat(70_000)),
+        ];
+        let set = values.clone();
+        for v in &values {
+            let mut out = Vec::new();
+            v.encode(&mut out);
+            item(&out);
+        }
+        let tuples = [
+            Tuple::new(vec![]),
+            Tuple::new(values),
+            Tuple::new(vec![Value::Int(7), Value::from("FRA"), Value::Null]),
+        ];
+        for t in &tuples {
+            item(&t.to_bytes());
+        }
+
+        let tuple = tuples[2].to_bytes();
+        let records = [
+            WalRecord::Insert {
+                table: 3,
+                rid: Rid::new(17, 4),
+                bytes: tuple.clone(),
+            },
+            WalRecord::Delete {
+                table: u32::MAX,
+                rid: Rid::new(u32::MAX, u16::MAX),
+            },
+            WalRecord::Update {
+                table: 0,
+                old: Rid::new(1, 2),
+                new: Rid::new(3, 4),
+                bytes: tuple,
+            },
+            WalRecord::Snapshot(sample_snapshot().encode()),
+            WalRecord::Ddl(vec![]),
+        ];
+        for r in &records {
+            let mut frame = Vec::new();
+            r.frame_into(&mut frame);
+            item(&frame);
+        }
+
+        // A log file per generation: header, snapshot frame, generation mask.
+        let dir = Arc::new(MemDir::new());
+        let mut wal = Wal::open_in(dir.clone(), "wal.log").unwrap();
+        item(&dir.read("wal.log").unwrap());
+        for gen in 0..3u8 {
+            wal.rotate(&WalRecord::Snapshot(vec![gen; 5])).unwrap();
+            item(&dir.read("wal.log").unwrap());
+        }
+
+        let mut heap = FileBackend::open_in(&*dir, "heap.db", CostModel::free()).unwrap();
+        item(&dir.read("heap.db").unwrap());
+        for _ in 0..3 {
+            heap.allocate().unwrap();
+        }
+        heap.sync().unwrap();
+        item(dir.read("heap.db").unwrap().get(..PAGE_SIZE).unwrap());
+
+        item(&full_snapshot(&set).encode());
+        item(&SnapshotImage::default().encode());
+        for op in &every_ddl_op(&set) {
+            item(&op.encode());
+        }
+
+        assert_eq!(hash, 0x2f07_94ee_608b_2bae, "a byte format changed");
     }
 }

@@ -138,9 +138,9 @@ fn observe() -> Observed {
     }
     // A first periodic checkpoint parks this long log, so that the one under
     // test is staged over its blocks.
-    db.checkpoint_observed(true, &mut |_| {}).unwrap();
+    db.checkpoint_observed(&mut |_| {}).unwrap();
     model.churn(&db, 5, 400);
-    db.checkpoint_observed(true, &mut |_| {}).unwrap();
+    db.checkpoint_observed(&mut |_| {}).unwrap();
     assert!(dir.read("wal.log.new").is_some(), "a retired log is parked");
     for k in 300..340 {
         model.insert(&db, k, 150);
@@ -154,7 +154,7 @@ fn observe() -> Observed {
         nth: 0,
         keep: 2 * PAGE_SIZE,
     });
-    let failed = db.checkpoint_observed(true, &mut |phase| {
+    let failed = db.checkpoint_observed(&mut |phase| {
         if phase == CheckpointPhase::Captured {
             model.insert(&db, 900, 300);
         }
@@ -166,7 +166,7 @@ fn observe() -> Observed {
     // record among it, more DML after the heap fsync.
     let mut before_rotation = None;
     let mut tail = 0;
-    db.checkpoint_observed(true, &mut |phase| match phase {
+    db.checkpoint_observed(&mut |phase| match phase {
         CheckpointPhase::Captured => {
             let before = db.wal_records_written();
             model.churn(&db, 25, 900);
@@ -396,7 +396,7 @@ fn open_refuses_a_headerless_log_and_sweeps_side_files() {
     assert_eq!(db.table("t").unwrap().live_tuples(), 20);
     assert!(!dir.0.join("wal.log.old").exists() && !dir.0.join("wal.log.new").exists());
     // Close, like open, leaves a compact log and nothing beside it.
-    db.checkpoint_observed(true, &mut |_| {}).unwrap();
+    db.checkpoint_observed(&mut |_| {}).unwrap();
     assert!(
         dir.0.join("wal.log.new").exists(),
         "a periodic rotation parks"

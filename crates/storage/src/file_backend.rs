@@ -60,6 +60,7 @@ use std::io::{ErrorKind, IoSliceMut};
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::codec::{self, put_u32, Reader};
 use crate::disk::{CostModel, PAGE_SIZE};
 use crate::error::StorageError;
 use crate::rid::PageId;
@@ -519,37 +520,27 @@ fn page_offset(pid: u32) -> u64 {
 }
 
 /// Builds a header page naming `pages` durable data pages.
-fn encode_header(pages: u32) -> [u8; PAGE_SIZE] {
-    let mut header = [0u8; PAGE_SIZE];
-    let version = FORMAT_VERSION.to_le_bytes();
-    let count = pages.to_le_bytes();
-    let fields = MAGIC.iter().chain(version.iter()).chain(count.iter());
-    for (dst, src) in header.iter_mut().zip(fields) {
-        *dst = *src;
-    }
+fn encode_header(pages: u32) -> Vec<u8> {
+    let mut header = MAGIC.to_vec();
+    put_u32(&mut header, FORMAT_VERSION);
+    put_u32(&mut header, pages);
+    header.resize(PAGE_SIZE, 0);
     header
 }
 
 /// Validates a header page, returning its durable page count.
-fn decode_header(header: &[u8; PAGE_SIZE]) -> Result<u32, StorageError> {
-    if header.get(..8) != Some(MAGIC.as_slice()) {
-        return Err(StorageError::Corrupt("heap file magic mismatch".into()));
+fn decode_header(header: &[u8]) -> Result<u32, StorageError> {
+    let mut r = Reader::new(header);
+    if r.bytes(MAGIC.len(), "heap file magic")? != MAGIC {
+        return Err(codec::corrupt("heap file magic mismatch"));
     }
-    let version_bytes: [u8; 4] = header
-        .get(8..12)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| StorageError::Corrupt("header version width".into()))?;
-    let version = u32::from_le_bytes(version_bytes);
+    let version = r.u32("heap file version")?;
     if version != FORMAT_VERSION {
-        return Err(StorageError::Corrupt(format!(
+        return Err(codec::corrupt(format_args!(
             "unsupported heap file version {version} (expected {FORMAT_VERSION})"
         )));
     }
-    let count_bytes: [u8; 4] = header
-        .get(12..16)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| StorageError::Corrupt("header page count width".into()))?;
-    Ok(u32::from_le_bytes(count_bytes))
+    r.u32("heap file page count")
 }
 
 #[cfg(test)]

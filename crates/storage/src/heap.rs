@@ -31,6 +31,19 @@ struct HeapInner {
     live_tuples: u64,
 }
 
+impl HeapInner {
+    /// Registers `pid` at the next ordinal with `free` bytes free, and
+    /// returns the ordinal: the FSM entry (less a slot entry's 4 bytes),
+    /// the ordinal → page list and the page → ordinal map, in step.
+    fn register(&mut self, pid: PageId, free: usize) -> u32 {
+        let ord = self.fsm.push(free.saturating_sub(4));
+        debug_assert_eq!(ord as usize, self.pages.len());
+        self.pages.push(pid);
+        self.ordinal_of.insert(pid, ord);
+        ord
+    }
+}
+
 /// A heap file over a shared buffer pool.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
@@ -132,10 +145,7 @@ impl HeapFile {
                             "fresh page rejected a size-validated tuple".into(),
                         ));
                     };
-                    let ord = inner.fsm.push(page.free_bytes().saturating_sub(4));
-                    debug_assert_eq!(ord as usize, inner.pages.len());
-                    inner.pages.push(pid);
-                    inner.ordinal_of.insert(pid, ord);
+                    let ord = inner.register(pid, page.free_bytes());
                     open = Some((ord, pid, guard));
                     break Rid { page: pid, slot };
                 };
@@ -282,11 +292,7 @@ impl HeapFile {
         })?;
         let free = page.free_bytes();
         drop(guard);
-        let mut inner = self.inner.write();
-        let ord = inner.fsm.push(free.saturating_sub(4));
-        debug_assert_eq!(ord as usize, inner.pages.len());
-        inner.pages.push(pid);
-        inner.ordinal_of.insert(pid, ord);
+        self.inner.write().register(pid, free);
         Ok(Rid { page: pid, slot })
     }
 
@@ -444,9 +450,7 @@ impl HeapFile {
         if let Some(&ord) = inner.ordinal_of.get(&pid) {
             return Ok(ord);
         }
-        let ord = inner.fsm.push(free.saturating_sub(4));
-        inner.pages.push(pid);
-        inner.ordinal_of.insert(pid, ord);
+        let ord = inner.register(pid, free);
         inner.live_tuples += live as u64;
         Ok(ord)
     }

@@ -15,13 +15,16 @@
 //! the bench default, deterministic and without durability. Page reads and
 //! writes are counted in [`stats::IoStats`] and charged to a configurable
 //! [`disk::CostModel`] by that one store, so the simulated I/O cost is the
-//! same in memory and on disk.
+//! same in memory and on disk. Every byte format that is read back —
+//! tuples, WAL records, both file headers — is written and strictly parsed
+//! through [`codec`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod buffer_pool;
+pub mod codec;
 pub mod disk;
 pub mod error;
 pub mod file_backend;
@@ -51,7 +54,6 @@ pub use error::StorageError;
 pub use file_backend::FileBackend;
 pub use heap::HeapFile;
 pub use page::{ColumnFilter, FrameFilters, PageView, SlottedPage, ValueFilter};
-pub use replacement::FrameId;
 pub use rid::{PageId, Rid, SlotId};
 pub use rng::Rng;
 pub use schema::{Column, ColumnType, Schema};

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::codec::{self, Reader};
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::{ColumnRef, Value};
@@ -50,7 +51,7 @@ impl Tuple {
     /// Serializes the tuple: a little-endian u16 arity, then each value.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
+        codec::put_u16(&mut out, self.values.len() as u16);
         for v in &self.values {
             v.encode(&mut out);
         }
@@ -59,23 +60,11 @@ impl Tuple {
 
     /// Deserializes a tuple previously produced by [`Tuple::to_bytes`].
     pub fn from_bytes(buf: &[u8]) -> Result<Self, StorageError> {
-        let arity_bytes: [u8; 2] = buf
-            .get(..2)
-            .ok_or_else(|| StorageError::Corrupt("tuple shorter than arity header".into()))?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("arity header width".into()))?;
-        let arity = u16::from_le_bytes(arity_bytes) as usize;
-        let mut pos = 2;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(Value::decode(buf, &mut pos)?);
-        }
-        if pos != buf.len() {
-            return Err(StorageError::Corrupt(format!(
-                "{} trailing bytes after tuple",
-                buf.len() - pos
-            )));
-        }
+        let (mut r, arity) = Self::open(buf)?;
+        let values = (0..arity)
+            .map(|_| Value::read(&mut r).map(|col| col.to_value()))
+            .collect::<Result<_, _>>()?;
+        r.finish("tuple")?;
         Ok(Tuple { values })
     }
 
@@ -108,23 +97,26 @@ impl Tuple {
         Value::decode_ref(buf, &mut pos)
     }
 
+    /// The tuple's arity header, and a reader at its first column.
+    #[inline]
+    fn open(buf: &[u8]) -> Result<(Reader<'_>, usize), StorageError> {
+        let mut r = Reader::new(buf);
+        let arity = r.u16("tuple arity header")?;
+        Ok((r, usize::from(arity)))
+    }
+
     /// The one column seek behind the two column reads: checks the arity
     /// header, then skips (and structurally validates) the columns before
     /// `idx`, returning the offset where column `idx`'s encoding starts.
     #[inline]
     fn seek_column(buf: &[u8], idx: usize) -> Result<usize, StorageError> {
-        let arity_bytes: [u8; 2] = buf
-            .get(..2)
-            .ok_or_else(|| StorageError::Corrupt("tuple shorter than arity header".into()))?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("arity header width".into()))?;
-        let arity = u16::from_le_bytes(arity_bytes) as usize;
+        let (r, arity) = Self::open(buf)?;
         if idx >= arity {
-            return Err(StorageError::Corrupt(format!(
+            return Err(codec::corrupt(format_args!(
                 "column {idx} out of range for arity {arity}"
             )));
         }
-        let mut pos = 2;
+        let mut pos = r.pos();
         for _ in 0..idx {
             Value::skip(buf, &mut pos)?;
         }

@@ -7,6 +7,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::codec::{self, Reader};
 use crate::error::StorageError;
 
 /// A single column value.
@@ -68,137 +69,77 @@ impl Value {
         self.view().encoded_len()
     }
 
-    /// Appends the compact binary encoding of the value to `out`.
+    /// Appends the compact binary encoding of the value to `out`: the tag,
+    /// then an `i64` or a [`codec::put_str`] string.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Value::Null => out.push(Self::TAG_NULL),
             Value::Int(v) => {
                 out.push(Self::TAG_INT);
-                out.extend_from_slice(&v.to_le_bytes());
+                codec::put_i64(out, *v);
             }
             Value::Str(s) => {
                 out.push(Self::TAG_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                codec::put_str(out, s);
             }
         }
+    }
+
+    /// The one tag/length/bounds step every value read takes: the tag and
+    /// the payload bytes of the value at `r`, with the reader past both.
+    /// Validates no UTF-8 — the sweep's column skip runs on it, which is
+    /// why it is always inlined: out of line, the reader and the result go
+    /// through memory on every skipped column.
+    #[inline(always)]
+    fn extent<'a>(r: &mut Reader<'a>) -> Result<(u8, &'a [u8]), StorageError> {
+        let tag = r.u8("value tag")?;
+        let len = match tag {
+            Self::TAG_NULL => 0,
+            Self::TAG_INT => 8,
+            Self::TAG_STR => r.u32("string value length")? as usize,
+            other => return Err(codec::corrupt(format_args!("unknown value tag {other}"))),
+        };
+        Ok((tag, r.bytes(len, "value payload")?))
+    }
+
+    /// Reads a *borrowing* view of the value at `r`: the one extent step plus
+    /// the payload's decoding (UTF-8 checked for strings).
+    #[inline]
+    pub fn read<'a>(r: &mut Reader<'a>) -> Result<ColumnRef<'a>, StorageError> {
+        let start = r.pos();
+        let (tag, payload) = Self::extent(r)?;
+        let view = match tag {
+            Self::TAG_INT => ColumnView::Int(Reader::new(payload).i64("int value")?),
+            Self::TAG_STR => ColumnView::Str(codec::utf8(payload, "string value")?),
+            _ => ColumnView::Null,
+        };
+        Ok(ColumnRef {
+            raw: r.since(start),
+            view,
+        })
     }
 
     /// Advances `pos` past one encoded value without materialising it.
     pub fn skip(buf: &[u8], pos: &mut usize) -> Result<(), StorageError> {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| StorageError::Corrupt("value tag past end of buffer".into()))?;
-        *pos += 1;
-        match tag {
-            Self::TAG_NULL => Ok(()),
-            Self::TAG_INT => {
-                if buf.len() < *pos + 8 {
-                    return Err(StorageError::Corrupt("truncated int value".into()));
-                }
-                *pos += 8;
-                Ok(())
-            }
-            Self::TAG_STR => {
-                let len_bytes: [u8; 4] = buf
-                    .get(*pos..*pos + 4)
-                    .ok_or_else(|| StorageError::Corrupt("truncated string length".into()))?
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("string length width".into()))?;
-                *pos += 4;
-                let len = u32::from_le_bytes(len_bytes) as usize;
-                if buf.len() < *pos + len {
-                    return Err(StorageError::Corrupt("truncated string payload".into()));
-                }
-                *pos += len;
-                Ok(())
-            }
-            other => Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
-        }
+        let mut r = Reader::at(buf, *pos);
+        Self::extent(&mut r)?;
+        *pos = r.pos();
+        Ok(())
     }
 
     /// Decodes a *borrowing* view of the value at `buf[*pos..]`, advancing
-    /// `pos` — the zero-copy counterpart of [`Value::decode`].
-    ///
-    /// Performs the exact validation sequence of `decode` (tag, payload
-    /// bounds, UTF-8), so the two fail identically on corrupt input; the
-    /// only difference is that string payloads are borrowed, not copied.
+    /// `pos` — the zero-copy counterpart of [`Value::decode`]: string
+    /// payloads are borrowed, not copied.
     pub fn decode_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<ColumnRef<'a>, StorageError> {
-        let start = *pos;
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| StorageError::Corrupt("value tag past end of buffer".into()))?;
-        *pos += 1;
-        let view = match tag {
-            Self::TAG_NULL => ColumnView::Null,
-            Self::TAG_INT => {
-                let bytes: [u8; 8] = buf
-                    .get(*pos..*pos + 8)
-                    .ok_or_else(|| StorageError::Corrupt("truncated int value".into()))?
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("int payload width".into()))?;
-                *pos += 8;
-                ColumnView::Int(i64::from_le_bytes(bytes))
-            }
-            Self::TAG_STR => {
-                let len_bytes: [u8; 4] = buf
-                    .get(*pos..*pos + 4)
-                    .ok_or_else(|| StorageError::Corrupt("truncated string length".into()))?
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("string length width".into()))?;
-                *pos += 4;
-                let len = u32::from_le_bytes(len_bytes) as usize;
-                let bytes = buf
-                    .get(*pos..*pos + len)
-                    .ok_or_else(|| StorageError::Corrupt("truncated string payload".into()))?;
-                *pos += len;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|e| StorageError::Corrupt(format!("invalid utf-8 in string: {e}")))?;
-                ColumnView::Str(s)
-            }
-            other => return Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
-        };
-        let raw = buf
-            .get(start..*pos)
-            .ok_or_else(|| StorageError::Corrupt("column extent out of bounds".into()))?;
-        Ok(ColumnRef { raw, view })
+        let mut r = Reader::at(buf, *pos);
+        let col = Self::read(&mut r)?;
+        *pos = r.pos();
+        Ok(col)
     }
 
     /// Decodes a value from `buf[*pos..]`, advancing `pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Value, StorageError> {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| StorageError::Corrupt("value tag past end of buffer".into()))?;
-        *pos += 1;
-        match tag {
-            Self::TAG_NULL => Ok(Value::Null),
-            Self::TAG_INT => {
-                let bytes: [u8; 8] = buf
-                    .get(*pos..*pos + 8)
-                    .ok_or_else(|| StorageError::Corrupt("truncated int value".into()))?
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("int payload width".into()))?;
-                *pos += 8;
-                Ok(Value::Int(i64::from_le_bytes(bytes)))
-            }
-            Self::TAG_STR => {
-                let len_bytes: [u8; 4] = buf
-                    .get(*pos..*pos + 4)
-                    .ok_or_else(|| StorageError::Corrupt("truncated string length".into()))?
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("string length width".into()))?;
-                *pos += 4;
-                let len = u32::from_le_bytes(len_bytes) as usize;
-                let bytes = buf
-                    .get(*pos..*pos + len)
-                    .ok_or_else(|| StorageError::Corrupt("truncated string payload".into()))?;
-                *pos += len;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|e| StorageError::Corrupt(format!("invalid utf-8 in string: {e}")))?;
-                Ok(Value::Str(s.to_owned()))
-            }
-            other => Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
-        }
+        Self::decode_ref(buf, pos).map(|col| col.to_value())
     }
 }
 

@@ -93,8 +93,9 @@ use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::codec::{self, put_u16, put_u32, Reader};
 use crate::error::StorageError;
-use crate::rid::{PageId, Rid, SlotId};
+use crate::rid::Rid;
 use crate::store::{read_all, read_exact_at, OsDir, StoreDir, StoreFile};
 
 /// Least and most zeroes an append that lengthens the file writes ahead.
@@ -168,17 +169,21 @@ impl WalRecord {
 
     /// Appends the record payload to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let put_rid = |out: &mut Vec<u8>, rid: &Rid| {
+            put_u32(out, rid.page.0);
+            put_u16(out, rid.slot.0);
+        };
         match self {
             WalRecord::Insert { table, rid, bytes } => {
                 out.push(tag::INSERT);
-                out.extend_from_slice(&table.to_le_bytes());
-                encode_rid(*rid, out);
+                put_u32(out, *table);
+                put_rid(out, rid);
                 out.extend_from_slice(bytes);
             }
             WalRecord::Delete { table, rid } => {
                 out.push(tag::DELETE);
-                out.extend_from_slice(&table.to_le_bytes());
-                encode_rid(*rid, out);
+                put_u32(out, *table);
+                put_rid(out, rid);
             }
             WalRecord::Update {
                 table,
@@ -187,9 +192,9 @@ impl WalRecord {
                 bytes,
             } => {
                 out.push(tag::UPDATE);
-                out.extend_from_slice(&table.to_le_bytes());
-                encode_rid(*old, out);
-                encode_rid(*new, out);
+                put_u32(out, *table);
+                put_rid(out, old);
+                put_rid(out, new);
                 out.extend_from_slice(bytes);
             }
             WalRecord::Snapshot(bytes) => {
@@ -222,71 +227,35 @@ impl WalRecord {
 
     /// Deserializes a payload produced by [`WalRecord::encode`].
     pub fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
-        let (&t, rest) = payload
-            .split_first()
-            .ok_or_else(|| StorageError::Corrupt("empty wal record".into()))?;
-        match t {
-            tag::INSERT => {
-                let (table, rest) = take_u32(rest)?;
-                let (rid, rest) = decode_rid(rest)?;
-                Ok(WalRecord::Insert {
-                    table,
-                    rid,
-                    bytes: rest.to_vec(),
-                })
-            }
+        let mut r = Reader::new(payload);
+        let rid = |r: &mut Reader<'_>| -> Result<Rid, StorageError> {
+            Ok(Rid::new(r.u32("wal rid page")?, r.u16("wal rid slot")?))
+        };
+        Ok(match r.u8("wal record tag")? {
+            tag::INSERT => WalRecord::Insert {
+                table: r.u32("wal table")?,
+                rid: rid(&mut r)?,
+                bytes: r.rest().to_vec(),
+            },
             tag::DELETE => {
-                let (table, rest) = take_u32(rest)?;
-                let (rid, rest) = decode_rid(rest)?;
-                if !rest.is_empty() {
-                    return Err(StorageError::Corrupt("trailing bytes in delete".into()));
-                }
-                Ok(WalRecord::Delete { table, rid })
+                let record = WalRecord::Delete {
+                    table: r.u32("wal table")?,
+                    rid: rid(&mut r)?,
+                };
+                r.finish("wal delete")?;
+                record
             }
-            tag::UPDATE => {
-                let (table, rest) = take_u32(rest)?;
-                let (old, rest) = decode_rid(rest)?;
-                let (new, rest) = decode_rid(rest)?;
-                Ok(WalRecord::Update {
-                    table,
-                    old,
-                    new,
-                    bytes: rest.to_vec(),
-                })
-            }
-            tag::SNAPSHOT => Ok(WalRecord::Snapshot(rest.to_vec())),
-            tag::DDL => Ok(WalRecord::Ddl(rest.to_vec())),
-            other => Err(StorageError::Corrupt(format!("unknown wal tag {other}"))),
-        }
+            tag::UPDATE => WalRecord::Update {
+                table: r.u32("wal table")?,
+                old: rid(&mut r)?,
+                new: rid(&mut r)?,
+                bytes: r.rest().to_vec(),
+            },
+            tag::SNAPSHOT => WalRecord::Snapshot(r.rest().to_vec()),
+            tag::DDL => WalRecord::Ddl(r.rest().to_vec()),
+            other => return Err(codec::corrupt(format_args!("unknown wal tag {other}"))),
+        })
     }
-}
-
-fn encode_rid(rid: Rid, out: &mut Vec<u8>) {
-    out.extend_from_slice(&rid.page.0.to_le_bytes());
-    out.extend_from_slice(&rid.slot.0.to_le_bytes());
-}
-
-fn decode_rid(buf: &[u8]) -> Result<(Rid, &[u8]), StorageError> {
-    let (page, rest) = take_u32(buf)?;
-    let slot_bytes: [u8; 2] = rest
-        .get(..2)
-        .ok_or_else(|| StorageError::Corrupt("truncated rid slot".into()))?
-        .try_into()
-        .map_err(|_| StorageError::Corrupt("rid slot width".into()))?;
-    let rid = Rid {
-        page: PageId(page),
-        slot: SlotId(u16::from_le_bytes(slot_bytes)),
-    };
-    Ok((rid, rest.get(2..).unwrap_or(&[])))
-}
-
-fn take_u32(buf: &[u8]) -> Result<(u32, &[u8]), StorageError> {
-    let bytes: [u8; 4] = buf
-        .get(..4)
-        .ok_or_else(|| StorageError::Corrupt("truncated wal u32".into()))?
-        .try_into()
-        .map_err(|_| StorageError::Corrupt("wal u32 width".into()))?;
-    Ok((u32::from_le_bytes(bytes), buf.get(4..).unwrap_or(&[])))
 }
 
 /// The reflected IEEE 802.3 (zlib) CRC-32 polynomial.
@@ -376,33 +345,22 @@ fn generation_mask(generation: u32) -> u32 {
 }
 
 /// The eight bytes opening a log file of `generation`.
-fn file_header(generation: u32) -> [u8; FILE_HEADER] {
-    let mut header = [0u8; FILE_HEADER];
-    let (magic, gen) = header.split_at_mut(MAGIC.len());
-    magic.copy_from_slice(MAGIC);
-    gen.copy_from_slice(&generation.to_le_bytes());
+fn file_header(generation: u32) -> Vec<u8> {
+    let mut header = MAGIC.to_vec();
+    put_u32(&mut header, generation);
     header
 }
 
 /// The generation a log image declares, or why it is not a log.
 fn parse_file_header(raw: &[u8]) -> Result<u32, StorageError> {
-    let (Some(magic), Some(generation)) =
-        (raw.get(..MAGIC.len()), raw.get(MAGIC.len()..FILE_HEADER))
-    else {
-        return Err(StorageError::Corrupt(format!(
-            "wal header missing: the file holds {} of {FILE_HEADER} bytes",
-            raw.len()
-        )));
-    };
+    let mut r = Reader::new(raw);
+    let magic = r.bytes(MAGIC.len(), "wal header magic")?;
     if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!(
+        return Err(codec::corrupt(format_args!(
             "wal header carries an unknown magic {magic:02x?}"
         )));
     }
-    generation
-        .try_into()
-        .map(u32::from_le_bytes)
-        .map_err(|_| StorageError::Corrupt("wal generation width".into()))
+    r.u32("wal header generation")
 }
 
 /// The `(len, crc)` header of the frame at `pos`, if eight bytes are there.
@@ -868,7 +826,7 @@ fn next_log(
     let generation = previous
         .checked_add(1)
         .ok_or_else(|| StorageError::Corrupt("wal generation space exhausted".into()))?;
-    let mut log = file_header(generation).to_vec();
+    let mut log = file_header(generation);
     snapshot.frame_into(&mut log);
     mix_frames(
         log.get_mut(FILE_HEADER..).unwrap_or_default(),
@@ -900,6 +858,7 @@ fn install(dir: &dyn StoreDir, name: &str, log: &[u8]) -> Result<Arc<dyn StoreFi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rid::{PageId, SlotId};
     use crate::store::{Fault, MemDir};
     use std::path::PathBuf;
 
@@ -1407,7 +1366,7 @@ mod tests {
 
     /// A log image: header, then `payloads` framed for `generation`.
     fn image(generation: u32, payloads: &[Vec<u8>]) -> Vec<u8> {
-        let mut raw = file_header(generation).to_vec();
+        let mut raw = file_header(generation);
         for payload in payloads {
             WalRecord::Ddl(payload.clone()).frame_into(&mut raw);
         }

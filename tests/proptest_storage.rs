@@ -83,18 +83,23 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Decoding never panics on arbitrary bytes — corrupt page data must
-    /// surface as `StorageError::Corrupt`, not a crash.
+    /// Decoding never panics on arbitrary bytes — corrupt page data and
+    /// corrupt WAL payloads must surface as `StorageError::Corrupt`, not a
+    /// crash.
     #[test]
     fn tuple_decode_is_panic_free(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        use adaptive_index_buffer::storage::{Tuple, Value};
-        let _ = Tuple::from_bytes(&bytes);
-        let _ = Tuple::read_column(&bytes, 0);
-        let _ = Tuple::read_column(&bytes, 3);
+        use adaptive_index_buffer::storage::{StorageError, Tuple, Value, WalRecord};
+        let corrupt_if_err = |r: Result<(), StorageError>| {
+            r.map_or_else(|e| matches!(e, StorageError::Corrupt(_)), |()| true)
+        };
+        prop_assert!(corrupt_if_err(Tuple::from_bytes(&bytes).map(drop)));
+        prop_assert!(corrupt_if_err(Tuple::read_column(&bytes, 0).map(drop)));
+        prop_assert!(corrupt_if_err(Tuple::read_column(&bytes, 3).map(drop)));
         let mut pos = 0;
-        let _ = Value::decode(&bytes, &mut pos);
+        prop_assert!(corrupt_if_err(Value::decode(&bytes, &mut pos).map(drop)));
         let mut pos = 0;
-        let _ = Value::skip(&bytes, &mut pos);
+        prop_assert!(corrupt_if_err(Value::skip(&bytes, &mut pos)));
+        prop_assert!(corrupt_if_err(WalRecord::decode(&bytes).map(drop)));
     }
 
     /// Round-trips survive arbitrary valid tuples.
